@@ -11,10 +11,9 @@ deterministic mix of inserts, deletes, and queries, then checks:
 2. **Determinism** — the full response transcript of a second,
    identically driven daemon is byte-identical to the first.
 
-Run it under both sketch backends::
+Run it with::
 
     python scripts/serve_smoke.py
-    REPRO_SKETCH_BACKEND=numpy python scripts/serve_smoke.py
 """
 
 from __future__ import annotations

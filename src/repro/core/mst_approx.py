@@ -53,7 +53,6 @@ def approximate_mst_weight(
     config: ModelConfig | None = None,
     rng: random.Random | None = None,
     copies: int = 3,
-    backend: object = None,
 ) -> MSTApproxResult:
     """Estimate the MST weight of a connected weighted graph within a
     ``(1+eps)`` factor, in O(1) rounds.
@@ -98,7 +97,6 @@ def approximate_mst_weight(
                     rng,
                     copies=copies,
                     note=f"cc{t}",
-                    backend=backend,
                 )
                 counts[t] = len(set(labels))
                 level_store.drop()

@@ -13,11 +13,11 @@ strings become Python values:
   else raises so a typo fails loudly instead of silently disabling the
   knob.
 * :func:`env_name` — name-valued switches (``REPRO_EXECUTOR``,
-  ``REPRO_ENGINE_BACKEND``, ``REPRO_SKETCH_BACKEND``,
-  ``REPRO_PRIMITIVE_PATH``).  Strips and lowercases; empty values fall
-  back to the default so ``REPRO_EXECUTOR= python ...`` behaves like
-  unset.  Validation against the accepted names stays with the caller,
-  whose error messages name the knob's actual vocabulary.
+  ``REPRO_ENGINE_BACKEND``, ``REPRO_PRIMITIVE_PATH``).  Strips and
+  lowercases; empty values fall back to the default so
+  ``REPRO_EXECUTOR= python ...`` behaves like unset.  Validation against
+  the accepted names stays with the caller, whose error messages name
+  the knob's actual vocabulary.
 * :func:`env_int` — integer knobs (``REPRO_EXECUTOR_WORKERS``).  Empty
   values fall back to the default; junk raises with the variable name in
   the message.

@@ -1154,9 +1154,7 @@ _register_workload(
 # row additionally uses gamma = 0.75 (fewer, fatter small machines — an
 # in-model choice of the Section 2 memory exponent) so per-machine
 # batches are large enough to amortize the kernel dispatch.
-# Regenerating the full artifacts is minutes-scale; set
-# REPRO_SKETCH_BACKEND=numpy to use the vectorized sketch kernels
-# (the artifacts are bit-identical either way).
+# Regenerating the full artifacts is minutes-scale.
 # ----------------------------------------------------------------------
 
 def _measure_huge_connectivity(n: int, rng: random.Random, quick: bool) -> dict:

@@ -29,11 +29,11 @@ item counts and wall-clock time are recorded in the ledger's
 
 ``send_indexed`` scatters group on the engine backend seam
 (:mod:`repro.mpc.backend`): the pure-Python default buckets stably per
-destination; the optional numpy backend (``pip install .[fast]``, or
-``REPRO_ENGINE_BACKEND=numpy``) groups numpy columns with one stable
-argsort and keeps payloads as zero-copy array blocks.  Ledgers are
-bit-identical across backends by construction — both derive all
-accounting from the same integer run metadata.
+destination; the numpy backend (``REPRO_ENGINE_BACKEND=numpy``) groups
+numpy columns with one stable argsort and keeps payloads as zero-copy
+array blocks.  Ledgers are bit-identical across backends by
+construction — both derive all accounting from the same integer run
+metadata.
 
 Both budgets of the model are enforced: per-round communication volumes
 and per-machine memory (``Machine.put`` datasets versus capacity, checked

@@ -6,8 +6,7 @@ the eight primitives so a whole pipeline run can stay array-native
 between ``send_indexed`` calls instead of materializing per-item Python
 tuples at every step.
 
-Three pieces, mirroring the ``repro.mpc.backend`` / ``repro.sketches.backend``
-seams:
+Three pieces, mirroring the ``repro.mpc.backend`` seam:
 
 * :class:`EdgeBlock` — a typed record batch: fixed-width rows held as
   per-field columns (numpy 1-D arrays when numpy is installed, plain row

@@ -35,7 +35,6 @@ def build_session(args) -> ServeSession:
             seed=args.seed,
             copies=args.copies,
             shards=args.shards,
-            backend=args.backend,
             max_weight=args.max_weight,
             epsilon=args.epsilon,
         )

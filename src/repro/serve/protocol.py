@@ -12,8 +12,9 @@ Ops:
     Liveness probe; works before ``init``.
 ``init``
     Create the service: ``{"op": "init", "n": 64, "seed": 7, ...}``
-    (fields mirror :class:`~repro.serve.service.ServeConfig`).  The
-    daemon can also be pre-initialized from CLI flags.
+    (fields mirror :class:`~repro.serve.service.ServeConfig`; any other
+    key except ``op`` and ``id`` is rejected).  The daemon can also be
+    pre-initialized from CLI flags.
 ``update``
     ``{"op": "update", "insert": [[u, v], [u, v, w], ...],
     "delete": [...]}`` — batched signed edge updates, inserts first.
@@ -36,9 +37,7 @@ from .service import GraphService, ServeConfig, ServiceError
 
 __all__ = ["ServeSession", "encode", "decode"]
 
-_CONFIG_FIELDS = (
-    "n", "seed", "copies", "shards", "backend", "max_weight", "epsilon"
-)
+_CONFIG_FIELDS = ("n", "seed", "copies", "shards", "max_weight", "epsilon")
 
 
 def encode(response: dict) -> str:
@@ -94,6 +93,14 @@ class ServeSession:
         if op == "init":
             if self.service is not None:
                 raise ServiceError("service already initialized")
+            unknown = sorted(
+                set(request) - set(_CONFIG_FIELDS) - {"op", "id"}, key=str
+            )
+            if unknown:
+                raise ServiceError(
+                    f"unknown init field(s) {unknown}; expected some of "
+                    f"{list(_CONFIG_FIELDS)}"
+                )
             kwargs = {
                 key: request[key] for key in _CONFIG_FIELDS if key in request
             }

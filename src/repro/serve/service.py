@@ -25,11 +25,16 @@ from them on demand:
 Determinism contract (pinned by the differential-replay tests): a
 service seeded with ``seed`` answers every query *identically* to a
 from-scratch :func:`repro.core.connectivity.sketch_components` run with
-``rng=random.Random(seed)`` on the surviving edge multiset, under either
-sketch backend.  This holds because the seed package derivation is
-shared, bank counters are order-independent sums, and
-:func:`bank_boruvka`'s output partition depends only on counter contents
-(see its docstring).
+``rng=random.Random(seed)`` on the surviving edge multiset.  This holds
+because the seed package derivation is shared, bank counters are
+order-independent sums, and :func:`bank_boruvka`'s output partition
+depends only on counter contents (see its docstring).
+
+Numeric limits: every refresh merges all shard banks, so the ``int64``
+bound on the identity sums ``s1`` (see :mod:`repro.sketches.bank`) is
+checked against the ids of every edge the service has applied, before an
+update batch moves anything; a batch that could overflow is refused with
+a :class:`ServiceError`.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from typing import Iterable, Sequence
 
 from ..core.mst_approx import geometric_thresholds
 from ..sketches import GraphSketchSpec, SketchBank, bank_boruvka, edge_id
-from ..sketches.backend import get_backend
+from ..sketches.bank import check_s1_bound
 
 __all__ = ["ServeConfig", "ServiceError", "GraphService", "ComponentView"]
 
@@ -65,7 +70,6 @@ class ServeConfig:
     seed: int = 0
     copies: int = 3
     shards: int = 4
-    backend: str | None = None
     max_weight: int | None = None
     epsilon: float = 0.5
 
@@ -87,7 +91,6 @@ class ServeConfig:
             "seed": self.seed,
             "copies": self.copies,
             "shards": self.shards,
-            "backend": self.backend,
             "max_weight": self.max_weight,
             "epsilon": self.epsilon,
         }
@@ -107,17 +110,13 @@ class GraphService:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.backend = get_backend(config.backend)
         # The seed-package streams are the determinism anchors.
         # Connectivity: the first spec drawn from random.Random(seed) is
         # exactly what sketch_components(rng=random.Random(seed)) builds.
         self.spec = GraphSketchSpec.generate(
             config.n, random.Random(config.seed), copies=config.copies
         )
-        self._shards = [
-            SketchBank(self.spec, backend=self.backend)
-            for _ in range(config.shards)
-        ]
+        self._shards = [SketchBank(self.spec) for _ in range(config.shards)]
         self.thresholds: list[int] = []
         self._mst_specs: list[GraphSketchSpec] = []
         self._mst_banks: list[SketchBank] = []
@@ -136,11 +135,14 @@ class GraphService:
                     config.n, mst_rng, copies=config.copies
                 )
                 self._mst_specs.append(spec)
-                self._mst_banks.append(SketchBank(spec, backend=self.backend))
+                self._mst_banks.append(SketchBank(spec))
         #: Surviving edge multiset: (u, v, w) normalized -> multiplicity.
         #: The validation ledger — sketches never read it, but deletes are
         #: checked against it so the forest can't silently go negative.
         self._edges: Counter = Counter()
+        #: Sum of the ids of every non-loop edge applied (either sign):
+        #: the worst-case |s1| of the merged refresh bank.
+        self._id_mass = 0
         self._components: ComponentView | None = None
         self._mst_estimate: float | None = None
         self._mst_counts: list[int] = []
@@ -185,20 +187,35 @@ class GraphService:
         Deletes must name surviving edges (same endpoints and weight);
         a batch that would drive any multiplicity negative is rejected
         *before* any counter moves, so the sketch state never diverges
-        from the validation ledger.
+        from the validation ledger.  So is a batch whose edge ids could
+        push the sketch identity sums past ``int64``.
         """
         inserts = [self._normalize(e) for e in insert]
         deletes = [self._normalize(e) for e in delete]
-        after = self._edges.copy()
-        after.update(inserts)
-        after.subtract(deletes)
-        negative = [e for e, c in after.items() if c < 0]
+        added = Counter(inserts)
+        negative = [
+            e for e, count in Counter(deletes).items()
+            if self._edges[e] + added[e] < count
+        ]
         if negative:
             raise ServiceError(
                 f"cannot delete edges not in the surviving set: "
                 f"{sorted(negative)[:5]}"
             )
-        self._edges = +after  # drop zero-count entries
+        n = self.config.n
+        mass = self._id_mass + sum(
+            edge_id(n, u, v) for u, v, _ in inserts + deletes if u != v
+        )
+        try:
+            check_s1_bound(mass)
+        except OverflowError as exc:
+            raise ServiceError(str(exc)) from exc
+        self._id_mass = mass
+        self._edges.update(added)
+        self._edges.subtract(deletes)
+        for e in set(deletes):
+            if not self._edges[e]:
+                del self._edges[e]
         for batch, sign in ((inserts, 1), (deletes, -1)):
             if not batch:
                 continue
@@ -232,7 +249,7 @@ class GraphService:
     def _merged_bank(
         self, partials: Iterable[SketchBank], spec: GraphSketchSpec
     ) -> SketchBank:
-        merged = SketchBank(spec, range(self.config.n), backend=self.backend)
+        merged = SketchBank(spec, range(self.config.n))
         for partial in partials:
             merged.absorb(partial)
         return merged
@@ -323,7 +340,6 @@ class GraphService:
         return {
             "n": self.config.n,
             "shards": len(self._shards),
-            "backend": self.backend.name,
             "edges": sum(self._edges.values()),
             "distinct_edges": len(self._edges),
             "updates_applied": self.updates_applied,

@@ -8,21 +8,21 @@ Two layers coexist:
   for unit-scale use; its methods behave exactly as the seed did
   (``VertexSketch.samplers`` is now a read-only snapshot);
 * the **bank API** (:class:`SketchBank`, :class:`SketchRow`,
-  :func:`bank_boruvka`) — the array-backed substrate: all
-  ``(phase, copy, level)`` one-sparse counters of a vertex set in three
-  flat arrays, bulk edge updates that compute each edge's hashes and
-  fingerprint powers once for both endpoints, and slice-based
-  merge/copy/zero-test.  Heavy arithmetic runs behind the backend seam of
-  :mod:`repro.sketches.backend` (pure-Python default, optional numpy via
-  ``pip install .[fast]``).
+  :func:`bank_boruvka`) — the one storage path: all
+  ``(phase, copy, level)`` one-sparse counters of a vertex set in one
+  ``(rows, slots)`` numpy array per counter, bulk edge updates that hash
+  every edge under every sampler in one pass and scatter both endpoints'
+  signed contributions exactly, and vector-add merges.  The array kernels
+  (exact ``GF(2^61 - 1)`` multiply, Horner hashing, power tables) live in
+  :mod:`repro.sketches.field`.
 
-Equivalence policy: with fixed seeds, both layers and both backends
-produce bit-identical counters, samples, and component labels; this is
-pinned by golden and property tests.
+Equivalence policy: with fixed seeds, both layers produce bit-identical
+counters, samples, and component labels, equal to the seed per-object
+implementation; this is pinned by golden and property tests against a
+pure-Python oracle kept with the tests.
 """
 
-from .backend import HAS_NUMPY, available_backends, get_backend
-from .bank import SketchBank, SketchRow, bank_boruvka
+from .bank import INT64_MAX, SketchBank, SketchRow, bank_boruvka
 from .field import PRIME, KWiseHash, fingerprint_power, trailing_zeros
 from .graph_sketch import (
     GraphSketchSpec,
@@ -36,6 +36,7 @@ from .l0 import L0Sampler, L0SamplerSeeds
 from .onesparse import OneSparseSketch
 
 __all__ = [
+    "INT64_MAX",
     "PRIME",
     "KWiseHash",
     "fingerprint_power",
@@ -52,7 +53,4 @@ __all__ = [
     "edge_from_id",
     "edge_id",
     "sketch_boruvka",
-    "get_backend",
-    "available_backends",
-    "HAS_NUMPY",
 ]

@@ -50,8 +50,34 @@ def test_query_before_init_rejected():
 def test_init_rejects_unknown_and_missing_fields():
     session = ServeSession()
     assert not session.handle({"op": "init"})["ok"]
-    # Unknown fields are simply ignored (forward compatibility).
-    assert session.handle({"op": "init", "n": 4, "frobnicate": 1})["ok"]
+    # Unknown fields are refused by name, not silently dropped.
+    response = session.handle({"op": "init", "n": 4, "frobnicate": 1})
+    assert not response["ok"] and "frobnicate" in response["error"]
+    assert session.service is None
+    assert session.handle({"op": "init", "n": 4, "id": 7})["ok"]
+
+
+def test_init_rejects_misspelled_and_retired_fields():
+    for key in ("bakend", "backend"):
+        session = ServeSession()
+        response = session.handle({"op": "init", "n": 8, key: "numpy"})
+        assert response["ok"] is False
+        assert key in response["error"]
+        assert session.service is None
+    line = ServeSession().handle_line('{"op":"init","n":8,"bakend":"numpy"}')
+    assert json.loads(line)["ok"] is False and "bakend" in line
+
+
+def test_components_labels_reply_round_trips_encode():
+    """Labels cross the bank boundary as builtin ints, so the reply
+    encodes as canonical JSON and decodes to the same object."""
+    session = make_session(n=6)
+    session.handle({"op": "update", "insert": [[0, 1], [2, 3], [3, 4]]})
+    reply = session.handle({"op": "components", "labels": True})
+    labels = reply["result"]["labels"]
+    assert labels == [0, 0, 2, 2, 2, 5]
+    assert all(type(label) is int for label in labels)
+    assert json.loads(encode(reply)) == reply
 
 
 def test_components_labels_flag():

@@ -4,9 +4,11 @@ The replay tests are the correctness contract of the whole serve stack:
 after *any* prefix of signed update batches, the service's canonical
 component labels must equal a from-scratch
 :func:`repro.core.connectivity.sketch_components` run (same seed) on the
-surviving edge multiset — under both sketch backends.  Likewise the
-MST-weight estimate must exactly replay
-:func:`repro.core.mst_approx.approximate_mst_weight`.
+surviving edge multiset.  Likewise the MST-weight estimate must exactly
+replay :func:`repro.core.mst_approx.approximate_mst_weight`.  The replay
+tests run twice: on the array-native bank (``numpy``) and with the
+service and the from-scratch pipeline both running on the pure-Python
+list oracle of ``tests/sketch_oracle.py`` (``pure``).
 """
 
 from __future__ import annotations
@@ -15,28 +17,40 @@ import random
 
 import pytest
 
+import repro.core.connectivity as connectivity_module
+import repro.serve.service as service_module
 from repro.core.connectivity import sketch_components
 from repro.core.mst_approx import approximate_mst_weight
 from repro.graph.graph import Graph
 from repro.mpc import Cluster, ModelConfig
 from repro.primitives.edgestore import EdgeStore
 from repro.serve import GraphService, ServeConfig, ServiceError
-from repro.sketches import available_backends
+from repro.sketches import INT64_MAX
+from sketch_oracle import ListBank, list_boruvka
 
-BACKENDS = available_backends()
+
+def use_list_bank(monkeypatch) -> None:
+    """Run the serve core and the connectivity pipeline on the oracle."""
+    for module in (service_module, connectivity_module):
+        monkeypatch.setattr(module, "SketchBank", ListBank)
+        monkeypatch.setattr(module, "bank_boruvka", list_boruvka)
 
 
-def scratch_labels(n: int, seed: int, edges, copies: int = 3,
-                   backend: str | None = None) -> list[int]:
+@pytest.fixture(params=["pure", "numpy"])
+def backend(request, monkeypatch):
+    if request.param == "pure":
+        use_list_bank(monkeypatch)
+    return request.param
+
+
+def scratch_labels(n: int, seed: int, edges, copies: int = 3) -> list[int]:
     """From-scratch Theorem C.1 run on *edges* — the replay reference."""
     cluster = Cluster(
         ModelConfig.heterogeneous(n=n, m=max(4, len(edges))),
         rng=random.Random(987),
     )
     store = EdgeStore.create(cluster, list(edges), name="replay")
-    return sketch_components(
-        cluster, store, n, random.Random(seed), copies=copies, backend=backend
-    )
+    return sketch_components(cluster, store, n, random.Random(seed), copies=copies)
 
 
 def random_batches(n, rng, batches=4, per_batch=12):
@@ -57,55 +71,52 @@ def random_batches(n, rng, batches=4, per_batch=12):
     return stream
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_differential_replay_after_every_prefix(backend):
     n, seed = 20, 11
-    service = GraphService(
-        ServeConfig(n=n, seed=seed, shards=3, backend=backend)
-    )
+    service = GraphService(ServeConfig(n=n, seed=seed, shards=3))
     for inserts, deletes in random_batches(n, random.Random(4)):
         service.update(insert=inserts, delete=deletes)
         surviving = [(u, v) for u, v, _ in service.surviving_edges()]
-        reference = scratch_labels(n, seed, surviving, backend=backend)
+        reference = scratch_labels(n, seed, surviving)
         assert service.components().labels == reference
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_replay_holds_with_multi_edges_and_loops(backend):
     n, seed = 12, 3
-    service = GraphService(ServeConfig(n=n, seed=seed, backend=backend))
+    service = GraphService(ServeConfig(n=n, seed=seed))
     # Parallel edges and self-loops stream through like anything else.
     service.update(insert=[(0, 1), (0, 1), (1, 0), (5, 5), (2, 7)])
     service.update(delete=[(0, 1)])
     surviving = [(u, v) for u, v, _ in service.surviving_edges()]
     assert surviving == [(0, 1), (0, 1), (2, 7), (5, 5)]
-    assert service.components().labels == scratch_labels(
-        n, seed, surviving, backend=backend
-    )
+    assert service.components().labels == scratch_labels(n, seed, surviving)
     # Deleting the remaining multiplicity disconnects 0 and 1.
     service.update(delete=[(0, 1), (1, 0)])
     assert not service.connected(0, 1)
     assert service.components().labels == scratch_labels(
-        n, seed, [(2, 7), (5, 5)], backend=backend
+        n, seed, [(2, 7), (5, 5)]
     )
 
 
-def test_backends_answer_identically():
-    if len(BACKENDS) < 2:
-        pytest.skip("only one sketch backend available")
+def test_backends_answer_identically(monkeypatch):
+    """The service on the array bank and on the list oracle gives the
+    same labels after every batch of one stream."""
     n, seed = 18, 9
-    services = [
-        GraphService(ServeConfig(n=n, seed=seed, backend=b)) for b in BACKENDS
-    ]
-    for inserts, deletes in random_batches(n, random.Random(8), batches=3):
+    stream = random_batches(n, random.Random(8), batches=3)
+
+    def labels_per_batch():
+        service = GraphService(ServeConfig(n=n, seed=seed))
         views = []
-        for service in services:
+        for inserts, deletes in stream:
             service.update(insert=inserts, delete=deletes)
-            views.append(service.components())
-        assert all(v.labels == views[0].labels for v in views[1:])
+            views.append(service.components().labels)
+        return views
+
+    array_views = labels_per_batch()
+    use_list_bank(monkeypatch)
+    assert labels_per_batch() == array_views
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_mst_weight_replays_from_scratch_run(backend):
     n, seed, max_weight = 14, 6, 9
     rng = random.Random(1)
@@ -118,9 +129,7 @@ def test_mst_weight_replays_from_scratch_run(backend):
         edges.append((min(u, v), max(u, v), rng.randrange(1, max_weight + 1)))
     edges[0] = (edges[0][0], edges[0][1], max_weight)
 
-    service = GraphService(
-        ServeConfig(n=n, seed=seed, max_weight=max_weight, backend=backend)
-    )
+    service = GraphService(ServeConfig(n=n, seed=seed, max_weight=max_weight))
     churn = [edges[3][0], edges[3][1], 2]
     service.update(insert=[list(e) for e in edges] + [churn])
     service.update(delete=[churn])
@@ -131,7 +140,6 @@ def test_mst_weight_replays_from_scratch_run(backend):
         epsilon=0.5,
         rng=random.Random(seed),
         copies=3,
-        backend=backend,
     )
     assert got["estimate"] == reference.estimate
     assert got["thresholds"] == reference.thresholds
@@ -229,3 +237,17 @@ def test_stats_shape():
     assert stats["forest_fresh"] is True
     assert stats["mst_enabled"] is False
     assert stats["sketch_words"] > 0
+
+
+def test_update_refuses_identity_sums_past_int64():
+    """At n = 3e9 every edge id is near 2^63, so two of them could
+    overflow the merged bank's ``s1`` counters: the batch is refused as
+    a ServiceError and nothing moves."""
+    n = 3_000_000_000
+    service = GraphService(ServeConfig(n=n, seed=0, copies=1))
+    with pytest.raises(ServiceError, match="int64"):
+        service.update(insert=[(n - 2, n - 1), (n - 3, n - 1)])
+    assert service.surviving_edges() == []
+    assert service.updates_applied == 0
+    assert all(len(shard) == 0 for shard in service._shards)
+    assert (n - 2) * n + n - 1 <= INT64_MAX  # one edge alone would fit

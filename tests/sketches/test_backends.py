@@ -1,72 +1,51 @@
-"""Backend seam equivalence: pure-Python, numpy, and the legacy object API
-must produce bit-identical sketches, samples, and component labels."""
+"""Kernel and bank equivalence: the array kernels and the array-native bank
+must be bit-identical to the pure-Python oracle (``tests/sketch_oracle.py``)
+and to the legacy object API — counters, samples, and component labels."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sketches import (
-    HAS_NUMPY,
     GraphSketchSpec,
     KWiseHash,
     PRIME,
     SketchBank,
     VertexSketch,
-    available_backends,
     bank_boruvka,
-    get_backend,
     sketch_boruvka,
     trailing_zeros,
 )
-from repro.sketches.backend import NumpyBackend, PureBackend
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-
-
-# ----------------------------------------------------------------------
-# backend resolution
-# ----------------------------------------------------------------------
-def test_default_backend_is_pure(monkeypatch):
-    monkeypatch.delenv("REPRO_SKETCH_BACKEND", raising=False)
-    assert isinstance(get_backend(), PureBackend)
+from repro.sketches import field
+from sketch_oracle import ListBank, PureKernels, list_boruvka
 
 
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_SKETCH_BACKEND", "pure")
-    assert isinstance(get_backend(), PureBackend)
+class ArrayKernels:
+    """The array kernels of :mod:`repro.sketches.field`, called with the
+    oracle's list-in/list-out signatures."""
 
+    name = "numpy"
 
-def test_backend_instance_passthrough():
-    backend = PureBackend()
-    assert get_backend(backend) is backend
+    def poly_eval_many(self, coefficients, xs):
+        residues = np.array([x % PRIME for x in xs], dtype=np.uint64)
+        return field.poly_eval_many(coefficients, residues).tolist()
 
+    def trailing_zeros_many(self, values):
+        return field.trailing_zeros_many(values).tolist()
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        get_backend("cuda")
-
-
-def test_available_backends_always_include_pure():
-    names = available_backends()
-    assert "pure" in names
-    assert ("numpy" in names) == HAS_NUMPY
-
-
-def test_auto_resolves():
-    backend = get_backend("auto")
-    assert isinstance(backend, NumpyBackend if HAS_NUMPY else PureBackend)
+    def pow_many(self, z, exponents, max_exponent):
+        table = field.PowerTable([z], max_exponent)
+        return table(np.zeros(len(exponents), dtype=np.int64), exponents).tolist()
 
 
 # ----------------------------------------------------------------------
 # kernel equivalence
 # ----------------------------------------------------------------------
 def kernel_backends():
-    backends = [PureBackend()]
-    if HAS_NUMPY:
-        backends.append(NumpyBackend())
-    return backends
+    return [PureKernels(), ArrayKernels()]
 
 
 @pytest.mark.parametrize("backend", kernel_backends(), ids=lambda b: b.name)
@@ -76,7 +55,7 @@ def test_poly_eval_many_matches_pointwise(backend):
     assert backend.poly_eval_many(hash_fn.coefficients, xs) == [
         hash_fn(x) for x in xs
     ]
-    assert hash_fn.eval_many(xs, backend=backend) == [hash_fn(x) for x in xs]
+    assert hash_fn.eval_many(xs) == [hash_fn(x) for x in xs]
     assert backend.poly_eval_many(hash_fn.coefficients, []) == []
 
 
@@ -98,11 +77,12 @@ def test_pow_many_matches_pow(backend):
 
 
 def test_pure_pow_many_table_path_is_exact():
-    """Force the baby-step/giant-step table (large batch) and the direct
-    path (tiny batch) to agree with pow, including out-of-hint exponents."""
+    """Force the oracle's baby-step/giant-step table (large batch) and the
+    direct path (tiny batch) to agree with pow, including out-of-hint
+    exponents."""
     rng = random.Random(11)
     z = rng.randrange(1, PRIME)
-    backend = PureBackend()
+    backend = PureKernels()
     big = [rng.randrange(5000) for _ in range(2000)]
     assert backend.pow_many(z, big, max_exponent=5000) == [
         pow(z, e, PRIME) for e in big
@@ -113,7 +93,7 @@ def test_pure_pow_many_table_path_is_exact():
     assert backend.pow_many(z, beyond, max_exponent=5000) == [
         pow(z, e, PRIME) for e in beyond
     ]
-    fresh = PureBackend()
+    fresh = PureKernels()
     small = [1, 2, 3]
     assert fresh.pow_many(z, small, max_exponent=10**12) == [
         pow(z, e, PRIME) for e in small
@@ -121,20 +101,30 @@ def test_pure_pow_many_table_path_is_exact():
     assert z not in fresh._pow_tables  # tiny batch: no table built
 
 
-@needs_numpy
-def test_numpy_mulmod_extremes():
-    backend = NumpyBackend()
-    import numpy as np
+def test_power_table_digits_cover_the_exponent_range():
+    """Several bases at once, exponents up to the limit, and the largest
+    universe a bank accepts (ids just below 2^63)."""
+    rng = random.Random(13)
+    bases = [rng.randrange(1, PRIME) for _ in range(5)]
+    for max_exponent in (1, 255, 256, 10**6, (1 << 63) - 1):
+        table = field.PowerTable(bases, max_exponent)
+        assert table.limit > max_exponent
+        which = [rng.randrange(5) for _ in range(64)]
+        exps = [rng.randrange(max_exponent + 1) for _ in range(63)] + [max_exponent]
+        got = table(np.array(which), np.array(exps, dtype=np.int64)).tolist()
+        assert got == [pow(bases[w], e, PRIME) for w, e in zip(which, exps)]
 
+
+def test_numpy_mulmod_extremes():
     values = [0, 1, 2, PRIME - 1, PRIME - 2, (1 << 60) + 12345]
     a = np.array(values, dtype=np.uint64)
     for other in values:
-        got = backend._mulmod(a, np.uint64(other))
+        got = field.mulmod(a, np.uint64(other))
         assert [int(x) for x in got] == [(v * other) % PRIME for v in values]
 
 
 # ----------------------------------------------------------------------
-# end-to-end equivalence: object API vs bank(pure) vs bank(numpy)
+# end-to-end equivalence: object API vs array bank vs list oracle
 # ----------------------------------------------------------------------
 def _random_graph(seed):
     rng = random.Random(seed)
@@ -163,10 +153,11 @@ def _object_path(spec, n, edges):
     return sketches
 
 
-def _bank_path(spec, n, edges, backend):
-    bank = SketchBank(spec, vertices=range(n), backend=backend)
-    bank.update_edges(edges)
-    return bank
+def _rows_equal(row, reference):
+    return all(
+        np.array_equal(getattr(row, name), getattr(reference, name))
+        for name in ("s0", "s1", "s2")
+    )
 
 
 @settings(max_examples=20, deadline=None)
@@ -175,29 +166,22 @@ def test_backends_and_object_api_agree(seed):
     n, edges = _random_graph(seed)
     spec = GraphSketchSpec.generate(n, random.Random(seed + 1), copies=2)
     sketches = _object_path(spec, n, edges)
-    banks = {
-        name: _bank_path(spec, n, edges, backend=name)
-        for name in available_backends()
-    }
+    bank = SketchBank(spec, vertices=range(n))
+    bank.update_edges(edges)
+    oracle = ListBank(spec, vertices=range(n))
+    oracle.update_edges(edges)
 
-    pure = banks["pure"]
     for vertex in range(n):
         object_row = sketches[vertex].bank.row(vertex)
-        for bank in banks.values():
-            row = bank.row(vertex)
-            assert (
-                row.s0 == object_row.s0
-                and row.s1 == object_row.s1
-                and row.s2 == object_row.s2
-            )
+        assert _rows_equal(bank.row(vertex), object_row)
+        assert _rows_equal(oracle.row(vertex), object_row)
         for phase in range(spec.phases):
             expected = sketches[vertex].sample_outgoing(phase)
-            for bank in banks.values():
-                assert bank.sample_outgoing(vertex, phase) == expected
+            assert bank.sample_outgoing(vertex, phase) == expected
+            assert oracle.sample_outgoing(vertex, phase) == expected
 
     object_uf, object_forest = sketch_boruvka(spec, sketches)
     expected_labels = _labels_from_uf(object_uf, range(n))
-    for bank in banks.values():
-        uf, forest = bank_boruvka(bank)
+    for uf, forest in (bank_boruvka(bank), list_boruvka(oracle)):
         assert forest == object_forest
         assert _labels_from_uf(uf, range(n)) == expected_labels

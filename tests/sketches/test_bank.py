@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.graph import Graph, generators
@@ -31,7 +32,11 @@ def object_rows(spec, edges):
 
 
 def rows_equal(a: SketchRow, b: SketchRow) -> bool:
-    return a.s0 == b.s0 and a.s1 == b.s1 and a.s2 == b.s2
+    return (
+        np.array_equal(a.s0, b.s0)
+        and np.array_equal(a.s1, b.s1)
+        and np.array_equal(a.s2, b.s2)
+    )
 
 
 EDGES = [(0, 1), (1, 2), (2, 0), (3, 4), (1, 5), (6, 2), (5, 0)]
@@ -248,3 +253,163 @@ def test_wrapper_samplers_snapshot_matches_bank():
                 assert level.s1 == row.s1[flat_index]
                 assert level.s2 == row.s2[flat_index]
                 flat_index += 1
+
+
+# --- builtin ints at the bank boundary ---------------------------------
+
+def _all_builtin_ints(values) -> bool:
+    return all(type(x) is int for x in values)
+
+
+def test_bank_boundary_returns_builtin_ints():
+    from repro.core.connectivity import heterogeneous_connectivity
+    from repro.sketches import sketch_boruvka
+
+    spec = make_spec()
+    bank = SketchBank(spec)
+    bank.update_edges(EDGES)
+    assert _all_builtin_ints(bank.vertices)
+    sampled = [
+        bank.sample_outgoing(v, phase)
+        for v in bank.vertices
+        for phase in range(spec.phases)
+    ]
+    sampled = [edge for edge in sampled if edge is not None]
+    assert sampled and all(_all_builtin_ints(edge) for edge in sampled)
+    decoded = bank.decode_slot(3, phase=0, copy=0, level=0)
+    assert decoded is not None and _all_builtin_ints(decoded)
+
+    _, forest = bank_boruvka(bank)
+    sketches = {v: VertexSketch(spec, v) for v in range(spec.n)}
+    for u, v in EDGES:
+        sketches[u].add_edge(u, v)
+        sketches[v].add_edge(u, v)
+    _, object_forest = sketch_boruvka(spec, sketches)
+    assert forest and object_forest
+    assert all(_all_builtin_ints(edge) for edge in forest + object_forest)
+
+    counters = [
+        value
+        for phase in sketches[0].samplers
+        for sampler in phase
+        for level in sampler.levels
+        for value in (level.s0, level.s1, level.s2)
+    ]
+    assert any(counters) and _all_builtin_ints(counters)
+
+    graph = generators.planted_components_graph(24, 3, 12, random.Random(4))
+    labels = heterogeneous_connectivity(graph, rng=random.Random(5)).labels
+    assert labels == component_labels(graph)
+    assert _all_builtin_ints(labels)
+
+
+# --- exact s2 scatter ----------------------------------------------------
+
+def test_s2_scatter_is_exact_when_many_residues_hit_one_slot():
+    """A star applied in one batch: the centre's level-0 slots each take
+    one residue per leaf (~2^60 on average, so 64 of them pass 2^64),
+    as ``+z^id`` from leaves above the centre and ``p - z^id`` from
+    leaves below it.  Every slot must equal the pure-Python oracle."""
+    from sketch_oracle import ListBank
+
+    n, centre = 160, 80
+    spec = GraphSketchSpec.generate(n, random.Random(21), phases=2, copies=2)
+    star = [(centre, leaf) for leaf in range(n) if leaf != centre]
+    assert len(star) >= 64
+    bank, oracle = SketchBank(spec), ListBank(spec)
+    for batch, sign in ((star, 1), (star[::3], -1)):
+        bank.update_edges(batch, sign=sign)
+        oracle.update_edges(batch, sign=sign)
+        for vertex in oracle.vertices:
+            got, want = bank.row(vertex), oracle.row(vertex)
+            assert got.s0.tolist() == want.s0
+            assert got.s1.tolist() == want.s1
+            assert got.s2.tolist() == want.s2
+
+
+# --- int64 limits --------------------------------------------------------
+
+#: ``n^2 - 1`` still fits in int64, but two edge ids near ``n^2`` do not.
+BIG_N = 3_000_000_000
+
+
+def big_spec(n=BIG_N):
+    return GraphSketchSpec.generate(n, random.Random(8), phases=1, copies=1)
+
+
+def test_bank_refuses_n_whose_ids_overflow_int64():
+    with pytest.raises(OverflowError):
+        SketchBank(big_spec(1 << 32))
+    SketchBank(big_spec())  # n^2 - 1 < 2^63: accepted
+
+
+def test_update_refused_before_s1_can_overflow():
+    from repro.sketches import INT64_MAX
+    from sketch_oracle import ListBank
+
+    spec = big_spec()
+    top = [(BIG_N - 2, BIG_N - 1), (BIG_N - 3, BIG_N - 1)]
+    bank = SketchBank(spec)
+    with pytest.raises(OverflowError):
+        bank.update_edges(top)
+    assert len(bank) == 0 and bank.s1_bound == 0  # nothing moved
+
+    # One such edge fits, and its ~2^63 identity sums are exact.
+    bank.update_edges(top[:1])
+    oracle = ListBank(spec)
+    oracle.update_edges(top[:1])
+    for vertex in oracle.vertices:
+        assert bank.row(vertex).s1.tolist() == oracle.row(vertex).s1
+        assert bank.row(vertex).s2.tolist() == oracle.row(vertex).s2
+    assert bank.s1_bound == (BIG_N - 2) * BIG_N + BIG_N - 1 <= INT64_MAX
+    before = bank.s1.copy()
+    with pytest.raises(OverflowError):
+        bank.update_edges(top[1:])
+    with pytest.raises(OverflowError):
+        bank.insert_row(BIG_N - 1, bank.row(BIG_N - 2))
+    with pytest.raises(OverflowError):
+        bank.absorb(bank.copy())
+    with pytest.raises(OverflowError):
+        bank.add_incident(BIG_N - 1, BIG_N - 3, BIG_N - 1)
+    assert np.array_equal(bank.s1, before)
+
+
+def test_vertices_outside_the_universe_rejected():
+    bank = SketchBank(make_spec(n=8))
+    with pytest.raises(ValueError):
+        bank.update_edges([(0, 8)])
+    with pytest.raises(ValueError):
+        bank.add_vertex(-1)
+    assert len(bank) == 0
+
+
+def test_rows_only_for_touched_vertices_and_capped_at_n():
+    spec = make_spec(n=20)
+    bank = SketchBank(spec)
+    bank.update_edges([(3, 4), (4, 5)])
+    assert bank.vertices == [3, 4, 5]
+    assert bank.s0.shape == (3, bank.slots_per_row)
+    bank.add_vertices(range(20))
+    assert len(bank) == 20 and len(bank._s0) == 20
+
+
+def test_chunked_updates_match_the_oracle(monkeypatch):
+    """Batches larger than one vectorized chunk accumulate across chunks
+    exactly; shrink the chunk so a small batch spans several."""
+    import repro.sketches.bank as bank_module
+    from sketch_oracle import ListBank
+
+    monkeypatch.setattr(bank_module, "_CHUNK", 64)
+    spec = make_spec(n=30, seed=5, phases=2, copies=2)
+    rng = random.Random(9)
+    edges = [(rng.randrange(30), rng.randrange(30)) for _ in range(400)]
+    bank, oracle = SketchBank(spec), ListBank(spec)
+    for batch, sign in ((edges, 1), (edges[::2], -1)):
+        bank.update_edges(batch, sign=sign)
+        oracle.update_edges(batch, sign=sign)
+    assert bank.vertices == oracle.vertices
+    for vertex in oracle.vertices:
+        got, want = bank.row(vertex), oracle.row(vertex)
+        assert (got.s0.tolist(), got.s1.tolist(), got.s2.tolist()) == (
+            want.s0, want.s1, want.s2
+        )

@@ -78,10 +78,7 @@ def test_executor_env_tolerates_padding(monkeypatch):
 def test_backend_envs_tolerate_padding(monkeypatch):
     from repro.mpc.backend import PureEngineBackend, get_engine_backend
     from repro.primitives.columnar import primitive_path
-    from repro.sketches.backend import PureBackend, get_backend
 
-    monkeypatch.setenv("REPRO_SKETCH_BACKEND", "PURE")
-    assert isinstance(get_backend(), PureBackend)
     monkeypatch.setenv("REPRO_ENGINE_BACKEND", " pure\t")
     assert isinstance(get_engine_backend(), PureEngineBackend)
     monkeypatch.setenv("REPRO_PRIMITIVE_PATH", " Object ")
