@@ -9,7 +9,7 @@ Theorem 5.1 (three phases, average degree ``d``):
    Ghaffari–Uitto [33] as a black box (``O(sqrt(log D) log log D)`` rounds,
    ``D = d^2``); we substitute a random local-minimum peeling procedure with
    the same interface and charge its measured ``O(log D)`` round structure
-   (see DESIGN.md, substitution 1).
+   (see "Substitutions" in ``docs/THEOREM_MAP.md``).
 
 2. **High-degree phase.**  The large machine collects ``2 d log n``
    random incident edges per high-degree vertex (via random edge ranks, the
@@ -137,7 +137,8 @@ def heterogeneous_matching(
     with cluster.ledger.section("phase1"):
         m1, iterations = _peeling_matching(low_edges, rng)
         # Each peeling iteration is a constant number of sublinear-MPC
-        # rounds (rank exchange + per-vertex min aggregation); see DESIGN.md.
+        # rounds (rank exchange + per-vertex min aggregation); see
+        # "Substitutions" in docs/THEOREM_MAP.md.
         cluster.ledger.charge(2 * iterations, note="phase1/peeling")
     matched: set[int] = {x for e in m1 for x in e}
 

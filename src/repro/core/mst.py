@@ -200,7 +200,8 @@ def _boruvka_step(
     # as the true minimum outgoing edge of that side (cut property).  Edges
     # skipped because both sides are dirty simply remain in the contracted
     # graph for later steps.  (The paper's Algorithm 3 pseudocode elides
-    # this check; correctness is inherited from [45] — see DESIGN.md.)
+    # this check; correctness is inherited from [45] — see "Substitutions"
+    # in docs/THEOREM_MAP.md.)
     submitters: dict[tuple, set[int]] = {}
     for src, edge in collected:
         submitters.setdefault(tuple(edge), set()).add(src)

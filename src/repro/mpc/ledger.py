@@ -185,7 +185,8 @@ class RoundLedger:
 
         Used for subroutines whose round structure is known but whose
         message-level simulation is out of scope (the Lemma 5.2 phase-1
-        matching substitute); every use is documented in DESIGN.md.
+        matching substitute); every use is documented under "Substitutions"
+        in ``docs/THEOREM_MAP.md``.
         """
         for _ in range(max(0, rounds)):
             self.record_round(note=note, total_words=0, max_sent=0, max_received=0)

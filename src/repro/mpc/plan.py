@@ -38,13 +38,10 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Sequence
 
-from .backend import get_engine_backend
-from .words import word_size_many
+import numpy as np
 
-try:  # pragma: no cover - import guard exercised on minimal installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from .backend import get_engine_backend
+from .words import word_size, word_size_many
 
 __all__ = ["Message", "RoundPlan"]
 
@@ -175,7 +172,7 @@ class RoundPlan:
         pass.  Accounting is identical either way (``block.size`` equals
         the summed word sizes of the equivalent rows).
         """
-        if _np is not None and isinstance(items, _np.ndarray):
+        if isinstance(items, np.ndarray):
             self._append_block(src, dst, items)
         else:
             self._append(src, dst, items)
@@ -195,8 +192,8 @@ class RoundPlan:
         With lists (or the pure backend), items are delivered
         individually, exactly like :meth:`send_batch` traffic.
         """
-        count = items.shape[0] if _np is not None and isinstance(items, _np.ndarray) else len(items)
-        dst_count = dsts.shape[0] if _np is not None and isinstance(dsts, _np.ndarray) else len(dsts)
+        count = items.shape[0] if isinstance(items, np.ndarray) else len(items)
+        dst_count = dsts.shape[0] if isinstance(dsts, np.ndarray) else len(dsts)
         if count != dst_count:
             raise ValueError(
                 f"scatter shape mismatch: {dst_count} destinations for "
@@ -209,7 +206,7 @@ class RoundPlan:
         # env lookup and group on one backend for the whole plan.
         backend = self.backend = get_engine_backend(self.backend)
         for dst, block in backend.group_indexed(dsts, items):
-            if _np is not None and isinstance(block, _np.ndarray):
+            if isinstance(block, np.ndarray):
                 self._append_block(src, dst, block)
             else:
                 self._append(src, dst, block)
@@ -257,20 +254,30 @@ class RoundPlan:
 
         Object runs cost one :func:`word_size_many` pass over their flat
         slice; columnar runs cost O(1) (``block.size`` — every element of
-        a numeric dtype is one machine word).  Any later send invalidates
-        the cache.
+        a numeric dtype is one machine word).  A run of one payload object
+        is sized once per plan: a broadcast sends the same object on every
+        route, and each further run carrying it reuses the size by object
+        identity.  That is exact because all runs are sized here, in one
+        pass after the last send — one object has one size throughout.
+        Any later send invalidates the cache.
         """
         if self._run_words is None:
+            items = self._items
+            sized: dict[int, int] = {}  # id(payload) -> words, one-item runs
             words = []
-            for index in range(len(self._run_src)):
-                block = self._run_block[index]
+            for block, start, length in zip(
+                self._run_block, self._run_start, self._run_len
+            ):
                 if block is not None:
                     words.append(int(block.size))
+                elif length == 1:
+                    payload = items[start]
+                    size = sized.get(id(payload))
+                    if size is None:
+                        size = sized[id(payload)] = word_size(payload)
+                    words.append(size)
                 else:
-                    start = self._run_start[index]
-                    words.append(
-                        word_size_many(self._items[start:start + self._run_len[index]])
-                    )
+                    words.append(word_size_many(items[start:start + length]))
             self._run_words = words
         return self._run_words
 
@@ -347,7 +354,7 @@ class RoundPlan:
 def _as_rows(items: Any) -> list[Any]:
     """Flatten a run's payloads to per-item Python objects (legacy views):
     2D blocks become tuples of scalars, 1D blocks plain scalars."""
-    if _np is not None and isinstance(items, _np.ndarray):
+    if isinstance(items, np.ndarray):
         if items.ndim >= 2:
             return [tuple(row) for row in items.tolist()]
         return items.tolist()

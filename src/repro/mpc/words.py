@@ -17,83 +17,94 @@ any practical ``n``); they only appear in debugging payloads.  ``bytes`` /
 so serialized blobs (sketch dumps, packed records) account like the
 equivalent text.
 
-:func:`word_size_many` is the bulk companion used by the columnar round
-engine: it sizes a whole batch in one pass, with fast paths for the two
-batch shapes that dominate real traffic — homogeneous scalar batches and
-flat tuples of scalars (edge lists).  It is semantically identical to
-summing :func:`word_size` over the batch.
+Numeric numpy arrays are charged one word per element — a ``(k, 3)`` int
+block costs exactly what the equivalent ``k`` ``(u, v, w)`` tuples cost —
+which is what makes the columnar engine's O(1) run sizing
+(``block.size``) bit-identical to the object path.
 
-Numeric numpy arrays (when numpy is installed) are charged one word per
-element — a ``(k, 3)`` int block costs exactly what the equivalent ``k``
-``(u, v, w)`` tuples cost — which is what makes the columnar engine's
-O(1) run sizing (``block.size``) bit-identical to the object path.
+How the simulator computes these charges (the charges themselves do not
+depend on it):
+
+* **Level-wise.**  :func:`word_size_many` sizes a batch one nesting level
+  at a time.  Each level is split by exact type with C-level
+  ``map(type)``/``compress``/``chain`` passes: scalars cost one word each,
+  ``bytes``/``bytearray`` their per-8-byte charge, and the elements of
+  plain tuples and lists form the next level.  Anything else — subclasses
+  (namedtuples, ``IntEnum``), strings, dicts, sets, numpy values, objects
+  with their own ``word_size()`` — goes through :func:`word_size`.  Plain
+  tuples and lists cannot carry a custom ``word_size`` method, so
+  flattening them is exact.  :func:`word_size` hands plain tuples and
+  lists (and the contents of dicts and sets) to :func:`word_size_many`, so
+  no container is sized by a Python call per element.
+* **Size once.**  :meth:`repro.mpc.plan.RoundPlan.run_words` sizes a
+  payload object once per plan, even when the plan sends it on many
+  routes (a broadcast sends one splitter tuple to every machine).  Every
+  run of a plan is sized in the same pass, after the last send, so one
+  object has one size throughout the pass and every run carrying it is
+  charged that size — exactly what sizing each copy would charge.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
+from operator import not_
 from typing import Any, Iterable
 
-try:  # pragma: no cover - import guard exercised on minimal installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 __all__ = ["word_size", "word_size_many"]
 
 _SCALARS = (int, float, bool, type(None))
 
+_SCALAR_TYPES = frozenset(_SCALARS)
+_NESTED_TYPES = frozenset((tuple, list))
+_BYTES_TYPES = frozenset((bytes, bytearray))
+#: Exact types a level pass sizes itself; the rest go to :func:`word_size`.
+_LEVEL_TYPES = _SCALAR_TYPES | _NESTED_TYPES | _BYTES_TYPES
+
+#: Nesting depth past which a payload is taken to contain itself.
+_MAX_DEPTH = 1000
+
 
 def word_size(obj: Any) -> int:
     """Return the number of machine words needed to represent *obj*."""
+    # Plain tuples and lists first: the commonest payloads (datasets,
+    # records), and they cannot carry a custom sizer.
+    if type(obj) in _NESTED_TYPES:
+        return word_size_many(obj)
     if isinstance(obj, _SCALARS):
         return 1
     sizer = getattr(obj, "word_size", None)
     if callable(sizer):
         return int(sizer())
-    if isinstance(obj, str):
-        return 1 + len(obj) // 8
-    if isinstance(obj, (bytes, bytearray)):
+    if isinstance(obj, (str, bytes, bytearray)):
         return 1 + len(obj) // 8
     if isinstance(obj, dict):
-        return sum(word_size(k) + word_size(v) for k, v in obj.items())
+        return word_size_many(list(chain.from_iterable(obj.items())))
     if isinstance(obj, (tuple, list, set, frozenset)):
-        return sum(word_size(item) for item in obj)
-    if _np is not None and isinstance(obj, _np.generic):
+        return word_size_many(obj)
+    if isinstance(obj, np.generic):
         # A lone numpy scalar accounts like the Python scalar it wraps.
         if obj.dtype.kind in "iufb":
             return 1
         raise TypeError(f"cannot compute word size of dtype {obj.dtype}")
-    if _np is not None and isinstance(obj, _np.ndarray):
+    if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "iufb":
             return int(obj.size)
         raise TypeError(f"cannot compute word size of dtype {obj.dtype}")
     raise TypeError(f"cannot compute word size of {type(obj).__name__}")
 
 
-_SCALAR_TYPES = frozenset(_SCALARS)
-_BYTES_TYPES = frozenset((bytes, bytearray))
-
-
 def word_size_many(items: Iterable[Any]) -> int:
     """Total word size of a batch; equals ``sum(word_size(i) for i in items)``.
 
-    Fast paths (C-level ``map(type)``/``set``/``chain`` passes, no per-item
-    Python recursion):
-
-    * every item exactly a scalar type → ``len(items)`` — counter and key
-      batches;
-    * every item exactly ``bytes``/``bytearray`` → summed ``1 + len // 8``
-      without per-item dispatch — packed-blob batches;
-    * every item exactly a ``tuple`` whose elements are all scalars →
-      total element count — edge lists, the hottest batch shape in the
-      repo.  Plain tuples cannot carry a custom ``word_size`` method, so
-      counting elements is exact.  Subclasses (namedtuples, which can
-      define ``word_size``; scalar subclasses like ``IntEnum``) fail the
-      exact-type checks and fall back to the per-item sizer, which handles
-      them identically to :func:`word_size`.
+    Sizes the batch level by level (see the module docstring): a level of
+    scalars is counted by ``len``, a level of plain tuples and lists is
+    flattened by one ``chain`` pass, and a mixed level is split by exact
+    type with ``compress``.  Edge lists — the hottest batch shape in the
+    repo — cost one type scan, one flatten and one more type scan.
     """
-    if _np is not None and isinstance(items, _np.ndarray):
+    if isinstance(items, np.ndarray):
         # A numeric block: the leading axis indexes items, every element
         # is one word, so the whole run sizes in O(1).  An *empty* array
         # is zero words whatever its dtype — empty index arrays from the
@@ -104,20 +115,26 @@ def word_size_many(items: Iterable[Any]) -> int:
         if items.dtype.kind in "iufb":
             return int(items.size)
         raise TypeError(f"cannot compute word size of dtype {items.dtype}")
-    if not isinstance(items, (list, tuple)):
-        items = list(items)
-    if not items:
-        return 0
-    types = set(map(type, items))
-    if types <= _SCALAR_TYPES:
-        return len(items)
-    if types <= _BYTES_TYPES:
-        return sum(1 + len(blob) // 8 for blob in items)
-    if types == {tuple}:
-        flat = list(chain.from_iterable(items))
-        if set(map(type, flat)) <= _SCALAR_TYPES:
-            return len(flat)
-        # Mixed leaves (nested records, objects): one level of flattening
-        # still saves the per-item tuple dispatch.
-        return sum(map(word_size, flat))
-    return sum(map(word_size, items))
+    level = items if isinstance(items, (list, tuple)) else list(items)
+    total = 0
+    for _ in range(_MAX_DEPTH):
+        kinds = set(map(type, level))
+        if kinds <= _SCALAR_TYPES:
+            return total + len(level)
+        if kinds <= _NESTED_TYPES:
+            level = list(chain.from_iterable(level))
+            continue
+        types = list(map(type, level))
+        if kinds & _SCALAR_TYPES:
+            total += sum(map(_SCALAR_TYPES.__contains__, types))
+        if kinds & _BYTES_TYPES:
+            blobs = compress(level, map(_BYTES_TYPES.__contains__, types))
+            total += sum(1 + len(blob) // 8 for blob in blobs)
+        if not kinds <= _LEVEL_TYPES:
+            others = compress(level, map(not_, map(_LEVEL_TYPES.__contains__, types)))
+            total += sum(map(word_size, others))
+        nested = compress(level, map(_NESTED_TYPES.__contains__, types))
+        level = list(chain.from_iterable(nested))
+    raise RecursionError(
+        f"payload nests deeper than {_MAX_DEPTH} levels (does it contain itself?)"
+    )

@@ -377,7 +377,7 @@ def spans_fit_packing(spans: Sequence[int]) -> bool:
 
 
 def pack_columns(
-    cols: Sequence[Any], extra_keys: Sequence[tuple] = ()
+    cols: Sequence[Any], extra_keys: Any = ()
 ) -> tuple[Any, Any] | None:
     """Pack integer key columns into one int64 composite, order-preserving.
 
@@ -386,7 +386,10 @@ def pack_columns(
     when a column is not int/bool or the value spans do not fit 63 bits.
     *extra_keys* (e.g. sort splitters) are packed with the same offsets,
     so cross comparisons between rows and extras stay exact; their values
-    widen the per-field spans as needed.
+    widen the per-field spans as needed.  They are key tuples or, to skip
+    the conversion, one int64 array with a row per key (sample sort
+    builds its splitters into one such array per sort, so every machine
+    packs them with vector ``min``/``max`` instead of walking tuples).
 
     Sorting one packed column (a single stable ``argsort``) is ~2-3x
     faster than a multi-key ``lexsort`` and bucket assignment against
@@ -394,29 +397,26 @@ def pack_columns(
     """
     if _np is None or any(col.dtype.kind not in "ib" for col in cols):
         return None
+    extras = _np.asarray(extra_keys, dtype=_np.int64).reshape(
+        len(extra_keys), len(cols)
+    )
     mins, spans = [], []
     for j, col in enumerate(cols):
         lo = int(col.min()) if len(col) else 0
         hi = int(col.max()) if len(col) else 0
-        for extra in extra_keys:
-            value = int(extra[j])
-            lo = min(lo, value)
-            hi = max(hi, value)
+        if len(extras):
+            lo = min(lo, int(extras[:, j].min()))
+            hi = max(hi, int(extras[:, j].max()))
         mins.append(lo)
         spans.append(hi - lo + 1)
     if not spans_fit_packing(spans):
         return None
     packed = _np.zeros(len(cols[0]) if cols else 0, dtype=_np.int64)
-    packed_extras = _np.zeros(len(extra_keys), dtype=_np.int64)
+    packed_extras = _np.zeros(len(extras), dtype=_np.int64)
     for j, col in enumerate(cols):
-        if col.dtype.kind == "b":
-            col = col.astype(_np.int64)
-        packed = packed * spans[j] + (col.astype(_np.int64) - mins[j])
-        if len(extra_keys):
-            extra_col = _np.array(
-                [int(extra[j]) for extra in extra_keys], dtype=_np.int64
-            )
-            packed_extras = packed_extras * spans[j] + (extra_col - mins[j])
+        packed = packed * spans[j] + (col.astype(_np.int64, copy=False) - mins[j])
+        if len(extras):
+            packed_extras = packed_extras * spans[j] + (extras[:, j] - mins[j])
     return packed, packed_extras
 
 

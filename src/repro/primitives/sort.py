@@ -445,9 +445,15 @@ def _sample_sort_columnar(
     )
     sample_keys.sort()
 
-    # Step 2: splitters, exactly as the object path picks them.
+    # Step 2: splitters, exactly as the object path picks them.  Packed
+    # mode hands every machine one int64 array of them (a row per
+    # splitter), built once here, for pack_columns' vector min/max.
     splitters = _pick_splitters(sample_keys, k)
     broadcast(cluster, coordinator, tuple(splitters), machine_ids, note=f"{note}/splitters")
+    if packed:
+        splitters = _np.array(splitters, dtype=_np.int64).reshape(
+            len(splitters), len(fields)
+        )
 
     # Step 3: route.  Each machine's partition is one shippable local
     # step (``sort/partition-columnar``) that pre-groups its rows into

@@ -6,6 +6,11 @@ so clients can pipeline.  Responses are canonical JSON (sorted keys, no
 whitespace variation, no timestamps) so repeated runs of the same
 request stream byte-diff clean — the CI serve-smoke job relies on this.
 
+A request that fails — bad JSON, a malformed field, a rejected update —
+answers ``{"ok": false, "error": ...}`` and the session keeps serving.
+Anything the checks miss answers an ``internal error`` and logs its
+traceback to stderr.
+
 Ops:
 
 ``ping``
@@ -32,10 +37,13 @@ Ops:
 from __future__ import annotations
 
 import json
+import logging
 
 from .service import GraphService, ServeConfig, ServiceError
 
 __all__ = ["ServeSession", "encode", "decode"]
+
+logger = logging.getLogger(__name__)
 
 _CONFIG_FIELDS = ("n", "seed", "copies", "shards", "max_weight", "epsilon")
 
@@ -78,7 +86,13 @@ class ServeSession:
         except ServiceError as exc:
             response["ok"] = False
             response["error"] = str(exc)
-            response.pop("result", None)
+        except Exception as exc:
+            # Last resort: a request the checks above missed must not end
+            # the session.  The traceback goes to the log (stderr), never
+            # into the response stream.
+            logger.exception("internal error handling a %r request", op)
+            response["ok"] = False
+            response["error"] = f"internal error: {type(exc).__name__}: {exc}"
         return response
 
     # ------------------------------------------------------------------

@@ -50,6 +50,11 @@ from ..sketches.bank import check_s1_bound
 
 __all__ = ["ServeConfig", "ServiceError", "GraphService", "ComponentView"]
 
+#: The shapes an edge and an update batch may take: JSON arrays arrive as
+#: lists, Python callers may pass tuples.  Exact types, so a string or a
+#: dict is refused rather than unpacked.
+_SEQUENCES = (list, tuple)
+
 
 class ServiceError(ValueError):
     """A client-visible service failure (bad edge, bad query, bad op)."""
@@ -154,19 +159,19 @@ class GraphService:
     # updates
     # ------------------------------------------------------------------
     def _normalize(self, edge: Sequence[int]) -> tuple[int, int, int]:
+        if type(edge) not in _SEQUENCES or len(edge) not in (2, 3):
+            raise ServiceError(f"edge must be [u, v] or [u, v, w], got {edge!r}")
         if len(edge) == 2:
             u, v = edge
             w = 1
-        elif len(edge) == 3:
-            u, v, w = edge
         else:
-            raise ServiceError(f"edge must be [u, v] or [u, v, w], got {edge!r}")
+            u, v, w = edge
         n = self.config.n
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if type(u) is not int or type(v) is not int:
             raise ServiceError(f"edge endpoints must be integers, got {edge!r}")
         if not (0 <= u < n and 0 <= v < n):
             raise ServiceError(f"edge {edge!r} outside the vertex universe [0, {n})")
-        if not isinstance(w, int) or w < 1:
+        if type(w) is not int or w < 1:
             raise ServiceError(f"edge weight must be a positive integer, got {edge!r}")
         if self.config.max_weight is not None and w > self.config.max_weight:
             raise ServiceError(
@@ -179,17 +184,22 @@ class GraphService:
 
     def update(
         self,
-        insert: Iterable[Sequence[int]] = (),
-        delete: Iterable[Sequence[int]] = (),
+        insert: Sequence[Sequence[int]] = (),
+        delete: Sequence[Sequence[int]] = (),
     ) -> dict:
         """Apply one batched signed update (inserts first, then deletes).
 
+        Each batch is a list (or tuple) of ``[u, v]`` / ``[u, v, w]``
+        edges with exact-``int`` fields — ``true`` is not vertex 1.
         Deletes must name surviving edges (same endpoints and weight);
         a batch that would drive any multiplicity negative is rejected
         *before* any counter moves, so the sketch state never diverges
         from the validation ledger.  So is a batch whose edge ids could
         push the sketch identity sums past ``int64``.
         """
+        for name, batch in (("insert", insert), ("delete", delete)):
+            if type(batch) not in _SEQUENCES:
+                raise ServiceError(f"{name} must be a list of edges, got {batch!r}")
         inserts = [self._normalize(e) for e in insert]
         deletes = [self._normalize(e) for e in delete]
         added = Counter(inserts)
@@ -284,6 +294,8 @@ class GraphService:
 
     def connected(self, u: int, v: int) -> bool:
         n = self.config.n
+        if type(u) is not int or type(v) is not int:
+            raise ServiceError(f"vertex ids must be integers, got ({u!r}, {v!r})")
         if not (0 <= u < n and 0 <= v < n):
             raise ServiceError(f"query ({u}, {v}) outside the vertex universe [0, {n})")
         view = self._view()

@@ -1,4 +1,4 @@
-"""The Borůvka saturation rule (DESIGN.md substitution 4).
+"""The Borůvka saturation rule ("Substitutions" in docs/THEOREM_MAP.md).
 
 The paper's Algorithm 3 pseudocode contracts along a plain Kruskal pass
 over each vertex's quota of lightest submitted edges.  This file contains

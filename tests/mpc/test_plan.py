@@ -254,6 +254,67 @@ def test_run_words_cache_is_invalidated_by_later_sends():
     assert plan.run_words() == [5, 2]
 
 
+def _fan_out(payload_for) -> RoundPlan:
+    """A broadcast-shaped round: one payload per route from two holders,
+    plus one multi-item run carrying it twice."""
+    plan = RoundPlan(note="fan")
+    for dst in range(1, 6):
+        plan.send(0, dst, payload_for())
+    for dst in (6, 7):
+        plan.send(1, dst, payload_for())
+    plan.send_batch(2, 3, [payload_for(), payload_for()])
+    return plan
+
+
+def _charges(plan: RoundPlan):
+    """Run *plan* on a cluster whose 8-word budgets every route breaks,
+    so the violations spell out each machine's sent/received words."""
+    cluster = Cluster(
+        ModelConfig(n=64, m=256, num_small=8, constant=1e-6),
+        rng=random.Random(0),
+    )
+    cluster.execute(plan)
+    record = cluster.ledger.records[-1]
+    per_machine = sorted(
+        (v.machine_id, v.kind, v.amount)
+        for v in record.violations
+        if v.kind in ("sent", "received")
+    )
+    totals = (record.total_words, record.max_sent, record.max_received, record.items)
+    return per_machine, totals
+
+
+def test_shared_payload_is_charged_like_distinct_copies():
+    shared = tuple((i, i + 1) for i in range(9))  # 18 words
+
+    def copy():
+        return tuple((i, i + 1) for i in range(9))
+
+    same, copies = _fan_out(lambda: shared), _fan_out(copy)
+    assert same.run_words() == copies.run_words() == [18] * 7 + [36]
+    per_machine, totals = _charges(same)
+    assert (per_machine, totals) == _charges(copies)
+    assert ((0, "sent", 5 * 18)) in per_machine
+    assert ((3, "received", 18 + 36)) in per_machine
+    assert totals == (9 * 18, 5 * 18, 18 + 36, 9)
+    # Other payloads in the same plan keep their own sizes.
+    mixed = RoundPlan().send(0, 1, shared).send(0, 2, (1, 2, 3)).send(0, 3, shared)
+    assert mixed.run_words() == [18, 3, 18]
+
+
+def test_payload_mutated_after_send_is_charged_at_execute_time():
+    payload = [(1, 2)]
+    plan = RoundPlan(note="mutate")
+    plan.send(0, 1, payload)
+    payload.append((3, 4, 5))  # 5 words from here on
+    plan.send(0, 2, payload)
+    payload.append(6)  # 6 words by execute time
+    cluster = make_cluster()
+    cluster.execute(plan)
+    assert plan.run_words() == [6, 6]
+    assert cluster.ledger.records[-1].total_words == 12
+
+
 def test_run_meta_parallel_arrays_are_consistent():
     plan = RoundPlan()
     plan.send_batch(0, 4, [1, 2, 3])

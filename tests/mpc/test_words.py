@@ -2,10 +2,16 @@
 
 import random
 from collections import namedtuple
+from enum import IntEnum
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mpc.words import word_size, word_size_many
+from repro.sketches.bank import SketchRow
+from word_size_oracle import reference_word_size
 
 
 def test_scalars_cost_one_word():
@@ -210,14 +216,6 @@ def test_word_size_many_mixed_bytes_and_bytearray_after_mutation():
     assert word_size_many(batch) == before + 2
 
 
-NUMPY_AVAILABLE = True
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover
-    NUMPY_AVAILABLE = False
-
-
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
 def test_numeric_numpy_blocks_charge_one_word_per_element():
     block = np.arange(12, dtype=np.int64).reshape(4, 3)
     assert word_size(block) == 12
@@ -230,7 +228,6 @@ def test_numeric_numpy_blocks_charge_one_word_per_element():
     )
 
 
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
 def test_non_numeric_numpy_dtypes_raise():
     with pytest.raises(TypeError):
         word_size(np.array(["a", "b"]))
@@ -256,3 +253,92 @@ def test_word_size_many_agrees_with_per_item_sizer_on_random_payloads():
     for _ in range(50):
         batch = [_random_payload(rng) for _ in range(rng.randrange(30))]
         assert word_size_many(batch) == sum(word_size(item) for item in batch)
+
+
+# ----------------------------------------------------------------------
+# Level-wise sizing against the recursive oracle
+# ----------------------------------------------------------------------
+class Color(IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class SizedPair(namedtuple("SizedPair", "a b")):
+    def word_size(self) -> int:
+        return 5
+
+
+Pair = namedtuple("Pair", "a b")
+
+
+def _sketch_row(slots: int) -> SketchRow:
+    counters = np.arange(slots, dtype=np.int64)
+    return SketchRow(counters, counters.copy(), counters.astype(np.uint64))
+
+
+_hashable_leaves = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=20),
+    st.binary(max_size=20),
+    st.sampled_from(list(Color)),
+    st.builds(SizedPair, st.integers(), st.integers()),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.float64, st.floats()),
+    st.builds(np.bool_, st.booleans()),
+)
+_leaves = st.one_of(
+    _hashable_leaves,
+    st.builds(bytearray, st.binary(max_size=20)),
+    st.builds(
+        lambda rows, cols: np.arange(rows * cols).reshape(rows, cols),
+        st.integers(0, 4), st.integers(0, 4),
+    ),
+    st.builds(_sketch_row, st.integers(0, 6)),
+)
+payloads = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.builds(Pair, children, children),
+        st.dictionaries(_hashable_leaves, children, max_size=4),
+        st.sets(_hashable_leaves, max_size=4),
+        st.frozensets(_hashable_leaves, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=payloads)
+def test_word_size_matches_recursive_oracle(payload):
+    assert word_size(payload) == reference_word_size(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=st.lists(payloads, max_size=8))
+def test_word_size_many_matches_recursive_oracle(batch):
+    expected = sum(reference_word_size(item) for item in batch)
+    assert word_size_many(batch) == expected
+    assert word_size_many(tuple(batch)) == expected
+    assert word_size_many(iter(batch)) == expected
+
+
+def test_deep_nesting_is_sized_without_recursion():
+    """Nesting the recursive oracle cannot size within the recursion limit."""
+    payload = 7
+    for depth in range(900):
+        payload = [payload, 1] if depth % 2 else (payload,)
+    assert word_size(payload) == 1 + 450
+
+
+def test_self_containing_payload_raises_instead_of_hanging():
+    loop = []
+    loop.append(loop)
+    with pytest.raises(RecursionError):
+        word_size(loop)
+    with pytest.raises(RecursionError):
+        word_size_many([(1, loop)])

@@ -18,6 +18,7 @@ open runs or burn rounds.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -309,24 +310,34 @@ def test_stable_order_matches_python_sort(rows, fields):
 
 
 @pytestmark_np
-@given(rows=edge_rows, splitter=st.tuples(
+@given(rows=edge_rows, splitters=st.lists(st.tuples(
     st.integers(-60, 60), st.integers(-5, 45), st.integers(-(10**6), 10**6)
-))
+), min_size=1, max_size=4))
 @settings(max_examples=30, deadline=None)
-def test_pack_columns_preserves_field_order(rows, splitter):
+def test_pack_columns_preserves_field_order(rows, splitters):
     block = ingest_rows(rows)
     if block is None:
         return
-    packed = pack_columns(block.columns, extra_keys=[splitter])
+    packed = pack_columns(block.columns, extra_keys=splitters)
+    # Extras given as one int64 array, a row per key (how sample sort
+    # hands over its splitters), pack identically to the tuples.
+    from_array = pack_columns(
+        block.columns, extra_keys=np.array(splitters, dtype=np.int64)
+    )
     if packed is None:  # spans overflowed; nothing to check
+        assert from_array is None
         return
     packed_rows, packed_extras = packed
+    assert np.array_equal(from_array[0], packed_rows)
+    assert np.array_equal(from_array[1], packed_extras)
+    assert from_array[1].dtype == packed_extras.dtype == np.int64
     ranks = sorted(range(len(rows)), key=lambda i: int(packed_rows[i]))
     expected = sorted(range(len(rows)), key=lambda i: rows[i])
     assert ranks == expected
     # Cross comparisons against packed extras stay exact.
     for i, row in enumerate(rows):
-        assert (row < splitter) == bool(packed_rows[i] < packed_extras[0])
+        for j, splitter in enumerate(splitters):
+            assert (row < splitter) == bool(packed_rows[i] < packed_extras[j])
 
 
 @pytestmark_np

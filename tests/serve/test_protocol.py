@@ -131,3 +131,81 @@ def test_response_stream_is_deterministic():
         return [session.handle_line(json.dumps(r)) for r in requests]
 
     assert run() == run()  # byte-identical across fresh sessions
+
+
+# ----------------------------------------------------------------------
+# Malformed requests answer ok: false and leave the session serving
+# ----------------------------------------------------------------------
+def _rejected(session: ServeSession, request: dict) -> str:
+    """Send *request* as a raw line; assert it is refused, return the error."""
+    response = json.loads(session.handle_line(json.dumps(request)))
+    assert response["ok"] is False
+    return response["error"]
+
+
+def _still_serving(session: ServeSession) -> None:
+    response = session.handle({"op": "connected", "u": 0, "v": 1})
+    assert response["ok"] and response["result"] == {"connected": True}
+    assert session.handle({"op": "stats"})["result"]["edges"] == 1
+
+
+def _session_with_one_edge() -> ServeSession:
+    session = make_session(n=10)
+    assert session.handle({"op": "update", "insert": [[0, 1]]})["ok"]
+    return session
+
+
+def test_connected_rejects_string_vertex():
+    session = _session_with_one_edge()
+    assert "integers" in _rejected(session, {"op": "connected", "u": "a", "v": 1})
+    _still_serving(session)
+
+
+def test_connected_rejects_float_vertex():
+    session = _session_with_one_edge()
+    assert "integers" in _rejected(session, {"op": "connected", "u": 1.5, "v": 2})
+    _still_serving(session)
+
+
+def test_connected_rejects_bool_vertex():
+    session = _session_with_one_edge()
+    assert "integers" in _rejected(session, {"op": "connected", "u": True, "v": 1})
+    _still_serving(session)
+
+
+def test_update_rejects_scalar_batch():
+    session = _session_with_one_edge()
+    assert "list of edges" in _rejected(session, {"op": "update", "insert": 7})
+    _still_serving(session)
+
+
+def test_update_rejects_scalar_edge():
+    session = _session_with_one_edge()
+    assert "[u, v]" in _rejected(session, {"op": "update", "insert": [5]})
+    _still_serving(session)
+
+
+def test_update_rejects_bool_endpoint():
+    session = _session_with_one_edge()
+    error = _rejected(session, {"op": "update", "insert": [[True, 2]]})
+    assert "integers" in error
+    assert "weight" in _rejected(session, {"op": "update", "insert": [[0, 2, True]]})
+    _still_serving(session)
+
+
+def test_unexpected_exception_answers_internal_error(monkeypatch, caplog):
+    session = _session_with_one_edge()
+
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(session.service, "stats", broken)
+    with caplog.at_level("ERROR", logger="repro.serve.protocol"):
+        response = session.handle({"op": "stats", "id": 3})
+    assert response == {
+        "ok": False, "op": "stats", "id": 3,
+        "error": "internal error: RuntimeError: boom",
+    }
+    assert "Traceback" in caplog.text and "boom" in caplog.text
+    monkeypatch.undo()
+    _still_serving(session)
