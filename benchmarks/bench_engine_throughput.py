@@ -1,7 +1,7 @@
 """Round-engine throughput: per-message vs batched vs columnar routing.
 
 Routes a 100k-item edge workload (the sample-sort routing pattern, the
-hottest exchange in the repo) through three generations of the engine,
+hottest exchange in the repo) through four generations of the engine,
 one synchronous round each:
 
 * *per-message*: the seed implementation of ``Cluster.exchange`` — one
@@ -11,10 +11,12 @@ one synchronous round each:
   Python loop and ships one ``send_batch`` per ``(src, dst)`` pair; the
   engine re-sizes each batch with a ``word_size_many`` type-scan pass;
 * *columnar*: each source hands the engine its destination column and
-  payload block (numpy arrays) via ``RoundPlan.send_indexed``; the numpy
-  engine backend groups the scatter with one stable argsort, payloads
-  stay zero-copy array blocks, and each run sizes in O(1)
-  (``block.size``).
+  payload block (numpy arrays) via ``RoundPlan.send_indexed``; the plan
+  groups the scatter with one stable argsort and stores it whole, and
+  ``Cluster.execute`` tallies and delivers it with vectorized passes;
+* *cluster-wide columnar*: one ``send_indexed`` for the whole route,
+  its source a column too — the sample sort's route since the
+  cluster-wide partition.
 
 The columnar path starts from columnar inputs — that is the point of the
 regime: data is ingested as arrays once (outside the timed route, like
@@ -30,8 +32,9 @@ import os
 import random
 import time
 
-from repro.mpc import Cluster, ModelConfig, RoundPlan, get_engine_backend
-from repro.mpc.backend import HAS_NUMPY
+import numpy as np
+
+from repro.mpc import Cluster, ModelConfig, RoundPlan
 from repro.mpc.words import word_size
 from repro.env import env_flag
 
@@ -72,8 +75,6 @@ def _make_workload(cluster: Cluster) -> dict[int, list[tuple[int, tuple]]]:
 def _make_columnar_workload(workload):
     """The same logical items as per-source numpy columns — the columnar
     regime's ingestion step (paid once, outside the timed route)."""
-    import numpy as np
-
     return {
         src: (
             np.asarray([dst for dst, _ in assignments], dtype=np.int64),
@@ -144,11 +145,30 @@ def route_batched(cluster: Cluster, workload, note: str) -> int:
 
 def route_columnar(cluster: Cluster, columnar, note: str) -> int:
     """The columnar path: one ``send_indexed`` scatter per source — the
-    numpy backend groups the destination column with a stable argsort and
-    the payload block never touches per-item Python."""
-    plan = RoundPlan(note=note, backend=get_engine_backend("numpy"))
+    plan groups the destination column with a stable argsort and the
+    payload block never touches per-item Python."""
+    plan = RoundPlan(note=note)
     for src, (dsts, rows) in columnar.items():
         plan.send_indexed(src, dsts, rows)
+    cluster.execute(plan)
+    return cluster.ledger.records[-1].total_words
+
+
+def _make_cluster_wide_workload(columnar):
+    """The per-source columns concatenated, with a source column."""
+    srcs = np.concatenate(
+        [np.full(len(dsts), src, dtype=np.int64) for src, (dsts, _) in columnar.items()]
+    )
+    dsts = np.concatenate([dsts for dsts, _ in columnar.values()])
+    rows = np.concatenate([rows for _, rows in columnar.values()])
+    return srcs, dsts, rows
+
+
+def route_cluster_wide(cluster: Cluster, scatter, note: str) -> int:
+    """One ``send_indexed`` for the whole route: row ``i`` goes from
+    ``srcs[i]`` to ``dsts[i]``."""
+    plan = RoundPlan(note=note)
+    plan.send_indexed(*scatter)
     cluster.execute(plan)
     return cluster.ledger.records[-1].total_words
 
@@ -187,32 +207,30 @@ def run_comparison() -> list[dict]:
             "speedup": round(batched_rate / per_message_rate, 2),
         },
     ]
-    if HAS_NUMPY:
-        columnar = _make_columnar_workload(workload)
-        columnar_rate, columnar_words = _best_rate(
-            route_columnar, cluster, columnar, "columnar"
-        )
-        assert columnar_words == per_message_words, (
-            "columnar engine disagrees on words charged"
-        )
-        batched_record = next(
-            r for r in reversed(cluster.ledger.records) if r.note == "batched"
-        )
-        columnar_record = cluster.ledger.records[-1]
-        assert (
+    columnar = _make_columnar_workload(workload)
+    batched_record = cluster.ledger.records[-1]
+    for engine, route, payload, note in (
+        ("columnar send_indexed (numpy)", route_columnar, columnar, "columnar"),
+        (
+            "columnar cluster-wide send_indexed",
+            route_cluster_wide,
+            _make_cluster_wide_workload(columnar),
+            "cluster-wide",
+        ),
+    ):
+        rate, words = _best_rate(route, cluster, payload, note)
+        assert words == per_message_words, f"{engine} disagrees on words charged"
+        record = cluster.ledger.records[-1]
+        assert (record.max_sent, record.max_received, record.items) == (
             batched_record.max_sent,
             batched_record.max_received,
             batched_record.items,
-        ) == (
-            columnar_record.max_sent,
-            columnar_record.max_received,
-            columnar_record.items,
-        ), "columnar engine disagrees on per-round volumes"
+        ), f"{engine} disagrees on per-round volumes"
         rows.append({
-            "engine": "columnar send_indexed (numpy)",
+            "engine": engine,
             "items": ITEMS,
-            "items_per_sec": round(columnar_rate),
-            "speedup": round(columnar_rate / per_message_rate, 2),
+            "items_per_sec": round(rate),
+            "speedup": round(rate / per_message_rate, 2),
         })
     return rows
 
@@ -237,8 +255,7 @@ def test_engine_throughput(benchmark):
     # columnar engine over the PR 1 batched path.
     if not SMOKE:
         assert rows[1]["speedup"] >= 3.0
-        if HAS_NUMPY:
-            assert rows[2]["speedup"] / rows[1]["speedup"] >= 3.0
+        assert rows[2]["speedup"] / rows[1]["speedup"] >= 3.0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Executor-seam scaling: process-parallel per-machine compute.
 
 Times the 100k-item columnar sort route (the hottest local-step
-workload: per-machine partition + rank kernels under ``sample_sort``) on
+workload: the per-machine rank kernel under ``sample_sort``) on
 an 8-small-machine cluster across executor generations — serial, and a
 process pool at 1/2/4 workers (``ModelConfig.with_executor``) — plus one
 ``huge``-tier registry scenario (``table1_connectivity_huge``) under

@@ -7,14 +7,14 @@ Times the distributed primitives on a 32-small-machine cluster at a
   pre-columnar behavior, pinned via ``repro.primitives.columnar``'s
   ``forced_path``);
 * *columnar* — :class:`~repro.primitives.columnar.EdgeBlock` record
-  batches: packed-key ``searchsorted`` routing in ``sample_sort``,
+  batches: one cluster-wide packed-key ``searchsorted`` and one array
+  scatter routing ``sample_sort``,
   ``argsort``/``reduceat`` group-bys in ``aggregate``, vectorized
   keep-first masks in ``dedup``, flat directed copies in ``join`` and
   ``arrange``.
 
-Sort and aggregate run under both engine backends (``pure`` pre-groups
-blocks itself; ``numpy`` lets the engine group the scatter), and their
-columnar inputs are block-native — the steady-state representation a
+Sort and aggregate take block-native columnar inputs — the
+steady-state representation a
 columnar pipeline hands from one primitive to the next (a list-ingest
 first step pays a one-time conversion and still clears the bar).  The
 remaining dual-path primitives take plain tuple lists on both paths and
@@ -25,8 +25,7 @@ reported for trend tracking.
 Every dual-path measurement asserts bit-identical results and ledgers
 between the two paths before reporting.  Acceptance bars (skipped under
 ``REPRO_BENCH_SMOKE=1``, where tiny sizes don't amortize anything):
-columnar >= 5x object on the sort and aggregate routes under the pure
-engine, and the numpy engine at least on par with pure.
+columnar >= 5x object on the sort and aggregate routes.
 """
 
 from __future__ import annotations
@@ -87,10 +86,9 @@ def _fingerprint(cluster: Cluster, names: list[str]):
     return datasets, ledger, cluster.ledger.memory_high_water
 
 
-def _measure(path: str, engine: str, run_once):
+def _measure(path: str, run_once):
     """Best-of-``REPEATS`` runtime of *run_once* plus the fingerprint of
     its last execution (identity checks compare fingerprints)."""
-    os.environ["REPRO_ENGINE_BACKEND"] = engine
     best, fingerprint = float("inf"), None
     with columnar.forced_path(path):
         for _ in range(REPEATS):
@@ -238,57 +236,48 @@ def _run_broadcast():
 def run_comparison():
     rows = []
 
-    def add(primitive, path, engine, elapsed, baseline, items=ITEMS):
+    def add(primitive, path, elapsed, baseline, items=ITEMS):
         rows.append(
             {
                 "primitive": primitive,
                 "path": path,
-                "engine": engine,
                 "items": items,
                 "items_per_sec": round(items / elapsed),
                 "speedup": round(baseline / elapsed, 2),
             }
         )
 
-    # Sort and aggregate: both paths under both engines (the bars).
+    # Sort and aggregate: both paths, block-native columnar inputs (the bars).
     for primitive, factory in (("sample_sort", _run_sort), ("aggregate", _run_aggregate)):
-        base, base_fp = _measure("object", "pure", factory(False))
-        add(primitive, "object", "pure", base, base)
-        obj_np, fp = _measure("object", "numpy", factory(False))
-        assert fp == base_fp, f"{primitive}: object path differs across engines"
-        add(primitive, "object", "numpy", obj_np, base)
-        col_pure, fp = _measure("columnar", "pure", factory(True))
-        assert fp == base_fp, f"{primitive}: columnar/pure differs from object"
-        add(primitive, "columnar", "pure", col_pure, base)
-        col_np, fp = _measure("columnar", "numpy", factory(True))
-        assert fp == base_fp, f"{primitive}: columnar/numpy differs from object"
-        add(primitive, "columnar", "numpy", col_np, base)
+        base, base_fp = _measure("object", factory(False))
+        add(primitive, "object", base, base)
+        col, fp = _measure("columnar", factory(True))
+        assert fp == base_fp, f"{primitive}: columnar path differs from object"
+        add(primitive, "columnar", col, base)
 
-    # The remaining dual-path primitives: numpy engine, tuple-list inputs.
+    # The remaining dual-path primitives: tuple-list inputs.
     for primitive, factory, items in (
         ("join", _run_join, ITEMS),
         ("dedup", _run_dedup, ITEMS),
         ("arrange", _run_arrange, 2 * ITEMS),
         ("edgestore.aggregate", _run_edgestore, ITEMS),
     ):
-        base, base_fp = _measure("object", "numpy", factory())
-        add(primitive, "object", "numpy", base, base, items)
-        col, fp = _measure("columnar", "numpy", factory())
+        base, base_fp = _measure("object", factory())
+        add(primitive, "object", base, base, items)
+        col, fp = _measure("columnar", factory())
         assert fp == base_fp, f"{primitive}: columnar path differs from object"
-        add(primitive, "columnar", "numpy", col, base, items)
+        add(primitive, "columnar", col, base, items)
 
     # Single-implementation primitives, for the trajectory.
-    elapsed, (info, _, _) = _measure("columnar", "numpy", _run_disseminate())
-    add("disseminate", "batched", "numpy", elapsed, elapsed, info["delivered"])
-    elapsed, _ = _measure("columnar", "numpy", _run_broadcast())
-    add("broadcast", "tree", "numpy", elapsed, elapsed, NUM_SMALL * 256)
+    elapsed, (info, _, _) = _measure("columnar", _run_disseminate())
+    add("disseminate", "batched", elapsed, elapsed, info["delivered"])
+    elapsed, _ = _measure("columnar", _run_broadcast())
+    add("broadcast", "tree", elapsed, elapsed, NUM_SMALL * 256)
     return rows
 
 
-def _row(rows, primitive, path, engine):
-    return next(
-        r for r in rows if (r["primitive"], r["path"], r["engine"]) == (primitive, path, engine)
-    )
+def _row(rows, primitive, path):
+    return next(r for r in rows if (r["primitive"], r["path"]) == (primitive, path))
 
 
 def test_primitive_throughput(benchmark):
@@ -297,7 +286,7 @@ def test_primitive_throughput(benchmark):
         "primitive_throughput",
         f"Distributed primitives: items per second, {ITEMS}-item workloads",
         rows,
-        ["primitive", "path", "engine", "items", "items_per_sec", "speedup"],
+        ["primitive", "path", "items", "items_per_sec", "speedup"],
         persist=not SMOKE,
     )
     publish_perf(
@@ -308,15 +297,8 @@ def test_primitive_throughput(benchmark):
     )
     if not SMOKE:
         for primitive in ("sample_sort", "aggregate"):
-            col_pure = _row(rows, primitive, "columnar", "pure")
-            col_np = _row(rows, primitive, "columnar", "numpy")
-            assert col_pure["speedup"] >= 5.0, f"{primitive} columnar/pure below 5x"
-            # The numpy engine only moves the grouping argsort into the
-            # engine; it must at least hold the pure engine's rate (small
-            # tolerance for timer jitter).
-            assert (
-                col_np["items_per_sec"] >= 0.95 * col_pure["items_per_sec"]
-            ), f"{primitive} numpy engine slower than pure"
+            col = _row(rows, primitive, "columnar")
+            assert col["speedup"] >= 5.0, f"{primitive} columnar below 5x"
 
 
 if __name__ == "__main__":

@@ -21,8 +21,7 @@ import os
 import random
 import time
 
-from repro.mpc import Cluster, ModelConfig, RoundPlan, get_engine_backend
-from repro.mpc.backend import HAS_NUMPY
+from repro.mpc import Cluster, ModelConfig, RoundPlan
 from repro.env import env_flag
 
 from _util import publish, publish_perf
@@ -61,7 +60,7 @@ def _make_columnar_workload(cluster: Cluster):
 
 
 def _route(cluster: Cluster, columnar, note: str) -> int:
-    plan = RoundPlan(note=note, backend=get_engine_backend("numpy"))
+    plan = RoundPlan(note=note)
     for src, (dsts, rows) in columnar.items():
         plan.send_indexed(src, dsts, rows)
     cluster.execute(plan)
@@ -106,10 +105,6 @@ def run_comparison() -> list[dict]:
 
 
 def test_throttle_overhead(benchmark):
-    if not HAS_NUMPY:
-        import pytest
-
-        pytest.skip("columnar route requires numpy")
     rows = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     publish(
         "throttle_overhead",

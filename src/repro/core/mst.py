@@ -258,13 +258,7 @@ def _boruvka_step(
                 continue
             kept.append((min(cu, cv), max(cu, cv), record[2], record[3], record[4]))
         machine.put(store.name, kept)
-    dedup_lightest(
-        cluster,
-        store.name,
-        key=lambda record: (record[0], record[1]),
-        weight=lambda record: record[2],
-        note="boruvka/dedup",
-    )
+    dedup_lightest(cluster, store.name, key=(0, 1), weight=2, note="boruvka/dedup")
     return merged
 
 

@@ -37,11 +37,15 @@ class MSTApproxResult:
     cluster: Cluster | None = field(default=None, repr=False)
 
 
-def geometric_thresholds(max_weight: int, epsilon: float) -> list[int]:
+def geometric_thresholds(
+    max_weight: int, epsilon: float, limit: int | None = None
+) -> list[int]:
     """Strictly increasing integer thresholds ``1 = t_0 < t_1 < ... >= W``
-    with ``t_{j+1} <= (1 + eps) t_j + 1``."""
+    with ``t_{j+1} <= (1 + eps) t_j + 1`` — only the first *limit* of
+    them when *limit* is given, so a caller can bound the count without
+    building a long list."""
     thresholds = [1]
-    while thresholds[-1] < max_weight:
+    while thresholds[-1] < max_weight and (limit is None or len(thresholds) < limit):
         nxt = max(thresholds[-1] + 1, int(thresholds[-1] * (1.0 + epsilon)))
         thresholds.append(min(nxt, max_weight))
     return thresholds

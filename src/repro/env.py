@@ -13,7 +13,7 @@ strings become Python values:
   else raises so a typo fails loudly instead of silently disabling the
   knob.
 * :func:`env_name` — name-valued switches (``REPRO_EXECUTOR``,
-  ``REPRO_ENGINE_BACKEND``, ``REPRO_PRIMITIVE_PATH``).  Strips and
+  ``REPRO_PRIMITIVE_PATH``).  Strips and
   lowercases; empty values fall back to the default so
   ``REPRO_EXECUTOR= python ...`` behaves like unset.  Validation against
   the accepted names stays with the caller, whose error messages name

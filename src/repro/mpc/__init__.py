@@ -17,23 +17,32 @@ One synchronous round is described by a :class:`RoundPlan` and executed by
     plan.send_indexed(src, dsts, items)       # a scatter: item i -> dsts[i]
     inboxes = cluster.execute(plan)           # charges exactly one round
 
-The plan stores traffic as per-``(src, dst)`` runs in flat parallel
-arrays over one flat payload store; ``execute`` sizes every run exactly
-once with :func:`word_size_many` (fast-pathing homogeneous scalar,
-edge-tuple, and bytes batches; numeric numpy blocks size O(1)), caches
-the totals on the plan, accumulates send/receive volumes in a single
-grouped pass over the run columns, and fills inboxes in exact send-call
-order.  A plan that moves no data is a no-op (zero rounds).  Per-round
-item counts and wall-clock time are recorded in the ledger's
-:class:`NoteStats` so benchmarks can attribute cost per note label.
+The plan stores traffic as entries in flat parallel arrays over one
+flat payload store; ``execute`` sizes every entry exactly once with
+:func:`word_size_many` (fast-pathing homogeneous scalar, edge-tuple, and
+bytes batches; numeric numpy blocks size O(1)), caches the totals on the
+plan, accumulates send/receive volumes in one pass, and fills inboxes in
+exact send-call order.  A plan that moves no data is a no-op (zero
+rounds).  Per-round item counts and wall-clock time are recorded in the
+ledger's :class:`NoteStats` so benchmarks can attribute cost per note
+label.
 
-``send_indexed`` scatters group on the engine backend seam
-(:mod:`repro.mpc.backend`): the pure-Python default buckets stably per
-destination; the numpy backend (``REPRO_ENGINE_BACKEND=numpy``) groups
-numpy columns with one stable argsort and keeps payloads as zero-copy
-array blocks.  Ledgers are bit-identical across backends by
-construction — both derive all accounting from the same integer run
-metadata.
+Scatters.  ``send_indexed`` groups a scatter into per-``(src, dst)``
+runs — ascending source, then ascending destination, stable within a
+run.  A list of items is bucketed into object runs.  A numeric numpy
+block is grouped with one stable argsort and stored whole, and its
+source may be a column too — row ``i`` goes from ``srcs[i]`` to
+``dsts[i]``::
+
+    plan.send_indexed(srcs, dsts, rows)       # a cluster-wide scatter
+
+``execute`` tallies a stored scatter with vectorized per-machine sums
+(first-appearance order, so violation lists match the per-run form) and
+delivers it as one block per destination, holding that destination's
+rows in source order.  A scatter's Python cost is O(machines), however
+many ``(src, dst)`` runs it holds; the per-run views (``runs``,
+``run_meta``, ``batches``) and the throttle's plan splitter still see
+every run.
 
 Both budgets of the model are enforced: per-round communication volumes
 and per-machine memory (``Machine.put`` datasets versus capacity, checked
@@ -69,13 +78,6 @@ prefer ``RoundPlan`` + ``Cluster.execute``; ``exchange`` exists so
 external callers never break.
 """
 
-from .backend import (
-    HAS_NUMPY,
-    NumpyEngineBackend,
-    PureEngineBackend,
-    available_engine_backends,
-    get_engine_backend,
-)
 from .cluster import Cluster, Message
 from .config import ModelConfig
 from .errors import (
@@ -120,11 +122,6 @@ __all__ = [
     "LARGE",
     "word_size",
     "word_size_many",
-    "HAS_NUMPY",
-    "PureEngineBackend",
-    "NumpyEngineBackend",
-    "available_engine_backends",
-    "get_engine_backend",
     "MPCError",
     "CapacityExceeded",
     "MemoryLimitExceeded",

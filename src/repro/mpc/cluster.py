@@ -15,17 +15,17 @@ the model — but the state it leaves behind is not: scratch datasets count
 against memory until they are explicitly freed with ``Machine.pop``.)
 
 Rounds are executed by the *columnar round engine*: algorithms build a
-:class:`~repro.mpc.plan.RoundPlan` (traffic stored as per-``(src, dst)``
-runs in flat parallel arrays) and hand it to :meth:`Cluster.execute`,
-which sizes each run once (cached on the plan), routes the whole plan in
-a single grouped accounting pass, enforces capacities, and fills inboxes
-run by run.  The legacy per-message :meth:`Cluster.exchange` is a pure
+:class:`~repro.mpc.plan.RoundPlan` (traffic stored as entries in flat
+parallel arrays) and hand it to :meth:`Cluster.execute`, which sizes each
+entry once (cached on the plan), routes the whole plan in a single
+accounting pass, enforces capacities, and fills inboxes in send-call
+order.  The legacy per-message :meth:`Cluster.exchange` is a pure
 delegate that builds a plan from ``(src, dst, payload)`` tuples and calls
 :meth:`execute` — there is no second delivery path, so the two cannot
-drift.  Columnar producers use :meth:`RoundPlan.send_indexed`, whose
-grouping runs on the engine backend seam (:mod:`repro.mpc.backend`,
-pure-Python default with an optional numpy backend; ledgers are
-bit-identical across backends by construction).
+drift.  Columnar producers use :meth:`RoundPlan.send_indexed`: a numeric
+scatter — from one source or from many — is stored whole and tallied
+with vectorized per-machine sums, so a sort route costs O(machines)
+Python work rather than one run per ``(src, dst)`` pair.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import random
 import time
 from typing import Any, Callable, Iterable, Sequence
 
-from .backend import get_engine_backend
 from .config import ModelConfig
 from .errors import CommunicationLimitExceeded, MemoryLimitExceeded, ProtocolError
 from .executor import get_executor, local_step
@@ -61,13 +60,9 @@ class Cluster:
         self,
         config: ModelConfig,
         rng: random.Random | None = None,
-        backend: object = None,
     ) -> None:
         self.config = config
         self.rng = rng if rng is not None else random.Random(0)
-        #: Engine backend for columnar grouping (``repro.mpc.backend``);
-        #: accounting is bit-identical across backends.
-        self.engine_backend = get_engine_backend(backend)
         #: Executor for per-machine local compute (``repro.mpc.executor``);
         #: ledgers and results are identical across executors.
         self.executor = get_executor(config.executor, config.executor_workers)
@@ -136,11 +131,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # The synchronous round
     # ------------------------------------------------------------------
-    def plan(self, note: str = "") -> RoundPlan:
-        """A fresh :class:`RoundPlan` wired to this cluster's engine
-        backend (so ``send_indexed`` scatters group on the same seam)."""
-        return RoundPlan(note=note, backend=self.engine_backend)
-
     def execute(self, plan: RoundPlan) -> dict[int, list[Any]]:
         """Run *plan* as one synchronous round (or several, throttled).
 
@@ -170,13 +160,14 @@ class Cluster:
     def _execute_round(self, plan: RoundPlan) -> dict[int, list[Any]]:
         """Run *plan* as exactly one synchronous round.
 
-        The single grouped pass: per-run word totals come from the plan's
-        :meth:`~repro.mpc.plan.RoundPlan.run_words` cache (each run sized
-        exactly once), per-machine send/receive volumes are accumulated
-        over the run columns, and inboxes are filled in exact send-call
-        order (``plan.deliveries()``).  Memory usage is checked against
-        each machine's capacity as part of the round.  In strict mode a
-        violation raises :class:`CommunicationLimitExceeded` (traffic) or
+        One accounting pass: :meth:`~repro.mpc.plan.RoundPlan.tally`
+        sizes every entry exactly once (cached on the plan) and sums
+        per-machine send/receive volumes — a scatter with vectorized
+        passes — keyed in first-appearance order, and inboxes are filled
+        in exact send-call order (``plan.deliveries()``).  Memory usage
+        is checked against each machine's capacity as part of the round.
+        In strict mode a violation raises
+        :class:`CommunicationLimitExceeded` (traffic) or
         :class:`MemoryLimitExceeded` (stored state) before the round is
         recorded, otherwise it is recorded in the ledger as a typed
         :class:`~repro.mpc.ledger.Violation`.  An empty plan is a no-op:
@@ -185,20 +176,12 @@ class Cluster:
         if plan.is_empty:
             return {}
         start = time.perf_counter()
-        run_srcs, run_dsts, run_lens, run_words = plan.run_meta()
-
-        unknown = set(run_srcs).union(run_dsts).difference(self.machines)
+        sent, received, total, items = plan.tally()
+        unknown = set(sent).union(received).difference(self.machines)
         if unknown:
             raise ProtocolError(
                 f"message involves unknown machine(s) {sorted(unknown)}"
             )
-        sent: dict[int, int] = {}
-        received: dict[int, int] = {}
-        for src, dst, words in zip(run_srcs, run_dsts, run_words):
-            sent[src] = sent.get(src, 0) + words
-            received[dst] = received.get(dst, 0) + words
-        total = sum(run_words)
-        items = sum(run_lens)
         inboxes = {dst: items_ for dst, items_ in plan.deliveries()}
 
         note = plan.note

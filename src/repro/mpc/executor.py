@@ -3,8 +3,7 @@
 The simulated cluster used to run every machine's local compute serially
 in the coordinator process, so a "round" cost wall-clock proportional to
 the number of machines even though the model's whole point is that
-machines work in parallel.  This module is the seam that fixes it,
-mirroring the :mod:`repro.mpc.backend` idiom:
+machines work in parallel.  This module is the seam that fixes it:
 
 * :class:`SerialExecutor` (the default) runs every *local step* inline —
   the historical behavior, bit for bit.
@@ -28,9 +27,9 @@ functions over per-machine payloads and return results in machine order;
 all accounting (words, rounds, memory checkpoints, throttle estimator
 feeds) stays derived from plans on the coordinator, never from worker
 timing.  A determinism test suite and a CI leg pin artifacts byte-equal
-across ``serial``/``process`` and both engine backends.
+across ``serial``/``process``.
 
-Selection mirrors the backend seam: ``ModelConfig.with_executor("serial"
+Selection: ``ModelConfig.with_executor("serial"
 | "process", workers=N)`` per cluster, the ``REPRO_EXECUTOR`` /
 ``REPRO_EXECUTOR_WORKERS`` environment variables as the ambient default,
 and :func:`forced_executor` for tests and benchmarks.  Nested

@@ -1,37 +1,45 @@
 """RoundPlan — the builder side of the columnar round engine.
 
-A :class:`RoundPlan` describes one synchronous round of traffic as a set of
-per-``(src, dst)`` *runs* kept in flat parallel arrays (``_run_src``,
-``_run_dst``, ``_run_start``, ``_run_len``) over one flat payload store —
-not as per-item Python lists.  Algorithms accumulate traffic with
-:meth:`RoundPlan.send` / :meth:`RoundPlan.send_batch` /
-:meth:`RoundPlan.send_indexed` and hand the plan to
-:meth:`repro.mpc.cluster.Cluster.execute`, which sizes every run once
-(:func:`repro.mpc.words.word_size_many`, cached on the plan by
-:meth:`run_words`) and routes the whole plan in a single grouped pass.
+A :class:`RoundPlan` describes one synchronous round of traffic as a list
+of *entries* in send-call order, kept in flat parallel arrays
+(``_run_src``, ``_run_dst``, ``_run_start``, ``_run_len``, ``_run_block``)
+over one flat payload store — not as per-item Python lists.  Algorithms
+accumulate traffic with :meth:`RoundPlan.send` /
+:meth:`RoundPlan.send_batch` / :meth:`RoundPlan.send_indexed` and hand the
+plan to :meth:`repro.mpc.cluster.Cluster.execute`, which tallies it in one
+pass (:meth:`RoundPlan.tally`) and fills inboxes from
+:meth:`RoundPlan.deliveries`.
 
 Semantics are identical to the legacy per-message
 :meth:`~repro.mpc.cluster.Cluster.exchange` path: the words charged are the
 sum of the item word sizes, capacity checks see per-machine totals, a plan
-always costs exactly one round, and — since runs are stored in send-call
-order — each inbox receives its items exactly as they were sent, even when
-sources interleave.  A plan whose batches are all empty moves no data and
-costs **zero** rounds (:meth:`Cluster.execute` treats it as a no-op).
+always costs exactly one round, and — since entries are stored in
+send-call order — each inbox receives its items exactly as they were sent,
+even when sources interleave.  A plan whose batches are all empty moves no
+data and costs **zero** rounds (:meth:`Cluster.execute` treats it as a
+no-op).
 
-Storage:
+Storage, one entry per:
 
-* Object traffic (``send`` / ``send_batch``) lives once in the flat
-  ``_items`` list; a run is a ``[start, start+length)`` slice of it.
+* **object run** (``send`` / ``send_batch`` / list ``send_indexed``) — a
+  ``[start, start+length)`` slice of the flat ``_items`` list.
   Consecutive sends on the same route extend the open run in place, so
-  source-major producers (every bulk producer in this repo) still create
-  one run per ``(src, dst)`` route and sizing stays one bulk pass per
-  route.
-* Columnar traffic (:meth:`send_indexed` with numpy columns under the
-  numpy backend) is stored as per-run array *blocks* — zero-copy slices
-  of the scatter, sized O(1) per run (``block.size``).
+  source-major producers still create one run per ``(src, dst)`` route
+  and sizing stays one bulk pass per route.
+* **block run** (``send_batch`` of a numeric numpy array) — the array
+  itself, sized O(1) (``block.size``).
+* **scatter** (``send_indexed`` of a numeric numpy array) — the whole
+  scatter, stored once as a :class:`_Scatter`: its rows grouped into
+  per-``(src, dst)`` runs (ascending source, then ascending destination,
+  stable within a run) plus run columns.  The scatter is tallied and
+  delivered with vectorized passes — O(machines) Python work however
+  many runs it holds — and each destination receives one block: its rows
+  in source order.
 
-The aggregated :meth:`batches` view is materialized on demand for
-inspection and the legacy flatteners.
+The per-run views (:meth:`runs`, :meth:`run_meta`, :meth:`batches`,
+:meth:`routes`) expand scatters into their per-``(src, dst)`` runs on
+demand, for inspection, the legacy flatteners and the throttle's plan
+splitter.
 """
 
 from __future__ import annotations
@@ -40,7 +48,6 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .backend import get_engine_backend
 from .words import word_size, word_size_many
 
 __all__ = ["Message", "RoundPlan"]
@@ -50,86 +57,193 @@ __all__ = ["Message", "RoundPlan"]
 Message = tuple[int, int, Any]
 
 
-class RoundPlan:
-    """Accumulates one round of traffic as columnar per-``(src, dst)`` runs.
+def _group_starts(column: Any) -> Any:
+    """Start index of every run of equal values in a non-empty 1-D array."""
+    return np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
 
-    ``_run_src`` / ``_run_dst`` / ``_run_start`` / ``_run_len`` are flat
-    parallel arrays, one entry per run, in send-call order — the single
-    authoritative store (payloads are never duplicated).  ``_run_block``
-    is parallel too: ``None`` for object runs (whose payloads occupy
-    ``_items[start:start+length]``) or the numpy block of a columnar run.
-    ``_routes`` tracks the distinct ``(src, dst)`` pairs in first-send
-    order with their queued item counts, so route-level views need no
-    scan.  ``_run_words`` caches the per-run word totals computed by
-    :meth:`run_words` (invalidated by any later send).
+
+def _stable_order(keys: Any) -> Any:
+    """Stable argsort of int keys — a radix sort when they fit 16 bits
+    unsigned (ids of up to 65536 machines)."""
+    if 0 <= int(keys.min()) and int(keys.max()) < 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+class _Scatter:
+    """One array scatter, stored whole: ``rows`` grouped into runs.
+
+    Run ``r`` goes from ``run_src[r]`` to ``run_dst[r]`` and holds rows
+    ``bounds[r]:bounds[r + 1]`` of the rows in run order — ``rows`` taken
+    in ``order`` (``None`` when they arrived grouped); runs ascend by
+    ``(src, dst)``.  Every element of a numeric row is one word, so a row
+    costs ``row_words`` words.  Rows are gathered once, into the order
+    their use needs: per destination for delivery, per run for the
+    per-run views.
+    """
+
+    __slots__ = (
+        "rows", "order", "run_src", "run_dst", "bounds", "row_words", "_by_dst"
+    )
+
+    def __init__(
+        self, rows: Any, order: Any, run_src: Any, run_dst: Any, bounds: Any
+    ) -> None:
+        self.rows = rows
+        self.order = order
+        self.run_src = run_src
+        self.run_dst = run_dst
+        self.bounds = bounds
+        self.row_words = int(np.prod(rows.shape[1:], dtype=np.int64))
+        self._by_dst: tuple | None = None
+
+    @property
+    def words(self) -> int:
+        return int(self.rows.shape[0]) * self.row_words
+
+    def run_lens(self) -> Any:
+        return np.diff(self.bounds)
+
+    def _take(self, index: Any) -> Any:
+        """The rows at run-order positions *index* (all of them: None)."""
+        if index is None:
+            index = self.order
+        elif self.order is not None:
+            index = self.order[index]
+        return self.rows if index is None else np.take(self.rows, index, axis=0)
+
+    def runs(self) -> Iterator[tuple[int, int, Any]]:
+        bounds = self.bounds.tolist()
+        rows = self._take(None)
+        for src, dst, start, stop in zip(
+            self.run_src.tolist(), self.run_dst.tolist(), bounds, bounds[1:]
+        ):
+            yield src, dst, rows[start:stop]
+
+    def sent(self) -> tuple[list[int], list[int]]:
+        """Sources in first-appearance order (ascending, as runs are
+        grouped by source first) and the words each sends."""
+        starts = _group_starts(self.run_src)
+        words = np.add.reduceat(self.run_lens(), starts) * self.row_words
+        return self.run_src[starts].tolist(), words.tolist()
+
+    def received(self) -> tuple[list[int], list[int]]:
+        """Destinations in first-appearance order and the words each gets."""
+        dsts, counts, _, _ = self._dst_groups()
+        return dsts, [count * self.row_words for count in counts]
+
+    def deliveries(self) -> Iterator[tuple[int, Any]]:
+        """One block per destination (first-appearance order): its rows in
+        run order, i.e. the concatenation of the runs it receives."""
+        dsts, counts, grouped, starts = self._dst_groups()
+        for dst, count, start in zip(dsts, counts, starts):
+            yield dst, grouped[start:start + count]
+
+    def _dst_groups(self) -> tuple[list[int], list[int], Any, list[int]]:
+        """``(dsts, row counts, rows grouped by dst, group starts)``,
+        destinations in first-appearance order; computed once."""
+        if self._by_dst is not None:
+            return self._by_dst
+        by_dst = _stable_order(self.run_dst)
+        sorted_dst = self.run_dst[by_dst]
+        sorted_lens = self.run_lens()[by_dst]
+        starts = _group_starts(sorted_dst)
+        counts = np.add.reduceat(sorted_lens, starts)
+        index = None  # runs already in dst order (one source, say)
+        if (by_dst[1:] < by_dst[:-1]).any():
+            # Gather the runs in (dst, run) order: the rows of the run at
+            # position p of `by_dst` land at offset sum(sorted_lens[:p]).
+            offsets = np.cumsum(sorted_lens) - sorted_lens
+            index = np.repeat(self.bounds[:-1][by_dst] - offsets, sorted_lens)
+            index += np.arange(len(index))
+        group_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        # A stable sort puts each dst's earliest run first, so
+        # by_dst[starts] is every dst's first appearance.
+        appear = np.argsort(by_dst[starts], kind="stable")
+        self._by_dst = (
+            sorted_dst[starts][appear].tolist(),
+            counts[appear].tolist(),
+            self._take(index),
+            group_starts[appear].tolist(),
+        )
+        return self._by_dst
+
+
+class RoundPlan:
+    """Accumulates one round of traffic as columnar entries.
+
+    ``_run_src`` / ``_run_dst`` / ``_run_start`` / ``_run_len`` /
+    ``_run_block`` are flat parallel arrays, one entry per object run,
+    block run or scatter, in send-call order — the single authoritative
+    store (payloads are never duplicated).  ``_run_block`` is ``None`` for
+    object runs (whose payloads occupy ``_items[start:start+length]``),
+    the numpy block of a block run, or the :class:`_Scatter` of a scatter
+    (whose ``_run_src`` / ``_run_dst`` slots are ``None``).
+    ``_entry_words`` and ``_meta`` cache the per-entry word totals and
+    the per-run columns (invalidated by any later send).
     """
 
     __slots__ = (
         "note",
-        "backend",
         "_run_src",
         "_run_dst",
         "_run_start",
         "_run_len",
         "_run_block",
         "_items",
-        "_routes",
-        "_run_words",
+        "_entry_words",
+        "_meta",
     )
 
-    def __init__(self, note: str = "", backend: object = None) -> None:
+    def __init__(self, note: str = "") -> None:
         self.note = note
-        #: Engine backend used to group :meth:`send_indexed` scatters —
-        #: resolved lazily so ``RoundPlan()`` stays dependency-free.
-        self.backend = backend
-        self._run_src: list[int] = []
-        self._run_dst: list[int] = []
+        self._run_src: list[int | None] = []
+        self._run_dst: list[int | None] = []
         self._run_start: list[int] = []
         self._run_len: list[int] = []
         self._run_block: list[Any] = []
         self._items: list[Any] = []
-        self._routes: dict[tuple[int, int], int] = {}
-        self._run_words: list[int] | None = None
+        self._entry_words: list[int] | None = None
+        self._meta: tuple | None = None
 
     # ------------------------------------------------------------------
     # Building
     # ------------------------------------------------------------------
-    def _note_object_run(self, src: int, dst: int, start: int, count: int) -> None:
-        """Account a fresh object segment ``[start, start+count)`` of the
-        flat store, extending the open run when contiguous.
-
-        Contiguity is an invariant, not a check: object items only ever
-        append to the end of ``_items``, and array blocks never touch it,
-        so whenever the globally-last run is this route's object run its
-        slice necessarily ends exactly at *start*.
-        """
-        self._run_words = None
-        if (
-            self._run_src
-            and self._run_src[-1] == src
-            and self._run_dst[-1] == dst
-            and self._run_block[-1] is None
-        ):
-            self._run_len[-1] += count
-        else:
-            self._run_src.append(src)
-            self._run_dst.append(dst)
-            self._run_start.append(start)
-            self._run_len.append(count)
-            self._run_block.append(None)
-        route = (src, dst)
-        self._routes[route] = self._routes.get(route, 0) + count
+    def _open(self, src: Any, dst: Any, start: int, count: int, block: Any) -> None:
+        self._entry_words = self._meta = None
+        self._run_src.append(src)
+        self._run_dst.append(dst)
+        self._run_start.append(start)
+        self._run_len.append(count)
+        self._run_block.append(block)
 
     def _append(self, src: int, dst: int, items: Iterable[Any]) -> None:
-        """Queue object *items* (copied once into the flat store)."""
+        """Queue object *items* (copied once into the flat store),
+        extending the open run when it is this route's object run.
+
+        Contiguity is an invariant, not a check: object items only ever
+        append to the end of ``_items``, and array entries never touch
+        it, so whenever the globally-last entry is this route's object run
+        its slice necessarily ends exactly where the new items start.
+        """
         before = len(self._items)
         self._items.extend(items)
         count = len(self._items) - before
-        if count:
-            self._note_object_run(src, dst, before, count)
+        if not count:
+            return
+        if (
+            self._run_src
+            and self._run_block[-1] is None
+            and self._run_src[-1] == src
+            and self._run_dst[-1] == dst
+        ):
+            self._entry_words = self._meta = None
+            self._run_len[-1] += count
+        else:
+            self._open(src, dst, before, count, None)
 
     def _append_block(self, src: int, dst: int, block: Any) -> None:
-        """Queue a columnar run (*block* is a numeric numpy array whose
+        """Queue a block run (*block* is a numeric numpy array whose
         leading axis indexes items).
 
         An empty block is dropped without opening a run, mirroring
@@ -137,20 +251,9 @@ class RoundPlan:
         and :meth:`Cluster.execute` charges no round for it.
         """
         count = int(block.shape[0])
-        if count == 0:
-            return
-        if block.dtype.kind not in "iufb":
-            raise TypeError(
-                f"columnar blocks must have a numeric dtype, got {block.dtype}"
-            )
-        self._run_words = None
-        self._run_src.append(src)
-        self._run_dst.append(dst)
-        self._run_start.append(len(self._items))
-        self._run_len.append(count)
-        self._run_block.append(block)
-        route = (src, dst)
-        self._routes[route] = self._routes.get(route, 0) + count
+        if count:
+            _check_numeric(block)
+            self._open(src, dst, len(self._items), count, block)
 
     def send(self, src: int, dst: int, *items: Any) -> "RoundPlan":
         """Queue *items* from machine *src* to machine *dst*."""
@@ -164,13 +267,9 @@ class RoundPlan:
         The bulk path of the engine: one run entry and one bulk sizing
         pass regardless of how many items the batch holds.  The input is
         copied once into the flat store (callers may reuse their list).
-
-        A numpy batch (leading axis indexing items) is kept as a columnar
-        run directly — zero copy, O(1) sizing — regardless of the engine
-        backend: the columnar primitives pre-group their routing into
-        per-destination blocks, and a pre-grouped block needs no backend
-        pass.  Accounting is identical either way (``block.size`` equals
-        the summed word sizes of the equivalent rows).
+        A numpy batch (leading axis indexing items) is kept as a block
+        run directly — zero copy, O(1) sizing (``block.size`` equals the
+        summed word sizes of the equivalent rows).
         """
         if isinstance(items, np.ndarray):
             self._append_block(src, dst, items)
@@ -179,18 +278,21 @@ class RoundPlan:
         return self
 
     def send_indexed(
-        self, src: int, dsts: Sequence[int], items: Sequence[Any]
+        self, src: int | Sequence[int], dsts: Sequence[int], items: Sequence[Any]
     ) -> "RoundPlan":
-        """Queue one *scatter*: item ``i`` goes from *src* to ``dsts[i]``.
+        """Queue one *scatter*: item ``i`` goes to ``dsts[i]``, from *src*
+        — or, for a numeric numpy block, from ``src[i]`` when *src* is a
+        column of sources.
 
-        The columnar fast path: the destination column is grouped into
-        per-``(src, dst)`` runs by the engine backend (ascending
-        destination, stable within each destination) in one pass — no
-        caller-side bucketing loop.  With the numpy backend and numpy
-        columns, grouping is a single stable ``argsort`` and the payload
-        stays an array block end to end (delivered whole, sized O(1)).
-        With lists (or the pure backend), items are delivered
-        individually, exactly like :meth:`send_batch` traffic.
+        The scatter is grouped into per-``(src, dst)`` runs: ascending
+        source, then ascending destination, stable within each run — so
+        it is exactly the sequence of per-source, per-destination
+        :meth:`send_batch` calls it replaces.  A list of items is bucketed
+        by destination into object runs.  A numeric block is grouped with
+        one stable ``argsort`` (skipped when the rows already arrive
+        grouped) and stored whole as one entry: however many runs it
+        holds, :meth:`Cluster.execute` tallies and delivers it with
+        vectorized passes, one block per destination.
         """
         count = items.shape[0] if isinstance(items, np.ndarray) else len(items)
         dst_count = dsts.shape[0] if isinstance(dsts, np.ndarray) else len(dsts)
@@ -201,16 +303,52 @@ class RoundPlan:
             )
         if not count:
             return self
-        # Resolve lazily, then pin the instance on the plan so repeated
-        # scatters (one per source in the routing primitives) skip the
-        # env lookup and group on one backend for the whole plan.
-        backend = self.backend = get_engine_backend(self.backend)
-        for dst, block in backend.group_indexed(dsts, items):
-            if isinstance(block, np.ndarray):
-                self._append_block(src, dst, block)
+        if isinstance(items, np.ndarray):
+            _check_numeric(items)
+            self._append_scatter(src, np.asarray(dsts, dtype=np.int64), items)
+            return self
+        if np.ndim(src):
+            raise TypeError("a column of sources needs a numeric numpy block")
+        if isinstance(dsts, np.ndarray):
+            dsts = dsts.tolist()
+        buckets: dict[int, list[Any]] = {}
+        for dst, item in zip(dsts, items):
+            bucket = buckets.get(dst)
+            if bucket is None:
+                buckets[dst] = [item]
             else:
-                self._append(src, dst, block)
+                bucket.append(item)
+        for dst in sorted(buckets):
+            self._append(src, dst, buckets[dst])
         return self
+
+    def _append_scatter(self, src: Any, dsts: Any, rows: Any) -> None:
+        """Group a numeric scatter into ``(src, dst)`` runs and store it.
+
+        Runs are found on one route key, ``(src - src_lo) * span + (dst -
+        dst_lo)``, sorted only when the rows do not already arrive
+        grouped; the rows themselves are gathered later, once.
+        """
+        srcs = np.asarray(src, dtype=np.int64)
+        if srcs.ndim and srcs.shape != dsts.shape:
+            raise ValueError(
+                f"scatter shape mismatch: {len(srcs)} sources for "
+                f"{len(dsts)} destinations"
+            )
+        src_lo, dst_lo = int(srcs.min()), int(dsts.min())
+        span = int(dsts.max()) - dst_lo + 1
+        route = (srcs - src_lo) * span + (dsts - dst_lo)
+        order = None
+        if len(route) > 1 and (route[1:] < route[:-1]).any():
+            order = _stable_order(route)
+            route = route[order]
+        starts = _group_starts(route)
+        keys = route[starts]
+        bounds = np.append(starts, len(route))
+        self._open(
+            None, None, len(self._items), len(route),
+            _Scatter(rows, order, keys // span + src_lo, keys % span + dst_lo, bounds),
+        )
 
     def extend(self, messages: Iterable[Message]) -> "RoundPlan":
         """Absorb legacy ``(src, dst, payload)`` message tuples."""
@@ -219,117 +357,166 @@ class RoundPlan:
         return self
 
     # ------------------------------------------------------------------
-    # Inspection
+    # Accounting and delivery (what Cluster.execute consumes)
     # ------------------------------------------------------------------
     @property
     def is_empty(self) -> bool:
-        return not self._routes
+        return not self._run_len
 
-    def _run_items(self, index: int) -> Any:
-        """Payloads of run *index*: a list slice or the array block."""
-        block = self._run_block[index]
-        if block is not None:
-            return block
-        start = self._run_start[index]
-        return self._items[start:start + self._run_len[index]]
-
-    def runs(self) -> Iterator[tuple[int, int, Any]]:
-        """Yield ``(src, dst, items)`` delivery runs in send-call order.
-
-        This is the engine's sizing/accounting view: word totals are
-        additive over runs, and source-major producers emit exactly one
-        run per route, so bulk sizing stays one pass per batch.  ``items``
-        is a list for object runs and a numpy block for columnar runs.
-        """
-        for index in range(len(self._run_src)):
-            yield self._run_src[index], self._run_dst[index], self._run_items(index)
-
-    def run_count(self) -> int:
-        """Number of stored delivery runs (>= :meth:`routes` when sends
-        interleave)."""
-        return len(self._run_src)
-
-    def run_words(self) -> list[int]:
-        """Per-run word totals, computed once and cached on the plan.
+    def entry_words(self) -> list[int]:
+        """Per-entry word totals, computed once and cached on the plan.
 
         Object runs cost one :func:`word_size_many` pass over their flat
-        slice; columnar runs cost O(1) (``block.size`` — every element of
-        a numeric dtype is one machine word).  A run of one payload object
+        slice; block runs and scatters cost O(1) (every element of a
+        numeric dtype is one machine word).  A run of one payload object
         is sized once per plan: a broadcast sends the same object on every
         route, and each further run carrying it reuses the size by object
         identity.  That is exact because all runs are sized here, in one
         pass after the last send — one object has one size throughout.
         Any later send invalidates the cache.
         """
-        if self._run_words is None:
+        if self._entry_words is None:
             items = self._items
             sized: dict[int, int] = {}  # id(payload) -> words, one-item runs
             words = []
             for block, start, length in zip(
                 self._run_block, self._run_start, self._run_len
             ):
-                if block is not None:
-                    words.append(int(block.size))
-                elif length == 1:
-                    payload = items[start]
-                    size = sized.get(id(payload))
-                    if size is None:
-                        size = sized[id(payload)] = word_size(payload)
-                    words.append(size)
+                if block is None:
+                    if length == 1:
+                        payload = items[start]
+                        size = sized.get(id(payload))
+                        if size is None:
+                            size = sized[id(payload)] = word_size(payload)
+                        words.append(size)
+                    else:
+                        words.append(word_size_many(items[start:start + length]))
+                elif type(block) is _Scatter:
+                    words.append(block.words)
                 else:
-                    words.append(word_size_many(items[start:start + length]))
-            self._run_words = words
-        return self._run_words
+                    words.append(int(block.size))
+            self._entry_words = words
+        return self._entry_words
 
-    def run_meta(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """The accounting columns: ``(srcs, dsts, lengths, words)`` —
-        parallel arrays over runs, words from the :meth:`run_words`
-        cache.  This is everything the grouped accounting pass of
-        :meth:`Cluster.execute` consumes."""
-        return self._run_src, self._run_dst, self._run_len, self.run_words()
+    def tally(self) -> tuple[dict[int, int], dict[int, int], int, int]:
+        """The round's accounting in one pass: ``(sent, received,
+        total_words, items)``.
 
-    def batches(self) -> Iterator[tuple[int, int, list[Any]]]:
-        """Yield ``(src, dst, items)`` aggregated per route, routes in
-        first-send order (materialized on demand; columnar blocks are
-        flattened to rows)."""
-        grouped: dict[tuple[int, int], list[Any]] = {
-            route: [] for route in self._routes
-        }
-        for src, dst, items in self.runs():
-            grouped[(src, dst)].extend(_as_rows(items))
-        for (src, dst), items in grouped.items():
-            yield src, dst, items
+        ``sent`` / ``received`` map each machine to its words, keyed in
+        order of first appearance (as a source, as a destination) over the
+        plan's runs — so per-machine checks report in send order.  A
+        scatter contributes through vectorized per-machine sums.
+        """
+        sent: dict[int, int] = {}
+        received: dict[int, int] = {}
+        words = self.entry_words()
+        for src, dst, block, entry in zip(
+            self._run_src, self._run_dst, self._run_block, words
+        ):
+            if type(block) is _Scatter:
+                for mid, amount in zip(*block.sent()):
+                    sent[mid] = sent.get(mid, 0) + amount
+                for mid, amount in zip(*block.received()):
+                    received[mid] = received.get(mid, 0) + amount
+            else:
+                sent[src] = sent.get(src, 0) + entry
+                received[dst] = received.get(dst, 0) + entry
+        return sent, received, sum(words), sum(self._run_len)
 
     def deliveries(self) -> Iterator[tuple[int, list[Any]]]:
         """Yield ``(dst, items)`` with items in exact send-call order.
 
         This is the inbox-fill view: unlike :meth:`batches` it interleaves
         sources the way the sends happened, so per-message and batched
-        producers observe identical inbox orderings.  Columnar runs
-        deliver their block *whole* — one inbox entry per block, a
-        zero-copy array view — while their logical items stay the block's
-        rows for all accounting.
+        producers observe identical inbox orderings.  A block run arrives
+        *whole* — one inbox entry, the array itself — and a scatter as one
+        block per destination, while their logical items stay the rows for
+        all accounting.
         """
-        order: list[int] = []
-        grouped: dict[int, list[Any]] = {}
-        for index in range(len(self._run_src)):
-            dst = self._run_dst[index]
-            inbox = grouped.get(dst)
-            if inbox is None:
-                inbox = grouped[dst] = []
-                order.append(dst)
-            block = self._run_block[index]
-            if block is not None:
-                inbox.append(block)
-            else:
+        inboxes: dict[int, list[Any]] = {}  # first-appearance order
+        for index, block in enumerate(self._run_block):
+            if block is None:
                 start = self._run_start[index]
-                inbox.extend(self._items[start:start + self._run_len[index]])
-        for dst in order:
-            yield dst, grouped[dst]
+                inboxes.setdefault(self._run_dst[index], []).extend(
+                    self._items[start:start + self._run_len[index]]
+                )
+            elif type(block) is _Scatter:
+                for dst, rows in block.deliveries():
+                    inboxes.setdefault(dst, []).append(rows)
+            else:
+                inboxes.setdefault(self._run_dst[index], []).append(block)
+        yield from inboxes.items()
+
+    # ------------------------------------------------------------------
+    # Per-run views
+    # ------------------------------------------------------------------
+    def runs(self) -> Iterator[tuple[int, int, Any]]:
+        """Yield ``(src, dst, items)`` delivery runs in send-call order,
+        a scatter's runs in its grouped order.  ``items`` is a list for
+        object runs and a numpy block otherwise."""
+        for index, block in enumerate(self._run_block):
+            if type(block) is _Scatter:
+                yield from block.runs()
+            elif block is None:
+                start = self._run_start[index]
+                yield (
+                    self._run_src[index],
+                    self._run_dst[index],
+                    self._items[start:start + self._run_len[index]],
+                )
+            else:
+                yield self._run_src[index], self._run_dst[index], block
+
+    def run_meta(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Per-run columns ``(srcs, dsts, lengths, words)``, parallel
+        lists over :meth:`runs` (cached; any later send invalidates)."""
+        if self._meta is not None:
+            return self._meta
+        srcs: list[int] = []
+        dsts: list[int] = []
+        lens: list[int] = []
+        words: list[int] = []
+        for src, dst, length, block, entry in zip(
+            self._run_src, self._run_dst, self._run_len, self._run_block,
+            self.entry_words(),
+        ):
+            if type(block) is _Scatter:
+                run_lens = block.run_lens()
+                srcs.extend(block.run_src.tolist())
+                dsts.extend(block.run_dst.tolist())
+                lens.extend(run_lens.tolist())
+                words.extend((run_lens * block.row_words).tolist())
+            else:
+                srcs.append(src)
+                dsts.append(dst)
+                lens.append(length)
+                words.append(entry)
+        self._meta = (srcs, dsts, lens, words)
+        return self._meta
+
+    def run_words(self) -> list[int]:
+        """Per-run word totals, parallel to :meth:`runs`."""
+        return self.run_meta()[3]
+
+    def run_count(self) -> int:
+        """Number of delivery runs (>= :meth:`routes` when sends
+        interleave)."""
+        return len(self.run_meta()[0])
+
+    def batches(self) -> Iterator[tuple[int, int, list[Any]]]:
+        """Yield ``(src, dst, items)`` aggregated per route, routes in
+        first-send order (materialized on demand; blocks are flattened
+        to rows)."""
+        grouped: dict[tuple[int, int], list[Any]] = {}
+        for src, dst, items in self.runs():
+            grouped.setdefault((src, dst), []).extend(_as_rows(items))
+        for (src, dst), items in grouped.items():
+            yield src, dst, items
 
     def routes(self) -> int:
         """Number of distinct ``(src, dst)`` pairs with traffic."""
-        return len(self._routes)
+        srcs, dsts, _, _ = self.run_meta()
+        return len(set(zip(srcs, dsts)))
 
     def item_count(self) -> int:
         """Total number of logical items queued (block rows count one each)."""
@@ -348,6 +535,13 @@ class RoundPlan:
         return (
             f"RoundPlan(note={self.note!r}, routes={self.routes()}, "
             f"items={self.item_count()})"
+        )
+
+
+def _check_numeric(block: Any) -> None:
+    if block.dtype.kind not in "iufb":
+        raise TypeError(
+            f"columnar blocks must have a numeric dtype, got {block.dtype}"
         )
 
 

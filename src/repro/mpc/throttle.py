@@ -31,9 +31,9 @@ merely reporting the breach.  Two pieces:
     sample rates via :meth:`~ThrottleController.sample_rate`).
 
 Determinism: every decision is a pure function of the policy and the
-ledger history, both of which are bit-identical across engine backends
-and across serial/parallel scenario execution — so throttled artifacts
-stay byte-deterministic (pinned by tests and the determinism CI job).
+ledger history, both of which are bit-identical across serial/parallel
+scenario execution — so throttled artifacts stay byte-deterministic
+(pinned by tests and the determinism CI job).
 
 Honesty: splitting re-schedules *transport* — each extra round is
 charged to the ledger like any other round.  It cannot shrink a
@@ -50,16 +50,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .plan import RoundPlan
 from .words import word_size
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .ledger import RoundLedger
-
-try:  # pragma: no cover - import guard exercised on minimal installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "MODES",
@@ -326,14 +323,10 @@ class ThrottleController:
         """
         if not self.policy.enforcing:
             return [plan]
-        run_srcs, run_dsts, _run_lens, run_words = plan.run_meta()
-        sent: dict[int, int] = {}
-        received: dict[int, int] = {}
-        for src, dst, words in zip(run_srcs, run_dsts, run_words):
-            sent[src] = sent.get(src, 0) + words
-            received[dst] = received.get(dst, 0) + words
+        sent, received, _, _ = plan.tally()
         if self._fits(sent) and self._fits(received):
             return [plan]
+        run_words = plan.run_words()
 
         def side_fits(current: int, words: int, budget: int | None) -> bool:
             if budget is None or current + words <= budget:
@@ -372,7 +365,7 @@ class ThrottleController:
             return [plan]
         chunks: list[RoundPlan] = []
         for bucket in buckets:
-            chunk = RoundPlan(note=plan.note, backend=plan.backend)
+            chunk = RoundPlan(note=plan.note)
             for src, dst, piece in bucket:
                 chunk.send_batch(src, dst, piece)
             chunks.append(chunk)
@@ -406,7 +399,7 @@ class ThrottleController:
         if limit is None or total_words <= limit:
             yield items, total_words
             return
-        if _np is not None and isinstance(items, _np.ndarray):
+        if isinstance(items, np.ndarray):
             rows = int(items.shape[0])
             per_row = max(1, total_words // rows)
             step = max(1, limit // per_row)

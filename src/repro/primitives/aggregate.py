@@ -33,16 +33,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Iterable
 
+import numpy as np
+
 from ..mpc.cluster import Cluster
 from ..mpc.executor import local_step
 from . import columnar
 from .broadcast import converge_cast
 from .columnar import EdgeBlock
-
-try:  # optional accelerator — the object path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
 
 __all__ = ["aggregate", "aggregate_counts", "count_items"]
 
@@ -135,12 +132,9 @@ def aggregate_counts(
     """
     pairs: dict[int, Any] = {}
     for mid, keys in keys_by_machine.items():
-        if _np is not None and isinstance(keys, _np.ndarray):
+        if isinstance(keys, np.ndarray):
             pairs[mid] = EdgeBlock(
-                [
-                    keys.astype(_np.int64, copy=False),
-                    _np.ones(len(keys), dtype=_np.int64),
-                ]
+                [keys.astype(np.int64, copy=False), np.ones(len(keys), dtype=np.int64)]
             )
         else:
             pairs[mid] = [(key, 1) for key in keys]
@@ -202,115 +196,38 @@ def _aggregate_columnar(
 ) -> dict[int, Any]:
     """The converge-cast of :func:`aggregate`, on ``(keys, values)`` columns.
 
-    Mirrors :func:`~repro.primitives.broadcast.converge_cast` level for
-    level — same sources/representatives schedule, same per-level
-    throttle-hook consultation, same scratch dataset and charge points,
-    same note strings — with the per-level dict loop
-    replaced by :func:`~repro.primitives.columnar.reduce_pairs` and each
-    tree edge carrying one ``(n, 2)`` block (``n`` items, ``2n`` words:
-    exactly the object path's ``n`` pairs).
+    Each machine pre-combines its own pairs (one shippable local step per
+    machine, uncharged like the object path's), then the partial
+    aggregates ride :func:`~repro.primitives.broadcast.converge_cast` as
+    one ``(n, 2)`` transport block per machine — ``n`` items, ``2n``
+    words, exactly the object path's ``n`` pairs — with
+    :func:`~repro.primitives.columnar.reduce_pairs` as the per-level
+    combine.  The values come back to their own dtype at the end.
     """
-    base_fanout = cluster.config.tree_fanout
-    scratch = f"{note}#cast-buffer"
-    machines = cluster.machines
-
     value_dtype = next(iter(columns_by_machine.values()))[1].dtype
-    transport = _np.float64 if value_dtype.kind == "f" else _np.int64
+    transport = np.float64 if value_dtype.kind == "f" else np.int64
 
-    # Local pre-combine (uncharged, like the object path's) — one
-    # shippable local step per machine on the executor seam.
+    def as_transport(keys: Any, values: Any) -> Any:
+        return np.column_stack(
+            [keys.astype(transport, copy=False), values.astype(transport, copy=False)]
+        )
+
+    def combine(block: Any) -> Any:
+        return as_transport(
+            *columnar.reduce_pairs(block[:, 0].astype(np.int64), block[:, 1], kind)
+        )
+
     mids = list(columns_by_machine)
     reduced = cluster.run_local_steps(
         "aggregate/reduce-pairs",
         [(*columns_by_machine[mid], kind) for mid in mids],
     )
-    buffers: dict[int, tuple[Any, Any]] = dict(zip(mids, reduced))
-
-    def charge(mid: int) -> None:
-        buffer = buffers.get(mid)
-        if buffer is not None and len(buffer[0]):
-            machines[mid].put(scratch, EdgeBlock(buffer))
-        else:
-            machines[mid].pop(scratch, None)
-
-    def as_transport(buffer: tuple[Any, Any]) -> Any:
-        keys, values = buffer
-        return _np.column_stack(
-            [keys.astype(transport, copy=False), values.astype(transport, copy=False)]
-        )
-
-    def from_transport(blocks: list[Any]) -> tuple[Any, Any]:
-        merged = blocks[0] if len(blocks) == 1 else _np.concatenate(blocks)
-        return (
-            merged[:, 0].astype(_np.int64, copy=False),
-            merged[:, 1].astype(value_dtype, copy=False),
-        )
-
-    empty = (
-        _np.empty(0, dtype=_np.int64),
-        _np.empty(0, dtype=value_dtype),
+    result = converge_cast(
+        cluster,
+        {mid: as_transport(*pairs) for mid, pairs in zip(mids, reduced)},
+        dst,
+        combine=combine,
+        note=note,
     )
-    try:
-        for mid in buffers:
-            charge(mid)
-        while True:
-            sources = sorted(
-                mid for mid in buffers if mid != dst and len(buffers[mid][0])
-            )
-            if not sources:
-                break
-            fanout = cluster.throttled_fanout(base_fanout, note=note)
-            if len(sources) <= fanout:
-                representatives = {mid: dst for mid in sources}
-            else:
-                representatives = {}
-                for position, mid in enumerate(sources):
-                    group = position // fanout
-                    representatives[mid] = (
-                        sources[group] if sources[group] != mid else mid
-                    )
-            plan = cluster.plan(note=f"{note}/level")
-            for mid in sources:
-                target = representatives[mid]
-                if target == mid:
-                    continue
-                plan.send_batch(mid, target, as_transport(buffers[mid]))
-                buffers[mid] = empty
-                charge(mid)
-            inboxes = cluster.execute(plan)
-            merged: dict[int, tuple[Any, Any]] = {}
-            for target, received in inboxes.items():
-                keys, values = from_transport(received)
-                held = buffers.get(target)
-                if held is not None and len(held[0]):
-                    keys = _np.concatenate([held[0], keys])
-                    values = _np.concatenate([held[1], values])
-                merged[target] = (keys, values)
-            # Per-level re-combine: every representative's reduction is
-            # one shippable local step (the destination holds its buffer
-            # unreduced, exactly like the object path).
-            reps = [target for target in merged if target != dst]
-            reduced = cluster.run_local_steps(
-                "aggregate/reduce-pairs",
-                [(*merged[target], kind) for target in reps],
-            )
-            merged.update(zip(reps, reduced))
-            for target in inboxes:
-                buffers[target] = merged[target]
-                charge(target)
-        held = buffers.get(dst, empty)
-        [(keys, values)] = cluster.run_local_steps(
-            "aggregate/reduce-pairs", [(*held, kind)]
-        )
-        # Record the destination's post-combine peak (it may never see
-        # another round), then hand the result back to the caller.
-        buffers[dst] = (keys, values)
-        charge(dst)
-        cluster.checkpoint_memory(f"{note}/result")
-    finally:
-        # Strict-mode aborts mid-tree must not leave scratch charged.
-        for mid in buffers:
-            machine = machines.get(mid)
-            if machine is not None:
-                machine.pop(scratch, None)
-    return dict(zip(keys.tolist(), values.tolist()))
+    keys = result[:, 0].astype(np.int64).tolist()
+    return dict(zip(keys, result[:, 1].astype(value_dtype).tolist()))

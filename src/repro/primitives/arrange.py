@@ -25,17 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from ..mpc.cluster import Cluster
 from ..mpc.executor import local_step
 from . import columnar
 from .aggregate import aggregate_counts
 from .columnar import EdgeBlock
 from .sort import SortLayout, sample_sort
-
-try:  # optional accelerator — the object path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
 
 __all__ = ["Arrangement", "arrange_directed", "directed_copies"]
 
@@ -52,13 +49,13 @@ def _flat_directed_step(columns: tuple) -> EdgeBlock:
     """One machine's flat directed-copy build: both orientations
     interleaved, the original edge columns repeated alongside."""
     end_dtype = columns[0].dtype
-    src = _np.empty(2 * len(columns[0]), dtype=end_dtype)
-    dst = _np.empty(2 * len(columns[0]), dtype=end_dtype)
+    src = np.empty(2 * len(columns[0]), dtype=end_dtype)
+    dst = np.empty(2 * len(columns[0]), dtype=end_dtype)
     src[0::2] = columns[0]
     src[1::2] = columns[1]
     dst[0::2] = columns[1]
     dst[1::2] = columns[0]
-    return EdgeBlock([src, dst, *(_np.repeat(col, 2) for col in columns)])
+    return EdgeBlock([src, dst, *(np.repeat(col, 2) for col in columns)])
 
 
 @local_step("arrange/directed-object", ships=False)
@@ -208,7 +205,7 @@ def _flat_directed(
     ``(src, secondary, dst)`` key onto the flat ``(src, dst, edge...)``
     layout.  Nothing is mutated.
     """
-    if _np is None or not columnar.columnar_enabled():
+    if not columnar.columnar_enabled():
         return None
     width: int | None = None
     dtypes: tuple | None = None

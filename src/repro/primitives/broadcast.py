@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from ..mpc.cluster import Cluster
 from ..mpc.plan import RoundPlan
 
@@ -79,6 +81,13 @@ def converge_cast(
     :func:`broadcast`'s fanout): narrowing the tree shrinks both the
     per-round receive volume and the in-flight buffer growth at every
     intermediate machine.
+
+    Array casts: when every machine's items are one numeric numpy array
+    (leading axis indexing items), the buffers stay arrays — a machine's
+    held rows first, then the received blocks, concatenated — so every
+    send and every scratch charge is sized O(1); *combine* then maps an
+    array to an array, and the result is an array.  Rows, rounds, words
+    and memory charges are those of the equivalent lists of tuples.
     """
     base_fanout = cluster.config.tree_fanout
     scratch = f"{note}#cast-buffer"
@@ -86,19 +95,31 @@ def converge_cast(
 
     def charge(mid: int) -> None:
         buffer = buffers.get(mid)
-        if buffer:
+        if buffer is not None and len(buffer):
             machines[mid].put(scratch, buffer)
         else:
             machines[mid].pop(scratch, None)
 
-    buffers: dict[int, list[Any]] = {
-        mid: list(items) for mid, items in items_by_machine.items() if items
-    }
+    arrays = bool(items_by_machine) and all(
+        isinstance(items, np.ndarray) for items in items_by_machine.values()
+    )
+    if arrays:
+        empty = next(iter(items_by_machine.values()))[:0]
+        buffers: dict[int, Any] = {
+            mid: items for mid, items in items_by_machine.items() if len(items)
+        }
+    else:
+        empty = []
+        buffers = {
+            mid: list(items) for mid, items in items_by_machine.items() if items
+        }
     try:
         for mid in buffers:
             charge(mid)
         while True:
-            sources = sorted(mid for mid in buffers if mid != dst and buffers[mid])
+            sources = sorted(
+                mid for mid in buffers if mid != dst and len(buffers[mid])
+            )
             if not sources:
                 break
             fanout = cluster.throttled_fanout(base_fanout, note=note)
@@ -115,15 +136,19 @@ def converge_cast(
                 if target == mid:
                     continue
                 plan.send_batch(mid, target, buffers[mid])
-                buffers[mid] = []
+                buffers[mid] = empty
                 charge(mid)
             inboxes = cluster.execute(plan)
             for target, received in inboxes.items():
-                buffers.setdefault(target, []).extend(received)
+                held = buffers.get(target, empty)
+                if arrays:
+                    buffers[target] = np.concatenate([held, *received])
+                else:
+                    buffers[target] = held + received
                 if combine is not None and target != dst:
                     buffers[target] = combine(buffers[target])
                 charge(target)
-        result = buffers.get(dst, [])
+        result = buffers.get(dst, empty)
         if combine is not None:
             result = combine(result)
         # Record the destination's post-combine peak (it may never see

@@ -6,7 +6,7 @@ the eight primitives so a whole pipeline run can stay array-native
 between ``send_indexed`` calls instead of materializing per-item Python
 tuples at every step.
 
-Three pieces, mirroring the ``repro.mpc.backend`` seam:
+Three pieces:
 
 * :class:`EdgeBlock` — a typed record batch: fixed-width rows held as
   per-field columns (numpy 1-D arrays when numpy is installed, plain row
@@ -65,7 +65,6 @@ __all__ = [
     "ensure_block",
     "concat_blocks",
     "lexsort_block",
-    "bucket_bounds",
     "pack_columns",
     "stable_order",
     "spans_fit_packing",
@@ -337,29 +336,6 @@ def lexsort_block(block: EdgeBlock, fields: Sequence[int]) -> EdgeBlock:
         return block
     order = stable_order(block, fields)
     return EdgeBlock([col[order] for col in block.columns], len(block))
-
-
-def bucket_bounds(
-    block: EdgeBlock, fields: Sequence[int], splitters: Sequence[tuple]
-) -> list[int]:
-    """Bucket boundaries of an already-sorted *block* against *splitters*.
-
-    Returns ``bounds`` with ``len(splitters)`` entries; bucket ``b`` owns
-    rows ``[bounds[b-1], bounds[b])`` (bucket 0 starts at row 0, the last
-    bucket ends at ``len(block)``).  ``bounds[b]`` is the bisect-*left*
-    position of splitter ``b`` among the row keys: a row whose key equals
-    a splitter lands in the bucket *after* it, matching the object path's
-    ``bisect_right(splitters, key(item))`` assignment exactly.
-
-    The row keys are materialized once as Python tuples (C-level
-    ``tolist``/``zip``) so every bisect comparison is a C tuple compare —
-    per-comparison numpy scalar extraction is an order of magnitude
-    slower at realistic splitter counts.
-    """
-    from bisect import bisect_left
-
-    keys = list(zip(*(block.columns[f].tolist() for f in fields)))
-    return [bisect_left(keys, splitter) for splitter in splitters]
 
 
 #: Packed sort keys must fit an int64 exactly.

@@ -23,17 +23,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable
 
+import numpy as np
+
 from ..mpc.cluster import Cluster
 from ..mpc.executor import local_step
 from ..mpc.plan import RoundPlan
 from . import columnar
 from .columnar import EdgeBlock
 from .sort import sample_sort
-
-try:  # optional accelerator — the object path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
 
 __all__ = ["dedup_lightest"]
 
@@ -70,7 +67,9 @@ def dedup_lightest(
     """Keep, for each key, only the record with the smallest weight.
 
     Weights are unique within a key group (the paper's unique-weight
-    convention), so "the lightest" is well defined.
+    convention), so "the lightest" is well defined — and no two distinct
+    records share a ``(key, weight)`` sort key, which lets the sort take
+    the columnar path for any field spec (``assume_unique``).
     """
     key_spec = columnar.key_fields(key)
     weight_spec = columnar.key_fields(weight)
@@ -83,7 +82,7 @@ def dedup_lightest(
         key_fn0 = columnar.as_callable(key)
         weight_fn0 = columnar.as_callable(weight)
         sort_key = lambda item: (key_fn0(item), weight_fn0(item))  # noqa: E731
-    sample_sort(cluster, name, key=sort_key, note=f"{note}/sort")
+    sample_sort(cluster, name, key=sort_key, note=f"{note}/sort", assume_unique=True)
 
     key_fn = columnar.as_callable(key)
 
@@ -144,7 +143,7 @@ def _keep_first_block(block: EdgeBlock, fields: tuple[int, ...]) -> EdgeBlock:
     """The first record of each consecutive key group, as one mask pass."""
     if len(block) <= 1:
         return block
-    keep = _np.zeros(len(block), dtype=bool)
+    keep = np.zeros(len(block), dtype=bool)
     keep[0] = True
     for f in fields:
         col = block.columns[f]

@@ -41,6 +41,8 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
+import numpy as np
+
 from ..mpc.cluster import Cluster
 from ..mpc.errors import ProtocolError
 from ..mpc.executor import local_step
@@ -50,11 +52,6 @@ from .columnar import EdgeBlock
 from .disseminate import disseminate
 from .sort import sample_sort
 
-try:  # optional accelerator — the object path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
-
 __all__ = ["annotate_edges_with_vertex_values"]
 
 
@@ -63,10 +60,10 @@ def _directed_flat_step(columns: tuple) -> EdgeBlock:
     """One machine's directed-copy build, flat path: interleave both
     orientations (row ``2i`` is ``(u, edge_i...)``, row ``2i+1`` is
     ``(v, edge_i...)``)."""
-    src = _np.empty(2 * len(columns[0]), dtype=columns[0].dtype)
+    src = np.empty(2 * len(columns[0]), dtype=columns[0].dtype)
     src[0::2] = columns[0]
     src[1::2] = columns[1]
-    return EdgeBlock([src, *(_np.repeat(col, 2) for col in columns)])
+    return EdgeBlock([src, *(np.repeat(col, 2) for col in columns)])
 
 
 @local_step("join/directed-object", ships=False)
@@ -195,8 +192,8 @@ def annotate_edges_with_vertex_values(
         if flat and isinstance(local, EdgeBlock):
             merged = EdgeBlock(
                 [
-                    _np.concatenate(
-                        [col, _np.array([row[j] for row in received_records], col.dtype)]
+                    np.concatenate(
+                        [col, np.array([row[j] for row in received_records], col.dtype)]
                     )
                     for j, col in enumerate(local.columns)
                 ]
@@ -253,7 +250,7 @@ def _directed_blocks(
     is ``(u, edge_i...)`` and row ``2i + 1`` is ``(v, edge_i...)`` — the
     interleaving the object path builds.  Nothing is mutated.
     """
-    if _np is None or not columnar.columnar_enabled():
+    if not columnar.columnar_enabled():
         return None
     width: int | None = None
     dtypes: tuple | None = None

@@ -12,23 +12,34 @@ Implements the Goodrich-style constant-round sort the paper cites [34]:
 With sample rate ``Theta(K log K / N)`` the buckets are balanced within a
 constant factor w.h.p.; any overload is recorded by the ledger.
 
-Two routing implementations share steps 1/2/4 verbatim:
+Two routing implementations share steps 1/2/4:
 
-* the **object path** — per-item ``bisect`` bucketing and a
-  ``send_indexed`` scatter, the pre-columnar behavior;
+* the **object path** — per-item ``bisect`` bucketing per machine and one
+  list ``send_indexed`` scatter per machine, the pre-columnar behavior;
 * the **columnar path** (:mod:`repro.primitives.columnar`) — engaged when
   the sort key is a *field spec* (column indices instead of a callable)
-  and the rows qualify as a typed record batch: one stable ``lexsort``
-  per machine, splitter boundaries by binary search on the sorted
-  columns, per-bucket array slices sent as zero-copy blocks, and a final
-  stable ``lexsort`` per bucket.  The datasets left behind are
+  and the rows qualify as a typed record batch.  Sample keys travel up
+  the converge-cast tree as one ``(rows, fields)`` array per machine
+  (sized O(1) per level) and the coordinator sorts them with one
+  ``lexsort``.  The route is **one cluster-wide scatter**: every
+  machine's rows are concatenated, assigned buckets in one pass — one
+  ``searchsorted`` on packed int64 keys, or, for keys that do not pack,
+  one ``lexsort`` of the splitters together with the rows, a splitter
+  sorting before equal rows (``bisect_right``) — and sent with a single
+  :meth:`~repro.mpc.plan.RoundPlan.send_indexed` whose source is a
+  column.  The plan groups the rows by ``(source, bucket)``, keeping
+  arrival order in packed mode and key order in sorted mode, which is
+  exactly each machine's old per-bucket partition; each bucket machine
+  receives one block (its rows in source order) and sorts it with one
+  stable ``lexsort``.  The datasets left behind are
   :class:`~repro.primitives.columnar.EdgeBlock` batches whose rows
   materialize to the exact tuples the object path would have stored.
 
 Both paths consume the shared RNG identically, build the same runs with
 the same word totals, and (for field specs covering every column, or
 caller-guaranteed unique keys) produce identical outputs — the ledger and
-the data cannot tell them apart.
+the data cannot tell them apart.  Routing costs O(machines) Python work
+per sort on the columnar path, not one send per ``(src, dst)`` pair.
 """
 
 from __future__ import annotations
@@ -39,16 +50,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from ..mpc.cluster import Cluster
 from ..mpc.executor import local_step
+from ..mpc.plan import RoundPlan
 from . import columnar
 from .broadcast import broadcast, converge_cast
 from .columnar import EdgeBlock
-
-try:  # optional accelerator — the object path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
 
 __all__ = ["SortLayout", "sample_sort"]
 
@@ -71,60 +80,13 @@ def _rank_object_step(payload: tuple) -> list[Any]:
     return sorted(items, key=key)
 
 
-@local_step("sort/partition-columnar")
-def _partition_columnar_step(payload: tuple) -> list[tuple[int, Any]]:
-    """One machine's route step, columnar path: pre-grouped per-bucket
-    segments ``(bucket, stacked_rows)`` in ascending bucket order with
-    stable within-bucket item order — exactly the runs the engine
-    backend's grouping would emit for the equivalent scatter, so
-    accounting is identical whether this runs inline or in a worker.
-
-    Packed mode assigns buckets with one vectorized ``searchsorted`` and
-    keeps arrival order (stable argsort); sorted mode (unpackable keys)
-    pre-sorts locally and slices at the splitter boundaries.
-    """
-    columns, fields, splitters, packed, transport = payload
-    if packed:
-        packed_rows, packed_splitters = columnar.pack_columns(
-            [columns[f] for f in fields], splitters
-        )
-        buckets = _np.searchsorted(packed_splitters, packed_rows, side="right")
-        stacked = _np.column_stack(
-            [col.astype(transport, copy=False) for col in columns]
-        )
-        order = _np.argsort(buckets, kind="stable")
-        sorted_buckets = buckets[order]
-        sorted_rows = stacked[order]
-        edges = _np.flatnonzero(sorted_buckets[1:] != sorted_buckets[:-1]) + 1
-        starts = [0, *edges.tolist(), len(sorted_buckets)]
-        return [
-            (int(sorted_buckets[start]), sorted_rows[start:stop])
-            for start, stop in zip(starts[:-1], starts[1:])
-        ]
-    ordered = columnar.lexsort_block(EdgeBlock(columns), fields)
-    stacked = _np.column_stack(
-        [col.astype(transport, copy=False) for col in ordered.columns]
-    )
-    bounds = columnar.bucket_bounds(ordered, fields, splitters)
-    starts = [0, *bounds]
-    stops = [*bounds, len(ordered)]
-    return [
-        (bucket, stacked[start:stop])
-        for bucket, (start, stop) in enumerate(zip(starts, stops))
-        if stop > start
-    ]
-
-
 @local_step("sort/rank-columnar")
 def _rank_columnar_step(payload: tuple) -> EdgeBlock:
-    """One machine's rank step, columnar path: merge the received blocks
-    and stably sort the bucket."""
-    received, dtypes, fields = payload
-    merged = received[0] if len(received) == 1 else _np.concatenate(received)
-    columns = [
-        merged[:, j].astype(dtypes[j], copy=False) for j in range(len(dtypes))
-    ]
-    return columnar.lexsort_block(EdgeBlock(columns, merged.shape[0]), fields)
+    """One machine's rank step, columnar path: stably sort the received
+    bucket block."""
+    rows, dtypes, fields = payload
+    columns = [rows[:, j].astype(dtypes[j], copy=False) for j in range(len(dtypes))]
+    return columnar.lexsort_block(EdgeBlock(columns, rows.shape[0]), fields)
 
 
 @dataclass
@@ -156,7 +118,7 @@ class SortLayout:
 
     @cached_property
     def _offsets_array(self) -> Any:
-        return _np.array(self.offsets, dtype=_np.int64) if _np is not None else None
+        return np.array(self.offsets, dtype=np.int64)
 
     def machine_of_rank(self, rank: int) -> int:
         """The machine holding the item of global rank *rank*."""
@@ -168,9 +130,9 @@ class SortLayout:
     def machine_of_rank_many(self, ranks: Sequence[int]) -> list[int]:
         """Vectorized :meth:`machine_of_rank` for a batch of ranks.
 
-        One ``searchsorted`` over the cached offsets (pure ``bisect``
-        fallback without numpy); semantically identical to mapping
-        :meth:`machine_of_rank`, including the bounds check.
+        One ``searchsorted`` over the cached offsets; semantically
+        identical to mapping :meth:`machine_of_rank`, including the bounds
+        check.
         """
         if not len(ranks):
             return []
@@ -178,17 +140,11 @@ class SortLayout:
             raise IndexError(
                 f"rank out of range in {list(ranks)!r} (total {self.total})"
             )
-        if self._offsets_array is not None:
-            indices = _np.searchsorted(
-                self._offsets_array, _np.asarray(ranks, dtype=_np.int64), side="right"
-            ) - 1
-            machine_ids = self.machine_ids
-            return [machine_ids[i] for i in indices.tolist()]
-        offsets = self.offsets
-        return [
-            self.machine_ids[bisect.bisect_right(offsets, rank) - 1]
-            for rank in ranks
-        ]
+        indices = np.searchsorted(
+            self._offsets_array, np.asarray(ranks, dtype=np.int64), side="right"
+        ) - 1
+        machine_ids = self.machine_ids
+        return [machine_ids[i] for i in indices.tolist()]
 
 
 def sample_sort(
@@ -249,10 +205,9 @@ def sample_sort(
     splitters = _pick_splitters(sample_keys, k)
     broadcast(cluster, coordinator, tuple(splitters), machine_ids, note=f"{note}/splitters")
 
-    # Step 3: route every item to its bucket machine — the hottest exchange
-    # in the repo.  Each machine's bucket assignment is one local step on
-    # the executor seam; the engine then groups the scatter into one run
-    # per (machine, bucket) pair.
+    # Step 3: route every item to its bucket machine.  Each machine's
+    # bucket assignment is one local step on the executor seam; the plan
+    # groups each machine's scatter into one run per bucket.
     participants: list[tuple[int, list[Any]]] = []
     payloads = []
     for machine in smalls:
@@ -261,7 +216,7 @@ def sample_sort(
             participants.append((machine.machine_id, items))
             payloads.append((items, splitters, key))
     bucket_lists = cluster.run_local_steps("sort/bucket-object", payloads)
-    plan = cluster.plan(note=f"{note}/route")
+    plan = RoundPlan(note=f"{note}/route")
     for (mid, items), buckets in zip(participants, bucket_lists):
         plan.send_indexed(mid, [machine_ids[b] for b in buckets], items)
     inboxes = cluster.execute(plan)
@@ -283,14 +238,17 @@ def sample_sort(
     return SortLayout(machine_ids=machine_ids, counts=counts)
 
 
+def _splitter_indices(size: int, k: int) -> list[int]:
+    """Positions of the ``k - 1`` splitters at even quantiles of a sorted
+    sample of *size* keys (none for an empty sample)."""
+    if not size:
+        return []
+    return [min(size - 1, (bucket * size) // k) for bucket in range(1, k)]
+
+
 def _pick_splitters(sample_keys: list[Any], k: int) -> list[Any]:
     """``k - 1`` splitters at even quantiles of the sorted sample."""
-    splitters: list[Any] = []
-    if sample_keys:
-        for bucket in range(1, k):
-            index = min(len(sample_keys) - 1, (bucket * len(sample_keys)) // k)
-            splitters.append(sample_keys[index])
-    return splitters
+    return [sample_keys[i] for i in _splitter_indices(len(sample_keys), k)]
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +273,8 @@ def _columnar_sort_context(
       spans pack into an int64 composite.  Routing preserves arrival
       order, so *any* field spec matches the object path exactly (ties
       resolve by position on both paths).
-    * **sorted** — keys that do not pack (floats, giant spans) route via
-      a local pre-sort, which reorders ties; exactness then needs the
+    * **sorted** — keys that do not pack (floats, giant spans) route in
+      key order, which reorders ties; exactness then needs the
       spec to cover every column (equal keys ⇒ equal rows) or the
       caller's ``assume_unique``.
 
@@ -355,12 +313,12 @@ def _columnar_sort_context(
     transport = _transport_dtype(dtypes)
     if transport is None:
         return None
-    if transport is _np.float64:
+    if transport is np.float64:
         # Int columns must survive the float64 transport exactly.
         for block in blocks.values():
             for col in block.columns:
                 if col.dtype.kind == "i" and len(col):
-                    if int(_np.abs(col).max()) > 2**52:
+                    if int(np.abs(col).max()) > 2**52:
                         return None
     packed = _packable_key(blocks, fields, dtypes)
     if not packed and not assume_unique and set(fields) != set(range(width)):
@@ -396,9 +354,9 @@ def _transport_dtype(dtypes: tuple) -> Any:
     """
     kinds = {dt.kind for dt in dtypes}
     if kinds <= {"i", "b"}:
-        return _np.int64
+        return np.int64
     if "f" in kinds and kinds <= {"i", "b", "f"}:
-        return _np.float64
+        return np.float64
     return None
 
 
@@ -422,15 +380,17 @@ def _sample_sort_columnar(
         return SortLayout(machine_ids=machine_ids, counts=[0] * len(smalls))
 
     dtypes = tuple(col.dtype for col in next(iter(blocks.values())).columns)
-    transport = _transport_dtype(dtypes)
+    key_dtypes = [dtypes[f] for f in fields]
+    key_transport = _transport_dtype(tuple(key_dtypes))
 
     # Step 1: sample (identical RNG draws: one per stored item, in
-    # dataset order) and converge-cast the keys to the coordinator.
-    # Same throttle hook as the object path, so the two stay identical.
+    # dataset order) and converge-cast the keys to the coordinator, one
+    # (picked, fields) array per machine.  Same throttle hook as the
+    # object path, so the two stay identical.
     k = len(smalls)
     rate = min(1.0, (4.0 * k * max(1.0, math.log2(k + 2))) / total)
     rate = cluster.throttled_sample_rate(rate, note=f"{note}/sample")
-    samples_by_machine: dict[int, list[Any]] = {}
+    samples_by_machine: dict[int, Any] = {}
     for machine in smalls:
         block = blocks.get(machine.machine_id)
         if block is None:
@@ -438,54 +398,79 @@ def _sample_sort_columnar(
         rng_random = cluster.rng.random
         picked = [i for i in range(len(block)) if rng_random() < rate]
         if picked:
-            cols = [block.columns[f][picked].tolist() for f in fields]
-            samples_by_machine[machine.machine_id] = list(zip(*cols))
-    sample_keys = converge_cast(
+            samples_by_machine[machine.machine_id] = np.column_stack(
+                [block.columns[f][picked].astype(key_transport) for f in fields]
+            )
+    sample = converge_cast(
         cluster, samples_by_machine, coordinator, note=f"{note}/sample"
     )
-    sample_keys.sort()
 
-    # Step 2: splitters, exactly as the object path picks them.  Packed
-    # mode hands every machine one int64 array of them (a row per
-    # splitter), built once here, for pack_columns' vector min/max.
-    splitters = _pick_splitters(sample_keys, k)
+    # Step 2: the coordinator sorts the sample with one stable lexsort
+    # (the order list.sort gives the equivalent tuples) and picks the same
+    # splitter tuples of Python scalars as the object path.
+    splitters: list[tuple] = []
+    if len(sample):
+        picks = np.lexsort(sample.T[::-1])[_splitter_indices(len(sample), k)]
+        splitters = list(zip(*(
+            sample[picks, j].astype(key_dtypes[j]).tolist()
+            for j in range(len(fields))
+        )))
     broadcast(cluster, coordinator, tuple(splitters), machine_ids, note=f"{note}/splitters")
-    if packed:
-        splitters = _np.array(splitters, dtype=_np.int64).reshape(
-            len(splitters), len(fields)
-        )
 
-    # Step 3: route.  Each machine's partition is one shippable local
-    # step (``sort/partition-columnar``) that pre-groups its rows into
-    # per-bucket segments — ascending bucket, stable within a bucket —
-    # which is exactly the run set the engine backend's ``send_indexed``
-    # grouping would emit, so runs, words and inbox order are identical
-    # across executors and engine backends.  Packed mode assigns buckets
-    # in arrival order like the object path's per-item ``bisect``; sorted
-    # mode (unpackable keys) pre-sorts locally and slices at splitter
-    # boundaries.
-    participants: list[int] = []
-    payloads = []
+    # Step 3: route — one cluster-wide scatter.  Every machine's rows are
+    # concatenated (machine order, arrival order within) and bucketed in
+    # one pass; send_indexed groups them by (source, bucket), stable, so
+    # each (machine, bucket) run holds exactly the rows, in exactly the
+    # order, of that machine's old per-bucket partition.
+    sources = [mid for mid in machine_ids if mid in blocks]
     for machine in smalls:
-        block = blocks.get(machine.machine_id)
         machine.pop(name, None)
-        if block is None:
-            continue
-        participants.append(machine.machine_id)
-        payloads.append((block.columns, fields, splitters, packed, transport))
-    segment_lists = cluster.run_local_steps("sort/partition-columnar", payloads)
-    plan = cluster.plan(note=f"{note}/route")
-    for mid, segments in zip(participants, segment_lists):
-        for bucket, segment in segments:
-            plan.send_batch(mid, machine_ids[bucket], segment)
+    width = len(dtypes)
+    columns = [
+        np.concatenate([blocks[mid].columns[j] for mid in sources])
+        for j in range(width)
+    ]
+    srcs = np.repeat(sources, [len(blocks[mid]) for mid in sources])
+    if packed:
+        # Arrival order; a packed row equal to a splitter searches past it.
+        packed_rows, packed_splitters = columnar.pack_columns(
+            [columns[f] for f in fields],
+            np.array(splitters, dtype=np.int64).reshape(len(splitters), len(fields)),
+        )
+        buckets = np.searchsorted(packed_splitters, packed_rows, side="right")
+    else:
+        # Key order: one lexsort of the rows together with the splitters,
+        # a splitter before equal rows, so each row's bucket is the number
+        # of splitters sorted ahead of it (bisect_right).
+        keys = [
+            np.concatenate(
+                [columns[f], np.array([s[j] for s in splitters], dtype=dtypes[f])]
+            )
+            for j, f in enumerate(fields)
+        ]
+        is_row = np.arange(len(srcs) + len(splitters)) < len(srcs)
+        merged = np.lexsort([is_row, *keys[::-1]])
+        row_at = merged < len(srcs)
+        buckets = np.cumsum(~row_at)[row_at]
+        order = merged[row_at]
+        columns = [col[order] for col in columns]
+        srcs = srcs[order]
+    transport = _transport_dtype(dtypes)
+    rows = np.column_stack([col.astype(transport, copy=False) for col in columns])
+    plan = RoundPlan(note=f"{note}/route")
+    plan.send_indexed(srcs, np.asarray(machine_ids)[buckets], rows)
     inboxes = cluster.execute(plan)
+
+    # Rank: one block per bucket machine (several only when the throttle
+    # split the route across rounds), sorted with one stable lexsort.
     receivers: list[int] = []
     payloads = []
     for machine in smalls:
-        received = inboxes.get(machine.machine_id, [])
+        received = inboxes.get(machine.machine_id)
         if received:
             receivers.append(machine.machine_id)
-            payloads.append((received, dtypes, fields))
+            bucket = received[0] if len(received) == 1 else np.concatenate(received)
+            payloads.append((bucket, dtypes, fields))
     ranked = dict(
         zip(receivers, cluster.run_local_steps("sort/rank-columnar", payloads))
     )

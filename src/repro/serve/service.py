@@ -34,21 +34,47 @@ Numeric limits: every refresh merges all shard banks, so the ``int64``
 bound on the identity sums ``s1`` (see :mod:`repro.sketches.bank`) is
 checked against the ids of every edge the service has applied, before an
 update batch moves anything; a batch that could overflow is refused with
-a :class:`ServiceError`.
+a :class:`ServiceError`.  :class:`ServeConfig` refuses, naming the field,
+a configuration the service could not serve: non-``int`` sizes, seeds or
+weights (``bool`` included), a non-positive or non-finite ``epsilon``,
+an ``n`` whose edge ids overflow ``int64``, and sketch state beyond
+:data:`MAX_REFRESH_WORDS`, :data:`MAX_SLOTS` or :data:`MAX_BANKS`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..core.mst_approx import geometric_thresholds
-from ..sketches import GraphSketchSpec, SketchBank, bank_boruvka, edge_id
+from ..sketches import INT64_MAX, GraphSketchSpec, SketchBank, bank_boruvka, edge_id
 from ..sketches.bank import check_s1_bound
 
-__all__ = ["ServeConfig", "ServiceError", "GraphService", "ComponentView"]
+__all__ = [
+    "MAX_BANKS",
+    "MAX_REFRESH_WORDS",
+    "MAX_SLOTS",
+    "ServeConfig",
+    "ServiceError",
+    "GraphService",
+    "ComponentView",
+]
+
+#: Words of the merged bank every refresh builds, ``n * (1 + 3 * slots)``
+#: (one ``s0``/``s1``/``s2`` counter per slot plus the row's vertex); each
+#: shard and threshold bank grows towards the same size.  2**25 words is
+#: 256 MiB of 8-byte counters; ``n = 1024`` with 3 copies needs 2.3M.
+MAX_REFRESH_WORDS = 2**25
+#: Counter slots per bank row, ``phases * copies * levels``: the size of
+#: the seed package ``init`` generates, whatever ``n`` is.  ``n = 1024``
+#: with 3 copies has 759.
+MAX_SLOTS = 2**14
+#: Sketch banks one service keeps: one per shard plus one per
+#: approximate-MST weight threshold.
+MAX_BANKS = 64
 
 #: The shapes an edge and an update batch may take: JSON arrays arrive as
 #: lists, Python callers may pass tuples.  Exact types, so a string or a
@@ -79,16 +105,51 @@ class ServeConfig:
     epsilon: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ServiceError("n must be >= 1")
-        if self.copies < 1:
-            raise ServiceError("copies must be >= 1")
-        if self.shards < 1:
-            raise ServiceError("shards must be >= 1")
-        if self.max_weight is not None and self.max_weight < 1:
-            raise ServiceError("max_weight must be >= 1")
-        if self.epsilon <= 0:
-            raise ServiceError("epsilon must be positive")
+        for name in ("n", "seed", "copies", "shards", "max_weight"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "max_weight" and value is None):
+                raise ServiceError(f"{name} must be an integer, got {value!r}")
+        for name in ("n", "copies", "shards", "max_weight"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ServiceError(f"{name} must be >= 1, got {value}")
+        epsilon = self.epsilon
+        if (
+            type(epsilon) not in (int, float)
+            or not math.isfinite(epsilon)
+            or epsilon <= 0
+        ):
+            raise ServiceError(f"epsilon must be a positive real, got {epsilon!r}")
+        n, copies = self.n, self.copies
+        if n * n - 1 > INT64_MAX:
+            raise ServiceError(
+                f"n={n}: edge ids up to n^2 - 1 do not fit in int64 counters"
+            )
+        slots = GraphSketchSpec.slot_count(n, copies)
+        if slots > MAX_SLOTS:
+            raise ServiceError(
+                f"copies={copies} with n={n} needs {slots} sketch slots per "
+                f"vertex; the limit is {MAX_SLOTS}"
+            )
+        words = n * (1 + 3 * slots)
+        if words > MAX_REFRESH_WORDS:
+            raise ServiceError(
+                f"n={n} with copies={copies} needs a {words}-word refresh "
+                f"bank; the limit is {MAX_REFRESH_WORDS}"
+            )
+        # One sketch bank per shard and one per MST weight threshold.
+        if self.shards > MAX_BANKS:
+            raise ServiceError(
+                f"shards={self.shards} exceeds the limit of {MAX_BANKS} sketch banks"
+            )
+        if self.max_weight is not None:
+            room = MAX_BANKS - self.shards
+            if len(geometric_thresholds(self.max_weight, epsilon, room + 1)) > room:
+                raise ServiceError(
+                    f"max_weight={self.max_weight} with epsilon={epsilon} needs "
+                    f"more than {room} weight-threshold banks besides "
+                    f"shards={self.shards}; the limit is {MAX_BANKS} banks"
+                )
 
     def to_dict(self) -> dict:
         return {

@@ -66,6 +66,13 @@ class GraphSketchSpec:
         )
         return cls(n=n, seeds=seeds)
 
+    @staticmethod
+    def slot_count(n: int, copies: int = 3) -> int:
+        """Counter slots per bank row of the spec :meth:`generate` builds
+        for *n* and *copies* (default phases), computed without building
+        it: ``phases * copies * levels``."""
+        return max(1, n.bit_length()) * copies * L0SamplerSeeds.level_count(n * n)
+
     @property
     def phases(self) -> int:
         return len(self.seeds)

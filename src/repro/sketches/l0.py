@@ -38,11 +38,17 @@ class L0SamplerSeeds:
 
     @classmethod
     def generate(cls, universe: int, rng: random.Random) -> "L0SamplerSeeds":
-        levels = max(universe, 2).bit_length() + 2
         return cls(
             level_hash=KWiseHash(_HASH_INDEPENDENCE, rng),
-            z_points=tuple(rng.randrange(1, PRIME) for _ in range(levels)),
+            z_points=tuple(
+                rng.randrange(1, PRIME) for _ in range(cls.level_count(universe))
+            ),
         )
+
+    @staticmethod
+    def level_count(universe: int) -> int:
+        """Levels of a sampler over the coordinates ``[0, universe)``."""
+        return max(universe, 2).bit_length() + 2
 
     @property
     def num_levels(self) -> int:

@@ -114,23 +114,3 @@ def test_throttled_artifacts_byte_identical_serial_vs_parallel(tmp_path):
         assert (serial_dir / f"{name}.json").read_bytes() == (
             parallel_dir / f"{name}.json"
         ).read_bytes(), f"{name} differs between serial and parallel runs"
-
-
-def test_throttled_artifacts_byte_identical_across_engine_backends(
-    tmp_path, monkeypatch
-):
-    """Splitting decisions are pure functions of plan/ledger state, both
-    bit-identical across the pure and numpy engine backends — so the
-    throttled artifacts must be too."""
-    pytest.importorskip("numpy")
-    scenarios = [get_scenario(name) for name in ROBUSTNESS_SCENARIOS]
-    outputs = {}
-    for backend in ("pure", "numpy"):
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
-        out = tmp_path / backend
-        Runner(results_dir=out, seed=0).run_many(scenarios, quick=True)
-        outputs[backend] = {
-            name: (out / f"{name}.json").read_bytes()
-            for name in ROBUSTNESS_SCENARIOS
-        }
-    assert outputs["pure"] == outputs["numpy"]

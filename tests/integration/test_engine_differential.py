@@ -13,30 +13,36 @@ engine:
   ``send_batch`` calls,
 * ``Cluster.execute`` of a plan built with per-source ``send_indexed``
   scatters,
+* ``Cluster.execute`` of plans holding multi-source array scatters
+  (``send_indexed`` with a source column), stored whole and tallied with
+  vectorized passes,
 
-on **inboxes, round counts, word charges, per-round volumes, and memory
-ledger entries**.  The whole suite runs under both engine backends (the
-CI matrix re-runs it with ``REPRO_ENGINE_BACKEND=numpy``) — ledgers must
-be bit-identical across backends.
+on **inboxes, round counts, word charges, per-round volumes, violation
+lists, and memory ledger entries**.  The per-message suites run with
+machine ids in both forms the engine is handed: pure-Python ints, and
+numpy integers as primitives produce them after an array pass.  An
+enforce-mode throttle must split an array scatter exactly like the
+equivalent per-``(src, dst)`` ``send_batch`` plan.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpc import Cluster, ModelConfig, RoundPlan, word_size
-from repro.mpc.backend import HAS_NUMPY, available_engine_backends
+from repro.mpc import Cluster, ModelConfig, RoundPlan, Violation, word_size
 
 NUM_SMALL = 6
 
-BACKENDS = available_engine_backends()
+#: Machine-id forms: Python ints, or numpy integers (index columns).
+ID_FORMS = ("pure", "numpy")
 
 
-def make_cluster(backend: str) -> Cluster:
-    config = ModelConfig.heterogeneous(n=64, m=256, num_small=NUM_SMALL)
-    return Cluster(config, rng=random.Random(0), backend=backend)
+def make_cluster(**kw) -> Cluster:
+    config = ModelConfig.heterogeneous(n=64, m=256, num_small=NUM_SMALL, **kw)
+    return Cluster(config, rng=random.Random(0))
 
 
 # Payloads cover every accounting class: interned and large scalars,
@@ -107,6 +113,13 @@ def assert_matches_reference(cluster: Cluster, inboxes, expected) -> None:
     assert cluster.ledger.memory_high_water == expected["memory"]
 
 
+def with_ids(messages, form: str) -> list:
+    """The messages with their machine ids in *form*."""
+    if form == "pure":
+        return list(messages)
+    return [(np.int64(src), np.int64(dst), payload) for src, dst, payload in messages]
+
+
 def chunked_plan(messages, note: str, chunk_seed: int) -> RoundPlan:
     """Build the plan with randomly-sized send_batch chunks (grouping
     consecutive same-route messages arbitrarily), with empty batches
@@ -128,55 +141,60 @@ def chunked_plan(messages, note: str, chunk_seed: int) -> RoundPlan:
     return plan
 
 
-def indexed_plan(cluster: Cluster, messages, note: str) -> RoundPlan:
-    """Build the plan with one send_indexed scatter per source.
+def indexed_plan(messages, note: str, form: str = "pure") -> RoundPlan:
+    """Build the plan with one send_indexed scatter per source, its
+    destinations a list (``"pure"``) or an int array (``"numpy"``).
 
     Scatters deliver per destination in ascending-dst grouped order, so
     only single-source traffic keeps exact per-message inbox order; the
     caller arranges for that.
     """
-    plan = cluster.plan(note=note)
+    plan = RoundPlan(note=note)
     by_src: dict[int, tuple[list, list]] = {}
     for src, dst, payload in messages:
         dsts, items = by_src.setdefault(src, ([], []))
         dsts.append(dst)
         items.append(payload)
     for src, (dsts, items) in by_src.items():
+        if form == "numpy":
+            src, dsts = np.int64(src), np.asarray(dsts, dtype=np.int64)
         plan.send_indexed(src, dsts, items)
     return plan
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("form", ID_FORMS)
 @given(messages=messages_strategy)
 @settings(max_examples=60, deadline=None)
-def test_all_build_paths_match_the_reference_model(backend, messages):
+def test_all_build_paths_match_the_reference_model(form, messages):
     expected = None
+    sent = with_ids(messages, form)
     for build in ("exchange", "send", "send_batch"):
-        cluster = make_cluster(backend)
+        cluster = make_cluster()
         if expected is None:
             expected = reference_model(cluster, messages)
         if build == "exchange":
-            inboxes = cluster.exchange(list(messages), note="d")
+            inboxes = cluster.exchange(sent, note="d")
         elif build == "send":
             plan = RoundPlan(note="d")
-            for src, dst, payload in messages:
+            for src, dst, payload in sent:
                 plan.send(src, dst, payload)
             inboxes = cluster.execute(plan)
         else:
-            inboxes = cluster.execute(chunked_plan(messages, "d", len(messages)))
+            inboxes = cluster.execute(chunked_plan(sent, "d", len(messages)))
         assert_matches_reference(cluster, inboxes, expected)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("form", ID_FORMS)
 @given(messages=messages_strategy)
 @settings(max_examples=40, deadline=None)
-def test_send_indexed_matches_reference_accounting(backend, messages):
+def test_send_indexed_matches_reference_accounting(form, messages):
     """Scatters regroup traffic (ascending dst per source), so inbox
     *ordering* may legitimately differ for interleaved sources — but all
-    ledger accounting and per-destination inbox *contents* must match."""
-    cluster = make_cluster(backend)
+    ledger accounting and per-destination inbox *contents* must match,
+    whether the destinations come as a list or as an int array."""
+    cluster = make_cluster()
     expected = reference_model(cluster, messages)
-    inboxes = cluster.execute(indexed_plan(cluster, messages, "d"))
+    inboxes = cluster.execute(indexed_plan(messages, "d", form))
     assert cluster.ledger.rounds == expected["rounds"]
     if expected["rounds"]:
         record = cluster.ledger.records[-1]
@@ -190,47 +208,21 @@ def test_send_indexed_matches_reference_accounting(backend, messages):
         assert sorted(map(repr, items)) == sorted(map(repr, expected["inboxes"][dst]))
 
 
-@given(messages=messages_strategy)
-@settings(max_examples=40, deadline=None)
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend not installed")
-def test_pure_and_numpy_backends_produce_identical_ledgers(messages):
-    """The backend seam contract: same traffic, bit-identical ledgers."""
-    results = {}
-    for backend in ("pure", "numpy"):
-        cluster = make_cluster(backend)
-        inboxes = cluster.execute(indexed_plan(cluster, messages, "b"))
-        results[backend] = (inboxes, cluster.ledger)
-    pure_inboxes, pure_ledger = results["pure"]
-    numpy_inboxes, numpy_ledger = results["numpy"]
-    assert pure_inboxes == numpy_inboxes
-    assert pure_ledger.rounds == numpy_ledger.rounds
-    assert [
-        (r.note, r.total_words, r.max_sent, r.max_received, r.items, r.violations)
-        for r in pure_ledger.records
-    ] == [
-        (r.note, r.total_words, r.max_sent, r.max_received, r.items, r.violations)
-        for r in numpy_ledger.records
-    ]
-    assert pure_ledger.memory_high_water == numpy_ledger.memory_high_water
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend not installed")
 def test_array_scatter_accounts_like_the_equivalent_tuples():
     """A numpy block scatter charges exactly what the equivalent tuple
-    messages charge, and delivers the same rows (as zero-copy blocks)."""
-    import numpy as np
-
+    messages charge, and delivers the same rows (one block per
+    destination)."""
     rng = random.Random(7)
     k = 500
     dsts = [rng.randrange(NUM_SMALL) for _ in range(k)]
     rows = [(rng.randrange(64), rng.randrange(64), rng.randrange(10**6))
             for _ in range(k)]
 
-    via_tuples = make_cluster("pure")
+    via_tuples = make_cluster()
     expected = reference_model(via_tuples, [(0, d, r) for d, r in zip(dsts, rows)])
 
-    via_arrays = make_cluster("numpy")
-    plan = via_arrays.plan(note="arr")
+    via_arrays = make_cluster()
+    plan = RoundPlan(note="arr")
     plan.send_indexed(0, np.asarray(dsts, dtype=np.int64),
                       np.asarray(rows, dtype=np.int64))
     inboxes = via_arrays.execute(plan)
@@ -241,5 +233,207 @@ def test_array_scatter_accounts_like_the_equivalent_tuples():
     assert record.max_received == expected["max_received"]
     assert record.items == expected["items"]
     for dst, blocks in inboxes.items():
+        assert len(blocks) == 1
         delivered = [tuple(row) for block in blocks for row in block.tolist()]
         assert delivered == expected["inboxes"][dst]
+
+
+# ----------------------------------------------------------------------
+# Multi-source array scatters, stored whole
+# ----------------------------------------------------------------------
+def _scatter_segment(width):
+    row = (
+        st.integers(-(10**6), 10**6)
+        if width is None
+        else st.tuples(*[st.integers(-(10**6), 10**6)] * width)
+    )
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=NUM_SMALL),
+            st.integers(min_value=0, max_value=NUM_SMALL),
+            row,
+        ),
+        max_size=40,
+    ).map(lambda messages: ("scatter", width, messages))
+
+
+#: One array scatter: 1-D rows (``None``) or rows of 1-3 words.
+scatter_segments = st.sampled_from([None, 1, 2, 3]).flatmap(_scatter_segment)
+#: A plan as segments in send-call order: object sends or array scatters.
+segments_strategy = st.lists(
+    st.one_of(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=NUM_SMALL),
+                st.integers(min_value=0, max_value=NUM_SMALL),
+                st.tuples(st.integers(0, 100), st.integers(0, 100)),
+            ),
+            max_size=10,
+        ).map(lambda messages: ("send", None, messages)),
+        scatter_segments,
+    ),
+    max_size=5,
+)
+
+
+def _rows(width, payloads):
+    shape = (len(payloads),) if width is None else (len(payloads), width)
+    return np.array(payloads, dtype=np.int64).reshape(shape)
+
+
+def equivalent_messages(segments):
+    """The per-message form: a scatter's rows grouped by (src, dst),
+    ascending, stable — the send order send_indexed promises."""
+    messages = []
+    for kind, _, segment in segments:
+        if kind == "scatter":
+            segment = sorted(segment, key=lambda m: (m[0], m[1]))
+        messages.extend(segment)
+    return messages
+
+
+def scatter_plan(segments, note):
+    plan = RoundPlan(note=note)
+    for kind, width, segment in segments:
+        if kind == "send":
+            for src, dst, payload in segment:
+                plan.send(src, dst, payload)
+            continue
+        plan.send_indexed(
+            np.array([m[0] for m in segment], dtype=np.int64),
+            np.array([m[1] for m in segment], dtype=np.int64),
+            _rows(width, [m[2] for m in segment]),
+        )
+    return plan
+
+
+def batch_plan(segments, note):
+    """The same scatters as per-(src, dst) send_batch array blocks."""
+    plan = RoundPlan(note=note)
+    for _, width, segment in segments:
+        routes = {}
+        for src, dst, payload in sorted(segment, key=lambda m: (m[0], m[1])):
+            routes.setdefault((src, dst), []).append(payload)
+        for (src, dst), payloads in routes.items():
+            plan.send_batch(src, dst, _rows(width, payloads))
+    return plan
+
+
+def flatten(inbox):
+    """Inbox entries back to per-item payloads (blocks to their rows)."""
+    items = []
+    for entry in inbox:
+        if isinstance(entry, np.ndarray):
+            rows = entry.tolist()
+            items.extend(map(tuple, rows) if entry.ndim == 2 else rows)
+        else:
+            items.append(entry)
+    return items
+
+
+def reference_violations(cluster, messages, note):
+    """Per-message bandwidth checks: senders, then receivers, each in
+    first-appearance order (round 1 of a fresh cluster)."""
+    sent: dict[int, int] = {}
+    received: dict[int, int] = {}
+    for src, dst, payload in messages:
+        sent[src] = sent.get(src, 0) + word_size(payload)
+        received[dst] = received.get(dst, 0) + word_size(payload)
+    violations = []
+    for kind, volumes in (("sent", sent), ("received", received)):
+        for mid, words in volumes.items():
+            capacity = cluster.machine(mid).capacity
+            if words > capacity:
+                violations.append(Violation(mid, kind, words, capacity, 1, note))
+    return violations
+
+
+@given(segments=segments_strategy, tiny=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_array_scatters_match_the_reference_model(segments, tiny):
+    """Stored scatters account and deliver like their per-message form:
+    inbox rows, their order and the inbox order, rounds, words, volumes,
+    items, violation lists in order (tiny capacities force them) and
+    memory entries — with one block per destination per scatter."""
+    cluster = make_cluster(**({"constant": 0.01} if tiny else {}))
+    messages = equivalent_messages(segments)
+    expected = reference_model(cluster, messages)
+    inboxes = cluster.execute(scatter_plan(segments, "s"))
+
+    assert list(inboxes) == list(expected["inboxes"])
+    assert {dst: flatten(items) for dst, items in inboxes.items()} == expected["inboxes"]
+    for dst, items in inboxes.items():
+        blocks = sum(isinstance(entry, np.ndarray) for entry in items)
+        scatters = sum(
+            any(m[1] == dst for m in segment)
+            for kind, _, segment in segments
+            if kind == "scatter"
+        )
+        assert blocks == scatters
+    assert cluster.ledger.rounds == expected["rounds"]
+    if expected["rounds"]:
+        record = cluster.ledger.records[-1]
+        assert record.total_words == expected["total_words"]
+        assert record.max_sent == expected["max_sent"]
+        assert record.max_received == expected["max_received"]
+        assert record.items == expected["items"]
+        want = reference_violations(cluster, messages, "s")
+        assert [
+            (v.machine_id, v.kind, v.amount, v.capacity, v.round, v.note)
+            for v in record.violations
+        ] == [
+            (v.machine_id, v.kind, v.amount, v.capacity, v.round, v.note)
+            for v in want
+        ]
+    assert cluster.ledger.memory_high_water == expected["memory"]
+
+
+def test_array_scatter_violations_keep_first_appearance_order():
+    """Every sender and receiver over a tiny budget: the violation list
+    names them in per-message first-appearance order — an object send
+    first, then the scatter's sources ascending and its destinations in
+    the order its grouped runs first reach them."""
+    cluster = make_cluster(constant=0.01)
+    srcs = [3, 1, 0, 3, 1, 0, 5, 5]
+    dsts = [4, 2, 6, 1, 4, 2, 0, 6]
+    rows = [(i, i + 1, i + 2, i + 3, i + 4) for i in range(len(srcs))] * 2
+    segments = [
+        ("send", None, [(5, 2, (7, 7)), (5, 2, (8, 8))]),
+        ("scatter", 5, list(zip(srcs * 2, dsts * 2, rows))),
+    ]
+    messages = equivalent_messages(segments)
+    cluster.execute(scatter_plan(segments, "v"))
+    got = cluster.ledger.records[-1].violations
+    want = reference_violations(cluster, messages, "v")
+    assert len(want) > 6
+    assert [(v.machine_id, v.kind, v.amount) for v in got] == [
+        (v.machine_id, v.kind, v.amount) for v in want
+    ]
+
+
+@given(segments=st.lists(scatter_segments, min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_enforced_split_of_array_scatters_matches_send_batch(segments):
+    """The throttle's splitter sees a stored scatter's per-(src, dst)
+    runs: chunks, executed rounds and delivered rows equal those of the
+    equivalent send_batch plan."""
+    def run(build):
+        config = ModelConfig.heterogeneous(
+            n=64, m=256, num_small=NUM_SMALL, constant=0.01
+        ).with_throttle("enforce")
+        cluster = Cluster(config, rng=random.Random(0))
+        chunks = [
+            [(src, dst, block.tolist()) for src, dst, block in chunk.runs()]
+            for chunk in cluster.throttle.split_plan(build())
+        ]
+        inboxes = cluster.execute(build())
+        records = [
+            (r.note, r.total_words, r.max_sent, r.max_received, r.items, r.violations)
+            for r in cluster.ledger.records
+        ]
+        rows = {dst: flatten(items) for dst, items in inboxes.items()}
+        return chunks, records, rows
+
+    assert run(lambda: scatter_plan(segments, "t")) == run(
+        lambda: batch_plan(segments, "t")
+    )

@@ -1,117 +1,87 @@
-"""The engine backend seam: resolution, grouping kernels, equivalence."""
+"""How the engine groups a scatter, on both row forms ``send_indexed``
+takes: pure-Python items (bucketed by destination) and numpy blocks
+(grouped with one stable argsort and stored whole)."""
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.mpc.backend import (
-    HAS_NUMPY,
-    NumpyEngineBackend,
-    PureEngineBackend,
-    available_engine_backends,
-    get_engine_backend,
-)
+from repro.mpc import RoundPlan
+
+
+def runs_as_rows(plan: RoundPlan) -> list:
+    """The plan's runs, numpy blocks turned back into row tuples."""
+    return [
+        (src, dst, [tuple(row) for row in block.tolist()])
+        if isinstance(block, np.ndarray)
+        else (src, dst, block)
+        for src, dst, block in plan.runs()
+    ]
 
 
 # ----------------------------------------------------------------------
-# Resolution
-# ----------------------------------------------------------------------
-def test_default_is_pure(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE_BACKEND", raising=False)
-    assert get_engine_backend().name == "pure"
-    assert get_engine_backend("pure").name == "pure"
-
-
-def test_env_var_overrides_default(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "pure")
-    assert get_engine_backend().name == "pure"
-    if HAS_NUMPY:
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "numpy")
-        assert get_engine_backend().name == "numpy"
-
-
-def test_instances_pass_through():
-    backend = PureEngineBackend()
-    assert get_engine_backend(backend) is backend
-
-
-def test_auto_resolves_to_an_available_backend():
-    assert get_engine_backend("auto").name in available_engine_backends()
-
-
-def test_unknown_name_raises():
-    with pytest.raises(ValueError):
-        get_engine_backend("gpu")
-
-
-def test_available_backends_always_include_pure():
-    names = available_engine_backends()
-    assert "pure" in names
-    assert ("numpy" in names) == HAS_NUMPY
-
-
-# ----------------------------------------------------------------------
-# Grouping kernels
+# Pure-Python items
 # ----------------------------------------------------------------------
 def test_pure_grouping_is_stable_and_dst_sorted():
-    backend = PureEngineBackend()
-    runs = backend.group_indexed([3, 1, 3, 1, 2], ["a", "b", "c", "d", "e"])
-    assert runs == [(1, ["b", "d"]), (2, ["e"]), (3, ["a", "c"])]
+    plan = RoundPlan().send_indexed(0, [3, 1, 3, 1, 2], ["a", "b", "c", "d", "e"])
+    assert list(plan.runs()) == [(0, 1, ["b", "d"]), (0, 2, ["e"]), (0, 3, ["a", "c"])]
 
 
 def test_pure_grouping_handles_empty_scatter():
-    assert PureEngineBackend().group_indexed([], []) == []
+    plan = RoundPlan().send_indexed(0, [], [])
+    assert list(plan.runs()) == []
+    assert list(plan.deliveries()) == []
+    assert plan.item_count() == 0
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+# ----------------------------------------------------------------------
+# Numpy index columns and blocks
+# ----------------------------------------------------------------------
 def test_numpy_grouping_matches_pure_on_lists():
-    """Object payloads take the pure kernel under either backend."""
+    """Object items take the pure grouping whether the destinations come
+    as a list or as an int array."""
     rng = random.Random(3)
     dsts = [rng.randrange(6) for _ in range(200)]
     items = [("x", i) for i in range(200)]
-    assert NumpyEngineBackend().group_indexed(dsts, items) == (
-        PureEngineBackend().group_indexed(dsts, items)
-    )
+    as_array = RoundPlan().send_indexed(0, np.asarray(dsts, dtype=np.int64), items)
+    assert list(as_array.runs()) == list(RoundPlan().send_indexed(0, dsts, items).runs())
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_numpy_grouping_of_arrays_matches_pure_partition():
-    import numpy as np
-
+    """A numeric block groups exactly like the list scatter of its rows:
+    ascending destination, stable within each run."""
     rng = random.Random(5)
     dsts = [rng.randrange(4) for _ in range(300)]
     rows = [(i, i * i) for i in range(300)]
-    numpy_runs = NumpyEngineBackend().group_indexed(
-        np.asarray(dsts, dtype=np.int64), np.asarray(rows, dtype=np.int64)
+    as_list = RoundPlan().send_indexed(0, dsts, rows)
+    as_array = RoundPlan().send_indexed(
+        0, np.asarray(dsts, dtype=np.int64), np.asarray(rows, dtype=np.int64)
     )
-    pure_runs = PureEngineBackend().group_indexed(dsts, rows)
-    assert [dst for dst, _ in numpy_runs] == [dst for dst, _ in pure_runs]
-    for (_, block), (_, items) in zip(numpy_runs, pure_runs):
-        assert [tuple(row) for row in block.tolist()] == items
+    assert runs_as_rows(as_array) == list(as_list.runs())
+    assert [dst for dst, _ in as_array.deliveries()] == [
+        dst for dst, _ in as_list.deliveries()
+    ]
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_numpy_grouping_rejects_mismatched_columns():
-    import numpy as np
-
     with pytest.raises(ValueError):
-        NumpyEngineBackend().group_indexed(
-            np.asarray([0, 1], dtype=np.int64), np.zeros((3, 2), dtype=np.int64)
+        RoundPlan().send_indexed(
+            0, np.asarray([0, 1], dtype=np.int64), np.zeros((3, 2), dtype=np.int64)
         )
+    with pytest.raises(ValueError):
+        RoundPlan().send_indexed([0, 1, 2], [0, 1], np.zeros((2, 2), dtype=np.int64))
+    # A column of sources needs a numeric block.
+    with pytest.raises(TypeError):
+        RoundPlan().send_indexed([0, 1], [0, 1], ["a", "b"])
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_numpy_blocks_are_views_of_the_scatter():
-    """Grouping must not copy payload rows item by item: blocks slice the
-    argsorted scatter."""
-    import numpy as np
-
+    """Rows that already arrive grouped are not copied item by item: each
+    delivered block is a view of the scattered array."""
     rows = np.arange(40, dtype=np.int64).reshape(10, 4)
-    runs = NumpyEngineBackend().group_indexed(
-        np.asarray([1] * 10, dtype=np.int64), rows
-    )
-    assert len(runs) == 1
-    dst, block = runs[0]
-    assert dst == 1
-    assert block.shape == (10, 4)
-    assert block.base is not None  # a view, not a per-item rebuild
+    plan = RoundPlan().send_indexed(2, np.asarray([1] * 4 + [3] * 6), rows)
+    (first_dst, (first,)), (second_dst, (second,)) = plan.deliveries()
+    assert (first_dst, second_dst) == (1, 3)
+    assert first.shape == (4, 4) and second.shape == (6, 4)
+    assert np.shares_memory(first, rows) and np.shares_memory(second, rows)

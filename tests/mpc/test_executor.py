@@ -38,7 +38,7 @@ def test_local_step_registers_and_resolves():
 def test_resolve_step_imports_defining_module():
     # The worker-side path: resolve by (name, module) even if the caller
     # never imported the primitives.
-    step = resolve_step("sort/partition-columnar", module="repro.primitives.sort")
+    step = resolve_step("sort/rank-columnar", module="repro.primitives.sort")
     assert step.ships is True
 
 
@@ -194,12 +194,12 @@ def test_process_matches_serial_on_shipping_kernel():
     np = pytest.importorskip("numpy")
     payloads = [
         (
-            [np.array([[2], [1], [2], [3]], dtype=np.int64)],
+            np.array([[2], [1], [2], [3]], dtype=np.int64),
             (np.dtype(np.int64),),
             (0,),
         ),
         (
-            [np.array([[9], [7]], dtype=np.int64)],
+            np.array([[9], [7]], dtype=np.int64),
             (np.dtype(np.int64),),
             (0,),
         ),

@@ -344,7 +344,7 @@ def test_send_indexed_empty_and_mismatched():
 
 def test_send_indexed_executes_like_send_batch():
     via_indexed = make_cluster()
-    plan = via_indexed.plan(note="x")
+    plan = RoundPlan(note="x")
     plan.send_indexed(0, [1, 2, 1], [(1, 2), (3, 4), (5, 6)])
     via_indexed.execute(plan)
 
@@ -361,11 +361,41 @@ def test_send_indexed_executes_like_send_batch():
     )
 
 
-def test_cluster_plan_wires_the_engine_backend():
-    cluster = make_cluster()
-    plan = cluster.plan(note="wired")
-    assert plan.backend is cluster.engine_backend
-    assert plan.note == "wired"
+@pytest.mark.parametrize("machines", [40, 300])
+def test_send_indexed_source_column_groups_by_source_then_destination(machines):
+    """A multi-source scatter holds the runs of the equivalent per-source
+    scatters — ascending (src, dst), stable — and delivers each
+    destination one block of its rows in source order.  40 machines keep
+    the route keys within the 16-bit radix sort, 300 go past it."""
+    import numpy as np
+
+    rng = random.Random(machines)
+    messages = [
+        (rng.randrange(machines), rng.randrange(machines), (i, rng.randrange(99)))
+        for i in range(3000)
+    ]
+    plan = RoundPlan().send_indexed(
+        np.asarray([m[0] for m in messages]),
+        np.asarray([m[1] for m in messages]),
+        np.asarray([m[2] for m in messages], dtype=np.int64),
+    )
+    ordered = sorted(messages, key=lambda m: (m[0], m[1]))
+    routes: dict = {}
+    for src, dst, row in ordered:
+        routes.setdefault((src, dst), []).append(row)
+    assert [
+        (src, dst, [tuple(row) for row in block.tolist()])
+        for src, dst, block in plan.runs()
+    ] == [(src, dst, rows) for (src, dst), rows in routes.items()]
+    inboxes: dict = {}
+    for _, dst, row in ordered:
+        inboxes.setdefault(dst, []).append(row)
+    delivered = {
+        dst: [tuple(row) for row in block.tolist()]
+        for dst, (block,) in plan.deliveries()
+    }
+    assert list(delivered) == list(inboxes)
+    assert delivered == inboxes
 
 
 def test_execute_records_note_stats():

@@ -105,3 +105,82 @@ def test_converge_cast_abort_leaves_no_scratch_charged():
         )
     for machine in cluster.machines.values():
         assert not any("#cast-buffer" in name for name in machine.datasets())
+
+
+# ----------------------------------------------------------------------
+# Array casts: numeric blocks ride the tree like the equivalent tuples
+# ----------------------------------------------------------------------
+def _cast_fingerprint(cluster, result):
+    records = [
+        (r.note, r.total_words, r.max_sent, r.max_received, r.items, r.violations)
+        for r in cluster.ledger.records
+    ]
+    return records, cluster.ledger.memory_high_water, result
+
+
+def _cast_both_ways(make, items_by_machine, dst):
+    """Run one cast on lists of tuples and one on (rows, width) arrays;
+    return both fingerprints with the array result as tuples."""
+    import numpy as np
+
+    as_lists = make()
+    listed = converge_cast(
+        as_lists, {mid: list(rows) for mid, rows in items_by_machine.items()}, dst
+    )
+    as_arrays = make()
+    arrays = {
+        mid: np.array(rows, dtype=np.int64).reshape(len(rows), 2)
+        for mid, rows in items_by_machine.items()
+    }
+    block = converge_cast(as_arrays, arrays, dst)
+    rows = [tuple(row) for row in block.tolist()] if len(block) else []
+    return _cast_fingerprint(as_lists, listed), _cast_fingerprint(as_arrays, rows)
+
+
+@pytest.mark.parametrize("narrow", [False, True])
+def test_converge_cast_array_buffers_match_tuple_lists(narrow):
+    """Same rows in the same order (held rows first, then each level's
+    blocks), same rounds, words, items and per-machine high-water."""
+    def make():
+        gamma = 0.2 if narrow else 0.5  # a narrow tree has several levels
+        return make_cluster(n=256, m=4096, gamma=gamma)
+
+    rng = random.Random(3)
+    cluster = make()
+    items = {
+        machine.machine_id: [(rng.randrange(100), rng.randrange(100))
+                             for _ in range(rng.randrange(0, 6))]
+        for machine in cluster.smalls
+    }
+    dst = cluster.large.machine_id
+    listed, arrayed = _cast_both_ways(make, items, dst)
+    assert arrayed == listed
+    assert sorted(arrayed[2]) == sorted(row for rows in items.values() for row in rows)
+    # A small destination holds its own rows first.
+    listed, arrayed = _cast_both_ways(make, items, cluster.small_ids[0])
+    assert arrayed == listed
+
+
+def test_converge_cast_array_with_nothing_sampled():
+    """Every machine's block empty: no round, no charge, an empty result."""
+    import numpy as np
+
+    cluster = make_cluster()
+    empty = {mid: np.empty((0, 2), dtype=np.int64) for mid in cluster.small_ids}
+    result = converge_cast(cluster, empty, cluster.large.machine_id)
+    assert len(result) == 0 and result.shape == (0, 2)
+    assert cluster.ledger.rounds == 0
+    assert cluster.ledger.memory_high_water == {}
+
+
+def test_converge_cast_array_on_one_machine():
+    """k = 1 and no large machine: the only machine is the destination,
+    so its rows stay put — no round, the same high-water as the tuples."""
+    def make():
+        config = ModelConfig.sublinear(n=64, m=64, num_small=1)
+        return Cluster(config, rng=random.Random(0))
+
+    only = make().small_ids[0]
+    listed, arrayed = _cast_both_ways(make, {only: [(1, 2), (3, 4)]}, only)
+    assert arrayed == listed
+    assert arrayed[0] == [] and arrayed[2] == [(1, 2), (3, 4)]

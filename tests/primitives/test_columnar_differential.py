@@ -4,8 +4,8 @@ The tentpole invariant of the array-native primitive layer: for every
 primitive and every input, the columnar path (EdgeBlock record batches,
 vectorized bucketing/group-by) and the object path (per-item tuples)
 produce identical datasets AND identical ledgers — same round records,
-same word charges, same memory high-water — under both engine backends.
-Speed is the only permitted difference.
+same word charges, same memory high-water.  Speed is the only permitted
+difference.
 
 Hypothesis drives randomized inputs through sort, aggregate and dedup;
 join and arrange run a curated scenario matrix covering every internal
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 import repro.primitives.columnar as columnar
 from repro.mpc import Cluster, ModelConfig, RoundPlan
-from repro.mpc.backend import available_engine_backends
 from repro.mpc.words import word_size_many
 from repro.primitives.aggregate import aggregate
 from repro.primitives.arrange import arrange_directed
@@ -39,17 +38,17 @@ from repro.primitives.columnar import (
 )
 from repro.primitives.dedup import dedup_lightest
 from repro.primitives.join import annotate_edges_with_vertex_values
+import repro.primitives.sort as sort_module
 from repro.primitives.sort import SortLayout, sample_sort
 
 HAS_NUMPY = columnar.HAS_NUMPY
-ENGINES = available_engine_backends()
 PATHS = ("object", "columnar")
 NUM_SMALL = 6
 
 
-def make_cluster(engine: str) -> Cluster:
+def make_cluster() -> Cluster:
     config = ModelConfig(n=256, m=1024, num_small=NUM_SMALL)
-    return Cluster(config, rng=random.Random(7), backend=engine)
+    return Cluster(config, rng=random.Random(7))
 
 
 def distribute(cluster: Cluster, name: str, rows) -> None:
@@ -72,22 +71,21 @@ def snapshot(cluster: Cluster, names) -> tuple:
 
 
 def run_everyway(build_and_run, names):
-    """Run a primitive under every (path, engine) combination and assert
-    all snapshots are identical; returns the reference snapshot."""
+    """Run a primitive on every path and assert all snapshots are
+    identical; returns the reference snapshot."""
     reference = None
     for path in PATHS:
-        for engine in ENGINES:
-            cluster = make_cluster(engine)
-            with columnar.forced_path(path):
-                extra = build_and_run(cluster)
-            snap = snapshot(cluster, names) + (extra,)
-            if reference is None:
-                reference = snap
-            else:
-                assert snap[0] == reference[0], (path, engine, "datasets")
-                assert snap[1] == reference[1], (path, engine, "ledger")
-                assert snap[2] == reference[2], (path, engine, "memory")
-                assert snap[3] == reference[3], (path, engine, "result")
+        cluster = make_cluster()
+        with columnar.forced_path(path):
+            extra = build_and_run(cluster)
+        snap = snapshot(cluster, names) + (extra,)
+        if reference is None:
+            reference = snap
+        else:
+            assert snap[0] == reference[0], (path, "datasets")
+            assert snap[1] == reference[1], (path, "ledger")
+            assert snap[2] == reference[2], (path, "memory")
+            assert snap[3] == reference[3], (path, "result")
     return reference
 
 
@@ -161,6 +159,43 @@ def test_dedup_differential(records):
         return None
 
     run_everyway(go, ["r"])
+
+
+#: Sorted-mode keys: a float column never packs.  Few distinct values, so
+#: rows equal splitters and splitters repeat; -0.0 and 0.0 tie.
+_sorted_floats = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 1e300])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(-2, 2), _sorted_floats), max_size=70),
+    key=st.sampled_from([(0, 1), (1, 0)]),
+    holders=st.integers(1, NUM_SMALL),
+    chunked=st.booleans(),
+)
+def test_sample_sort_sorted_mode_differential(rows, key, holders, chunked):
+    """Sorted-mode routing (one lexsort of rows and splitters) against the
+    object path's per-item bisect: rows equal to splitters, duplicate
+    splitters, mixed int/float key columns, -0.0 vs 0.0 (compared by
+    repr, which tells them apart), a machine whose rows all land in one
+    bucket (chunked key ranges) and machines left empty."""
+    if chunked:
+        rows = sorted(rows)
+        size = -(-len(rows) // holders) if rows else 1
+        shares = [rows[i * size:(i + 1) * size] for i in range(holders)]
+    else:
+        shares = [rows[i::holders] for i in range(holders)]
+
+    def go(cluster):
+        for machine, share in zip(cluster.smalls, shares + [[]] * NUM_SMALL):
+            machine.put("e", list(share))
+        if rows and columnar.columnar_enabled():
+            context = sort_module._columnar_sort_context(cluster, "e", key, False)
+            assert context is not None and context[1] is False  # sorted mode
+        layout = sample_sort(cluster, "e", key=key)
+        return layout.counts, repr([list(m.get("e", [])) for m in cluster.smalls])
+
+    run_everyway(go, ["e"])
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +309,7 @@ def test_arrange_spec_matches_legacy_callable():
     edges = _gen_edges(_NV, 80, 11, weighted=True)
 
     def go(secondary):
-        cluster = make_cluster(ENGINES[0])
+        cluster = make_cluster()
         distribute(cluster, "edges", edges)
         with columnar.forced_path("object"):
             arrangement = arrange_directed(
@@ -409,18 +444,24 @@ def test_word_size_many_empty_arrays_are_zero_words():
         assert word_size_many(np.empty(0, dtype=dtype)) == 0
 
 
+#: Row forms a machine hands the engine: Python objects or numpy arrays.
+FORMS = ("pure", "numpy")
+
+
 @pytestmark_np
-@pytest.mark.parametrize("engine", ENGINES)
-def test_send_indexed_empty_arrays_open_no_run(engine):
+@pytest.mark.parametrize("form", FORMS)
+def test_send_indexed_empty_arrays_open_no_run(form):
+    """An empty destination column opens no run, with no object items
+    from one source or a zero-row block from an empty source column."""
     import numpy as np
 
-    cluster = make_cluster(engine)
-    plan = cluster.plan("empty-scatter")
-    plan.send_indexed(
-        cluster.small_ids[0],
-        np.empty(0, dtype=np.int64),
-        np.empty((0, 3), dtype=np.int64),
-    )
+    cluster = make_cluster()
+    plan = RoundPlan("empty-scatter")
+    if form == "pure":
+        src, items = cluster.small_ids[0], []
+    else:
+        src, items = np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
+    plan.send_indexed(src, np.empty(0, dtype=np.int64), items)
     assert plan.is_empty
     rounds_before = cluster.ledger.rounds
     cluster.execute(plan)
@@ -428,16 +469,25 @@ def test_send_indexed_empty_arrays_open_no_run(engine):
     assert cluster.ledger.rounds == rounds_before
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_empty_cluster_primitives_cost_identically(engine):
-    """sample_sort/aggregate on machines holding nothing: the columnar
-    path must neither crash nor charge differently than the object path."""
+@pytest.mark.parametrize("form", FORMS)
+def test_empty_cluster_primitives_cost_identically(form):
+    """sample_sort/aggregate on machines holding nothing — empty lists or
+    zero-row blocks: the columnar path must neither crash nor charge
+    differently than the object path."""
+    def empty():
+        if form == "pure":
+            return []
+        return EdgeBlock([np.empty(0, dtype=np.int64)] * 2)
+
     def go(path):
-        cluster = make_cluster(engine)
-        distribute(cluster, "e", [])
+        cluster = make_cluster()
+        for machine in cluster.smalls:
+            machine.put("e", empty())
         with columnar.forced_path(path):
             layout = sample_sort(cluster, "e", key=(0, 1))
-            result = aggregate(cluster, {m.machine_id: [] for m in cluster.smalls}, "sum")
+            result = aggregate(
+                cluster, {m.machine_id: empty() for m in cluster.smalls}, "sum"
+            )
         return snapshot(cluster, ["e"]) + (layout.counts, sorted(result))
 
     assert go("object") == go("columnar")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.serve import GraphService, ServeConfig, ServeSession, encode
 
 
@@ -209,3 +211,57 @@ def test_unexpected_exception_answers_internal_error(monkeypatch, caplog):
     assert "Traceback" in caplog.text and "boom" in caplog.text
     monkeypatch.undo()
     _still_serving(session)
+
+
+# ----------------------------------------------------------------------
+# init refuses configurations it cannot serve, naming the field
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({"n": True}, "n"),
+        ({"n": 8, "shards": True}, "shards"),
+        ({"n": 8, "seed": "x"}, "seed"),
+        ({"n": 8, "seed": 1.5}, "seed"),
+        ({"n": 8, "max_weight": 2.5}, "max_weight"),
+        ({"n": 8, "copies": 1.5}, "copies"),
+        ({"n": 8, "shards": 2.5}, "shards"),
+        ({"n": 8, "epsilon": True}, "epsilon"),
+        ({"n": 8, "max_weight": 4, "epsilon": float("inf")}, "epsilon"),
+        # Edge ids up to n^2 - 1 past int64 (an OverflowError before).
+        ({"n": 3037000500}, "n"),
+        # A refresh bank of ~10^11 words (every query a MemoryError before).
+        ({"n": 10000000}, "n"),
+        # Ten million shard banks, or ~10^7 weight thresholds: no answer
+        # within 15 s before.
+        ({"n": 8, "shards": 10000000}, "shards"),
+        ({"n": 8, "max_weight": 100000000, "epsilon": 0.000001}, "max_weight"),
+        # A seed package of ~10^7 slots per vertex (seconds and hundreds
+        # of MB to answer ok before).
+        ({"n": 64, "copies": 100000}, "copies"),
+    ],
+    ids=lambda value: json.dumps(value) if isinstance(value, dict) else value,
+)
+def test_init_refuses_configs_it_cannot_serve(fields, field):
+    session = ServeSession()
+    error = _rejected(session, {"op": "init", **fields})
+    assert error.split()[0].split("=")[0] == field, error
+    # Nothing was initialized and the session keeps serving.
+    assert session.handle({"op": "init", "n": 4})["ok"]
+    assert session.handle({"op": "update", "insert": [[0, 1]]})["ok"]
+    assert session.handle({"op": "connected", "u": 0, "v": 1})["result"] == {
+        "connected": True
+    }
+
+
+def test_benchmark_serve_configs_sit_well_inside_the_caps():
+    """The serve benchmarks and the smoke daemon (n up to 1024, 4 shards,
+    3 copies) keep an order of magnitude of room under every cap."""
+    from repro.serve.service import MAX_BANKS, MAX_REFRESH_WORDS, MAX_SLOTS
+    from repro.sketches import GraphSketchSpec
+
+    slots = GraphSketchSpec.slot_count(1024, 3)
+    assert 10 * slots <= MAX_SLOTS
+    assert 10 * 1024 * (1 + 3 * slots) <= MAX_REFRESH_WORDS
+    assert 10 * 4 <= MAX_BANKS
+    ServeConfig(n=1024, shards=4, max_weight=1000, epsilon=0.5)

@@ -239,10 +239,12 @@ def test_stats_shape():
     assert stats["sketch_words"] > 0
 
 
-def test_update_refuses_identity_sums_past_int64():
+def test_update_refuses_identity_sums_past_int64(monkeypatch):
     """At n = 3e9 every edge id is near 2^63, so two of them could
     overflow the merged bank's ``s1`` counters: the batch is refused as
-    a ServiceError and nothing moves."""
+    a ServiceError and nothing moves.  (``init`` refuses a refresh bank
+    this large, so the cap is lifted to reach the update-time check.)"""
+    monkeypatch.setattr(service_module, "MAX_REFRESH_WORDS", INT64_MAX)
     n = 3_000_000_000
     service = GraphService(ServeConfig(n=n, seed=0, copies=1))
     with pytest.raises(ServiceError, match="int64"):

@@ -76,11 +76,8 @@ def test_executor_env_tolerates_padding(monkeypatch):
 
 
 def test_backend_envs_tolerate_padding(monkeypatch):
-    from repro.mpc.backend import PureEngineBackend, get_engine_backend
     from repro.primitives.columnar import primitive_path
 
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", " pure\t")
-    assert isinstance(get_engine_backend(), PureEngineBackend)
     monkeypatch.setenv("REPRO_PRIMITIVE_PATH", " Object ")
     assert primitive_path() == "object"
 
