@@ -17,10 +17,15 @@ from dataclasses import dataclass, field
 from ..graph.graph import Graph
 from ..mpc import Cluster, ModelConfig
 from ..mpc.words import word_size
-from ..primitives.aggregate import aggregate
-from ..primitives.broadcast import broadcast
+from ..primitives.broadcast import broadcast, converge_cast
 from ..primitives.edgestore import EdgeStore
-from ..sketches import GraphSketchSpec, SketchBank, SketchRow, bank_boruvka
+from ..sketches import (
+    GraphSketchSpec,
+    SketchBank,
+    bank_boruvka,
+    build_partial_blocks,
+    combine_row_blocks,
+)
 
 __all__ = ["ConnectivityResult", "heterogeneous_connectivity", "sketch_components"]
 
@@ -33,10 +38,6 @@ class ConnectivityResult:
     num_components: int
     rounds: int
     cluster: Cluster | None = field(default=None, repr=False)
-
-
-def _merge_rows(a: SketchRow, b: SketchRow) -> SketchRow:
-    return a.merge(b)
 
 
 def sketch_components(
@@ -58,25 +59,34 @@ def sketch_components(
     )
     broadcast(cluster, source, ("sketch-seeds", seed_words), cluster.small_ids, note=f"{note}/seeds")
 
-    # Each small machine bulk-builds a partial sketch bank from the edges
-    # it stores (zero rounds: local computation) and ships one counter row
-    # per touched vertex.
-    partials_by_machine: dict[int, list] = {}
-    for machine in cluster.smalls:
-        local = SketchBank(spec)
-        local.update_edges(
-            (edge[0], edge[1]) for edge in machine.get(store.name, [])
-        )
-        partials_by_machine[machine.machine_id] = local.row_items()
-
-    # Sum the partial rows per vertex up the aggregation tree (Claim 2);
-    # rows charge exactly what the legacy per-vertex sketches charged.
+    # Each small machine builds a partial sketch of the edges it stores
+    # (zero rounds: local computation) — one counter row per touched
+    # vertex, as one int64 row block per machine.  The machines' builds
+    # are independent, so one cluster-wide pass hashes every machine's
+    # edges and scatters them into every machine's rows at once.
+    #
+    # The partial rows are summed per vertex up the aggregation tree
+    # (Claim 2): each machine's block is one run per tree edge, and every
+    # level sums the rows of one vertex (a machine's own rows have
+    # distinct vertices, so there is nothing to pre-combine).  A row
+    # charges exactly what a (vertex, legacy per-vertex sketch) pair
+    # charged.  The blocks go to the cast unnamed, so the cast releases
+    # them as the tree consumes them.
     dst = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
-    rows = aggregate(
-        cluster, partials_by_machine, _merge_rows, dst=dst, note=f"{note}/sum"
+    block = converge_cast(
+        cluster,
+        dict(zip(
+            cluster.small_ids,
+            build_partial_blocks(
+                spec, [machine.get(store.name, []) for machine in cluster.smalls]
+            ),
+        )),
+        dst,
+        combine=combine_row_blocks,
+        note=f"{note}/sum",
     )
     bank = SketchBank(spec)
-    bank.insert_rows(rows.items())
+    bank.insert_block(block)
     bank.add_vertices(range(n))  # isolated vertices get zero rows
 
     # Local Borůvka in sketch space on the (large) destination machine.

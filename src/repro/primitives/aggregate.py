@@ -201,8 +201,9 @@ def _aggregate_columnar(
     aggregates ride :func:`~repro.primitives.broadcast.converge_cast` as
     one ``(n, 2)`` transport block per machine — ``n`` items, ``2n``
     words, exactly the object path's ``n`` pairs — with
-    :func:`~repro.primitives.columnar.reduce_pairs` as the per-level
-    combine.  The values come back to their own dtype at the end.
+    :func:`~repro.primitives.columnar.reduce_pairs` over the concatenated
+    held and received blocks as the per-level combine.  The values come
+    back to their own dtype at the end.
     """
     value_dtype = next(iter(columns_by_machine.values()))[1].dtype
     transport = np.float64 if value_dtype.kind == "f" else np.int64
@@ -212,7 +213,8 @@ def _aggregate_columnar(
             [keys.astype(transport, copy=False), values.astype(transport, copy=False)]
         )
 
-    def combine(block: Any) -> Any:
+    def combine(blocks: list[Any]) -> Any:
+        block = np.concatenate(blocks)
         return as_transport(
             *columnar.reduce_pairs(block[:, 0].astype(np.int64), block[:, 1], kind)
         )

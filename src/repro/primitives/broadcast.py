@@ -83,11 +83,16 @@ def converge_cast(
     intermediate machine.
 
     Array casts: when every machine's items are one numeric numpy array
-    (leading axis indexing items), the buffers stay arrays — a machine's
-    held rows first, then the received blocks, concatenated — so every
-    send and every scratch charge is sized O(1); *combine* then maps an
-    array to an array, and the result is an array.  Rows, rounds, words
-    and memory charges are those of the equivalent lists of tuples.
+    (leading axis indexing items), the buffers stay arrays, so every send
+    and every scratch charge is sized O(1), and the result is an array.
+    Without *combine*, a machine's held rows come first, then the
+    received blocks, concatenated.  With *combine*, blocks are never
+    concatenated by the cast: *combine* maps the list of held and
+    received blocks to one block, and the destination keeps its received
+    blocks as a list (charged as the sum of its blocks) until the final
+    combine.  Either way every send is one block run, and rows, rounds,
+    words and memory charges are those of the equivalent lists of
+    tuples.  No buffer keeps a view of a block it has sent.
     """
     base_fanout = cluster.config.tree_fanout
     scratch = f"{note}#cast-buffer"
@@ -103,8 +108,9 @@ def converge_cast(
     arrays = bool(items_by_machine) and all(
         isinstance(items, np.ndarray) for items in items_by_machine.values()
     )
+    gather = arrays and combine is not None
     if arrays:
-        empty = next(iter(items_by_machine.values()))[:0]
+        empty = np.zeros_like(next(iter(items_by_machine.values()))[:0])  # no view
         buffers: dict[int, Any] = {
             mid: items for mid, items in items_by_machine.items() if len(items)
         }
@@ -113,6 +119,10 @@ def converge_cast(
         buffers = {
             mid: list(items) for mid, items in items_by_machine.items() if items
         }
+    # From here on a machine's items live in its buffer only, and nothing
+    # keeps a block once it is sent and combined: a caller that hands its
+    # blocks over gets their memory back as the tree consumes them.
+    del items_by_machine
     try:
         for mid in buffers:
             charge(mid)
@@ -141,7 +151,10 @@ def converge_cast(
             inboxes = cluster.execute(plan)
             for target, received in inboxes.items():
                 held = buffers.get(target, empty)
-                if arrays:
+                if gather:
+                    held = held if type(held) is list else [held]
+                    buffers[target] = held + received
+                elif arrays:
                     buffers[target] = np.concatenate([held, *received])
                 else:
                     buffers[target] = held + received
@@ -149,6 +162,8 @@ def converge_cast(
                     buffers[target] = combine(buffers[target])
                 charge(target)
         result = buffers.get(dst, empty)
+        if gather and type(result) is not list:
+            result = [result]
         if combine is not None:
             result = combine(result)
         # Record the destination's post-combine peak (it may never see

@@ -10,8 +10,9 @@ from them on demand:
 
 * **Updates** stream in as signed batches.  Each edge lands in one shard
   bank (sharded by edge id, mirroring the per-machine partial banks of
-  Theorem C.1) via :meth:`SketchBank.update_edges` with ``sign=+1`` or
-  ``-1``; cost is proportional to the batch, never to the graph.
+  Theorem C.1): a batch makes one :meth:`SketchBank.update_edges` call
+  per shard, inserts then deletes with per-edge signs ``+1``/``-1``;
+  cost is proportional to the batch, never to the graph.
 * **Queries** read a maintained component forest.  The forest is
   refreshed lazily: the first query after an update batch merges the
   shard banks (linearity again: banks add) and runs sketch-space Borůvka
@@ -38,7 +39,9 @@ a :class:`ServiceError`.  :class:`ServeConfig` refuses, naming the field,
 a configuration the service could not serve: non-``int`` sizes, seeds or
 weights (``bool`` included), a non-positive or non-finite ``epsilon``,
 an ``n`` whose edge ids overflow ``int64``, and sketch state beyond
-:data:`MAX_REFRESH_WORDS`, :data:`MAX_SLOTS` or :data:`MAX_BANKS`.
+:data:`MAX_REFRESH_WORDS`, :data:`MAX_SLOTS` or :data:`MAX_BANKS`.  An
+update carrying more than :data:`MAX_UPDATE_EDGES` edges is refused
+before any edge is looked at.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ __all__ = [
     "MAX_BANKS",
     "MAX_REFRESH_WORDS",
     "MAX_SLOTS",
+    "MAX_UPDATE_EDGES",
     "ServeConfig",
     "ServiceError",
     "GraphService",
@@ -68,6 +72,12 @@ __all__ = [
 #: shard and threshold bank grows towards the same size.  2**25 words is
 #: 256 MiB of 8-byte counters; ``n = 1024`` with 3 copies needs 2.3M.
 MAX_REFRESH_WORDS = 2**25
+#: Edges one ``update`` may carry, inserts and deletes together.  At
+#: ``n = 1024`` a capped request takes about a second on a
+#: connectivity-only service (each weight-threshold bank an edge lands
+#: in adds its share); an uncapped 10^6-edge request held the session
+#: for 20 s and about 650 MB.  Larger streams go in several requests.
+MAX_UPDATE_EDGES = 2**15
 #: Counter slots per bank row, ``phases * copies * levels``: the size of
 #: the seed package ``init`` generates, whatever ``n`` is.  ``n = 1024``
 #: with 3 copies has 759.
@@ -251,7 +261,8 @@ class GraphService:
         """Apply one batched signed update (inserts first, then deletes).
 
         Each batch is a list (or tuple) of ``[u, v]`` / ``[u, v, w]``
-        edges with exact-``int`` fields — ``true`` is not vertex 1.
+        edges with exact-``int`` fields — ``true`` is not vertex 1 — and
+        the two hold at most :data:`MAX_UPDATE_EDGES` edges together.
         Deletes must name surviving edges (same endpoints and weight);
         a batch that would drive any multiplicity negative is rejected
         *before* any counter moves, so the sketch state never diverges
@@ -261,6 +272,11 @@ class GraphService:
         for name, batch in (("insert", insert), ("delete", delete)):
             if type(batch) not in _SEQUENCES:
                 raise ServiceError(f"{name} must be a list of edges, got {batch!r}")
+        if len(insert) + len(delete) > MAX_UPDATE_EDGES:
+            raise ServiceError(
+                f"update carries {len(insert) + len(delete)} edges in insert "
+                f"and delete; the limit is {MAX_UPDATE_EDGES} per request"
+            )
         inserts = [self._normalize(e) for e in insert]
         deletes = [self._normalize(e) for e in delete]
         added = Counter(inserts)
@@ -287,12 +303,9 @@ class GraphService:
         for e in set(deletes):
             if not self._edges[e]:
                 del self._edges[e]
-        for batch, sign in ((inserts, 1), (deletes, -1)):
-            if not batch:
-                continue
-            self._apply(batch, sign)
-            self.updates_applied += len(batch)
         if inserts or deletes:
+            self._apply(inserts, deletes)
+            self.updates_applied += len(inserts) + len(deletes)
             self._components = None
             self._mst_estimate = None
         return {
@@ -301,18 +314,29 @@ class GraphService:
             "edges": sum(self._edges.values()),
         }
 
-    def _apply(self, batch: list[tuple[int, int, int]], sign: int) -> None:
+    def _apply(
+        self,
+        inserts: list[tuple[int, int, int]],
+        deletes: list[tuple[int, int, int]],
+    ) -> None:
+        """One signed ``update_edges`` call per shard and per threshold
+        bank: its inserts first, so rows are created in insert order, then
+        its deletes."""
         n = self.config.n
         shards = len(self._shards)
-        by_shard: dict[int, list[tuple[int, int]]] = {}
-        for u, v, _ in batch:
-            by_shard.setdefault(edge_id(n, u, v) % shards, []).append((u, v))
-        for index, edges in by_shard.items():
-            self._shards[index].update_edges(edges, sign=sign)
+        signed = [(edge, 1) for edge in inserts] + [(edge, -1) for edge in deletes]
+        by_shard: dict[int, tuple[list, list]] = {}
+        for (u, v, _), sign in signed:
+            edges, signs = by_shard.setdefault(edge_id(n, u, v) % shards, ([], []))
+            edges.append((u, v))
+            signs.append(sign)
+        for index, (edges, signs) in by_shard.items():
+            self._shards[index].update_edges(edges, sign=signs)
         for t, bank in zip(self.thresholds, self._mst_banks):
-            level = [(u, v) for u, v, w in batch if w <= t]
+            level = [((u, v), sign) for (u, v, w), sign in signed if w <= t]
             if level:
-                bank.update_edges(level, sign=sign)
+                edges, signs = zip(*level)
+                bank.update_edges(edges, sign=list(signs))
 
     # ------------------------------------------------------------------
     # queries

@@ -8,11 +8,13 @@ Two layers coexist:
   for unit-scale use; its methods behave exactly as the seed did
   (``VertexSketch.samplers`` is now a read-only snapshot);
 * the **bank API** (:class:`SketchBank`, :class:`SketchRow`,
-  :func:`bank_boruvka`) — the one storage path: all
+  :func:`bank_boruvka`, :func:`build_partial_blocks`,
+  :func:`combine_row_blocks`) — the one storage path: all
   ``(phase, copy, level)`` one-sparse counters of a vertex set in one
   ``(rows, slots)`` numpy array per counter, bulk edge updates that hash
   every edge under every sampler in one pass and scatter both endpoints'
-  signed contributions exactly, and vector-add merges.  The array kernels
+  signed contributions exactly, vector-add merges, and ``int64`` row
+  blocks that carry rows between machines.  The array kernels
   (exact ``GF(2^61 - 1)`` multiply, Horner hashing, power tables) live in
   :mod:`repro.sketches.field`.
 
@@ -22,7 +24,14 @@ implementation; this is pinned by golden and property tests against a
 pure-Python oracle kept with the tests.
 """
 
-from .bank import INT64_MAX, SketchBank, SketchRow, bank_boruvka
+from .bank import (
+    INT64_MAX,
+    SketchBank,
+    SketchRow,
+    bank_boruvka,
+    build_partial_blocks,
+    combine_row_blocks,
+)
 from .field import PRIME, KWiseHash, fingerprint_power, trailing_zeros
 from .graph_sketch import (
     GraphSketchSpec,
@@ -49,6 +58,8 @@ __all__ = [
     "SketchBank",
     "SketchRow",
     "bank_boruvka",
+    "build_partial_blocks",
+    "combine_row_blocks",
     "components_from_sketches",
     "edge_from_id",
     "edge_id",

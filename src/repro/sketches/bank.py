@@ -15,44 +15,65 @@ fingerprint ``s2 = Σ δ·z^id mod p`` as ``uint64`` residues below
 ``2^61``.  Rows are created in endpoint-encounter order and only for
 touched vertices.
 
-Batched update math (:meth:`SketchBank.update_edges`): one vectorized
-Horner pass hashes every edge under every ``(phase, copy)`` sampler, the
-trailing zeros of each hash give the geometric level depth, and the
-fingerprint powers ``z^id`` of every surviving ``(edge, sampler, level)``
-triple come from a per-spec :class:`~repro.sketches.field.PowerTable`.
-Both endpoints' signed contributions — ``+1`` to the smaller endpoint's
-row, ``-1`` to the larger's — land in one scatter that stays exact when
-many contributions hit one slot: ``s2`` contributions are split into
-31-bit halves, summed per slot in ``uint64`` and reduced mod ``p`` once.
+Update math: one vectorized Horner pass hashes every edge under every
+``(phase, copy)`` sampler, the trailing zeros of each hash give the
+geometric level depth, and the fingerprint powers ``z^id`` of every
+surviving ``(edge, sampler, level)`` triple come from a per-spec
+:class:`~repro.sketches.field.PowerTable`.  Both endpoints' signed
+contributions — ``+1`` to the smaller endpoint's row, ``-1`` to the
+larger's — land in one scatter that stays exact when many
+contributions hit one slot: ``s0``/``s1`` take integer adds, and ``s2``
+contributions are split into 31-bit halves, summed per slot in
+``uint64`` and reduced mod ``p`` once.  :meth:`SketchBank.update_edges`
+scatters into the bank's counter arrays; :func:`build_partial_blocks`
+runs the same kernel over every small machine's edges at once and
+scatters into row blocks.
+
+Row blocks are how rows travel between machines.  A block is one
+``int64`` array with a row per vertex,
+``[vertex, vertex, s0[slots], s1[slots], s2[slots]]`` — ``2 + 3 *
+slots`` columns, the ``s2`` residues as ``int64`` bit patterns.  The
+second vertex column is the row's identity word, so a row sizes to
+exactly what the legacy ``VertexSketch`` charged plus one word of key,
+and a block of ``k`` rows charges what ``k`` ``(vertex, row)`` pairs
+did.  Theorem C.1 builds every machine's partial block in one
+cluster-wide pass (:func:`build_partial_blocks`), sums blocks per
+vertex up the aggregation tree (:func:`combine_row_blocks`) and adds
+the final block into the destination's bank in one vector add
+(:meth:`SketchBank.insert_block`).
 
 Updates are *signed*: because the sketches are linear maps of the edge
 multiset, ``update_edges(batch, sign=-1)`` deletes edges by applying the
-identical contributions negated — the substrate behind the dynamic-graph
-query service in :mod:`repro.serve`.  Self-loops are short-circuited to
-no-ops (an edge ``{u, u}`` contributes ``+1`` as the smaller endpoint and
-``-1`` as the larger to the *same* row, which cancels), so the streaming
-path never spends hash evaluations on them.
+identical contributions negated, and a per-edge sign sequence mixes
+inserts and deletes in one call — the substrate behind the
+dynamic-graph query service in :mod:`repro.serve`.  Self-loops are
+short-circuited to no-ops (an edge ``{u, u}`` contributes ``+1`` as the
+smaller endpoint and ``-1`` as the larger to the *same* row, which
+cancels), so they never cost hash evaluations; their vertex still gets
+a (zero) row.
 
-Numeric limits are explicit.  Edge ids run up to ``n^2 - 1``, so a bank
-refuses an ``n`` whose ids do not fit in ``int64``.  ``|s1|`` of any row,
-and of any sum of rows over disjoint vertex sets (a Borůvka supernode),
-is at most the bank's :attr:`SketchBank.s1_bound`: the sum of the ids of
+Numeric limits are explicit.  Edge ids run up to ``n^2 - 1``, so a spec
+whose ids do not fit in ``int64`` is refused.  ``|s1|`` of any row, and
+of any sum of rows over disjoint vertex sets (a Borůvka supernode), is
+at most the bank's :attr:`SketchBank.s1_bound`: the sum of the ids of
 every edge applied plus the largest ``|s1|`` of every row merged in.
-:meth:`~SketchBank.update_edges`, :meth:`~SketchBank.insert_row` and
+:meth:`~SketchBank.update_edges`, :meth:`~SketchBank.insert_block` and
 :meth:`~SketchBank.absorb` raise :class:`OverflowError` before moving
-any counter when that bound would pass ``2^63 - 1``, instead of wrapping.
+any counter when that bound would pass ``2^63 - 1``, instead of
+wrapping; :func:`build_partial_blocks` refuses a machine whose edge ids
+sum past it.
 
-Merging rows, absorbing banks and copying are vector adds;
-:func:`bank_boruvka` runs Borůvka in sketch space on a bank, summing each
-supernode's phase block in one grouped pass and decoding every root at
-once, with the legacy object loop's decisions, so component labels are
-bit-identical to the seed implementation for fixed seeds (pinned by
+Absorbing banks and copying are vector adds; :func:`bank_boruvka` runs
+Borůvka in sketch space on a bank, summing each supernode's phase block
+in one grouped pass and decoding every root at once, with the legacy
+object loop's decisions, so component labels are bit-identical to the
+seed implementation for fixed seeds (pinned by
 ``tests/integration/test_sketch_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,7 +86,9 @@ __all__ = [
     "SketchRow",
     "SketchBank",
     "bank_boruvka",
+    "build_partial_blocks",
     "check_s1_bound",
+    "combine_row_blocks",
     "edge_id",
     "edge_from_id",
 ]
@@ -75,11 +98,15 @@ INT64_MAX = (1 << 63) - 1
 _P = np.uint64(PRIME)
 _HALF = np.uint64(31)
 _HALF_MASK = np.uint64((1 << 31) - 1)
-_TWO31 = np.uint64(1 << 31)
+_MASK30 = np.uint64((1 << 30) - 1)
 
-#: Upper bound on ``samplers * edges`` per vectorized update chunk; keeps
-#: the temporaries of one chunk around a few megabytes.
+#: Upper bound on ``samplers * edges`` per vectorized hashing chunk;
+#: keeps the temporaries of one chunk around a few megabytes.
 _CHUNK = 1 << 16
+#: Upper bound on ``rows * slots`` a partial build scatters at once (a
+#: machine's rows never split): the two ``s2`` accumulators stay around
+#: 16 MB however many machines the cluster has.
+_SCATTER_SLOTS = 1 << 20
 
 
 def edge_id(n: int, u: int, v: int) -> int:
@@ -102,10 +129,16 @@ def check_s1_bound(bound: int) -> None:
         )
 
 
-def _exact_sum(values: np.ndarray) -> int:
-    """Exact Python-int sum of non-negative int64 *values* (the int64 sum
-    itself could wrap): high and low 32-bit halves are summed apart."""
-    return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
+def _exact_sums(values: np.ndarray, counts) -> list[int]:
+    """Exact Python-int sums of consecutive runs of non-negative int64
+    *values*, run ``i`` holding ``counts[i]`` values (an int64 sum could
+    wrap): high and low 32-bit halves are prefix-summed apart."""
+    bounds = np.r_[0, np.cumsum(counts, dtype=np.int64)]
+    high, low = (
+        np.diff(np.r_[0, np.cumsum(half)][bounds]).tolist()
+        for half in (values >> 32, values & 0xFFFFFFFF)
+    )
+    return [(h << 32) + l for h, l in zip(high, low)]
 
 
 def _addmod(a, b):
@@ -116,8 +149,11 @@ def _addmod(a, b):
 
 def _from_halves(high, low):
     """Residues of ``high * 2^31 + low`` mod p, for ``high < 2^61`` and
-    ``low < 2^62`` (sums of the 31-bit halves of residues)."""
-    total = mulmod(high, _TWO31) + low  # < 2^63
+    ``low < 2^62`` (sums of the 31-bit halves of residues).
+
+    ``high * 2^31 = (high >> 30) * 2^61 + (high mod 2^30) * 2^31``, and
+    ``2^61 ≡ 1``, so shifts replace the multiply."""
+    total = (high >> np.uint64(30)) + ((high & _MASK30) << _HALF) + low  # < 2^63
     total = (total >> np.uint64(61)) + (total & _P)  # Mersenne fold
     return np.minimum(total, total - _P)
 
@@ -133,13 +169,27 @@ def _group_sum_s2(values, starts):
 
 class SpecArrays:
     """A spec's seed package as arrays (``GraphSketchSpec.arrays``), shared
-    by every bank built from the spec."""
+    by every bank and every partial build of the spec.
 
-    __slots__ = ("coefficients", "z", "scan", "max_id", "_powers")
+    Refuses a spec the array kernels cannot serve: samplers with unequal
+    level counts (:class:`ValueError`), or an ``n`` whose edge ids up to
+    ``n^2 - 1`` do not fit in ``int64`` (:class:`OverflowError`).
+    """
+
+    __slots__ = ("coefficients", "z", "scan", "levels", "slots", "max_id", "_powers")
 
     def __init__(self, spec) -> None:
         flat = [seeds for phase_seeds in spec.seeds for seeds in phase_seeds]
-        levels = flat[0].num_levels
+        level_counts = {seeds.num_levels for seeds in flat}
+        if len(level_counts) != 1:
+            raise ValueError("bank requires a uniform level count across samplers")
+        if spec.n * spec.n - 1 > INT64_MAX:
+            raise OverflowError(
+                f"n={spec.n}: edge ids up to n^2 - 1 do not fit in int64 counters"
+            )
+        levels = self.levels = level_counts.pop()
+        #: Counter slots per row: ``samplers * levels``.
+        self.slots = len(flat) * levels
         self.coefficients = np.array(
             [seeds.level_hash.coefficients for seeds in flat], dtype=np.uint64
         )
@@ -163,15 +213,244 @@ class SpecArrays:
         return self._powers
 
 
-class SketchRow:
-    """One vertex's counter row, detached from its bank.
+# ----------------------------------------------------------------------
+# update kernels
+# ----------------------------------------------------------------------
+def _edge_signs(sign, count: int) -> np.ndarray:
+    """Per-edge signs from one ``±1`` or a sequence of *count* of them."""
+    if np.ndim(sign) == 0:
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        return np.full(count, sign, dtype=np.int64)
+    signs = np.asarray(sign)
+    if signs.shape != (count,) or not np.isin(signs, (1, -1)).all():
+        raise ValueError(f"signs must be one +1 or -1 per edge ({count} edges)")
+    return signs.astype(np.int64)
 
-    This is the unit shipped through the aggregation tree: machines
-    extract rows from their partial banks, the converge-cast merges rows
-    per vertex, and the destination machine reassembles a bank.  Its word
-    cost matches the legacy ``VertexSketch`` charge exactly (one word of
-    vertex identity plus three counters per slot), keeping every ledger
-    unchanged by the migration.
+
+def _check_vertices(ends: np.ndarray, n: int) -> None:
+    bad = (ends < 0) | (ends >= n)
+    if bad.any():
+        raise ValueError(f"vertex {int(ends[bad][0])} outside [0, {n})")
+
+
+def _edge_ids(ends: np.ndarray, n: int) -> np.ndarray:
+    """Every edge's id ``min * n + max``, and 0 for a self-loop."""
+    u, v = ends[0::2], ends[1::2]
+    return np.where(u != v, np.minimum(u, v) * n + np.maximum(u, v), 0)
+
+
+def _encounter(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct *keys* in first-encounter order, and the index of
+    every key among them."""
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    encounter = np.argsort(first, kind="stable")
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[encounter] = np.arange(len(distinct))
+    return distinct[encounter], rank[inverse]
+
+
+def _endpoint_targets(ends, ids, rows, signs):
+    """The non-loop edges' ids and their two scatter targets: ``+sign``
+    into the smaller endpoint's row, ``-sign`` into the larger's
+    (``rows[k]`` is the row of endpoint ``k``).  Self-loops are dropped:
+    their two contributions land on one row and cancel."""
+    u, v = ends[0::2], ends[1::2]
+    real = u != v
+    low = (u < v)[real]
+    ru, rv, signs = rows[0::2][real], rows[1::2][real], signs[real]
+    return ids[real], (
+        (np.where(low, ru, rv), signs),
+        (np.where(low, rv, ru), -signs),
+    )
+
+
+def _contributions(arrays: SpecArrays, ids: np.ndarray):
+    """``(edge, slot, z_slot^id)`` for every ``(edge, sampler, level)``
+    triple the edges reach: level ``l`` of a sampler keeps an edge
+    whose hash of ``id + 1`` has at least ``l`` trailing zeros.  Triples
+    come edge by edge, so a scatter visits one row's slots together."""
+    levels = arrays.levels
+    xs = np.remainder(ids.astype(np.uint64) + np.uint64(1), _P)
+    depth = trailing_zeros_many(poly_eval_many(arrays.coefficients, xs))
+    reach = np.minimum(depth, levels - 1).T.ravel() + 1  # (edge, sampler)
+    pair = np.repeat(np.arange(len(reach)), reach)
+    level = np.arange(len(pair)) - np.repeat(np.cumsum(reach) - reach, reach)
+    edge, sampler = np.divmod(pair, len(arrays.coefficients))
+    slot = sampler * levels + level
+    return edge, slot, arrays.powers(slot, ids[edge])
+
+
+def _scatter(arrays: SpecArrays, ids: np.ndarray, targets, touched, s0, s1, s2, stride):
+    """Add every edge's signed contributions into flat counters.
+
+    Each ``(rows, signs)`` of *targets* adds ``signs[i]`` times edge
+    ``i``'s contribution to local row ``rows[i]``, which is destination
+    row ``touched[rows[i]]``: ``±1`` to ``s0``, ``±id`` to ``s1`` and
+    ``z^id`` or ``p - z^id`` to ``s2``, at every slot the edge reaches.
+    Slot ``c`` of destination row ``r`` is element ``r * stride + c`` of
+    the flat ``int64`` *s0*, *s1* and the flat ``uint64`` *s2* — a bank's
+    counter arrays or a row block's columns.  Edges are hashed in chunks
+    of at most :data:`_CHUNK` ``(sampler, edge)`` pairs.
+
+    ``s0``/``s1`` take integer adds in place (repeats are exact).  ``s2``
+    contributions — residues below ``2^61`` — are split into 31-bit
+    halves and summed per local ``(row, slot)`` in two ``uint64``
+    accumulators, which cannot overflow below ``2^33`` contributions per
+    slot, and are reduced mod ``p`` once at the end, at the slots a
+    contribution reached.
+    """
+    slots = arrays.slots
+    high = np.zeros(len(touched) * slots, dtype=np.uint64)
+    low = np.zeros(len(touched) * slots, dtype=np.uint64)
+    reached = np.zeros(len(touched) * slots, dtype=bool)
+    step = max(1, _CHUNK // len(arrays.coefficients))
+    for start in range(0, len(ids), step):
+        part = slice(start, start + step)
+        edge, slot, power = _contributions(arrays, ids[part])
+        identity = ids[part][edge]
+        for rows, signs in targets:
+            local = rows[part][edge]
+            sign = signs[part][edge]
+            at = touched[local] * stride + slot
+            np.add.at(s0, at, sign)
+            np.add.at(s1, at, sign * identity)
+            residue = np.where(sign > 0, power, _P - power)
+            at = local * slots + slot
+            np.add.at(high, at, residue >> _HALF)
+            np.add.at(low, at, residue & _HALF_MASK)
+            reached[at] = True
+    hit = np.flatnonzero(reached)
+    at = touched[hit // slots] * stride + hit % slots
+    s2[at] = _addmod(s2[at], _from_halves(high[hit], low[hit]))
+
+
+# ----------------------------------------------------------------------
+# row blocks
+# ----------------------------------------------------------------------
+def _block_columns(slots: int) -> tuple[slice, slice, slice]:
+    """The ``s0``, ``s1`` and ``s2`` column ranges of a row block."""
+    return (
+        slice(2, 2 + slots),
+        slice(2 + slots, 2 + 2 * slots),
+        slice(2 + 2 * slots, 2 + 3 * slots),
+    )
+
+
+def build_partial_blocks(spec, edge_lists: Sequence[Iterable[tuple]]) -> list[np.ndarray]:
+    """Every small machine's partial sketch rows, built in one pass.
+
+    *edge_lists* holds each machine's ``(u, v, ...)`` records.  Returns
+    one ``int64`` row block per machine (layout in the module
+    docstring): a row per vertex its edges touch, in that machine's
+    endpoint-encounter order, holding exactly the counters that
+    :meth:`SketchBank.update_edges` gives a fresh bank of the machine's
+    edges.  A machine without edges gets an empty block; a self-loop
+    gives its vertex a zero row.
+
+    Rows are keyed by ``(machine, vertex)``, so one hashing pass and one
+    exact scatter serve many machines at once — every run of machines
+    whose rows span about :data:`_SCATTER_SLOTS` slots, which bounds the
+    scatter's accumulators; the blocks are row slices of one array.  The
+    checks keep per-machine semantics and fire before any block exists:
+    machine by machine, a vertex outside ``[0, n)`` raises
+    :class:`ValueError` and edge ids summing past ``int64``
+    :class:`OverflowError`.
+    """
+    arrays = spec.arrays
+    n = spec.n
+    counts: list[int] = []
+    records: list[tuple] = []
+    for edges in edge_lists:
+        before = len(records)
+        records.extend((edge[0], edge[1]) for edge in edges)
+        counts.append(len(records) - before)
+    ends = np.array(records, dtype=np.int64).reshape(-1)
+    machine = np.repeat(np.arange(len(counts)), counts)  # per edge
+    bad = ((ends < 0) | (ends >= n)).reshape(-1, 2).any(axis=1)
+    first_bad = int(machine[bad][0]) if bad.any() else len(counts)
+    ids = _edge_ids(ends, n)
+    for total in _exact_sums(ids, counts)[:first_bad]:
+        check_s1_bound(total)
+    _check_vertices(ends, n)
+
+    keys, rows = _encounter(np.repeat(machine, 2) * n + ends)
+    slots = arrays.slots
+    width = 2 + 3 * slots
+    block = np.zeros((len(keys), width), dtype=np.int64)
+    block[:, 0] = block[:, 1] = keys % n
+    flat = block.reshape(-1)
+    s0, s1, s2 = _block_columns(slots)
+    counters = flat[s0.start:], flat[s1.start:], flat.view(np.uint64)[s2.start:]
+    # Rows and edges are machine-major, so a run of machines is a run of
+    # rows and a run of edges.  Scatter runs of about _SCATTER_SLOTS slots.
+    row_bounds = np.r_[0, np.cumsum(np.bincount(keys // n, minlength=len(counts)))]
+    edge_bounds = np.r_[0, np.cumsum(counts, dtype=np.int64)]
+    run_rows = max(1, _SCATTER_SLOTS // slots)
+    firsts = [
+        m for m in range(len(counts))
+        if m == 0 or row_bounds[m] // run_rows > row_bounds[m - 1] // run_rows
+    ]
+    for first, last in zip(firsts, firsts[1:] + [len(counts)]):
+        r0, r1 = row_bounds[first], row_bounds[last]
+        e0, e1 = edge_bounds[first], edge_bounds[last]
+        _scatter(
+            arrays,
+            *_endpoint_targets(
+                ends[2 * e0:2 * e1], ids[e0:e1], rows[2 * e0:2 * e1] - r0,
+                np.ones(e1 - e0, dtype=np.int64),
+            ),
+            np.arange(r0, r1), *counters, width,
+        )
+    return [block[r0:r1] for r0, r1 in zip(row_bounds[:-1], row_bounds[1:])]
+
+
+def combine_row_blocks(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum row blocks per vertex: the aggregation tree's combine.
+
+    The rows of one vertex add up — integer adds for ``s0``/``s1``,
+    mod-``p`` adds for ``s2`` — into one output row, and output rows come
+    in the first-encounter order of their vertices over *blocks* in
+    order.  The blocks are never concatenated: a vertex's first row is
+    copied into place (the first rows of a block land on consecutive
+    output rows), and every later row of it adds in, one vector add per
+    block and counter group.  An empty list gives a ``(0, 0)`` block.
+    """
+    if not len(blocks):
+        return np.zeros((0, 0), dtype=np.int64)
+    width = blocks[0].shape[1]
+    s0, s1, s2 = _block_columns((width - 2) // 3)
+    counts = slice(s0.start, s1.stop)
+    vertices, rows = _encounter(np.concatenate([block[:, 0] for block in blocks]))
+    # Output rows are numbered in first-encounter order, so a row is its
+    # vertex's first exactly when it raises the running maximum.
+    first = np.r_[True, np.diff(np.maximum.accumulate(rows)) > 0] if len(rows) else rows
+    out = np.empty((len(vertices), width), dtype=np.int64)
+    out_s2 = out.view(np.uint64)
+    stop = filled = 0
+    for block in blocks:
+        start, stop = stop, stop + len(block)
+        new = first[start:stop]
+        fresh = int(np.count_nonzero(new))
+        np.compress(new, block, axis=0, out=out[filled:filled + fresh])
+        filled += fresh
+        later = np.flatnonzero(~new)
+        while len(later):  # a vertex repeated in one block adds once per pass
+            at = rows[start + later]
+            once = np.unique(at, return_index=True)[1]
+            now, take = at[once], later[once]
+            out[now, counts] += block[take, counts]
+            out_s2[now, s2] = _addmod(out_s2[now, s2], block.view(np.uint64)[take, s2])
+            later = np.delete(later, once)
+    return out
+
+
+class SketchRow:
+    """One vertex's counter row, detached from its bank
+    (:meth:`SketchBank.row`).
+
+    Its word cost matches the legacy ``VertexSketch`` charge exactly (one
+    word of vertex identity plus three counters per slot).
     """
 
     __slots__ = ("s0", "s1", "s2")
@@ -180,12 +459,6 @@ class SketchRow:
         self.s0 = s0
         self.s1 = s1
         self.s2 = s2
-
-    def merge(self, other: "SketchRow") -> "SketchRow":
-        """Return the sum row (sketches are linear); inputs are untouched."""
-        return SketchRow(
-            self.s0 + other.s0, self.s1 + other.s1, _addmod(self.s2, other.s2)
-        )
 
     def word_size(self) -> int:
         return 1 + 3 * len(self.s0)
@@ -209,23 +482,16 @@ class SketchBank:
     )
 
     def __init__(self, spec, vertices: Iterable[int] = ()) -> None:
-        flat_seeds = [seeds for phase_seeds in spec.seeds for seeds in phase_seeds]
-        level_counts = {seeds.num_levels for seeds in flat_seeds}
-        if len(level_counts) != 1:
-            raise ValueError("bank requires a uniform level count across samplers")
-        if spec.n * spec.n - 1 > INT64_MAX:
-            raise OverflowError(
-                f"n={spec.n}: edge ids up to n^2 - 1 do not fit in int64 counters"
-            )
+        arrays = spec.arrays  # refuses a spec the kernels cannot serve
         self.spec = spec
-        self.num_levels = level_counts.pop()
-        self.num_samplers = len(flat_seeds)
-        self.slots_per_row = self.num_samplers * self.num_levels
+        self.num_levels = arrays.levels
+        self.num_samplers = len(arrays.coefficients)
+        self.slots_per_row = arrays.slots
         self.row_of: dict[int, int] = {}
         self.vertices: list[int] = []
         #: Worst-case ``|s1|`` of any row or disjoint sum of rows.
         self.s1_bound = 0
-        self._arrays = spec.arrays
+        self._arrays = arrays
         self._s0 = np.zeros((0, self.slots_per_row), dtype=np.int64)
         self._s1 = np.zeros((0, self.slots_per_row), dtype=np.int64)
         self._s2 = np.zeros((0, self.slots_per_row), dtype=np.uint64)
@@ -291,41 +557,31 @@ class SketchBank:
         r = self.row_of[vertex]
         return SketchRow(self._s0[r].copy(), self._s1[r].copy(), self._s2[r].copy())
 
-    def row_items(self) -> list[tuple[int, SketchRow]]:
-        """``(vertex, row)`` pairs in insertion order — aggregation payload.
-        The rows are views of one detached copy of the counters."""
-        s0, s1, s2 = self.s0.copy(), self.s1.copy(), self.s2.copy()
-        return [
-            (vertex, SketchRow(s0[r], s1[r], s2[r]))
-            for r, vertex in enumerate(self.vertices)
-        ]
+    def insert_block(self, block: np.ndarray) -> None:
+        """Add a row block into the bank in one vector add, creating
+        missing rows in block order; rows of one vertex add up.
+
+        Raises :class:`OverflowError`, before any row or counter changes,
+        if the block could push ``|s1|`` past ``int64``.
+        """
+        if not len(block):
+            return
+        columns = _block_columns(self.slots_per_row)
+        extra = sum(np.abs(block[:, columns[1]]).max(axis=1).tolist())
+        check_s1_bound(self.s1_bound + extra)
+        if len(np.unique(block[:, 0])) < len(block):
+            block = combine_row_blocks([block])
+        rows = self._rows_of(block[:, 0].tolist())
+        s0, s1, s2 = (block[:, c] for c in columns)
+        self._add_block(rows, s0, s1, s2.view(np.uint64))
+        self.s1_bound += extra
 
     def insert_row(self, vertex: int, row: SketchRow) -> None:
-        """Add *row* into *vertex*'s row (creating it if missing)."""
-        self.insert_rows(((vertex, row),))
-
-    def insert_rows(self, items: Iterable[tuple[int, SketchRow]]) -> None:
-        """Add every ``(vertex, row)`` into the bank in one vector add,
-        creating missing rows in item order."""
-        items = list(items)
-        if not items:
-            return
-        vertices = [vertex for vertex, _ in items]
-        if len(set(vertices)) < len(vertices):
-            for item in items:  # repeated vertices: add one at a time
-                self.insert_rows((item,))
-            return
-        s1 = np.stack([row.s1 for _, row in items])
-        extra = sum(np.abs(s1).max(axis=1).tolist())
-        check_s1_bound(self.s1_bound + extra)
-        rows = self._rows_of(vertices)
-        self._add_block(
-            rows,
-            np.stack([row.s0 for _, row in items]),
-            s1,
-            np.stack([row.s2 for _, row in items]),
-        )
-        self.s1_bound += extra
+        """Add *row* into *vertex*'s row (creating it if missing), as a
+        one-row block (:meth:`insert_block`)."""
+        self.insert_block(np.concatenate(
+            ([vertex, vertex], row.s0, row.s1, row.s2.view(np.int64))
+        ).reshape(1, -1))
 
     def _add_block(self, rows, s0, s1, s2) -> None:
         """Add ``(k, slots)`` counter blocks into distinct *rows*."""
@@ -336,7 +592,7 @@ class SketchBank:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def update_edges(self, edges: Iterable[tuple], sign: int = 1) -> None:
+    def update_edges(self, edges: Iterable[tuple], sign=1) -> None:
         """Bulk-apply undirected edges to both endpoint rows.
 
         Edge ``{u, v}`` (id ``min*n + max``) contributes ``+1`` to the
@@ -346,8 +602,9 @@ class SketchBank:
         docstring for the batching scheme.
 
         *sign* applies the whole batch with ``+1`` (insert, the default)
-        or ``-1`` (delete): sketches are linear, so deleting an edge is
-        applying its contribution negated, and an insert followed by a
+        or ``-1`` (delete), or gives one ``±1`` per edge, so one call can
+        mix inserts and deletes: sketches are linear, so deleting an edge
+        is applying its contribution negated, and an insert followed by a
         delete of the same edge returns every counter to its prior value
         exactly.
 
@@ -359,41 +616,20 @@ class SketchBank:
         Raises :class:`OverflowError`, before any row or counter changes,
         if the batch could push ``|s1|`` past ``int64``.
         """
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         ends = np.array(
             [(edge[0], edge[1]) for edge in edges], dtype=np.int64
         ).reshape(-1)
+        signs = _edge_signs(sign, len(ends) // 2)
         if not len(ends):
             return
         n = self.spec.n
-        if ends.min() < 0 or ends.max() >= n:
-            bad = ends[(ends < 0) | (ends >= n)][0]
-            raise ValueError(f"vertex {int(bad)} outside [0, {n})")
-        u, v = ends[0::2], ends[1::2]
-        real = u != v
-        lo = np.minimum(u, v)[real]
-        hi = np.maximum(u, v)[real]
-        ids = lo * n + hi
-        extra = _exact_sum(ids)
+        _check_vertices(ends, n)
+        ids = _edge_ids(ends, n)
+        extra = _exact_sums(ids, [len(ids)])[0]
         check_s1_bound(self.s1_bound + extra)
-        # Rows in endpoint-encounter order: distinct endpoints sorted by
-        # first occurrence, then mapped back.
-        distinct, first, inverse = np.unique(
-            ends, return_index=True, return_inverse=True
-        )
-        encounter = np.argsort(first, kind="stable")
-        touched = np.empty(len(distinct), dtype=np.int64)
-        touched[encounter] = self._rows_of(distinct[encounter].tolist())
-        if not len(ids):
-            return
-        iu, iv = inverse[0::2][real], inverse[1::2][real]
-        u_low = u[real] < v[real]
-        self._apply(
-            ids,
-            touched,
-            ((np.where(u_low, iu, iv), sign), (np.where(u_low, iv, iu), -sign)),
-        )
+        vertices, local = _encounter(ends)
+        touched = np.array(self._rows_of(vertices.tolist()), dtype=np.int64)
+        self._scatter(*_endpoint_targets(ends, ids, local, signs), touched)
         self.s1_bound += extra
 
     def add_incident(self, vertex: int, u: int, v: int, sign: int = 1) -> None:
@@ -415,61 +651,19 @@ class SketchBank:
         if u == v:
             return
         sign = sign if vertex == lo else -sign
-        self._apply(
+        self._scatter(
             np.array([identifier], dtype=np.int64),
+            ((np.zeros(1, dtype=np.int64), np.array([sign], dtype=np.int64)),),
             np.array([row], dtype=np.int64),
-            ((np.zeros(1, dtype=np.int64), sign),),
         )
         self.s1_bound += identifier
 
-    def _apply(self, ids: np.ndarray, touched: np.ndarray, targets) -> None:
-        """Scatter every edge's contributions into each ``(local, sign)``
-        target: edge ``i`` adds ``sign`` times its contribution to row
-        ``touched[local[i]]``.
-
-        ``s0``/``s1`` take integer adds in place (repeats are exact).
-        ``s2`` contributions — ``z^id`` or ``p - z^id``, residues below
-        ``2^61`` — are split into 31-bit halves and summed per slot over
-        the touched rows in two ``uint64`` accumulators, which cannot
-        overflow below ``2^33`` contributions per slot (one per edge at
-        most), and are reduced mod p once at the end.
-        """
-        slots = self.slots_per_row
-        s0, s1 = self._s0.reshape(-1), self._s1.reshape(-1)
-        high = np.zeros(len(touched) * slots, dtype=np.uint64)
-        low = np.zeros(len(touched) * slots, dtype=np.uint64)
-        step = max(1, _CHUNK // self.num_samplers)
-        for start in range(0, len(ids), step):
-            part = slice(start, start + step)
-            edge, slot, power = self._contributions(ids[part])
-            identity = ids[part][edge]
-            for local, sign in targets:
-                at = local[part][edge] * slots + slot
-                flat = touched[local[part][edge]] * slots + slot
-                np.add.at(s0, flat, sign)
-                np.add.at(s1, flat, sign * identity)
-                residue = power if sign > 0 else _P - power
-                np.add.at(high, at, residue >> _HALF)
-                np.add.at(low, at, residue & _HALF_MASK)
-        hit = np.flatnonzero(high | low)
-        flat = touched[hit // slots] * slots + hit % slots
-        s2 = self._s2.reshape(-1)
-        s2[flat] = _addmod(s2[flat], _from_halves(high[hit], low[hit]))
-
-    def _contributions(self, ids: np.ndarray):
-        """``(edge, slot, z_slot^id)`` for every ``(edge, sampler, level)``
-        triple the edges reach: level ``l`` of a sampler keeps an edge
-        whose hash of ``id + 1`` has at least ``l`` trailing zeros."""
-        arrays = self._arrays
-        levels = self.num_levels
-        xs = np.remainder(ids.astype(np.uint64) + np.uint64(1), _P)
-        depth = trailing_zeros_many(poly_eval_many(arrays.coefficients, xs))
-        reach = np.minimum(depth, levels - 1).ravel() + 1  # (sampler, edge)
-        pair = np.repeat(np.arange(len(reach)), reach)
-        level = np.arange(len(pair)) - np.repeat(np.cumsum(reach) - reach, reach)
-        sampler, edge = np.divmod(pair, len(ids))
-        slot = sampler * levels + level
-        return edge, slot, arrays.powers(slot, ids[edge])
+    def _scatter(self, ids: np.ndarray, targets, touched: np.ndarray) -> None:
+        """:func:`_scatter` into the bank's counter arrays."""
+        _scatter(
+            self._arrays, ids, targets, touched, self._s0.reshape(-1),
+            self._s1.reshape(-1), self._s2.reshape(-1), self.slots_per_row,
+        )
 
     # ------------------------------------------------------------------
     # merging / copying

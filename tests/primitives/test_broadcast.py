@@ -184,3 +184,109 @@ def test_converge_cast_array_on_one_machine():
     listed, arrayed = _cast_both_ways(make, {only: [(1, 2), (3, 4)]}, only)
     assert arrayed == listed
     assert arrayed[0] == [] and arrayed[2] == [(1, 2), (3, 4)]
+
+
+# ----------------------------------------------------------------------
+# Array casts with a combine: block lists, never a concatenation
+# ----------------------------------------------------------------------
+def _sum_pairs(pairs):
+    """Per-key sums in first-encounter order (the concatenating reference)."""
+    sums = {}
+    for key, value in pairs:
+        sums[key] = sums.get(key, 0) + value
+    return list(sums.items())
+
+
+def _cast_with_combine(make, items_by_machine, dst):
+    """One cast on lists of tuples with a list combine, one on (rows, 2)
+    blocks with a block-list combine; both fingerprints, plus every
+    argument the block combine was handed."""
+    import numpy as np
+
+    as_lists = make()
+    listed = converge_cast(
+        as_lists,
+        {mid: list(rows) for mid, rows in items_by_machine.items()},
+        dst,
+        combine=_sum_pairs,
+    )
+    handed = []
+
+    def sum_blocks(blocks):
+        handed.append(blocks)
+        rows = [tuple(row) for block in blocks for row in block.tolist()]
+        return np.array(_sum_pairs(rows), dtype=np.int64).reshape(-1, 2)
+
+    as_arrays = make()
+    block = converge_cast(
+        as_arrays,
+        {
+            mid: np.array(rows, dtype=np.int64).reshape(len(rows), 2)
+            for mid, rows in items_by_machine.items()
+        },
+        dst,
+        combine=sum_blocks,
+    )
+    rows = [tuple(row) for row in block.tolist()]
+    return (
+        _cast_fingerprint(as_lists, listed),
+        _cast_fingerprint(as_arrays, rows),
+        handed,
+    )
+
+
+@pytest.mark.parametrize("narrow", [False, True])
+def test_converge_cast_combine_on_block_lists_matches_concatenation(narrow):
+    """Same rows in the same order, rounds, words, items and per-machine
+    high-water marks as the concatenating list cast; the combine only
+    ever sees lists of blocks."""
+    import numpy as np
+
+    def make():
+        gamma = 0.2 if narrow else 0.5
+        return make_cluster(n=256, m=4096, gamma=gamma)
+
+    rng = random.Random(5)
+    cluster = make()
+    items = {
+        machine.machine_id: [(rng.randrange(12), rng.randrange(100))
+                             for _ in range(rng.randrange(0, 6))]
+        for machine in cluster.smalls
+    }
+    for dst in (cluster.large.machine_id, cluster.small_ids[0]):
+        # A small destination starts with rows of its own.
+        assert dst == cluster.large.machine_id or items[dst]
+        listed, arrayed, handed = _cast_with_combine(make, items, dst)
+        assert arrayed == listed
+        assert handed and all(
+            type(blocks) is list and all(isinstance(b, np.ndarray) for b in blocks)
+            for blocks in handed
+        )
+
+
+def test_converge_cast_combine_on_one_machine():
+    """k = 1: the only machine is the destination; its block is combined
+    once, with no round."""
+    def make():
+        config = ModelConfig.sublinear(n=64, m=64, num_small=1)
+        return Cluster(config, rng=random.Random(0))
+
+    only = make().small_ids[0]
+    listed, arrayed, handed = _cast_with_combine(
+        make, {only: [(1, 2), (3, 4), (1, 5)]}, only
+    )
+    assert arrayed == listed
+    assert arrayed[0] == [] and arrayed[2] == [(1, 7), (3, 4)]
+    assert len(handed) == 1 and len(handed[0]) == 1
+
+
+def test_converge_cast_combine_with_nothing_to_cast():
+    """Every block empty: no round, no charge, and the combine sees one
+    empty block of the cast's width."""
+    listed, arrayed, handed = _cast_with_combine(
+        make_cluster, {mid: [] for mid in make_cluster().small_ids},
+        make_cluster().large.machine_id,
+    )
+    assert arrayed == listed
+    assert arrayed[0] == [] and arrayed[2] == []
+    assert [[b.shape for b in blocks] for blocks in handed] == [[(0, 2)]]

@@ -256,12 +256,48 @@ def test_init_refuses_configs_it_cannot_serve(fields, field):
 
 def test_benchmark_serve_configs_sit_well_inside_the_caps():
     """The serve benchmarks and the smoke daemon (n up to 1024, 4 shards,
-    3 copies) keep an order of magnitude of room under every cap."""
-    from repro.serve.service import MAX_BANKS, MAX_REFRESH_WORDS, MAX_SLOTS
+    3 copies, update batches of 250, 1000 and 13 edges) keep an order of
+    magnitude of room under every cap."""
+    from repro.serve.service import (
+        MAX_BANKS,
+        MAX_REFRESH_WORDS,
+        MAX_SLOTS,
+        MAX_UPDATE_EDGES,
+    )
     from repro.sketches import GraphSketchSpec
 
     slots = GraphSketchSpec.slot_count(1024, 3)
     assert 10 * slots <= MAX_SLOTS
     assert 10 * 1024 * (1 + 3 * slots) <= MAX_REFRESH_WORDS
     assert 10 * 4 <= MAX_BANKS
+    assert 10 * max(250, 1000, 13) <= MAX_UPDATE_EDGES
     ServeConfig(n=1024, shards=4, max_weight=1000, epsilon=0.5)
+
+
+def test_update_refuses_a_batch_past_the_cap():
+    """A request over the batch cap answers ok: false naming the limit,
+    before any edge is read, and changes nothing; the session keeps
+    serving.  (Uncapped, a 10^6-edge update blocked a session for 20 s.)"""
+    from repro.serve.service import MAX_UPDATE_EDGES
+
+    session = make_session(n=16, shards=2)
+    assert session.handle({"op": "update", "insert": [[0, 1], [2, 3]]})["ok"]
+    before = session.handle({"op": "stats"})["result"]
+    half = MAX_UPDATE_EDGES // 2 + 1
+    for request in (
+        {"insert": [[4, 5]] * half, "delete": [[0, 1]] * half},
+        {"insert": [[4, 5]] * (MAX_UPDATE_EDGES + 1)},
+        # Malformed edges too: the cap is checked before any edge is read.
+        {"delete": ["x"] * (MAX_UPDATE_EDGES + 1)},
+    ):
+        error = _rejected(session, {"op": "update", **request})
+        assert "insert and delete" in error and str(MAX_UPDATE_EDGES) in error
+        assert session.handle({"op": "stats"})["result"] == before
+    assert session.handle({"op": "connected", "u": 0, "v": 1})["result"] == {
+        "connected": True
+    }
+    full = {"op": "update", "insert": [[4, 5]] * MAX_UPDATE_EDGES}
+    assert session.handle(full)["result"]["edges"] == 2 + MAX_UPDATE_EDGES
+    assert session.handle({"op": "connected", "u": 4, "v": 5})["result"] == {
+        "connected": True
+    }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 import repro.core.connectivity as connectivity_module
@@ -26,14 +27,22 @@ from repro.mpc import Cluster, ModelConfig
 from repro.primitives.edgestore import EdgeStore
 from repro.serve import GraphService, ServeConfig, ServiceError
 from repro.sketches import INT64_MAX
-from sketch_oracle import ListBank, list_boruvka
+from sketch_oracle import (
+    ListBank,
+    list_boruvka,
+    list_combine_blocks,
+    list_partial_blocks,
+)
 
 
 def use_list_bank(monkeypatch) -> None:
-    """Run the serve core and the connectivity pipeline on the oracle."""
+    """Run the serve core and the connectivity pipeline on the oracle:
+    list banks, per-machine partial builds and per-row merges."""
     for module in (service_module, connectivity_module):
         monkeypatch.setattr(module, "SketchBank", ListBank)
         monkeypatch.setattr(module, "bank_boruvka", list_boruvka)
+    monkeypatch.setattr(connectivity_module, "build_partial_blocks", list_partial_blocks)
+    monkeypatch.setattr(connectivity_module, "combine_row_blocks", list_combine_blocks)
 
 
 @pytest.fixture(params=["pure", "numpy"])
@@ -253,3 +262,49 @@ def test_update_refuses_identity_sums_past_int64(monkeypatch):
     assert service.updates_applied == 0
     assert all(len(shard) == 0 for shard in service._shards)
     assert (n - 2) * n + n - 1 <= INT64_MAX  # one edge alone would fit
+
+
+def test_one_signed_update_call_per_bank_per_batch(monkeypatch):
+    """Each shard and threshold bank takes a batch's inserts and deletes
+    in one signed call, and ends bit-identical to an insert call followed
+    by a delete call per bank."""
+    from repro.sketches import SketchBank, edge_id
+
+    calls = []
+    original = SketchBank.update_edges
+
+    def counting(bank, edges, sign=1):
+        calls.append(bank)
+        return original(bank, edges, sign=sign)
+
+    n, shards, max_weight = 20, 3, 8
+    service = GraphService(ServeConfig(n=n, seed=4, shards=shards,
+                                       max_weight=max_weight, epsilon=1.0))
+    reference = GraphService(ServeConfig(n=n, seed=4, shards=shards,
+                                         max_weight=max_weight, epsilon=1.0))
+    banks = lambda s: s._shards + s._mst_banks  # noqa: E731
+    rng = random.Random(12)
+    for inserts, deletes in random_batches(n, rng, batches=3):
+        inserts = [(u, v, 1 + (u + v) % max_weight) for u, v in inserts]
+        deletes = [(u, v, 1 + (u + v) % max_weight) for u, v in deletes]
+        monkeypatch.setattr(SketchBank, "update_edges", counting)
+        service.update(insert=inserts, delete=deletes)
+        monkeypatch.setattr(SketchBank, "update_edges", original)
+        assert len(calls) == len(set(map(id, calls))) <= len(banks(service))
+        calls.clear()
+        # The two-call path: every bank takes its inserts, then its deletes.
+        for batch, sign in ((inserts, 1), (deletes, -1)):
+            per_bank: dict[int, list] = {}
+            for u, v, w in batch:
+                u, v = min(u, v), max(u, v)
+                per_bank.setdefault(edge_id(n, u, v) % shards, []).append((u, v))
+                for j, t in enumerate(reference.thresholds):
+                    if w <= t:
+                        per_bank.setdefault(shards + j, []).append((u, v))
+            for index, edges in per_bank.items():
+                banks(reference)[index].update_edges(edges, sign=sign)
+        for got, want in zip(banks(service), banks(reference)):
+            assert got.vertices == want.vertices
+            assert got.s1_bound == want.s1_bound
+            for counter in ("s0", "s1", "s2"):
+                assert np.array_equal(getattr(got, counter), getattr(want, counter))

@@ -7,14 +7,19 @@ bit-identical reference: counters are exact Python ints (no width
 limits), every update walks edges x samplers x levels in a Python loop,
 and powers come from a baby-step/giant-step table.  :class:`ListBank`
 offers the bank methods that the connectivity pipeline and the serve
-core call, so tests can also run those layers on it (by patching the
-``SketchBank`` and ``bank_boruvka`` names of the calling module).
+core call, and :func:`list_partial_blocks` / :func:`list_combine_blocks`
+are per-machine, per-row references for the row-block build and combine,
+so tests can also run those layers on the oracle (by patching the
+``SketchBank``, ``bank_boruvka``, ``build_partial_blocks`` and
+``combine_row_blocks`` names of the calling module).
 """
 
 from __future__ import annotations
 
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.graph.union_find import UnionFind
 from repro.sketches.bank import edge_from_id
@@ -156,6 +161,9 @@ class ListBank:
         for vertex, row in items:
             self.insert_row(vertex, row)
 
+    def insert_block(self, block) -> None:
+        self.insert_rows(block_rows(block))
+
     def _add_at(self, start: int, s0, s1, s2) -> None:
         for k in range(self.slots_per_row):
             self.s0[start + k] += s0[k]
@@ -163,19 +171,24 @@ class ListBank:
             self.s2[start + k] = (self.s2[start + k] + s2[k]) % PRIME
 
     # updates ------------------------------------------------------------
-    def update_edges(self, edges: Iterable[tuple], sign: int = 1) -> None:
+    def update_edges(self, edges: Iterable[tuple], sign=1) -> None:
         """Each edge ``{u, v}`` adds ``+sign`` to the smaller endpoint's
         row and ``-sign`` to the larger's, one (sampler, level) at a
-        time; self-loops only create their row."""
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        time; self-loops only create their row.  *sign* is one ``±1``
+        for the batch or a sequence of one per edge."""
+        edges = list(edges)
+        signs = [sign] * len(edges) if isinstance(sign, int) else list(sign)
+        if len(signs) != len(edges) or any(s not in (1, -1) for s in signs):
+            raise ValueError(f"sign must be +1 or -1 per edge, got {sign!r}")
         n = self.spec.n
         pairs = []
-        for edge in edges:
+        for edge, s in zip(edges, signs):
             u, v = edge[0], edge[1]
             ru, rv = self.add_vertex(u), self.add_vertex(v)
             if u != v:
-                pairs.append((ru, rv, u * n + v) if u < v else (rv, ru, v * n + u))
+                pairs.append(
+                    (ru, rv, u * n + v, s) if u < v else (rv, ru, v * n + u, s)
+                )
         if not pairs:
             return
         levels = self.num_levels
@@ -196,8 +209,8 @@ class ListBank:
                 )
                 slot = j * levels + level
                 for k, f in zip(chosen, powers):
-                    lo, hi, identifier = pairs[k]
-                    for row, s in ((lo, sign), (hi, -sign)):
+                    lo, hi, identifier, edge_sign = pairs[k]
+                    for row, s in ((lo, edge_sign), (hi, -edge_sign)):
                         a = row * slots + slot
                         self.s0[a] += s
                         self.s1[a] += s * identifier
@@ -294,3 +307,48 @@ def list_boruvka(bank: ListBank) -> tuple[UnionFind, list[tuple[int, int]]]:
                     row_ref[keep] = row_ref[ru]
                 forest.append((u, v))
     return uf, forest
+
+
+# ----------------------------------------------------------------------
+# row blocks: per-machine banks and per-row merges
+# ----------------------------------------------------------------------
+def rows_block(items, slots: int) -> np.ndarray:
+    """``(vertex, row)`` pairs as an int64 row block
+    ``[vertex, vertex, s0, s1, s2]`` (residues fit in int64)."""
+    return np.array(
+        [[vertex, vertex, *row.s0, *row.s1, *row.s2] for vertex, row in items],
+        dtype=np.int64,
+    ).reshape(-1, 2 + 3 * slots)
+
+
+def block_rows(block) -> list[tuple[int, ListRow]]:
+    """A row block's rows as ``(vertex, ListRow)`` pairs, in order."""
+    slots = (block.shape[1] - 2) // 3
+    return [
+        (row[0], ListRow(row[2:2 + slots], row[2 + slots:2 + 2 * slots],
+                         row[2 + 2 * slots:]))
+        for row in block.tolist()
+    ]
+
+
+def list_partial_blocks(spec, edge_lists) -> list[np.ndarray]:
+    """Reference for ``build_partial_blocks``: one :class:`ListBank` per
+    machine, its rows in insertion order."""
+    blocks = []
+    for edges in edge_lists:
+        bank = ListBank(spec)
+        bank.update_edges(edges)
+        blocks.append(rows_block(bank.row_items(), bank.slots_per_row))
+    return blocks
+
+
+def list_combine_blocks(blocks) -> np.ndarray:
+    """Reference for ``combine_row_blocks``: rows merged one at a time
+    into a dict keyed by vertex (first-encounter order)."""
+    if not len(blocks):
+        return np.zeros((0, 0), dtype=np.int64)
+    merged: dict[int, ListRow] = {}
+    for block in blocks:
+        for vertex, row in block_rows(block):
+            merged[vertex] = merged[vertex].merge(row) if vertex in merged else row
+    return rows_block(merged.items(), (blocks[0].shape[1] - 2) // 3)

@@ -13,6 +13,8 @@ from repro.sketches import (
     SketchRow,
     VertexSketch,
     bank_boruvka,
+    build_partial_blocks,
+    combine_row_blocks,
 )
 
 
@@ -110,27 +112,47 @@ def test_merged_rows_sample_the_cut_edge():
     assert bank.sample_outgoing(0, phase=0) == (1, 2)
 
 
-def test_insert_row_and_row_items_roundtrip():
+def test_insert_block_and_insert_row_roundtrip():
     spec = make_spec()
     bank = SketchBank(spec)
     bank.update_edges(EDGES)
-    rebuilt = SketchBank(spec)
-    for vertex, row in bank.row_items():
-        rebuilt.insert_row(vertex, row)
+    (block,) = build_partial_blocks(spec, [EDGES])
+    from_block = SketchBank(spec)
+    from_block.insert_block(block)
+    from_rows = SketchBank(spec)
     for vertex in bank.vertices:
-        assert rows_equal(bank.row(vertex), rebuilt.row(vertex))
+        from_rows.insert_row(vertex, bank.row(vertex))
+    for rebuilt in (from_block, from_rows):
+        assert rebuilt.vertices == bank.vertices
+        assert rebuilt.s1_bound >= max(np.abs(bank.s1).max(axis=1))
+        for vertex in bank.vertices:
+            assert rows_equal(bank.row(vertex), rebuilt.row(vertex))
 
 
-def test_row_merge_is_linear():
+def test_combine_row_blocks_is_linear():
     spec = make_spec()
-    left = SketchBank(spec)
-    left.update_edges([(0, 1), (1, 2)])
-    right = SketchBank(spec)
-    right.update_edges([(0, 3), (2, 4)])
+    left, right = build_partial_blocks(spec, [[(0, 1), (1, 2)], [(0, 3), (2, 4)]])
     combined = SketchBank(spec)
     combined.update_edges([(0, 1), (1, 2), (0, 3), (2, 4)])
-    merged = left.row(0).merge(right.row(0))
-    assert rows_equal(merged, combined.row(0))
+    merged = SketchBank(spec)
+    merged.insert_block(combine_row_blocks([left, right]))
+    assert merged.vertices == [0, 1, 2, 3, 4]
+    for vertex in combined.vertices:
+        assert rows_equal(merged.row(vertex), combined.row(vertex))
+
+
+def test_insert_block_sums_repeated_vertices():
+    """A block that names a vertex twice adds both rows into it, and
+    creates rows in first-encounter order."""
+    spec = make_spec()
+    left, right = build_partial_blocks(spec, [[(2, 1), (1, 0)], [(1, 3)]])
+    bank = SketchBank(spec)
+    bank.insert_block(np.concatenate([left, right]))
+    reference = SketchBank(spec)
+    reference.update_edges([(2, 1), (1, 0), (1, 3)])
+    assert bank.vertices == [2, 1, 0, 3]
+    for vertex in reference.vertices:
+        assert rows_equal(bank.row(vertex), reference.row(vertex))
 
 
 def test_absorb_accumulates_other_bank():
@@ -367,6 +389,9 @@ def test_update_refused_before_s1_can_overflow():
         bank.update_edges(top[1:])
     with pytest.raises(OverflowError):
         bank.insert_row(BIG_N - 1, bank.row(BIG_N - 2))
+    (block,) = build_partial_blocks(spec, [top[:1]])
+    with pytest.raises(OverflowError):
+        bank.insert_block(block)
     with pytest.raises(OverflowError):
         bank.absorb(bank.copy())
     with pytest.raises(OverflowError):

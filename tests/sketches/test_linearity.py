@@ -95,6 +95,24 @@ def test_interleaved_signed_updates_match_surviving_insert_only(
 
 
 @pytest.mark.parametrize("backend", BANKS)
+@settings(max_examples=25, deadline=None)
+@given(inserts=edge_lists, deletes=edge_lists)
+def test_per_edge_signs_match_one_call_per_sign(backend, inserts, deletes):
+    """One call with per-edge signs (inserts first) leaves the rows, their
+    order, every counter and the s1 bound exactly as an insert call then
+    a delete call do."""
+    one = BANKS[backend](SPEC)
+    one.update_edges(inserts + deletes, sign=[1] * len(inserts) + [-1] * len(deletes))
+    two = BANKS[backend](SPEC)
+    two.update_edges(inserts)
+    two.update_edges(deletes, sign=-1)
+    assert one.vertices == two.vertices
+    for counter in ("s0", "s1", "s2"):
+        assert np.array_equal(getattr(one, counter), getattr(two, counter))
+    assert getattr(one, "s1_bound", None) == getattr(two, "s1_bound", None)
+
+
+@pytest.mark.parametrize("backend", BANKS)
 def test_backends_agree_on_signed_updates(backend):
     reference = ListBank(SPEC)
     other = BANKS[backend](SPEC)
@@ -160,5 +178,10 @@ def test_update_edges_rejects_bad_sign():
     bank = SketchBank(SPEC)
     with pytest.raises(ValueError):
         bank.update_edges([(0, 1)], sign=0)
+    with pytest.raises(ValueError):
+        bank.update_edges([(0, 1), (1, 2)], sign=[1, 0])
+    with pytest.raises(ValueError):
+        bank.update_edges([(0, 1), (1, 2)], sign=[1])
+    assert len(bank) == 0
     with pytest.raises(ValueError):
         bank.add_incident(0, 0, 1, sign=2)
