@@ -23,8 +23,8 @@ from ..sketches import (
     GraphSketchSpec,
     SketchBank,
     bank_boruvka,
-    build_partial_blocks,
-    combine_row_blocks,
+    build_sparse_blocks,
+    combine_sparse_blocks,
 )
 
 __all__ = ["ConnectivityResult", "heterogeneous_connectivity", "sketch_components"]
@@ -61,28 +61,30 @@ def sketch_components(
 
     # Each small machine builds a partial sketch of the edges it stores
     # (zero rounds: local computation) — one counter row per touched
-    # vertex, as one int64 row block per machine.  The machines' builds
-    # are independent, so one cluster-wide pass hashes every machine's
-    # edges and scatters them into every machine's rows at once.
+    # vertex, as one sparse row block per machine: the rows' non-zero
+    # counters as (row, slot) coordinates.  The machines' builds are
+    # independent, so one cluster-wide pass hashes every machine's edges
+    # and emits every machine's coordinates at once.
     #
     # The partial rows are summed per vertex up the aggregation tree
     # (Claim 2): each machine's block is one run per tree edge, and every
-    # level sums the rows of one vertex (a machine's own rows have
-    # distinct vertices, so there is nothing to pre-combine).  A row
-    # charges exactly what a (vertex, legacy per-vertex sketch) pair
-    # charged.  The blocks go to the cast unnamed, so the cast releases
-    # them as the tree consumes them.
+    # level sums the coordinates of one vertex with one sort (a machine's
+    # own rows have distinct vertices, so there is nothing to
+    # pre-combine).  A row charges exactly what its dense form, and a
+    # (vertex, legacy per-vertex sketch) pair, charged.  The blocks go to
+    # the cast unnamed, so the cast releases them as the tree consumes
+    # them; the destination bank makes the summed rows dense once.
     dst = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
     block = converge_cast(
         cluster,
         dict(zip(
             cluster.small_ids,
-            build_partial_blocks(
+            build_sparse_blocks(
                 spec, [machine.get(store.name, []) for machine in cluster.smalls]
             ),
         )),
         dst,
-        combine=combine_row_blocks,
+        combine=combine_sparse_blocks,
         note=f"{note}/sum",
     )
     bank = SketchBank(spec)

@@ -26,7 +26,7 @@ Storage, one entry per:
   Consecutive sends on the same route extend the open run in place, so
   source-major producers still create one run per ``(src, dst)`` route
   and sizing stays one bulk pass per route.
-* **block run** (``send_batch`` of a numeric numpy array) — the array
+* **block run** (``send_batch`` of a block, see below) — the block
   itself, sized O(1) (``block.size``).
 * **scatter** (``send_indexed`` of a numeric numpy array) — the whole
   scatter, stored once as a :class:`_Scatter`: its rows grouped into
@@ -40,21 +40,67 @@ The per-run views (:meth:`runs`, :meth:`run_meta`, :meth:`batches`,
 :meth:`routes`) expand scatters into their per-``(src, dst)`` runs on
 demand, for inspection, the legacy flatteners and the throttle's plan
 splitter.
+
+What a block is, in one place (:func:`is_block`): a numeric numpy array
+whose leading axis indexes items, or an instance of :class:`Block`, a
+payload that stores its rows in some other form (the sketch layer's
+coordinate-form rows) but charges and splits like an array of
+``shape``.  Either way a block sent whole is one run of ``len(block)``
+items and ``block.size`` words, is delivered whole, and is split by row
+slices ``block[a:b]``.  The plan, the throttle's splitter and the
+converge-cast ask :func:`is_block`; none of them looks inside a
+:class:`Block`, so the engine never imports the layers that define
+one.  The per-item views (:meth:`batches`, :meth:`messages`) flatten
+arrays to row tuples and refuse a :class:`Block` with a
+:class:`TypeError`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .words import word_size, word_size_many
 
-__all__ = ["Message", "RoundPlan"]
+__all__ = ["Block", "Message", "RoundPlan", "is_block"]
 
 #: (source machine id, destination machine id, payload) — the per-item
 #: message form; re-exported by :mod:`repro.mpc.cluster`.
 Message = tuple[int, int, Any]
+
+
+class Block:
+    """Base of the blocks that are not numpy arrays (see the module
+    docstring).
+
+    A subclass provides ``shape`` — ``(rows, words per row)`` — and row
+    slicing: ``block[a:b]`` (a plain slice, step 1) is a block of rows
+    ``a`` to ``b``.  A slice owns its data, so a buffer that keeps one
+    never pins the block it came from.  The charge is that of a numeric
+    array of the same shape: ``size`` words, sized in O(1).
+    """
+
+    __slots__ = ()
+
+    shape: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def word_size(self) -> int:
+        return self.size
+
+
+def is_block(items: Any) -> bool:
+    """Whether *items* travels as one block: a numpy array (numeric, or
+    refused when queued) or a :class:`Block`."""
+    return isinstance(items, (np.ndarray, Block))
 
 
 def _group_starts(column: Any) -> Any:
@@ -177,7 +223,7 @@ class RoundPlan:
     block run or scatter, in send-call order — the single authoritative
     store (payloads are never duplicated).  ``_run_block`` is ``None`` for
     object runs (whose payloads occupy ``_items[start:start+length]``),
-    the numpy block of a block run, or the :class:`_Scatter` of a scatter
+    the block of a block run, or the :class:`_Scatter` of a scatter
     (whose ``_run_src`` / ``_run_dst`` slots are ``None``).
     ``_entry_words`` and ``_meta`` cache the per-entry word totals and
     the per-run columns (invalidated by any later send).
@@ -243,8 +289,8 @@ class RoundPlan:
             self._open(src, dst, before, count, None)
 
     def _append_block(self, src: int, dst: int, block: Any) -> None:
-        """Queue a block run (*block* is a numeric numpy array whose
-        leading axis indexes items).
+        """Queue a block run (*block* passes :func:`is_block`; its leading
+        axis indexes items).
 
         An empty block is dropped without opening a run, mirroring
         :meth:`_append`: a plan whose scatters are all empty stays empty
@@ -267,11 +313,12 @@ class RoundPlan:
         The bulk path of the engine: one run entry and one bulk sizing
         pass regardless of how many items the batch holds.  The input is
         copied once into the flat store (callers may reuse their list).
-        A numpy batch (leading axis indexing items) is kept as a block
-        run directly — zero copy, O(1) sizing (``block.size`` equals the
-        summed word sizes of the equivalent rows).
+        A block (:func:`is_block`: a numpy array or a :class:`Block`,
+        leading axis indexing items) is kept as a block run directly —
+        zero copy, O(1) sizing (``block.size`` equals the summed word
+        sizes of the equivalent rows).
         """
-        if isinstance(items, np.ndarray):
+        if is_block(items):
             self._append_block(src, dst, items)
         else:
             self._append(src, dst, items)
@@ -453,7 +500,7 @@ class RoundPlan:
     def runs(self) -> Iterator[tuple[int, int, Any]]:
         """Yield ``(src, dst, items)`` delivery runs in send-call order,
         a scatter's runs in its grouped order.  ``items`` is a list for
-        object runs and a numpy block otherwise."""
+        object runs and a block otherwise."""
         for index, block in enumerate(self._run_block):
             if type(block) is _Scatter:
                 yield from block.runs()
@@ -505,8 +552,8 @@ class RoundPlan:
 
     def batches(self) -> Iterator[tuple[int, int, list[Any]]]:
         """Yield ``(src, dst, items)`` aggregated per route, routes in
-        first-send order (materialized on demand; blocks are flattened
-        to rows)."""
+        first-send order (materialized on demand; arrays are flattened
+        to rows, and a :class:`Block` raises :class:`TypeError`)."""
         grouped: dict[tuple[int, int], list[Any]] = {}
         for src, dst, items in self.runs():
             grouped.setdefault((src, dst), []).extend(_as_rows(items))
@@ -539,7 +586,7 @@ class RoundPlan:
 
 
 def _check_numeric(block: Any) -> None:
-    if block.dtype.kind not in "iufb":
+    if isinstance(block, np.ndarray) and block.dtype.kind not in "iufb":
         raise TypeError(
             f"columnar blocks must have a numeric dtype, got {block.dtype}"
         )
@@ -547,9 +594,14 @@ def _check_numeric(block: Any) -> None:
 
 def _as_rows(items: Any) -> list[Any]:
     """Flatten a run's payloads to per-item Python objects (legacy views):
-    2D blocks become tuples of scalars, 1D blocks plain scalars."""
+    2D arrays become tuples of scalars, 1D arrays plain scalars."""
     if isinstance(items, np.ndarray):
         if items.ndim >= 2:
             return [tuple(row) for row in items.tolist()]
         return items.tolist()
+    if isinstance(items, Block):
+        raise TypeError(
+            f"a {type(items).__name__} block has no per-item view; "
+            "use runs() or deliveries()"
+        )
     return list(items)

@@ -50,9 +50,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-import numpy as np
-
-from .plan import RoundPlan
+from .plan import RoundPlan, is_block
 from .words import word_size
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -308,8 +306,8 @@ class ThrottleController:
         others), floored at the chunk holding the previous piece for the
         same destination so per-destination delivery order is preserved.
         Each chunk is one extra round.  A single run larger than the
-        binding budget is sliced at item granularity (numpy blocks by
-        row slices, object runs by cumulative word size); an indivisible
+        binding budget is sliced at item granularity (blocks by row
+        slices, object runs by cumulative word size); an indivisible
         over-budget item is emitted alone in an otherwise-idle slot for
         its machines and still violates.
 
@@ -399,7 +397,7 @@ class ThrottleController:
         if limit is None or total_words <= limit:
             yield items, total_words
             return
-        if isinstance(items, np.ndarray):
+        if is_block(items):
             rows = int(items.shape[0])
             per_row = max(1, total_words // rows)
             step = max(1, limit // per_row)

@@ -15,7 +15,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..mpc.cluster import Cluster
-from ..mpc.plan import RoundPlan
+from ..mpc.plan import RoundPlan, is_block
 
 __all__ = ["broadcast", "converge_cast"]
 
@@ -82,17 +82,21 @@ def converge_cast(
     per-round receive volume and the in-flight buffer growth at every
     intermediate machine.
 
-    Array casts: when every machine's items are one numeric numpy array
-    (leading axis indexing items), the buffers stay arrays, so every send
-    and every scratch charge is sized O(1), and the result is an array.
-    Without *combine*, a machine's held rows come first, then the
-    received blocks, concatenated.  With *combine*, blocks are never
-    concatenated by the cast: *combine* maps the list of held and
+    Block casts: when every machine's items are one block
+    (:func:`~repro.mpc.plan.is_block`: a numeric numpy array or a
+    :class:`~repro.mpc.plan.Block`, leading axis indexing items), the
+    buffers stay blocks, so every send and every scratch charge is sized
+    O(1), and the result is a block.  Without *combine*, a machine's
+    held rows come first, then the received arrays, concatenated — only
+    arrays concatenate, so a :class:`~repro.mpc.plan.Block` cast without
+    *combine* raises :class:`TypeError`.  With *combine*, blocks are
+    never concatenated by the cast: *combine* maps the list of held and
     received blocks to one block, and the destination keeps its received
     blocks as a list (charged as the sum of its blocks) until the final
     combine.  Either way every send is one block run, and rows, rounds,
     words and memory charges are those of the equivalent lists of
-    tuples.  No buffer keeps a view of a block it has sent.
+    tuples.  No buffer keeps a view of a block it has sent, and the
+    empty buffer is a fresh empty block.
     """
     base_fanout = cluster.config.tree_fanout
     scratch = f"{note}#cast-buffer"
@@ -106,11 +110,20 @@ def converge_cast(
             machines[mid].pop(scratch, None)
 
     arrays = bool(items_by_machine) and all(
-        isinstance(items, np.ndarray) for items in items_by_machine.values()
+        is_block(items) for items in items_by_machine.values()
     )
     gather = arrays and combine is not None
     if arrays:
-        empty = np.zeros_like(next(iter(items_by_machine.values()))[:0])  # no view
+        first = next(iter(items_by_machine.values()))
+        if isinstance(first, np.ndarray):
+            empty = np.zeros_like(first[:0])  # no view
+        elif gather:
+            empty = first[:0]  # a Block slice owns its data
+        else:
+            raise TypeError(
+                f"a cast of {type(first).__name__} blocks needs a combine: "
+                "only arrays concatenate"
+            )
         buffers: dict[int, Any] = {
             mid: items for mid, items in items_by_machine.items() if len(items)
         }

@@ -15,6 +15,7 @@ rather than leaving them to the atexit reaper.
 
 from __future__ import annotations
 
+import logging
 import socket
 import sys
 from typing import IO
@@ -24,6 +25,8 @@ from .protocol import ServeSession
 from .service import GraphService, ServeConfig
 
 __all__ = ["build_session", "serve_stdio", "serve_tcp", "run_daemon"]
+
+logger = logging.getLogger(__name__)
 
 
 def build_session(args) -> ServeSession:
@@ -42,19 +45,30 @@ def build_session(args) -> ServeSession:
     return ServeSession(service)
 
 
-def serve_stdio(session: ServeSession, stdin: IO[str], stdout: IO[str]) -> int:
-    for line in stdin:
+def _serve_lines(session: ServeSession, lines: IO[str], out: IO[str]) -> None:
+    """Answer every request line until the input ends or a ``shutdown``."""
+    for line in lines:
         if not line.strip():
             continue
-        stdout.write(session.handle_line(line) + "\n")
-        stdout.flush()
+        out.write(session.handle_line(line) + "\n")
+        out.flush()
         if session.closed:
             break
+
+
+def serve_stdio(session: ServeSession, stdin: IO[str], stdout: IO[str]) -> int:
+    _serve_lines(session, stdin, stdout)
     return 0
 
 
 def serve_tcp(session: ServeSession, host: str, port: int,
               ready: IO[str] | None = None) -> int:
+    """Serve clients one connection at a time until a ``shutdown`` op.
+
+    A client that sends bytes that are not UTF-8, or hangs up while its
+    replies are still being written, ends its own connection only: the
+    server goes back to accepting the next client.
+    """
     with socket.create_server((host, port)) as server:
         if ready is not None:
             # Announce the bound port (port 0 => ephemeral) for test drivers.
@@ -62,14 +76,11 @@ def serve_tcp(session: ServeSession, host: str, port: int,
             ready.flush()
         while not session.closed:
             conn, _ = server.accept()
-            with conn, conn.makefile("rw", encoding="utf-8") as stream:
-                for line in stream:
-                    if not line.strip():
-                        continue
-                    stream.write(session.handle_line(line) + "\n")
-                    stream.flush()
-                    if session.closed:
-                        break
+            try:
+                with conn, conn.makefile("rw", encoding="utf-8") as stream:
+                    _serve_lines(session, stream, stream)
+            except (OSError, UnicodeDecodeError) as exc:
+                logger.warning("dropped a client connection: %s", exc)
     return 0
 
 

@@ -6,10 +6,13 @@ so clients can pipeline.  Responses are canonical JSON (sorted keys, no
 whitespace variation, no timestamps) so repeated runs of the same
 request stream byte-diff clean — the CI serve-smoke job relies on this.
 
-A request that fails — bad JSON, a malformed field, a rejected update —
-answers ``{"ok": false, "error": ...}`` and the session keeps serving.
+A request that fails — bad JSON, JSON nested past the decoder's
+recursion limit, a malformed field, a rejected update — answers
+``{"ok": false, "error": ...}`` and the session keeps serving.
 Anything the checks miss answers an ``internal error`` and logs its
-traceback to stderr.
+traceback to stderr.  A request whose ``id`` (or ``op``) decodes but is
+nested too deep to encode back has still been handled; its reply is
+``{"ok": false, "error": ...}`` without the ``id`` and ``op`` echoes.
 
 Ops:
 
@@ -72,9 +75,18 @@ class ServeSession:
         """Parse one raw request line and return the encoded response."""
         try:
             request = decode(line)
-        except (ValueError, ServiceError) as exc:
+        except (ValueError, RecursionError, ServiceError) as exc:
             return encode({"error": f"bad request: {exc}", "ok": False})
-        return encode(self.handle(request))
+        response = self.handle(request)
+        try:
+            return encode(response)
+        except RecursionError as exc:
+            # The echoed id or op nests too deep to encode: answer
+            # without the echoes (the request itself has been handled).
+            return encode({
+                "error": f"bad request: cannot echo id or op: {exc}",
+                "ok": False,
+            })
 
     def handle(self, request: dict) -> dict:
         op = request.get("op")

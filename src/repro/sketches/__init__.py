@@ -8,13 +8,15 @@ Two layers coexist:
   for unit-scale use; its methods behave exactly as the seed did
   (``VertexSketch.samplers`` is now a read-only snapshot);
 * the **bank API** (:class:`SketchBank`, :class:`SketchRow`,
-  :func:`bank_boruvka`, :func:`build_partial_blocks`,
-  :func:`combine_row_blocks`) — the one storage path: all
-  ``(phase, copy, level)`` one-sparse counters of a vertex set in one
-  ``(rows, slots)`` numpy array per counter, bulk edge updates that hash
-  every edge under every sampler in one pass and scatter both endpoints'
-  signed contributions exactly, vector-add merges, and ``int64`` row
-  blocks that carry rows between machines.  The array kernels
+  :class:`SparseRowBlock`, :func:`bank_boruvka`,
+  :func:`build_sparse_blocks`, :func:`combine_sparse_blocks`) — the one
+  storage path: all ``(phase, copy, level)`` one-sparse counters of a
+  vertex set in one ``(rows, slots)`` numpy array per counter, bulk edge
+  updates that hash every edge under every sampler in one pass and
+  scatter both endpoints' signed contributions exactly, vector-add
+  merges, and sparse row blocks — rows as ``(row, slot, s0, s1, s2)``
+  coordinates, charged as the dense rows — that carry rows between
+  machines and sum with one sort.  The array kernels
   (exact ``GF(2^61 - 1)`` multiply, Horner hashing, power tables) live in
   :mod:`repro.sketches.field`.
 
@@ -28,9 +30,10 @@ from .bank import (
     INT64_MAX,
     SketchBank,
     SketchRow,
+    SparseRowBlock,
     bank_boruvka,
-    build_partial_blocks,
-    combine_row_blocks,
+    build_sparse_blocks,
+    combine_sparse_blocks,
 )
 from .field import PRIME, KWiseHash, fingerprint_power, trailing_zeros
 from .graph_sketch import (
@@ -57,9 +60,10 @@ __all__ = [
     "VertexSketch",
     "SketchBank",
     "SketchRow",
+    "SparseRowBlock",
     "bank_boruvka",
-    "build_partial_blocks",
-    "combine_row_blocks",
+    "build_sparse_blocks",
+    "combine_sparse_blocks",
     "components_from_sketches",
     "edge_from_id",
     "edge_id",

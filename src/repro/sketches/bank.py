@@ -19,28 +19,32 @@ Update math: one vectorized Horner pass hashes every edge under every
 ``(phase, copy)`` sampler, the trailing zeros of each hash give the
 geometric level depth, and the fingerprint powers ``z^id`` of every
 surviving ``(edge, sampler, level)`` triple come from a per-spec
-:class:`~repro.sketches.field.PowerTable`.  Both endpoints' signed
-contributions — ``+1`` to the smaller endpoint's row, ``-1`` to the
-larger's — land in one scatter that stays exact when many
-contributions hit one slot: ``s0``/``s1`` take integer adds, and ``s2``
-contributions are split into 31-bit halves, summed per slot in
-``uint64`` and reduced mod ``p`` once.  :meth:`SketchBank.update_edges`
-scatters into the bank's counter arrays; :func:`build_partial_blocks`
-runs the same kernel over every small machine's edges at once and
-scatters into row blocks.
+:class:`~repro.sketches.field.PowerTable`.  One kernel turns these into
+every edge's signed contributions — ``+1`` to the smaller endpoint's
+row, ``-1`` to the larger's: ``(row, slot, ±1, ±id, residue)``, with
+``p - z^id`` as the residue of ``-z^id``.  Two consumers share it.
+:meth:`SketchBank.update_edges` scatters the contributions into the
+bank's counter arrays, exactly when many land on one slot: ``s0``/``s1``
+take integer adds, and ``s2`` contributions are split into 31-bit
+halves, summed per slot in ``uint64`` and reduced mod ``p`` once.
+:func:`build_sparse_blocks` keeps them as coordinates, one block per
+small machine, with no dense scatter at all.
 
-Row blocks are how rows travel between machines.  A block is one
-``int64`` array with a row per vertex,
-``[vertex, vertex, s0[slots], s1[slots], s2[slots]]`` — ``2 + 3 *
-slots`` columns, the ``s2`` residues as ``int64`` bit patterns.  The
-second vertex column is the row's identity word, so a row sizes to
-exactly what the legacy ``VertexSketch`` charged plus one word of key,
-and a block of ``k`` rows charges what ``k`` ``(vertex, row)`` pairs
-did.  Theorem C.1 builds every machine's partial block in one
-cluster-wide pass (:func:`build_partial_blocks`), sums blocks per
-vertex up the aggregation tree (:func:`combine_row_blocks`) and adds
-the final block into the destination's bank in one vector add
-(:meth:`SketchBank.insert_block`).
+Row blocks are how rows travel between machines.  A
+:class:`SparseRowBlock` holds a vertex per row and the rows' non-zero
+counters in coordinate form — ``(row, slot, s0, s1, s2)``, sorted by
+row, a ``(row, slot)`` possibly repeated (repeats sum).  AGM sketches
+are linear, so summing coordinates gives exactly the rows that summing
+dense rows gives, and a partial row touches few of its slots (about a
+tenth at ``n = 800``).  A block is charged what its dense rows would
+be, ``2 + 3 * slots`` words per row: a vertex word, an identity word and
+three counters per slot — what a ``(vertex, legacy VertexSketch)`` pair
+charged.  Theorem C.1 builds every machine's partial block in one
+cluster-wide pass (:func:`build_sparse_blocks`), sums blocks per vertex
+up the aggregation tree with one sort per tree node
+(:func:`combine_sparse_blocks`), and adds the final block into the
+destination's bank in one scatter (:meth:`SketchBank.insert_block`) —
+the one place its rows become dense.
 
 Updates are *signed*: because the sketches are linear maps of the edge
 multiset, ``update_edges(batch, sign=-1)`` deletes edges by applying the
@@ -57,11 +61,11 @@ whose ids do not fit in ``int64`` is refused.  ``|s1|`` of any row, and
 of any sum of rows over disjoint vertex sets (a Borůvka supernode), is
 at most the bank's :attr:`SketchBank.s1_bound`: the sum of the ids of
 every edge applied plus the largest ``|s1|`` of every row merged in.
-:meth:`~SketchBank.update_edges`, :meth:`~SketchBank.insert_block` and
-:meth:`~SketchBank.absorb` raise :class:`OverflowError` before moving
-any counter when that bound would pass ``2^63 - 1``, instead of
-wrapping; :func:`build_partial_blocks` refuses a machine whose edge ids
-sum past it.
+:meth:`~SketchBank.update_edges`, :meth:`~SketchBank.insert_block`,
+:meth:`~SketchBank.insert_row` and :meth:`~SketchBank.absorb` raise
+:class:`OverflowError` before moving any counter when that bound would
+pass ``2^63 - 1``, instead of wrapping; :func:`build_sparse_blocks`
+refuses a machine whose edge ids sum past it.
 
 Absorbing banks and copying are vector adds; :func:`bank_boruvka` runs
 Borůvka in sketch space on a bank, summing each supernode's phase block
@@ -78,6 +82,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..graph.union_find import UnionFind
+from ..mpc.plan import Block
 from .field import PRIME, PowerTable, mulmod, poly_eval_many, trailing_zeros_many
 
 __all__ = [
@@ -85,10 +90,11 @@ __all__ = [
     "SpecArrays",
     "SketchRow",
     "SketchBank",
+    "SparseRowBlock",
     "bank_boruvka",
-    "build_partial_blocks",
+    "build_sparse_blocks",
     "check_s1_bound",
-    "combine_row_blocks",
+    "combine_sparse_blocks",
     "edge_id",
     "edge_from_id",
 ]
@@ -103,10 +109,9 @@ _MASK30 = np.uint64((1 << 30) - 1)
 #: Upper bound on ``samplers * edges`` per vectorized hashing chunk;
 #: keeps the temporaries of one chunk around a few megabytes.
 _CHUNK = 1 << 16
-#: Upper bound on ``rows * slots`` a partial build scatters at once (a
-#: machine's rows never split): the two ``s2`` accumulators stay around
-#: 16 MB however many machines the cluster has.
-_SCATTER_SLOTS = 1 << 20
+#: A zero-length column: it seeds a concatenation of coordinate columns
+#: and fills an empty block (no element, so nothing is shared).
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def edge_id(n: int, u: int, v: int) -> int:
@@ -281,81 +286,111 @@ def _contributions(arrays: SpecArrays, ids: np.ndarray):
     return edge, slot, arrays.powers(slot, ids[edge])
 
 
-def _scatter(arrays: SpecArrays, ids: np.ndarray, targets, touched, s0, s1, s2, stride):
-    """Add every edge's signed contributions into flat counters.
+def _signed_contributions(arrays: SpecArrays, ids: np.ndarray, targets):
+    """Every edge's signed contributions, in chunks of at most
+    :data:`_CHUNK` ``(sampler, edge)`` pairs.
 
     Each ``(rows, signs)`` of *targets* adds ``signs[i]`` times edge
-    ``i``'s contribution to local row ``rows[i]``, which is destination
-    row ``touched[rows[i]]``: ``±1`` to ``s0``, ``±id`` to ``s1`` and
-    ``z^id`` or ``p - z^id`` to ``s2``, at every slot the edge reaches.
-    Slot ``c`` of destination row ``r`` is element ``r * stride + c`` of
-    the flat ``int64`` *s0*, *s1* and the flat ``uint64`` *s2* — a bank's
-    counter arrays or a row block's columns.  Edges are hashed in chunks
-    of at most :data:`_CHUNK` ``(sampler, edge)`` pairs.
-
-    ``s0``/``s1`` take integer adds in place (repeats are exact).  ``s2``
-    contributions — residues below ``2^61`` — are split into 31-bit
-    halves and summed per local ``(row, slot)`` in two ``uint64``
-    accumulators, which cannot overflow below ``2^33`` contributions per
-    slot, and are reduced mod ``p`` once at the end, at the slots a
-    contribution reached.
+    ``i``'s contribution to local row ``rows[i]``.  Per chunk and
+    target, yields the columns ``(row, slot, sign, sign * id, residue)``
+    of one coordinate per slot an edge reaches, the residue being
+    ``z^id`` for ``+1`` and ``p - z^id`` for ``-1``.
     """
-    slots = arrays.slots
-    high = np.zeros(len(touched) * slots, dtype=np.uint64)
-    low = np.zeros(len(touched) * slots, dtype=np.uint64)
-    reached = np.zeros(len(touched) * slots, dtype=bool)
     step = max(1, _CHUNK // len(arrays.coefficients))
     for start in range(0, len(ids), step):
         part = slice(start, start + step)
         edge, slot, power = _contributions(arrays, ids[part])
         identity = ids[part][edge]
         for rows, signs in targets:
-            local = rows[part][edge]
             sign = signs[part][edge]
-            at = touched[local] * stride + slot
-            np.add.at(s0, at, sign)
-            np.add.at(s1, at, sign * identity)
-            residue = np.where(sign > 0, power, _P - power)
-            at = local * slots + slot
-            np.add.at(high, at, residue >> _HALF)
-            np.add.at(low, at, residue & _HALF_MASK)
-            reached[at] = True
-    hit = np.flatnonzero(reached)
-    at = touched[hit // slots] * stride + hit % slots
-    s2[at] = _addmod(s2[at], _from_halves(high[hit], low[hit]))
+            yield (
+                rows[part][edge], slot, sign, sign * identity,
+                np.where(sign > 0, power, _P - power),
+            )
+
+
+def _sum_coordinates(row, slot, s0, s1, s2, slots: int):
+    """The distinct ``(row, slot)`` coordinates, sorted, each holding the
+    sum of its repeats: one sort, integer adds for ``s0``/``s1`` and
+    exact mod-``p`` sums of the ``s2`` residues."""
+    key = row * slots + slot
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    key = key[starts]
+    return (
+        key // slots,
+        key % slots,
+        np.add.reduceat(s0[order], starts),
+        np.add.reduceat(s1[order], starts),
+        _group_sum_s2(s2[order], starts),
+    )
 
 
 # ----------------------------------------------------------------------
 # row blocks
 # ----------------------------------------------------------------------
-def _block_columns(slots: int) -> tuple[slice, slice, slice]:
-    """The ``s0``, ``s1`` and ``s2`` column ranges of a row block."""
-    return (
-        slice(2, 2 + slots),
-        slice(2 + slots, 2 + 2 * slots),
-        slice(2 + 2 * slots, 2 + 3 * slots),
-    )
+class SparseRowBlock(Block):
+    """Sketch rows in coordinate form (layout in the module docstring).
+
+    Row ``r`` is vertex ``vertices[r]``'s; coordinate ``i`` adds
+    ``s0[i]``, ``s1[i]`` and residue ``s2[i]`` to slot ``slot[i]`` of row
+    ``row[i]``.  ``row``, ``slot``, ``s0`` and ``s1`` are ``int64``,
+    ``s2`` ``uint64`` residues below ``2^61``.  Coordinates are sorted by
+    row, so ``block[a:b]`` is rows ``a`` to ``b`` with their coordinates;
+    a row without coordinates is a zero row.  ``shape`` is that of the
+    dense rows, ``(rows, 2 + 3 * slots)``, and so is the charge.
+    """
+
+    __slots__ = ("vertices", "row", "slot", "s0", "s1", "s2", "slots")
+
+    def __init__(self, vertices, row, slot, s0, s1, s2, slots: int) -> None:
+        self.vertices = vertices
+        self.row = row
+        self.slot = slot
+        self.s0 = s0
+        self.s1 = s1
+        self.s2 = s2
+        self.slots = slots
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.vertices), 2 + 3 * self.slots
+
+    def __getitem__(self, rows: slice) -> "SparseRowBlock":
+        if type(rows) is not slice:
+            raise TypeError("a SparseRowBlock is sliced by rows, not indexed")
+        start, stop, step = rows.indices(len(self.vertices))
+        if step != 1:
+            raise ValueError("row slices of a SparseRowBlock take step 1")
+        lo, hi = np.searchsorted(self.row, (start, stop))
+        return SparseRowBlock(
+            self.vertices[start:stop].copy(),
+            self.row[lo:hi] - start,
+            *(column[lo:hi].copy() for column in (self.slot, self.s0, self.s1, self.s2)),
+            self.slots,
+        )
 
 
-def build_partial_blocks(spec, edge_lists: Sequence[Iterable[tuple]]) -> list[np.ndarray]:
+def build_sparse_blocks(spec, edge_lists: Sequence[Iterable[tuple]]) -> list[SparseRowBlock]:
     """Every small machine's partial sketch rows, built in one pass.
 
     *edge_lists* holds each machine's ``(u, v, ...)`` records.  Returns
-    one ``int64`` row block per machine (layout in the module
-    docstring): a row per vertex its edges touch, in that machine's
-    endpoint-encounter order, holding exactly the counters that
-    :meth:`SketchBank.update_edges` gives a fresh bank of the machine's
-    edges.  A machine without edges gets an empty block; a self-loop
-    gives its vertex a zero row.
+    one :class:`SparseRowBlock` per machine: a row per vertex its edges
+    touch, in that machine's endpoint-encounter order, whose coordinates
+    sum to exactly the counters :meth:`SketchBank.update_edges` gives a
+    fresh bank of the machine's edges.  A machine without edges gets an
+    empty block; a vertex whose only edges are self-loops gets a row
+    with no coordinates.
 
-    Rows are keyed by ``(machine, vertex)``, so one hashing pass and one
-    exact scatter serve many machines at once — every run of machines
-    whose rows span about :data:`_SCATTER_SLOTS` slots, which bounds the
-    scatter's accumulators; the blocks are row slices of one array.  The
-    checks keep per-machine semantics and fire before any block exists:
-    machine by machine, a vertex outside ``[0, n)`` raises
-    :class:`ValueError` and edge ids summing past ``int64``
-    :class:`OverflowError`.
+    Rows are keyed by ``(machine, vertex)``, so one hashing pass serves
+    every machine: the contributions of every edge to both endpoints'
+    rows become coordinates as they are (repeats are summed by whoever
+    combines the block), and one sort by row splits them into the
+    machines' blocks, which share the sorted columns.  The checks keep
+    per-machine semantics and fire before any block exists: machine by
+    machine, a vertex outside ``[0, n)`` raises :class:`ValueError` and
+    edge ids summing past ``int64`` :class:`OverflowError`.
     """
     arrays = spec.arrays
     n = spec.n
@@ -375,74 +410,60 @@ def build_partial_blocks(spec, edge_lists: Sequence[Iterable[tuple]]) -> list[np
     _check_vertices(ends, n)
 
     keys, rows = _encounter(np.repeat(machine, 2) * n + ends)
-    slots = arrays.slots
-    width = 2 + 3 * slots
-    block = np.zeros((len(keys), width), dtype=np.int64)
-    block[:, 0] = block[:, 1] = keys % n
-    flat = block.reshape(-1)
-    s0, s1, s2 = _block_columns(slots)
-    counters = flat[s0.start:], flat[s1.start:], flat.view(np.uint64)[s2.start:]
-    # Rows and edges are machine-major, so a run of machines is a run of
-    # rows and a run of edges.  Scatter runs of about _SCATTER_SLOTS slots.
+    signs = np.ones(len(ids), dtype=np.int64)
+    parts = [(_EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY.view(np.uint64))]
+    parts.extend(_signed_contributions(arrays, *_endpoint_targets(ends, ids, rows, signs)))
+    row, slot, s0, s1, s2 = map(np.concatenate, zip(*parts))
+    order = np.argsort(row, kind="stable")
+    row, slot, s0, s1, s2 = (column[order] for column in (row, slot, s0, s1, s2))
+    # Rows are machine-major, so each machine's rows, and after the sort
+    # its coordinates, are one run; rebase the rows to each machine's.
     row_bounds = np.r_[0, np.cumsum(np.bincount(keys // n, minlength=len(counts)))]
-    edge_bounds = np.r_[0, np.cumsum(counts, dtype=np.int64)]
-    run_rows = max(1, _SCATTER_SLOTS // slots)
-    firsts = [
-        m for m in range(len(counts))
-        if m == 0 or row_bounds[m] // run_rows > row_bounds[m - 1] // run_rows
-    ]
-    for first, last in zip(firsts, firsts[1:] + [len(counts)]):
-        r0, r1 = row_bounds[first], row_bounds[last]
-        e0, e1 = edge_bounds[first], edge_bounds[last]
-        _scatter(
-            arrays,
-            *_endpoint_targets(
-                ends[2 * e0:2 * e1], ids[e0:e1], rows[2 * e0:2 * e1] - r0,
-                np.ones(e1 - e0, dtype=np.int64),
-            ),
-            np.arange(r0, r1), *counters, width,
+    cuts = np.searchsorted(row, row_bounds)
+    row -= np.repeat(row_bounds[:-1], np.diff(cuts))
+    vertices = keys % n
+    return [
+        SparseRowBlock(
+            vertices[r0:r1], row[c0:c1], slot[c0:c1], s0[c0:c1], s1[c0:c1],
+            s2[c0:c1], arrays.slots,
         )
-    return [block[r0:r1] for r0, r1 in zip(row_bounds[:-1], row_bounds[1:])]
+        for r0, r1, c0, c1 in zip(
+            row_bounds[:-1].tolist(), row_bounds[1:].tolist(),
+            cuts[:-1].tolist(), cuts[1:].tolist(),
+        )
+    ]
 
 
-def combine_row_blocks(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum row blocks per vertex: the aggregation tree's combine.
+def combine_sparse_blocks(blocks: Sequence[SparseRowBlock]) -> SparseRowBlock:
+    """Sum blocks per vertex: the aggregation tree's combine.
 
-    The rows of one vertex add up — integer adds for ``s0``/``s1``,
-    mod-``p`` adds for ``s2`` — into one output row, and output rows come
-    in the first-encounter order of their vertices over *blocks* in
-    order.  The blocks are never concatenated: a vertex's first row is
-    copied into place (the first rows of a block land on consecutive
-    output rows), and every later row of it adds in, one vector add per
-    block and counter group.  An empty list gives a ``(0, 0)`` block.
+    Every row of one vertex maps to one output row, output rows in the
+    first-encounter order of their vertices over *blocks* in order.  The
+    blocks' coordinates are concatenated and summed per output
+    ``(row, slot)`` with one sort (:func:`_sum_coordinates`), so the
+    result holds each coordinate once, sorted by ``(row, slot)``.  An
+    empty list gives an empty block of no slots.
     """
     if not len(blocks):
-        return np.zeros((0, 0), dtype=np.int64)
-    width = blocks[0].shape[1]
-    s0, s1, s2 = _block_columns((width - 2) // 3)
-    counts = slice(s0.start, s1.stop)
-    vertices, rows = _encounter(np.concatenate([block[:, 0] for block in blocks]))
-    # Output rows are numbered in first-encounter order, so a row is its
-    # vertex's first exactly when it raises the running maximum.
-    first = np.r_[True, np.diff(np.maximum.accumulate(rows)) > 0] if len(rows) else rows
-    out = np.empty((len(vertices), width), dtype=np.int64)
-    out_s2 = out.view(np.uint64)
-    stop = filled = 0
-    for block in blocks:
-        start, stop = stop, stop + len(block)
-        new = first[start:stop]
-        fresh = int(np.count_nonzero(new))
-        np.compress(new, block, axis=0, out=out[filled:filled + fresh])
-        filled += fresh
-        later = np.flatnonzero(~new)
-        while len(later):  # a vertex repeated in one block adds once per pass
-            at = rows[start + later]
-            once = np.unique(at, return_index=True)[1]
-            now, take = at[once], later[once]
-            out[now, counts] += block[take, counts]
-            out_s2[now, s2] = _addmod(out_s2[now, s2], block.view(np.uint64)[take, s2])
-            later = np.delete(later, once)
-    return out
+        return SparseRowBlock(_EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY.view(np.uint64), 0)
+    vertices, out_row = _encounter(np.concatenate([block.vertices for block in blocks]))
+    offsets = np.cumsum([0] + [len(block) for block in blocks[:-1]]).tolist()
+    row = out_row[np.concatenate([
+        block.row + offset for block, offset in zip(blocks, offsets)
+    ])]
+    slots = blocks[0].slots
+    return SparseRowBlock(
+        vertices,
+        *_sum_coordinates(
+            row,
+            *(
+                np.concatenate([getattr(block, name) for block in blocks])
+                for name in ("slot", "s0", "s1", "s2")
+            ),
+            slots,
+        ),
+        slots,
+    )
 
 
 class SketchRow:
@@ -557,31 +578,44 @@ class SketchBank:
         r = self.row_of[vertex]
         return SketchRow(self._s0[r].copy(), self._s1[r].copy(), self._s2[r].copy())
 
-    def insert_block(self, block: np.ndarray) -> None:
-        """Add a row block into the bank in one vector add, creating
-        missing rows in block order; rows of one vertex add up.
+    def insert_block(self, block: SparseRowBlock) -> None:
+        """Add a :class:`SparseRowBlock` into the bank in one scatter,
+        creating missing rows in block order; rows of one vertex add up
+        (a block that repeats a vertex or a coordinate is combined
+        first).
 
         Raises :class:`OverflowError`, before any row or counter changes,
-        if the block could push ``|s1|`` past ``int64``.
+        if the block could push ``|s1|`` past ``int64``: the bound grows
+        by the exact sum of every row's largest ``|s1|``.
         """
         if not len(block):
             return
-        columns = _block_columns(self.slots_per_row)
-        extra = sum(np.abs(block[:, columns[1]]).max(axis=1).tolist())
+        slots = self.slots_per_row
+        key = block.row * slots + block.slot
+        if (key[1:] <= key[:-1]).any() or len(np.unique(block.vertices)) < len(block):
+            block = combine_sparse_blocks([block])
+        largest = np.zeros(len(block), dtype=np.int64)
+        np.maximum.at(largest, block.row, np.abs(block.s1))
+        extra = sum(largest.tolist())
         check_s1_bound(self.s1_bound + extra)
-        if len(np.unique(block[:, 0])) < len(block):
-            block = combine_row_blocks([block])
-        rows = self._rows_of(block[:, 0].tolist())
-        s0, s1, s2 = (block[:, c] for c in columns)
-        self._add_block(rows, s0, s1, s2.view(np.uint64))
+        rows = np.array(self._rows_of(block.vertices.tolist()), dtype=np.int64)
+        at = rows[block.row] * slots + block.slot
+        self._s0.reshape(-1)[at] += block.s0
+        self._s1.reshape(-1)[at] += block.s1
+        s2 = self._s2.reshape(-1)
+        s2[at] = _addmod(s2[at], block.s2)
         self.s1_bound += extra
 
     def insert_row(self, vertex: int, row: SketchRow) -> None:
-        """Add *row* into *vertex*'s row (creating it if missing), as a
-        one-row block (:meth:`insert_block`)."""
-        self.insert_block(np.concatenate(
-            ([vertex, vertex], row.s0, row.s1, row.s2.view(np.int64))
-        ).reshape(1, -1))
+        """Add *row* into *vertex*'s row (creating it if missing).
+
+        Raises :class:`OverflowError`, before any change, if the row
+        could push ``|s1|`` past ``int64``.
+        """
+        extra = int(np.abs(row.s1).max(initial=0))
+        check_s1_bound(self.s1_bound + extra)
+        self._add_block(self._rows_of((vertex,)), row.s0, row.s1, row.s2)
+        self.s1_bound += extra
 
     def _add_block(self, rows, s0, s1, s2) -> None:
         """Add ``(k, slots)`` counter blocks into distinct *rows*."""
@@ -659,11 +693,34 @@ class SketchBank:
         self.s1_bound += identifier
 
     def _scatter(self, ids: np.ndarray, targets, touched: np.ndarray) -> None:
-        """:func:`_scatter` into the bank's counter arrays."""
-        _scatter(
-            self._arrays, ids, targets, touched, self._s0.reshape(-1),
-            self._s1.reshape(-1), self._s2.reshape(-1), self.slots_per_row,
-        )
+        """Add every edge's signed contributions
+        (:func:`_signed_contributions`) into the counter arrays; local
+        row ``r`` is bank row ``touched[r]``.
+
+        ``s0``/``s1`` take integer adds in place (repeats are exact).
+        ``s2`` residues are split into 31-bit halves and summed per local
+        ``(row, slot)`` in two ``uint64`` accumulators, which cannot
+        overflow below ``2^33`` contributions per slot, and are reduced
+        mod ``p`` once at the end, at the slots a contribution reached.
+        """
+        slots = self.slots_per_row
+        s0, s1, s2 = (self._s0.reshape(-1), self._s1.reshape(-1), self._s2.reshape(-1))
+        high = np.zeros(len(touched) * slots, dtype=np.uint64)
+        low = np.zeros(len(touched) * slots, dtype=np.uint64)
+        reached = np.zeros(len(touched) * slots, dtype=bool)
+        for local, slot, sign, identity, residue in _signed_contributions(
+            self._arrays, ids, targets
+        ):
+            at = touched[local] * slots + slot
+            np.add.at(s0, at, sign)
+            np.add.at(s1, at, identity)
+            at = local * slots + slot
+            np.add.at(high, at, residue >> _HALF)
+            np.add.at(low, at, residue & _HALF_MASK)
+            reached[at] = True
+        hit = np.flatnonzero(reached)
+        at = touched[hit // slots] * slots + hit % slots
+        s2[at] = _addmod(s2[at], _from_halves(high[hit], low[hit]))
 
     # ------------------------------------------------------------------
     # merging / copying

@@ -1,11 +1,12 @@
-"""Theorem C.1 on row blocks costs exactly what the pair path cost.
+"""Theorem C.1 on sparse row blocks costs exactly what the pair path cost.
 
 The pair path is the pipeline before row blocks: every small machine
 builds its own list bank, ships ``(vertex, row)`` pairs, and
 ``aggregate`` merges them one row at a time up the tree.  Both runs must
 leave identical ledgers — every round record, the memory high-water
 marks and the throttle's decisions — and identical labels, including
-when an enforcing throttle splits a sum level into extra rounds.
+when an enforcing throttle splits a sum level into extra rounds, which
+it does by row slices of the sparse blocks.
 """
 
 import random
@@ -18,8 +19,9 @@ from repro.mpc import Cluster, ModelConfig
 from repro.mpc.words import word_size
 from repro.primitives.aggregate import aggregate
 from repro.primitives.broadcast import broadcast
+from repro.mpc.plan import RoundPlan
 from repro.primitives.edgestore import EdgeStore
-from repro.sketches import GraphSketchSpec
+from repro.sketches import GraphSketchSpec, SparseRowBlock
 from sketch_oracle import ListBank, list_boruvka
 
 
@@ -91,3 +93,33 @@ def test_blocks_cost_what_pairs_cost_without_a_large_machine():
     assert run(sketch_components, config, graph) == run(
         pair_path_components, config, graph
     )
+
+
+def test_an_enforced_split_sends_row_slices_and_keeps_the_words(monkeypatch):
+    """The split sum levels carry row slices of the sparse blocks: more
+    rounds, but the words and items of the unsplit levels."""
+    graph = generators.planted_components_graph(30, 3, 60, random.Random(1))
+    sent = []
+    send_batch = RoundPlan.send_batch
+
+    def spy(plan, src, dst, items):
+        if plan.note == "connectivity/sum/level":
+            sent.append(items)
+        return send_batch(plan, src, dst, items)
+
+    monkeypatch.setattr(RoundPlan, "send_batch", spy)
+    sums = {}
+    for throttle in ("off", "enforce"):
+        config = ModelConfig.heterogeneous(n=graph.n, m=graph.m).with_throttle(throttle)
+        sent.clear()
+        labels, records, _, _ = run(sketch_components, config, graph)
+        assert len(set(labels)) == 3
+        assert sent and all(isinstance(items, SparseRowBlock) for items in sent)
+        levels = [r for r in records if r[0] == "connectivity/sum/level"]
+        sums[throttle] = (len(levels), sum(r[1] for r in levels),
+                          sum(r[4] for r in levels), min(len(b) for b in sent))
+    (rounds_off, words_off, items_off, _), (rounds, words, items, smallest) = (
+        sums["off"], sums["enforce"]
+    )
+    assert rounds > rounds_off and smallest < sums["off"][3]
+    assert (words, items) == (words_off, items_off)

@@ -13,6 +13,8 @@ from repro.mpc import (
     ProtocolError,
     RoundPlan,
 )
+from repro.mpc.plan import is_block
+from toy_block import PairBlock
 
 
 def make_cluster(strict: bool = False, **kw) -> Cluster:
@@ -65,6 +67,72 @@ def test_messages_flattens_back():
     plan.send_batch(0, 1, ["a", "b"])
     plan.send(2, 3, "c")
     assert list(plan.messages()) == [(0, 1, "a"), (0, 1, "b"), (2, 3, "c")]
+
+
+# ----------------------------------------------------------------------
+# Blocks that are not arrays
+# ----------------------------------------------------------------------
+def test_is_block_is_the_one_block_predicate():
+    import numpy as np
+
+    assert is_block(np.zeros((3, 2), dtype=np.int64))
+    assert is_block(PairBlock([(1, 2)]))
+    assert not is_block([(1, 2)]) and not is_block((1, 2)) and not is_block(7)
+    assert len(PairBlock([(1, 2)] * 3)) == 3
+    assert PairBlock([(1, 2)] * 3).size == PairBlock([(1, 2)] * 3).word_size() == 6
+
+
+def test_a_sent_block_is_one_run_charged_like_its_array():
+    """Items are rows, words are ``size``, and the block arrives whole —
+    the tally of the numeric array of the same shape."""
+    import numpy as np
+
+    rows = [(1, 2), (3, 4), (5, 6)]
+    tallies = []
+    for payload in (PairBlock(rows), np.array(rows, dtype=np.int64)):
+        plan = RoundPlan(note="blocks")
+        plan.send_batch(0, 1, payload).send_batch(2, 1, payload[1:])
+        cluster = make_cluster()
+        inboxes = cluster.execute(plan)
+        assert inboxes[1][0] is payload and len(inboxes[1]) == 2
+        record = cluster.ledger.records[-1]
+        tallies.append((plan.run_meta(), plan.tally(),
+                        (record.total_words, record.items, record.max_sent)))
+    assert tallies[0] == tallies[1]
+    assert tallies[0][1] == ({0: 6, 2: 4}, {1: 10}, 10, 5)
+
+
+def test_a_block_has_no_per_item_view():
+    """The legacy per-item views refuse a :class:`Block` rather than
+    guess at its rows."""
+    plan = RoundPlan()
+    plan.send_batch(0, 1, PairBlock([(1, 2)]))
+    with pytest.raises(TypeError, match="PairBlock block has no per-item view"):
+        list(plan.batches())
+    with pytest.raises(TypeError, match="per-item view"):
+        list(plan.messages())
+    assert [(src, dst, len(items)) for src, dst, items in plan.runs()] == [(0, 1, 1)]
+
+
+def test_engine_and_primitives_never_import_the_sketch_layer():
+    """Blocks keep the dependency one way: the sketch layer subclasses
+    :class:`Block`; the engine and the primitives never name it."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    for package in ("mpc", "primitives"):
+        for path in sorted((root / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                assert not any("sketches" in name for name in names), path
 
 
 # ----------------------------------------------------------------------

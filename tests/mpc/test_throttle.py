@@ -270,6 +270,25 @@ def test_split_plan_preserves_per_destination_order_and_words():
         assert sum(_plan_words(c) for c in chunks) == _plan_words(plan)
 
 
+def test_split_plan_slices_block_objects_by_rows():
+    """A :class:`~repro.mpc.plan.Block` that is not an array splits like
+    one: by row slices, each piece charged its own ``size``."""
+    from toy_block import PairBlock
+
+    controller = _controller()
+    plan = RoundPlan(note="t")
+    block = PairBlock([(i, -i) for i in range(60)])  # 120 words, budget 90
+    plan.send_batch(0, 1, block)
+    chunks = controller.split_plan(plan)
+    assert len(chunks) == 2
+    pieces = [item for chunk in chunks for _, items in chunk.deliveries()
+              for item in items]
+    assert all(isinstance(piece, PairBlock) for piece in pieces)
+    assert [row for piece in pieces for row in piece.rows] == block.rows
+    assert [_plan_words(chunk) for chunk in chunks] == [piece.size for piece in pieces]
+    assert sum(piece.size for piece in pieces) == block.size
+
+
 def test_split_plan_slices_single_oversized_object_run():
     controller = _controller()
     plan = RoundPlan(note="t")

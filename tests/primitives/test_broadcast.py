@@ -290,3 +290,56 @@ def test_converge_cast_combine_with_nothing_to_cast():
     assert arrayed == listed
     assert arrayed[0] == [] and arrayed[2] == []
     assert [[b.shape for b in blocks] for blocks in handed] == [[(0, 2)]]
+
+
+# ----------------------------------------------------------------------
+# Casts of blocks that are not arrays
+# ----------------------------------------------------------------------
+def test_converge_cast_of_block_objects_matches_arrays():
+    """A :class:`~repro.mpc.plan.Block` cast with a combine charges and
+    delivers exactly what the array cast of the same rows does; the
+    combine sees lists of blocks, and a machine that has sent its rows
+    holds a fresh empty block."""
+    from toy_block import PairBlock
+
+    def make():
+        return make_cluster(n=256, m=4096, gamma=0.2)
+
+    handed = []
+
+    def combine_pairs(blocks):
+        handed.append(blocks)
+        return PairBlock(_sum_pairs([row for block in blocks for row in block.rows]))
+
+    rng = random.Random(8)
+    cluster = make()
+    items = {
+        machine.machine_id: [(rng.randrange(12), rng.randrange(100))
+                             for _ in range(rng.randrange(0, 6))]
+        for machine in cluster.smalls
+    }
+    dst = cluster.large.machine_id
+    _, arrayed, _ = _cast_with_combine(make, items, dst)
+    block = converge_cast(
+        cluster, {mid: PairBlock(rows) for mid, rows in items.items()}, dst,
+        combine=combine_pairs,
+    )
+    assert isinstance(block, PairBlock)
+    assert _cast_fingerprint(cluster, block.rows) == arrayed
+    assert handed and all(
+        type(blocks) is list and all(isinstance(b, PairBlock) for b in blocks)
+        for blocks in handed
+    )
+    assert any(len(b) == 0 for blocks in handed for b in blocks)
+
+
+def test_converge_cast_of_block_objects_needs_a_combine():
+    """Only arrays concatenate: a block-object cast without a combine
+    is refused before any round."""
+    from toy_block import PairBlock
+
+    cluster = make_cluster()
+    items = {mid: PairBlock([(mid, 1)]) for mid in cluster.small_ids}
+    with pytest.raises(TypeError, match="needs a combine"):
+        converge_cast(cluster, items, cluster.large.machine_id)
+    assert cluster.ledger.rounds == 0

@@ -121,3 +121,58 @@ def test_cli_serve_stdio(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert json.loads(out[1])["result"] == {"connected": True}
     assert json.loads(out[2])["result"] == {"stopped": True}
+
+
+def start_tcp(session: ServeSession):
+    """Serve *session* over TCP on an ephemeral port in a thread; return
+    the thread and the port."""
+    ready_r, ready_w = socket.socketpair()
+    announce = ready_w.makefile("w")
+    thread = threading.Thread(
+        target=serve_tcp, args=(session, "127.0.0.1", 0),
+        kwargs={"ready": announce}, daemon=True,
+    )
+    thread.start()
+    with ready_r.makefile("r") as lines:
+        port = int(lines.readline().split()[1])
+    ready_r.close()
+    ready_w.close()
+    return thread, port
+
+
+def shut_down(thread, port) -> None:
+    with ServeClient.connect("127.0.0.1", port) as client:
+        assert client.ping()["pong"] is True
+        client.shutdown()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_tcp_client_sending_bytes_that_are_not_utf8_ends_only_its_connection():
+    thread, port = start_tcp(ServeSession())
+    with socket.create_connection(("127.0.0.1", port)) as hostile:
+        hostile.sendall(b"\xff\xfe\xfd not utf-8\n")
+        hostile.settimeout(10)
+        assert hostile.recv(1024) == b""  # the server hung up on it
+    assert thread.is_alive()
+    shut_down(thread, port)
+
+
+def test_tcp_client_resetting_mid_reply_ends_only_its_connection():
+    """A client pipelines many requests and resets the connection
+    without reading the replies: writing them fails, and the server
+    moves on to the next client."""
+    import struct
+
+    from repro.serve import GraphService, ServeConfig
+
+    session = ServeSession(GraphService(ServeConfig(n=64, seed=0)))
+    thread, port = start_tcp(session)
+    hostile = socket.create_connection(("127.0.0.1", port))
+    hostile.sendall(
+        (json.dumps({"op": "components", "labels": True}) + "\n").encode() * 2000
+    )
+    # Linger 0: close sends a reset, not an orderly shutdown.
+    hostile.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    hostile.close()
+    shut_down(thread, port)

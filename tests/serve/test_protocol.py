@@ -301,3 +301,51 @@ def test_update_refuses_a_batch_past_the_cap():
     assert session.handle({"op": "connected", "u": 4, "v": 5})["result"] == {
         "connected": True
     }
+
+
+def test_json_nested_past_the_recursion_limit_answers_bad_request():
+    """A line nested deeper than the decoder can recurse is a bad
+    request, not an exception out of the session."""
+    session = make_session()
+    reply = json.loads(session.handle_line("[" * 100_000 + "]" * 100_000))
+    assert reply["ok"] is False and "bad request" in reply["error"]
+    assert json.loads(session.handle_line('{"op": "ping"}'))["ok"] is True
+
+
+def test_every_nesting_depth_of_an_id_gets_an_answer():
+    """Ids nested to every depth around the recursion limit: each line
+    is answered, and a reply is either the echo or a bad request."""
+    import sys
+
+    session = ServeSession()
+    for depth in range(1, sys.getrecursionlimit() + 10):
+        line = '{"op":"ping","id":' + "[" * depth + "]" * depth + "}"
+        reply = json.loads(session.handle_line(line))
+        if reply["ok"]:
+            assert reply["result"]["pong"] is True
+        else:
+            assert "id" not in reply and "bad request" in reply["error"]
+
+
+def test_a_reply_whose_id_cannot_be_encoded_answers_without_it(monkeypatch):
+    """An id can decode and still nest too deep for the encoder (how far
+    each recurses depends on the interpreter): the reply drops the id
+    and op echoes and says why, and the session keeps serving."""
+    import repro.serve.protocol as protocol
+
+    encode_reply = protocol.encode
+
+    def encoder_out_of_depth(response):
+        if response.get("id") == "deep":
+            raise RecursionError("maximum recursion depth exceeded while encoding")
+        return encode_reply(response)
+
+    monkeypatch.setattr(protocol, "encode", encoder_out_of_depth)
+    session = ServeSession()
+    reply = json.loads(session.handle_line('{"op": "ping", "id": "deep"}'))
+    assert reply == {
+        "ok": False,
+        "error": "bad request: cannot echo id or op: "
+                 "maximum recursion depth exceeded while encoding",
+    }
+    assert json.loads(session.handle_line('{"op": "ping", "id": 1}'))["id"] == 1

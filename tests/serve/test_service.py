@@ -37,12 +37,13 @@ from sketch_oracle import (
 
 def use_list_bank(monkeypatch) -> None:
     """Run the serve core and the connectivity pipeline on the oracle:
-    list banks, per-machine partial builds and per-row merges."""
+    list banks, per-machine partial builds, per-row merges and per-row
+    inserts (sparse blocks only carry the rows between machines)."""
     for module in (service_module, connectivity_module):
         monkeypatch.setattr(module, "SketchBank", ListBank)
         monkeypatch.setattr(module, "bank_boruvka", list_boruvka)
-    monkeypatch.setattr(connectivity_module, "build_partial_blocks", list_partial_blocks)
-    monkeypatch.setattr(connectivity_module, "combine_row_blocks", list_combine_blocks)
+    monkeypatch.setattr(connectivity_module, "build_sparse_blocks", list_partial_blocks)
+    monkeypatch.setattr(connectivity_module, "combine_sparse_blocks", list_combine_blocks)
 
 
 @pytest.fixture(params=["pure", "numpy"])

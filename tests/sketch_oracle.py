@@ -7,11 +7,16 @@ bit-identical reference: counters are exact Python ints (no width
 limits), every update walks edges x samplers x levels in a Python loop,
 and powers come from a baby-step/giant-step table.  :class:`ListBank`
 offers the bank methods that the connectivity pipeline and the serve
-core call, and :func:`list_partial_blocks` / :func:`list_combine_blocks`
-are per-machine, per-row references for the row-block build and combine,
-so tests can also run those layers on the oracle (by patching the
-``SketchBank``, ``bank_boruvka``, ``build_partial_blocks`` and
-``combine_row_blocks`` names of the calling module).
+core call, including ``insert_block`` of a sparse row block.
+:func:`list_partial_blocks` / :func:`list_combine_blocks` are
+per-machine, per-row references for the sparse build and combine: they
+go through :class:`ListBank` rows and per-row merges, and hand rows on
+as :class:`~repro.sketches.SparseRowBlock` coordinates — the one
+transport type the round engine charges.  Tests can run those layers on
+the oracle by patching the ``SketchBank``, ``bank_boruvka``,
+``build_sparse_blocks`` and ``combine_sparse_blocks`` names of the
+calling module.  :func:`densify` expands any sparse block to its dense
+rows with Python ints, the form the tests compare.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.graph.union_find import UnionFind
-from repro.sketches.bank import edge_from_id
+from repro.sketches.bank import SparseRowBlock, edge_from_id
 from repro.sketches.field import PRIME, fingerprint_power
 
 #: Largest baby-step/giant-step block worth materializing.
@@ -310,45 +315,86 @@ def list_boruvka(bank: ListBank) -> tuple[UnionFind, list[tuple[int, int]]]:
 
 
 # ----------------------------------------------------------------------
-# row blocks: per-machine banks and per-row merges
+# sparse row blocks: per-machine banks and per-row merges
 # ----------------------------------------------------------------------
-def rows_block(items, slots: int) -> np.ndarray:
-    """``(vertex, row)`` pairs as an int64 row block
-    ``[vertex, vertex, s0, s1, s2]`` (residues fit in int64)."""
-    return np.array(
-        [[vertex, vertex, *row.s0, *row.s1, *row.s2] for vertex, row in items],
-        dtype=np.int64,
-    ).reshape(-1, 2 + 3 * slots)
-
-
-def block_rows(block) -> list[tuple[int, ListRow]]:
-    """A row block's rows as ``(vertex, ListRow)`` pairs, in order."""
-    slots = (block.shape[1] - 2) // 3
-    return [
-        (row[0], ListRow(row[2:2 + slots], row[2 + slots:2 + 2 * slots],
-                         row[2 + 2 * slots:]))
-        for row in block.tolist()
+def block_rows(block: SparseRowBlock) -> list[tuple[int, ListRow]]:
+    """A sparse block's rows as ``(vertex, ListRow)`` pairs, in order:
+    every coordinate added in with Python ints (``s2`` mod PRIME)."""
+    slots = block.slots
+    rows = [
+        (vertex, ListRow([0] * slots, [0] * slots, [0] * slots))
+        for vertex in block.vertices.tolist()
     ]
+    for r, slot, s0, s1, s2 in zip(
+        block.row.tolist(), block.slot.tolist(), block.s0.tolist(),
+        block.s1.tolist(), block.s2.tolist(),
+    ):
+        row = rows[r][1]
+        row.s0[slot] += s0
+        row.s1[slot] += s1
+        row.s2[slot] = (row.s2[slot] + s2) % PRIME
+    return rows
 
 
-def list_partial_blocks(spec, edge_lists) -> list[np.ndarray]:
-    """Reference for ``build_partial_blocks``: one :class:`ListBank` per
+def densify(block: SparseRowBlock) -> np.ndarray:
+    """A sparse block's dense rows ``[vertex, vertex, s0, s1, s2]``: an
+    ``int64`` array of its ``shape`` (residues fit in int64)."""
+    return np.array(
+        [[vertex, vertex, *row.s0, *row.s1, *row.s2]
+         for vertex, row in block_rows(block)],
+        dtype=np.int64,
+    ).reshape(block.shape)
+
+
+def sparse_block(items, slots: int) -> SparseRowBlock:
+    """``(vertex, row)`` pairs as a sparse block of their non-zero
+    counters, coordinates sorted by ``(row, slot)``."""
+    vertices, coordinates = [], []
+    for r, (vertex, row) in enumerate(items):
+        vertices.append(vertex)
+        coordinates.extend(
+            (r, slot, a, b, c)
+            for slot, (a, b, c) in enumerate(zip(row.s0, row.s1, row.s2))
+            if a or b or c
+        )
+    table = np.array(coordinates, dtype=np.int64).reshape(-1, 5)
+    return SparseRowBlock(
+        np.array(vertices, dtype=np.int64),
+        *(table[:, k].copy() for k in range(4)),
+        table[:, 4].astype(np.uint64),
+        slots,
+    )
+
+
+def concat_blocks(blocks) -> SparseRowBlock:
+    """The rows of *blocks* stacked into one block, a vertex possibly
+    repeated (what a combine or an insert must sum)."""
+    offsets = np.cumsum([0] + [len(block) for block in blocks])
+    return SparseRowBlock(
+        np.concatenate([block.vertices for block in blocks]),
+        np.concatenate([block.row + o for block, o in zip(blocks, offsets)]),
+        *(np.concatenate([getattr(block, name) for block in blocks])
+          for name in ("slot", "s0", "s1", "s2")),
+        blocks[0].slots,
+    )
+
+
+def list_partial_blocks(spec, edge_lists) -> list[SparseRowBlock]:
+    """Reference for ``build_sparse_blocks``: one :class:`ListBank` per
     machine, its rows in insertion order."""
     blocks = []
     for edges in edge_lists:
         bank = ListBank(spec)
         bank.update_edges(edges)
-        blocks.append(rows_block(bank.row_items(), bank.slots_per_row))
+        blocks.append(sparse_block(bank.row_items(), bank.slots_per_row))
     return blocks
 
 
-def list_combine_blocks(blocks) -> np.ndarray:
-    """Reference for ``combine_row_blocks``: rows merged one at a time
+def list_combine_blocks(blocks) -> SparseRowBlock:
+    """Reference for ``combine_sparse_blocks``: rows merged one at a time
     into a dict keyed by vertex (first-encounter order)."""
-    if not len(blocks):
-        return np.zeros((0, 0), dtype=np.int64)
     merged: dict[int, ListRow] = {}
     for block in blocks:
         for vertex, row in block_rows(block):
             merged[vertex] = merged[vertex].merge(row) if vertex in merged else row
-    return rows_block(merged.items(), (blocks[0].shape[1] - 2) // 3)
+    return sparse_block(merged.items(), blocks[0].slots if len(blocks) else 0)

@@ -13,8 +13,8 @@ from repro.sketches import (
     SketchRow,
     VertexSketch,
     bank_boruvka,
-    build_partial_blocks,
-    combine_row_blocks,
+    build_sparse_blocks,
+    combine_sparse_blocks,
 )
 
 
@@ -116,7 +116,7 @@ def test_insert_block_and_insert_row_roundtrip():
     spec = make_spec()
     bank = SketchBank(spec)
     bank.update_edges(EDGES)
-    (block,) = build_partial_blocks(spec, [EDGES])
+    (block,) = build_sparse_blocks(spec, [EDGES])
     from_block = SketchBank(spec)
     from_block.insert_block(block)
     from_rows = SketchBank(spec)
@@ -131,11 +131,11 @@ def test_insert_block_and_insert_row_roundtrip():
 
 def test_combine_row_blocks_is_linear():
     spec = make_spec()
-    left, right = build_partial_blocks(spec, [[(0, 1), (1, 2)], [(0, 3), (2, 4)]])
+    left, right = build_sparse_blocks(spec, [[(0, 1), (1, 2)], [(0, 3), (2, 4)]])
     combined = SketchBank(spec)
     combined.update_edges([(0, 1), (1, 2), (0, 3), (2, 4)])
     merged = SketchBank(spec)
-    merged.insert_block(combine_row_blocks([left, right]))
+    merged.insert_block(combine_sparse_blocks([left, right]))
     assert merged.vertices == [0, 1, 2, 3, 4]
     for vertex in combined.vertices:
         assert rows_equal(merged.row(vertex), combined.row(vertex))
@@ -144,10 +144,12 @@ def test_combine_row_blocks_is_linear():
 def test_insert_block_sums_repeated_vertices():
     """A block that names a vertex twice adds both rows into it, and
     creates rows in first-encounter order."""
+    from sketch_oracle import concat_blocks
+
     spec = make_spec()
-    left, right = build_partial_blocks(spec, [[(2, 1), (1, 0)], [(1, 3)]])
+    left, right = build_sparse_blocks(spec, [[(2, 1), (1, 0)], [(1, 3)]])
     bank = SketchBank(spec)
-    bank.insert_block(np.concatenate([left, right]))
+    bank.insert_block(concat_blocks([left, right]))
     reference = SketchBank(spec)
     reference.update_edges([(2, 1), (1, 0), (1, 3)])
     assert bank.vertices == [2, 1, 0, 3]
@@ -389,7 +391,7 @@ def test_update_refused_before_s1_can_overflow():
         bank.update_edges(top[1:])
     with pytest.raises(OverflowError):
         bank.insert_row(BIG_N - 1, bank.row(BIG_N - 2))
-    (block,) = build_partial_blocks(spec, [top[:1]])
+    (block,) = build_sparse_blocks(spec, [top[:1]])
     with pytest.raises(OverflowError):
         bank.insert_block(block)
     with pytest.raises(OverflowError):
