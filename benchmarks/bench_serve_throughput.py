@@ -31,7 +31,6 @@ import random
 import time
 
 from repro.env import env_flag
-from repro.mpc.executor import shutdown_pools
 from repro.serve import GraphService, ServeConfig
 
 from _util import publish, publish_perf
@@ -102,9 +101,7 @@ def _serve_once(updates: int) -> dict:
 
 
 def run_serve_throughput():
-    rows = [_serve_once(updates) for updates in LEGS]
-    shutdown_pools()  # bench epilogue: don't leave pools to atexit
-    return rows
+    return [_serve_once(updates) for updates in LEGS]
 
 
 def test_serve_throughput(benchmark):

@@ -125,14 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="run sweep points on a process pool of N workers; "
                         "artifacts are byte-identical to a serial run")
-    p.add_argument("--executor", choices=["serial", "process"], default=None,
-                   help="per-machine local-step executor (also via "
-                        "REPRO_EXECUTOR); artifacts are byte-identical "
-                        "either way.  --jobs > 1 wins: sweep workers "
-                        "always run their points serially")
-    p.add_argument("--executor-workers", type=int, default=0,
-                   help="process-executor worker count (0 = cpu count; "
-                        "also via REPRO_EXECUTOR_WORKERS)")
     p.add_argument("--out", default=None,
                    help="results directory (default benchmarks/results, "
                         "or benchmarks/results/quick with --quick)")
@@ -161,8 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.5,
                    help="MST-weight approximation parameter")
     p.add_argument("--listen", default=None, metavar="HOST:PORT",
+                   type=_listen_address,
                    help="serve over TCP instead of stdio (port 0 picks an "
-                        "ephemeral port, announced on stdout)")
+                        "ephemeral port, announced on stdout; an empty "
+                        "host means 127.0.0.1)")
 
     p = sub.add_parser(
         "report",
@@ -191,6 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _listen_address(value: str) -> tuple[str, int]:
+    """Parse ``serve --listen HOST:PORT`` into ``(host, port)``."""
+    host, sep, port = value.rpartition(":")
+    if not (sep and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT with a port in 0-65535, got {value!r}"
+        )
+    return host or "127.0.0.1", int(port)
+
+
 def _config(args, m: int) -> ModelConfig:
     f = getattr(args, "f", None)
     if f:
@@ -198,20 +202,6 @@ def _config(args, m: int) -> ModelConfig:
             n=args.n, m=m, f=f, gamma=args.gamma
         )
     return ModelConfig.heterogeneous(n=args.n, m=m, gamma=args.gamma)
-
-
-def _maybe_forced_executor(args):
-    """Context for ``--executor``: force the named executor for every
-    cluster built during the run.  Sweep workers spawned by ``--jobs``
-    ignore it (they mark themselves as worker processes and always run
-    local steps serially), so ``--jobs`` takes precedence."""
-    from .mpc.executor import forced_executor
-
-    if args.executor is None:
-        import contextlib
-
-        return contextlib.nullcontext()
-    return forced_executor(args.executor, workers=args.executor_workers)
 
 
 def _bench_command(args) -> int:
@@ -246,20 +236,12 @@ def _bench_command(args) -> int:
         )
     else:
         runner = experiments.Runner(results_dir=results_dir, seed=args.seed)
-    try:
-        with _maybe_forced_executor(args):
-            runs = runner.run_many(
-                selected,
-                quick=quick,
-                json_artifact=args.json_artifacts,
-                echo=lambda run: print(run.render_text()),
-            )
-    finally:
-        # Bench epilogue: reap any executor worker pools the run spun up
-        # rather than leaving them to the atexit hook.
-        from .mpc.executor import shutdown_pools
-
-        shutdown_pools()
+    runs = runner.run_many(
+        selected,
+        quick=quick,
+        json_artifact=args.json_artifacts,
+        echo=lambda run: print(run.render_text()),
+    )
     if args.scenarios == ["all"] and args.json_artifacts:
         # The cross-scenario roll-up only makes sense (and is only safe to
         # overwrite) when the whole registry ran.
@@ -321,13 +303,19 @@ def _costmodel_command(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "bench":
         return _bench_command(args)
     if args.command == "serve":
-        from .serve.daemon import run_daemon
+        from .serve.daemon import build_session, run_daemon
+        from .serve.service import ServiceError
 
-        return run_daemon(args)
+        try:
+            session = build_session(args)
+        except ServiceError as exc:
+            parser.error(f"serve: {exc}")
+        return run_daemon(args, session)
     if args.command == "report":
         return _report_command(args)
     if args.command == "costmodel":

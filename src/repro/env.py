@@ -4,30 +4,25 @@ Every knob used to be read ad hoc — boolean switches with a strict
 ``== "1"`` comparison (so ``REPRO_BENCH_SMOKE=true`` was silently
 ignored), name-valued switches with bare ``os.environ.get`` (so a
 trailing space or ``NumPy`` capitalization produced an "unknown backend"
-error), and integer knobs with a raw ``int(...)`` that raised an opaque
-``ValueError`` on junk.  These three helpers are the single place knob
-strings become Python values:
+error).  These two helpers are the single place knob strings become
+Python values:
 
 * :func:`env_flag` — boolean switches (``REPRO_BENCH_SMOKE``).  Accepts
   ``1/true/yes/on`` and ``0/false/no/off`` case-insensitively; anything
   else raises so a typo fails loudly instead of silently disabling the
   knob.
-* :func:`env_name` — name-valued switches (``REPRO_EXECUTOR``,
-  ``REPRO_PRIMITIVE_PATH``).  Strips and
-  lowercases; empty values fall back to the default so
-  ``REPRO_EXECUTOR= python ...`` behaves like unset.  Validation against
-  the accepted names stays with the caller, whose error messages name
-  the knob's actual vocabulary.
-* :func:`env_int` — integer knobs (``REPRO_EXECUTOR_WORKERS``).  Empty
-  values fall back to the default; junk raises with the variable name in
-  the message.
+* :func:`env_name` — name-valued switches (``REPRO_PRIMITIVE_PATH``).
+  Strips and lowercases; empty values fall back to the default so
+  ``REPRO_PRIMITIVE_PATH= python ...`` behaves like unset.  Validation
+  against the accepted names stays with the caller, whose error messages
+  name the knob's actual vocabulary.
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["env_flag", "env_name", "env_int"]
+__all__ = ["env_flag", "env_name"]
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 _FALSY = frozenset({"0", "false", "no", "off", ""})
@@ -61,18 +56,3 @@ def env_name(name: str, default: str) -> str:
         return default
     value = raw.strip().lower()
     return value if value else default
-
-
-def env_int(name: str, default: int = 0) -> int:
-    """Read integer knob *name*.  Unset or empty returns *default*;
-    non-integer values raise ``ValueError`` naming the variable."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = raw.strip()
-    if value == "":
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not an integer") from None

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from ..analysis import render_table
-from ..mpc.executor import mark_worker_process
 from .artifacts import (
     SCHEMA_VERSION,
     SUITE_SCHEMA_VERSION,
@@ -298,14 +297,8 @@ class ParallelRunner(Runner):
     Every ``(scenario, index)`` pair is one pool task; results are
     reassembled in sweep order through the same ``_assemble`` path as the
     serial runner, so the persisted artifacts are byte-identical to a
-    serial run with the same seed and sizing.
-
-    Workers are marked as such (:func:`~repro.mpc.executor.
-    mark_worker_process` runs as the pool initializer), so any cluster a
-    scenario builds inside a worker resolves to a ``SerialExecutor`` even
-    under ``REPRO_EXECUTOR=process`` — ``--jobs`` takes precedence over
-    ``--executor``, and a pool of scenario points never forks a second
-    process pool per worker.
+    serial run with the same seed and sizing.  This pool is the only one:
+    a cluster runs its machines' local steps inline.
     """
 
     def __init__(
@@ -328,9 +321,7 @@ class ParallelRunner(Runner):
             for index in range(len(scenario.sweep(quick)))
         ]
         measured: dict[tuple[str, int], MeasuredPoint] = {}
-        with ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=mark_worker_process
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             pending = {
                 pool.submit(_pool_measure, name, index, self.seed, quick): (name, index)
                 for name, index in tasks

@@ -52,16 +52,9 @@ at every round and at input placement).  In strict mode
 :class:`MemoryLimitExceeded`; otherwise both are recorded in the ledger's
 ``violations`` stream.
 
-Local compute runs on the *executor seam* (:mod:`repro.mpc.executor`):
-the primitives' hot per-machine loops are registered *local steps* —
-pure functions over one machine's shard — dispatched through
-:meth:`Cluster.run_local_steps`.  The default :class:`SerialExecutor`
-runs them inline; ``ModelConfig.with_executor("process", workers=N)``
-(or ``REPRO_EXECUTOR=process``) fans shippable steps out over a process
-pool.  All accounting stays derived from plans on the coordinator, so
-ledgers and artifacts are byte-identical across executors — and inside
-``bench --jobs N`` workers the seam always degrades to serial (nested
-parallelism is guarded; ``--jobs`` wins over ``--executor``).
+Local computation between rounds is free in the model, so each machine's
+local step is a plain function call in the coordinator; every charge is
+derived from plans.
 
 Compatibility policy
 --------------------
@@ -87,16 +80,6 @@ from .errors import (
     MemoryLimitExceeded,
     MPCError,
     ProtocolError,
-)
-from .executor import (
-    LocalStep,
-    ProcessExecutor,
-    SerialExecutor,
-    available_executors,
-    forced_executor,
-    get_executor,
-    local_step,
-    shutdown_pools,
 )
 from .ledger import NoteStats, RoundLedger, RoundRecord, Violation
 from .machine import LARGE, SMALL, Machine
@@ -133,12 +116,4 @@ __all__ = [
     "ThrottleController",
     "ThrottleEvent",
     "PeakHoldLoadEstimator",
-    "LocalStep",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "available_executors",
-    "forced_executor",
-    "get_executor",
-    "local_step",
-    "shutdown_pools",
 ]

@@ -36,21 +36,12 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .config import ModelConfig
 from .errors import CommunicationLimitExceeded, MemoryLimitExceeded, ProtocolError
-from .executor import get_executor, local_step
 from .ledger import RoundLedger, Violation
 from .machine import LARGE, SMALL, Machine
 from .plan import Message, RoundPlan
 from .throttle import ThrottleController
 
 __all__ = ["Cluster", "Message"]
-
-
-@local_step("cluster/map-small", ships=False)
-def _map_small_step(payload: tuple) -> list[Any]:
-    """One machine's :meth:`Cluster.map_small` shard.  ``ships=False``:
-    the payload carries a user callable and the Machine itself."""
-    fn, machine, items = payload
-    return fn(machine, items)
 
 
 class Cluster:
@@ -63,9 +54,6 @@ class Cluster:
     ) -> None:
         self.config = config
         self.rng = rng if rng is not None else random.Random(0)
-        #: Executor for per-machine local compute (``repro.mpc.executor``);
-        #: ledgers and results are identical across executors.
-        self.executor = get_executor(config.executor, config.executor_workers)
         # Input placement draws from a dedicated stream derived from the
         # cluster seed (the rng's initial state), so adding an unrelated
         # self.rng use later can never shift where the input lands.
@@ -385,16 +373,6 @@ class Cluster:
             items.extend(machine.get(name, []))
         return items
 
-    def run_local_steps(self, step: str, payloads: Sequence[Any]) -> list[Any]:
-        """Run a registered local step over per-machine *payloads*.
-
-        The executor seam (:mod:`repro.mpc.executor`): the primitives'
-        hot per-machine loops go through here so a process executor can
-        fan them out, one task per machine shard.  Results come back in
-        payload order; this costs no rounds and touches no ledger.
-        """
-        return self.executor.map_steps(step, payloads)
-
     def map_small(self, name: str, fn: Callable[[Machine, list[Any]], list[Any]]) -> None:
         """Apply a local (zero-round) transformation on each small machine.
 
@@ -402,10 +380,7 @@ class Cluster:
         have grown), so callers no longer need their own
         :meth:`checkpoint_memory` to keep high-water marks honest.
         """
-        results = self.run_local_steps(
-            "cluster/map-small",
-            [(fn, machine, machine.get(name, [])) for machine in self.smalls],
-        )
+        results = [fn(machine, machine.get(name, [])) for machine in self.smalls]
         for machine, result in zip(self.smalls, results):
             machine.put(name, result)
         self.checkpoint_memory(f"map/{name}")

@@ -48,13 +48,6 @@ class ModelConfig:
         throttle: the adaptive-throttling policy
             (:class:`~repro.mpc.throttle.ThrottlePolicy`); the default
             ``mode="off"`` attaches no controller at all.
-        executor: where per-machine local compute runs
-            (:mod:`repro.mpc.executor`): ``"serial"``, ``"process"``, or
-            ``None`` — the default — which defers to the ambient
-            ``REPRO_EXECUTOR`` resolution.  Ledgers and results are
-            identical across executors by construction.
-        executor_workers: process-pool size for the ``"process"``
-            executor; 0 means one worker per CPU.
     """
 
     n: int
@@ -67,21 +60,12 @@ class ModelConfig:
     constant: float = 4.0
     strict: bool = False
     throttle: ThrottlePolicy = field(default_factory=ThrottlePolicy)
-    executor: str | None = None
-    executor_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("need at least 2 vertices")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.executor is not None and self.executor not in ("serial", "process"):
-            raise ValueError(
-                f"unknown executor {self.executor!r} "
-                "(expected 'serial' or 'process')"
-            )
-        if self.executor_workers < 0:
-            raise ValueError("executor_workers must be non-negative")
         if self.num_small <= 0:
             default = max(2, math.ceil(max(self.m, 1) / self.n**self.gamma))
             object.__setattr__(self, "num_small", default)
@@ -220,14 +204,3 @@ class ModelConfig:
         elif kw:
             raise TypeError("pass either a ThrottlePolicy or mode + keywords")
         return replace(self, throttle=policy)
-
-    def with_executor(self, executor: str, workers: int = 0) -> "ModelConfig":
-        """Return a copy selecting where local compute runs
-        (:mod:`repro.mpc.executor`)::
-
-            config.with_executor("process", workers=4)
-
-        ``workers`` sizes the process pool (0 = one per CPU).  Executor
-        choice never changes ledgers or results — only wall-clock.
-        """
-        return replace(self, executor=executor, executor_workers=workers)

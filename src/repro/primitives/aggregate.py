@@ -36,7 +36,6 @@ from typing import Any, Callable, Hashable, Iterable
 import numpy as np
 
 from ..mpc.cluster import Cluster
-from ..mpc.executor import local_step
 from . import columnar
 from .broadcast import converge_cast
 from .columnar import EdgeBlock
@@ -52,22 +51,6 @@ def _combine_pairs(
     for key, value in pairs:
         result[key] = value if key not in result else combine(result[key], value)
     return list(result.items())
-
-
-@local_step("aggregate/combine-object", ships=False)
-def _combine_object_step(payload: tuple) -> list[tuple[Hashable, Any]]:
-    """One machine's local pre-combine, object path.  ``ships=False``:
-    *combine* is a user callable."""
-    pairs, combine = payload
-    return _combine_pairs(pairs, combine)
-
-
-@local_step("aggregate/reduce-pairs")
-def _reduce_pairs_step(payload: tuple) -> tuple[Any, Any]:
-    """One machine's group-by-key reduction, columnar path (the per-level
-    ``argsort``/``reduceat`` kernel of the converge-cast)."""
-    keys, values, kind = payload
-    return columnar.reduce_pairs(keys, values, kind)
 
 
 def aggregate(
@@ -106,12 +89,10 @@ def aggregate(
     def level_combine(buffer: list[Any]) -> list[Any]:
         return _combine_pairs(buffer, combine_fn)
 
-    mids = list(materialized)
-    combined = cluster.run_local_steps(
-        "aggregate/combine-object",
-        [(list(materialized[mid]), combine_fn) for mid in mids],
-    )
-    locally_combined = dict(zip(mids, combined))
+    locally_combined = {
+        mid: _combine_pairs(list(pairs), combine_fn)
+        for mid, pairs in materialized.items()
+    }
     result_pairs = converge_cast(
         cluster, locally_combined, dst, combine=level_combine, note=note
     )
@@ -196,11 +177,11 @@ def _aggregate_columnar(
 ) -> dict[int, Any]:
     """The converge-cast of :func:`aggregate`, on ``(keys, values)`` columns.
 
-    Each machine pre-combines its own pairs (one shippable local step per
-    machine, uncharged like the object path's), then the partial
-    aggregates ride :func:`~repro.primitives.broadcast.converge_cast` as
-    one ``(n, 2)`` transport block per machine — ``n`` items, ``2n``
-    words, exactly the object path's ``n`` pairs — with
+    Each machine pre-combines its own pairs (uncharged, like the object
+    path's local combine), then the partial aggregates ride
+    :func:`~repro.primitives.broadcast.converge_cast` as one ``(n, 2)``
+    transport block per machine — ``n`` items, ``2n`` words, exactly the
+    object path's ``n`` pairs — with
     :func:`~repro.primitives.columnar.reduce_pairs` over the concatenated
     held and received blocks as the per-level combine.  The values come
     back to their own dtype at the end.
@@ -219,14 +200,12 @@ def _aggregate_columnar(
             *columnar.reduce_pairs(block[:, 0].astype(np.int64), block[:, 1], kind)
         )
 
-    mids = list(columns_by_machine)
-    reduced = cluster.run_local_steps(
-        "aggregate/reduce-pairs",
-        [(*columns_by_machine[mid], kind) for mid in mids],
-    )
     result = converge_cast(
         cluster,
-        {mid: as_transport(*pairs) for mid, pairs in zip(mids, reduced)},
+        {
+            mid: as_transport(*columnar.reduce_pairs(keys, values, kind))
+            for mid, (keys, values) in columns_by_machine.items()
+        },
         dst,
         combine=combine,
         note=note,

@@ -28,7 +28,6 @@ from typing import Any, Callable
 import numpy as np
 
 from ..mpc.cluster import Cluster
-from ..mpc.executor import local_step
 from . import columnar
 from .aggregate import aggregate_counts
 from .columnar import EdgeBlock
@@ -44,8 +43,7 @@ def directed_copies(edge: tuple) -> list[tuple]:
     return [(u, v, edge), (v, u, edge)]
 
 
-@local_step("arrange/directed-flat")
-def _flat_directed_step(columns: tuple) -> EdgeBlock:
+def _flat_directed_copies(columns: tuple) -> EdgeBlock:
     """One machine's flat directed-copy build: both orientations
     interleaved, the original edge columns repeated alongside."""
     end_dtype = columns[0].dtype
@@ -58,10 +56,8 @@ def _flat_directed_step(columns: tuple) -> EdgeBlock:
     return EdgeBlock([src, dst, *(np.repeat(col, 2) for col in columns)])
 
 
-@local_step("arrange/directed-object", ships=False)
-def _directed_object_step(edges: list) -> list[tuple]:
-    """One machine's nested directed-copy build.  ``ships=False``: edge
-    payloads may be arbitrary objects."""
+def _directed_records(edges: list) -> list[tuple]:
+    """One machine's nested directed-copy build."""
     records: list[tuple] = []
     for edge in edges:
         records.extend(directed_copies(edge))
@@ -125,12 +121,10 @@ def arrange_directed(
             key2: Callable[[tuple], Any] = lambda edge: edge  # noqa: E731
         else:
             key2 = columnar.as_callable(secondary_key)
-        built = cluster.run_local_steps(
-            "arrange/directed-object",
-            [list(machine.get(edges_name, [])) for machine in cluster.smalls],
-        )
-        for machine, records in zip(cluster.smalls, built):
-            machine.put(directed_name, records)
+        for machine in cluster.smalls:
+            machine.put(
+                directed_name, _directed_records(list(machine.get(edges_name, [])))
+            )
         layout = sample_sort(
             cluster,
             directed_name,
@@ -230,11 +224,8 @@ def _flat_directed(
         qualified.append((machine.machine_id, block))
     if not qualified:
         return None
-    built = cluster.run_local_steps(
-        "arrange/directed-flat", [block.columns for _, block in qualified]
-    )
-    for (mid, _), directed in zip(qualified, built):
-        blocks[mid] = directed
+    for mid, block in qualified:
+        blocks[mid] = _flat_directed_copies(block.columns)
     key_fields = edge_spec if edge_spec is not None else tuple(range(width))
     if key_fields and (max(key_fields) >= width or min(key_fields) < 0):
         return None

@@ -9,8 +9,7 @@ tuples at every step.
 Three pieces:
 
 * :class:`EdgeBlock` — a typed record batch: fixed-width rows held as
-  per-field columns (numpy 1-D arrays when numpy is installed, plain row
-  lists otherwise).  A block knows its word count in O(1)
+  per-field numpy 1-D arrays.  A block knows its word count in O(1)
   (``len * width`` — every field of a qualifying record is one machine
   word), which is what lets ``Machine.put`` and the converge-cast scratch
   charges account a 100k-row dataset without iterating it: the block
@@ -24,10 +23,7 @@ Three pieces:
   treatment (uniform width, per-field scalar types that round-trip
   exactly through numpy: ``int`` within int64, finite ``float``,
   ``bool``); ``lexsort_block`` / ``reduce_pairs`` are the array kernels
-  behind sample sort and aggregation.  Every kernel has a pure fallback
-  so minimal installs keep working; when numpy is missing the primitives
-  simply stay on the object path (the pure kernels preserve semantics,
-  they do not chase the array speed).
+  behind sample sort and aggregation.
 
 * the path switch — ``REPRO_PRIMITIVE_PATH`` (``columnar``, the default,
   or ``object``) selects which implementation the primitives run.
@@ -46,15 +42,12 @@ from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
+
 from ..env import env_name
 
-try:  # optional accelerator — the object path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
-
 __all__ = [
-    "HAS_NUMPY",
     "EdgeBlock",
     "primitive_path",
     "columnar_enabled",
@@ -72,8 +65,6 @@ __all__ = [
     "ingest_pairs",
     "REDUCERS",
 ]
-
-HAS_NUMPY = _np is not None
 
 _ENV_VAR = "REPRO_PRIMITIVE_PATH"
 _FORCED: str | None = None
@@ -172,8 +163,7 @@ class EdgeBlock:
     __slots__ = ("columns", "_length", "_rows")
 
     def __init__(self, columns: Sequence[Any], length: int | None = None) -> None:
-        #: Per-field columns: numpy 1-D arrays (numpy mode) or column
-        #: lists (pure mode).  All the same length.
+        #: Per-field columns: numpy 1-D arrays, all the same length.
         self.columns = tuple(columns)
         if length is None:
             length = len(self.columns[0]) if self.columns else 0
@@ -199,12 +189,7 @@ class EdgeBlock:
         dataset.
         """
         if self._rows is None:
-            if _np is not None and self.columns and isinstance(
-                self.columns[0], _np.ndarray
-            ):
-                self._rows = list(zip(*(col.tolist() for col in self.columns)))
-            else:
-                self._rows = list(zip(*self.columns))
+            self._rows = list(zip(*(col.tolist() for col in self.columns)))
         return self._rows
 
     def __len__(self) -> int:
@@ -238,12 +223,12 @@ def _column_dtype(values: list) -> Any:
     kinds = set(map(type, values))
     if kinds == {int}:
         if all(_INT64_MIN <= v <= _INT64_MAX for v in (min(values), max(values))):
-            return _np.int64
+            return np.int64
         return None
     if kinds == {float}:
-        return _np.float64
+        return np.float64
     if kinds == {bool}:
-        return _np.bool_
+        return np.bool_
     return None
 
 
@@ -256,7 +241,7 @@ def ingest_rows(rows: Sequence[Any]) -> EdgeBlock | None:
     with C-level passes (one flatten, one type scan, one array build);
     per-column dtypes only get inspected on the rarer mixed-type batches.
     """
-    if _np is None or not rows:
+    if not rows:
         return None
     if isinstance(rows, EdgeBlock):
         return rows
@@ -273,7 +258,7 @@ def ingest_rows(rows: Sequence[Any]) -> EdgeBlock | None:
         lo, hi = min(flat), max(flat)
         if lo < _INT64_MIN or hi > _INT64_MAX:
             return None
-        arr = _np.array(flat, dtype=_np.int64).reshape(len(rows), width)
+        arr = np.array(flat, dtype=np.int64).reshape(len(rows), width)
         return EdgeBlock([arr[:, j] for j in range(width)], len(rows))
     if not kinds <= {int, float, bool}:
         return None
@@ -283,8 +268,8 @@ def ingest_rows(rows: Sequence[Any]) -> EdgeBlock | None:
         dtype = _column_dtype(values)
         if dtype is None:
             return None
-        col = _np.array(values, dtype=dtype)
-        if dtype is _np.float64 and not _np.isfinite(col).all():
+        col = np.array(values, dtype=dtype)
+        if dtype is np.float64 and not np.isfinite(col).all():
             # NaN/inf break the ordering equivalence with Python sorts.
             return None
         columns.append(col)
@@ -294,13 +279,13 @@ def ingest_rows(rows: Sequence[Any]) -> EdgeBlock | None:
 def value_column(values: list) -> Any | None:
     """A list of scalars as one exact typed column, or ``None`` if the
     values do not round-trip (mixed types, NaN/inf, out-of-range ints)."""
-    if _np is None or not values:
+    if not values:
         return None
     dtype = _column_dtype(values)
     if dtype is None:
         return None
-    col = _np.array(values, dtype=dtype)
-    if dtype is _np.float64 and not _np.isfinite(col).all():
+    col = np.array(values, dtype=dtype)
+    if dtype is np.float64 and not np.isfinite(col).all():
         return None
     return col
 
@@ -315,12 +300,12 @@ def ensure_block(data: Any) -> EdgeBlock | None:
 
 
 def concat_blocks(blocks: Sequence[EdgeBlock]) -> EdgeBlock:
-    """Concatenate blocks of identical width (numpy mode)."""
+    """Concatenate blocks of identical width."""
     if len(blocks) == 1:
         return blocks[0]
     width = blocks[0].width
     columns = [
-        _np.concatenate([b.columns[j] for b in blocks]) for j in range(width)
+        np.concatenate([b.columns[j] for b in blocks]) for j in range(width)
     ]
     return EdgeBlock(columns)
 
@@ -371,9 +356,9 @@ def pack_columns(
     faster than a multi-key ``lexsort`` and bucket assignment against
     packed splitters becomes a single vectorized ``searchsorted``.
     """
-    if _np is None or any(col.dtype.kind not in "ib" for col in cols):
+    if any(col.dtype.kind not in "ib" for col in cols):
         return None
-    extras = _np.asarray(extra_keys, dtype=_np.int64).reshape(
+    extras = np.asarray(extra_keys, dtype=np.int64).reshape(
         len(extra_keys), len(cols)
     )
     mins, spans = [], []
@@ -387,10 +372,10 @@ def pack_columns(
         spans.append(hi - lo + 1)
     if not spans_fit_packing(spans):
         return None
-    packed = _np.zeros(len(cols[0]) if cols else 0, dtype=_np.int64)
-    packed_extras = _np.zeros(len(extras), dtype=_np.int64)
+    packed = np.zeros(len(cols[0]) if cols else 0, dtype=np.int64)
+    packed_extras = np.zeros(len(extras), dtype=np.int64)
     for j, col in enumerate(cols):
-        packed = packed * spans[j] + (col.astype(_np.int64, copy=False) - mins[j])
+        packed = packed * spans[j] + (col.astype(np.int64, copy=False) - mins[j])
         if len(extras):
             packed_extras = packed_extras * spans[j] + (extras[:, j] - mins[j])
     return packed, packed_extras
@@ -406,8 +391,8 @@ def stable_order(block: EdgeBlock, fields: Sequence[int]) -> Any:
     cols = [block.columns[f] for f in fields]
     packed = pack_columns(cols)
     if packed is not None:
-        return _np.argsort(packed[0], kind="stable")
-    return _np.lexsort(cols[::-1])
+        return np.argsort(packed[0], kind="stable")
+    return np.lexsort(cols[::-1])
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +437,7 @@ def resolve_reducer(combine: Any) -> str | None:
 
 
 def reducer_callable(combine: Any) -> Callable[[Any, Any], Any]:
-    """The binary-callable form of *combine* (object path / fallbacks)."""
+    """The binary-callable form of *combine* (the object path)."""
     if isinstance(combine, str):
         return REDUCERS[combine]
     return combine
@@ -467,8 +452,6 @@ def ingest_pairs(pairs: Sequence[Any]) -> tuple[Any, Any] | None:
     type.  Reducer compatibility (float sums, overflow headroom) is the
     caller's global check — see :func:`pairs_fit_kind`.
     """
-    if _np is None:
-        return None
     if isinstance(pairs, EdgeBlock):
         if pairs.width != 2:
             return None
@@ -492,9 +475,9 @@ def ingest_pairs(pairs: Sequence[Any]) -> tuple[Any, Any] | None:
     value_dtype = _column_dtype(value_list)
     if value_dtype is None:
         return None
-    keys = _np.array(key_list, dtype=_np.int64)
-    values = _np.array(value_list, dtype=value_dtype)
-    if value_dtype is _np.float64 and not _np.isfinite(values).all():
+    keys = np.array(key_list, dtype=np.int64)
+    values = np.array(value_list, dtype=value_dtype)
+    if value_dtype is np.float64 and not np.isfinite(values).all():
         return None
     return keys, values
 
@@ -516,7 +499,7 @@ def pairs_fit_kind(columns: Sequence[tuple[Any, Any]], kind: str) -> bool:
             # Float sums are order-sensitive; bitwise-or is undefined.
             return False
         for keys, _ in columns:
-            if len(keys) and int(_np.abs(keys).max()) > _FLOAT_SAFE_KEY:
+            if len(keys) and int(np.abs(keys).max()) > _FLOAT_SAFE_KEY:
                 # Keys share the float64 transport column with the values.
                 return False
         return True
@@ -525,7 +508,7 @@ def pairs_fit_kind(columns: Sequence[tuple[Any, Any]], kind: str) -> bool:
         return False
     if kind == "sum":
         bound = sum(
-            int(_np.abs(values).max()) * len(values)
+            int(np.abs(values).max()) * len(values)
             for _, values in columns
             if len(values)
         )
@@ -547,15 +530,15 @@ def reduce_pairs(keys: Any, values: Any, kind: str) -> tuple[Any, Any]:
     n = len(keys)
     if n == 0:
         return keys, values
-    order = _np.argsort(keys, kind="stable")
+    order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     sorted_values = values[order]
-    starts_tail = _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = _np.concatenate(([0], starts_tail))
-    ufunc = getattr(_np, _REDUCER_UFUNCS[kind])
+    starts_tail = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    starts = np.concatenate(([0], starts_tail))
+    ufunc = getattr(np, _REDUCER_UFUNCS[kind])
     reduced = ufunc.reduceat(sorted_values, starts)
     unique_keys = sorted_keys[starts]
     # Stable argsort puts each group's earliest original index first, so
     # order[starts] is every key's first-encounter position.
-    encounter = _np.argsort(order[starts], kind="stable")
+    encounter = np.argsort(order[starts], kind="stable")
     return unique_keys[encounter], reduced[encounter]

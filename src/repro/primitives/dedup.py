@@ -26,35 +26,12 @@ from typing import Any, Callable, Hashable
 import numpy as np
 
 from ..mpc.cluster import Cluster
-from ..mpc.executor import local_step
 from ..mpc.plan import RoundPlan
 from . import columnar
 from .columnar import EdgeBlock
 from .sort import sample_sort
 
 __all__ = ["dedup_lightest"]
-
-
-@local_step("dedup/keep-first-columnar")
-def _keep_first_columnar_step(payload: tuple) -> "EdgeBlock":
-    """One machine's local keep-first pass over its sorted block."""
-    columns, length, fields = payload
-    return _keep_first_block(EdgeBlock(columns, length), fields)
-
-
-@local_step("dedup/keep-first-object", ships=False)
-def _keep_first_object_step(payload: tuple) -> list[Any]:
-    """One machine's local keep-first scan.  ``ships=False``: *key_fn*
-    is a user callable."""
-    items, key_fn = payload
-    kept = []
-    last_key: Any = _SENTINEL
-    for item in items:
-        item_key = key_fn(item)
-        if item_key != last_key:
-            kept.append(item)
-            last_key = item_key
-    return kept
 
 
 def dedup_lightest(
@@ -86,29 +63,14 @@ def dedup_lightest(
 
     key_fn = columnar.as_callable(key)
 
-    # Local pass: within a machine, keep the first record of each group —
-    # one local step per machine on the executor seam (columnar blocks
-    # ship as a vectorized mask pass; object scans stay inline).
-    col_mids: list[int] = []
-    col_payloads = []
-    obj_mids: list[int] = []
-    obj_payloads = []
+    # Local pass: within a machine, keep the first record of each group
+    # (a vectorized mask pass over a columnar block, a scan otherwise).
     for machine in cluster.smalls:
         data = machine.get(name, [])
         if key_spec is not None and isinstance(data, EdgeBlock):
-            col_mids.append(machine.machine_id)
-            col_payloads.append((data.columns, len(data), key_spec))
+            machine.put(name, _keep_first_block(data, key_spec))
         else:
-            obj_mids.append(machine.machine_id)
-            obj_payloads.append((data, key_fn))
-    for mid, kept_block in zip(
-        col_mids, cluster.run_local_steps("dedup/keep-first-columnar", col_payloads)
-    ):
-        cluster.machine(mid).put(name, kept_block)
-    for mid, kept in zip(
-        obj_mids, cluster.run_local_steps("dedup/keep-first-object", obj_payloads)
-    ):
-        cluster.machine(mid).put(name, kept)
+            machine.put(name, _keep_first_items(data, key_fn))
 
     # Boundary pass: each non-empty machine announces the key of its last
     # (pre-drop) record to the next non-empty machine, which then drops its
@@ -151,6 +113,18 @@ def _keep_first_block(block: EdgeBlock, fields: tuple[int, ...]) -> EdgeBlock:
     if keep.all():
         return block
     return EdgeBlock([col[keep] for col in block.columns])
+
+
+def _keep_first_items(items: Any, key_fn: Callable) -> list[Any]:
+    """The first record of each consecutive key group, as one scan."""
+    kept = []
+    last_key: Any = _SENTINEL
+    for item in items:
+        item_key = key_fn(item)
+        if item_key != last_key:
+            kept.append(item)
+            last_key = item_key
+    return kept
 
 
 def _last_key(data: Any, key_spec: tuple[int, ...] | None, key_fn: Callable) -> Any:

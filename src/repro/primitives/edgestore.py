@@ -14,7 +14,6 @@ import random
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from ..mpc.cluster import Cluster
-from ..mpc.executor import local_step
 from .aggregate import aggregate, count_items
 from .columnar import EdgeBlock
 from .join import annotate_edges_with_vertex_values
@@ -22,23 +21,6 @@ from .sort import SortLayout, sample_sort
 
 __all__ = ["EdgeStore"]
 
-
-@local_step("edgestore/scan", ships=False)
-def _scan_step(payload: tuple) -> list[Any]:
-    """One machine's record scan (``gather_to_large``).  ``ships=False``:
-    *predicate* is a user callable."""
-    items, predicate = payload
-    return [
-        item for item in items if predicate is None or predicate(item)
-    ]
-
-
-@local_step("edgestore/pairs", ships=False)
-def _pairs_step(payload: tuple) -> list[Any]:
-    """One machine's pair extraction (``aggregate``).  ``ships=False``:
-    *pair_fn* is a user callable."""
-    items, pair_fn = payload
-    return [pair for pair in map(pair_fn, items) if pair is not None]
 
 _counter = itertools.count()
 
@@ -142,13 +124,13 @@ class EdgeStore:
         """Every machine ships its (matching) records to the large machine
         in one round (one batch per machine, via the batched engine)."""
         large_id = self.cluster.large.machine_id
-        smalls = self.cluster.smalls
-        scanned = self.cluster.run_local_steps(
-            "edgestore/scan",
-            [(machine.get(self.name, []), predicate) for machine in smalls],
-        )
         items_by_src = {
-            machine.machine_id: items for machine, items in zip(smalls, scanned)
+            machine.machine_id: [
+                item
+                for item in machine.get(self.name, [])
+                if predicate is None or predicate(item)
+            ]
+            for machine in self.cluster.smalls
         }
         return self.cluster.gather(large_id, items_by_src, note=note)
 
@@ -176,13 +158,12 @@ class EdgeStore:
         large machine.  *combine* accepts a named reducer (``"sum"`` /
         ``"min"`` / ``"max"`` / ``"or"``), which unlocks the columnar
         converge-cast; see :func:`~repro.primitives.aggregate.aggregate`."""
-        smalls = self.cluster.smalls
-        extracted = self.cluster.run_local_steps(
-            "edgestore/pairs",
-            [(machine.get(self.name, []), pair_fn) for machine in smalls],
-        )
         pairs_by_machine = {
-            machine.machine_id: pairs for machine, pairs in zip(smalls, extracted)
+            machine.machine_id: [
+                pair for pair in map(pair_fn, machine.get(self.name, []))
+                if pair is not None
+            ]
+            for machine in self.cluster.smalls
         }
         return aggregate(self.cluster, pairs_by_machine, combine, note=note)
 

@@ -45,7 +45,6 @@ import numpy as np
 
 from ..mpc.cluster import Cluster
 from ..mpc.errors import ProtocolError
-from ..mpc.executor import local_step
 from ..mpc.plan import RoundPlan
 from . import columnar
 from .columnar import EdgeBlock
@@ -55,8 +54,7 @@ from .sort import sample_sort
 __all__ = ["annotate_edges_with_vertex_values"]
 
 
-@local_step("join/directed-flat")
-def _directed_flat_step(columns: tuple) -> EdgeBlock:
+def _flat_directed_copies(columns: tuple) -> EdgeBlock:
     """One machine's directed-copy build, flat path: interleave both
     orientations (row ``2i`` is ``(u, edge_i...)``, row ``2i+1`` is
     ``(v, edge_i...)``)."""
@@ -66,10 +64,8 @@ def _directed_flat_step(columns: tuple) -> EdgeBlock:
     return EdgeBlock([src, *(np.repeat(col, 2) for col in columns)])
 
 
-@local_step("join/directed-object", ships=False)
-def _directed_object_step(edges: list) -> list[tuple]:
-    """One machine's directed-copy build, nested path.  ``ships=False``:
-    edge payloads may be arbitrary objects."""
+def _directed_records(edges: list) -> list[tuple]:
+    """One machine's directed-copy build, nested path."""
     records = []
     for edge in edges:
         records.append((edge[0], edge))
@@ -104,12 +100,8 @@ def annotate_edges_with_vertex_values(
         sort1_key: Any = tuple(range(width + 1))
     else:
         width = -1
-        built = cluster.run_local_steps(
-            "join/directed-object",
-            [list(machine.get(edges_name, [])) for machine in cluster.smalls],
-        )
-        for machine, records in zip(cluster.smalls, built):
-            machine.put(work, records)
+        for machine in cluster.smalls:
+            machine.put(work, _directed_records(list(machine.get(edges_name, []))))
         sort1_key = lambda r: (r[0], r[1])  # noqa: E731
     sample_sort(cluster, work, key=sort1_key, note=f"{note}/sort-src")
 
@@ -276,12 +268,8 @@ def _directed_blocks(
     if not qualified:
         # All machines empty: the object path costs zero rounds anyway.
         return None
-    # Build the interleaved copies — one shippable local step per machine.
-    built = cluster.run_local_steps(
-        "join/directed-flat", [block.columns for _, block in qualified]
-    )
-    for (mid, _), directed in zip(qualified, built):
-        blocks[mid] = directed
+    for mid, block in qualified:
+        blocks[mid] = _flat_directed_copies(block.columns)
     return width, blocks
 
 

@@ -53,40 +53,12 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..mpc.cluster import Cluster
-from ..mpc.executor import local_step
 from ..mpc.plan import RoundPlan
 from . import columnar
 from .broadcast import broadcast, converge_cast
 from .columnar import EdgeBlock
 
 __all__ = ["SortLayout", "sample_sort"]
-
-
-# ----------------------------------------------------------------------
-# Local steps (the executor seam's per-machine units; repro.mpc.executor)
-# ----------------------------------------------------------------------
-@local_step("sort/bucket-object", ships=False)
-def _bucket_object_step(payload: tuple) -> list[int]:
-    """One machine's route step, object path: each item's bucket index.
-    ``ships=False``: *key* is a user callable."""
-    items, splitters, key = payload
-    return [bisect.bisect_right(splitters, key(item)) for item in items]
-
-
-@local_step("sort/rank-object", ships=False)
-def _rank_object_step(payload: tuple) -> list[Any]:
-    """One machine's rank step, object path: sort the received bucket."""
-    items, key = payload
-    return sorted(items, key=key)
-
-
-@local_step("sort/rank-columnar")
-def _rank_columnar_step(payload: tuple) -> EdgeBlock:
-    """One machine's rank step, columnar path: stably sort the received
-    bucket block."""
-    rows, dtypes, fields = payload
-    columns = [rows[:, j].astype(dtypes[j], copy=False) for j in range(len(dtypes))]
-    return columnar.lexsort_block(EdgeBlock(columns, rows.shape[0]), fields)
 
 
 @dataclass
@@ -205,27 +177,20 @@ def sample_sort(
     splitters = _pick_splitters(sample_keys, k)
     broadcast(cluster, coordinator, tuple(splitters), machine_ids, note=f"{note}/splitters")
 
-    # Step 3: route every item to its bucket machine.  Each machine's
-    # bucket assignment is one local step on the executor seam; the plan
-    # groups each machine's scatter into one run per bucket.
-    participants: list[tuple[int, list[Any]]] = []
-    payloads = []
+    # Step 3: route every item to its bucket machine; the plan groups
+    # each machine's scatter into one run per bucket.
+    plan = RoundPlan(note=f"{note}/route")
     for machine in smalls:
         items = machine.pop(name, [])
         if items:
-            participants.append((machine.machine_id, items))
-            payloads.append((items, splitters, key))
-    bucket_lists = cluster.run_local_steps("sort/bucket-object", payloads)
-    plan = RoundPlan(note=f"{note}/route")
-    for (mid, items), buckets in zip(participants, bucket_lists):
-        plan.send_indexed(mid, [machine_ids[b] for b in buckets], items)
+            buckets = [bisect.bisect_right(splitters, key(item)) for item in items]
+            plan.send_indexed(
+                machine.machine_id, [machine_ids[b] for b in buckets], items
+            )
     inboxes = cluster.execute(plan)
-    ranked = cluster.run_local_steps(
-        "sort/rank-object",
-        [(inboxes.get(m.machine_id, []), key) for m in smalls],
-    )
     counts = []
-    for machine, bucket_items in zip(smalls, ranked):
+    for machine in smalls:
+        bucket_items = sorted(inboxes.get(machine.machine_id, []), key=key)
         machine.put(name, bucket_items)
         counts.append(len(bucket_items))
 
@@ -265,9 +230,9 @@ def _columnar_sort_context(
     Returns ``(blocks, packed)`` — the per-machine ingested blocks (empty
     datasets excluded) and whether the packed routing mode applies — or
     ``None`` to stay on the object path.  Qualification requires: the
-    columnar path enabled, numpy present, a field-spec key, and every
-    non-empty dataset a typed batch of one shared width and per-column
-    dtype.  Routing mode:
+    columnar path enabled, a field-spec key, and every non-empty dataset
+    a typed batch of one shared width and per-column dtype.  Routing
+    mode:
 
     * **packed** — the key columns are int/bool and their global value
       spans pack into an int64 composite.  Routing preserves arrival
@@ -280,7 +245,7 @@ def _columnar_sort_context(
 
     Nothing is mutated on failure.
     """
-    if not columnar.HAS_NUMPY or not columnar.columnar_enabled():
+    if not columnar.columnar_enabled():
         return None
     fields = columnar.key_fields(key)
     if fields is None or len(set(fields)) != len(fields):
@@ -358,6 +323,13 @@ def _transport_dtype(dtypes: tuple) -> Any:
     if "f" in kinds and kinds <= {"i", "b", "f"}:
         return np.float64
     return None
+
+
+def _rank_block(rows: Any, dtypes: tuple, fields: tuple[int, ...]) -> EdgeBlock:
+    """One bucket machine's rank step: back to the column dtypes, then
+    stably sort the received block."""
+    columns = [rows[:, j].astype(dtypes[j], copy=False) for j in range(len(dtypes))]
+    return columnar.lexsort_block(EdgeBlock(columns, rows.shape[0]), fields)
 
 
 def _sample_sort_columnar(
@@ -463,24 +435,15 @@ def _sample_sort_columnar(
 
     # Rank: one block per bucket machine (several only when the throttle
     # split the route across rounds), sorted with one stable lexsort.
-    receivers: list[int] = []
-    payloads = []
-    for machine in smalls:
-        received = inboxes.get(machine.machine_id)
-        if received:
-            receivers.append(machine.machine_id)
-            bucket = received[0] if len(received) == 1 else np.concatenate(received)
-            payloads.append((bucket, dtypes, fields))
-    ranked = dict(
-        zip(receivers, cluster.run_local_steps("sort/rank-columnar", payloads))
-    )
     counts = []
     for machine in smalls:
-        bucket_block = ranked.get(machine.machine_id)
-        if bucket_block is None:
+        received = inboxes.get(machine.machine_id)
+        if not received:
             machine.put(name, [])
             counts.append(0)
             continue
+        bucket = received[0] if len(received) == 1 else np.concatenate(received)
+        bucket_block = _rank_block(bucket, dtypes, fields)
         machine.put(name, bucket_block)
         counts.append(len(bucket_block))
 

@@ -8,9 +8,7 @@ by design; queries are cheap, so sequential sessions are the honest
 model, not a concurrency bottleneck to hide).
 
 Either way the daemon can be pre-initialized from CLI flags (``--n``
-...) so clients can skip the ``init`` op, and teardown always releases
-the shared executor pools via :func:`repro.mpc.executor.shutdown_pools`
-rather than leaving them to the atexit reaper.
+...) so clients can skip the ``init`` op.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import socket
 import sys
 from typing import IO
 
-from ..mpc.executor import shutdown_pools
 from .protocol import ServeSession
 from .service import GraphService, ServeConfig
 
@@ -84,13 +81,10 @@ def serve_tcp(session: ServeSession, host: str, port: int,
     return 0
 
 
-def run_daemon(args) -> int:
-    session = build_session(args)
-    try:
-        if args.listen:
-            host, _, port = args.listen.rpartition(":")
-            return serve_tcp(session, host or "127.0.0.1", int(port),
-                             ready=sys.stdout)
-        return serve_stdio(session, sys.stdin, sys.stdout)
-    finally:
-        shutdown_pools()
+def run_daemon(args, session: ServeSession) -> int:
+    """Serve *session* over ``args.listen`` (a ``(host, port)`` pair) or,
+    when that is unset, over stdio."""
+    if args.listen:
+        host, port = args.listen
+        return serve_tcp(session, host, port, ready=sys.stdout)
+    return serve_stdio(session, sys.stdin, sys.stdout)

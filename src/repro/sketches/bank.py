@@ -65,7 +65,8 @@ every edge applied plus the largest ``|s1|`` of every row merged in.
 :meth:`~SketchBank.insert_row` and :meth:`~SketchBank.absorb` raise
 :class:`OverflowError` before moving any counter when that bound would
 pass ``2^63 - 1``, instead of wrapping; :func:`build_sparse_blocks`
-refuses a machine whose edge ids sum past it.
+refuses a machine whose edge ids sum past it, and
+:func:`combine_sparse_blocks` a sum of blocks whose ``s1`` would pass it.
 
 Absorbing banks and copying are vector adds; :func:`bank_boruvka` runs
 Borůvka in sketch space on a bank, summing each supernode's phase block
@@ -312,19 +313,36 @@ def _signed_contributions(arrays: SpecArrays, ids: np.ndarray, targets):
 def _sum_coordinates(row, slot, s0, s1, s2, slots: int):
     """The distinct ``(row, slot)`` coordinates, sorted, each holding the
     sum of its repeats: one sort, integer adds for ``s0``/``s1`` and
-    exact mod-``p`` sums of the ``s2`` residues."""
+    exact mod-``p`` sums of the ``s2`` residues.  Raises
+    :class:`OverflowError` if an ``s1`` sum would pass ``int64``."""
     key = row * slots + slot
     order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     key = key[starts]
+    s1 = s1[order]
+    _check_s1_sums(s1, starts)
     return (
         key // slots,
         key % slots,
         np.add.reduceat(s0[order], starts),
-        np.add.reduceat(s1[order], starts),
+        np.add.reduceat(s1, starts),
         _group_sum_s2(s2[order], starts),
     )
+
+
+def _check_s1_sums(s1, starts) -> None:
+    """Refuse, through :func:`check_s1_bound`, groups of *s1* (starting
+    at *starts*) whose exact sum passes ``int64``.  No group sum can when
+    ``len(s1)`` times the largest ``|s1|`` fits, so the exact sums are
+    taken only past that screen."""
+    largest = max(int(s1.max(initial=0)), -int(s1.min(initial=0)))
+    if len(s1) * largest <= INT64_MAX:
+        return
+    counts = np.diff(np.r_[starts, len(s1)])
+    positive = _exact_sums(np.maximum(s1, 0), counts)
+    negative = _exact_sums(np.maximum(-s1, 0), counts)
+    check_s1_bound(max(abs(p - q) for p, q in zip(positive, negative)))
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +460,9 @@ def combine_sparse_blocks(blocks: Sequence[SparseRowBlock]) -> SparseRowBlock:
     blocks' coordinates are concatenated and summed per output
     ``(row, slot)`` with one sort (:func:`_sum_coordinates`), so the
     result holds each coordinate once, sorted by ``(row, slot)``.  An
-    empty list gives an empty block of no slots.
+    empty list gives an empty block of no slots.  Raises
+    :class:`OverflowError` if a summed ``s1`` counter would pass
+    ``int64``.
     """
     if not len(blocks):
         return SparseRowBlock(_EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY.view(np.uint64), 0)

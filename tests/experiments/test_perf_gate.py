@@ -177,8 +177,7 @@ def _halved(artifacts):
 
 def test_committed_baselines_self_check():
     baseline = load_perf_dir(PERF_DIR)
-    assert len(baseline) == 6
-    assert "executor_scaling" in baseline
+    assert len(baseline) == 5
     assert "serve_throughput" in baseline
     result = compare_perf(baseline, baseline)
     assert result.failures == []

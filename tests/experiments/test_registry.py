@@ -30,7 +30,6 @@ def test_every_migrated_bench_script_has_a_scenario():
     benches are registry wrappers."""
     standalone = {
         "bench_engine_throughput",
-        "bench_executor_scaling",
         "bench_primitive_throughput",
         "bench_serve_throughput",
         "bench_sketch_throughput",

@@ -192,6 +192,20 @@ def test_map_small_on_empty_datasets_is_a_noop():
     assert cluster.ledger.rounds == 0
 
 
+def test_map_small_checkpoints_memory_after_mutation():
+    cluster = Cluster(ModelConfig.heterogeneous(n=64, m=256),
+                      rng=random.Random(0))
+    cluster.distribute_edges([(1, 2)], name="e")
+    small_capacity = cluster.config.small_capacity
+    cluster.map_small(
+        "e", lambda machine, items: items * (small_capacity + 1)
+    )
+    # The growth is visible without any round having been charged.
+    assert cluster.ledger.rounds == 0
+    assert any("memory" in str(v) for v in cluster.ledger.violations)
+    assert max(cluster.ledger.memory_high_water.values()) > small_capacity
+
+
 # ----------------------------------------------------------------------
 # Memory honesty
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.mpc import (
@@ -17,11 +18,6 @@ from repro.mpc import (
 )
 from repro.mpc.plan import RoundPlan
 from repro.mpc.words import word_size
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    np = None
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +313,6 @@ def test_split_plan_emits_indivisible_item_alone():
     assert sent[0] == word_size(big)
 
 
-@pytest.mark.skipif(np is None, reason="requires numpy")
 def test_split_plan_slices_numpy_block_runs_by_rows():
     controller = _controller()
     plan = RoundPlan(note="t")

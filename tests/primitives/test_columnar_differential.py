@@ -41,7 +41,6 @@ from repro.primitives.join import annotate_edges_with_vertex_values
 import repro.primitives.sort as sort_module
 from repro.primitives.sort import SortLayout, sample_sort
 
-HAS_NUMPY = columnar.HAS_NUMPY
 PATHS = ("object", "columnar")
 NUM_SMALL = 6
 
@@ -326,10 +325,6 @@ def test_arrange_spec_matches_legacy_callable():
 # Kernel units: the columnar helpers vs per-item references
 # ----------------------------------------------------------------------
 
-pytestmark_np = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-
-
-@pytestmark_np
 @settings(max_examples=30, deadline=None)
 @given(rows=edge_rows, fields=st.sampled_from([(0,), (2, 1), (0, 1, 2)]))
 def test_stable_order_matches_python_sort(rows, fields):
@@ -344,7 +339,6 @@ def test_stable_order_matches_python_sort(rows, fields):
     assert list(order) == expected
 
 
-@pytestmark_np
 @given(rows=edge_rows, splitters=st.lists(st.tuples(
     st.integers(-60, 60), st.integers(-5, 45), st.integers(-(10**6), 10**6)
 ), min_size=1, max_size=4))
@@ -375,7 +369,6 @@ def test_pack_columns_preserves_field_order(rows, splitters):
             assert (row < splitter) == bool(packed_rows[i] < packed_extras[j])
 
 
-@pytestmark_np
 @settings(max_examples=30, deadline=None)
 @given(
     pairs=st.lists(
@@ -408,7 +401,6 @@ def test_machine_of_rank_many_matches_scalar():
         layout.machine_of_rank_many([11])
 
 
-@pytestmark_np
 def test_value_column_types():
     import numpy as np
 
@@ -422,7 +414,6 @@ def test_value_column_types():
     assert value_column([(1, 2)]) is None           # non-scalar
 
 
-@pytestmark_np
 def test_ingest_rows_rejects_unrepresentable():
     assert ingest_rows([(1, 2), (3, 4)]) is not None
     assert ingest_rows([]) is None
@@ -436,7 +427,6 @@ def test_ingest_rows_rejects_unrepresentable():
 # Zero-length batches: no runs, no rounds, zero words
 # ----------------------------------------------------------------------
 
-@pytestmark_np
 def test_word_size_many_empty_arrays_are_zero_words():
     import numpy as np
 
@@ -448,7 +438,6 @@ def test_word_size_many_empty_arrays_are_zero_words():
 FORMS = ("pure", "numpy")
 
 
-@pytestmark_np
 @pytest.mark.parametrize("form", FORMS)
 def test_send_indexed_empty_arrays_open_no_run(form):
     """An empty destination column opens no run, with no object items

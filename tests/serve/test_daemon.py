@@ -123,6 +123,51 @@ def test_cli_serve_stdio(monkeypatch, capsys):
     assert json.loads(out[2])["result"] == {"stopped": True}
 
 
+@pytest.mark.parametrize(
+    "value", ["foo", "127.0.0.1:", ":99999", ":-1", ":8_0", ": 80", "host:http"]
+)
+def test_cli_serve_rejects_a_malformed_listen_address(capsys, value):
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc_info:
+        build_parser().parse_args(["serve", "--listen", value])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(
+        f"argument --listen: expected HOST:PORT with a port in 0-65535, got {value!r}"
+    )
+
+
+def test_cli_serve_listen_parses_host_and_port():
+    from repro.cli import build_parser
+
+    def listen(value):
+        return build_parser().parse_args(["serve", "--listen", value]).listen
+
+    assert listen("0.0.0.0:8000") == ("0.0.0.0", 8000)
+    assert listen(":0") == ("127.0.0.1", 0)
+    assert listen("::1:65535") == ("::1", 65535)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "0"], "n must be >= 1, got 0"),
+        (["--n", "8", "--copies", "0"], "copies must be >= 1, got 0"),
+        (["--n", "8", "--epsilon", "nan"], "epsilon must be a positive real"),
+    ],
+)
+def test_cli_serve_reports_a_bad_config_as_a_usage_error(capsys, argv, message):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc_info:
+        main(["serve", *argv])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err.splitlines()[-1]
+
+
 def start_tcp(session: ServeSession):
     """Serve *session* over TCP on an ephemeral port in a thread; return
     the thread and the port."""

@@ -239,6 +239,33 @@ def test_combine_of_nothing():
     assert both.shape == list_combine_blocks([empty, empty]).shape
 
 
+def test_combine_refuses_an_s1_sum_past_int64():
+    """Two machines each hold the top edge: each block fits, but the
+    vertex's summed ``s1`` (twice the id) does not, so the combine
+    refuses, as ``update_edges`` does on the same edges, instead of
+    wrapping."""
+    spec = GraphSketchSpec.generate(BIG_N, random.Random(8), phases=1, copies=1)
+    blocks = build_sparse_blocks(spec, [TOP[:1], TOP[:1]])
+    with pytest.raises(OverflowError, match=str(2 * (BIG_N * (BIG_N - 1) - 1))):
+        combine_sparse_blocks(blocks)
+    with pytest.raises(OverflowError):
+        combine_sparse_blocks([concat_blocks(blocks)])
+    with pytest.raises(OverflowError):
+        SketchBank(spec).update_edges(TOP[:1] * 2)
+
+
+def test_combine_of_large_ids_that_fit_matches_per_row_merges():
+    """Ids near ``n^2`` whose per-vertex sums still fit: past the cheap
+    screen, the exact check passes and the sums are the same."""
+    spec = GraphSketchSpec.generate(BIG_N, random.Random(8), phases=1, copies=1)
+    edge_lists = [TOP[:1], [(0, BIG_N - 1)], [(0, 1), (BIG_N - 3, BIG_N - 2)]]
+    blocks = build_sparse_blocks(spec, edge_lists)
+    s1 = np.concatenate([block.s1 for block in blocks])
+    assert len(s1) * int(np.abs(s1).max()) > INT64_MAX
+    combined = combine_sparse_blocks(blocks)
+    assert np.array_equal(densify(combined), densify(list_combine_blocks(blocks)))
+
+
 # --- slicing and the engine's charge -------------------------------------
 
 def test_row_slices_concatenate_back_and_own_their_data():

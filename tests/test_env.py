@@ -3,13 +3,13 @@
 ``REPRO_BENCH_SMOKE=true`` used to be silently ignored because the knob
 was compared against the literal string ``"1"``; these tests pin the
 helper's vocabulary (``1/true/yes/on`` vs ``0/false/no/off``, unset, and
-loud failure on junk) and that the name-valued executor/backend knobs
-tolerate padding and capitalization.
+loud failure on junk) and that the name-valued primitive-path knob
+tolerates padding and capitalization.
 """
 
 import pytest
 
-from repro.env import env_flag, env_int, env_name
+from repro.env import env_flag, env_name
 
 VAR = "REPRO_TEST_KNOB"
 
@@ -51,29 +51,7 @@ def test_env_name_normalizes(monkeypatch):
     assert env_name(VAR, "pure") == "pure"
 
 
-def test_env_int(monkeypatch):
-    monkeypatch.setenv(VAR, " 4 ")
-    assert env_int(VAR) == 4
-    monkeypatch.setenv(VAR, "")
-    assert env_int(VAR, 2) == 2
-    monkeypatch.delenv(VAR)
-    assert env_int(VAR, 3) == 3
-    monkeypatch.setenv(VAR, "four")
-    with pytest.raises(ValueError, match="REPRO_TEST_KNOB"):
-        env_int(VAR)
-
-
 # --- the knobs wired through the helpers --------------------------------
-
-def test_executor_env_tolerates_padding(monkeypatch):
-    from repro.mpc.executor import ProcessExecutor, get_executor
-
-    monkeypatch.setenv("REPRO_EXECUTOR", " Process ")
-    monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", " 2 ")
-    resolved = get_executor()
-    assert isinstance(resolved, ProcessExecutor)
-    assert resolved.workers == 2
-
 
 def test_backend_envs_tolerate_padding(monkeypatch):
     from repro.primitives.columnar import primitive_path
