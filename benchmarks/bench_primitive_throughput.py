@@ -4,8 +4,9 @@ Times the distributed primitives on a 32-small-machine cluster at a
 100k-item scale (``REPRO_BENCH_PRIMITIVE_ITEMS`` overrides), comparing:
 
 * *object* — per-item tuples, per-item bucketing/dict loops (the
-  pre-columnar behavior, pinned via ``repro.primitives.columnar``'s
-  ``forced_path``);
+  pre-columnar behavior, reached by making ``repro.primitives.columnar``'s
+  qualification entry points ``ensure_block`` and ``ingest_pairs``
+  decline, as they do for input that does not fit typed columns);
 * *columnar* — :class:`~repro.primitives.columnar.EdgeBlock` record
   batches: one cluster-wide packed-key ``searchsorted`` and one array
   scatter routing ``sample_sort``,
@@ -33,6 +34,8 @@ from __future__ import annotations
 import os
 import random
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 import repro.primitives.columnar as columnar
 from repro.mpc.cluster import Cluster
@@ -86,11 +89,25 @@ def _fingerprint(cluster: Cluster, names: list[str]):
     return datasets, ledger, cluster.ledger.memory_high_water
 
 
+def _decline(data):
+    return None
+
+
+def _path(path: str):
+    """The context *path* runs in: on ``"object"`` the columnar
+    qualification entry points decline every input."""
+    if path == "object":
+        return mock.patch.multiple(
+            columnar, ensure_block=_decline, ingest_pairs=_decline
+        )
+    return nullcontext()
+
+
 def _measure(path: str, run_once):
     """Best-of-``REPEATS`` runtime of *run_once* plus the fingerprint of
     its last execution (identity checks compare fingerprints)."""
     best, fingerprint = float("inf"), None
-    with columnar.forced_path(path):
+    with _path(path):
         for _ in range(REPEATS):
             elapsed, fingerprint = run_once()
             best = min(best, elapsed)

@@ -5,11 +5,11 @@ Builds the full AGM sketch state (every ``(phase, copy, level)`` one-sparse
 counter for every touched vertex) for a 100k-edge random graph through
 two implementations:
 
-* *object (seed)*: a frozen transplant of the seed per-object stack — one
-  ``L0Sampler`` per ``(vertex, phase, copy)`` wrapping one
-  ``OneSparseSketch`` per level, updated per endpoint with per-object
-  method dispatch, one Horner hash call per (endpoint, sampler) and one
-  ``pow`` per touched level;
+* *object (seed)*: a frozen transplant of the seed per-object stack, kept
+  here because the library no longer has one — one ℓ₀-sampler object per
+  ``(vertex, phase, copy)`` wrapping one one-sparse sketch object per
+  level, updated per endpoint with per-object method dispatch, one Horner
+  hash call per (endpoint, sampler) and one ``pow`` per touched level;
 * *SketchBank*: ``SketchBank.update_edges`` — one vectorized Horner pass
   over edges x samplers, fingerprint powers from the per-spec power
   table, and one exact scatter of both endpoints' signed contributions
@@ -41,7 +41,7 @@ SMOKE = env_flag("REPRO_BENCH_SMOKE")
 
 # ----------------------------------------------------------------------
 # Frozen seed implementation (pre-SketchBank object stack), so the
-# baseline cannot silently change as the live object API evolves.
+# baseline cannot silently change.
 # ----------------------------------------------------------------------
 class _SeedOneSparse:
     __slots__ = ("z", "s0", "s1", "s2")
@@ -58,7 +58,7 @@ class _SeedOneSparse:
         self.s2 = (self.s2 + delta * pow(self.z, index, PRIME)) % PRIME
 
 
-class _SeedL0Sampler:
+class _SeedSampler:
     __slots__ = ("seeds", "levels")
 
     def __init__(self, seeds):
@@ -74,14 +74,14 @@ class _SeedL0Sampler:
             self.levels[level].update(index, delta)
 
 
-class _SeedVertexSketch:
+class _SeedVertex:
     __slots__ = ("spec", "vertex", "samplers")
 
     def __init__(self, spec, vertex):
         self.spec = spec
         self.vertex = vertex
         self.samplers = [
-            [_SeedL0Sampler(seed) for seed in phase_seeds]
+            [_SeedSampler(seed) for seed in phase_seeds]
             for phase_seeds in spec.seeds
         ]
 
@@ -113,7 +113,7 @@ def build_seed_objects(spec, edges):
         for endpoint in (u, v):
             sketch = sketches.get(endpoint)
             if sketch is None:
-                sketch = sketches[endpoint] = _SeedVertexSketch(spec, endpoint)
+                sketch = sketches[endpoint] = _SeedVertex(spec, endpoint)
             sketch.add_edge(u, v)
     return sketches
 

@@ -152,12 +152,7 @@ def sublinear_connectivity(
         cluster, [(e[0], e[1]) for e in graph.edges], name="sub-conn"
     )
     _, uf, iterations = _boruvka_loop(cluster, store, graph.n, weighted=False)
-    smallest: dict[int, int] = {}
-    for v in range(graph.n):
-        root = uf.find(v)
-        if root not in smallest or v < smallest[root]:
-            smallest[root] = v
-    labels = [smallest[uf.find(v)] for v in range(graph.n)]
+    labels = uf.labels(range(graph.n))
     return SublinearResult(
         rounds=cluster.ledger.rounds,
         iterations=iterations,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import contextmanager
 
 from .analysis import render_table
 from .env import env_flag
@@ -64,32 +65,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_m: int | None = None) -> None:
+    def common(
+        p: argparse.ArgumentParser, default_m: int | None = None, gamma: bool = False
+    ) -> None:
         p.add_argument("--n", type=int, default=100, help="number of vertices")
         if default_m is not None:
             p.add_argument("--m", type=int, default=default_m, help="number of edges")
         p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--gamma", type=float, default=0.5, help="small-machine exponent")
+        if gamma:
+            p.add_argument("--gamma", type=float, default=0.5,
+                           help="small-machine exponent")
 
     p = sub.add_parser("mst", help="Section 3 MST")
-    common(p, default_m=1600)
+    common(p, default_m=1600, gamma=True)
     p.add_argument("--f", type=float, default=None, help="superlinear memory exponent (Thm 3.1)")
 
     p = sub.add_parser("spanner", help="Section 4 O(k)-spanner")
     common(p, default_m=1500)
-    p.add_argument("--k", type=int, default=2, help="stretch parameter")
+    p.add_argument("--k", type=_at_least_one, default=2, help="stretch parameter")
     p.add_argument("--weighted", action="store_true")
 
     p = sub.add_parser("apsp", help="Corollary 4.2 approximate APSP")
     common(p, default_m=600)
 
     p = sub.add_parser("matching", help="Section 5 maximal matching")
-    common(p, default_m=1600)
+    common(p, default_m=1600, gamma=True)
     p.add_argument("--f", type=float, default=None, help="use Thm 5.5 filtering with n^{1+f} memory")
 
     p = sub.add_parser("connectivity", help="Theorem C.1 connectivity")
     common(p, default_m=300)
-    p.add_argument("--components", type=int, default=3)
+    p.add_argument("--components", type=_at_least_one, default=3)
 
     p = sub.add_parser("mis", help="Theorem C.6 MIS")
     common(p, default_m=800)
@@ -122,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "artifacts go to benchmarks/results/quick/")
     p.add_argument("--json", action="store_true", dest="json_artifacts",
                    help="also write repro.bench/2 JSON artifacts")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least_one, default=1,
                    help="run sweep points on a process pool of N workers; "
                         "artifacts are byte-identical to a serial run")
     p.add_argument("--out", default=None,
@@ -185,6 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at_least_one(value: str) -> int:
+    """Parse a count flag: an integer of at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return number
+
+
 def _listen_address(value: str) -> tuple[str, int]:
     """Parse ``serve --listen HOST:PORT`` into ``(host, port)``."""
     host, sep, port = value.rpartition(":")
@@ -193,6 +209,17 @@ def _listen_address(value: str) -> tuple[str, int]:
             f"expected HOST:PORT with a port in 0-65535, got {value!r}"
         )
     return host or "127.0.0.1", int(port)
+
+
+@contextmanager
+def _usage_errors(parser: argparse.ArgumentParser, command: str):
+    """Report a ``ValueError`` raised while building *command*'s input
+    graph or config as a usage error: exit 2, one line naming the
+    subcommand."""
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(f"{command}: {exc}")
 
 
 def _config(args, m: int) -> ModelConfig:
@@ -322,17 +349,21 @@ def main(argv: list[str] | None = None) -> int:
         return _costmodel_command(args)
     rng = random.Random(args.seed)
     out = sys.stdout
+    inputs = _usage_errors(parser, args.command)
 
     if args.command == "mst":
-        graph = generators.random_connected_graph(args.n, args.m, rng)
-        graph = graph.with_unique_weights(rng)
-        result = heterogeneous_mst(graph, config=_config(args, args.m), rng=rng)
+        with inputs:
+            graph = generators.random_connected_graph(args.n, args.m, rng)
+            graph = graph.with_unique_weights(rng)
+            config = _config(args, args.m)
+        result = heterogeneous_mst(graph, config=config, rng=rng)
         print(f"MST weight {result.total_weight}, "
               f"verified={verify_mst(graph, result.edges)}", file=out)
         print(f"boruvka steps {result.boruvka_steps}, rounds {result.rounds}", file=out)
 
     elif args.command == "spanner":
-        graph = generators.random_connected_graph(args.n, args.m, rng)
+        with inputs:
+            graph = generators.random_connected_graph(args.n, args.m, rng)
         if args.weighted:
             graph = graph.with_unique_weights(rng)
         result = heterogeneous_spanner(graph, k=args.k, rng=rng)
@@ -342,7 +373,8 @@ def main(argv: list[str] | None = None) -> int:
               f"rounds {result.rounds}", file=out)
 
     elif args.command == "apsp":
-        graph = generators.random_connected_graph(args.n, args.m, rng)
+        with inputs:
+            graph = generators.random_connected_graph(args.n, args.m, rng)
         oracle = build_apsp_oracle(graph, rng=rng)
         print(f"APSP oracle: k={oracle.spanner.k}, "
               f"spanner size {oracle.spanner.size}, "
@@ -350,9 +382,11 @@ def main(argv: list[str] | None = None) -> int:
               f"rounds {oracle.rounds}", file=out)
 
     elif args.command == "matching":
-        graph = generators.random_connected_graph(args.n, args.m, rng)
-        if getattr(args, "f", None):
-            result = filtering_matching(graph, config=_config(args, args.m), rng=rng)
+        with inputs:
+            graph = generators.random_connected_graph(args.n, args.m, rng)
+            config = _config(args, args.m) if args.f else None
+        if config is not None:
+            result = filtering_matching(graph, config=config, rng=rng)
             print(f"filtering levels {result.levels}", file=out)
         else:
             result = heterogeneous_matching(graph, rng=rng)
@@ -362,22 +396,25 @@ def main(argv: list[str] | None = None) -> int:
               f"rounds {result.rounds}", file=out)
 
     elif args.command == "connectivity":
-        graph = generators.planted_components_graph(
-            args.n, args.components, args.m, rng
-        )
+        with inputs:
+            graph = generators.planted_components_graph(
+                args.n, args.components, args.m, rng
+            )
         result = heterogeneous_connectivity(graph, rng=rng)
         print(f"components {result.num_components} "
               f"(planted {args.components}), rounds {result.rounds}", file=out)
 
     elif args.command == "mis":
-        graph = generators.random_connected_graph(args.n, args.m, rng)
+        with inputs:
+            graph = generators.random_connected_graph(args.n, args.m, rng)
         result = heterogeneous_mis(graph, rng=rng)
         print(f"MIS size {result.size}, "
               f"maximal={is_maximal_independent_set(graph, result.vertices)}, "
               f"iterations {result.iterations}, rounds {result.rounds}", file=out)
 
     elif args.command == "coloring":
-        graph = generators.random_connected_graph(args.n, args.m, rng)
+        with inputs:
+            graph = generators.random_connected_graph(args.n, args.m, rng)
         result = heterogeneous_coloring(graph, rng=rng)
         print(f"colors used {len(set(result.colors))} / "
               f"allowed {result.num_colors_allowed}, "
@@ -385,7 +422,8 @@ def main(argv: list[str] | None = None) -> int:
               f"rounds {result.rounds}", file=out)
 
     elif args.command == "mincut":
-        graph = generators.planted_cut_graph(args.n, args.cut, 4.0, rng)
+        with inputs:
+            graph = generators.planted_cut_graph(args.n, args.cut, 4.0, rng)
         truth = min_cut_value(graph.n, graph.edges)
         exact = exact_unweighted_mincut(graph, rng=rng)
         weighted = graph.with_unique_weights(rng)
@@ -396,15 +434,17 @@ def main(argv: list[str] | None = None) -> int:
               f"rounds {approx.rounds}", file=out)
 
     elif args.command == "cycle":
-        graph, truth = generators.one_or_two_cycles(args.n, rng)
+        with inputs:
+            graph, truth = generators.one_or_two_cycles(args.n, rng)
         result = solve_one_vs_two_cycles(graph, rng=rng)
         print(f"cycles {result.num_cycles} (true {truth}), "
               f"rounds {result.rounds}", file=out)
 
     elif args.command == "compare":
-        weighted = generators.random_connected_graph(args.n, args.m, rng)
-        weighted = weighted.with_unique_weights(rng)
-        unweighted = weighted.unweighted()
+        with inputs:
+            weighted = generators.random_connected_graph(args.n, args.m, rng)
+            weighted = weighted.with_unique_weights(rng)
+            unweighted = weighted.unweighted()
         rows = []
         sub = sublinear_connectivity(unweighted, rng=random.Random(args.seed + 1))
         het = heterogeneous_connectivity(unweighted, rng=random.Random(args.seed + 2))

@@ -110,12 +110,7 @@ def sketch_components(
         cluster.checkpoint_memory(f"{note}/boruvka")
     finally:
         dst_machine.pop(f"{note}#bank", None)
-    smallest: dict[int, int] = {}
-    for v in range(n):
-        root = uf.find(v)
-        if root not in smallest or v < smallest[root]:
-            smallest[root] = v
-    return [smallest[uf.find(v)] for v in range(n)]
+    return uf.labels(range(n))
 
 
 def heterogeneous_connectivity(

@@ -1,28 +1,16 @@
-"""Shared parsing for ``REPRO_*`` environment knobs.
+"""Shared parsing for boolean ``REPRO_*`` environment knobs.
 
-Every knob used to be read ad hoc — boolean switches with a strict
-``== "1"`` comparison (so ``REPRO_BENCH_SMOKE=true`` was silently
-ignored), name-valued switches with bare ``os.environ.get`` (so a
-trailing space or ``NumPy`` capitalization produced an "unknown backend"
-error).  These two helpers are the single place knob strings become
-Python values:
-
-* :func:`env_flag` — boolean switches (``REPRO_BENCH_SMOKE``).  Accepts
-  ``1/true/yes/on`` and ``0/false/no/off`` case-insensitively; anything
-  else raises so a typo fails loudly instead of silently disabling the
-  knob.
-* :func:`env_name` — name-valued switches (``REPRO_PRIMITIVE_PATH``).
-  Strips and lowercases; empty values fall back to the default so
-  ``REPRO_PRIMITIVE_PATH= python ...`` behaves like unset.  Validation
-  against the accepted names stays with the caller, whose error messages
-  name the knob's actual vocabulary.
+:func:`env_flag` is the one place a knob string becomes a Python bool.
+It accepts ``1/true/yes/on`` and ``0/false/no/off`` case-insensitively,
+and anything else raises, so a typo fails loudly instead of silently
+disabling the knob (``REPRO_BENCH_SMOKE=true`` must not read as off).
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["env_flag", "env_name"]
+__all__ = ["env_flag"]
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 _FALSY = frozenset({"0", "false", "no", "off", ""})
@@ -47,12 +35,3 @@ def env_flag(name: str, default: bool = False) -> bool:
         "(expected one of 1/true/yes/on or 0/false/no/off)"
     )
 
-
-def env_name(name: str, default: str) -> str:
-    """Read name-valued knob *name*, normalized with strip + lowercase.
-    Unset or empty returns *default* (already assumed normalized)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = raw.strip().lower()
-    return value if value else default

@@ -61,7 +61,7 @@ from ..primitives.broadcast import broadcast
 from ..primitives.disseminate import disseminate, holders_by_key
 from ..primitives.edgestore import EdgeStore
 from ..primitives.sort import sample_sort
-from ..sketches import GraphSketchSpec, VertexSketch, components_from_sketches
+from ..sketches import GraphSketchSpec, SketchBank, bank_boruvka
 from .scenario import Scenario, regime_config
 
 __all__ = ["SCENARIOS", "all_scenarios", "get_scenario", "scenario_names"]
@@ -822,15 +822,13 @@ def _measure_ablation_copies(copies: int, rng: random.Random, quick: bool) -> di
     successes = 0
     for seed in range(trials):
         local = random.Random(1000 * copies + seed)
-        spec = GraphSketchSpec.generate(n, local, copies=copies)
-        sketches = {v: VertexSketch(spec, v) for v in range(n)}
-        for u, v in graph.edges:
-            sketches[u].add_edge(u, v)
-            sketches[v].add_edge(u, v)
-        if components_from_sketches(spec, sketches) == truth:
+        bank = SketchBank(GraphSketchSpec.generate(n, local, copies=copies), range(n))
+        bank.update_edges(graph.edges)
+        uf, _ = bank_boruvka(bank)
+        if uf.labels(range(n)) == truth:
             successes += 1
-    words = VertexSketch(
-        GraphSketchSpec.generate(n, random.Random(0), copies=copies), 0
+    words = SketchBank(
+        GraphSketchSpec.generate(n, random.Random(0), copies=copies), (0,)
     ).word_size()
     return {
         "copies": copies,

@@ -80,13 +80,7 @@ def connected_components(graph: Graph) -> UnionFind:
 
 def component_labels(graph: Graph) -> list[int]:
     """A canonical component label (smallest member) for each vertex."""
-    uf = connected_components(graph)
-    smallest: dict = {}
-    for v in range(graph.n):
-        root = uf.find(v)
-        if root not in smallest or v < smallest[root]:
-            smallest[root] = v
-    return [smallest[uf.find(v)] for v in range(graph.n)]
+    return connected_components(graph).labels(range(graph.n))
 
 
 def is_connected(graph: Graph) -> bool:

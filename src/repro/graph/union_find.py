@@ -63,6 +63,13 @@ class UnionFind:
     def component_size(self, element: Hashable) -> int:
         return self._size[self.find(element)]
 
+    def labels(self, elements: Iterable[Hashable]) -> list[Hashable]:
+        """The smallest member of each element's component, in order: a
+        canonical component label (missing elements are added)."""
+        roots = [self.find(element) for element in elements]
+        smallest = {root: min(members) for root, members in self.groups().items()}
+        return [smallest[root] for root in roots]
+
     def groups(self) -> dict[Hashable, list[Hashable]]:
         """Map each root to the list of elements in its component."""
         result: dict[Hashable, list[Hashable]] = {}

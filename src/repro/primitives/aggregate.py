@@ -77,7 +77,7 @@ def aggregate(
     }
 
     kind = columnar.resolve_reducer(combine)
-    if kind is not None and columnar.columnar_enabled():
+    if kind is not None:
         columns = _ingest_all(materialized)
         # An all-empty cast has nothing to vectorize; the object path is
         # free and trivially identical.

@@ -199,8 +199,6 @@ def _flat_directed(
     ``(src, secondary, dst)`` key onto the flat ``(src, dst, edge...)``
     layout.  Nothing is mutated.
     """
-    if not columnar.columnar_enabled():
-        return None
     width: int | None = None
     dtypes: tuple | None = None
     blocks: dict[int, Any] = {}

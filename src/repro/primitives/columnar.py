@@ -6,7 +6,7 @@ the eight primitives so a whole pipeline run can stay array-native
 between ``send_indexed`` calls instead of materializing per-item Python
 tuples at every step.
 
-Three pieces:
+Two pieces:
 
 * :class:`EdgeBlock` — a typed record batch: fixed-width rows held as
   per-field numpy 1-D arrays.  A block knows its word count in O(1)
@@ -25,33 +25,30 @@ Three pieces:
   ``bool``); ``lexsort_block`` / ``reduce_pairs`` are the array kernels
   behind sample sort and aggregation.
 
-* the path switch — ``REPRO_PRIMITIVE_PATH`` (``columnar``, the default,
-  or ``object``) selects which implementation the primitives run.
-  Ledgers and outputs are bit-identical across paths *by construction*:
-  the columnar paths consume the shared RNG identically, build the same
-  plan runs (same (src, dst) sets, same lengths, same word totals —
-  blocks size as ``rows * width``, exactly the sum of the row word
-  sizes) and re-emit results in the same order the object path would
-  (stable sorts, first-encounter aggregation order).  A differential
-  property suite pins this.
+Each primitive picks its path from its input alone: it takes the
+columnar path when every machine's rows qualify (``ensure_block`` for
+sort, arrange and join, ``ingest_pairs`` for aggregate), and the object
+path otherwise — callable keys, custom combines, string keys, nested
+tuples.  Ledgers and outputs are bit-identical across paths *by
+construction*: the columnar paths consume the shared RNG identically,
+build the same plan runs (same (src, dst) sets, same lengths, same word
+totals — blocks size as ``rows * width``, exactly the sum of the row
+word sizes) and re-emit results in the same order the object path would
+(stable sorts, first-encounter aggregation order).  A differential
+property suite pins this, reaching the object path by making those two
+entry points decline.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..env import env_name
-
 __all__ = [
     "EdgeBlock",
-    "primitive_path",
-    "columnar_enabled",
-    "forced_path",
     "key_fields",
     "as_callable",
     "ingest_rows",
@@ -66,50 +63,10 @@ __all__ = [
     "REDUCERS",
 ]
 
-_ENV_VAR = "REPRO_PRIMITIVE_PATH"
-_FORCED: str | None = None
-
 #: Exact int64 range — Python ints outside it do not round-trip through a
 #: numpy column, so such rows stay on the object path.
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-
-
-def primitive_path() -> str:
-    """The active primitive path: ``"columnar"`` (default) or ``"object"``.
-
-    ``REPRO_PRIMITIVE_PATH`` overrides the default; :func:`forced_path`
-    overrides both (benchmarks and differential tests pin a path with it).
-    """
-    if _FORCED is not None:
-        return _FORCED
-    path = env_name(_ENV_VAR, "columnar")
-    if path not in ("columnar", "object"):
-        raise ValueError(
-            f"unknown primitive path {path!r} (expected 'columnar' or 'object')"
-        )
-    return path
-
-
-def columnar_enabled() -> bool:
-    """Whether the primitives should try their columnar implementations."""
-    return primitive_path() == "columnar"
-
-
-@contextmanager
-def forced_path(path: str) -> Iterator[None]:
-    """Force the primitive path for a ``with`` block (tests/benchmarks)."""
-    if path not in ("columnar", "object"):
-        raise ValueError(
-            f"unknown primitive path {path!r} (expected 'columnar' or 'object')"
-        )
-    global _FORCED
-    previous = _FORCED
-    _FORCED = path
-    try:
-        yield
-    finally:
-        _FORCED = previous
 
 
 # ----------------------------------------------------------------------

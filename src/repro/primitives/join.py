@@ -242,8 +242,6 @@ def _directed_blocks(
     is ``(u, edge_i...)`` and row ``2i + 1`` is ``(v, edge_i...)`` — the
     interleaving the object path builds.  Nothing is mutated.
     """
-    if not columnar.columnar_enabled():
-        return None
     width: int | None = None
     dtypes: tuple | None = None
     blocks: dict[int, Any] = {}

@@ -12,11 +12,13 @@ Implements the Goodrich-style constant-round sort the paper cites [34]:
 With sample rate ``Theta(K log K / N)`` the buckets are balanced within a
 constant factor w.h.p.; any overload is recorded by the ledger.
 
-Two routing implementations share steps 1/2/4:
+Two routing implementations share steps 1/2/4, and the input picks
+between them:
 
 * the **object path** — per-item ``bisect`` bucketing per machine and one
-  list ``send_indexed`` scatter per machine, the pre-columnar behavior;
-* the **columnar path** (:mod:`repro.primitives.columnar`) — engaged when
+  list ``send_indexed`` scatter per machine; it takes callable keys and
+  rows that do not fit typed columns (nested tuples, strings, objects);
+* the **columnar path** (:mod:`repro.primitives.columnar`) — taken when
   the sort key is a *field spec* (column indices instead of a callable)
   and the rows qualify as a typed record batch.  Sample keys travel up
   the converge-cast tree as one ``(rows, fields)`` array per machine
@@ -229,10 +231,9 @@ def _columnar_sort_context(
 
     Returns ``(blocks, packed)`` — the per-machine ingested blocks (empty
     datasets excluded) and whether the packed routing mode applies — or
-    ``None`` to stay on the object path.  Qualification requires: the
-    columnar path enabled, a field-spec key, and every non-empty dataset
-    a typed batch of one shared width and per-column dtype.  Routing
-    mode:
+    ``None`` to stay on the object path.  Qualification requires a
+    field-spec key and every non-empty dataset a typed batch of one
+    shared width and per-column dtype.  Routing mode:
 
     * **packed** — the key columns are int/bool and their global value
       spans pack into an int64 composite.  Routing preserves arrival
@@ -245,8 +246,6 @@ def _columnar_sort_context(
 
     Nothing is mutated on failure.
     """
-    if not columnar.columnar_enabled():
-        return None
     fields = columnar.key_fields(key)
     if fields is None or len(set(fields)) != len(fields):
         return None

@@ -351,12 +351,7 @@ class GraphService:
 
     def _labels_from(self, bank: SketchBank) -> ComponentView:
         uf, forest = bank_boruvka(bank)
-        smallest: dict[int, int] = {}
-        for v in range(self.config.n):
-            root = uf.find(v)
-            if root not in smallest or v < smallest[root]:
-                smallest[root] = v
-        labels = [smallest[uf.find(v)] for v in range(self.config.n)]
+        labels = uf.labels(range(self.config.n))
         return ComponentView(
             labels=labels,
             num_components=len(set(labels)),

@@ -1,29 +1,23 @@
 """Linear sketching substrate: k-wise hashing, one-sparse recovery,
 ℓ₀-samplers, and AGM graph sketches.
 
-Two layers coexist:
+:class:`SketchBank` is the one storage path: all ``(phase, copy,
+level)`` one-sparse counters of a vertex set in one ``(rows, slots)``
+numpy array per counter, bulk edge updates that hash every edge under
+every sampler in one pass and scatter both endpoints' signed
+contributions exactly, vector-add merges, and Borůvka in sketch space
+(:func:`bank_boruvka`).  :class:`SparseRowBlock` rows — ``(row, slot,
+s0, s1, s2)`` coordinates, charged as the dense rows — carry rows
+between machines and sum with one sort (:func:`build_sparse_blocks`,
+:func:`combine_sparse_blocks`).  :class:`GraphSketchSpec` holds the
+shared seed packages (:class:`L0SamplerSeeds`), and the array kernels
+(exact ``GF(2^61 - 1)`` multiply, Horner hashing, power tables) live in
+:mod:`repro.sketches.field`.
 
-* the **object API** (:class:`OneSparseSketch`, :class:`L0Sampler`,
-  :class:`VertexSketch`) — one small object per counter group, convenient
-  for unit-scale use; its methods behave exactly as the seed did
-  (``VertexSketch.samplers`` is now a read-only snapshot);
-* the **bank API** (:class:`SketchBank`, :class:`SketchRow`,
-  :class:`SparseRowBlock`, :func:`bank_boruvka`,
-  :func:`build_sparse_blocks`, :func:`combine_sparse_blocks`) — the one
-  storage path: all ``(phase, copy, level)`` one-sparse counters of a
-  vertex set in one ``(rows, slots)`` numpy array per counter, bulk edge
-  updates that hash every edge under every sampler in one pass and
-  scatter both endpoints' signed contributions exactly, vector-add
-  merges, and sparse row blocks — rows as ``(row, slot, s0, s1, s2)``
-  coordinates, charged as the dense rows — that carry rows between
-  machines and sum with one sort.  The array kernels
-  (exact ``GF(2^61 - 1)`` multiply, Horner hashing, power tables) live in
-  :mod:`repro.sketches.field`.
-
-Equivalence policy: with fixed seeds, both layers produce bit-identical
-counters, samples, and component labels, equal to the seed per-object
-implementation; this is pinned by golden and property tests against a
-pure-Python oracle kept with the tests.
+Equivalence policy: with fixed seeds, the bank's counters, samples and
+component labels are bit-identical to the seed per-object
+implementation; golden hashes, a frozen transplant of the seed update
+math, and a pure-Python list oracle kept with the tests pin this.
 """
 
 from .bank import (
@@ -36,16 +30,8 @@ from .bank import (
     combine_sparse_blocks,
 )
 from .field import PRIME, KWiseHash, fingerprint_power, trailing_zeros
-from .graph_sketch import (
-    GraphSketchSpec,
-    VertexSketch,
-    components_from_sketches,
-    edge_from_id,
-    edge_id,
-    sketch_boruvka,
-)
-from .l0 import L0Sampler, L0SamplerSeeds
-from .onesparse import OneSparseSketch
+from .graph_sketch import GraphSketchSpec, edge_from_id, edge_id
+from .l0 import L0SamplerSeeds
 
 __all__ = [
     "INT64_MAX",
@@ -53,19 +39,14 @@ __all__ = [
     "KWiseHash",
     "fingerprint_power",
     "trailing_zeros",
-    "OneSparseSketch",
-    "L0Sampler",
     "L0SamplerSeeds",
     "GraphSketchSpec",
-    "VertexSketch",
     "SketchBank",
     "SketchRow",
     "SparseRowBlock",
     "bank_boruvka",
     "build_sparse_blocks",
     "combine_sparse_blocks",
-    "components_from_sketches",
     "edge_from_id",
     "edge_id",
-    "sketch_boruvka",
 ]

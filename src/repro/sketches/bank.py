@@ -1,9 +1,8 @@
 """Array-native ℓ₀ banks: the vectorized substrate behind the AGM sketches.
 
-The seed implementation kept one :class:`~repro.sketches.l0.L0Sampler`
-object per ``(vertex, phase, copy)`` and one
-:class:`~repro.sketches.onesparse.OneSparseSketch` object per level inside
-it — thousands of tiny Python objects per vertex.  A :class:`SketchBank`
+The seed implementation kept one ℓ₀-sampler object per ``(vertex,
+phase, copy)`` and one one-sparse sketch object per level inside it —
+thousands of tiny Python objects per vertex.  A :class:`SketchBank`
 stores the same state as one ``(rows, slots)`` array per counter:
 
     slot(phase, copy, level) = (phase * copies + copy) * L + level
@@ -38,10 +37,10 @@ are linear, so summing coordinates gives exactly the rows that summing
 dense rows gives, and a partial row touches few of its slots (about a
 tenth at ``n = 800``).  A block is charged what its dense rows would
 be, ``2 + 3 * slots`` words per row: a vertex word, an identity word and
-three counters per slot — what a ``(vertex, legacy VertexSketch)`` pair
-charged.  Theorem C.1 builds every machine's partial block in one
-cluster-wide pass (:func:`build_sparse_blocks`), sums blocks per vertex
-up the aggregation tree with one sort per tree node
+three counters per slot — what a vertex and the seed implementation's
+per-vertex sketch charged.  Theorem C.1 builds every machine's partial
+block in one cluster-wide pass (:func:`build_sparse_blocks`), sums
+blocks per vertex up the aggregation tree with one sort per tree node
 (:func:`combine_sparse_blocks`), and adds the final block into the
 destination's bank in one scatter (:meth:`SketchBank.insert_block`) —
 the one place its rows become dense.
@@ -61,12 +60,12 @@ whose ids do not fit in ``int64`` is refused.  ``|s1|`` of any row, and
 of any sum of rows over disjoint vertex sets (a Borůvka supernode), is
 at most the bank's :attr:`SketchBank.s1_bound`: the sum of the ids of
 every edge applied plus the largest ``|s1|`` of every row merged in.
-:meth:`~SketchBank.update_edges`, :meth:`~SketchBank.insert_block`,
-:meth:`~SketchBank.insert_row` and :meth:`~SketchBank.absorb` raise
-:class:`OverflowError` before moving any counter when that bound would
-pass ``2^63 - 1``, instead of wrapping; :func:`build_sparse_blocks`
-refuses a machine whose edge ids sum past it, and
-:func:`combine_sparse_blocks` a sum of blocks whose ``s1`` would pass it.
+:meth:`~SketchBank.update_edges`, :meth:`~SketchBank.insert_block` and
+:meth:`~SketchBank.absorb` raise :class:`OverflowError` before moving
+any counter when that bound would pass ``2^63 - 1``, instead of
+wrapping; :func:`build_sparse_blocks` refuses a machine whose edge ids
+sum past it, and :func:`combine_sparse_blocks` a sum of blocks whose
+``s1`` would pass it.
 
 Absorbing banks and copying are vector adds; :func:`bank_boruvka` runs
 Borůvka in sketch space on a bank, summing each supernode's phase block
@@ -490,8 +489,8 @@ class SketchRow:
     """One vertex's counter row, detached from its bank
     (:meth:`SketchBank.row`).
 
-    Its word cost matches the legacy ``VertexSketch`` charge exactly (one
-    word of vertex identity plus three counters per slot).
+    Its word cost matches the seed implementation's per-vertex charge
+    exactly (one word of vertex identity plus three counters per slot).
     """
 
     __slots__ = ("s0", "s1", "s2")
@@ -626,23 +625,6 @@ class SketchBank:
         s2[at] = _addmod(s2[at], block.s2)
         self.s1_bound += extra
 
-    def insert_row(self, vertex: int, row: SketchRow) -> None:
-        """Add *row* into *vertex*'s row (creating it if missing).
-
-        Raises :class:`OverflowError`, before any change, if the row
-        could push ``|s1|`` past ``int64``.
-        """
-        extra = int(np.abs(row.s1).max(initial=0))
-        check_s1_bound(self.s1_bound + extra)
-        self._add_block(self._rows_of((vertex,)), row.s0, row.s1, row.s2)
-        self.s1_bound += extra
-
-    def _add_block(self, rows, s0, s1, s2) -> None:
-        """Add ``(k, slots)`` counter blocks into distinct *rows*."""
-        self._s0[rows] += s0
-        self._s1[rows] += s1
-        self._s2[rows] = _addmod(self._s2[rows], s2)
-
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
@@ -686,32 +668,6 @@ class SketchBank:
         self._scatter(*_endpoint_targets(ends, ids, local, signs), touched)
         self.s1_bound += extra
 
-    def add_incident(self, vertex: int, u: int, v: int, sign: int = 1) -> None:
-        """Account for incident edge ``{u, v}`` in *vertex*'s row only.
-
-        The single-edge path behind the legacy ``VertexSketch.add_edge``.
-        *sign* is ``+1`` (insert) or ``-1`` (delete); self-loops are no-ops
-        (their endpoint contributions cancel), matching
-        :meth:`update_edges`.
-        """
-        if vertex not in (u, v):
-            raise ValueError("edge not incident to this vertex")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        lo, hi = (u, v) if u <= v else (v, u)
-        identifier = lo * self.spec.n + hi if u != v else 0
-        check_s1_bound(self.s1_bound + identifier)
-        row = self.add_vertex(vertex)
-        if u == v:
-            return
-        sign = sign if vertex == lo else -sign
-        self._scatter(
-            np.array([identifier], dtype=np.int64),
-            ((np.zeros(1, dtype=np.int64), np.array([sign], dtype=np.int64)),),
-            np.array([row], dtype=np.int64),
-        )
-        self.s1_bound += identifier
-
     def _scatter(self, ids: np.ndarray, targets, touched: np.ndarray) -> None:
         """Add every edge's signed contributions
         (:func:`_signed_contributions`) into the counter arrays; local
@@ -745,10 +701,6 @@ class SketchBank:
     # ------------------------------------------------------------------
     # merging / copying
     # ------------------------------------------------------------------
-    def _check_compatible(self, other: "SketchBank") -> None:
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise ValueError("cannot merge sketches with different seeds")
-
     def merge_vertices(self, dst: int, src: int) -> None:
         """Add *src*'s row into *dst*'s row (supernode merge; keeps
         :attr:`s1_bound` when the two rows' vertex sets are disjoint)."""
@@ -757,22 +709,16 @@ class SketchBank:
         self._s1[d] += self._s1[s]
         self._s2[d] = _addmod(self._s2[d], self._s2[s])
 
-    def merge_row_from(
-        self, other: "SketchBank", src_vertex: int, dst_vertex: int | None = None
-    ) -> None:
-        """Add *other*'s row for *src_vertex* into our *dst_vertex* row."""
-        self._check_compatible(other)
-        if dst_vertex is None:
-            dst_vertex = src_vertex
-        self.insert_row(dst_vertex, other.row(src_vertex))
-
     def absorb(self, other: "SketchBank") -> None:
         """Merge every row of *other* into this bank (rows missing here
         are created in *other*'s order)."""
-        self._check_compatible(other)
+        if other.spec is not self.spec and other.spec != self.spec:
+            raise ValueError("cannot merge sketches with different seeds")
         check_s1_bound(self.s1_bound + other.s1_bound)
         rows = self._rows_of(other.vertices)
-        self._add_block(rows, other.s0, other.s1, other.s2)
+        self._s0[rows] += other.s0
+        self._s1[rows] += other.s1
+        self._s2[rows] = _addmod(self._s2[rows], other.s2)
         self.s1_bound += other.s1_bound
 
     def copy(self) -> "SketchBank":
@@ -818,8 +764,8 @@ class SketchBank:
         ]
 
     def _decode(self, s0, s1, s2, slot):
-        """Elementwise one-sparse recovery (mirrors
-        ``OneSparseSketch.decode``): the coordinate ``s1 // s0`` and
+        """Elementwise one-sparse recovery (the seed implementation's
+        per-level decode): the coordinate ``s1 // s0`` and
         whether it passes every test — ``s0 != 0``, ``s0`` divides ``s1``,
         the coordinate is non-negative and the fingerprint matches."""
         ok = s0 != 0
@@ -869,9 +815,10 @@ class SketchBank:
         return int(coordinate[0, 0]), int(self._s0[r, offset])
 
     def word_size(self) -> int:
-        """Total storage charge: every row costs what the legacy
-        ``VertexSketch`` charged (one identity word + three counters per
-        slot; evaluation points are part of the shared seed package)."""
+        """Total storage charge: every row costs what the seed
+        implementation's per-vertex sketch charged (one identity word +
+        three counters per slot; evaluation points are part of the shared
+        seed package)."""
         return len(self.vertices) * (1 + 3 * self.slots_per_row)
 
     def __contains__(self, vertex: int) -> bool:

@@ -8,8 +8,10 @@ from repro.experiments import (
     GROUPS,
     REGIMES,
     SCENARIOS,
+    Runner,
     all_scenarios,
     get_scenario,
+    load_artifact,
     scenario_names,
 )
 
@@ -80,3 +82,10 @@ def test_names_are_unique_and_ordered():
     names = scenario_names()
     assert len(names) == len(set(names))
     assert names[0].startswith("table1_")
+
+
+def test_ablation_sketch_copies_rows_match_the_committed_artifact():
+    """The full-size sweep reproduces the committed rows exactly."""
+    committed = load_artifact(BENCH_DIR / "results" / "ablation_sketch_copies.json")
+    run = Runner(seed=0).run(get_scenario("ablation_sketch_copies"), quick=False)
+    assert run.rows == committed["rows"]

@@ -88,3 +88,20 @@ def test_matches_naive_partition_model(n, seed):
     for group in model:
         root = {uf.find(x) for x in group}
         assert len(root) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_labels_are_each_components_smallest_member(n, seed):
+    rng = random.Random(seed)
+    uf = UnionFind(range(n))
+    for _ in range(n):
+        uf.union(rng.randrange(n), rng.randrange(n))
+    elements = rng.sample(range(n), n)
+    smallest = {
+        member: min(group) for group in uf.groups().values() for member in group
+    }
+    assert uf.labels(elements) == [smallest[element] for element in elements]

@@ -3,15 +3,15 @@ seed per-object sketch implementation bit for bit.
 
 Mirrors the ledger-equivalence policy of the round-engine migration: the
 golden hashes below were captured by running the seed (pre-SketchBank)
-implementation — per-vertex ``VertexSketch`` objects over ``L0Sampler`` /
-``OneSparseSketch`` objects — on the exact inputs constructed here.  They
+implementation — per-vertex sketch objects over ℓ₀-sampler and
+one-sparse sketch objects — on the exact inputs constructed here.  They
 pin raw counter state, the sample traces, Borůvka's forest, component
 labels, and the end-to-end connectivity ledger, so any bank or backend
 change that shifts sketch semantics fails loudly.
 
 ``_seed_build`` is a frozen transplant of the seed update math (kept
 independent of ``repro.sketches`` internals), used to cross-check the
-golden state hash live.
+golden state hash live; the bank itself must reproduce every hash.
 """
 
 import hashlib
@@ -19,14 +19,7 @@ import random
 
 from repro.core.connectivity import heterogeneous_connectivity
 from repro.graph import generators
-from repro.sketches import (
-    PRIME,
-    GraphSketchSpec,
-    SketchBank,
-    VertexSketch,
-    components_from_sketches,
-    sketch_boruvka,
-)
+from repro.sketches import PRIME, GraphSketchSpec, SketchBank, bank_boruvka
 
 # Captured at the pre-bank revision (commit fed6cb7), with the exact
 # inputs constructed below.
@@ -124,53 +117,30 @@ def test_bank_state_matches_seed_bit_for_bit():
     assert _hash(lines) == GOLDEN["state_hash"]
 
 
-def test_wrapper_state_matches_seed_bit_for_bit():
+def _fixture_bank():
+    """The fixture graph's bank: rows in endpoint-encounter order, the
+    order the seed created its per-vertex sketches in."""
     g = _fixture_graph()
-    spec = _fixture_spec(g.n)
-    sketches = {}
-    for e in g.edges:
-        u, v = e[0], e[1]
-        for endpoint in (u, v):
-            if endpoint not in sketches:
-                sketches[endpoint] = VertexSketch(spec, endpoint)
-            sketches[endpoint].add_edge(u, v)
-    lines = []
-    for vertex in sorted(sketches):
-        row = sketches[vertex].bank.row(vertex)
-        lines.extend(_state_lines(vertex, row.s0, row.s1, row.s2))
-    assert _hash(lines) == GOLDEN["state_hash"]
-
-
-def _build_sketches(spec, g):
-    sketches = {}
-    for e in g.edges:
-        u, v = e[0], e[1]
-        for endpoint in (u, v):
-            if endpoint not in sketches:
-                sketches[endpoint] = VertexSketch(spec, endpoint)
-            sketches[endpoint].add_edge(u, v)
-    return sketches
+    bank = SketchBank(_fixture_spec(g.n))
+    bank.update_edges(g.edges)
+    return bank
 
 
 def test_sample_trace_matches_seed():
-    g = _fixture_graph()
-    spec = _fixture_spec(g.n)
-    sketches = _build_sketches(spec, g)
+    bank = _fixture_bank()
     trace = [
-        f"{vertex}:{phase}:{sketches[vertex].sample_outgoing(phase)}"
-        for vertex in sorted(sketches)
-        for phase in range(spec.phases)
+        f"{vertex}:{phase}:{bank.sample_outgoing(vertex, phase)}"
+        for vertex in sorted(bank.vertices)
+        for phase in range(bank.spec.phases)
     ]
     assert _hash(trace) == GOLDEN["sample_hash"]
 
 
 def test_boruvka_forest_and_labels_match_seed():
-    g = _fixture_graph()
-    spec = _fixture_spec(g.n)
-    sketches = _build_sketches(spec, g)
-    _, forest = sketch_boruvka(spec, sketches)
+    bank = _fixture_bank()
+    uf, forest = bank_boruvka(bank)
     assert _hash([",".join(f"{u}-{v}" for u, v in forest)]) == GOLDEN["forest_hash"]
-    labels = components_from_sketches(spec, sketches)
+    labels = uf.labels(sorted(bank.vertices))
     assert _hash([",".join(map(str, labels))]) == GOLDEN["labels_hash"]
 
 

@@ -10,13 +10,18 @@ difference.
 Hypothesis drives randomized inputs through sort, aggregate and dedup;
 join and arrange run a curated scenario matrix covering every internal
 representation switch (flat blocks, nested fallback, mixed value types,
-sorted-mode keys, empties).  Kernel-level unit tests pin the columnar
-helpers against their obvious per-item references, and the zero-length
-regression block pins the PR's empty-batch fix: empty scatters must not
-open runs or burn rounds.
+sorted-mode keys, empties).  The object side runs under
+:func:`object_path`, a fake that makes the qualification entry points
+decline, so every primitive falls back to its object path.  Kernel-level
+unit tests pin the columnar helpers against their obvious per-item
+references, and the zero-length regression block pins the empty-batch
+fix: empty scatters must not open runs or burn rounds.
 """
 
+import importlib
 import random
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,8 +46,45 @@ from repro.primitives.join import annotate_edges_with_vertex_values
 import repro.primitives.sort as sort_module
 from repro.primitives.sort import SortLayout, sample_sort
 
-PATHS = ("object", "columnar")
+#: The module, not the ``aggregate`` function the package re-exports.
+aggregate_module = importlib.import_module("repro.primitives.aggregate")
 NUM_SMALL = 6
+
+
+def _decline(data):
+    return None
+
+
+@contextmanager
+def object_path():
+    """Make every primitive take its object path, as if no input
+    qualified for columns: the two qualification entry points decline
+    (sort, arrange and join ask ``ensure_block``, aggregate asks
+    ``ingest_pairs``).  A columnar sort or aggregate that still runs on
+    rows fails the test, so an entry point that slips past the fake
+    cannot turn a differential into columnar against columnar."""
+    columnar_sort = sort_module._sample_sort_columnar
+
+    def sort_without_rows(cluster, name, key, note, blocks, packed):
+        # A sort of all-empty datasets qualifies before any entry point
+        # is asked; it moves nothing.
+        assert not blocks, "columnar sort ran under the object-path fake"
+        return columnar_sort(cluster, name, key, note, blocks, packed)
+
+    def no_columnar_aggregate(*args, **kwargs):
+        raise AssertionError("columnar aggregate ran under the object-path fake")
+
+    with mock.patch.multiple(
+        columnar, ensure_block=_decline, ingest_pairs=_decline
+    ), mock.patch.object(
+        sort_module, "_sample_sort_columnar", sort_without_rows
+    ), mock.patch.object(
+        aggregate_module, "_aggregate_columnar", no_columnar_aggregate
+    ):
+        yield
+
+
+PATHS = {"object": object_path, "columnar": nullcontext}
 
 
 def make_cluster() -> Cluster:
@@ -73,10 +115,17 @@ def run_everyway(build_and_run, names):
     """Run a primitive on every path and assert all snapshots are
     identical; returns the reference snapshot."""
     reference = None
-    for path in PATHS:
+    for path, context in PATHS.items():
         cluster = make_cluster()
-        with columnar.forced_path(path):
+        with context():
             extra = build_and_run(cluster)
+        if path == "object":
+            # The object path leaves no rows in typed batches.
+            assert not any(
+                isinstance(data, EdgeBlock) and len(data)
+                for name in names
+                for data in (m.get(name, []) for m in cluster.smalls)
+            )
         snap = snapshot(cluster, names) + (extra,)
         if reference is None:
             reference = snap
@@ -185,15 +234,20 @@ def test_sample_sort_sorted_mode_differential(rows, key, holders, chunked):
     else:
         shares = [rows[i::holders] for i in range(holders)]
 
-    def go(cluster):
+    def fill(cluster):
         for machine, share in zip(cluster.smalls, shares + [[]] * NUM_SMALL):
             machine.put("e", list(share))
-        if rows and columnar.columnar_enabled():
-            context = sort_module._columnar_sort_context(cluster, "e", key, False)
-            assert context is not None and context[1] is False  # sorted mode
+
+    def go(cluster):
+        fill(cluster)
         layout = sample_sort(cluster, "e", key=key)
         return layout.counts, repr([list(m.get("e", [])) for m in cluster.smalls])
 
+    if rows:  # the columnar side routes in sorted mode
+        cluster = make_cluster()
+        fill(cluster)
+        context = sort_module._columnar_sort_context(cluster, "e", key, False)
+        assert context is not None and context[1] is False
     run_everyway(go, ["e"])
 
 
@@ -310,7 +364,7 @@ def test_arrange_spec_matches_legacy_callable():
     def go(secondary):
         cluster = make_cluster()
         distribute(cluster, "edges", edges)
-        with columnar.forced_path("object"):
+        with object_path():
             arrangement = arrange_directed(
                 cluster, "edges", "edges.dir", secondary_key=secondary
             )
@@ -472,7 +526,7 @@ def test_empty_cluster_primitives_cost_identically(form):
         cluster = make_cluster()
         for machine in cluster.smalls:
             machine.put("e", empty())
-        with columnar.forced_path(path):
+        with PATHS[path]():
             layout = sample_sort(cluster, "e", key=(0, 1))
             result = aggregate(
                 cluster, {m.machine_id: empty() for m in cluster.smalls}, "sum"

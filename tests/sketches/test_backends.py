@@ -1,6 +1,6 @@
 """Kernel and bank equivalence: the array kernels and the array-native bank
 must be bit-identical to the pure-Python oracle (``tests/sketch_oracle.py``)
-and to the legacy object API — counters, samples, and component labels."""
+— counters, samples, and component labels."""
 
 import random
 
@@ -14,9 +14,7 @@ from repro.sketches import (
     KWiseHash,
     PRIME,
     SketchBank,
-    VertexSketch,
     bank_boruvka,
-    sketch_boruvka,
     trailing_zeros,
 )
 from repro.sketches import field
@@ -138,50 +136,26 @@ def _random_graph(seed):
     return n, edges
 
 
-def _labels_from_uf(uf, vertices):
-    smallest = {}
-    for v in vertices:
-        smallest.setdefault(uf.find(v), v)
-    return [smallest[uf.find(v)] for v in vertices]
-
-
-def _object_path(spec, n, edges):
-    sketches = {v: VertexSketch(spec, v) for v in range(n)}
-    for u, v in edges:
-        sketches[u].add_edge(u, v)
-        sketches[v].add_edge(u, v)
-    return sketches
-
-
-def _rows_equal(row, reference):
-    return all(
-        np.array_equal(getattr(row, name), getattr(reference, name))
-        for name in ("s0", "s1", "s2")
-    )
-
-
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
-def test_backends_and_object_api_agree(seed):
+def test_bank_and_oracle_agree(seed):
     n, edges = _random_graph(seed)
     spec = GraphSketchSpec.generate(n, random.Random(seed + 1), copies=2)
-    sketches = _object_path(spec, n, edges)
     bank = SketchBank(spec, vertices=range(n))
     bank.update_edges(edges)
     oracle = ListBank(spec, vertices=range(n))
     oracle.update_edges(edges)
 
     for vertex in range(n):
-        object_row = sketches[vertex].bank.row(vertex)
-        assert _rows_equal(bank.row(vertex), object_row)
-        assert _rows_equal(oracle.row(vertex), object_row)
+        row, expected = bank.row(vertex), oracle.row(vertex)
+        assert (row.s0.tolist(), row.s1.tolist(), row.s2.tolist()) == (
+            expected.s0, expected.s1, expected.s2
+        )
         for phase in range(spec.phases):
-            expected = sketches[vertex].sample_outgoing(phase)
-            assert bank.sample_outgoing(vertex, phase) == expected
-            assert oracle.sample_outgoing(vertex, phase) == expected
+            assert bank.sample_outgoing(vertex, phase) == oracle.sample_outgoing(
+                vertex, phase
+            )
 
-    object_uf, object_forest = sketch_boruvka(spec, sketches)
-    expected_labels = _labels_from_uf(object_uf, range(n))
-    for uf, forest in (bank_boruvka(bank), list_boruvka(oracle)):
-        assert forest == object_forest
-        assert _labels_from_uf(uf, range(n)) == expected_labels
+    (uf, forest), (oracle_uf, oracle_forest) = bank_boruvka(bank), list_boruvka(oracle)
+    assert forest == oracle_forest
+    assert uf.labels(range(n)) == oracle_uf.labels(range(n))

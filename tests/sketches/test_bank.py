@@ -11,7 +11,6 @@ from repro.sketches import (
     GraphSketchSpec,
     SketchBank,
     SketchRow,
-    VertexSketch,
     bank_boruvka,
     build_sparse_blocks,
     combine_sparse_blocks,
@@ -20,17 +19,6 @@ from repro.sketches import (
 
 def make_spec(n=8, seed=0, phases=3, copies=2):
     return GraphSketchSpec.generate(n, random.Random(seed), phases=phases, copies=copies)
-
-
-def object_rows(spec, edges):
-    """Reference rows built through the per-object wrapper API."""
-    sketches = {}
-    for u, v in edges:
-        for endpoint in (u, v):
-            if endpoint not in sketches:
-                sketches[endpoint] = VertexSketch(spec, endpoint)
-            sketches[endpoint].add_edge(u, v)
-    return {v: s.bank.row(v) for v, s in sketches.items()}
 
 
 def rows_equal(a: SketchRow, b: SketchRow) -> bool:
@@ -42,14 +30,6 @@ def rows_equal(a: SketchRow, b: SketchRow) -> bool:
 
 
 EDGES = [(0, 1), (1, 2), (2, 0), (3, 4), (1, 5), (6, 2), (5, 0)]
-
-
-def test_update_edges_matches_object_api():
-    spec = make_spec()
-    bank = SketchBank(spec)
-    bank.update_edges(EDGES)
-    for vertex, reference in object_rows(spec, EDGES).items():
-        assert rows_equal(bank.row(vertex), reference)
 
 
 def test_bulk_equals_incremental():
@@ -70,18 +50,6 @@ def test_update_accepts_weighted_tuples():
     b.update_edges([(0, 1), (1, 2)])
     for vertex in (0, 1, 2):
         assert rows_equal(a.row(vertex), b.row(vertex))
-
-
-def test_self_loop_matches_object_semantics():
-    """A self-loop contributes +1 per endpoint visit — twice to one row,
-    exactly as the per-endpoint object construction does."""
-    spec = make_spec()
-    bank = SketchBank(spec)
-    bank.update_edges([(3, 3)])
-    reference = VertexSketch(spec, 3)
-    reference.add_edge(3, 3)
-    reference.add_edge(3, 3)
-    assert rows_equal(bank.row(3), reference.bank.row(3))
 
 
 def test_vertex_rows_auto_created_in_endpoint_order():
@@ -112,21 +80,17 @@ def test_merged_rows_sample_the_cut_edge():
     assert bank.sample_outgoing(0, phase=0) == (1, 2)
 
 
-def test_insert_block_and_insert_row_roundtrip():
+def test_insert_block_roundtrip():
     spec = make_spec()
     bank = SketchBank(spec)
     bank.update_edges(EDGES)
     (block,) = build_sparse_blocks(spec, [EDGES])
-    from_block = SketchBank(spec)
-    from_block.insert_block(block)
-    from_rows = SketchBank(spec)
+    rebuilt = SketchBank(spec)
+    rebuilt.insert_block(block)
+    assert rebuilt.vertices == bank.vertices
+    assert rebuilt.s1_bound >= max(np.abs(bank.s1).max(axis=1))
     for vertex in bank.vertices:
-        from_rows.insert_row(vertex, bank.row(vertex))
-    for rebuilt in (from_block, from_rows):
-        assert rebuilt.vertices == bank.vertices
-        assert rebuilt.s1_bound >= max(np.abs(bank.s1).max(axis=1))
-        for vertex in bank.vertices:
-            assert rows_equal(bank.row(vertex), rebuilt.row(vertex))
+        assert rows_equal(bank.row(vertex), rebuilt.row(vertex))
 
 
 def test_combine_row_blocks_is_linear():
@@ -186,29 +150,14 @@ def test_merge_different_seeds_rejected():
     bank = SketchBank(make_spec(seed=1))
     other = SketchBank(make_spec(seed=2), vertices=(0,))
     with pytest.raises(ValueError):
-        bank.merge_row_from(other, 0)
-    with pytest.raises(ValueError):
         bank.absorb(other)
-
-
-def test_wrapper_merge_different_seeds_rejected():
-    a = VertexSketch(make_spec(seed=1), 0)
-    b = VertexSketch(make_spec(seed=2), 0)
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-
-def test_add_incident_requires_incidence():
-    bank = SketchBank(make_spec())
-    with pytest.raises(ValueError):
-        bank.add_incident(0, 1, 2)
 
 
 def test_word_size_matches_legacy_charge():
     spec = make_spec()
     bank = SketchBank(spec)
     bank.update_edges(EDGES)
-    legacy = VertexSketch(spec, 0).word_size()
+    legacy = 1 + 3 * bank.slots_per_row  # an identity word, three counters a slot
     assert bank.word_size() == len(bank) * legacy
     assert bank.row(0).word_size() == legacy
 
@@ -263,22 +212,6 @@ def test_nonuniform_level_counts_rejected():
         SketchBank(mixed)
 
 
-def test_wrapper_samplers_snapshot_matches_bank():
-    spec = make_spec()
-    sketch = VertexSketch(spec, 0)
-    sketch.add_edge(0, 1)
-    sketch.add_edge(0, 2)
-    row = sketch.bank.row(0)
-    flat_index = 0
-    for phase in sketch.samplers:
-        for sampler in phase:
-            for level in sampler.levels:
-                assert level.s0 == row.s0[flat_index]
-                assert level.s1 == row.s1[flat_index]
-                assert level.s2 == row.s2[flat_index]
-                flat_index += 1
-
-
 # --- builtin ints at the bank boundary ---------------------------------
 
 def _all_builtin_ints(values) -> bool:
@@ -287,7 +220,6 @@ def _all_builtin_ints(values) -> bool:
 
 def test_bank_boundary_returns_builtin_ints():
     from repro.core.connectivity import heterogeneous_connectivity
-    from repro.sketches import sketch_boruvka
 
     spec = make_spec()
     bank = SketchBank(spec)
@@ -304,22 +236,7 @@ def test_bank_boundary_returns_builtin_ints():
     assert decoded is not None and _all_builtin_ints(decoded)
 
     _, forest = bank_boruvka(bank)
-    sketches = {v: VertexSketch(spec, v) for v in range(spec.n)}
-    for u, v in EDGES:
-        sketches[u].add_edge(u, v)
-        sketches[v].add_edge(u, v)
-    _, object_forest = sketch_boruvka(spec, sketches)
-    assert forest and object_forest
-    assert all(_all_builtin_ints(edge) for edge in forest + object_forest)
-
-    counters = [
-        value
-        for phase in sketches[0].samplers
-        for sampler in phase
-        for level in sampler.levels
-        for value in (level.s0, level.s1, level.s2)
-    ]
-    assert any(counters) and _all_builtin_ints(counters)
+    assert forest and all(_all_builtin_ints(edge) for edge in forest)
 
     graph = generators.planted_components_graph(24, 3, 12, random.Random(4))
     labels = heterogeneous_connectivity(graph, rng=random.Random(5)).labels
@@ -389,15 +306,11 @@ def test_update_refused_before_s1_can_overflow():
     before = bank.s1.copy()
     with pytest.raises(OverflowError):
         bank.update_edges(top[1:])
-    with pytest.raises(OverflowError):
-        bank.insert_row(BIG_N - 1, bank.row(BIG_N - 2))
     (block,) = build_sparse_blocks(spec, [top[:1]])
     with pytest.raises(OverflowError):
         bank.insert_block(block)
     with pytest.raises(OverflowError):
         bank.absorb(bank.copy())
-    with pytest.raises(OverflowError):
-        bank.add_incident(BIG_N - 1, BIG_N - 3, BIG_N - 1)
     assert np.array_equal(bank.s1, before)
 
 

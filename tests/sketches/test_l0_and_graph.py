@@ -1,52 +1,33 @@
-"""ℓ₀-samplers and AGM graph sketches."""
+"""ℓ₀-samplers and AGM graph sketches, on the bank: edge ids, one
+sampler's success rate, and components found in sketch space."""
 
 import random
-
-import pytest
 
 from repro.graph import generators
 from repro.graph.traversal import component_labels
 from repro.sketches import (
     GraphSketchSpec,
-    L0Sampler,
-    L0SamplerSeeds,
-    VertexSketch,
-    components_from_sketches,
+    SketchBank,
+    bank_boruvka,
     edge_from_id,
     edge_id,
-    sketch_boruvka,
 )
 
 
-def make_sampler(universe=1000, seed=0):
-    return L0Sampler(L0SamplerSeeds.generate(universe, random.Random(seed)))
+def single_sampler_bank(seed=0):
+    """A bank of one sampler over about 1000 coordinates: vertex 0's
+    vector holds the edge ``(0, v)`` at coordinate ``v``."""
+    return SketchBank(
+        GraphSketchSpec.generate(1000, random.Random(seed), phases=1, copies=1)
+    )
 
 
-# ----------------------------------------------------------------------
-# L0 sampler
-# ----------------------------------------------------------------------
 def test_samples_one_of_the_nonzero_coordinates():
-    sampler = make_sampler()
-    support = {10: 1, 20: 1, 30: 1}
-    for index, value in support.items():
-        sampler.update(index, value)
-    result = sampler.sample()
-    assert result is not None
-    index, value = result
-    assert index in support and value == support[index]
-
-
-def test_empty_sampler_returns_none():
-    sampler = make_sampler()
-    assert sampler.is_zero
-    assert sampler.sample() is None
-
-
-def test_cancellation_removes_support():
-    sampler = make_sampler()
-    sampler.update(5, 1)
-    sampler.update(5, -1)
-    assert sampler.is_zero
+    bank = single_sampler_bank()
+    support = (10, 20, 30)
+    bank.update_edges((0, v) for v in support)
+    sampled = bank.sample_outgoing(0, phase=0)
+    assert sampled is not None and sampled[0] == 0 and sampled[1] in support
 
 
 def test_success_rate_over_seeds():
@@ -54,49 +35,15 @@ def test_success_rate_over_seeds():
     the success rate should be high for moderate support sizes."""
     successes = 0
     for seed in range(40):
-        sampler = make_sampler(seed=seed)
-        rng = random.Random(seed + 1)
-        support = rng.sample(range(1000), 25)
-        for index in support:
-            sampler.update(index, 1)
-        result = sampler.sample()
-        if result is not None and result[0] in support:
+        support = random.Random(seed + 1).sample(range(1, 1000), 25)
+        bank = single_sampler_bank(seed)
+        bank.update_edges((0, v) for v in support)
+        sampled = bank.sample_outgoing(0, phase=0)
+        if sampled is not None and sampled[1] in support:
             successes += 1
     assert successes >= 30
 
 
-def test_merge_requires_same_seeds():
-    a = make_sampler(seed=1)
-    b = make_sampler(seed=2)
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-
-def test_merge_combines_vectors():
-    seeds = L0SamplerSeeds.generate(100, random.Random(3))
-    a, b = L0Sampler(seeds), L0Sampler(seeds)
-    a.update(7, 1)
-    b.update(7, -1)
-    b.update(9, 1)
-    a.merge(b)
-    assert a.sample() == (9, 1)
-
-
-def test_zero_delta_is_noop():
-    sampler = make_sampler()
-    sampler.update(5, 0)
-    assert sampler.is_zero
-
-
-def test_word_size_scales_with_levels():
-    seeds = L0SamplerSeeds.generate(10_000, random.Random(4))
-    sampler = L0Sampler(seeds)
-    assert sampler.word_size() == 3 * seeds.num_levels
-
-
-# ----------------------------------------------------------------------
-# Graph sketches
-# ----------------------------------------------------------------------
 def test_edge_id_roundtrip():
     n = 50
     for u, v in [(0, 1), (3, 40), (48, 49)]:
@@ -104,76 +51,9 @@ def test_edge_id_roundtrip():
         assert edge_id(n, v, u) == edge_id(n, u, v)
 
 
-def test_internal_edges_cancel_in_merged_sketch():
-    """Merging the two endpoint sketches of an isolated edge yields zero."""
-    rng = random.Random(5)
-    spec = GraphSketchSpec.generate(4, rng, phases=2, copies=2)
-    a, b = VertexSketch(spec, 0), VertexSketch(spec, 1)
-    a.add_edge(0, 1)
-    b.add_edge(0, 1)
-    a.merge(b)
-    assert a.sample_outgoing(0) is None
-
-
-def test_merged_sketch_samples_cut_edge():
-    rng = random.Random(6)
-    spec = GraphSketchSpec.generate(4, rng, phases=2, copies=3)
-    sketches = {v: VertexSketch(spec, v) for v in range(3)}
-    for u, v in [(0, 1), (1, 2)]:
-        sketches[u].add_edge(u, v)
-        sketches[v].add_edge(u, v)
-    merged = sketches[0].copy()
-    merged.merge(sketches[1])
-    # The cut ({0,1}, {2}) has exactly edge (1,2).
-    assert merged.sample_outgoing(0) == (1, 2)
-
-
-def test_add_edge_requires_incidence():
-    rng = random.Random(7)
-    spec = GraphSketchSpec.generate(4, rng, phases=1, copies=1)
-    sketch = VertexSketch(spec, 0)
-    with pytest.raises(ValueError):
-        sketch.add_edge(1, 2)
-
-
-def build_sketches(graph, seed):
-    rng = random.Random(seed)
-    spec = GraphSketchSpec.generate(graph.n, rng)
-    sketches = {v: VertexSketch(spec, v) for v in range(graph.n)}
-    for u, v in graph.edges:
-        sketches[u].add_edge(u, v)
-        sketches[v].add_edge(u, v)
-    return spec, sketches
-
-
-def test_boruvka_on_connected_graph():
-    rng = random.Random(8)
-    g = generators.random_connected_graph(25, 60, rng)
-    spec, sketches = build_sketches(g, seed=9)
-    uf, forest = sketch_boruvka(spec, sketches)
-    assert uf.num_components == 1
-    assert len(forest) == g.n - 1
-
-
 def test_components_match_truth_on_planted_graph():
-    rng = random.Random(10)
-    g = generators.planted_components_graph(40, 4, 30, rng)
-    spec, sketches = build_sketches(g, seed=11)
-    assert components_from_sketches(spec, sketches) == component_labels(g)
-
-
-def test_components_on_edgeless_graph():
-    from repro.graph import Graph
-
-    g = Graph(6, [])
-    spec, sketches = build_sketches(g, seed=12)
-    assert components_from_sketches(spec, sketches) == list(range(6))
-
-
-def test_forest_edges_are_real_edges():
-    rng = random.Random(13)
-    g = generators.random_connected_graph(20, 50, rng)
-    spec, sketches = build_sketches(g, seed=14)
-    _, forest = sketch_boruvka(spec, sketches)
-    edge_set = g.edge_set()
-    assert all((min(u, v), max(u, v)) in edge_set for u, v in forest)
+    g = generators.planted_components_graph(40, 4, 30, random.Random(10))
+    bank = SketchBank(GraphSketchSpec.generate(g.n, random.Random(11)), range(g.n))
+    bank.update_edges(g.edges)
+    uf, _ = bank_boruvka(bank)
+    assert uf.labels(range(g.n)) == component_labels(g)

@@ -158,22 +158,6 @@ def test_loop_hash_evaluations_are_skipped(monkeypatch):
     assert calls == []  # loop-only batches never reach the hash kernels
 
 
-def test_add_incident_loop_is_a_no_op():
-    bank = SketchBank(SPEC)
-    bank.add_incident(2, 2, 2)
-    assert 2 in bank
-    assert bank.is_zero_vertex(2)
-
-
-def test_signed_add_incident_mirrors_insert():
-    inserted = SketchBank(SPEC)
-    inserted.add_incident(0, 0, 1)
-    inserted.add_incident(1, 0, 1)
-    inserted.add_incident(0, 0, 1, sign=-1)
-    inserted.add_incident(1, 0, 1, sign=-1)
-    assert all_zero(inserted)
-
-
 def test_update_edges_rejects_bad_sign():
     bank = SketchBank(SPEC)
     with pytest.raises(ValueError):
@@ -183,5 +167,3 @@ def test_update_edges_rejects_bad_sign():
     with pytest.raises(ValueError):
         bank.update_edges([(0, 1), (1, 2)], sign=[1])
     assert len(bank) == 0
-    with pytest.raises(ValueError):
-        bank.add_incident(0, 0, 1, sign=2)

@@ -1,121 +1,89 @@
-"""One-sparse recovery: exactness, linearity, rejection."""
+"""One-sparse recovery of a bank slot: exactness and rejection.
+
+Level 0 of every sampler keeps every coordinate, so slot ``(phase 0,
+copy 0, level 0)`` of a vertex's row is a one-sparse sketch of its whole
+vector: edge ``{u, v}`` is coordinate ``u * n + v``, with value ``+1`` at
+the smaller endpoint and ``-1`` at the larger, and a vertex-0 edge
+``(0, i)`` is coordinate ``i``.
+"""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches import OneSparseSketch
+from repro.sketches import GraphSketchSpec, SketchBank
+
+N = 1000
 
 
 def fresh(seed=0):
-    return OneSparseSketch.fresh(random.Random(seed))
+    return SketchBank(GraphSketchSpec.generate(N, random.Random(seed), phases=1, copies=1))
+
+
+def update(bank, index, delta):
+    """Add *delta* to coordinate *index* of vertex 0's vector."""
+    bank.update_edges([(0, index)] * abs(delta), sign=1 if delta > 0 else -1)
+
+
+def decode(bank, vertex=0):
+    return bank.decode_slot(vertex, phase=0, copy=0, level=0)
 
 
 def test_recovers_single_update():
-    sketch = fresh()
-    sketch.update(17, 3)
-    assert sketch.decode() == (17, 3)
+    bank = fresh()
+    update(bank, 17, 3)
+    assert decode(bank) == (17, 3)
 
 
 def test_recovers_after_cancellation():
-    sketch = fresh()
-    sketch.update(5, 1)
-    sketch.update(9, 1)
-    sketch.update(9, -1)
-    assert sketch.decode() == (5, 1)
+    bank = fresh()
+    update(bank, 5, 1)
+    update(bank, 9, 1)
+    update(bank, 9, -1)
+    assert decode(bank) == (5, 1)
 
 
 def test_zero_vector_decodes_none():
-    sketch = fresh()
-    assert sketch.is_zero
-    assert sketch.decode() is None
-    sketch.update(3, 4)
-    sketch.update(3, -4)
-    assert sketch.is_zero
+    bank = fresh()
+    bank.add_vertex(0)
+    assert bank.is_zero_vertex(0)
+    assert decode(bank) is None
+    update(bank, 3, 4)
+    update(bank, 3, -4)
+    assert bank.is_zero_vertex(0)
 
 
 def test_two_sparse_rejected():
+    """Coordinates 1 and 3 leave ``s1 / s0 = 2``: only the fingerprint
+    tells the slot is not one-sparse."""
     rejections = 0
     for seed in range(30):
-        sketch = fresh(seed)
-        sketch.update(1, 1)
-        sketch.update(2, 1)
-        if sketch.decode() is None:
+        bank = fresh(seed)
+        update(bank, 1, 1)
+        update(bank, 3, 1)
+        if decode(bank) is None:
             rejections += 1
     assert rejections == 30  # Schwartz–Zippel failure is ~2^-60
 
 
 def test_negative_value_recovery():
-    sketch = fresh()
-    sketch.update(7, -2)
-    assert sketch.decode() == (7, -2)
-
-
-def test_merge_is_addition():
-    a, b = fresh(1), OneSparseSketch(fresh(1).z)
-    # Same z is required; construct b with a's seed.
-    a2 = a.copy()
-    a.update(4, 1)
-    a2.update(4, 2)
-    a.merge(a2)
-    assert a.decode() == (4, 3)
-
-
-def test_merge_different_seeds_rejected():
-    a, b = fresh(1), fresh(2)
-    if a.z != b.z:
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-
-def test_copy_is_independent():
-    a = fresh()
-    a.update(1, 1)
-    b = a.copy()
-    b.update(2, 1)
-    assert a.decode() == (1, 1)
-    assert b.decode() is None or b.decode() not in ((1, 1),)
-
-
-def test_negative_index_rejected():
-    with pytest.raises(ValueError):
-        fresh().update(-1, 1)
-
-
-def test_word_size_is_constant():
-    assert fresh().word_size() == 4
+    bank = fresh()
+    update(bank, 7, -2)
+    assert decode(bank) == (7, -2)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    index=st.integers(min_value=0, max_value=10**6),
+    edge=st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)).filter(
+        lambda e: e[0] != e[1]
+    ),
     value=st.integers(min_value=-100, max_value=100).filter(lambda v: v != 0),
     seed=st.integers(min_value=0, max_value=1000),
 )
-def test_one_sparse_recovery_property(index, value, seed):
-    sketch = fresh(seed)
-    sketch.update(index, value)
-    assert sketch.decode() == (index, value)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6))
-def test_linearity_property(seed):
-    """sketch(x) + sketch(y) == sketch(x + y) for random sparse vectors."""
-    rng = random.Random(seed)
-    base = fresh(seed)
-    a, b = base.copy(), base.copy()
-    combined = {}
-    for _ in range(5):
-        index, delta = rng.randrange(100), rng.choice((-2, -1, 1, 2))
-        target = rng.choice((a, b))
-        target.update(index, delta)
-        combined[index] = combined.get(index, 0) + delta
-    a.merge(b)
-    direct = base.copy()
-    for index, delta in combined.items():
-        if delta:
-            direct.update(index, delta)
-    assert a.s0 == direct.s0 and a.s1 == direct.s1 and a.s2 == direct.s2
+def test_one_sparse_recovery_property(edge, value, seed):
+    bank = fresh(seed)
+    bank.update_edges([edge] * abs(value), sign=1 if value > 0 else -1)
+    lo, hi = sorted(edge)
+    assert decode(bank, lo) == (lo * N + hi, value)
+    assert decode(bank, hi) == (lo * N + hi, -value)

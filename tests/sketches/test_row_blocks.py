@@ -351,8 +351,6 @@ def test_insert_refused_past_the_s1_bound_leaves_the_bank_unchanged():
         bank.insert_block(blocks[1])
     with pytest.raises(OverflowError):  # rows 0, 1, 5, 6 come first
         bank.insert_block(combine_sparse_blocks(blocks))
-    with pytest.raises(OverflowError):
-        bank.insert_row(BIG_N - 1, bank.row(BIG_N - 2))
     assert bank.vertices == state[0] and bank.s1_bound == state[1]
     for now, before in zip((bank.s0, bank.s1, bank.s2), state[2:]):
         assert np.array_equal(now, before)

@@ -93,6 +93,62 @@ def test_gamma_flag(capsys):
     assert "verified=True" in out
 
 
+def usage_error(capsys, argv) -> str:
+    """Run *argv*, expect a usage error and return its last stderr line."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
+
+#: Input a subcommand cannot build its graph or config from, and the
+#: start of the usage error it reports.
+BAD_INPUTS = {
+    "mst --n 0": "mst: graph needs at least one vertex",
+    "mst --n 5 --m 100": "mst: cannot place 96 edges",
+    "mst --gamma 1.5": "mst: gamma must lie in (0, 1)",
+    "matching --f -1": "matching: f must be non-negative",
+    "connectivity --n 4 --components 5": "connectivity: more components",
+    "cycle --n 2": "cycle: need n >= 6",
+    "mincut --n 1": "mincut: ",
+    "compare --n 0": "compare: graph needs at least one vertex",
+}
+
+
+@pytest.mark.parametrize("line", BAD_INPUTS)
+def test_bad_input_is_a_usage_error(capsys, line):
+    assert f"error: {BAD_INPUTS[line]}" in usage_error(capsys, line.split())
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "spanner --k 0",
+        "connectivity --components 0",
+        "bench --jobs 0",
+        "bench --jobs -1",
+        "bench --jobs two",
+    ],
+)
+def test_count_flags_reject_values_below_one(capsys, line):
+    argv = line.split()
+    assert usage_error(capsys, argv).endswith(
+        f"argument {argv[1]}: expected an integer >= 1, got {argv[2]!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["spanner", "apsp", "connectivity", "mis", "coloring", "mincut", "cycle", "compare"],
+)
+def test_gamma_only_where_it_is_read(capsys, command):
+    assert "unrecognized arguments: --gamma 0.9" in usage_error(
+        capsys, [command, "--gamma", "0.9"]
+    )
+
+
 def test_bench_list(capsys):
     out = run(capsys, ["bench", "--list"])
     assert "table1_mst" in out and "workload_near_clique" in out

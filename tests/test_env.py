@@ -1,15 +1,14 @@
-"""The shared env-knob helpers (and the knobs that consume them).
+"""The shared boolean env-knob helper (and the knob that consumes it).
 
 ``REPRO_BENCH_SMOKE=true`` used to be silently ignored because the knob
 was compared against the literal string ``"1"``; these tests pin the
 helper's vocabulary (``1/true/yes/on`` vs ``0/false/no/off``, unset, and
-loud failure on junk) and that the name-valued primitive-path knob
-tolerates padding and capitalization.
+loud failure on junk).
 """
 
 import pytest
 
-from repro.env import env_flag, env_name
+from repro.env import env_flag
 
 VAR = "REPRO_TEST_KNOB"
 
@@ -42,23 +41,7 @@ def test_env_flag_rejects_junk(monkeypatch):
         env_flag(VAR)
 
 
-def test_env_name_normalizes(monkeypatch):
-    monkeypatch.setenv(VAR, "  NumPy ")
-    assert env_name(VAR, "pure") == "numpy"
-    monkeypatch.setenv(VAR, "")
-    assert env_name(VAR, "pure") == "pure"
-    monkeypatch.delenv(VAR)
-    assert env_name(VAR, "pure") == "pure"
-
-
-# --- the knobs wired through the helpers --------------------------------
-
-def test_backend_envs_tolerate_padding(monkeypatch):
-    from repro.primitives.columnar import primitive_path
-
-    monkeypatch.setenv("REPRO_PRIMITIVE_PATH", " Object ")
-    assert primitive_path() == "object"
-
+# --- the knob wired through the helper ----------------------------------
 
 def test_bench_smoke_accepts_word_forms(monkeypatch):
     # The original bug: REPRO_BENCH_SMOKE=true was silently ignored.
