@@ -384,12 +384,12 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "matching":
         with inputs:
             graph = generators.random_connected_graph(args.n, args.m, rng)
-            config = _config(args, args.m) if args.f else None
-        if config is not None:
+            config = _config(args, args.m)
+        if args.f:
             result = filtering_matching(graph, config=config, rng=rng)
             print(f"filtering levels {result.levels}", file=out)
         else:
-            result = heterogeneous_matching(graph, rng=rng)
+            result = heterogeneous_matching(graph, config=config, rng=rng)
             print(f"phase-1 iterations {result.phase1_iterations}", file=out)
         print(f"matching size {result.size}, "
               f"maximal={is_maximal_matching(graph, result.matching)}, "
@@ -407,7 +407,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "mis":
         with inputs:
             graph = generators.random_connected_graph(args.n, args.m, rng)
-        result = heterogeneous_mis(graph, rng=rng)
+            config = ModelConfig.heterogeneous(n=graph.n, m=max(graph.m, 1))
+        result = heterogeneous_mis(graph, config=config, rng=rng)
         print(f"MIS size {result.size}, "
               f"maximal={is_maximal_independent_set(graph, result.vertices)}, "
               f"iterations {result.iterations}, rounds {result.rounds}", file=out)
@@ -415,7 +416,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "coloring":
         with inputs:
             graph = generators.random_connected_graph(args.n, args.m, rng)
-        result = heterogeneous_coloring(graph, rng=rng)
+            config = ModelConfig.heterogeneous(n=graph.n, m=max(graph.m, 1))
+        result = heterogeneous_coloring(graph, config=config, rng=rng)
         print(f"colors used {len(set(result.colors))} / "
               f"allowed {result.num_colors_allowed}, "
               f"proper={is_proper_coloring(graph, result.colors, result.num_colors_allowed)}, "

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from ..graph.graph import Graph
 from ..local.matching import greedy_maximal_matching
 from ..mpc import AlgorithmFailure, Cluster, ModelConfig
-from ..primitives.arrange import arrange_directed
+from ..primitives.arrange import arrange_directed, query_first_records
 from ..primitives.edgestore import EdgeStore
 
 __all__ = [
@@ -202,33 +202,12 @@ def _high_degree_phases(
 
         # The large machine asks each machine for the lowest-ranked edges of
         # each high-degree vertex (k(v, M) queries, as in Section 3).
-        remaining = {v: sample_quota for v in high}
-        queries: dict[int, list[tuple[int, int]]] = {}
-        for machine in cluster.smalls:
-            per_vertex: dict[int, int] = {}
-            for record in machine.get(arrangement.name, []):
-                src = record[0]
-                if src in remaining and remaining[src] > 0:
-                    remaining[src] -= 1
-                    per_vertex[src] = per_vertex.get(src, 0) + 1
-            if per_vertex:
-                queries[machine.machine_id] = list(per_vertex.items())
-        cluster.scatter(cluster.large.machine_id, queries, note="phase2/queries")
-
-        responses: dict[int, list] = {}
-        for machine in cluster.smalls:
-            wanted = dict(queries.get(machine.machine_id, []))
-            taken: dict[int, int] = {}
-            answer = []
-            for record in machine.get(arrangement.name, []):
-                src = record[0]
-                if taken.get(src, 0) < wanted.get(src, 0):
-                    taken[src] = taken.get(src, 0) + 1
-                    answer.append((src, record[1]))
-            responses[machine.machine_id] = answer
-            machine.pop(arrangement.name, None)
-        collected = cluster.gather(
-            cluster.large.machine_id, responses, note="phase2/sampled"
+        collected = query_first_records(
+            cluster,
+            arrangement,
+            {v: sample_quota for v in high},
+            fields=(1,),
+            notes=("phase2/queries", "phase2/sampled"),
         )
         cluster.map_small(ranked_name, lambda m, items: [])
 

@@ -35,7 +35,7 @@ from ..graph.union_find import UnionFind
 from ..labeling import build_flow_labels, decode_heaviest
 from ..local.mst import kruskal_edges
 from ..mpc import AlgorithmFailure, Cluster, ModelConfig
-from ..primitives.arrange import arrange_directed
+from ..primitives.arrange import arrange_directed, query_first_records
 from ..primitives.dedup import dedup_lightest
 from ..primitives.edgestore import EdgeStore
 
@@ -154,41 +154,19 @@ def _boruvka_step(
         note="arrange",
     )
 
-    # The large machine computes, per vertex and machine, how many of the
-    # vertex's lightest min(quota, deg) edges that machine holds, and sends
-    # the queries (v, k(v, M)) — it can do this because the sorted layout
-    # and all out-degrees are known to it (Claim 4).
-    queries: dict[int, list[tuple[int, int]]] = {}
-    remaining: dict[int, int] = {
+    # Section 3's query step: the large machine asks each machine for its
+    # share of every vertex's min(quota, deg) lightest edges; the answers
+    # are the contracted edge records, tagged with the submitting vertex
+    # (needed for the saturation rule below).
+    submitted_quota = {
         v: min(quota, degree) for v, degree in arrangement.out_degrees.items()
     }
-    for machine in cluster.smalls:
-        per_vertex: dict[int, int] = {}
-        for record in machine.get(arrangement.name, []):
-            src = record[0]
-            if remaining.get(src, 0) > 0:
-                remaining[src] -= 1
-                per_vertex[src] = per_vertex.get(src, 0) + 1
-        if per_vertex:
-            queries[machine.machine_id] = list(per_vertex.items())
-    cluster.scatter(cluster.large.machine_id, queries, note="boruvka/queries")
-
-    # Small machines answer with the requested lightest edges, tagged with
-    # the submitting vertex (needed for the saturation rule below).
-    responses: dict[int, list] = {}
-    for machine in cluster.smalls:
-        wanted = dict(queries.get(machine.machine_id, []))
-        taken: dict[int, int] = {}
-        answer = []
-        for record in machine.get(arrangement.name, []):
-            src = record[0]
-            if taken.get(src, 0) < wanted.get(src, 0):
-                taken[src] = taken.get(src, 0) + 1
-                answer.append((src, record[2]))
-        responses[machine.machine_id] = answer
-        machine.pop(arrangement.name, None)
-    collected = cluster.gather(
-        cluster.large.machine_id, responses, note="boruvka/lightest"
+    collected = query_first_records(
+        cluster,
+        arrangement,
+        submitted_quota,
+        fields=(2, 3, 4, 5, 6),
+        notes=("boruvka/queries", "boruvka/lightest"),
     )
 
     # Large machine contracts along the collected edges, lightest first,
@@ -203,11 +181,8 @@ def _boruvka_step(
     # this check; correctness is inherited from [45] — see "Substitutions"
     # in docs/THEOREM_MAP.md.)
     submitters: dict[tuple, set[int]] = {}
-    for src, edge in collected:
+    for src, *edge in collected:
         submitters.setdefault(tuple(edge), set()).add(src)
-    submitted_quota = {
-        v: min(quota, degree) for v, degree in arrangement.out_degrees.items()
-    }
     credit: dict[int, int] = {}
     dirty: dict[int, bool] = {}
     local_union = UnionFind()

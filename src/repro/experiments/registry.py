@@ -139,8 +139,11 @@ _register(Scenario(
 ))
 
 
-def _measure_table1_mst(ratio: int, rng: random.Random, quick: bool) -> dict:
-    n = 48 if quick else 96
+def _measure_mst(
+    ratio: int, rng: random.Random, quick: bool, *, sizes: tuple[int, int]
+) -> dict:
+    """One MST point at ``n = sizes[0]`` (quick) or ``sizes[1]`` (full)."""
+    n = sizes[0] if quick else sizes[1]
     local = random.Random(ratio)
     m = min(n * (n - 1) // 2, n * ratio)
     graph = generators.random_connected_graph(n, m, local).with_unique_weights(local)
@@ -177,7 +180,7 @@ _register(Scenario(
     axis="m/n",
     points=(2, 8, 32, 64),
     quick_points=(2, 8),
-    measure=_measure_table1_mst,
+    measure=functools.partial(_measure_mst, sizes=(48, 96)),
     columns=("m/n", "het_steps", "het_rounds", "sub_iters", "sub_rounds",
              "theory_het~loglog(m/n)", "theory_sub~log(n)"),
     check=_check_table1_mst,
@@ -272,8 +275,11 @@ _register(Scenario(
 ))
 
 
-def _measure_table1_matching(density: int, rng: random.Random, quick: bool) -> dict:
-    n = 40 if quick else 80
+def _measure_matching(
+    density: int, rng: random.Random, quick: bool, *, sizes: tuple[int, int]
+) -> dict:
+    """One matching point at ``n = sizes[0]`` (quick) or ``sizes[1]`` (full)."""
+    n = sizes[0] if quick else sizes[1]
     local = random.Random(density)
     m = min(n * (n - 1) // 2, n * density)
     graph = generators.random_connected_graph(n, m, local)
@@ -292,7 +298,7 @@ def _measure_table1_matching(density: int, rng: random.Random, quick: bool) -> d
     }
 
 
-def _check_table1_matching(rows) -> None:
+def _check_matching(rows) -> None:
     het = [row["het_rounds"] for row in rows]
     assert het[-1] <= 3 * het[0]  # sqrt-log growth, never linear
 
@@ -307,10 +313,10 @@ _register(Scenario(
     axis="m/n",
     points=(2, 8, 24),
     quick_points=(2, 8),
-    measure=_measure_table1_matching,
+    measure=functools.partial(_measure_matching, sizes=(40, 80)),
     columns=("avg_degree", "het_rounds", "phase1_iters", "gu_charge",
              "sub_rounds", "theory_het~sqrt"),
-    check=_check_table1_matching,
+    check=_check_matching,
     paper_ref="Theorem 5.1",
 ))
 
@@ -977,7 +983,7 @@ _register_workload(
 
 def _check_large_connectivity(rows) -> None:
     het_rounds = [row["het_rounds"] for row in rows]
-    assert max(het_rounds) <= 8  # O(1) stays flat across a 4x n sweep
+    assert max(het_rounds) <= 8  # O(1) stays flat as n grows
     # At large n the sublinear Boruvka baseline is far above the constant.
     assert all(row["sub_rounds"] > max(het_rounds) for row in rows)
 
@@ -998,27 +1004,6 @@ _register(Scenario(
     check=_check_large_connectivity,
     paper_ref="Theorem C.1 vs [11], large-n regime",
 ))
-
-
-def _measure_large_mst(ratio: int, rng: random.Random, quick: bool) -> dict:
-    n = 320 if quick else 960
-    local = random.Random(ratio)
-    m = min(n * (n - 1) // 2, n * ratio)
-    graph = generators.random_connected_graph(n, m, local).with_unique_weights(local)
-    het = heterogeneous_mst(graph, rng=random.Random(ratio + 1))
-    assert verify_mst(graph, het.edges)
-    sub = sublinear_boruvka_mst(graph, rng=random.Random(ratio + 2))
-    assert verify_mst(graph, sub.edges)
-    return {
-        "m/n": ratio,
-        "het_steps": het.boruvka_steps,
-        "het_rounds": het.rounds,
-        "sub_iters": sub.iterations,
-        "sub_rounds": sub.rounds,
-        "theory_het~loglog(m/n)": predicted_rounds("mst", "heterogeneous", n=n, m=m),
-        "theory_sub~log(n)": predicted_rounds("mst", "sublinear", n=n, m=m),
-        "_ledgers": {"het": het.cluster.ledger, "sub": sub.cluster.ledger},
-    }
 
 
 def _check_large_mst(rows) -> None:
@@ -1042,37 +1027,12 @@ _register(Scenario(
     axis="m/n",
     points=(2, 8, 32),
     quick_points=(2, 8),
-    measure=_measure_large_mst,
+    measure=functools.partial(_measure_mst, sizes=(320, 960)),
     columns=("m/n", "het_steps", "het_rounds", "sub_iters", "sub_rounds",
              "theory_het~loglog(m/n)", "theory_sub~log(n)"),
     check=_check_large_mst,
     paper_ref="Theorem 1.2 / Theorem 3.1, large-n regime",
 ))
-
-
-def _measure_large_matching(density: int, rng: random.Random, quick: bool) -> dict:
-    n = 320 if quick else 800
-    local = random.Random(density)
-    m = min(n * (n - 1) // 2, n * density)
-    graph = generators.random_connected_graph(n, m, local)
-    het = heterogeneous_matching(graph, rng=random.Random(density + 1))
-    assert is_maximal_matching(graph, het.matching)
-    sub = sublinear_matching(graph, rng=random.Random(density + 2))
-    assert is_maximal_matching(graph, sub.matching)
-    return {
-        "avg_degree": round(graph.average_degree, 1),
-        "het_rounds": het.rounds,
-        "phase1_iters": het.phase1_iterations,
-        "gu_charge": round(low_degree_phase_rounds(graph.max_degree), 1),
-        "sub_rounds": sub.rounds,
-        "theory_het~sqrt": predicted_rounds("matching", "heterogeneous", n=n, m=m),
-        "_ledgers": {"het": het.cluster.ledger, "sub": sub.cluster.ledger},
-    }
-
-
-def _check_large_matching(rows) -> None:
-    het = [row["het_rounds"] for row in rows]
-    assert het[-1] <= 3 * het[0]  # sqrt-log growth, never linear
 
 
 _register(Scenario(
@@ -1086,10 +1046,10 @@ _register(Scenario(
     axis="m/n",
     points=(2, 8, 24),
     quick_points=(2, 8),
-    measure=_measure_large_matching,
+    measure=functools.partial(_measure_matching, sizes=(320, 800)),
     columns=("avg_degree", "het_rounds", "phase1_iters", "gu_charge",
              "sub_rounds", "theory_het~sqrt"),
-    check=_check_large_matching,
+    check=_check_matching,
     paper_ref="Theorem 5.1, large-n regime",
 ))
 
@@ -1180,12 +1140,6 @@ def _measure_huge_connectivity(n: int, rng: random.Random, quick: bool) -> dict:
     }
 
 
-def _check_huge_connectivity(rows) -> None:
-    het_rounds = [row["het_rounds"] for row in rows]
-    assert max(het_rounds) <= 8  # O(1) survives the 10^4-vertex jump
-    assert all(row["sub_rounds"] > max(het_rounds) for row in rows)
-
-
 _register(Scenario(
     name="table1_connectivity_huge",
     title="Huge-n / connectivity: O(1) heterogeneous vs ~log n sublinear "
@@ -1199,37 +1153,9 @@ _register(Scenario(
     quick_points=(1600,),
     measure=_measure_huge_connectivity,
     columns=("n", "m", "het_rounds", "sub_rounds", "theory_het", "theory_sub"),
-    check=_check_huge_connectivity,
+    check=_check_large_connectivity,
     paper_ref="Theorem C.1 vs [11], huge-n regime",
 ))
-
-
-def _measure_huge_mst(ratio: int, rng: random.Random, quick: bool) -> dict:
-    n = 3000 if quick else 24000
-    local = random.Random(ratio)
-    m = min(n * (n - 1) // 2, n * ratio)
-    graph = generators.random_connected_graph(n, m, local).with_unique_weights(local)
-    het = heterogeneous_mst(graph, rng=random.Random(ratio + 1))
-    assert verify_mst(graph, het.edges)
-    sub = sublinear_boruvka_mst(graph, rng=random.Random(ratio + 2))
-    assert verify_mst(graph, sub.edges)
-    return {
-        "m/n": ratio,
-        "het_steps": het.boruvka_steps,
-        "het_rounds": het.rounds,
-        "sub_iters": sub.iterations,
-        "sub_rounds": sub.rounds,
-        "theory_het~loglog(m/n)": predicted_rounds("mst", "heterogeneous", n=n, m=m),
-        "theory_sub~log(n)": predicted_rounds("mst", "sublinear", n=n, m=m),
-        "_ledgers": {"het": het.cluster.ledger, "sub": sub.cluster.ledger},
-    }
-
-
-def _check_huge_mst(rows) -> None:
-    steps = [row["het_steps"] for row in rows]
-    assert steps == sorted(steps)
-    assert steps[-1] <= 5
-    assert all(row["sub_iters"] > row["het_steps"] for row in rows)
 
 
 _register(Scenario(
@@ -1243,37 +1169,12 @@ _register(Scenario(
     axis="m/n",
     points=(2, 8),
     quick_points=(2,),
-    measure=_measure_huge_mst,
+    measure=functools.partial(_measure_mst, sizes=(3000, 24000)),
     columns=("m/n", "het_steps", "het_rounds", "sub_iters", "sub_rounds",
              "theory_het~loglog(m/n)", "theory_sub~log(n)"),
-    check=_check_huge_mst,
+    check=_check_large_mst,
     paper_ref="Theorem 1.2 / Theorem 3.1, huge-n regime",
 ))
-
-
-def _measure_huge_matching(density: int, rng: random.Random, quick: bool) -> dict:
-    n = 2500 if quick else 10000
-    local = random.Random(density)
-    m = min(n * (n - 1) // 2, n * density)
-    graph = generators.random_connected_graph(n, m, local)
-    het = heterogeneous_matching(graph, rng=random.Random(density + 1))
-    assert is_maximal_matching(graph, het.matching)
-    sub = sublinear_matching(graph, rng=random.Random(density + 2))
-    assert is_maximal_matching(graph, sub.matching)
-    return {
-        "avg_degree": round(graph.average_degree, 1),
-        "het_rounds": het.rounds,
-        "phase1_iters": het.phase1_iterations,
-        "gu_charge": round(low_degree_phase_rounds(graph.max_degree), 1),
-        "sub_rounds": sub.rounds,
-        "theory_het~sqrt": predicted_rounds("matching", "heterogeneous", n=n, m=m),
-        "_ledgers": {"het": het.cluster.ledger, "sub": sub.cluster.ledger},
-    }
-
-
-def _check_huge_matching(rows) -> None:
-    het = [row["het_rounds"] for row in rows]
-    assert het[-1] <= 3 * het[0]  # sqrt-log growth, never linear
 
 
 _register(Scenario(
@@ -1287,10 +1188,10 @@ _register(Scenario(
     axis="m/n",
     points=(2, 8),
     quick_points=(2,),
-    measure=_measure_huge_matching,
+    measure=functools.partial(_measure_matching, sizes=(2500, 10000)),
     columns=("avg_degree", "het_rounds", "phase1_iters", "gu_charge",
              "sub_rounds", "theory_het~sqrt"),
-    check=_check_huge_matching,
+    check=_check_matching,
     paper_ref="Theorem 5.1, huge-n regime",
 ))
 

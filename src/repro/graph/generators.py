@@ -294,6 +294,10 @@ def planted_components_graph(
     random trees plus intra-component extra edges."""
     if components > n:
         raise ValueError("more components than vertices")
+    if components < 1:
+        raise ValueError("need at least one component")
+    if extra_edges < 0:
+        raise ValueError(f"extra edge count must be non-negative, got {extra_edges}")
     boundaries = sorted(rng.sample(range(1, n), components - 1)) if components > 1 else []
     blocks = []
     start = 0
@@ -331,6 +335,11 @@ def planted_cut_graph(
     half = n // 2
     left = list(range(half))
     right = list(range(half, n))
+    if not 0 <= cut_size <= len(left) * len(right):
+        raise ValueError(
+            f"cannot plant {cut_size} crossing edges between halves of "
+            f"{len(left)} and {len(right)} vertices"
+        )
     edges: set[tuple[int, int]] = set()
     for block in (left, right):
         for index in range(1, len(block)):

@@ -131,12 +131,13 @@ def count_items(
     """Total number of items (matching *predicate*) stored under *name*.
 
     This is the 'each small machine sends a count, the large machine sums'
-    pattern used before every all-edges-to-the-large-machine step.
+    pattern used before every all-edges-to-the-large-machine step.  The
+    counts are keyed by the int ``0``, so they ride the columnar cast.
     """
     pairs = {
         machine.machine_id: [
             (
-                "total",
+                0,
                 len(machine.get(name, []))
                 if predicate is None
                 else sum(1 for item in machine.get(name, []) if predicate(item)),
@@ -145,7 +146,7 @@ def count_items(
         for machine in cluster.smalls
     }
     totals = aggregate(cluster, pairs, "sum", note=note)
-    return totals.get("total", 0)
+    return totals.get(0, 0)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Claim 4 — arranging the edges of a directed graph on the machines.
+"""Claim 4 — arranging the edges of a directed graph on the machines, and
+Section 3's query step on the arrangement.
 
 After ``arrange_directed``:
 
@@ -8,22 +9,25 @@ After ``arrange_directed``:
    this is exactly the information the MST algorithm's query step and the
    dissemination trees of Claim 3 need.
 
-The directed records handed back to callers are always the nested
-``(src, dst, edge)`` tuples of the original design.  Internally, when the
-stored edges qualify as typed record batches
-(:mod:`repro.primitives.columnar`) and *secondary_key* is a field spec,
-the copies are built flat — ``(src, dst, e0, ..., e_{w-1})`` columns — so
-the dominant sort rides the columnar path and the degree count feeds
-:func:`~repro.primitives.aggregate.aggregate_counts` a key *column*; the
-rows are re-nested before returning.  Flat and nested rows cost the same
-words and their sort keys order isomorphically, so ledgers and results
-match the object path bit for bit.
+Directed copies have one shape: the flat row ``(src, dst, *edge)``.
+:func:`directed_rows` builds them (the sort-join of
+:mod:`repro.primitives.join` takes the same copies without ``dst``) as
+one :class:`~repro.primitives.columnar.EdgeBlock` per machine when every
+machine's edges qualify as typed columns, and as tuples otherwise; the
+sort is keyed by a field spec either way, so
+:func:`~repro.primitives.sort.sample_sort` picks its path from the rows
+alone.  A flat row has the leaves of the nested ``(src, dst, edge)``
+record and orders the same way, so it charges the same words.
+
+:func:`query_first_records` is Section 3's ``k(v, M)`` query step: the
+large machine asks every machine for its share of each vertex's first
+records, and the machines answer in one gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -33,35 +37,59 @@ from .aggregate import aggregate_counts
 from .columnar import EdgeBlock
 from .sort import SortLayout, sample_sort
 
-__all__ = ["Arrangement", "arrange_directed", "directed_copies"]
+__all__ = ["Arrangement", "arrange_directed", "directed_rows", "query_first_records"]
 
 
-def directed_copies(edge: tuple) -> list[tuple]:
-    """Both orientations of an undirected edge, carrying the original edge:
-    ``(src, dst, edge)``."""
-    u, v = edge[0], edge[1]
-    return [(u, v, edge), (v, u, edge)]
+def directed_rows(
+    cluster: Cluster, edges_name: str, with_dst: bool = True
+) -> tuple[int, dict[int, Any]]:
+    """Both orientations of every small machine's edges, as flat rows.
+
+    Edge ``i = (u, v, ...)`` becomes row ``2i = (u, v, *edge_i)`` and row
+    ``2i + 1 = (v, u, *edge_i)``; without *with_dst* the second field is
+    left out.  The rows are an :class:`EdgeBlock` per machine when every
+    machine's edges are blocks of one shape with int endpoints, and tuples
+    otherwise.  Returns ``(edge width, rows by machine id)``; nothing is
+    mutated.
+    """
+    datasets = [(m.machine_id, m.get(edges_name, [])) for m in cluster.smalls]
+    blocks = columnar.uniform_blocks(datasets)
+    if blocks:
+        columns = next(iter(blocks.values())).columns
+        if (
+            len(columns) >= 2
+            and columns[0].dtype.kind == "i"
+            and columns[1].dtype == columns[0].dtype
+        ):
+            return len(columns), {
+                mid: _block_copies(blocks[mid].columns, with_dst) if mid in blocks else []
+                for mid, _ in datasets
+            }
+    widths: set[int] = set()
+    rows: dict[int, Any] = {}
+    for mid, edges in datasets:
+        widths.update(map(len, edges))
+        if with_dst:
+            rows[mid] = [
+                copy
+                for e in edges
+                for copy in ((e[0], e[1], *e), (e[1], e[0], *e))
+            ]
+        else:
+            rows[mid] = [copy for e in edges for copy in ((e[0], *e), (e[1], *e))]
+    if len(widths) > 1:
+        raise ValueError(f"edge records of several widths {sorted(widths)}")
+    return (widths.pop() if widths else 0), rows
 
 
-def _flat_directed_copies(columns: tuple) -> EdgeBlock:
-    """One machine's flat directed-copy build: both orientations
-    interleaved, the original edge columns repeated alongside."""
-    end_dtype = columns[0].dtype
-    src = np.empty(2 * len(columns[0]), dtype=end_dtype)
-    dst = np.empty(2 * len(columns[0]), dtype=end_dtype)
-    src[0::2] = columns[0]
-    src[1::2] = columns[1]
-    dst[0::2] = columns[1]
-    dst[1::2] = columns[0]
-    return EdgeBlock([src, dst, *(np.repeat(col, 2) for col in columns)])
-
-
-def _directed_records(edges: list) -> list[tuple]:
-    """One machine's nested directed-copy build."""
-    records: list[tuple] = []
-    for edge in edges:
-        records.extend(directed_copies(edge))
-    return records
+def _block_copies(columns: tuple, with_dst: bool) -> EdgeBlock:
+    """One machine's :func:`directed_rows` on columns: both orientations
+    interleaved, the edge columns repeated alongside."""
+    u, v = columns[0], columns[1]
+    ends = [np.column_stack([u, v]).ravel()]
+    if with_dst:
+        ends.append(np.column_stack([v, u]).ravel())
+    return EdgeBlock([*ends, *(np.repeat(col, 2) for col in columns)])
 
 
 @dataclass
@@ -82,84 +110,55 @@ def arrange_directed(
     cluster: Cluster,
     edges_name: str,
     directed_name: str,
-    secondary_key: Callable[[tuple], Any] | int | tuple[int, ...] | None = None,
+    secondary_key: int | tuple[int, ...] | None = None,
     note: str = "arrange",
 ) -> Arrangement:
     """Arrange directed copies of the edges stored under *edges_name*.
 
-    Directed records are ``(src, dst, edge)`` tuples sorted by
-    ``(src, secondary_key(edge), dst)``; *secondary_key* defaults to the
-    edge itself (the MST algorithm passes the weight, so each vertex's
-    out-edges are weight-sorted as Section 3 requires).
-
-    *secondary_key* may be a field spec (an edge column index or tuple of
-    indices) instead of a callable, which unlocks the columnar sort.  A
-    field spec asserts that ``(src, key, dst)`` determines the record —
+    Dataset *directed_name* receives the flat rows ``(src, dst, *edge)``,
+    sorted by ``(src, edge[secondary_key], dst)``.  *secondary_key* is a
+    field spec over the edge's columns — an index or a tuple of indices —
+    and defaults to the whole edge (the MST algorithm passes the weight,
+    so each vertex's out-edges are weight-sorted as Section 3 requires).
+    A field spec asserts that ``(src, key, dst)`` determines the row —
     true under the paper's unique-weight convention — mirroring
     ``sample_sort``'s ``assume_unique`` contract.
     """
-    edge_spec = (
-        columnar.key_fields(secondary_key) if secondary_key is not None else None
-    )
-    flat = None
-    if secondary_key is None or edge_spec is not None:
-        flat = _flat_directed(cluster, edges_name, edge_spec)
-
-    if flat is not None:
-        sort_spec, blocks = flat
-        for machine in cluster.smalls:
-            machine.put(directed_name, blocks[machine.machine_id])
-        layout = sample_sort(
-            cluster,
-            directed_name,
-            key=sort_spec,
-            note=f"{note}/sort",
-            assume_unique=edge_spec is not None,
-        )
-    else:
-        if secondary_key is None:
-            key2: Callable[[tuple], Any] = lambda edge: edge  # noqa: E731
-        else:
-            key2 = columnar.as_callable(secondary_key)
-        for machine in cluster.smalls:
-            machine.put(
-                directed_name, _directed_records(list(machine.get(edges_name, [])))
+    fields = None
+    if secondary_key is not None:
+        fields = columnar.key_fields(secondary_key)
+        if fields is None:
+            raise TypeError(
+                "secondary_key must be an edge column index or a tuple of "
+                f"them, not {secondary_key!r}"
             )
-        layout = sample_sort(
-            cluster,
-            directed_name,
-            key=lambda record: (record[0], key2(record[2]), record[1]),
-            note=f"{note}/sort",
+    width, rows = directed_rows(cluster, edges_name)
+    if fields is not None and width and not all(0 <= f < width for f in fields):
+        raise ValueError(
+            f"secondary_key {secondary_key!r} names a column outside the "
+            f"{width} edge columns"
         )
-
-    out_degrees = aggregate_counts(
-        cluster,
-        {
-            machine.machine_id: _source_keys(machine.get(directed_name, []))
-            for machine in cluster.smalls
-        },
-        note=f"{note}/degrees",
-    )
-
-    holders: dict[int, list[int]] = {}
     for machine in cluster.smalls:
-        data = machine.get(directed_name, [])
-        if isinstance(data, EdgeBlock):
-            seen = set(data.columns[0].tolist())
-        else:
-            seen = {record[0] for record in data}
-        for vertex in sorted(seen):
-            holders.setdefault(vertex, []).append(machine.machine_id)
+        machine.put(directed_name, rows[machine.machine_id])
+    edge_fields = fields if fields is not None else range(width)
+    layout = sample_sort(
+        cluster,
+        directed_name,
+        key=(0, *(2 + f for f in edge_fields), 1),
+        note=f"{note}/sort",
+        assume_unique=fields is not None,
+    )
 
-    # Hand the nested records back before any caller looks at the dataset.
-    # Flat and nested rows are the same words, so this is ledger-neutral.
-    if flat is not None:
-        for machine in cluster.smalls:
-            data = machine.get(directed_name, [])
-            rows = data.rows() if isinstance(data, EdgeBlock) else data
-            machine.put(
-                directed_name, [(row[0], row[1], row[2:]) for row in rows]
-            )
+    sources = {
+        machine.machine_id: _source_keys(machine.get(directed_name, []))
+        for machine in cluster.smalls
+    }
+    out_degrees = aggregate_counts(cluster, sources, note=f"{note}/degrees")
+    holders: dict[int, list[int]] = {}
+    for mid, keys in sources.items():
+        seen = set(keys.tolist() if isinstance(keys, np.ndarray) else keys)
+        for vertex in sorted(seen):
+            holders.setdefault(vertex, []).append(mid)
 
     # Claim 4, property 2: the large machine informs each M_first(v).  (One
     # scatter round; in the sublinear configuration machine 0 plays large.)
@@ -180,52 +179,54 @@ def arrange_directed(
 
 
 def _source_keys(data: Any) -> Any:
-    """The source-vertex key of every directed record — as the raw column
-    when the records are a flat block (``aggregate_counts``'s array fast
-    path), else a list."""
+    """The source vertex of every directed row — the raw column when the
+    rows are a block (``aggregate_counts``'s array fast path), else a
+    list."""
     if isinstance(data, EdgeBlock):
         return data.columns[0]
-    return [record[0] for record in data]
+    return [row[0] for row in data]
 
 
-def _flat_directed(
-    cluster: Cluster, edges_name: str, edge_spec: tuple[int, ...] | None
-) -> tuple[tuple[int, ...], dict[int, Any]] | None:
-    """Flat directed copies of every machine's edges, or ``None`` if any
-    machine's edges do not qualify (all machines or none — sorted runs
-    mix rows across machines, so the representation must be uniform).
+def query_first_records(
+    cluster: Cluster,
+    arrangement: Arrangement,
+    quotas: dict[int, int],
+    fields: tuple[int, ...],
+    notes: tuple[str, str],
+) -> list[tuple]:
+    """Section 3's query step: gather each vertex's first arranged rows.
 
-    Returns ``(sort_spec, blocks_by_machine)``; the spec maps the
-    ``(src, secondary, dst)`` key onto the flat ``(src, dst, edge...)``
-    layout.  Nothing is mutated.
+    The large machine knows the sorted layout and every out-degree
+    (Claim 4), so it sends every small machine the queries ``(v, k(v,
+    M))``: how many of vertex ``v``'s first ``quotas[v]`` rows that
+    machine holds.  Each machine answers with ``(v, *row[fields])`` for
+    those rows, in row order.  Vertices missing from *quotas* ask for
+    nothing.  *notes* name the query and the answer round.  The arranged
+    dataset is dropped; returns the answers the large machine received.
     """
-    width: int | None = None
-    dtypes: tuple | None = None
-    blocks: dict[int, Any] = {}
-    qualified: list[tuple[int, EdgeBlock]] = []
+    large = cluster.large.machine_id
+    remaining = dict(quotas)
+    queries: dict[int, list[tuple[int, int]]] = {}
     for machine in cluster.smalls:
-        local = machine.get(edges_name, [])
-        if not len(local):
-            blocks[machine.machine_id] = []
-            continue
-        block = columnar.ensure_block(local)
-        if block is None or block.width < 2:
-            return None
-        col_dtypes = tuple(col.dtype for col in block.columns)
-        if width is None:
-            width, dtypes = block.width, col_dtypes
-        elif block.width != width or col_dtypes != dtypes:
-            return None
-        end_dtype = block.columns[0].dtype
-        if end_dtype.kind != "i" or block.columns[1].dtype != end_dtype:
-            return None
-        qualified.append((machine.machine_id, block))
-    if not qualified:
-        return None
-    for mid, block in qualified:
-        blocks[mid] = _flat_directed_copies(block.columns)
-    key_fields = edge_spec if edge_spec is not None else tuple(range(width))
-    if key_fields and (max(key_fields) >= width or min(key_fields) < 0):
-        return None
-    sort_spec = (0, *(2 + f for f in key_fields), 1)
-    return sort_spec, blocks
+        per_vertex: dict[int, int] = {}
+        for row in machine.get(arrangement.name, []):
+            src = row[0]
+            if remaining.get(src, 0) > 0:
+                remaining[src] -= 1
+                per_vertex[src] = per_vertex.get(src, 0) + 1
+        if per_vertex:
+            queries[machine.machine_id] = list(per_vertex.items())
+    cluster.scatter(large, queries, note=notes[0])
+
+    responses: dict[int, list] = {}
+    for machine in cluster.smalls:
+        wanted = dict(queries.get(machine.machine_id, []))
+        taken: dict[int, int] = {}
+        answer = []
+        for row in machine.pop(arrangement.name, []):
+            src = row[0]
+            if taken.get(src, 0) < wanted.get(src, 0):
+                taken[src] = taken.get(src, 0) + 1
+                answer.append((src, *(row[f] for f in fields)))
+        responses[machine.machine_id] = answer
+    return cluster.gather(large, responses, note=notes[1])

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "as_callable",
     "ingest_rows",
     "ensure_block",
+    "uniform_blocks",
     "concat_blocks",
     "lexsort_block",
     "pack_columns",
@@ -254,6 +255,31 @@ def ensure_block(data: Any) -> EdgeBlock | None:
     if isinstance(data, list):
         return ingest_rows(data)
     return None
+
+
+def uniform_blocks(datasets: Iterable[tuple[int, Any]]) -> dict[int, EdgeBlock] | None:
+    """Every non-empty ``(machine_id, data)`` dataset as an
+    :class:`EdgeBlock`, or ``None`` unless all of them qualify with one
+    width and one dtype per column (all-empty input gives ``{}``).
+
+    All or nothing, because sorted runs and boundary records mix rows from
+    different machines.
+    """
+    blocks: dict[int, EdgeBlock] = {}
+    dtypes: tuple | None = None
+    for machine_id, data in datasets:
+        if not len(data):
+            continue
+        block = ensure_block(data)
+        if block is None:
+            return None
+        block_dtypes = tuple(col.dtype for col in block.columns)
+        if dtypes is None:
+            dtypes = block_dtypes
+        elif block_dtypes != dtypes:
+            return None
+        blocks[machine_id] = block
+    return blocks
 
 
 def concat_blocks(blocks: Sequence[EdgeBlock]) -> EdgeBlock:

@@ -254,24 +254,15 @@ def _columnar_sort_context(
         # Bucket order must equal destination-id order for the routing
         # runs to line up with the object path's ascending-dst grouping.
         return None
-    blocks: dict[int, EdgeBlock] = {}
-    width: int | None = None
-    dtypes: tuple | None = None
-    for machine in cluster.smalls:
-        local = machine.get(name, [])
-        if not len(local):
-            continue
-        block = columnar.ensure_block(local)
-        if block is None:
-            return None
-        col_dtypes = tuple(col.dtype for col in block.columns)
-        if width is None:
-            width, dtypes = block.width, col_dtypes
-        elif block.width != width or col_dtypes != dtypes:
-            return None
-        blocks[machine.machine_id] = block
-    if width is None:
+    blocks = columnar.uniform_blocks(
+        (machine.machine_id, machine.get(name, [])) for machine in cluster.smalls
+    )
+    if blocks is None:
+        return None
+    if not blocks:
         return blocks, True
+    dtypes = tuple(col.dtype for col in next(iter(blocks.values())).columns)
+    width = len(dtypes)
     if max(fields) >= width or min(fields) < 0:
         return None
     transport = _transport_dtype(dtypes)

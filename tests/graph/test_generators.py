@@ -109,6 +109,33 @@ def test_planted_cut_value(rng):
     assert min_cut_value(g.n, g.edges) <= 2
 
 
+@pytest.mark.parametrize(
+    "n, cut",
+    [(4, 5), (4, 100), (0, 3), (1, 1), (30, -1)],
+)
+def test_planted_cut_rejects_impossible_counts(rng, n, cut):
+    # Only |left| * |right| crossing edges exist; asking for more used to
+    # loop forever, and an empty half crashed in rng.choice.
+    with pytest.raises(ValueError, match="crossing edges"):
+        generators.planted_cut_graph(n, cut, 4.0, rng)
+
+
+def test_planted_cut_accepts_every_crossing_edge(rng):
+    g = generators.planted_cut_graph(4, 4, 0.0, rng)
+    assert {(u, v) for u, v in g.edges if u < 2 <= v} == {
+        (0, 2), (0, 3), (1, 2), (1, 3),
+    }
+
+
+@pytest.mark.parametrize(
+    "components, extra, message",
+    [(0, 5, "at least one component"), (3, -5, "non-negative")],
+)
+def test_planted_components_rejects_bad_counts(rng, components, extra, message):
+    with pytest.raises(ValueError, match=message):
+        generators.planted_components_graph(20, components, extra, rng)
+
+
 def test_random_bipartite_sides(rng):
     g = generators.random_bipartite_graph(8, 12, 40, rng)
     assert g.n == 20 and g.m == 40

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from repro.graph import generators
 from repro.mpc import Cluster, ModelConfig
-from repro.primitives.arrange import arrange_directed, directed_copies
+from repro.primitives.arrange import (
+    arrange_directed,
+    directed_rows,
+    query_first_records,
+)
+from repro.primitives.columnar import EdgeBlock
 from repro.primitives.dedup import dedup_lightest
 from repro.primitives.edgestore import EdgeStore
 from repro.primitives.join import annotate_edges_with_vertex_values
@@ -24,27 +29,42 @@ def weighted_graph(n=40, m=200, seed=8):
 
 
 # ----------------------------------------------------------------------
-# directed_copies / arrange_directed
+# arrange_directed
 # ----------------------------------------------------------------------
-def test_directed_copies_both_orientations():
-    edge = (3, 7, 99)
-    copies = directed_copies(edge)
-    assert copies == [(3, 7, edge), (7, 3, edge)]
-
-
 def test_arrange_sorts_by_source_then_secondary_key():
     cluster = make_cluster()
     g = weighted_graph()
     cluster.distribute_edges(g.edges, name="edges")
-    arrangement = arrange_directed(
-        cluster, "edges", "directed", secondary_key=lambda e: e[2]
-    )
+    arrange_directed(cluster, "edges", "directed", secondary_key=2)
     previous = None
     for machine in cluster.smalls:
-        for src, dst, edge in machine.get("directed", []):
+        for src, dst, *edge in machine.get("directed", []):
+            assert {src, dst} == {edge[0], edge[1]}
             key = (src, edge[2])
             assert previous is None or key >= previous
             previous = key
+
+
+def test_arrange_rejects_a_callable_secondary_key():
+    cluster = make_cluster()
+    cluster.distribute_edges(weighted_graph().edges, name="edges")
+    with pytest.raises(TypeError, match="secondary_key"):
+        arrange_directed(cluster, "edges", "directed", secondary_key=lambda e: e[2])
+    with pytest.raises(ValueError, match="outside the 3 edge columns"):
+        arrange_directed(cluster, "edges", "directed", secondary_key=3)
+
+
+def test_directed_rows_fall_back_to_tuples_of_one_width():
+    cluster = make_cluster()
+    cluster.distribute_edges([(0, 1, "a"), (1, 2, "b")], name="edges")
+    width, rows = directed_rows(cluster, "edges", with_dst=False)
+    assert width == 3
+    assert sorted(row for machine_rows in rows.values() for row in machine_rows) == [
+        (0, 0, 1, "a"), (1, 0, 1, "a"), (1, 1, 2, "b"), (2, 1, 2, "b"),
+    ]
+    cluster.distribute_edges([(0, 1, "a"), (1, 2)], name="ragged")
+    with pytest.raises(ValueError, match="several widths"):
+        directed_rows(cluster, "ragged")
 
 
 def test_arrange_degrees_are_correct():
@@ -73,6 +93,43 @@ def test_arrange_vertex_without_edges_has_no_holder():
     cluster.distribute_edges([(0, 1, 5)], name="edges")
     arrangement = arrange_directed(cluster, "edges", "directed")
     assert arrangement.first_machine(39) is None
+
+
+@pytest.mark.parametrize("form", ["block", "tuples"])
+def test_query_first_records_matches_brute_force(form):
+    """Section 3's query step gathers exactly each vertex's first
+    min(quota, degree) arranged rows, in row order: quotas above the
+    degree, zero quotas and vertices missing from the quotas included."""
+    cluster = make_cluster()
+    edges = weighted_graph().edges
+    if form == "tuples":  # a column no typed block holds
+        edges = [(u, v, (w, "w")) for u, v, w in edges]
+    cluster.distribute_edges(edges, name="edges")
+    arrangement = arrange_directed(cluster, "edges", "directed", secondary_key=2)
+    datasets = [machine.get("directed", []) for machine in cluster.smalls]
+    assert any(isinstance(data, EdgeBlock) for data in datasets) == (form == "block")
+    rows = [row for data in datasets for row in data]
+    degrees = arrangement.out_degrees
+    vertices = sorted(degrees)
+    quotas = {v: (0, 1, 3, degrees[v] + 2)[v % 4] for v in vertices[:-3]}
+
+    positions: dict[int, list[int]] = {}
+    for index, row in enumerate(rows):
+        positions.setdefault(row[0], []).append(index)
+    first = sorted(
+        index for v, quota in quotas.items() for index in positions.get(v, [])[:quota]
+    )
+    expected = [(rows[i][0], rows[i][4], rows[i][1]) for i in first]
+    assert any(quotas[v] > degrees[v] for v in quotas)
+    assert any(quotas[v] == 0 for v in quotas)
+
+    rounds = cluster.ledger.rounds
+    collected = query_first_records(
+        cluster, arrangement, quotas, fields=(4, 1), notes=("queries", "answers")
+    )
+    assert collected == expected
+    assert cluster.ledger.rounds == rounds + 2
+    assert all("directed" not in machine for machine in cluster.smalls)
 
 
 # ----------------------------------------------------------------------

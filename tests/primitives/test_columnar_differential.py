@@ -9,7 +9,7 @@ difference.
 
 Hypothesis drives randomized inputs through sort, aggregate and dedup;
 join and arrange run a curated scenario matrix covering every internal
-representation switch (flat blocks, nested fallback, mixed value types,
+representation switch (blocks, tuple rows, mixed value types,
 sorted-mode keys, empties).  The object side runs under
 :func:`object_path`, a fake that makes the qualification entry points
 decline, so every primitive falls back to its object path.  Kernel-level
@@ -278,10 +278,10 @@ _JOIN_CASES = {
     # bool values with a default (the matching-flag pattern)
     "bool-default": (
         _gen_edges(_NV, 70, 2), {v: True for v in range(0, _NV, 3)}, False),
-    # default=None actually delivered -> per-machine nested fallback
+    # default=None actually delivered -> tuple rows on those machines
     "none-fallback": (
         _gen_edges(_NV, 70, 2), {v: v for v in range(0, _NV, 2)}, None),
-    # tuple values cannot columnarize -> nested fallback
+    # tuple values fit no column -> tuple rows
     "tuple-fallback": (
         _gen_edges(_NV, 60, 3), {v: (v, v + 1) for v in range(_NV)}, (0, 0)),
     # weighted edges widen the flat representation
@@ -295,12 +295,17 @@ _JOIN_CASES = {
     # float values
     "float-values": (
         _gen_edges(_NV, 60, 6), {v: v / 8 for v in range(_NV)}, 0.0),
-    # mixed value types across machines -> global re-nest
+    # mixed value types across machines -> object-path second sort
     "mixed-types": (
         _gen_edges(_NV, 70, 7),
         {0: True, 1: 5, **{v: v for v in range(2, _NV)}}, 0),
     "empty": ([], {0: 1}, None),
     "single-edge": ([(5, 9)], {5: 1, 9: 2}, None),
+    # a column no typed block holds (the clustering graphs' records
+    # (c1, c2, (scale, (u, v)))) -> tuple rows on both paths
+    "object-column": (
+        [(u, v, (u % 3, (u, v))) for u, v in _gen_edges(_NV, 60, 8)],
+        {v: v % 5 for v in range(_NV)}, 0),
 }
 
 
@@ -328,9 +333,6 @@ _ARRANGE_CASES = {
     # default secondary: the full edge tuple
     "default": (_gen_edges(_NV, 80, 13, weighted=True), None),
     "unweighted-default": (_gen_edges(_NV, 80, 14), None),
-    # legacy callable secondaries stay on the object path everywhere
-    "legacy-callable": (
-        _gen_edges(_NV, 80, 11, weighted=True), lambda edge: edge[2]),
     "empty": ([], 2),
 }
 
@@ -344,9 +346,12 @@ def test_arrange_differential(case):
         arrangement = arrange_directed(
             cluster, "edges", "edges.dir", secondary_key=secondary
         )
-        # Consumers index nested records; the primitive must re-nest.
-        for machine in cluster.smalls:
-            assert not isinstance(machine.get("edges.dir", []), EdgeBlock)
+        # Callers get the flat rows (src, dst, *edge): both orientations
+        # of every edge.
+        rows = [row for m in cluster.smalls for row in m.get("edges.dir", [])]
+        assert sorted(rows) == sorted(
+            copy for e in edges for copy in ((e[0], e[1], *e), (e[1], e[0], *e))
+        )
         return (
             sorted(arrangement.out_degrees.items()),
             sorted(arrangement.holders.items()),
@@ -354,25 +359,6 @@ def test_arrange_differential(case):
         )
 
     run_everyway(go, ["edges.dir"])
-
-
-def test_arrange_spec_matches_legacy_callable():
-    """secondary_key=2 (field spec) and the equivalent callable must agree
-    on records, degrees and the ledger — specs are a drop-in upgrade."""
-    edges = _gen_edges(_NV, 80, 11, weighted=True)
-
-    def go(secondary):
-        cluster = make_cluster()
-        distribute(cluster, "edges", edges)
-        with object_path():
-            arrangement = arrange_directed(
-                cluster, "edges", "edges.dir", secondary_key=secondary
-            )
-        return snapshot(cluster, ["edges.dir"]) + (
-            sorted(arrangement.out_degrees.items()),
-        )
-
-    assert go(2) == go(lambda edge: edge[2])
 
 
 # ----------------------------------------------------------------------

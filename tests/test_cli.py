@@ -114,6 +114,15 @@ BAD_INPUTS = {
     "cycle --n 2": "cycle: need n >= 6",
     "mincut --n 1": "mincut: ",
     "compare --n 0": "compare: graph needs at least one vertex",
+    "mincut --n 4 --cut 100": "mincut: cannot plant 100 crossing edges",
+    "mincut --n 0": "mincut: cannot plant 3 crossing edges",
+    "mincut --cut -1": "mincut: cannot plant -1 crossing edges",
+    "mis --n 1 --m 0": "mis: need at least 2 vertices",
+    "coloring --n 1 --m 0": "coloring: need at least 2 vertices",
+    "matching --gamma -1": "matching: gamma must lie in (0, 1)",
+    "matching --gamma 7": "matching: gamma must lie in (0, 1)",
+    "matching --gamma nan": "matching: gamma must lie in (0, 1)",
+    "connectivity --m -5": "connectivity: extra edge count must be non-negative",
 }
 
 
