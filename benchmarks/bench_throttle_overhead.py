@@ -4,7 +4,7 @@ The feedback-control layer must be free when it has nothing to do: with
 ample capacities (no round near the headroom line) an enforcing
 controller still pays its bookkeeping on every round — the
 ``split_plan`` early-exit (per-machine volume tallies over the cached
-run columns) and the post-round estimator feed — and that bookkeeping
+run columns) and the post-round load observation — and that bookkeeping
 must stay within 5% of the unthrottled route.
 
 The workload is the 100k-item columnar route of
@@ -33,9 +33,9 @@ OVERHEAD_BAR = 0.05
 
 
 def _make_cluster(mode: str) -> Cluster:
-    config = ModelConfig.heterogeneous(n=4096, m=ITEMS, num_small=32)
-    if mode != "off":
-        config = config.with_throttle(mode)
+    config = ModelConfig.heterogeneous(
+        n=4096, m=ITEMS, num_small=32, throttle=mode
+    )
     return Cluster(config, rng=random.Random(0))
 
 
@@ -91,7 +91,7 @@ def run_comparison() -> list[dict]:
             assert cluster.throttle is not None
             assert cluster.throttle.splits == 0
             assert not cluster.throttle.events
-            assert cluster.throttle.estimator.observations == REPEATS
+            assert cluster.throttle.observed_rounds == REPEATS
         rows.append({
             "throttle": mode,
             "items": ITEMS,

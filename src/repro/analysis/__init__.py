@@ -1,4 +1,4 @@
-"""Analysis helpers: Table 1 theory predictions, sweep harnesses, and
+"""Analysis helpers: Table 1 theory predictions, text tables, and
 least-squares asymptotic fits (``repro.analysis.fits`` /
 ``repro.analysis.costmodel`` — the latter is imported lazily by the CLI
 because it reads benchmark artifacts through ``repro.experiments``)."""
@@ -14,12 +14,10 @@ from .fits import (
     select_model,
     verdict,
 )
-from .tables import Sweep, density_sweep, render_table
+from .tables import render_table
 from .theory import TABLE1, Table1Row, loglog, loglog_raw, predicted_rounds
 
 __all__ = [
-    "Sweep",
-    "density_sweep",
     "render_table",
     "TABLE1",
     "Table1Row",

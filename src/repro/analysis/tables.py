@@ -1,22 +1,15 @@
-"""Harness that regenerates Table 1 and the parameter-sweep experiments.
+"""Text tables for the benchmark artifacts.
 
-Every function returns a list of row dicts and also knows how to render
-itself as an aligned text table — the format the benchmark scenarios
-print and the generated ``docs/REPRODUCTION.md`` quotes (see
-``repro.experiments``).  Measured quantities are *round counts from the
-simulator's ledger*; theory columns come from ``repro.analysis.theory``.
+:func:`render_table` aligns row dicts into the text format the benchmark
+scenarios print and the generated ``docs/REPRODUCTION.md`` quotes (see
+``repro.experiments``, whose ``Scenario`` + ``Runner`` run the sweeps).
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from ..graph import generators
-from ..graph.graph import Graph
-from .theory import predicted_rounds
-
-__all__ = ["render_table", "density_sweep", "Sweep"]
+__all__ = ["render_table"]
 
 
 def render_table(rows: Sequence[dict[str, Any]], columns: Sequence[str]) -> str:
@@ -34,58 +27,3 @@ def render_table(rows: Sequence[dict[str, Any]], columns: Sequence[str]) -> str:
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)
-
-
-class Sweep:
-    """A parameter sweep: generate a graph per point, run one or more
-    algorithms, collect round counts and theory predictions."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self.rows: list[dict[str, Any]] = []
-
-    def rng(self, salt: int) -> random.Random:
-        return random.Random(self.seed * 7919 + salt)
-
-    def add_row(self, **fields: Any) -> None:
-        self.rows.append(fields)
-
-    def render(self, columns: Sequence[str]) -> str:
-        return render_table(self.rows, columns)
-
-
-def density_sweep(
-    n: int,
-    ratios: Sequence[int],
-    runner: Callable[[Graph, random.Random], dict[str, Any]],
-    problem: str,
-    seed: int = 0,
-    weighted: bool = False,
-) -> Sweep:
-    """Run *runner* over G(n, ratio*n) graphs of increasing density; attach
-    the heterogeneous and sublinear theory predictions per point."""
-    sweep = Sweep(seed=seed)
-    for index, ratio in enumerate(ratios):
-        rng = sweep.rng(index)
-        m = min(n * (n - 1) // 2, n * ratio)
-        graph = generators.random_connected_graph(n, m, rng)
-        if weighted:
-            graph = graph.with_unique_weights(rng)
-        measured = runner(graph, sweep.rng(1000 + index))
-        row = {
-            "n": n,
-            "m": m,
-            "m/n": ratio,
-            **measured,
-            "theory_het": predicted_rounds(
-                problem, "heterogeneous", n=n, m=m, max_degree=graph.max_degree
-            ),
-        }
-        try:
-            row["theory_sub"] = predicted_rounds(
-                problem, "sublinear", n=n, m=m, max_degree=graph.max_degree
-            )
-        except ValueError:
-            pass
-        sweep.add_row(**row)
-    return sweep

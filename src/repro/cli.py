@@ -29,7 +29,6 @@ import sys
 from contextlib import contextmanager
 
 from .analysis import render_table
-from .env import env_flag
 from .baselines import sublinear_boruvka_mst, sublinear_connectivity
 from .core import (
     approximate_weighted_mincut,
@@ -123,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", dest="list_scenarios",
                    help="list registered scenarios and exit")
     p.add_argument("--quick", action="store_true",
-                   help="CI smoke sizing (also via REPRO_BENCH_SMOKE=1); "
-                        "artifacts go to benchmarks/results/quick/")
+                   help="CI smoke sizing; artifacts go to "
+                        "benchmarks/results/quick/")
     p.add_argument("--json", action="store_true", dest="json_artifacts",
                    help="also write repro.bench/2 JSON artifacts")
     p.add_argument("--jobs", type=_at_least_one, default=1,
@@ -242,7 +241,6 @@ def _bench_command(args) -> int:
         print("bench: name scenarios to run, or 'all' (see --list)",
               file=sys.stderr)
         return 2
-    quick = args.quick or env_flag("REPRO_BENCH_SMOKE")
     if args.scenarios == ["all"]:
         selected = experiments.all_scenarios()
     else:
@@ -255,7 +253,7 @@ def _bench_command(args) -> int:
         results_dir = args.out
     else:
         results_dir = experiments.report.DEFAULT_RESULTS_DIR
-        if quick:
+        if args.quick:
             results_dir = results_dir / "quick"
     if args.jobs > 1:
         runner = experiments.ParallelRunner(
@@ -265,7 +263,7 @@ def _bench_command(args) -> int:
         runner = experiments.Runner(results_dir=results_dir, seed=args.seed)
     runs = runner.run_many(
         selected,
-        quick=quick,
+        quick=args.quick,
         json_artifact=args.json_artifacts,
         echo=lambda run: print(run.render_text()),
     )

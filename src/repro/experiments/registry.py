@@ -1273,8 +1273,8 @@ _ROBUSTNESS_DEFAULT_CONSTANT = 4.0
 
 def _run_throttle_arm(pipeline, n, m, gamma, constant, mode, seed):
     config = ModelConfig.heterogeneous(
-        n=n, m=m, gamma=gamma, constant=constant
-    ).with_throttle(mode)
+        n=n, m=m, gamma=gamma, constant=constant, throttle=mode
+    )
     cluster = Cluster(config, rng=random.Random(seed))
     output = pipeline(cluster)
     return cluster, output

@@ -309,6 +309,12 @@ def planted_components_graph(
         for index in range(1, len(block)):
             parent = block[rng.randrange(index)]
             edges.add((min(parent, block[index]), max(parent, block[index])))
+    room = sum(len(block) * (len(block) - 1) // 2 for block in blocks) - len(edges)
+    if extra_edges > room:
+        raise ValueError(
+            f"cannot plant {extra_edges} extra edges: {components} components "
+            f"on {n} vertices have room for {room} beside their trees"
+        )
     attempts = 0
     while extra_edges > 0 and attempts < 50 * extra_edges + 100:
         attempts += 1
@@ -339,6 +345,10 @@ def planted_cut_graph(
         raise ValueError(
             f"cannot plant {cut_size} crossing edges between halves of "
             f"{len(left)} and {len(right)} vertices"
+        )
+    if len(left) < 2:
+        raise ValueError(
+            f"each half needs at least two vertices, so n >= 4; got n={n}"
         )
     edges: set[tuple[int, int]] = set()
     for block in (left, right):

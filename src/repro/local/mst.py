@@ -44,9 +44,6 @@ def kruskal_edges(
     for edge in sorted(edges, key=_weight_key):
         if uf.union(edge[0], edge[1]):
             forest.append(edge)
-    # Make sure isolated vertices exist in the UF for component queries.
-    for v in range(n):
-        uf.add(v)
     return forest
 
 

@@ -9,7 +9,7 @@ The RoundPlan API (columnar round engine)
 -----------------------------------------
 
 One synchronous round is described by a :class:`RoundPlan` and executed by
-:meth:`Cluster.execute`::
+:meth:`Cluster.execute`, the one path that charges rounds and words::
 
     plan = RoundPlan(note="route")
     plan.send(src, dst, item)                 # one item
@@ -41,8 +41,7 @@ source may be a column too — row ``i`` goes from ``srcs[i]`` to
 delivers it as one block per destination, holding that destination's
 rows in source order.  A scatter's Python cost is O(machines), however
 many ``(src, dst)`` runs it holds; the per-run views (``runs``,
-``run_meta``, ``batches``) and the throttle's plan splitter still see
-every run.
+``run_meta``) and the throttle's plan splitter still see every run.
 
 Both budgets of the model are enforced: per-round communication volumes
 and per-machine memory (``Machine.put`` datasets versus capacity, checked
@@ -56,22 +55,12 @@ Local computation between rounds is free in the model, so each machine's
 local step is a plain function call in the coordinator; every charge is
 derived from plans.
 
-Compatibility policy
---------------------
-
-:meth:`Cluster.exchange` — the original per-``(src, dst, payload)`` message
-API — is retained indefinitely as a pure delegate that builds a plan and
-calls ``execute`` (it owns no delivery or accounting logic).  Rounds
-charged, words charged, strict-mode behavior, ledger totals, and inbox
-orderings are identical on both paths: the plan stores runs in send-call
-order, so even message lists that interleave sources deliver in exact
-per-message order (pinned by the differential property test in
-``tests/integration/test_engine_differential.py``).  New code should
-prefer ``RoundPlan`` + ``Cluster.execute``; ``exchange`` exists so
-external callers never break.
+The adaptive throttle (:mod:`repro.mpc.throttle`) is set by one field,
+``ModelConfig(throttle=...)``: ``"off"`` (the default), ``"advise"`` or
+``"enforce"``.
 """
 
-from .cluster import Cluster, Message
+from .cluster import Cluster
 from .config import ModelConfig
 from .errors import (
     AlgorithmFailure,
@@ -84,17 +73,11 @@ from .errors import (
 from .ledger import NoteStats, RoundLedger, RoundRecord, Violation
 from .machine import LARGE, SMALL, Machine
 from .plan import RoundPlan
-from .throttle import (
-    PeakHoldLoadEstimator,
-    ThrottleController,
-    ThrottleEvent,
-    ThrottlePolicy,
-)
+from .throttle import ThrottleController, ThrottleEvent
 from .words import word_size, word_size_many
 
 __all__ = [
     "Cluster",
-    "Message",
     "ModelConfig",
     "RoundLedger",
     "RoundPlan",
@@ -112,8 +95,6 @@ __all__ = [
     "ProtocolError",
     "AlgorithmFailure",
     "Violation",
-    "ThrottlePolicy",
     "ThrottleController",
     "ThrottleEvent",
-    "PeakHoldLoadEstimator",
 ]

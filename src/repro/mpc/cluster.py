@@ -19,29 +19,27 @@ Rounds are executed by the *columnar round engine*: algorithms build a
 parallel arrays) and hand it to :meth:`Cluster.execute`, which sizes each
 entry once (cached on the plan), routes the whole plan in a single
 accounting pass, enforces capacities, and fills inboxes in send-call
-order.  The legacy per-message :meth:`Cluster.exchange` is a pure
-delegate that builds a plan from ``(src, dst, payload)`` tuples and calls
-:meth:`execute` — there is no second delivery path, so the two cannot
-drift.  Columnar producers use :meth:`RoundPlan.send_indexed`: a numeric
-scatter — from one source or from many — is stored whole and tallied
-with vectorized per-machine sums, so a sort route costs O(machines)
-Python work rather than one run per ``(src, dst)`` pair.
+order; it is the only way to run a round.  Columnar producers use
+:meth:`RoundPlan.send_indexed`: a numeric scatter — from one source or
+from many — is stored whole and tallied with vectorized per-machine
+sums, so a sort route costs O(machines) Python work rather than one run
+per ``(src, dst)`` pair.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .config import ModelConfig
 from .errors import CommunicationLimitExceeded, MemoryLimitExceeded, ProtocolError
 from .ledger import RoundLedger, Violation
 from .machine import LARGE, SMALL, Machine
-from .plan import Message, RoundPlan
+from .plan import RoundPlan
 from .throttle import ThrottleController
 
-__all__ = ["Cluster", "Message"]
+__all__ = ["Cluster"]
 
 
 class Cluster:
@@ -81,13 +79,13 @@ class Cluster:
             machine.machine_id: machine for machine in self.smalls + self.larges
         }
         #: Throttle controller (``repro.mpc.throttle``); ``None`` when the
-        #: config's policy is ``off`` so the hot path pays nothing.
+        #: config's throttle mode is ``off`` so the hot path pays nothing.
         self.throttle: ThrottleController | None = (
             ThrottleController(
                 config.throttle,
                 {mid: machine.capacity for mid, machine in self.machines.items()},
             )
-            if config.throttle.enabled
+            if config.throttle != "off"
             else None
         )
         self._memory_frac = 0.0
@@ -122,7 +120,7 @@ class Cluster:
     def execute(self, plan: RoundPlan) -> dict[int, list[Any]]:
         """Run *plan* as one synchronous round (or several, throttled).
 
-        With throttling enforced (``config.throttle.mode == "enforce"``)
+        With throttling enforced (``config.throttle == "enforce"``)
         a plan whose per-machine volumes would breach the headroom
         budgets is first split at the run-column boundary
         (:meth:`~repro.mpc.throttle.ThrottleController.split_plan`) and
@@ -135,7 +133,7 @@ class Cluster:
         if plan.is_empty:
             return {}
         controller = self.throttle
-        if controller is not None and controller.policy.enforcing:
+        if controller is not None and controller.enforcing:
             chunks = controller.split_plan(plan)
             if len(chunks) > 1:
                 inboxes: dict[int, list[Any]] = {}
@@ -220,23 +218,6 @@ class Cluster:
             elapsed=time.perf_counter() - start,
         )
         return inboxes
-
-    def exchange(
-        self, messages: Iterable[Message], note: str = ""
-    ) -> dict[int, list[Any]]:
-        """Deliver per-item *messages* in one synchronous round.
-
-        A **pure delegate** of :meth:`execute`: the messages are absorbed
-        into a :class:`RoundPlan` and handed straight to the columnar
-        engine — ``exchange`` owns no delivery or accounting logic of its
-        own, so the two paths cannot drift (there is a differential
-        property test pinning this).  Rounds, words, violations, and
-        inbox orderings are identical to the historical per-message
-        accounting — the plan's run ordering preserves send order even
-        for interleaved (non-source-major) message lists.  An empty
-        message list costs no round.
-        """
-        return self.execute(RoundPlan(note=note).extend(messages))
 
     def _record_memory(self, note: str = "") -> list[Violation]:
         """Update memory high-water marks; return capacity violations.

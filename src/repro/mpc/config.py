@@ -15,14 +15,18 @@ Capacities are ``constant * n^exponent * (log2 n)^polylog_power`` words.  At
 the sizes a single-host simulation can reach, the polylog slack dominates
 the asymptotics, so by default the simulator *records* capacity violations
 in the ledger instead of raising; pass ``strict=True`` to hard-fail.
+
+Every field is set the same way, through the constructor or a named
+regime: ``ModelConfig.heterogeneous(n, m, strict=True,
+throttle="enforce")``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from .throttle import ThrottlePolicy
+from .throttle import MODES
 
 __all__ = ["ModelConfig"]
 
@@ -45,9 +49,9 @@ class ModelConfig:
         polylog_power: exponent of the ``log^a n`` slack in every capacity.
         constant: leading constant of every capacity.
         strict: raise on capacity violations instead of recording them.
-        throttle: the adaptive-throttling policy
-            (:class:`~repro.mpc.throttle.ThrottlePolicy`); the default
-            ``mode="off"`` attaches no controller at all.
+        throttle: the adaptive-throttling mode, one of ``"off"``,
+            ``"advise"`` and ``"enforce"`` (see :mod:`repro.mpc.throttle`);
+            the default ``"off"`` attaches no controller at all.
     """
 
     n: int
@@ -59,13 +63,17 @@ class ModelConfig:
     polylog_power: int = 2
     constant: float = 4.0
     strict: bool = False
-    throttle: ThrottlePolicy = field(default_factory=ThrottlePolicy)
+    throttle: str = "off"
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("need at least 2 vertices")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
+        if self.throttle not in MODES:
+            raise ValueError(
+                f"unknown throttle mode {self.throttle!r}; known: {MODES}"
+            )
         if self.num_small <= 0:
             default = max(2, math.ceil(max(self.m, 1) / self.n**self.gamma))
             object.__setattr__(self, "num_small", default)
@@ -183,24 +191,3 @@ class ModelConfig:
         """
         num_small = max(2, math.ceil(max(m, 1) / max(n, 2)))
         return cls(n=n, m=m, gamma=0.999999, num_large=1, num_small=num_small, **kw)
-
-    def with_strict(self, strict: bool = True) -> "ModelConfig":
-        """Return a copy of this configuration with strict checking set."""
-        return replace(self, strict=strict)
-
-    def with_throttle(
-        self, policy: "ThrottlePolicy | str", **kw
-    ) -> "ModelConfig":
-        """Return a copy with the given throttle policy.
-
-        Accepts a full :class:`~repro.mpc.throttle.ThrottlePolicy` or a
-        mode string shorthand (``"off"``/``"advise"``/``"enforce"``)
-        with policy fields as keywords::
-
-            config.with_throttle("enforce", headroom=0.85)
-        """
-        if isinstance(policy, str):
-            policy = ThrottlePolicy(mode=policy, **kw)
-        elif kw:
-            raise TypeError("pass either a ThrottlePolicy or mode + keywords")
-        return replace(self, throttle=policy)

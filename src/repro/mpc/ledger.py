@@ -1,9 +1,10 @@
 """Round accounting for the MPC simulator.
 
 The ledger is the simulator's source of truth for the quantity the paper
-cares about: the number of synchronous communication rounds.  Every call to
-:meth:`Cluster.exchange` records one round, together with the per-machine
-send/receive volumes of that round and any capacity violations.
+cares about: the number of synchronous communication rounds.  Every round
+:meth:`Cluster.execute` runs is recorded here, together with the
+per-machine send/receive volumes of that round and any capacity
+violations.
 
 Two structuring tools mirror how the paper charges rounds:
 

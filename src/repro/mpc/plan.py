@@ -10,14 +10,12 @@ plan to :meth:`repro.mpc.cluster.Cluster.execute`, which tallies it in one
 pass (:meth:`RoundPlan.tally`) and fills inboxes from
 :meth:`RoundPlan.deliveries`.
 
-Semantics are identical to the legacy per-message
-:meth:`~repro.mpc.cluster.Cluster.exchange` path: the words charged are the
-sum of the item word sizes, capacity checks see per-machine totals, a plan
-always costs exactly one round, and — since entries are stored in
-send-call order — each inbox receives its items exactly as they were sent,
-even when sources interleave.  A plan whose batches are all empty moves no
-data and costs **zero** rounds (:meth:`Cluster.execute` treats it as a
-no-op).
+The words charged are the sum of the item word sizes, capacity checks
+see per-machine totals, a plan always costs exactly one round, and —
+since entries are stored in send-call order — each inbox receives its
+items exactly as they were sent, even when sources interleave.  A plan
+whose batches are all empty moves no data and costs **zero** rounds
+(:meth:`Cluster.execute` treats it as a no-op).
 
 Storage, one entry per:
 
@@ -36,10 +34,9 @@ Storage, one entry per:
   many runs it holds — and each destination receives one block: its rows
   in source order.
 
-The per-run views (:meth:`runs`, :meth:`run_meta`, :meth:`batches`,
-:meth:`routes`) expand scatters into their per-``(src, dst)`` runs on
-demand, for inspection, the legacy flatteners and the throttle's plan
-splitter.
+The per-run views (:meth:`runs`, :meth:`run_meta`) expand scatters into
+their per-``(src, dst)`` runs on demand, for inspection and the
+throttle's plan splitter.
 
 What a block is, in one place (:func:`is_block`): a numeric numpy array
 whose leading axis indexes items, or an instance of :class:`Block`, a
@@ -50,9 +47,7 @@ items and ``block.size`` words, is delivered whole, and is split by row
 slices ``block[a:b]``.  The plan, the throttle's splitter and the
 converge-cast ask :func:`is_block`; none of them looks inside a
 :class:`Block`, so the engine never imports the layers that define
-one.  The per-item views (:meth:`batches`, :meth:`messages`) flatten
-arrays to row tuples and refuse a :class:`Block` with a
-:class:`TypeError`.
+one.
 """
 
 from __future__ import annotations
@@ -64,11 +59,7 @@ import numpy as np
 
 from .words import word_size, word_size_many
 
-__all__ = ["Block", "Message", "RoundPlan", "is_block"]
-
-#: (source machine id, destination machine id, payload) — the per-item
-#: message form; re-exported by :mod:`repro.mpc.cluster`.
-Message = tuple[int, int, Any]
+__all__ = ["Block", "RoundPlan", "is_block"]
 
 
 class Block:
@@ -397,12 +388,6 @@ class RoundPlan:
             _Scatter(rows, order, keys // span + src_lo, keys % span + dst_lo, bounds),
         )
 
-    def extend(self, messages: Iterable[Message]) -> "RoundPlan":
-        """Absorb legacy ``(src, dst, payload)`` message tuples."""
-        for src, dst, payload in messages:
-            self._append(src, dst, (payload,))
-        return self
-
     # ------------------------------------------------------------------
     # Accounting and delivery (what Cluster.execute consumes)
     # ------------------------------------------------------------------
@@ -473,12 +458,12 @@ class RoundPlan:
     def deliveries(self) -> Iterator[tuple[int, list[Any]]]:
         """Yield ``(dst, items)`` with items in exact send-call order.
 
-        This is the inbox-fill view: unlike :meth:`batches` it interleaves
-        sources the way the sends happened, so per-message and batched
-        producers observe identical inbox orderings.  A block run arrives
-        *whole* — one inbox entry, the array itself — and a scatter as one
-        block per destination, while their logical items stay the rows for
-        all accounting.
+        This is the inbox-fill view: it interleaves sources the way the
+        sends happened, so per-message and batched producers observe
+        identical inbox orderings.  A block run arrives *whole* — one
+        inbox entry, the array itself — and a scatter as one block per
+        destination, while their logical items stay the rows for all
+        accounting.
         """
         inboxes: dict[int, list[Any]] = {}  # first-appearance order
         for index, block in enumerate(self._run_block):
@@ -545,43 +530,10 @@ class RoundPlan:
         """Per-run word totals, parallel to :meth:`runs`."""
         return self.run_meta()[3]
 
-    def run_count(self) -> int:
-        """Number of delivery runs (>= :meth:`routes` when sends
-        interleave)."""
-        return len(self.run_meta()[0])
-
-    def batches(self) -> Iterator[tuple[int, int, list[Any]]]:
-        """Yield ``(src, dst, items)`` aggregated per route, routes in
-        first-send order (materialized on demand; arrays are flattened
-        to rows, and a :class:`Block` raises :class:`TypeError`)."""
-        grouped: dict[tuple[int, int], list[Any]] = {}
-        for src, dst, items in self.runs():
-            grouped.setdefault((src, dst), []).extend(_as_rows(items))
-        for (src, dst), items in grouped.items():
-            yield src, dst, items
-
-    def routes(self) -> int:
-        """Number of distinct ``(src, dst)`` pairs with traffic."""
-        srcs, dsts, _, _ = self.run_meta()
-        return len(set(zip(srcs, dsts)))
-
-    def item_count(self) -> int:
-        """Total number of logical items queued (block rows count one each)."""
-        return sum(self._run_len)
-
-    def __len__(self) -> int:
-        return self.item_count()
-
-    def messages(self) -> Iterator[Message]:
-        """Flatten back to legacy message tuples (debugging / tests)."""
-        for src, dst, items in self.batches():
-            for item in items:
-                yield src, dst, item
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"RoundPlan(note={self.note!r}, routes={self.routes()}, "
-            f"items={self.item_count()})"
+            f"RoundPlan(note={self.note!r}, entries={len(self._run_len)}, "
+            f"items={sum(self._run_len)})"
         )
 
 
@@ -591,17 +543,3 @@ def _check_numeric(block: Any) -> None:
             f"columnar blocks must have a numeric dtype, got {block.dtype}"
         )
 
-
-def _as_rows(items: Any) -> list[Any]:
-    """Flatten a run's payloads to per-item Python objects (legacy views):
-    2D arrays become tuples of scalars, 1D arrays plain scalars."""
-    if isinstance(items, np.ndarray):
-        if items.ndim >= 2:
-            return [tuple(row) for row in items.tolist()]
-        return items.tolist()
-    if isinstance(items, Block):
-        raise TypeError(
-            f"a {type(items).__name__} block has no per-item view; "
-            "use runs() or deliveries()"
-        )
-    return list(items)

@@ -2,35 +2,35 @@
 
 The ledger *records* capacity violations; this module closes the loop so
 protocols stay under budget on adversarially dense inputs instead of
-merely reporting the breach.  Two pieces:
+merely reporting the breach.  :class:`ThrottleController` is the whole
+layer.  The cluster feeds it one *load fraction* per budget after every
+executed round (the worst ``words / capacity`` over the machines for
+traffic, the worst ``usage / capacity`` for memory).  Its forecast of the
+next round's traffic is the held peak over the last :data:`WINDOW`
+rounds.  Peak-hold rather than a mean is deliberate: the budgets are hard
+per-round limits, so the controller must provision for the recent worst
+case, not the average — a single over-budget round is a violation no
+matter how idle its neighbours were.
 
-* :class:`PeakHoldLoadEstimator` — predicts next-round per-machine load
-  from the ledger's per-round stream.  Each executed round contributes
-  one *load fraction* per budget (worst ``words / capacity`` over the
-  machines for traffic, worst ``usage / capacity`` for memory); the
-  prediction is the held peak over a sliding window of recent rounds.
-  Peak-hold rather than a mean is deliberate: the budgets are hard
-  per-round limits, so the controller must provision for the recent
-  worst case, not the average — a single over-budget round is a
-  violation no matter how idle its neighbours were.
+The mode is ``ModelConfig.throttle``, one of :data:`MODES`:
 
-* :class:`ThrottleController` — owns the estimator and the degradation
-  machinery, configured by a :class:`ThrottlePolicy` on
-  :class:`~repro.mpc.config.ModelConfig`:
+- ``"off"``: no controller is attached at all; the hot path and every
+  artifact byte are identical to a build without this module.
+- ``"advise"``: the controller observes, and throttling *decisions* are
+  recorded as :class:`ThrottleEvent` entries, but behaviour is
+  unchanged — a dry run for sizing headroom.
+- ``"enforce"``: decisions are applied.  An over-budget
+  :class:`~repro.mpc.plan.RoundPlan` is split across extra rounds at the
+  run-column boundary (:meth:`ThrottleController.split_plan`), and the
+  primitives lower participation through the throttle hooks (tree
+  fan-in/out via :meth:`~ThrottleController.fanout`, sort sample rates
+  via :meth:`~ThrottleController.sample_rate`).
 
-  - ``mode="off"``: no controller is attached at all; the hot path and
-    every artifact byte are identical to a build without this module.
-  - ``mode="advise"``: the estimator runs and throttling *decisions*
-    are recorded as :class:`ThrottleEvent` entries, but behaviour is
-    unchanged — a dry run for sizing headroom.
-  - ``mode="enforce"``: decisions are applied.  An over-budget
-    :class:`~repro.mpc.plan.RoundPlan` is split across extra rounds at
-    the run-column boundary (:meth:`ThrottleController.split_plan`),
-    and the primitives lower participation through the throttle hooks
-    (tree fan-in/out via :meth:`~ThrottleController.fanout`, sort
-    sample rates via :meth:`~ThrottleController.sample_rate`).
+Everything else is fixed: budgets are :data:`HEADROOM` times each
+capacity, and participation never drops below :data:`MIN_SCALE` or a
+tree's fanout below :data:`MIN_FANOUT`.
 
-Determinism: every decision is a pure function of the policy and the
+Determinism: every decision is a pure function of the mode and the
 ledger history, both of which are bit-identical across serial/parallel
 scenario execution — so throttled artifacts stay byte-deterministic
 (pinned by tests and the determinism CI job).
@@ -48,69 +48,27 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .plan import RoundPlan, is_block
 from .words import word_size
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .ledger import RoundLedger
-
-__all__ = [
-    "MODES",
-    "PeakHoldLoadEstimator",
-    "ThrottleController",
-    "ThrottleEvent",
-    "ThrottlePolicy",
-]
+__all__ = ["MODES", "ThrottleController", "ThrottleEvent"]
 
 #: The recognised throttle modes, in increasing order of intervention.
 MODES = ("off", "advise", "enforce")
 
-
-@dataclass(frozen=True)
-class ThrottlePolicy:
-    """Configuration of the throttle controller (on ``ModelConfig``).
-
-    Attributes:
-        mode: one of :data:`MODES`.
-        headroom: target fraction of each capacity the controller
-            provisions to — budgets are ``headroom * capacity``, so a
-            0.9 headroom keeps a 10% safety margin under the hard limit.
-        window: peak-hold window of the load estimator, in rounds.
-        min_fanout: floor for throttled tree fanouts (a tree must still
-            branch, or dissemination never terminates).
-        min_scale: floor for the participation scale factor — graceful
-            degradation, never a full stop.
-    """
-
-    mode: str = "off"
-    headroom: float = 0.9
-    window: int = 8
-    min_fanout: int = 2
-    min_scale: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown throttle mode {self.mode!r}; known: {MODES}")
-        if not 0.0 < self.headroom <= 1.0:
-            raise ValueError("headroom must lie in (0, 1]")
-        if self.window < 1:
-            raise ValueError("window must be >= 1 round")
-        if self.min_fanout < 2:
-            raise ValueError("min_fanout must be >= 2 (trees must branch)")
-        if not 0.0 < self.min_scale <= 1.0:
-            raise ValueError("min_scale must lie in (0, 1]")
-
-    @property
-    def enabled(self) -> bool:
-        """Whether a controller should observe rounds at all."""
-        return self.mode != "off"
-
-    @property
-    def enforcing(self) -> bool:
-        """Whether throttling decisions are applied (vs only recorded)."""
-        return self.mode == "enforce"
+#: Fraction of each capacity the controller provisions to: budgets are
+#: ``HEADROOM * capacity``, a 10% safety margin under the hard limit.
+HEADROOM = 0.9
+#: Peak-hold window of the traffic forecast, in rounds.
+WINDOW = 8
+#: Floor for throttled tree fanouts (a tree must still branch, or
+#: dissemination never terminates).
+MIN_FANOUT = 2
+#: Floor for the participation scale — graceful degradation, never a
+#: full stop.
+MIN_SCALE = 0.25
 
 
 @dataclass(frozen=True)
@@ -129,107 +87,56 @@ class ThrottleEvent:
     applied: bool
 
 
-class PeakHoldLoadEstimator:
-    """Peak-hold predictor over per-round load fractions.
-
-    Fed one observation per executed round (see the module docstring);
-    :attr:`predicted_traffic` / :attr:`predicted_memory` are the held
-    peaks over the last ``window`` rounds — the estimator's forecast of
-    the next round's worst per-machine budget fraction.
-    """
-
-    __slots__ = ("window", "observations", "_traffic", "_memory")
-
-    def __init__(self, window: int = 8) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1 round")
-        self.window = window
-        self.observations = 0
-        self._traffic: deque[float] = deque(maxlen=window)
-        self._memory: deque[float] = deque(maxlen=window)
-
-    def observe(self, traffic_frac: float, memory_frac: float = 0.0) -> None:
-        """Record one round's worst traffic and memory budget fractions."""
-        self.observations += 1
-        self._traffic.append(float(traffic_frac))
-        self._memory.append(float(memory_frac))
-
-    @property
-    def predicted_traffic(self) -> float:
-        """Held peak of the per-round traffic fraction (0.0 when unfed)."""
-        return max(self._traffic, default=0.0)
-
-    @property
-    def predicted_memory(self) -> float:
-        """Held peak of the per-round memory fraction (0.0 when unfed)."""
-        return max(self._memory, default=0.0)
-
-    @classmethod
-    def from_ledger(
-        cls, ledger: "RoundLedger", capacity: int, window: int = 8
-    ) -> "PeakHoldLoadEstimator":
-        """Replay a finished ledger's ``RoundRecord`` stream offline.
-
-        For post-hoc analysis and tests: traffic fractions come from each
-        record's ``max(max_sent, max_received)`` against *capacity* (use
-        the binding — usually smallest — capacity), the memory fraction
-        from the final ``memory_high_water`` table (the ledger keeps
-        high-water marks, not a per-round memory series).
-        """
-        estimator = cls(window=window)
-        cap = max(1, capacity)
-        memory_frac = ledger.max_memory / cap
-        for record in ledger.records:
-            estimator.observe(
-                max(record.max_sent, record.max_received) / cap, memory_frac
-            )
-        return estimator
-
-
 class ThrottleController:
-    """Applies a :class:`ThrottlePolicy` using the estimator's forecast.
+    """Forecasts traffic and applies the throttle *mode* (see the module
+    docstring).
 
     One controller per cluster, created by ``Cluster.__init__`` when the
-    config's policy is not ``off``.  The cluster feeds it after every
+    config's mode is not ``off``.  The cluster feeds it after every
     round (:meth:`observe`); primitives consult the hooks; ``execute``
     asks :meth:`split_plan` before running a plan in enforce mode.
     """
 
-    def __init__(self, policy: ThrottlePolicy, capacities: Mapping[int, int]) -> None:
-        self.policy = policy
+    def __init__(self, mode: str, capacities: Mapping[int, int]) -> None:
+        self.mode = mode
+        self.enforcing = mode == "enforce"
         self.capacities = dict(capacities)
-        self.estimator = PeakHoldLoadEstimator(policy.window)
         self.events: list[ThrottleEvent] = []
         self.splits = 0
         self.extra_rounds = 0
         self.overload_rounds = 0
+        #: Rounds fed to :meth:`observe` so far.
+        self.observed_rounds = 0
         self.peak_traffic_frac = 0.0
         self.peak_memory_frac = 0.0
-        self._round = 0
+        # Traffic fractions of the last WINDOW observed rounds.
+        self._traffic: deque[float] = deque(maxlen=WINDOW)
 
     # ------------------------------------------------------------------
     # Feedback
     # ------------------------------------------------------------------
     def observe(self, traffic_frac: float, memory_frac: float) -> None:
-        """Feed one executed round's budget fractions to the estimator."""
-        self._round += 1
-        self.estimator.observe(traffic_frac, memory_frac)
+        """Feed one executed round's budget fractions."""
+        self.observed_rounds += 1
+        self._traffic.append(traffic_frac)
         self.peak_traffic_frac = max(self.peak_traffic_frac, traffic_frac)
         self.peak_memory_frac = max(self.peak_memory_frac, memory_frac)
-        if max(traffic_frac, memory_frac) > self.policy.headroom:
+        if max(traffic_frac, memory_frac) > HEADROOM:
             self.overload_rounds += 1
 
     def scale(self) -> float:
-        """Current participation scale in ``[min_scale, 1.0]``.
+        """Current participation scale in ``[MIN_SCALE, 1.0]``.
 
-        1.0 while the forecast stays inside headroom; otherwise shrink
+        1.0 while the forecast (the peak traffic fraction of the last
+        :data:`WINDOW` rounds) stays inside headroom; otherwise shrink
         proportionally so the forecast load lands back on the headroom
-        line (classic multiplicative feedback), floored at ``min_scale``.
+        line (classic multiplicative feedback), floored at
+        :data:`MIN_SCALE`.
         """
-        predicted = self.estimator.predicted_traffic
-        if predicted <= self.policy.headroom:
+        predicted = max(self._traffic, default=0.0)
+        if predicted <= HEADROOM:
             return 1.0
-        return max(self.policy.min_scale, self.policy.headroom / predicted)
+        return max(MIN_SCALE, HEADROOM / predicted)
 
     # ------------------------------------------------------------------
     # Hooks (primitives)
@@ -241,16 +148,16 @@ class ThrottleController:
         scale = self.scale()
         if scale >= 1.0:
             return base
-        throttled = max(self.policy.min_fanout, int(base * scale))
+        throttled = max(MIN_FANOUT, int(base * scale))
         if throttled >= base:
             return base
         self.events.append(
             ThrottleEvent(
-                round=self._round, kind="fanout", note=note,
-                before=base, after=throttled, applied=self.policy.enforcing,
+                round=self.observed_rounds, kind="fanout", note=note,
+                before=base, after=throttled, applied=self.enforcing,
             )
         )
-        return throttled if self.policy.enforcing else base
+        return throttled if self.enforcing else base
 
     def sample_rate(self, base: float, note: str = "") -> float:
         """Throttle hook for sampling rates (``sample_sort`` splitter
@@ -262,11 +169,11 @@ class ThrottleController:
         throttled = base * scale
         self.events.append(
             ThrottleEvent(
-                round=self._round, kind="sample_rate", note=note,
-                before=base, after=throttled, applied=self.policy.enforcing,
+                round=self.observed_rounds, kind="sample_rate", note=note,
+                before=base, after=throttled, applied=self.enforcing,
             )
         )
-        return throttled if self.policy.enforcing else base
+        return throttled if self.enforcing else base
 
     def note_bank(self, words: int, capacity: int, note: str = "") -> None:
         """Advisory hook for bulk resident state (the connectivity
@@ -277,10 +184,10 @@ class ThrottleController:
         artifact's throttle block."""
         if capacity <= 0:
             return
-        if words > self.policy.headroom * capacity:
+        if words > HEADROOM * capacity:
             self.events.append(
                 ThrottleEvent(
-                    round=self._round, kind="bank", note=note,
+                    round=self.observed_rounds, kind="bank", note=note,
                     before=words, after=capacity, applied=False,
                 )
             )
@@ -294,7 +201,7 @@ class ThrottleController:
         capacity = self.capacities.get(machine_id)
         if capacity is None:
             return None
-        return max(1, int(self.policy.headroom * capacity))
+        return max(1, int(HEADROOM * capacity))
 
     def split_plan(self, plan: RoundPlan) -> list[RoundPlan]:
         """Split *plan* into per-round chunks within headroom budgets.
@@ -319,7 +226,7 @@ class ThrottleController:
         property tests).  Returns ``[plan]`` untouched when every
         machine already fits its budget.
         """
-        if not self.policy.enforcing:
+        if not self.enforcing:
             return [plan]
         sent, received, _, _ = plan.tally()
         if self._fits(sent) and self._fits(received):
@@ -371,7 +278,7 @@ class ThrottleController:
         self.extra_rounds += len(chunks) - 1
         self.events.append(
             ThrottleEvent(
-                round=self._round, kind="split", note=plan.note,
+                round=self.observed_rounds, kind="split", note=plan.note,
                 before=1, after=len(chunks), applied=True,
             )
         )
@@ -432,9 +339,9 @@ class ThrottleController:
         ``throttle`` block is assembled from these)."""
         counts = self.event_counts()
         return {
-            "mode": self.policy.mode,
-            "headroom": self.policy.headroom,
-            "window": self.policy.window,
+            "mode": self.mode,
+            "headroom": HEADROOM,
+            "window": WINDOW,
             "splits": self.splits,
             "extra_rounds": self.extra_rounds,
             "overload_rounds": self.overload_rounds,

@@ -54,7 +54,6 @@ __all__ = [
     "ingest_rows",
     "ensure_block",
     "uniform_blocks",
-    "concat_blocks",
     "lexsort_block",
     "pack_columns",
     "stable_order",
@@ -280,17 +279,6 @@ def uniform_blocks(datasets: Iterable[tuple[int, Any]]) -> dict[int, EdgeBlock] 
             return None
         blocks[machine_id] = block
     return blocks
-
-
-def concat_blocks(blocks: Sequence[EdgeBlock]) -> EdgeBlock:
-    """Concatenate blocks of identical width."""
-    if len(blocks) == 1:
-        return blocks[0]
-    width = blocks[0].width
-    columns = [
-        np.concatenate([b.columns[j] for b in blocks]) for j in range(width)
-    ]
-    return EdgeBlock(columns)
 
 
 def lexsort_block(block: EdgeBlock, fields: Sequence[int]) -> EdgeBlock:

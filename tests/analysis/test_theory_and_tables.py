@@ -1,14 +1,11 @@
-"""Theory predictions and the table harness."""
+"""Theory predictions and text tables."""
 
 import math
-import random
 
 import pytest
 
 from repro.analysis import (
     TABLE1,
-    Sweep,
-    density_sweep,
     loglog,
     loglog_raw,
     predicted_rounds,
@@ -136,29 +133,3 @@ def test_render_table_alignment():
 def test_render_table_formats_floats():
     text = render_table([{"x": 3.14159}], ["x"])
     assert "3.14" in text and "3.14159" not in text
-
-
-def test_sweep_accumulates_rows():
-    sweep = Sweep(seed=1)
-    sweep.add_row(a=1)
-    sweep.add_row(a=2)
-    assert len(sweep.rows) == 2
-    assert "a" in sweep.render(["a"])
-
-
-def test_sweep_rngs_are_deterministic():
-    a, b = Sweep(seed=5), Sweep(seed=5)
-    assert a.rng(3).random() == b.rng(3).random()
-
-
-def test_density_sweep_runs_runner_per_point():
-    calls = []
-
-    def runner(graph, rng):
-        calls.append(graph.m)
-        return {"rounds": 1}
-
-    sweep = density_sweep(30, [2, 4], runner, problem="mst", weighted=True)
-    assert len(sweep.rows) == 2
-    assert calls == [60, 120]
-    assert all("theory_het" in row and "theory_sub" in row for row in sweep.rows)

@@ -72,7 +72,7 @@ def run(components, config, graph):
 @pytest.mark.parametrize("throttle", ["off", "enforce"])
 def test_blocks_cost_what_pairs_cost(throttle):
     graph = generators.planted_components_graph(30, 3, 60, random.Random(1))
-    config = ModelConfig.heterogeneous(n=graph.n, m=graph.m).with_throttle(throttle)
+    config = ModelConfig.heterogeneous(n=graph.n, m=graph.m, throttle=throttle)
     blocks = run(sketch_components, config, graph)
     pairs = run(pair_path_components, config, graph)
     assert blocks == pairs
@@ -110,7 +110,7 @@ def test_an_enforced_split_sends_row_slices_and_keeps_the_words(monkeypatch):
     monkeypatch.setattr(RoundPlan, "send_batch", spy)
     sums = {}
     for throttle in ("off", "enforce"):
-        config = ModelConfig.heterogeneous(n=graph.n, m=graph.m).with_throttle(throttle)
+        config = ModelConfig.heterogeneous(n=graph.n, m=graph.m, throttle=throttle)
         sent.clear()
         labels, records, _, _ = run(sketch_components, config, graph)
         assert len(set(labels)) == 3

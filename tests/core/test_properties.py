@@ -34,7 +34,11 @@ def random_graph(seed: int, connected: bool = True):
     if connected:
         return generators.random_connected_graph(n, m, rng)
     components = rng.randrange(1, 4)
-    return generators.planted_components_graph(n, components, m, rng)
+    # Cap the extra edges at what the components hold beside their trees
+    # even when the split is as even as possible (the fewest pairs).
+    sizes = [n // components + (i < n % components) for i in range(components)]
+    room = sum((size - 1) * (size - 2) // 2 for size in sizes)
+    return generators.planted_components_graph(n, components, min(m, room), rng)
 
 
 @settings(max_examples=8, deadline=None)

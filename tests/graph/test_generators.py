@@ -120,6 +120,14 @@ def test_planted_cut_rejects_impossible_counts(rng, n, cut):
         generators.planted_cut_graph(n, cut, 4.0, rng)
 
 
+@pytest.mark.parametrize("n, cut", [(2, 1), (3, 1), (3, 0)])
+def test_planted_cut_rejects_a_one_vertex_half(rng, n, cut):
+    # Each half draws intra-half pairs, which a one-vertex half does not
+    # have: that used to surface as "Sample larger than population".
+    with pytest.raises(ValueError, match="two vertices, so n >= 4"):
+        generators.planted_cut_graph(n, cut, 4.0, rng)
+
+
 def test_planted_cut_accepts_every_crossing_edge(rng):
     g = generators.planted_cut_graph(4, 4, 0.0, rng)
     assert {(u, v) for u, v in g.edges if u < 2 <= v} == {
@@ -134,6 +142,18 @@ def test_planted_cut_accepts_every_crossing_edge(rng):
 def test_planted_components_rejects_bad_counts(rng, components, extra, message):
     with pytest.raises(ValueError, match=message):
         generators.planted_components_graph(20, components, extra, rng)
+
+
+def test_planted_components_rejects_more_extra_edges_than_fit(rng):
+    # One component on 4 vertices: a 3-edge tree leaves 6 - 3 = 3 pairs.
+    assert generators.planted_components_graph(4, 1, 3, rng).m == 6
+    with pytest.raises(ValueError, match="cannot plant 4 extra edges.*room for 3"):
+        generators.planted_components_graph(4, 1, 4, rng)
+    # Singleton components leave no room at all; asking for more used to
+    # spin through the whole attempt budget and return short.
+    assert generators.planted_components_graph(5, 5, 0, rng).m == 0
+    with pytest.raises(ValueError, match="room for 0"):
+        generators.planted_components_graph(5, 5, 10**6, rng)
 
 
 def test_random_bipartite_sides(rng):

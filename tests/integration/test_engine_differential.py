@@ -7,7 +7,6 @@ reference per-message model (an independent reimplementation of the seed
 ``Cluster.exchange`` accounting) must agree with every way of feeding the
 engine:
 
-* ``Cluster.exchange`` (the pure delegate),
 * ``Cluster.execute`` of a plan built with per-item ``send`` calls,
 * ``Cluster.execute`` of a plan built with randomly-chunked
   ``send_batch`` calls,
@@ -168,13 +167,11 @@ def indexed_plan(messages, note: str, form: str = "pure") -> RoundPlan:
 def test_all_build_paths_match_the_reference_model(form, messages):
     expected = None
     sent = with_ids(messages, form)
-    for build in ("exchange", "send", "send_batch"):
+    for build in ("send", "send_batch"):
         cluster = make_cluster()
         if expected is None:
             expected = reference_model(cluster, messages)
-        if build == "exchange":
-            inboxes = cluster.exchange(sent, note="d")
-        elif build == "send":
+        if build == "send":
             plan = RoundPlan(note="d")
             for src, dst, payload in sent:
                 plan.send(src, dst, payload)
@@ -419,8 +416,8 @@ def test_enforced_split_of_array_scatters_matches_send_batch(segments):
     equivalent send_batch plan."""
     def run(build):
         config = ModelConfig.heterogeneous(
-            n=64, m=256, num_small=NUM_SMALL, constant=0.01
-        ).with_throttle("enforce")
+            n=64, m=256, num_small=NUM_SMALL, constant=0.01, throttle="enforce"
+        )
         cluster = Cluster(config, rng=random.Random(0))
         chunks = [
             [(src, dst, block.tolist()) for src, dst, block in chunk.runs()]

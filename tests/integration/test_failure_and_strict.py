@@ -12,6 +12,7 @@ from repro.mpc import (
     Cluster,
     CommunicationLimitExceeded,
     ModelConfig,
+    RoundPlan,
 )
 from repro.primitives.edgestore import EdgeStore
 
@@ -45,17 +46,17 @@ def test_strict_mode_catches_oversized_transfer(rng):
     cluster = Cluster(config, rng=random.Random(3))
     payload = [(i, i + 1, i) for i in range(config.small_capacity)]
     with pytest.raises(CommunicationLimitExceeded):
-        cluster.exchange([(0, 1, payload)])
+        cluster.execute(RoundPlan().send(0, 1, payload))
 
 
 def test_nonstrict_mode_records_and_continues(rng):
     config = ModelConfig.heterogeneous(n=64, m=1000, strict=False)
     cluster = Cluster(config, rng=random.Random(4))
     payload = [(i, i + 1, i) for i in range(config.small_capacity)]
-    cluster.exchange([(0, 1, payload)])
+    cluster.execute(RoundPlan().send(0, 1, payload))
     assert cluster.ledger.violations
     # The simulation is still usable afterwards.
-    cluster.exchange([(1, 2, "ok")])
+    cluster.execute(RoundPlan().send(1, 2, "ok"))
     assert cluster.ledger.rounds == 2
 
 

@@ -1,4 +1,4 @@
-"""Cluster construction, exchange semantics, capacity accounting."""
+"""Cluster construction, round semantics, capacity accounting."""
 
 import random
 
@@ -10,12 +10,18 @@ from repro.mpc import (
     MemoryLimitExceeded,
     ModelConfig,
     ProtocolError,
+    RoundPlan,
 )
 
 
 def make_cluster(strict: bool = False, **kw) -> Cluster:
     config = ModelConfig.heterogeneous(n=64, m=256, strict=strict, **kw)
     return Cluster(config, rng=random.Random(0))
+
+
+def ping(cluster: Cluster, note: str = "") -> None:
+    """One round: machine 1 sends machine 2 a one-word payload."""
+    cluster.execute(RoundPlan(note=note).send(1, 2, "ping"))
 
 
 def test_machine_counts_match_config():
@@ -35,7 +41,9 @@ def test_sublinear_cluster_has_no_large():
 
 def test_exchange_delivers_messages_and_counts_a_round():
     cluster = make_cluster()
-    inboxes = cluster.exchange([(0, 1, "hello"), (0, 2, (1, 2))], note="t")
+    inboxes = cluster.execute(
+        RoundPlan(note="t").send(0, 1, "hello").send(0, 2, (1, 2))
+    )
     assert inboxes[1] == ["hello"]
     assert inboxes[2] == [(1, 2)]
     assert cluster.ledger.rounds == 1
@@ -44,12 +52,12 @@ def test_exchange_delivers_messages_and_counts_a_round():
 def test_exchange_to_unknown_machine_raises():
     cluster = make_cluster()
     with pytest.raises(ProtocolError):
-        cluster.exchange([(0, 10**6, "x")])
+        cluster.execute(RoundPlan().send(0, 10**6, "x"))
 
 
 def test_exchange_records_volumes():
     cluster = make_cluster()
-    cluster.exchange([(0, 1, (1, 2, 3)), (2, 1, (4, 5, 6))])
+    cluster.execute(RoundPlan().send(0, 1, (1, 2, 3)).send(2, 1, (4, 5, 6)))
     record = cluster.ledger.records[-1]
     assert record.total_words == 6
     assert record.max_received == 6
@@ -61,13 +69,13 @@ def test_strict_mode_raises_on_capacity_violation():
     capacity = cluster.smalls[1].capacity
     payload = [0] * (capacity + 1)
     with pytest.raises(CommunicationLimitExceeded):
-        cluster.exchange([(0, 1, payload)])
+        cluster.execute(RoundPlan().send(0, 1, payload))
 
 
 def test_recording_mode_records_violation_instead():
     cluster = make_cluster(strict=False)
     capacity = cluster.smalls[1].capacity
-    cluster.exchange([(0, 1, [0] * (capacity + 1))])
+    cluster.execute(RoundPlan().send(0, 1, [0] * (capacity + 1)))
     assert len(cluster.ledger.violations) >= 1
 
 
@@ -122,7 +130,7 @@ def test_map_small_applies_local_transform():
 def test_memory_high_water_is_recorded_after_rounds():
     cluster = make_cluster()
     cluster.distribute_edges([(1, 2)] * 10, name="e")
-    cluster.exchange([(0, 1, "ping")])
+    ping(cluster)
     assert max(cluster.ledger.memory_high_water.values()) > 0
 
 
@@ -228,7 +236,7 @@ def test_strict_mode_raises_at_round_if_memory_exceeded():
     small._store["hoard"] = blob  # bypass put() on purpose
     small._sizes["hoard"] = len(blob)
     with pytest.raises(MemoryLimitExceeded):
-        cluster.exchange([(1, 2, "ping")])
+        ping(cluster)
     assert cluster.ledger.rounds == 0  # raised before the round was recorded
 
 
@@ -236,8 +244,8 @@ def test_nonstrict_mode_records_memory_violation_per_round():
     cluster = make_cluster(strict=False)
     small = cluster.smalls[0]
     small.put("hoard", [0] * (small.capacity + 5))
-    cluster.exchange([(1, 2, "ping")], note="r1")
-    cluster.exchange([(1, 2, "ping")], note="r2")
+    ping(cluster, note="r1")
+    ping(cluster, note="r2")
     memory_violations = [
         v for v in cluster.ledger.violations if "memory capacity" in v
     ]
@@ -249,7 +257,7 @@ def test_nonstrict_mode_records_memory_violation_per_round():
     assert cluster.ledger.summary()["violations"] == 2
     # Freeing the scratch state clears the signal.
     small.pop("hoard")
-    cluster.exchange([(1, 2, "ping")], note="r3")
+    ping(cluster, note="r3")
     assert len(cluster.ledger.records[2].violations) == 0
 
 

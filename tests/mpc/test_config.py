@@ -71,13 +71,6 @@ def test_tree_fanout_is_n_to_gamma():
     assert config.tree_fanout == 100
 
 
-def test_with_strict_returns_modified_copy():
-    config = ModelConfig.heterogeneous(n=100, m=500)
-    strict = config.with_strict()
-    assert strict.strict and not config.strict
-    assert strict.n == config.n
-
-
 def test_num_small_scales_with_edges():
     sparse = ModelConfig.heterogeneous(n=400, m=800)
     dense = ModelConfig.heterogeneous(n=400, m=8000)

@@ -32,7 +32,7 @@ def test_pure_grouping_handles_empty_scatter():
     plan = RoundPlan().send_indexed(0, [], [])
     assert list(plan.runs()) == []
     assert list(plan.deliveries()) == []
-    assert plan.item_count() == 0
+    assert plan.is_empty
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """RoundPlan builder and the batched execute path."""
 
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -28,17 +29,15 @@ def make_cluster(strict: bool = False, **kw) -> Cluster:
 def test_send_groups_by_route():
     plan = RoundPlan()
     plan.send(0, 1, "a").send(0, 1, "b").send(0, 2, "c")
-    assert plan.routes() == 2
-    assert plan.item_count() == 3
-    assert len(plan) == 3
-    assert list(plan.batches()) == [(0, 1, ["a", "b"]), (0, 2, ["c"])]
+    assert list(plan.runs()) == [(0, 1, ["a", "b"]), (0, 2, ["c"])]
+    assert plan.tally() == ({0: 3}, {1: 2, 2: 1}, 3, 3)
 
 
 def test_send_batch_merges_with_send():
     plan = RoundPlan()
     plan.send(3, 4, 10)
     plan.send_batch(3, 4, [20, 30])
-    assert list(plan.batches()) == [(3, 4, [10, 20, 30])]
+    assert list(plan.runs()) == [(3, 4, [10, 20, 30])]
 
 
 def test_empty_sends_create_no_routes():
@@ -46,7 +45,8 @@ def test_empty_sends_create_no_routes():
     plan.send(0, 1)
     plan.send_batch(0, 1, [])
     assert plan.is_empty
-    assert plan.routes() == 0
+    assert list(plan.runs()) == []
+    assert plan.run_meta() == ([], [], [], [])
 
 
 def test_send_batch_copies_its_input():
@@ -54,19 +54,7 @@ def test_send_batch_copies_its_input():
     plan = RoundPlan()
     plan.send_batch(0, 1, items)
     items.append(3)
-    assert list(plan.batches()) == [(0, 1, [1, 2])]
-
-
-def test_extend_absorbs_legacy_messages():
-    plan = RoundPlan().extend([(0, 1, "x"), (2, 1, "y"), (0, 1, "z")])
-    assert list(plan.batches()) == [(0, 1, ["x", "z"]), (2, 1, ["y"])]
-
-
-def test_messages_flattens_back():
-    plan = RoundPlan()
-    plan.send_batch(0, 1, ["a", "b"])
-    plan.send(2, 3, "c")
-    assert list(plan.messages()) == [(0, 1, "a"), (0, 1, "b"), (2, 3, "c")]
+    assert list(plan.runs()) == [(0, 1, [1, 2])]
 
 
 # ----------------------------------------------------------------------
@@ -103,15 +91,14 @@ def test_a_sent_block_is_one_run_charged_like_its_array():
 
 
 def test_a_block_has_no_per_item_view():
-    """The legacy per-item views refuse a :class:`Block` rather than
-    guess at its rows."""
+    """Every view of a plan hands a :class:`Block` over whole, never as
+    its rows: one run, one inbox entry, rows counted as items."""
+    block = PairBlock([(1, 2), (3, 4)])
     plan = RoundPlan()
-    plan.send_batch(0, 1, PairBlock([(1, 2)]))
-    with pytest.raises(TypeError, match="PairBlock block has no per-item view"):
-        list(plan.batches())
-    with pytest.raises(TypeError, match="per-item view"):
-        list(plan.messages())
-    assert [(src, dst, len(items)) for src, dst, items in plan.runs()] == [(0, 1, 1)]
+    plan.send_batch(0, 1, block)
+    assert list(plan.runs()) == [(0, 1, block)]
+    assert list(plan.deliveries()) == [(1, [block])]
+    assert plan.run_meta() == ([0], [1], [2], [4])
 
 
 def test_engine_and_primitives_never_import_the_sketch_layer():
@@ -162,33 +149,6 @@ def test_execute_charges_bulk_word_sizes():
     assert record.items == 3
 
 
-def test_execute_matches_exchange_accounting():
-    """The compatibility contract: both paths charge identical rounds,
-    words, volumes and violations for the same traffic."""
-    rng = random.Random(9)
-    traffic = [
-        (rng.randrange(4), 4 + rng.randrange(4), (rng.randrange(100), rng.randrange(100)))
-        for _ in range(500)
-    ]
-    via_exchange = make_cluster()
-    via_exchange.exchange(list(traffic), note="n")
-    via_plan = make_cluster()
-    plan = RoundPlan(note="n")
-    for src, dst, payload in traffic:
-        plan.send(src, dst, payload)
-    inboxes = via_plan.execute(plan)
-
-    a, b = via_exchange.ledger.records[-1], via_plan.ledger.records[-1]
-    assert (a.total_words, a.max_sent, a.max_received) == (
-        b.total_words,
-        b.max_sent,
-        b.max_received,
-    )
-    assert set(a.violations) == set(b.violations)
-    # Source-major traffic also sees identical inbox ordering.
-    assert inboxes == via_exchange.exchange(list(traffic), note="n")
-
-
 def test_execute_unknown_machine_raises():
     cluster = make_cluster()
     plan = RoundPlan().send(0, 10**6, "x")
@@ -209,12 +169,10 @@ def test_execute_strict_raises_before_recording():
 def test_empty_plan_is_a_noop():
     """Regression: a plan that moves no data must not burn a ledger round.
 
-    (An empty ``exchange([])`` / all-empty-batches plan used to charge a
-    0-word round.)
+    (An all-empty-batches plan used to charge a 0-word round.)
     """
     cluster = make_cluster()
     assert cluster.execute(RoundPlan(note="sync")) == {}
-    assert cluster.exchange([]) == {}
     plan = RoundPlan(note="hollow")
     plan.send(0, 1)
     plan.send_batch(2, 3, [])
@@ -230,10 +188,46 @@ def test_interleaved_sources_preserve_send_order():
     """Non-source-major traffic: inboxes arrive in exact send-call order,
     matching the historical per-message engine."""
     cluster = make_cluster()
-    messages = [(0, 5, "a"), (1, 5, "b"), (0, 5, "c"), (2, 6, "d"), (0, 6, "e")]
-    inboxes = cluster.exchange(list(messages), note="i")
+    plan = RoundPlan(note="i")
+    for src, dst, payload in [
+        (0, 5, "a"), (1, 5, "b"), (0, 5, "c"), (2, 6, "d"), (0, 6, "e")
+    ]:
+        plan.send(src, dst, payload)
+    inboxes = cluster.execute(plan)
     assert inboxes[5] == ["a", "b", "c"]
     assert inboxes[6] == ["d", "e"]
+
+
+def test_send_and_send_batch_plans_match_accounting():
+    """Both intakes charge identical rounds, words, volumes and
+    violations for the same traffic: 500 per-message ``send`` calls
+    against one ``send_batch`` per route."""
+    rng = random.Random(9)
+    traffic = [
+        (rng.randrange(4), 4 + rng.randrange(4), (rng.randrange(100), rng.randrange(100)))
+        for _ in range(500)
+    ]
+    per_message = RoundPlan(note="n")
+    by_route: dict[tuple[int, int], list] = {}
+    for src, dst, payload in traffic:
+        per_message.send(src, dst, payload)
+        by_route.setdefault((src, dst), []).append(payload)
+    batched = RoundPlan(note="n")
+    for (src, dst), payloads in by_route.items():
+        batched.send_batch(src, dst, payloads)
+
+    outcomes = []
+    for plan in (per_message, batched):
+        cluster = make_cluster()
+        inboxes = cluster.execute(plan)
+        (record,) = cluster.ledger.records
+        outcomes.append((
+            (record.total_words, record.max_sent, record.max_received, record.items),
+            set(record.violations),
+            {dst: sorted(items) for dst, items in inboxes.items()},
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][0] == 1000
 
 
 @given(
@@ -247,28 +241,33 @@ def test_interleaved_sources_preserve_send_order():
     )
 )
 @settings(max_examples=60, deadline=None)
-def test_execute_and_exchange_match_per_message_inbox_order(messages):
-    """Property: for arbitrary (non-source-major) message lists, the
-    batched ``execute`` path and the ``exchange`` wrapper both deliver the
-    exact inbox ordering of the historical per-message engine (payloads
-    appended in message-list order)."""
+def test_send_and_send_batch_plans_match_per_message_inbox_order(messages):
+    """Property: for arbitrary (non-source-major) message lists, a plan of
+    per-message ``send`` calls and a plan that ``send_batch``es each
+    maximal same-route stretch both deliver the exact per-message inbox
+    ordering (payloads appended in message-list order) and charge the
+    same words, volumes and items."""
     expected: dict[int, list] = {}
     for _, dst, payload in messages:
         expected.setdefault(dst, []).append(payload)
 
-    via_exchange = make_cluster()
-    assert via_exchange.exchange(list(messages), note="p") == expected
-
-    via_plan = make_cluster()
-    plan = RoundPlan(note="p")
+    per_message = RoundPlan(note="p")
     for src, dst, payload in messages:
-        plan.send(src, dst, payload)
-    assert via_plan.execute(plan) == expected
+        per_message.send(src, dst, payload)
+    batched = RoundPlan(note="p")
+    for (src, dst), stretch in groupby(messages, key=lambda m: m[:2]):
+        batched.send_batch(src, dst, [m[2] for m in stretch])
 
-    records = via_exchange.ledger.records
-    assert [r.total_words for r in records] == [
-        r.total_words for r in via_plan.ledger.records
-    ]
+    records = []
+    for plan in (per_message, batched):
+        cluster = make_cluster()
+        assert cluster.execute(plan) == expected
+        records.append([
+            (r.total_words, r.max_sent, r.max_received, r.items)
+            for r in cluster.ledger.records
+        ])
+    assert records[0] == records[1]
+    assert per_message.tally() == batched.tally()
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +278,6 @@ def test_contiguous_sends_extend_the_open_run():
     plan.send(0, 1, "a")
     plan.send_batch(0, 1, ["b", "c"])
     plan.send(0, 1, "d", "e")
-    assert plan.run_count() == 1
     assert list(plan.runs()) == [(0, 1, ["a", "b", "c", "d", "e"])]
 
 
@@ -289,9 +287,9 @@ def test_interleaved_routes_split_runs_but_aggregate_per_route():
     plan.send(2, 5, "b")
     plan.send(0, 1, "c")
     # The flat store is no longer contiguous for route (0, 1): two runs.
-    assert plan.run_count() == 3
-    assert plan.routes() == 2
-    assert list(plan.batches()) == [(0, 1, ["a", "c"]), (2, 5, ["b"])]
+    assert list(plan.runs()) == [(0, 1, ["a"]), (2, 5, ["b"]), (0, 1, ["c"])]
+    # The accounting sums per machine across runs.
+    assert plan.tally() == ({0: 2, 2: 1}, {1: 2, 5: 1}, 3, 3)
     # Delivery still sees exact send order.
     assert dict(plan.deliveries()) == {1: ["a", "c"], 5: ["b"]}
 
@@ -307,7 +305,7 @@ def test_run_slices_respect_boundaries():
     assert [len(items) for _, _, items in runs] == [
         1, 2, 3, 4, 5, 6, 7, 8, 9, 10
     ]
-    assert plan.item_count() == 55
+    assert plan.tally()[3] == 55
 
 
 def test_run_words_cache_is_invalidated_by_later_sends():
@@ -398,7 +396,7 @@ def test_send_indexed_object_path_groups_stably():
     plan = RoundPlan()
     plan.send_indexed(0, [5, 3, 5, 3, 5], ["a", "b", "c", "d", "e"])
     assert list(plan.runs()) == [(0, 3, ["b", "d"]), (0, 5, ["a", "c", "e"])]
-    assert plan.item_count() == 5
+    assert plan.tally()[3] == 5
     assert dict(plan.deliveries()) == {3: ["b", "d"], 5: ["a", "c", "e"]}
 
 

@@ -1,4 +1,5 @@
-"""The adaptive throttling layer: estimator, policy, controller, splitting."""
+"""The adaptive throttling layer: the mode setting, the controller's
+peak-hold forecast, its hooks, and plan splitting."""
 
 import random
 
@@ -11,23 +12,30 @@ from repro.mpc import (
     CommunicationLimitExceeded,
     MemoryLimitExceeded,
     ModelConfig,
-    PeakHoldLoadEstimator,
     ThrottleController,
-    ThrottlePolicy,
     Violation,
 )
 from repro.mpc.plan import RoundPlan
+from repro.mpc.throttle import HEADROOM, WINDOW
 from repro.mpc.words import word_size
 
 
+def one_round(cluster: Cluster, src: int, dst: int, payload, note: str = "") -> dict:
+    """Run one round that sends *payload* from *src* to *dst*."""
+    return cluster.execute(RoundPlan(note=note).send(src, dst, payload))
+
+
+def _controller(mode="enforce") -> ThrottleController:
+    return ThrottleController(mode, {0: 100, 1: 100})
+
+
 # ----------------------------------------------------------------------
-# Policy
+# The mode setting
 # ----------------------------------------------------------------------
 def test_policy_defaults_are_off():
-    policy = ThrottlePolicy()
-    assert policy.mode == "off"
-    assert not policy.enabled
-    assert not policy.enforcing
+    config = ModelConfig.heterogeneous(n=64, m=256)
+    assert config.throttle == "off"
+    assert Cluster(config, rng=random.Random(0)).throttle is None
 
 
 @pytest.mark.parametrize("mode,enabled,enforcing", [
@@ -36,79 +44,62 @@ def test_policy_defaults_are_off():
     ("enforce", True, True),
 ])
 def test_policy_mode_flags(mode, enabled, enforcing):
-    policy = ThrottlePolicy(mode=mode)
-    assert policy.enabled is enabled
-    assert policy.enforcing is enforcing
+    config = ModelConfig.heterogeneous(n=64, m=256, throttle=mode)
+    controller = Cluster(config, rng=random.Random(0)).throttle
+    assert (controller is not None) is enabled
+    if enabled:
+        assert controller.mode == mode
+        assert controller.enforcing is enforcing
 
 
 @pytest.mark.parametrize("kw", [
-    {"mode": "on"},
-    {"headroom": 0.0},
-    {"headroom": 1.5},
-    {"window": 0},
-    {"min_fanout": 1},
-    {"min_scale": 0.0},
-    {"min_scale": 2.0},
+    {"throttle": "on"},
+    {"throttle": "Enforce"},
+    {"throttle": "enforce "},
+    {"throttle": ""},
+    {"throttle": None},
+    {"throttle": True},
+    {"throttle": 1},
 ])
 def test_policy_validation(kw):
+    """The mode is one of three exact strings; anything else is refused
+    when the config is built."""
+    with pytest.raises(ValueError, match="unknown throttle mode"):
+        ModelConfig(n=64, m=256, **kw)
+
+
+def test_config_takes_the_throttle_mode_like_any_field():
+    assert ModelConfig(n=64, m=256, throttle="advise").throttle == "advise"
+    for regime in (ModelConfig.heterogeneous, ModelConfig.sublinear,
+                   ModelConfig.near_linear):
+        assert regime(n=64, m=256, throttle="enforce").throttle == "enforce"
     with pytest.raises(ValueError):
-        ThrottlePolicy(**kw)
-
-
-def test_config_with_throttle_shorthand():
-    config = ModelConfig.heterogeneous(n=64, m=256)
-    assert config.throttle.mode == "off"
-    enforced = config.with_throttle("enforce", headroom=0.8)
-    assert enforced.throttle.mode == "enforce"
-    assert enforced.throttle.headroom == 0.8
-    assert config.throttle.mode == "off"  # original untouched
-
-    policy = ThrottlePolicy(mode="advise")
-    assert config.with_throttle(policy).throttle is policy
-    with pytest.raises(TypeError):
-        config.with_throttle(policy, headroom=0.8)
+        ModelConfig.heterogeneous(n=64, m=256, throttle="on")
 
 
 # ----------------------------------------------------------------------
-# Estimator
+# The peak-hold forecast
 # ----------------------------------------------------------------------
 def test_estimator_peak_hold_and_window_eviction():
-    est = PeakHoldLoadEstimator(window=3)
-    assert est.predicted_traffic == 0.0
-    for frac in (0.2, 0.9, 0.3):
-        est.observe(frac)
-    assert est.predicted_traffic == 0.9
-    est.observe(0.1)  # evicts 0.2 — peak 0.9 still held
-    assert est.predicted_traffic == 0.9
-    est.observe(0.1)
-    est.observe(0.1)  # 0.9 evicted
-    assert est.predicted_traffic == pytest.approx(0.1)
-
-
-def test_estimator_tracks_memory_separately():
-    est = PeakHoldLoadEstimator(window=4)
-    est.observe(0.1, memory_frac=0.8)
-    est.observe(0.5, memory_frac=0.2)
-    assert est.predicted_traffic == 0.5
-    assert est.predicted_memory == 0.8
-
-
-def test_estimator_from_ledger_replays_records():
-    config = ModelConfig.heterogeneous(n=64, m=256)
-    cluster = Cluster(config, rng=random.Random(0))
-    cluster.exchange([(0, 1, (1, 2, 3))], note="a")
-    cluster.exchange([(0, 1, (1,) * 10)], note="b")
-    capacity = cluster.smalls[0].capacity
-    est = PeakHoldLoadEstimator.from_ledger(cluster.ledger, capacity)
-    assert est.observations == 2
-    assert est.predicted_traffic == pytest.approx(10 / capacity)
+    """A traffic peak holds the scale down for WINDOW (8) observed rounds
+    and is then evicted."""
+    controller = _controller()
+    assert WINDOW == 8
+    assert controller.scale() == 1.0  # nothing observed yet
+    controller.observe(0.2, 0.0)
+    controller.observe(1.8, 0.0)
+    assert controller.scale() == pytest.approx(HEADROOM / 1.8)
+    for _ in range(WINDOW - 1):
+        controller.observe(0.1, 0.0)
+        assert controller.scale() == pytest.approx(HEADROOM / 1.8)
+    controller.observe(0.1, 0.0)  # WINDOW rounds after the peak: evicted
+    assert controller.scale() == 1.0
+    assert controller.observed_rounds == WINDOW + 2
 
 
 # ----------------------------------------------------------------------
 # Controller hooks
 # ----------------------------------------------------------------------
-def _controller(mode="enforce", **kw) -> ThrottleController:
-    return ThrottleController(ThrottlePolicy(mode=mode, **kw), {0: 100, 1: 100})
 
 
 def test_scale_is_unity_inside_headroom():
@@ -131,7 +122,7 @@ def test_scale_shrinks_proportionally_past_headroom():
 
 
 def test_scale_floors_at_min_scale_and_min_fanout():
-    controller = _controller(min_scale=0.25, min_fanout=2)
+    controller = _controller()
     controller.observe(100.0, 0.0)
     assert controller.scale() == 0.25
     assert controller.fanout(4) == 2
@@ -174,6 +165,26 @@ def test_observe_tracks_run_peaks():
     summary = controller.summary()
     assert summary["peak_traffic_frac"] == pytest.approx(1.3)
     assert summary["overload_rounds"] == 1
+
+
+@pytest.mark.parametrize("mode", ["advise", "enforce"])
+def test_summary_reports_the_mode_and_the_fixed_settings(mode):
+    """Artifacts keep their ``mode`` / ``headroom`` / ``window`` keys: the
+    mode is the config's, the other two the module constants."""
+    summary = _controller(mode).summary()
+    assert (summary["mode"], summary["headroom"], summary["window"]) == (
+        mode, 0.9, 8
+    )
+
+
+def test_budgets_sit_on_the_headroom_line():
+    controller = _controller()
+    assert controller.budget(0) == 90  # int(HEADROOM * 100)
+    assert controller.budget(7) is None  # not a known machine
+    controller.note_bank(90, 100, note="at the line")
+    assert not controller.events
+    controller.note_bank(91, 100, note="past it")
+    assert [e.note for e in controller.events] == ["past it"]
 
 
 # ----------------------------------------------------------------------
@@ -237,9 +248,7 @@ def test_split_plan_chunks_oversized_sender():
 def test_split_plan_parallel_senders_pack_into_same_chunks():
     # Saturating one sender must not fragment the others: N senders each
     # needing 2 chunks must yield 2 chunks total, not N.
-    controller = ThrottleController(
-        ThrottlePolicy(mode="enforce"), {i: 100 for i in range(20)}
-    )
+    controller = ThrottleController("enforce", {i: 100 for i in range(20)})
     plan = RoundPlan(note="t")
     for sender in range(10):
         for burst in range(3):
@@ -251,9 +260,7 @@ def test_split_plan_parallel_senders_pack_into_same_chunks():
 
 def test_split_plan_preserves_per_destination_order_and_words():
     rng = random.Random(7)
-    controller = ThrottleController(
-        ThrottlePolicy(mode="enforce"), {i: 40 for i in range(8)}
-    )
+    controller = ThrottleController("enforce", {i: 40 for i in range(8)})
     for trial in range(20):
         plan = RoundPlan(note=f"t{trial}")
         for _ in range(rng.randrange(1, 30)):
@@ -337,20 +344,26 @@ def test_split_plan_slices_numpy_block_runs_by_rows():
 def test_cluster_attaches_controller_only_when_enabled():
     config = ModelConfig.heterogeneous(n=64, m=256)
     assert Cluster(config, rng=random.Random(0)).throttle is None
-    advise = config.with_throttle("advise")
+    advise = ModelConfig.heterogeneous(n=64, m=256, throttle="advise")
     assert Cluster(advise, rng=random.Random(0)).throttle is not None
 
 
 def test_enforce_splits_over_budget_exchange_and_avoids_violation():
-    config = ModelConfig.heterogeneous(n=64, m=256)
-    cluster_off = Cluster(config, rng=random.Random(0))
+    def burst(throttle: str):
+        cluster = Cluster(
+            ModelConfig.heterogeneous(n=64, m=256, throttle=throttle),
+            rng=random.Random(0),
+        )
+        plan = RoundPlan(note="burst")
+        for i in range(cluster.smalls[0].capacity + 10):
+            plan.send(0, 1, (i,))
+        return cluster, cluster.execute(plan)
+
+    cluster_off, _ = burst("off")
     capacity = cluster_off.smalls[0].capacity
-    messages = [(0, 1, (i,)) for i in range(capacity + 10)]
-    cluster_off.exchange(list(messages), note="burst")
     assert cluster_off.ledger.violations
 
-    cluster_enf = Cluster(config.with_throttle("enforce"), rng=random.Random(0))
-    inboxes = cluster_enf.exchange(list(messages), note="burst")
+    cluster_enf, inboxes = burst("enforce")
     assert not cluster_enf.ledger.violations
     assert cluster_enf.ledger.rounds > 1
     assert inboxes[1] == [(i,) for i in range(capacity + 10)]
@@ -364,14 +377,15 @@ def test_throttled_hooks_return_base_without_controller():
 
 
 def test_advise_mode_is_behaviour_identical_to_off():
-    config = ModelConfig.heterogeneous(n=64, m=256)
     ledgers = []
     for mode in ("off", "advise"):
-        cluster = Cluster(config.with_throttle(ThrottlePolicy(mode=mode))
-                          if mode != "off" else config, rng=random.Random(0))
+        cluster = Cluster(
+            ModelConfig.heterogeneous(n=64, m=256, throttle=mode),
+            rng=random.Random(0),
+        )
         capacity = cluster.smalls[0].capacity
-        cluster.exchange([(0, 1, (1,) * (capacity + 5))], note="burst")
-        cluster.exchange([(0, 2, (9, 9))], note="tail")
+        one_round(cluster, 0, 1, (1,) * (capacity + 5), note="burst")
+        one_round(cluster, 0, 2, (9, 9), note="tail")
         ledgers.append(cluster.ledger.summary())
     assert ledgers[0] == ledgers[1]
 
@@ -394,8 +408,8 @@ def test_violation_is_str_with_structured_fields():
 def test_ledger_violations_are_typed_with_round_numbers():
     cluster = Cluster(ModelConfig.heterogeneous(n=64, m=256), rng=random.Random(0))
     capacity = cluster.smalls[0].capacity
-    cluster.exchange([(0, 1, (1, 2))], note="warmup")
-    cluster.exchange([(0, 1, (1,) * (capacity + 1))], note="burst")
+    one_round(cluster, 0, 1, (1, 2), note="warmup")
+    one_round(cluster, 0, 1, (1,) * (capacity + 1), note="burst")
     violations = list(cluster.ledger.violations)
     assert violations
     for violation in violations:
@@ -410,7 +424,7 @@ def test_strict_failures_are_catchable_via_capacity_exceeded_base():
     cluster = Cluster(config, rng=random.Random(0))
     capacity = cluster.smalls[0].capacity
     with pytest.raises(CapacityExceeded) as comm_info:
-        cluster.exchange([(0, 1, (1,) * (capacity + 1))], note="burst")
+        one_round(cluster, 0, 1, (1,) * (capacity + 1), note="burst")
     assert isinstance(comm_info.value, CommunicationLimitExceeded)
     assert comm_info.value.violations
     assert comm_info.value.violations[0].kind in ("sent", "received")
@@ -427,7 +441,7 @@ def test_strict_failures_are_catchable_via_capacity_exceeded_base():
 def test_strict_memory_message_carries_round_index():
     config = ModelConfig.heterogeneous(n=64, m=256, strict=True)
     cluster = Cluster(config, rng=random.Random(0))
-    cluster.exchange([(0, 1, (1, 2))], note="warmup")
+    one_round(cluster, 0, 1, (1, 2), note="warmup")
     target = cluster.smalls[0]
     with pytest.raises(MemoryLimitExceeded) as info:
         target.put("blob", [0] * (target.capacity + 1))

@@ -123,6 +123,8 @@ BAD_INPUTS = {
     "matching --gamma 7": "matching: gamma must lie in (0, 1)",
     "matching --gamma nan": "matching: gamma must lie in (0, 1)",
     "connectivity --m -5": "connectivity: extra edge count must be non-negative",
+    "connectivity --n 10 --m 1000000": "connectivity: cannot plant 1000000 extra edges",
+    "mincut --n 3 --cut 1": "mincut: each half needs at least two vertices, so n >= 4",
 }
 
 
