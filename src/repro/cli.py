@@ -230,6 +230,12 @@ def _config(args, m: int) -> ModelConfig:
     return ModelConfig.heterogeneous(n=args.n, m=m, gamma=args.gamma)
 
 
+def _default_config(graph) -> ModelConfig:
+    """The paper's model for *graph*, as the algorithms build it when
+    given no config; built here so a graph it rejects is a usage error."""
+    return ModelConfig.heterogeneous(n=graph.n, m=max(graph.m, 1))
+
+
 def _bench_command(args) -> int:
     from . import experiments
 
@@ -362,9 +368,10 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "spanner":
         with inputs:
             graph = generators.random_connected_graph(args.n, args.m, rng)
+            config = _default_config(graph)
         if args.weighted:
             graph = graph.with_unique_weights(rng)
-        result = heterogeneous_spanner(graph, k=args.k, rng=rng)
+        result = heterogeneous_spanner(graph, k=args.k, config=config, rng=rng)
         stretch = spanner_stretch(graph, result.edges)
         print(f"spanner size {result.size} (m={graph.m}), "
               f"stretch {stretch:.2f} <= {result.stretch_bound}, "
@@ -373,7 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "apsp":
         with inputs:
             graph = generators.random_connected_graph(args.n, args.m, rng)
-        oracle = build_apsp_oracle(graph, rng=rng)
+            config = _default_config(graph)
+        oracle = build_apsp_oracle(graph, config=config, rng=rng)
         print(f"APSP oracle: k={oracle.spanner.k}, "
               f"spanner size {oracle.spanner.size}, "
               f"stretch bound {oracle.stretch_bound}, "
@@ -398,14 +406,15 @@ def main(argv: list[str] | None = None) -> int:
             graph = generators.planted_components_graph(
                 args.n, args.components, args.m, rng
             )
-        result = heterogeneous_connectivity(graph, rng=rng)
+            config = _default_config(graph)
+        result = heterogeneous_connectivity(graph, config=config, rng=rng)
         print(f"components {result.num_components} "
               f"(planted {args.components}), rounds {result.rounds}", file=out)
 
     elif args.command == "mis":
         with inputs:
             graph = generators.random_connected_graph(args.n, args.m, rng)
-            config = ModelConfig.heterogeneous(n=graph.n, m=max(graph.m, 1))
+            config = _default_config(graph)
         result = heterogeneous_mis(graph, config=config, rng=rng)
         print(f"MIS size {result.size}, "
               f"maximal={is_maximal_independent_set(graph, result.vertices)}, "
@@ -414,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "coloring":
         with inputs:
             graph = generators.random_connected_graph(args.n, args.m, rng)
-            config = ModelConfig.heterogeneous(n=graph.n, m=max(graph.m, 1))
+            config = _default_config(graph)
         result = heterogeneous_coloring(graph, config=config, rng=rng)
         print(f"colors used {len(set(result.colors))} / "
               f"allowed {result.num_colors_allowed}, "
@@ -445,13 +454,23 @@ def main(argv: list[str] | None = None) -> int:
             weighted = generators.random_connected_graph(args.n, args.m, rng)
             weighted = weighted.with_unique_weights(rng)
             unweighted = weighted.unweighted()
+            het_config = _default_config(weighted)
+            sub_config = ModelConfig.sublinear(n=weighted.n, m=max(weighted.m, 1))
         rows = []
-        sub = sublinear_connectivity(unweighted, rng=random.Random(args.seed + 1))
-        het = heterogeneous_connectivity(unweighted, rng=random.Random(args.seed + 2))
+        sub = sublinear_connectivity(
+            unweighted, config=sub_config, rng=random.Random(args.seed + 1)
+        )
+        het = heterogeneous_connectivity(
+            unweighted, config=het_config, rng=random.Random(args.seed + 2)
+        )
         rows.append({"problem": "connectivity", "sublinear": sub.rounds,
                      "heterogeneous": het.rounds})
-        sub = sublinear_boruvka_mst(weighted, rng=random.Random(args.seed + 3))
-        het = heterogeneous_mst(weighted, rng=random.Random(args.seed + 4))
+        sub = sublinear_boruvka_mst(
+            weighted, config=sub_config, rng=random.Random(args.seed + 3)
+        )
+        het = heterogeneous_mst(
+            weighted, config=het_config, rng=random.Random(args.seed + 4)
+        )
         rows.append({"problem": "MST", "sublinear": sub.rounds,
                      "heterogeneous": het.rounds})
         print(render_table(rows, ["problem", "sublinear", "heterogeneous"]), file=out)

@@ -268,7 +268,7 @@ def _kkt_sampling_phase(
                 sampled = store.sample(p, rng)
                 sample_edges = sampled.gather_to_large(note="kkt/sample")
                 sampled.drop()
-                forest = kruskal_edges(n, [(r[0], r[1], r[2]) for r in sample_edges])
+                forest = kruskal_edges([(r[0], r[1], r[2]) for r in sample_edges])
                 labels = build_flow_labels(remaining_vertices, forest)
 
                 annotated = store.annotate(labels, note="kkt/labels")
@@ -299,7 +299,7 @@ def _kkt_sampling_phase(
     # then map the chosen contracted edges back to original edges.
     candidates = {tuple(record) for record in final_edges}
     candidates.update(tuple(record) for record in sampled_graph_edges)
-    chosen = kruskal_edges(n, [(r[0], r[1], r[2]) for r in candidates])
+    chosen = kruskal_edges([(r[0], r[1], r[2]) for r in candidates])
     weight_to_original = {record[2]: (record[3], record[4]) for record in candidates}
     for cu, cv, w in chosen:
         ou, ov = weight_to_original[w]

@@ -779,7 +779,7 @@ def _measure_ablation_kkt(p: float, rng: random.Random, quick: bool) -> dict:
     for seed in range(trials):
         coin = random.Random(seed)
         sample = [e for e in graph.edges if coin.random() < p]
-        forest = kruskal_edges(n, sample)
+        forest = kruskal_edges(sample)
         light = f_light_edges(n, forest, graph.edges)
         sampled_sizes.append(len(sample))
         light_counts.append(len(light))

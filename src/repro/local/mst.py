@@ -35,9 +35,7 @@ def _weight_key(edge: tuple) -> tuple:
     return (edge[2], edge[0], edge[1])
 
 
-def kruskal_edges(
-    n: int, edges: Iterable[tuple[int, int, int]]
-) -> list[tuple[int, int, int]]:
+def kruskal_edges(edges: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     """Minimum spanning forest of the (multi)graph given as an edge list."""
     forest: list[tuple[int, int, int]] = []
     uf = UnionFind()
@@ -51,7 +49,7 @@ def kruskal(graph: Graph) -> list[tuple[int, int, int]]:
     """Minimum spanning forest of a weighted :class:`Graph`."""
     if not graph.weighted:
         raise ValueError("kruskal needs a weighted graph")
-    return kruskal_edges(graph.n, graph.edges)
+    return kruskal_edges(graph.edges)
 
 
 def minimum_spanning_forest(graph: Graph) -> Graph:

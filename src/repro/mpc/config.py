@@ -123,12 +123,22 @@ class ModelConfig:
         cls, n: int, m: int, f: float, gamma: float = 0.5, **kw
     ) -> "ModelConfig":
         """Heterogeneous MPC with a superlinear large machine of memory
-        ``n^{1+f} polylog n`` (Theorems 3.1 and 5.5)."""
+        ``n^{1+f} polylog n`` (Theorems 3.1 and 5.5).  *f* must be finite,
+        non-negative and small enough that the capacity is a float."""
+        if not math.isfinite(f):
+            raise ValueError(f"f must be finite, got {f}")
         if f < 0:
             raise ValueError("f must be non-negative")
-        return cls(
+        config = cls(
             n=n, m=m, gamma=gamma, num_large=1, large_memory_exponent=1.0 + f, **kw
         )
+        try:
+            config.large_capacity
+        except OverflowError:
+            raise ValueError(
+                f"f={f} makes the large machine's capacity n^(1+f) overflow"
+            ) from None
+        return config
 
     @classmethod
     def general(

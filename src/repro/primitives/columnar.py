@@ -22,7 +22,7 @@ Two pieces:
 * ingestion/kernels — ``ingest_rows`` qualifies a row list for columnar
   treatment (uniform width, per-field scalar types that round-trip
   exactly through numpy: ``int`` within int64, finite ``float``,
-  ``bool``); ``lexsort_block`` / ``reduce_pairs`` are the array kernels
+  ``bool``); ``stable_order`` / ``reduce_pairs`` are the array kernels
   behind sample sort and aggregation.
 
 Each primitive picks its path from its input alone: it takes the
@@ -54,8 +54,8 @@ __all__ = [
     "ingest_rows",
     "ensure_block",
     "uniform_blocks",
-    "lexsort_block",
     "pack_columns",
+    "pack_words",
     "stable_order",
     "spans_fit_packing",
     "reduce_pairs",
@@ -281,19 +281,6 @@ def uniform_blocks(datasets: Iterable[tuple[int, Any]]) -> dict[int, EdgeBlock] 
     return blocks
 
 
-def lexsort_block(block: EdgeBlock, fields: Sequence[int]) -> EdgeBlock:
-    """Rows of *block* stably sorted by *fields* (first field primary).
-
-    Stability makes the result identical to ``sorted(rows, key=itemgetter
-    (*fields))`` — the exact permutation of the object path — even when
-    key ties exist.
-    """
-    if len(block) <= 1:
-        return block
-    order = stable_order(block, fields)
-    return EdgeBlock([col[order] for col in block.columns], len(block))
-
-
 #: Packed sort keys must fit an int64 exactly.
 _PACK_LIMIT = 2**63
 
@@ -320,8 +307,7 @@ def pack_columns(
     so cross comparisons between rows and extras stay exact; their values
     widen the per-field spans as needed.  They are key tuples or, to skip
     the conversion, one int64 array with a row per key (sample sort
-    builds its splitters into one such array per sort, so every machine
-    packs them with vector ``min``/``max`` instead of walking tuples).
+    builds its splitters into one such array per sort).
 
     Sorting one packed column (a single stable ``argsort``) is ~2-3x
     faster than a multi-key ``lexsort`` and bucket assignment against
@@ -352,18 +338,54 @@ def pack_columns(
     return packed, packed_extras
 
 
-def stable_order(block: EdgeBlock, fields: Sequence[int]) -> Any:
+def pack_words(cols: Sequence[Any]) -> list[Any]:
+    """Key columns as the fewest order-preserving key words.
+
+    Runs of consecutive int/bool columns share one int64 word
+    (:func:`pack_columns`) while the product of their value spans fits;
+    any other column — floats, or ints spanning 2**63 or more — is a word
+    of its own, unchanged.  Rows compared word by word order exactly as
+    compared column by column, so a ``lexsort`` over the words is the
+    ``lexsort`` over the columns with fewer keys.
+    """
+    words: list[Any] = []
+    run: list[Any] = []
+    spans: list[int] = []
+    for col in cols:
+        span = _PACK_LIMIT
+        if col.dtype.kind in "ib" and len(col):
+            span = int(col.max()) - int(col.min()) + 1
+        if run and not spans_fit_packing([*spans, span]):
+            words.append(pack_columns(run)[0])
+            run, spans = [], []
+        if span < _PACK_LIMIT:
+            run.append(col)
+            spans.append(span)
+        else:
+            words.append(col)
+    if run:
+        words.append(pack_columns(run)[0])
+    return words
+
+
+def stable_order(
+    block: EdgeBlock, fields: Sequence[int], groups: Any = None
+) -> Any:
     """The stable permutation sorting *block* by *fields*.
 
     Identical to the permutation of ``sorted(rows, key=itemgetter(*fields))``
-    — packed single-key ``argsort`` when the key columns pack
-    (:func:`pack_columns`), stable ``lexsort`` otherwise.
+    — one stable ``argsort`` when the key columns pack into one word
+    (:func:`pack_words`), a stable ``lexsort`` over the words otherwise.
+    *groups*, an int column, is a primary key before *fields*: rows are
+    sorted within each group and groups ascend, which sorts many
+    machines' rows in one pass.  It packs like a key column, so a
+    ``group * span + key`` composite that fits int64 is one ``argsort``.
     """
     cols = [block.columns[f] for f in fields]
-    packed = pack_columns(cols)
-    if packed is not None:
-        return np.argsort(packed[0], kind="stable")
-    return np.lexsort(cols[::-1])
+    words = pack_words(cols if groups is None else [groups, *cols])
+    if len(words) == 1:
+        return np.argsort(words[0], kind="stable")
+    return np.lexsort(words[::-1])
 
 
 # ----------------------------------------------------------------------

@@ -118,7 +118,8 @@ def annotate_edges_with_vertex_values(
     targets = layout.machine_of_rank_many([rank for _, _, rank in senders])
     plan = RoundPlan(note=f"{note}/boundary")
     for (machine, records, _), target in zip(senders, targets):
-        plan.send(machine.machine_id, target, records[0])
+        # A one-row slice: a block materializes that row alone.
+        plan.send(machine.machine_id, target, *records[:1])
         machine.put(work, records[1:])
     for mid, received_records in cluster.execute(plan).items():
         # The received copy holds the rank right after the receiver's last

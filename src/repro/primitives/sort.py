@@ -12,36 +12,54 @@ Implements the Goodrich-style constant-round sort the paper cites [34]:
 With sample rate ``Theta(K log K / N)`` the buckets are balanced within a
 constant factor w.h.p.; any overload is recorded by the ledger.
 
-Two routing implementations share steps 1/2/4, and the input picks
-between them:
+Two implementations share the steps, and the input picks between them:
 
 * the **object path** — per-item ``bisect`` bucketing per machine and one
   list ``send_indexed`` scatter per machine; it takes callable keys and
   rows that do not fit typed columns (nested tuples, strings, objects);
 * the **columnar path** (:mod:`repro.primitives.columnar`) — taken when
   the sort key is a *field spec* (column indices instead of a callable)
-  and the rows qualify as a typed record batch.  Sample keys travel up
-  the converge-cast tree as one ``(rows, fields)`` array per machine
-  (sized O(1) per level) and the coordinator sorts them with one
-  ``lexsort``.  The route is **one cluster-wide scatter**: every
-  machine's rows are concatenated, assigned buckets in one pass — one
-  ``searchsorted`` on packed int64 keys, or, for keys that do not pack,
-  one ``lexsort`` of the splitters together with the rows, a splitter
-  sorting before equal rows (``bisect_right``) — and sent with a single
-  :meth:`~repro.mpc.plan.RoundPlan.send_indexed` whose source is a
-  column.  The plan groups the rows by ``(source, bucket)``, keeping
-  arrival order in packed mode and key order in sorted mode, which is
-  exactly each machine's old per-bucket partition; each bucket machine
-  receives one block (its rows in source order) and sorts it with one
-  stable ``lexsort``.  The datasets left behind are
-  :class:`~repro.primitives.columnar.EdgeBlock` batches whose rows
-  materialize to the exact tuples the object path would have stored.
+  and the rows qualify as a typed record batch.  Each step is one array
+  pass over all small machines at once, not one per machine:
+
+  - *qualify* — every machine's block is concatenated once per column,
+    in machine order; the float-transport and packing checks are one
+    reduction per column of that concatenation;
+  - *sample* — one RNG draw per stored row, in machine order, drawn into
+    one array and compared to the rate at once; each machine's sample
+    keys are a row slice of one ``(picked, fields)`` array, and travel up
+    the converge-cast tree as blocks (sized O(1) per level) to the
+    coordinator, which sorts them with one stable sort;
+  - *route* — **one cluster-wide scatter** of the concatenated rows,
+    assigned buckets in one pass: one ``searchsorted`` on packed int64
+    keys, or, for keys that do not pack, one ``lexsort`` of the splitters
+    together with the rows, a splitter sorting before equal rows
+    (``bisect_right``), over the key columns packed into as few int64
+    words as fit (:func:`~repro.primitives.columnar.pack_words`); a single
+    :meth:`~repro.mpc.plan.RoundPlan.send_indexed` whose source is a
+    column sends them.  The plan groups the rows by ``(source,
+    bucket)``, keeping arrival order in packed mode and key order in
+    sorted mode, which is exactly each machine's old per-bucket
+    partition;
+  - *rank* — the blocks every bucket machine received (several when an
+    enforcing throttle split the route) are concatenated in machine
+    order and sorted with one stable sort keyed by ``(machine, key)``:
+    one ``argsort`` of a packed ``machine * span + key`` composite when
+    it fits int64, a ``lexsort`` with the machine as primary key
+    otherwise.  Each machine keeps its contiguous slice as an
+    :class:`~repro.primitives.columnar.EdgeBlock`, so every machine's
+    columns are views of one sorted array per field — which is why no
+    code writes to a block's columns in place.  The rows materialize to
+    the exact tuples the object path would have stored;
+  - *counts* — one numeric scatter (a column of sources, the coordinator
+    as destination, one 2-word row each), on both paths.
 
 Both paths consume the shared RNG identically, build the same runs with
 the same word totals, and (for field specs covering every column, or
 caller-guaranteed unique keys) produce identical outputs — the ledger and
-the data cannot tell them apart.  Routing costs O(machines) Python work
-per sort on the columnar path, not one send per ``(src, dst)`` pair.
+the data cannot tell them apart.  The columnar path makes a constant
+number of numpy calls per sort; its Python work is O(machines) for the
+puts and the inbox walk.
 """
 
 from __future__ import annotations
@@ -146,10 +164,9 @@ def sample_sort(
     machine_ids = [m.machine_id for m in smalls]
     coordinator = cluster.large.machine_id if cluster.has_large else machine_ids[0]
 
-    plan_ctx = _columnar_sort_context(cluster, name, key, assume_unique)
-    if plan_ctx is not None:
-        blocks, packed = plan_ctx
-        return _sample_sort_columnar(cluster, name, key, note, blocks, packed)
+    qualified = _columnar_sort_context(cluster, name, key, assume_unique)
+    if qualified is not None:
+        return _sample_sort_columnar(cluster, name, key, note, *qualified)
 
     key = columnar.as_callable(key)
     total = sum(len(m.get(name, [])) for m in smalls)
@@ -197,11 +214,7 @@ def sample_sort(
         counts.append(len(bucket_items))
 
     # Step 4: report bucket counts to the coordinator so the layout is known.
-    cluster.gather(
-        coordinator,
-        {mid: [(mid, count)] for mid, count in zip(machine_ids, counts)},
-        note=f"{note}/counts",
-    )
+    _report_counts(cluster, coordinator, machine_ids, counts, note)
     return SortLayout(machine_ids=machine_ids, counts=counts)
 
 
@@ -226,12 +239,13 @@ def _columnar_sort_context(
     name: str,
     key: Any,
     assume_unique: bool,
-) -> tuple[dict[int, EdgeBlock], bool] | None:
+) -> tuple[list[Any], list[int], bool] | None:
     """Qualify this sort for the columnar path.
 
-    Returns ``(blocks, packed)`` — the per-machine ingested blocks (empty
-    datasets excluded) and whether the packed routing mode applies — or
-    ``None`` to stay on the object path.  Qualification requires a
+    Returns ``(columns, counts, packed)`` — every small machine's rows as
+    one array per field, concatenated in machine order; each small
+    machine's row count; and whether the packed routing mode applies —
+    or ``None`` to stay on the object path.  Qualification requires a
     field-spec key and every non-empty dataset a typed batch of one
     shared width and per-column dtype.  Routing mode:
 
@@ -244,7 +258,9 @@ def _columnar_sort_context(
       spec to cover every column (equal keys ⇒ equal rows) or the
       caller's ``assume_unique``.
 
-    Nothing is mutated on failure.
+    The checks run on the concatenated columns: one ``max`` per int
+    column under float transport, one ``min`` and one ``max`` per key
+    field for the spans.  Nothing is mutated on failure.
     """
     fields = columnar.key_fields(key)
     if fields is None or len(set(fields)) != len(fields):
@@ -259,8 +275,9 @@ def _columnar_sort_context(
     )
     if blocks is None:
         return None
+    counts = [len(blocks[mid]) if mid in blocks else 0 for mid in machine_ids]
     if not blocks:
-        return blocks, True
+        return [], counts, True
     dtypes = tuple(col.dtype for col in next(iter(blocks.values())).columns)
     width = len(dtypes)
     if max(fields) >= width or min(fields) < 0:
@@ -268,35 +285,25 @@ def _columnar_sort_context(
     transport = _transport_dtype(dtypes)
     if transport is None:
         return None
+    columns = [
+        np.concatenate([block.columns[j] for block in blocks.values()])
+        for j in range(width)
+    ]
     if transport is np.float64:
         # Int columns must survive the float64 transport exactly.
-        for block in blocks.values():
-            for col in block.columns:
-                if col.dtype.kind == "i" and len(col):
-                    if int(np.abs(col).max()) > 2**52:
-                        return None
-    packed = _packable_key(blocks, fields, dtypes)
+        for col in columns:
+            if col.dtype.kind == "i" and int(np.abs(col).max()) > 2**52:
+                return None
+    # Splitters are sampled row keys, so spans widened by splitters stay
+    # within the global spans checked here.
+    packed = all(dtypes[f].kind in "ib" for f in fields) and columnar.spans_fit_packing(
+        [int(columns[f].max()) - int(columns[f].min()) + 1 for f in fields]
+    )
     if not packed and not assume_unique and set(fields) != set(range(width)):
         # Partial-field keys can tie between distinct rows; the sorted
         # routing mode reorders ties, diverging from the object path.
         return None
-    return blocks, packed
-
-
-def _packable_key(
-    blocks: dict[int, EdgeBlock], fields: tuple[int, ...], dtypes: tuple
-) -> bool:
-    """Whether the key columns pack globally (splitters are sampled row
-    keys, so per-machine spans widened by splitters stay within the
-    global spans checked here)."""
-    if any(dtypes[f].kind not in "ib" for f in fields):
-        return False
-    spans = []
-    for f in fields:
-        lo = min(int(block.columns[f].min()) for block in blocks.values())
-        hi = max(int(block.columns[f].max()) for block in blocks.values())
-        spans.append(hi - lo + 1)
-    return columnar.spans_fit_packing(spans)
+    return columns, counts, packed
 
 
 def _transport_dtype(dtypes: tuple) -> Any:
@@ -315,132 +322,167 @@ def _transport_dtype(dtypes: tuple) -> Any:
     return None
 
 
-def _rank_block(rows: Any, dtypes: tuple, fields: tuple[int, ...]) -> EdgeBlock:
-    """One bucket machine's rank step: back to the column dtypes, then
-    stably sort the received block."""
-    columns = [rows[:, j].astype(dtypes[j], copy=False) for j in range(len(dtypes))]
-    return columnar.lexsort_block(EdgeBlock(columns, rows.shape[0]), fields)
-
-
 def _sample_sort_columnar(
     cluster: Cluster,
     name: str,
     key: Any,
     note: str,
-    blocks: dict[int, EdgeBlock],
+    columns: list[Any],
+    counts: list[int],
     packed: bool,
 ) -> SortLayout:
-    """Array-native steps 1–4; RNG use, runs and results match the object
-    path bit for bit (see the module docstring)."""
+    """Array-native steps 1–4 over the whole cluster at once; RNG use,
+    runs and results match the object path bit for bit (see the module
+    docstring).
+
+    *columns* is consumed: the list is emptied once the route rows are
+    built, so the concatenated arrays do not outlive their step.
+    """
     smalls = cluster.smalls
     machine_ids = [m.machine_id for m in smalls]
     coordinator = cluster.large.machine_id if cluster.has_large else machine_ids[0]
     fields = columnar.key_fields(key)
-    total = sum(len(block) for block in blocks.values())
+    total = sum(counts)
 
     if total == 0:
         return SortLayout(machine_ids=machine_ids, counts=[0] * len(smalls))
 
-    dtypes = tuple(col.dtype for col in next(iter(blocks.values())).columns)
+    dtypes = tuple(col.dtype for col in columns)
     key_dtypes = [dtypes[f] for f in fields]
     key_transport = _transport_dtype(tuple(key_dtypes))
 
-    # Step 1: sample (identical RNG draws: one per stored item, in
-    # dataset order) and converge-cast the keys to the coordinator, one
-    # (picked, fields) array per machine.  Same throttle hook as the
+    # Step 1: sample — one draw per stored row, in machine order (the
+    # object path's RNG stream), compared to the rate at once — and
+    # converge-cast the keys to the coordinator, each machine's picks a
+    # row slice of one (picked, fields) array.  Same throttle hook as the
     # object path, so the two stay identical.
     k = len(smalls)
     rate = min(1.0, (4.0 * k * max(1.0, math.log2(k + 2))) / total)
     rate = cluster.throttled_sample_rate(rate, note=f"{note}/sample")
-    samples_by_machine: dict[int, Any] = {}
-    for machine in smalls:
-        block = blocks.get(machine.machine_id)
-        if block is None:
-            continue
-        rng_random = cluster.rng.random
-        picked = [i for i in range(len(block)) if rng_random() < rate]
-        if picked:
-            samples_by_machine[machine.machine_id] = np.column_stack(
-                [block.columns[f][picked].astype(key_transport) for f in fields]
-            )
+    draws = np.fromiter(iter(cluster.rng.random, None), np.float64, count=total)
+    picked = np.flatnonzero(draws < rate)
+    sample_rows = np.column_stack(
+        [columns[f][picked].astype(key_transport) for f in fields]
+    )
+    cuts = np.searchsorted(picked, np.cumsum([0, *counts])).tolist()
+    samples_by_machine = {
+        mid: sample_rows[lo:hi]
+        for mid, lo, hi in zip(machine_ids, cuts, cuts[1:])
+        if hi > lo
+    }
     sample = converge_cast(
         cluster, samples_by_machine, coordinator, note=f"{note}/sample"
     )
 
-    # Step 2: the coordinator sorts the sample with one stable lexsort
-    # (the order list.sort gives the equivalent tuples) and picks the same
+    # Step 2: the coordinator sorts the sample with one stable sort (the
+    # order list.sort gives the equivalent tuples) and picks the same
     # splitter tuples of Python scalars as the object path.
     splitters: list[tuple] = []
     if len(sample):
-        picks = np.lexsort(sample.T[::-1])[_splitter_indices(len(sample), k)]
+        sample_order = columnar.stable_order(EdgeBlock(list(sample.T)), range(len(fields)))
+        picks = sample_order[_splitter_indices(len(sample), k)]
         splitters = list(zip(*(
             sample[picks, j].astype(key_dtypes[j]).tolist()
             for j in range(len(fields))
         )))
+    del sample
     broadcast(cluster, coordinator, tuple(splitters), machine_ids, note=f"{note}/splitters")
 
-    # Step 3: route — one cluster-wide scatter.  Every machine's rows are
-    # concatenated (machine order, arrival order within) and bucketed in
-    # one pass; send_indexed groups them by (source, bucket), stable, so
-    # each (machine, bucket) run holds exactly the rows, in exactly the
-    # order, of that machine's old per-bucket partition.
-    sources = [mid for mid in machine_ids if mid in blocks]
+    # Step 3: route — one cluster-wide scatter of the step-1 columns
+    # (machine order, arrival order within), bucketed in one pass;
+    # send_indexed groups them by (source, bucket), stable, so each
+    # (machine, bucket) run holds exactly the rows, in exactly the order,
+    # of that machine's old per-bucket partition.
     for machine in smalls:
         machine.pop(name, None)
-    width = len(dtypes)
-    columns = [
-        np.concatenate([blocks[mid].columns[j] for mid in sources])
-        for j in range(width)
-    ]
-    srcs = np.repeat(sources, [len(blocks[mid]) for mid in sources])
+    buckets, order = _bucket_rows(columns, fields, splitters, packed)
+    srcs = np.repeat(machine_ids, counts)
+    if order is not None:
+        srcs = srcs[order]
+    transport = _transport_dtype(dtypes)
+    rows = np.column_stack([
+        (col if order is None else col[order]).astype(transport, copy=False)
+        for col in columns
+    ])
+    columns.clear()
+    plan = RoundPlan(note=f"{note}/route")
+    plan.send_indexed(srcs, np.asarray(machine_ids)[buckets], rows)
+    del rows
+    inboxes = cluster.execute(plan)
+    del plan
+
+    # Rank: every machine's received blocks (several only when the
+    # throttle split the route across rounds), concatenated in machine
+    # order, cast back to the column dtypes and sorted in one stable pass
+    # keyed by (machine, key); each machine keeps its contiguous slice.
+    counts = [sum(map(len, inboxes.get(mid, ()))) for mid in machine_ids]
+    received = np.concatenate(
+        [block for mid in machine_ids for block in inboxes.get(mid, ())]
+    )
+    del inboxes
+    cast = EdgeBlock([
+        received[:, j].astype(dtypes[j], copy=False) for j in range(len(dtypes))
+    ])
+    del received
+    order = columnar.stable_order(cast, fields, groups=np.repeat(np.arange(k), counts))
+    ranked = [col[order] for col in cast.columns]
+    del cast
+    start = 0
+    for machine, count in zip(smalls, counts):
+        if count:
+            machine.put(name, EdgeBlock([col[start:start + count] for col in ranked], count))
+            start += count
+        else:
+            machine.put(name, [])
+
+    _report_counts(cluster, coordinator, machine_ids, counts, note)
+    return SortLayout(machine_ids=machine_ids, counts=counts)
+
+
+def _bucket_rows(
+    columns: list[Any], fields: tuple[int, ...], splitters: list[tuple], packed: bool
+) -> tuple[Any, Any]:
+    """Each row's bucket — the number of splitters at or below its key
+    (``bisect_right``) — and the order the route sends the rows in:
+    ``None`` for arrival order (packed mode), else key order."""
     if packed:
-        # Arrival order; a packed row equal to a splitter searches past it.
+        # A packed row equal to a splitter searches past it.
         packed_rows, packed_splitters = columnar.pack_columns(
             [columns[f] for f in fields],
             np.array(splitters, dtype=np.int64).reshape(len(splitters), len(fields)),
         )
-        buckets = np.searchsorted(packed_splitters, packed_rows, side="right")
-    else:
-        # Key order: one lexsort of the rows together with the splitters,
-        # a splitter before equal rows, so each row's bucket is the number
-        # of splitters sorted ahead of it (bisect_right).
-        keys = [
-            np.concatenate(
-                [columns[f], np.array([s[j] for s in splitters], dtype=dtypes[f])]
-            )
-            for j, f in enumerate(fields)
-        ]
-        is_row = np.arange(len(srcs) + len(splitters)) < len(srcs)
-        merged = np.lexsort([is_row, *keys[::-1]])
-        row_at = merged < len(srcs)
-        buckets = np.cumsum(~row_at)[row_at]
-        order = merged[row_at]
-        columns = [col[order] for col in columns]
-        srcs = srcs[order]
-    transport = _transport_dtype(dtypes)
-    rows = np.column_stack([col.astype(transport, copy=False) for col in columns])
-    plan = RoundPlan(note=f"{note}/route")
-    plan.send_indexed(srcs, np.asarray(machine_ids)[buckets], rows)
-    inboxes = cluster.execute(plan)
+        return np.searchsorted(packed_splitters, packed_rows, side="right"), None
+    # One lexsort of the rows together with the splitters, a splitter
+    # before equal rows, so each row's bucket is the number of splitters
+    # sorted ahead of it.  The key columns are packed into as few words
+    # as they fit.
+    total = len(columns[0])
+    keys = columnar.pack_words([
+        np.concatenate(
+            [columns[f], np.array([s[j] for s in splitters], dtype=columns[f].dtype)]
+        )
+        for j, f in enumerate(fields)
+    ])
+    is_row = np.arange(total + len(splitters)) < total
+    merged = np.lexsort([is_row, *keys[::-1]])
+    row_at = merged < total
+    return np.cumsum(~row_at)[row_at], merged[row_at]
 
-    # Rank: one block per bucket machine (several only when the throttle
-    # split the route across rounds), sorted with one stable lexsort.
-    counts = []
-    for machine in smalls:
-        received = inboxes.get(machine.machine_id)
-        if not received:
-            machine.put(name, [])
-            counts.append(0)
-            continue
-        bucket = received[0] if len(received) == 1 else np.concatenate(received)
-        bucket_block = _rank_block(bucket, dtypes, fields)
-        machine.put(name, bucket_block)
-        counts.append(len(bucket_block))
 
-    # Step 4: report bucket counts to the coordinator.
-    cluster.gather(
-        coordinator,
-        {mid: [(mid, count)] for mid, count in zip(machine_ids, counts)},
-        note=f"{note}/counts",
+def _report_counts(
+    cluster: Cluster,
+    coordinator: int,
+    machine_ids: list[int],
+    counts: list[int],
+    note: str,
+) -> None:
+    """Step 4: every small machine reports ``(machine id, count)`` to the
+    coordinator — one numeric scatter whose sources are a column, one
+    2-word run per machine."""
+    plan = RoundPlan(note=f"{note}/counts")
+    plan.send_indexed(
+        machine_ids,
+        np.full(len(machine_ids), coordinator),
+        np.column_stack((machine_ids, counts)),
     )
-    return SortLayout(machine_ids=machine_ids, counts=counts)
+    cluster.execute(plan)

@@ -52,7 +52,7 @@ def naive_contract(quota: int, graph: Graph) -> set[tuple[int, int, int]]:
     for v, incident in adjacency.items():
         for w, other in sorted(incident)[:quota]:
             submitted.add((min(v, other), max(v, other), w))
-    return set(kruskal_edges(graph.n, sorted(submitted)))
+    return set(kruskal_edges(sorted(submitted)))
 
 
 def test_naive_rule_selects_a_non_mst_edge():
@@ -60,7 +60,7 @@ def test_naive_rule_selects_a_non_mst_edge():
     graph = counterexample_graph()
     chosen = naive_contract(2, graph)
     assert (0, 2, 10) in chosen  # the wrong edge
-    true_mst = set(kruskal_edges(graph.n, graph.edges))
+    true_mst = set(kruskal_edges(graph.edges))
     assert (0, 2, 10) not in true_mst
 
 
@@ -88,7 +88,7 @@ def test_boruvka_step_skips_unsafe_edge_directly():
     _boruvka_step(cluster, store, quota=2, contraction=UnionFind(range(graph.n)),
                   mst_edges=mst_edges)
     chosen = {(u, v) for u, v, _ in mst_edges}
-    true_mst = {(u, v) for u, v, _ in kruskal_edges(graph.n, graph.edges)}
+    true_mst = {(u, v) for u, v, _ in kruskal_edges(graph.edges)}
     assert chosen <= true_mst  # only cut-property-certified edges recorded
     assert (0, 2) not in chosen
 

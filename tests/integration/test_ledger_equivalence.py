@@ -13,6 +13,7 @@ import random
 from repro.core import heterogeneous_mst
 from repro.graph import generators
 from repro.mpc import Cluster, ModelConfig
+from repro.primitives.columnar import EdgeBlock
 from repro.primitives.sort import sample_sort
 
 # Captured at the seed revision (per-message Cluster.exchange), commit
@@ -56,12 +57,17 @@ def test_heterogeneous_mst_ledger_matches_seed_engine():
     assert result.total_weight == 1323  # the algorithm's output is unchanged too
 
 
-def test_sample_sort_ledger_matches_seed_engine():
+def _sort_golden_cluster() -> Cluster:
     config = ModelConfig.heterogeneous(n=64, m=512)
     cluster = Cluster(config, rng=random.Random(11))
     item_rng = random.Random(5)
     items = [(item_rng.randrange(10**6), i) for i in range(2000)]
     cluster.distribute_edges(items, name="d")
+    return cluster
+
+
+def test_sample_sort_ledger_matches_seed_engine():
+    cluster = _sort_golden_cluster()
     layout = sample_sort(cluster, "d", key=lambda t: t[0])
     ledger = cluster.ledger
     assert ledger.rounds == SORT_GOLDEN["rounds"]
@@ -69,5 +75,22 @@ def test_sample_sort_ledger_matches_seed_engine():
     assert len(set(ledger.violations)) == SORT_GOLDEN["violation_count"]
     assert _hash([",".join(map(str, layout.counts))]) == SORT_GOLDEN["counts_hash"]
     # The sort itself is correct: globally ordered across machines.
+    flat = [item for m in cluster.smalls for item in m.get("d", [])]
+    assert [t[0] for t in flat] == sorted(t[0] for t in flat)
+
+
+def test_columnar_sample_sort_ledger_matches_seed_engine():
+    """The field-spec twin of the test above: ``key=0`` takes the
+    columnar path (one cluster-wide rank sort) and charges the seed
+    engine's numbers, leaving typed blocks on the machines."""
+    cluster = _sort_golden_cluster()
+    layout = sample_sort(cluster, "d", key=0)
+    ledger = cluster.ledger
+    assert ledger.rounds == SORT_GOLDEN["rounds"]
+    assert ledger.total_words == SORT_GOLDEN["total_words"]
+    assert len(set(ledger.violations)) == SORT_GOLDEN["violation_count"]
+    assert _hash([",".join(map(str, layout.counts))]) == SORT_GOLDEN["counts_hash"]
+    held = [m.get("d") for m, count in zip(cluster.smalls, layout.counts) if count]
+    assert held and all(isinstance(data, EdgeBlock) for data in held)
     flat = [item for m in cluster.smalls for item in m.get("d", [])]
     assert [t[0] for t in flat] == sorted(t[0] for t in flat)

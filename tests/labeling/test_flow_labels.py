@@ -95,7 +95,7 @@ def test_f_light_filter_via_labels_matches_oracle(rng):
 
     g = generators.random_connected_graph(50, 300, rng).with_unique_weights(rng)
     sample = [e for e in g.edges if rng.random() < 0.3]
-    forest = kruskal_edges(g.n, sample)
+    forest = kruskal_edges(sample)
     labels = build_flow_labels(range(g.n), forest)
     for edge in g.edges:
         by_labels = edge[2] <= decode_heaviest(labels[edge[0]], labels[edge[1]])

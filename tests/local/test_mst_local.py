@@ -57,7 +57,7 @@ def test_kruskal_on_disconnected_graph(rng):
 
 def test_kruskal_edges_handles_multigraph():
     # Parallel edges with different weights: only the lightest used.
-    forest = kruskal_edges(2, [(0, 1, 5), (0, 1, 2)])
+    forest = kruskal_edges([(0, 1, 5), (0, 1, 2)])
     assert forest == [(0, 1, 2)]
 
 
@@ -115,7 +115,7 @@ def test_f_light_count_respects_kkt_bound(rng):
     for seed in range(5):
         local = random.Random(seed)
         sample = [e for e in g.edges if local.random() < p]
-        forest = kruskal_edges(n, sample)
+        forest = kruskal_edges(sample)
         totals.append(len(f_light_edges(n, forest, g.edges)))
     average = sum(totals) / len(totals)
     assert average <= 3 * n / p  # generous constant over the expectation
@@ -127,5 +127,5 @@ def test_kruskal_is_idempotent_on_its_output(seed):
     rng = random.Random(seed)
     g = generators.random_connected_graph(12, 24, rng).with_unique_weights(rng)
     forest = kruskal(g)
-    again = kruskal_edges(g.n, forest)
+    again = kruskal_edges(forest)
     assert sorted(again) == sorted(forest)

@@ -37,6 +37,7 @@ from repro.primitives.columnar import (
     EdgeBlock,
     ingest_rows,
     pack_columns,
+    pack_words,
     reduce_pairs,
     stable_order,
     value_column,
@@ -65,11 +66,11 @@ def object_path():
     cannot turn a differential into columnar against columnar."""
     columnar_sort = sort_module._sample_sort_columnar
 
-    def sort_without_rows(cluster, name, key, note, blocks, packed):
+    def sort_without_rows(cluster, name, key, note, columns, counts, packed):
         # A sort of all-empty datasets qualifies before any entry point
         # is asked; it moves nothing.
-        assert not blocks, "columnar sort ran under the object-path fake"
-        return columnar_sort(cluster, name, key, note, blocks, packed)
+        assert not any(counts), "columnar sort ran under the object-path fake"
+        return columnar_sort(cluster, name, key, note, columns, counts, packed)
 
     def no_columnar_aggregate(*args, **kwargs):
         raise AssertionError("columnar aggregate ran under the object-path fake")
@@ -87,8 +88,9 @@ def object_path():
 PATHS = {"object": object_path, "columnar": nullcontext}
 
 
-def make_cluster() -> Cluster:
-    config = ModelConfig(n=256, m=1024, num_small=NUM_SMALL)
+def make_cluster(config: ModelConfig | None = None) -> Cluster:
+    if config is None:
+        config = ModelConfig(n=256, m=1024, num_small=NUM_SMALL)
     return Cluster(config, rng=random.Random(7))
 
 
@@ -111,12 +113,12 @@ def snapshot(cluster: Cluster, names) -> tuple:
     return datasets, ledger, cluster.ledger.memory_high_water
 
 
-def run_everyway(build_and_run, names):
+def run_everyway(build_and_run, names, config=None):
     """Run a primitive on every path and assert all snapshots are
     identical; returns the reference snapshot."""
     reference = None
     for path, context in PATHS.items():
-        cluster = make_cluster()
+        cluster = make_cluster(config)
         with context():
             extra = build_and_run(cluster)
         if path == "object":
@@ -247,8 +249,83 @@ def test_sample_sort_sorted_mode_differential(rows, key, holders, chunked):
         cluster = make_cluster()
         fill(cluster)
         context = sort_module._columnar_sort_context(cluster, "e", key, False)
-        assert context is not None and context[1] is False
+        assert context is not None and context[2] is False
     run_everyway(go, ["e"])
+
+
+# ----------------------------------------------------------------------
+# The columnar rank step: curated sorts into the one cluster-wide pass
+# ----------------------------------------------------------------------
+
+#: Capacities of 64 words under an enforcing throttle: a sort's route
+#: no longer fits one round, so bucket machines receive several blocks.
+_SPLIT_CONFIG = ModelConfig(
+    n=16, m=64, num_small=NUM_SMALL, constant=1.0, throttle="enforce"
+)
+#: A key span that packs alone but not beside a machine index.
+_WIDE = 2**62
+
+
+def _triples(seed: int, count: int) -> list[tuple[int, int, int]]:
+    rng = random.Random(seed)
+    return [
+        (rng.randrange(50), rng.randrange(40), rng.randrange(10**6))
+        for _ in range(count)
+    ]
+
+
+_RANK_CASES = {
+    # (a) the throttle splits the route across rounds
+    "split-route": (_SPLIT_CONFIG, _triples(3, 120), (0, 1, 2)),
+    # (b) one key value: every row lands in the last bucket
+    "empty-buckets": (None, [(5, i, -i) for i in range(40)], (0,)),
+    # (c) (machine, key) does not fit int64: the lexsort fallback
+    "wide-composite": (
+        None,
+        [(0, 0), (_WIDE - 1, 1)]
+        + [((i * 7919) % 97 * (_WIDE // 97), i) for i in range(2, 60)],
+        (0,),
+    ),
+    # (d) a float column: every row rides the float64 transport
+    "float-transport": (None, [(i % 5, i / 4, -i) for i in range(60)], (0,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RANK_CASES))
+def test_sample_sort_rank_differential(case):
+    config, rows, key = _RANK_CASES[case]
+    route_inboxes: list[dict] = []
+
+    def go(cluster):
+        distribute(cluster, "e", rows)
+        execute = cluster.execute
+
+        def spy(plan):
+            inboxes = execute(plan)
+            if plan.note.endswith("/route"):
+                route_inboxes.append({dst: len(got) for dst, got in inboxes.items()})
+            return inboxes
+
+        cluster.execute = spy
+        return sample_sort(cluster, "e", key=key).counts
+
+    cluster = make_cluster(config)
+    distribute(cluster, "e", rows)
+    context = sort_module._columnar_sort_context(cluster, "e", key, False)
+    assert context is not None
+    columns, _, packed = context
+    counts = run_everyway(go, ["e"], config)[3]
+    columnar_route = route_inboxes[-1]  # PATHS runs the columnar side last
+    if case == "split-route":
+        assert max(columnar_route.values()) > 1
+    elif case == "empty-buckets":
+        assert counts.count(0) == NUM_SMALL - 1
+    elif case == "wide-composite":
+        span = int(columns[0].max()) - int(columns[0].min()) + 1
+        assert packed and 2 * span >= 2**63
+        assert any(counts[1:])  # a machine index >= 1 receives rows
+    else:
+        assert any(col.dtype.kind == "f" for col in columns)
 
 
 # ----------------------------------------------------------------------
@@ -377,6 +454,65 @@ def test_stable_order_matches_python_sort(rows, fields):
         range(len(rows)), key=lambda i: tuple(rows[i][f] for f in fields)
     )
     assert list(order) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 2**61, 2**62 - 1])),
+        max_size=40,
+    ),
+    fields=st.sampled_from([(0,), (1,), (1, 0)]),
+    data=st.data(),
+)
+def test_stable_order_with_groups_matches_python_sort(rows, fields, data):
+    """Groups are a primary key: the packed composite and, when
+    ``group * span`` overflows int64, the lexsort fallback both give the
+    permutation of Python's stable sort."""
+    block = ingest_rows(rows)
+    if block is None:
+        return
+    groups = np.array(
+        data.draw(st.lists(st.integers(0, 5), min_size=len(rows), max_size=len(rows))),
+        dtype=np.int64,
+    )
+    order = stable_order(block, fields, groups=groups)
+    expected = sorted(
+        range(len(rows)),
+        key=lambda i: (int(groups[i]), *(rows[i][f] for f in fields)),
+    )
+    assert list(order) == expected
+
+
+#: Column kinds for the packing kernel: narrow ints pack together, two
+#: mid-span ints do not share a word, and an int64 column spanning 2**64
+#: and a float column each stay a word of their own.
+_WORD_VALUES = {
+    "narrow": st.integers(-3, 3),
+    "mid": st.sampled_from([-(2**40), 0, 2**40]),
+    "wide": st.sampled_from([-(2**63), 0, 2**40, 2**63 - 1]),
+    "float": st.sampled_from([-1.5, -0.0, 0.0, 2.5]),
+    "bool": st.booleans(),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(sorted(_WORD_VALUES)), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_pack_words_preserve_row_order(kinds, data):
+    """Rows compared word by word order as compared column by column:
+    both a lexsort over the words and stable_order give Python's stable
+    sort of the row tuples."""
+    row = st.tuples(*(_WORD_VALUES[kind] for kind in kinds))
+    rows = data.draw(st.lists(row, min_size=1, max_size=30))
+    block = ingest_rows(rows)
+    words = pack_words(block.columns)
+    assert len(words) <= len(kinds)
+    expected = sorted(range(len(rows)), key=lambda i: rows[i])
+    assert list(np.lexsort(words[::-1])) == expected
+    assert list(stable_order(block, range(len(kinds)))) == expected
 
 
 @given(rows=edge_rows, splitters=st.lists(st.tuples(

@@ -125,6 +125,16 @@ BAD_INPUTS = {
     "connectivity --m -5": "connectivity: extra edge count must be non-negative",
     "connectivity --n 10 --m 1000000": "connectivity: cannot plant 1000000 extra edges",
     "mincut --n 3 --cut 1": "mincut: each half needs at least two vertices, so n >= 4",
+    "spanner --n 1 --m 0": "spanner: need at least 2 vertices",
+    "apsp --n 1 --m 0": "apsp: need at least 2 vertices",
+    "compare --n 1 --m 0": "compare: need at least 2 vertices",
+    "connectivity --n 1 --m 0 --components 1": "connectivity: need at least 2 vertices",
+    "mst --f nan": "mst: f must be finite, got nan",
+    "mst --f inf": "mst: f must be finite, got inf",
+    "mst --f 1e308": "mst: f=1e+308 makes the large machine's capacity n^(1+f) overflow",
+    "matching --f nan": "matching: f must be finite, got nan",
+    "matching --f inf": "matching: f must be finite, got inf",
+    "matching --f 1e308": "matching: f=1e+308 makes the large machine's capacity",
 }
 
 
