@@ -100,10 +100,11 @@ def _boruvka_loop(
         rename = {v: uf.find(v) for v in range(n)}
         annotated = store.annotate(rename, note="boruvka/rename")
         for machine in cluster.smalls:
-            survivors = []
-            for record, root_u, root_v in machine.pop(annotated.name, []):
-                if root_u != root_v:
-                    survivors.append(record)
+            survivors = [
+                row[:-2]
+                for row in machine.pop(annotated.name, [])
+                if row[-2] != row[-1]
+            ]
             machine.put(store.name, survivors)
         component = rename
 
@@ -213,9 +214,9 @@ def sublinear_matching(
         annotated = store.annotate(flags, default=False, note="peel/flags")
         for machine in cluster.smalls:
             survivors = [
-                record
-                for record, flag_u, flag_v in machine.pop(annotated.name, [])
-                if not flag_u and not flag_v
+                row[:-2]
+                for row in machine.pop(annotated.name, [])
+                if not row[-2] and not row[-1]
             ]
             machine.put(store.name, survivors)
 

@@ -82,9 +82,9 @@ def heterogeneous_coloring(
                 conflict_name = f"{store.name}.conflicts"
                 for machine in cluster.smalls:
                     conflicts = []
-                    for record, pal_u, pal_v in machine.pop(annotated.name, []):
-                        if set(pal_u) & set(pal_v):
-                            conflicts.append(record)
+                    for row in machine.pop(annotated.name, []):
+                        if set(row[-2]) & set(row[-1]):
+                            conflicts.append(row[:-2])
                     machine.put(conflict_name, conflicts)
                 conflict_store = EdgeStore(cluster, conflict_name)
                 conflict_edges = conflict_store.gather_to_large(note="conflicts")

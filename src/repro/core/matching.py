@@ -234,9 +234,9 @@ def _high_degree_phases(
             machine.put(
                 leftover_name,
                 [
-                    record
-                    for record, flag_u, flag_v in machine.pop(annotated.name, [])
-                    if not flag_u and not flag_v
+                    row[:-2]
+                    for row in machine.pop(annotated.name, [])
+                    if not row[-2] and not row[-1]
                 ],
             )
         leftover = EdgeStore(cluster, leftover_name)
@@ -301,9 +301,9 @@ def filtering_matching(
             machine.put(
                 open_name,
                 [
-                    record
-                    for record, flag_u, flag_v in machine.pop(annotated.name, [])
-                    if not flag_u and not flag_v
+                    row[:-2]
+                    for row in machine.pop(annotated.name, [])
+                    if not row[-2] and not row[-1]
                 ],
             )
         open_store = EdgeStore(cluster, open_name)

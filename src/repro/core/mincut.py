@@ -139,9 +139,9 @@ def _contraction_attempt(
         machine.put(
             survivors_name,
             [
-                (label_u, label_v)
-                for record, label_u, label_v in machine.pop(annotated.name, [])
-                if label_u != label_v
+                (row[-2], row[-1])
+                for row in machine.pop(annotated.name, [])
+                if row[-2] != row[-1]
             ],
         )
     survivors = EdgeStore(cluster, survivors_name)

@@ -98,13 +98,12 @@ def heterogeneous_mis(
             prefix_name = f"{store.name}.prefix"
             for machine in cluster.smalls:
                 kept = []
-                for record, (ru, mis_u, blk_u), (rv, mis_v, blk_v) in machine.pop(
-                    annotated.name, []
-                ):
+                for row in machine.pop(annotated.name, []):
+                    (ru, mis_u, blk_u), (rv, mis_v, blk_v) = row[-2], row[-1]
                     if mis_u or blk_u or mis_v or blk_v:
                         continue
                     if ru <= threshold and rv <= threshold:
-                        kept.append(record)
+                        kept.append(row[:-2])
                 machine.put(prefix_name, kept)
             prefix_store = EdgeStore(cluster, prefix_name)
             induced = prefix_store.gather_to_large(note="gather")
@@ -137,15 +136,16 @@ def heterogeneous_mis(
             for machine in cluster.smalls:
                 pairs = []
                 survivors = []
-                for record, flag_u, flag_v in machine.pop(annotated.name, []):
+                for row in machine.pop(annotated.name, []):
+                    flag_u, flag_v = row[-2], row[-1]
                     if flag_u and flag_v:
                         continue  # cannot happen for a valid MIS
                     if flag_u:
-                        pairs.append((record[1], True))
+                        pairs.append((row[1], True))
                     elif flag_v:
-                        pairs.append((record[0], True))
+                        pairs.append((row[0], True))
                     else:
-                        survivors.append(record)
+                        survivors.append(row[:-2])
                 machine.put(pairs_name, pairs)
                 machine.put(store.name, survivors)
             blocked_report = EdgeStore(cluster, pairs_name).aggregate(

@@ -30,11 +30,14 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..graph.graph import Graph
 from ..graph.union_find import UnionFind
 from ..labeling import build_flow_labels, decode_heaviest
 from ..local.mst import kruskal_edges
 from ..mpc import AlgorithmFailure, Cluster, ModelConfig
+from ..primitives import columnar
 from ..primitives.arrange import arrange_directed, query_first_records
 from ..primitives.dedup import dedup_lightest
 from ..primitives.edgestore import EdgeStore
@@ -213,7 +216,9 @@ def _boruvka_step(
         for vertex in submitters[edge]:
             mark_internal(vertex)
 
-    rename: dict[int, int] = {}
+    # Every current vertex gets its new name (itself unless it merged), so
+    # the renamed endpoints fit one int column.
+    rename = {vertex: vertex for vertex in arrangement.out_degrees}
     for root, members in local_union.groups().items():
         target = min(members)
         for member in members:
@@ -223,18 +228,43 @@ def _boruvka_step(
     # edges (Claim 3 + sort-join), then parallel edges are deduplicated
     # keeping the lightest (Claim 1 + one boundary round).
     annotated = store.annotate(rename, note="boruvka/rename")
-    renamed: list = []
-    for machine in cluster.smalls:
-        kept = []
-        for record, new_u, new_v in machine.pop(annotated.name, []):
-            cu = new_u if new_u is not None else record[0]
-            cv = new_v if new_v is not None else record[1]
-            if cu == cv:
-                continue
-            kept.append((min(cu, cv), max(cu, cv), record[2], record[3], record[4]))
+    for machine, kept in zip(cluster.smalls, _renamed(cluster, annotated.name)):
+        machine.pop(annotated.name, None)
         machine.put(store.name, kept)
     dedup_lightest(cluster, store.name, key=(0, 1), weight=2, note="boruvka/dedup")
     return merged
+
+
+def _renamed(cluster: Cluster, name: str) -> list:
+    """Each small machine's contracted edges after the rename: the rows
+    ``(cu, cv, w, ou, ov, new_u, new_v)`` of dataset *name* become
+    ``(min, max, w, ou, ov)`` of the new endpoints, internal edges
+    dropped — as column operations over all machines when they hold
+    blocks, one row at a time otherwise."""
+    datasets = [machine.get(name, []) for machine in cluster.smalls]
+    flat = columnar.concat_columns(datasets)
+    if flat is None or not flat[0]:
+        return [
+            [
+                (min(row[-2], row[-1]), max(row[-2], row[-1]), *row[2:-2])
+                for row in rows
+                if row[-2] != row[-1]
+            ]
+            for rows in datasets
+        ]
+    (_, _, weight, ou, ov, new_u, new_v), counts = flat
+    keep = new_u != new_v
+    machine = np.repeat(np.arange(len(counts)), counts)[keep]
+    return columnar.split_columns(
+        [
+            np.minimum(new_u, new_v)[keep],
+            np.maximum(new_u, new_v)[keep],
+            weight[keep],
+            ou[keep],
+            ov[keep],
+        ],
+        np.bincount(machine, minlength=len(counts)).tolist(),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -275,11 +305,11 @@ def _kkt_sampling_phase(
                 light_name = f"{store.name}.light"
                 for machine in cluster.smalls:
                     light = [
-                        record
-                        for record, label_u, label_v in machine.pop(annotated.name, [])
-                        if label_u is None
-                        or label_v is None
-                        or record[2] <= decode_heaviest(label_u, label_v)
+                        row[:-2]
+                        for row in machine.pop(annotated.name, [])
+                        if row[-2] is None
+                        or row[-1] is None
+                        or row[2] <= decode_heaviest(row[-2], row[-1])
                     ]
                     machine.put(light_name, light)
                 light_store = EdgeStore(cluster, light_name)

@@ -96,9 +96,9 @@ def build_clustering_graphs(
     pairs_name = f"{store.name}.neighbor-or"
     for machine in cluster.smalls:
         pairs = []
-        for record, masks_u, masks_v in machine.pop(annotated.name, []):
-            pairs.append((record[0], masks_v))
-            pairs.append((record[1], masks_u))
+        for row in machine.pop(annotated.name, []):
+            pairs.append((row[0], row[-1]))
+            pairs.append((row[1], row[-2]))
         machine.put(pairs_name, pairs)
     neighbor_or = EdgeStore(cluster, pairs_name).aggregate(
         lambda pair: (pair[0], pair[1]),
@@ -129,9 +129,9 @@ def build_clustering_graphs(
     pairs2 = f"{store.name}.final-or"
     for machine in cluster.smalls:
         pairs = []
-        for record, mask_u, mask_v in machine.get(annotated.name, []):
-            pairs.append((record[0], mask_v))
-            pairs.append((record[1], mask_u))
+        for row in machine.get(annotated.name, []):
+            pairs.append((row[0], row[-1]))
+            pairs.append((row[1], row[-2]))
         machine.put(pairs2, pairs)
     final_or = EdgeStore(cluster, pairs2).aggregate(
         lambda pair: (pair[0], pair[1]), "or", note=f"{note}/i_u"
@@ -157,13 +157,13 @@ def build_clustering_graphs(
     annotated2 = store.annotate(i_u_values, note=f"{note}/center-pick")
     for machine in cluster.smalls:
         candidates = []
-        for record, val_u, val_v in machine.pop(annotated2.name, []):
-            u, v = record[0], record[1]
-            (lu, mask_u), (lv, mask_v) = val_u, val_v
+        for row in machine.pop(annotated2.name, []):
+            u, v = row[0], row[1]
+            (lu, mask_u), (lv, mask_v) = row[-2], row[-1]
             if u in needs_neighbor_center and _highbit(mask_v) >= lu:
-                candidates.append((u, (cluster.rng.random(), v, (record[0], record[1]))))
+                candidates.append((u, (cluster.rng.random(), v, (u, v))))
             if v in needs_neighbor_center and _highbit(mask_u) >= lv:
-                candidates.append((v, (cluster.rng.random(), u, (record[0], record[1]))))
+                candidates.append((v, (cluster.rng.random(), u, (u, v))))
         machine.put(candidate_name, candidates)
     chosen_center = EdgeStore(cluster, candidate_name).aggregate(
         lambda pair: (pair[0], pair[1]), min, note=f"{note}/sigma"
@@ -186,13 +186,13 @@ def build_clustering_graphs(
     ai_name = f"{store.name}.ai-edges"
     for machine in cluster.smalls:
         records = []
-        for record, val_u, val_v in machine.pop(annotated3.name, []):
-            (su, du), (sv, dv) = val_u, val_v
+        for row in machine.pop(annotated3.name, []):
+            (su, du), (sv, dv) = row[-2], row[-1]
             if su == sv:
                 continue
             scale = degree_scale(du, dv)
             c1, c2 = min(su, sv), max(su, sv)
-            records.append((c1, c2, (scale, (record[0], record[1]))))
+            records.append((c1, c2, (scale, (row[0], row[1]))))
         machine.put(ai_name, records)
     ai_store = EdgeStore(cluster, ai_name)
     dedup_lightest(

@@ -251,11 +251,12 @@ def modified_baswana_sen_mpc(
     candidate_name = f"{store.name}.candidates"
     for machine in cluster.smalls:
         candidates = []
-        for record, label_a, label_b in machine.pop(annotated.name, []):
+        for row in machine.pop(annotated.name, []):
+            label_a, label_b = row[-2], row[-1]
             if label_a is None or label_b is None:
                 continue
             candidates.extend(
-                _removal_candidates(record[0], record[1], label_a, label_b, record[2])
+                _removal_candidates(row[0], row[1], label_a, label_b, row[2])
             )
         machine.put(candidate_name, candidates)
     candidate_store = EdgeStore(cluster, candidate_name)

@@ -15,7 +15,9 @@ callables or tuples that no typed column holds (traced over
   or tuples (statuses in ``core/mis.py``, palettes in
   ``core/coloring.py``, masks, centers and degrees in
   ``core/spanner/clustering.py``): the values ride tuple rows, so the
-  join's second sort takes the object path;
+  join's second sort takes the object path and the join emits flat
+  tuple rows ``(*edge, value_u, value_v)`` — the shape its blocks have
+  when the values fit one typed column;
 * ``dedup_lightest`` with callable keys over the clustering-graph records
   ``(c1, c2, (scale, edge))`` in ``core/spanner/clustering.py``;
 * the callable-key sort of the gamma ablation in

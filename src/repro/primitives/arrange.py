@@ -61,10 +61,15 @@ def directed_rows(
             and columns[0].dtype.kind == "i"
             and columns[1].dtype == columns[0].dtype
         ):
-            return len(columns), {
-                mid: _block_copies(blocks[mid].columns, with_dst) if mid in blocks else []
-                for mid, _ in datasets
-            }
+            # One pass over all machines' edges; each machine keeps a
+            # slice of the copies.
+            edges, counts = columnar.concat_columns(
+                blocks.get(mid, []) for mid, _ in datasets
+            )
+            copies = columnar.split_columns(
+                _copy_columns(edges, with_dst), [2 * count for count in counts]
+            )
+            return len(columns), {mid: rows for (mid, _), rows in zip(datasets, copies)}
     widths: set[int] = set()
     rows: dict[int, Any] = {}
     for mid, edges in datasets:
@@ -82,14 +87,14 @@ def directed_rows(
     return (widths.pop() if widths else 0), rows
 
 
-def _block_copies(columns: tuple, with_dst: bool) -> EdgeBlock:
-    """One machine's :func:`directed_rows` on columns: both orientations
-    interleaved, the edge columns repeated alongside."""
+def _copy_columns(columns: list[Any], with_dst: bool) -> list[Any]:
+    """:func:`directed_rows` on columns: both orientations interleaved,
+    the edge columns repeated alongside."""
     u, v = columns[0], columns[1]
     ends = [np.column_stack([u, v]).ravel()]
     if with_dst:
         ends.append(np.column_stack([v, u]).ravel())
-    return EdgeBlock([*ends, *(np.repeat(col, 2) for col in columns)])
+    return [*ends, *(np.repeat(col, 2) for col in columns)]
 
 
 @dataclass
@@ -203,30 +208,91 @@ def query_first_records(
     those rows, in row order.  Vertices missing from *quotas* ask for
     nothing.  *notes* name the query and the answer round.  The arranged
     dataset is dropped; returns the answers the large machine received.
+
+    Blocks are answered in one pass over all machines' columns, tuple
+    rows one row at a time; both build the same queries and answers.
     """
+    smalls = cluster.smalls
+    machine_ids = [machine.machine_id for machine in smalls]
+    datasets = [machine.get(arrangement.name, []) for machine in smalls]
+    flat = columnar.concat_columns(datasets)
+    if flat is not None and flat[0]:
+        queries, answers = _first_records_columns(machine_ids, *flat, quotas, fields)
+    else:
+        queries, answers = _first_records_rows(machine_ids, datasets, quotas, fields)
     large = cluster.large.machine_id
+    cluster.scatter(large, queries, note=notes[0])
+    for machine in smalls:
+        machine.pop(arrangement.name, None)
+    return cluster.gather(large, answers, note=notes[1])
+
+
+def _first_records_columns(
+    machine_ids: list[int],
+    columns: list[Any],
+    counts: list[int],
+    quotas: dict[int, int],
+    fields: tuple[int, ...],
+) -> tuple[dict[int, list], dict[int, list]]:
+    """The queries and answers of :func:`query_first_records` from
+    cluster-wide columns: a stable argsort of the sources ranks every row
+    within its vertex, in machine and row order, and a row is among the
+    first when its rank is below its vertex's quota.  Each machine's rows
+    of one vertex are one run (Claim 4 sorts them by source), so a
+    machine's queries are its runs of first rows."""
+    sources = columns[0]
+    order = np.argsort(sources, kind="stable")
+    ranked = sources[order]
+    starts = np.flatnonzero(columnar.first_of_runs([ranked]))
+    sizes = np.diff(np.append(starts, len(ranked)))
+    quota = np.array(
+        [quotas.get(v, 0) for v in ranked[starts].tolist()], dtype=np.int64
+    )
+    first = np.empty(len(sources), dtype=bool)
+    first[order] = (
+        np.arange(len(sources)) - np.repeat(starts, sizes) < np.repeat(quota, sizes)
+    )
+    picked = np.flatnonzero(first)
+    machine = np.repeat(np.arange(len(counts)), counts)[picked]
+    src = sources[picked]
+
+    heads = np.flatnonzero(columnar.first_of_runs([machine, src]))
+    tally = np.diff(np.append(heads, len(picked)))
+    queries: dict[int, list[tuple[int, int]]] = {}
+    for index, vertex, count in zip(
+        machine[heads].tolist(), src[heads].tolist(), tally.tolist()
+    ):
+        queries.setdefault(machine_ids[index], []).append((vertex, count))
+
+    rows = list(zip(src.tolist(), *(columns[f][picked].tolist() for f in fields)))
+    bounds = np.cumsum(np.bincount(machine, minlength=len(counts))).tolist()
+    answers = {
+        mid: rows[lo:hi] for mid, lo, hi in zip(machine_ids, [0, *bounds], bounds)
+    }
+    return queries, answers
+
+
+def _first_records_rows(
+    machine_ids: list[int],
+    datasets: list[Any],
+    quotas: dict[int, int],
+    fields: tuple[int, ...],
+) -> tuple[dict[int, list], dict[int, list]]:
+    """The queries and answers of :func:`query_first_records`, one row at
+    a time, for rows no typed block holds."""
     remaining = dict(quotas)
     queries: dict[int, list[tuple[int, int]]] = {}
-    for machine in cluster.smalls:
+    answers: dict[int, list] = {}
+    for mid, rows in zip(machine_ids, datasets):
         per_vertex: dict[int, int] = {}
-        for row in machine.get(arrangement.name, []):
+        answer = []
+        for row in rows:
             src = row[0]
             if remaining.get(src, 0) > 0:
                 remaining[src] -= 1
                 per_vertex[src] = per_vertex.get(src, 0) + 1
-        if per_vertex:
-            queries[machine.machine_id] = list(per_vertex.items())
-    cluster.scatter(large, queries, note=notes[0])
-
-    responses: dict[int, list] = {}
-    for machine in cluster.smalls:
-        wanted = dict(queries.get(machine.machine_id, []))
-        taken: dict[int, int] = {}
-        answer = []
-        for row in machine.pop(arrangement.name, []):
-            src = row[0]
-            if taken.get(src, 0) < wanted.get(src, 0):
-                taken[src] = taken.get(src, 0) + 1
                 answer.append((src, *(row[f] for f in fields)))
-        responses[machine.machine_id] = answer
-    return cluster.gather(large, responses, note=notes[1])
+        if per_vertex:
+            queries[mid] = list(per_vertex.items())
+        answers[mid] = answer
+    return queries, answers

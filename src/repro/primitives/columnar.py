@@ -23,7 +23,9 @@ Two pieces:
   treatment (uniform width, per-field scalar types that round-trip
   exactly through numpy: ``int`` within int64, finite ``float``,
   ``bool``); ``stable_order`` / ``reduce_pairs`` are the array kernels
-  behind sample sort and aggregation.
+  behind sample sort and aggregation; ``concat_columns`` /
+  ``split_columns`` turn every small machine's blocks into one array per
+  field and back, so a local step runs as one pass over all machines.
 
 Each primitive picks its path from its input alone: it takes the
 columnar path when every machine's rows qualify (``ensure_block`` for
@@ -54,6 +56,9 @@ __all__ = [
     "ingest_rows",
     "ensure_block",
     "uniform_blocks",
+    "concat_columns",
+    "first_of_runs",
+    "split_columns",
     "pack_columns",
     "pack_words",
     "stable_order",
@@ -279,6 +284,68 @@ def uniform_blocks(datasets: Iterable[tuple[int, Any]]) -> dict[int, EdgeBlock] 
             return None
         blocks[machine_id] = block
     return blocks
+
+
+def concat_columns(datasets: Iterable[Any]) -> tuple[list[Any], list[int]] | None:
+    """Every dataset's rows, in order, as one array per field, and each
+    dataset's row count — the cluster-wide view of per-machine blocks.
+
+    ``None`` unless every non-empty dataset already is an
+    :class:`EdgeBlock` of one width and one dtype per column: nothing is
+    ingested, so tuple rows keep their own path.  All-empty input gives
+    ``([], counts)``.
+    """
+    blocks: list[EdgeBlock] = []
+    counts: list[int] = []
+    dtypes: tuple | None = None
+    for data in datasets:
+        counts.append(len(data))
+        if not len(data):
+            continue
+        if not isinstance(data, EdgeBlock):
+            return None
+        block_dtypes = tuple(col.dtype for col in data.columns)
+        if dtypes is None:
+            dtypes = block_dtypes
+        elif block_dtypes != dtypes:
+            return None
+        blocks.append(data)
+    if not blocks:
+        return [], counts
+    return [
+        np.concatenate([block.columns[j] for block in blocks])
+        for j in range(len(dtypes))
+    ], counts
+
+
+def first_of_runs(columns: Sequence[Any]) -> Any:
+    """A mask of the rows that start a run: the first row, and every row
+    that differs from the one before it in any of *columns*."""
+    first = np.zeros(len(columns[0]), dtype=bool)
+    first[:1] = True
+    for col in columns:
+        first[1:] |= col[1:] != col[:-1]
+    return first
+
+
+def split_columns(columns: Sequence[Any], counts: Iterable[int]) -> list[Any]:
+    """Cut cluster-wide columns into consecutive datasets of *counts*
+    rows (the inverse of :func:`concat_columns`): an :class:`EdgeBlock`
+    of column slices for each non-zero count, ``[]`` for each zero.
+
+    The slices are views, so the columns must never be written in place.
+    """
+    datasets: list[Any] = []
+    start = 0
+    for count in counts:
+        if count:
+            datasets.append(
+                EdgeBlock([col[start:start + count] for col in columns], count)
+            )
+            start += count
+        else:
+            datasets.append([])
+    return datasets
 
 
 #: Packed sort keys must fit an int64 exactly.

@@ -105,11 +105,7 @@ def _keep_first_block(block: EdgeBlock, fields: tuple[int, ...]) -> EdgeBlock:
     """The first record of each consecutive key group, as one mask pass."""
     if len(block) <= 1:
         return block
-    keep = np.zeros(len(block), dtype=bool)
-    keep[0] = True
-    for f in fields:
-        col = block.columns[f]
-        keep[1:] |= col[1:] != col[:-1]
+    keep = columnar.first_of_runs([block.columns[f] for f in fields])
     if keep.all():
         return block
     return EdgeBlock([col[keep] for col in block.columns])

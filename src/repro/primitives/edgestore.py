@@ -175,7 +175,10 @@ class EdgeStore:
         note: str = "annotate",
     ) -> "EdgeStore":
         """Attach endpoint values to every edge record (Claim 3 + sort-join);
-        returns a store of ``(edge, value_u, value_v)`` records."""
+        returns a store of flat rows ``(*edge, value_u, value_v)`` — read
+        them as ``row[:-2], row[-2], row[-1]`` — held as blocks when the
+        edges and values fit typed columns (see
+        :mod:`repro.primitives.join`)."""
         target = name if name is not None else _fresh(f"{self.name}.annotated")
         annotate_edges_with_vertex_values(
             self.cluster, self.name, values, target, default=default, note=note

@@ -13,30 +13,43 @@ is a sort-join, and that is what we implement:
    values keyed by source, so each copy of edge ``{u, v}`` oriented at
    ``u`` becomes ``(*edge, u, value[u])``;
 2. re-sort the annotated copies by ``(*edge, src)`` — the two copies of
-   each undirected edge become globally adjacent (ranks 2j, 2j+1);
+   each undirected edge become globally adjacent (ranks 2j, 2j+1), the
+   copy at ``min(u, v)`` first;
 3. one boundary round re-unites pairs that straddle a machine boundary;
-4. each machine zips adjacent copies into a single record
-   ``(edge, value_u, value_v)``.
+4. each machine checks that every pair holds one copy at each endpoint
+   and zips it into one flat row ``(*edge, value_u, value_v)``.
 
 Total cost: O(1) rounds.
 
-Every copy is a flat row, built by
-:func:`~repro.primitives.arrange.directed_rows`: an
+Consumers read an output row as ``row[:-2], row[-2], row[-1]``; it is
+charged one word per edge field plus the words of the two values, the
+leaves it holds.  It is an
 :class:`~repro.primitives.columnar.EdgeBlock` per machine when the edges
-qualify as typed columns, tuples otherwise.  Step 1 adds the value as one
-more column when a machine's values fit one
-(:func:`~repro.primitives.columnar.value_column`) and appends it to tuple
-rows when they do not (``None`` defaults, flow labels, tuples).  Both
-sorts pass the field spec ``(0, ..., width)``, so
-:func:`~repro.primitives.sort.sample_sort` picks its path from the rows
-alone.  The second sort passes ``assume_unique``: duplicate
-``(*edge, src)`` copies — the only possible key ties — carry the same
-disseminated value, so tied rows are identical.
+and the values fit typed columns, and a flat tuple otherwise (``None``
+defaults, flow labels, tuple values).
+
+Every copy is a flat row, built by
+:func:`~repro.primitives.arrange.directed_rows`.  Both sorts pass the field
+spec ``(0, ..., width)``, so :func:`~repro.primitives.sort.sample_sort`
+picks its path from the rows alone; the second passes ``assume_unique``:
+duplicate ``(*edge, src)`` copies — the only possible key ties — carry the
+same disseminated value, so tied rows are identical.  Between the sorts the
+join sees all small machines' rows at once: cluster-wide columns when every
+machine holds a block (:func:`~repro.primitives.columnar.concat_columns`),
+one list of tuples otherwise.  The value column, the boundary round and the
+zip are then one pass each, and every machine stores its slice of the
+result.  The value column is one typed column when all the values every
+machine received share one exact type
+(:func:`~repro.primitives.columnar.value_column`); otherwise every copy
+becomes a tuple row.
 """
 
 from __future__ import annotations
 
+from itertools import chain, groupby, repeat
 from typing import Any, Hashable
+
+import numpy as np
 
 from ..mpc.cluster import Cluster
 from ..mpc.errors import ProtocolError
@@ -58,87 +71,183 @@ def annotate_edges_with_vertex_values(
     default: Any = None,
     note: str = "annotate",
 ) -> None:
-    """Build dataset *out_name*: one record ``(edge, value_u, value_v)`` per
-    undirected edge of *edges_name* (``value_u`` matches ``edge[0]``).
+    """Build dataset *out_name*: one flat row ``(*edge, value_u, value_v)``
+    per undirected edge of *edges_name* (``value_u`` matches ``edge[0]``).
 
     Vertices absent from *values* get *default*.  The input dataset is left
-    untouched.
+    untouched.  Raises :class:`~repro.mpc.errors.ProtocolError`, naming the
+    edge, when the two copies of an edge do not pair up — as they cannot
+    when the input holds an edge twice.
     """
+    smalls = cluster.smalls
+    machine_ids = [machine.machine_id for machine in smalls]
     work = f"{out_name}__directed"
 
     # Step 1: directed copies (src, *edge), sorted by source vertex.
     width, rows = directed_rows(cluster, edges_name, with_dst=False)
-    for machine in cluster.smalls:
+    for machine in smalls:
         machine.put(work, rows[machine.machine_id])
     key = tuple(range(width + 1))
     sample_sort(cluster, work, key=key, note=f"{note}/sort-src")
 
-    # Disseminate values down per-vertex trees (Claim 3) and append each
-    # copy's value: (*edge, src, value).
-    sources: dict[int, list] = {}
+    # Disseminate values down per-vertex trees (Claim 3) to the machines
+    # holding each source, and append each copy's value as its machine
+    # received it: (*edge, src, value).
+    copies, counts = _cluster_rows(smalls, work)
+    run_machine, run_source, run_sizes = _source_runs(copies, counts)
+    # Each machine lists its sources in its set's iteration order, which
+    # fixes the order of the dissemination's sends.
     holders: dict[Hashable, list[int]] = {}
-    for machine in cluster.smalls:
-        data = machine.get(work, [])
-        if isinstance(data, EdgeBlock):
-            sources[machine.machine_id] = data.columns[0].tolist()
-        else:
-            sources[machine.machine_id] = [row[0] for row in data]
-        for vertex in set(sources[machine.machine_id]):
-            holders.setdefault(vertex, []).append(machine.machine_id)
+    for index, runs in groupby(zip(run_machine, run_source), key=lambda run: run[0]):
+        for vertex in set(source for _, source in runs):
+            holders.setdefault(vertex, []).append(machine_ids[index])
     present = {vertex: values.get(vertex, default) for vertex in holders}
     received = disseminate(cluster, present, holders, note=f"{note}/values")
-    for machine in cluster.smalls:
-        data = machine.get(work, [])
-        local_values = received.get(machine.machine_id, {})
-        vals = [local_values.get(v, default) for v in sources[machine.machine_id]]
-        col = columnar.value_column(vals) if isinstance(data, EdgeBlock) else None
-        if col is not None:
-            machine.put(work, EdgeBlock([*data.columns[1:], data.columns[0], col]))
-        else:
-            machine.put(
-                work, [(*row[1:], row[0], value) for row, value in zip(data, vals)]
-            )
+    run_values = [
+        received[machine_ids[index]][vertex]
+        for index, vertex in zip(run_machine, run_source)
+    ]
+    column = (
+        columnar.value_column(run_values) if isinstance(copies, EdgeBlock) else None
+    )
+    if column is not None:
+        columns = copies.columns
+        copies = EdgeBlock(
+            [*columns[1:], columns[0], np.repeat(column, run_sizes)], len(copies)
+        )
+    else:
+        row_values = chain.from_iterable(map(repeat, run_values, run_sizes))
+        copies = [(*row[1:], row[0], value) for row, value in zip(copies, row_values)]
+    for machine, data in zip(smalls, _split(copies, counts)):
+        machine.put(work, data)
 
     # Step 2: re-sort by (*edge, src); the two copies become adjacent.
     layout = sample_sort(
         cluster, work, key=key, note=f"{note}/sort-edge", assume_unique=True
     )
-    if layout.total % 2 != 0:
-        raise ProtocolError("odd number of directed copies; duplicate edges?")
+    copies, _ = _cluster_rows(smalls, work)
 
     # Step 3: pairs live at global ranks (2j, 2j+1); a machine whose range
-    # starts at an odd rank sends its first record back to the machine that
-    # holds the rank just before it.  One round fixes all boundaries.
-    offsets = layout.offsets
-    senders = []
-    for index, machine in enumerate(cluster.smalls):
-        records = machine.get(work, [])
-        if len(records) and offsets[index] % 2 == 1:
-            senders.append((machine, records, offsets[index] - 1))
-    targets = layout.machine_of_rank_many([rank for _, _, rank in senders])
+    # starts at an odd rank sends its first copy back to the machine that
+    # holds the rank just before it.  One round fixes all boundaries, and
+    # the cluster-wide order of the copies does not change: only the
+    # machines' ranges do.  Senders shrink before the round, receivers
+    # grow after it.
+    ranges = {
+        mid: [lo, lo + count]
+        for mid, lo, count in zip(machine_ids, layout.offsets, layout.counts)
+    }
+    senders = [mid for mid, (lo, hi) in ranges.items() if hi > lo and lo % 2 == 1]
+    targets = layout.machine_of_rank_many([ranges[mid][0] - 1 for mid in senders])
+    firsts = _rows_at(copies, [ranges[mid][0] for mid in senders])
     plan = RoundPlan(note=f"{note}/boundary")
-    for (machine, records, _), target in zip(senders, targets):
-        # A one-row slice: a block materializes that row alone.
-        plan.send(machine.machine_id, target, *records[:1])
-        machine.put(work, records[1:])
-    for mid, received_records in cluster.execute(plan).items():
-        # The received copy holds the rank right after the receiver's last
-        # one, so appending it keeps the machine's rows sorted.
-        machine = cluster.machine(mid)
-        machine.put(work, [*machine.get(work), *received_records])
+    for mid, target, first in zip(senders, targets, firsts):
+        plan.send(mid, target, first)
+        machine_range = ranges[mid]
+        machine_range[0] += 1
+        cluster.machine(mid).put(work, copies[machine_range[0]:machine_range[1]])
+    for mid, received_copies in cluster.execute(plan).items():
+        # The received copy holds the rank right after the receiver's
+        # last one, so the receiver's range grows by one at its end.
+        machine_range = ranges[mid]
+        machine_range[1] += len(received_copies)
+        cluster.machine(mid).put(work, copies[machine_range[0]:machine_range[1]])
 
-    # Step 4: zip adjacent copies into one record per undirected edge.
-    for machine in cluster.smalls:
-        rows = list(machine.pop(work, []))
-        if len(rows) % 2 != 0:
-            raise ProtocolError(
-                f"machine {machine.machine_id} holds an unpaired edge copy"
-            )
-        joined = []
-        for first, second in zip(rows[0::2], rows[1::2]):
-            edge = first[:width]
-            if second[:width] != edge:
-                raise ProtocolError(f"mismatched edge copies {first} / {second}")
-            by_vertex = {first[width]: first[width + 1], second[width]: second[width + 1]}
-            joined.append((edge, by_vertex[edge[0]], by_vertex[edge[1]]))
-        machine.put(out_name, joined)
+    # Step 4: zip adjacent copies into one flat row per undirected edge.
+    joined = _zip_pairs(copies, width)
+    halves = [(hi - lo) // 2 for lo, hi in ranges.values()]
+    for machine, data in zip(smalls, _split(joined, halves)):
+        machine.pop(work, None)
+        machine.put(out_name, data)
+
+
+def _cluster_rows(smalls: list, name: str) -> tuple[Any, list[int]]:
+    """Every small machine's rows of *name*, in machine order, and each
+    machine's row count: one :class:`EdgeBlock` of cluster-wide columns
+    when every machine holds a block, one list of tuples otherwise."""
+    datasets = [machine.get(name, []) for machine in smalls]
+    flat = columnar.concat_columns(datasets)
+    if flat is not None and flat[0]:
+        return EdgeBlock(flat[0]), flat[1]
+    return list(chain.from_iterable(datasets)), [len(data) for data in datasets]
+
+
+def _split(rows: Any, counts: list[int]) -> list[Any]:
+    """Cut cluster-wide *rows* back into per-machine datasets."""
+    if isinstance(rows, EdgeBlock):
+        return columnar.split_columns(rows.columns, counts)
+    bounds = np.cumsum([0, *counts]).tolist()
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _rows_at(rows: Any, indices: list[int]) -> list[tuple]:
+    """The rows at *indices* as tuples, without materializing a block."""
+    if isinstance(rows, EdgeBlock):
+        return list(zip(*(col[indices].tolist() for col in rows.columns)))
+    return [rows[i] for i in indices]
+
+
+def _source_runs(copies: Any, counts: list[int]) -> tuple[list, list, list]:
+    """The runs of consecutive copies with one machine and one source:
+    each run's machine index, source and length, in order."""
+    if isinstance(copies, EdgeBlock):
+        sources = copies.columns[0]
+        machine = np.repeat(np.arange(len(counts)), counts)
+        heads = np.flatnonzero(columnar.first_of_runs([machine, sources]))
+        sizes = np.diff(np.append(heads, len(sources)))
+        return machine[heads].tolist(), sources[heads].tolist(), sizes.tolist()
+    machine = chain.from_iterable(map(repeat, range(len(counts)), counts))
+    runs = [
+        (run, sum(1 for _ in group))
+        for run, group in groupby(zip(machine, (row[0] for row in copies)))
+    ]
+    return (
+        [index for (index, _), _ in runs],
+        [source for (_, source), _ in runs],
+        [size for _, size in runs],
+    )
+
+
+def _zip_pairs(copies: Any, width: int) -> Any:
+    """Step 4 over all machines at once: the copies at ranks 2j and 2j+1
+    must be the same edge, oriented at ``min(u, v)`` and at ``max(u, v)``
+    in that order; each pair becomes ``(*edge, value_u, value_v)``."""
+    if isinstance(copies, EdgeBlock):
+        cols = copies.columns
+        first = [col[0::2] for col in cols]
+        second = [col[1::2] for col in cols]
+        u, v = first[0], first[1]
+        bad = (first[width] != np.minimum(u, v)) | (second[width] != np.maximum(u, v))
+        for j in range(width):
+            bad |= first[j] != second[j]
+        if bad.any():
+            pair = 2 * int(np.argmax(bad))
+            raise _pair_error(*_rows_at(copies, [pair, pair + 1]), width)
+        forward = u <= v
+        return EdgeBlock([
+            *first[:width],
+            np.where(forward, first[-1], second[-1]),
+            np.where(forward, second[-1], first[-1]),
+        ])
+    joined = []
+    for first, second in zip(copies[0::2], copies[1::2]):
+        edge = first[:width]
+        u, v = edge[0], edge[1]
+        if u <= v:
+            ends, pair = (u, v), (first[-1], second[-1])
+        else:
+            ends, pair = (v, u), (second[-1], first[-1])
+        if second[:width] != edge or (first[width], second[width]) != ends:
+            raise _pair_error(first, second, width)
+        joined.append((*edge, *pair))
+    return joined
+
+
+def _pair_error(first: tuple, second: tuple, width: int) -> ProtocolError:
+    """The error for two adjacent copies that do not pair up."""
+    if first[:width] != second[:width]:
+        return ProtocolError(f"mismatched edge copies {first} / {second}")
+    return ProtocolError(
+        f"edge {first[:width]} has copies at sources {first[width]} and "
+        f"{second[width]}, not one at each endpoint; duplicate edges?"
+    )

@@ -427,13 +427,8 @@ def _sample_sort_columnar(
     order = columnar.stable_order(cast, fields, groups=np.repeat(np.arange(k), counts))
     ranked = [col[order] for col in cast.columns]
     del cast
-    start = 0
-    for machine, count in zip(smalls, counts):
-        if count:
-            machine.put(name, EdgeBlock([col[start:start + count] for col in ranked], count))
-            start += count
-        else:
-            machine.put(name, [])
+    for machine, data in zip(smalls, columnar.split_columns(ranked, counts)):
+        machine.put(name, data)
 
     _report_counts(cluster, coordinator, machine_ids, counts, note)
     return SortLayout(machine_ids=machine_ids, counts=counts)

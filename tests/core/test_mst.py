@@ -2,11 +2,13 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.mst as mst_module
 from repro.core.mst import (
     boruvka_step_budget,
     heterogeneous_mst,
@@ -15,6 +17,8 @@ from repro.core.mst import (
 from repro.graph import generators
 from repro.graph.validation import verify_mst
 from repro.mpc import ModelConfig
+from repro.primitives import columnar
+from repro.primitives.columnar import EdgeBlock
 
 
 @pytest.fixture
@@ -138,3 +142,45 @@ def test_mst_property_random_graphs(seed):
     g = generators.random_connected_graph(n, m, rng).with_unique_weights(rng)
     result = heterogeneous_mst(g, rng=random.Random(seed + 1))
     assert verify_mst(g, result.edges)
+
+
+def test_boruvka_steps_stay_in_columns():
+    """Perf shape of Section 3's Borůvka phase at the end-to-end quick size
+    (n=300, m=2400): after every step the contracted edges are an
+    EdgeBlock on every non-empty small machine, and the dedup sorts get
+    blocks, so they ingest no tuple rows."""
+    rng = random.Random(0)
+    g = generators.random_connected_graph(300, 2400, rng).with_unique_weights(rng)
+    shapes: list[list[bool]] = []
+    dedup_ingests: list[int] = []
+    in_dedup: list[bool] = []
+    step, dedup, ingest = mst_module._boruvka_step, mst_module.dedup_lightest, columnar.ingest_rows
+
+    def checked_step(cluster, store, *args):
+        merged = step(cluster, store, *args)
+        shapes.append([
+            isinstance(data, EdgeBlock)
+            for machine in cluster.smalls
+            if len(data := machine.get(store.name, []))
+        ])
+        return merged
+
+    def watched_dedup(*args, **kwargs):
+        in_dedup.append(True)
+        try:
+            return dedup(*args, **kwargs)
+        finally:
+            in_dedup.pop()
+
+    def counted_ingest(rows):
+        if in_dedup:
+            dedup_ingests.append(len(rows))
+        return ingest(rows)
+
+    with mock.patch.object(mst_module, "_boruvka_step", checked_step), \
+            mock.patch.object(mst_module, "dedup_lightest", watched_dedup), \
+            mock.patch.object(columnar, "ingest_rows", counted_ingest):
+        result = heterogeneous_mst(g, rng=random.Random(rng.getrandbits(64)))
+    assert verify_mst(g, result.edges)
+    assert shapes and shapes[0] and all(all(step_shapes) for step_shapes in shapes)
+    assert dedup_ingests == []

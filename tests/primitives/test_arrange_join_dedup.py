@@ -143,7 +143,8 @@ def test_annotate_attaches_both_endpoint_values():
     annotate_edges_with_vertex_values(cluster, "edges", values, "out")
     records = cluster.all_items("out")
     assert len(records) == g.m
-    for edge, value_u, value_v in records:
+    for row in records:
+        edge, value_u, value_v = row[:-2], row[-2], row[-1]
         assert value_u == f"tag{edge[0]}"
         assert value_v == f"tag{edge[1]}"
 
@@ -154,9 +155,9 @@ def test_annotate_uses_default_for_missing_vertices():
     annotate_edges_with_vertex_values(
         cluster, "edges", {0: "x"}, "out", default="?"
     )
-    records = {record[0]: record for record in cluster.all_items("out")}
-    assert records[(0, 1)][1] == "x" and records[(0, 1)][2] == "?"
-    assert records[(1, 2)][1] == "?"
+    records = {row[:-2]: row for row in cluster.all_items("out")}
+    assert records[(0, 1)][-2] == "x" and records[(0, 1)][-1] == "?"
+    assert records[(1, 2)][-2] == "?"
 
 
 def test_annotate_leaves_source_dataset_untouched():
@@ -197,7 +198,8 @@ def test_annotate_property_random_graphs(seed):
     cluster.distribute_edges(g.edges, name="edges")
     values = {v: v * v for v in range(n)}
     annotate_edges_with_vertex_values(cluster, "edges", values, "out")
-    for edge, vu, vv in cluster.all_items("out"):
+    for row in cluster.all_items("out"):
+        edge, vu, vv = row[:-2], row[-2], row[-1]
         assert vu == edge[0] ** 2 and vv == edge[1] ** 2
 
 

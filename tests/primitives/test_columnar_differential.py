@@ -20,6 +20,7 @@ fix: empty scatters must not open runs or burn rounds.
 
 import importlib
 import random
+import re
 from contextlib import contextmanager, nullcontext
 from unittest import mock
 
@@ -29,10 +30,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.primitives.columnar as columnar
+from repro.core.mst import heterogeneous_mst
+from repro.graph import generators
 from repro.mpc import Cluster, ModelConfig, RoundPlan
+from repro.mpc.errors import ProtocolError
+from repro.mpc.machine import Machine
 from repro.mpc.words import word_size_many
 from repro.primitives.aggregate import aggregate
-from repro.primitives.arrange import arrange_directed
+from repro.primitives.arrange import arrange_directed, query_first_records
 from repro.primitives.columnar import (
     EdgeBlock,
     ingest_rows,
@@ -348,47 +353,90 @@ def _gen_edges(n_vertices, n_edges, seed, weighted=False, float_w=False):
 
 
 _NV = 40
+#: ``(edges, values, default, shape)``; *shape* is what the columnar run
+#: stores: ``"block"`` (an EdgeBlock on every non-empty machine, from the
+#: sorts to the output), ``"tuples"`` (flat tuple rows) or ``"empty"``.
 _JOIN_CASES = {
     # int values, complete map (the rename pattern; default never used)
     "int-complete": (
-        _gen_edges(_NV, 90, 1), {v: v * 3 for v in range(_NV)}, None),
+        _gen_edges(_NV, 90, 1), {v: v * 3 for v in range(_NV)}, None, "block"),
     # bool values with a default (the matching-flag pattern)
     "bool-default": (
-        _gen_edges(_NV, 70, 2), {v: True for v in range(0, _NV, 3)}, False),
-    # default=None actually delivered -> tuple rows on those machines
+        _gen_edges(_NV, 70, 2), {v: True for v in range(0, _NV, 3)}, False,
+        "block"),
+    # default=None actually delivered -> tuple rows
     "none-fallback": (
-        _gen_edges(_NV, 70, 2), {v: v for v in range(0, _NV, 2)}, None),
+        _gen_edges(_NV, 70, 2), {v: v for v in range(0, _NV, 2)}, None, "tuples"),
     # tuple values fit no column -> tuple rows
     "tuple-fallback": (
-        _gen_edges(_NV, 60, 3), {v: (v, v + 1) for v in range(_NV)}, (0, 0)),
+        _gen_edges(_NV, 60, 3), {v: (v, v + 1) for v in range(_NV)}, (0, 0),
+        "tuples"),
     # weighted edges widen the flat representation
     "weighted": (
         _gen_edges(_NV, 80, 4, weighted=True),
-        {v: v % 7 for v in range(_NV)}, 0),
+        {v: v % 7 for v in range(_NV)}, 0, "block"),
     # float edge weights force the sorted (non-packed) sort mode
     "float-weights": (
         _gen_edges(_NV, 80, 5, weighted=True, float_w=True),
-        {v: v % 7 for v in range(_NV)}, 0),
-    # float values
+        {v: v % 7 for v in range(_NV)}, 0, "block"),
+    # float values ride a float64 value column
     "float-values": (
-        _gen_edges(_NV, 60, 6), {v: v / 8 for v in range(_NV)}, 0.0),
+        _gen_edges(_NV, 60, 6), {v: v / 8 for v in range(_NV)}, 0.0, "block"),
     # mixed value types across machines -> object-path second sort
     "mixed-types": (
         _gen_edges(_NV, 70, 7),
-        {0: True, 1: 5, **{v: v for v in range(2, _NV)}}, 0),
-    "empty": ([], {0: 1}, None),
-    "single-edge": ([(5, 9)], {5: 1, 9: 2}, None),
+        {0: True, 1: 5, **{v: v for v in range(2, _NV)}}, 0, "tuples"),
+    # the low machines' values are all bools and the high machines' all
+    # ints: one cluster-wide column cannot hold them, so every copy falls
+    # back to a tuple row
+    "per-machine-dtypes": (
+        _gen_edges(_NV, 70, 10),
+        {v: (v % 2 == 0 if v < _NV // 2 else v) for v in range(_NV)}, 0,
+        "tuples"),
+    # edges stored as (u, v) with u > v: the copy at v sorts first, so
+    # value_u comes from the second copy of each pair
+    "reversed-edges": (
+        [(v, u, w) for u, v, w in _gen_edges(_NV, 70, 11, weighted=True)],
+        {v: v * 5 for v in range(_NV)}, None, "block"),
+    # self-loops pair their two copies at the same source
+    "self-loops": (
+        _gen_edges(_NV, 50, 9) + [(v, v) for v in range(0, _NV, 7)],
+        {v: -v for v in range(_NV)}, 0, "block"),
+    "empty": ([], {0: 1}, None, "empty"),
+    "single-edge": ([(5, 9)], {5: 1, 9: 2}, None, "block"),
     # a column no typed block holds (the clustering graphs' records
     # (c1, c2, (scale, (u, v)))) -> tuple rows on both paths
     "object-column": (
         [(u, v, (u % 3, (u, v))) for u, v in _gen_edges(_NV, 60, 8)],
-        {v: v % 5 for v in range(_NV)}, 0),
+        {v: v % 5 for v in range(_NV)}, 0, "tuples"),
 }
+
+
+def _columnar_join(edges, values, default):
+    """Run the join on the columnar side; returns the cluster and every
+    non-empty dataset of directed copies that step 4 took off a machine —
+    after the boundary round, so receivers are among them."""
+    cluster = make_cluster()
+    distribute(cluster, "edges", edges)
+    zipped = []
+    pop = Machine.pop
+
+    def spy(machine, name, default=None):
+        data = pop(machine, name, default)
+        if name == "annotated__directed" and data is not None and len(data):
+            zipped.append(data)
+        return data
+
+    with mock.patch.object(Machine, "pop", spy):
+        annotate_edges_with_vertex_values(
+            cluster, "edges", values, "annotated", default=default
+        )
+    return cluster, zipped
 
 
 @pytest.mark.parametrize("case", sorted(_JOIN_CASES))
 def test_join_differential(case):
-    edges, values, default = _JOIN_CASES[case]
+    edges, values, default, shape = _JOIN_CASES[case]
 
     def go(cluster):
         distribute(cluster, "edges", edges)
@@ -397,7 +445,53 @@ def test_join_differential(case):
         )
         return None
 
-    run_everyway(go, ["annotated"])
+    datasets = run_everyway(go, ["annotated"])[0]
+    # One flat row (*edge, value_u, value_v) per input edge.
+    rows = [row for data in datasets.values() for row in data]
+    assert sorted(row[:-2] for row in rows) == sorted(edges)
+    for row in rows:
+        assert row[-2:] == (values.get(row[0], default), values.get(row[1], default))
+
+    cluster, zipped = _columnar_join(edges, values, default)
+    outputs = [data for m in cluster.smalls if len(data := m.get("annotated"))]
+    if shape == "block":
+        # Blocks from the sorts to the output: no machine, receivers of
+        # the boundary round included, turned its copies into tuples.
+        assert zipped and all(isinstance(data, EdgeBlock) for data in zipped)
+        assert outputs and all(isinstance(data, EdgeBlock) for data in outputs)
+    elif shape == "tuples":
+        assert outputs and all(isinstance(data, list) for data in outputs)
+    else:
+        assert not outputs
+
+
+def test_join_boundary_copy_lands_on_a_receiving_block():
+    """The int-complete case moves copies in its boundary round, and every
+    receiver keeps its copies as one block."""
+    edges, values, default, _ = _JOIN_CASES["int-complete"]
+    cluster, zipped = _columnar_join(edges, values, default)
+    boundary = [r for r in cluster.ledger.records if r.note == "annotate/boundary"]
+    assert boundary and boundary[0].items > 0
+    assert all(isinstance(data, EdgeBlock) for data in zipped)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("copies", [2, 3])
+@pytest.mark.parametrize(
+    "edge, other", [((0, 1), (1, 2)), ((0, 1, 5), (2, 3, 1))], ids=["plain", "weighted"]
+)
+def test_join_rejects_duplicate_edges(path, copies, edge, other):
+    """Two or three copies of an edge keep the total even, so only the
+    pair check sees them: both paths raise a ProtocolError naming the
+    edge instead of a KeyError or a wrong value."""
+    cluster = make_cluster()
+    distribute(cluster, "edges", [edge] * copies + [other])
+    with PATHS[path](), pytest.raises(
+        ProtocolError, match=rf"edge {re.escape(str(edge))} has copies at sources 0 and 0"
+    ):
+        annotate_edges_with_vertex_values(
+            cluster, "edges", {0: 0, 1: 10, 2: 20, 3: 30}, "annotated"
+        )
 
 
 _ARRANGE_CASES = {
@@ -436,6 +530,65 @@ def test_arrange_differential(case):
         )
 
     run_everyway(go, ["edges.dir"])
+
+
+def _star_edges():
+    """Vertex 0 is adjacent to every other vertex, so its rows span several
+    machines; weights are unique."""
+    rng = random.Random(21)
+    edges = sorted({(0, v) for v in range(1, _NV)} | set(_gen_edges(_NV, 12, 21)))
+    weights = rng.sample(range(10**6), len(edges))
+    return [(u, v, w) for (u, v), w in zip(edges, weights)]
+
+
+def test_query_first_records_differential():
+    """Section 3's query step on blocks (one cluster-wide pass) and on
+    tuple rows (the row loop): the same queries, answers, rounds, words
+    and memory marks — with a zero quota, quotas above the degree,
+    vertices asking for nothing, and a vertex whose first rows span at
+    least three machines."""
+    edges = _star_edges()
+
+    def go(cluster):
+        distribute(cluster, "edges", edges)
+        arrangement = arrange_directed(cluster, "edges", "edges.dir", secondary_key=2)
+        degrees = arrangement.out_degrees
+        assert len(arrangement.holders[0]) >= 3
+        quotas = {v: (0, 1, 2, degrees[v] + 3)[v % 4] for v in degrees if v % 5}
+        quotas[0] = degrees[0]
+        assert 0 in quotas.values() and any(quotas[v] > degrees[v] for v in quotas)
+        collected = query_first_records(
+            cluster, arrangement, quotas, fields=(2, 3, 4, 1), notes=("q", "a")
+        )
+        assert sum(1 for row in collected if row[0] == 0) == degrees[0]
+        return collected, [r.items for r in cluster.ledger.records[-2:]]
+
+    run_everyway(go, ["edges.dir"])
+    cluster = make_cluster()
+    distribute(cluster, "edges", edges)
+    arrange_directed(cluster, "edges", "edges.dir", secondary_key=2)
+    assert all(isinstance(m.get("edges.dir"), EdgeBlock) for m in cluster.smalls)
+
+
+def test_mst_differential():
+    """Section 3's whole algorithm on both paths: the Borůvka steps (the
+    join, the query step, the rename and the dedup) on tuple rows give
+    the same forest, rounds, words and memory marks as on blocks."""
+    rng = random.Random(31)
+    graph = generators.random_connected_graph(60, 600, rng).with_unique_weights(rng)
+    results = {}
+    for path, context in PATHS.items():
+        with context():
+            result = heterogeneous_mst(graph, rng=random.Random(5))
+        ledger = result.cluster.ledger
+        results[path] = (
+            result.edges,
+            [(r.note, r.total_words, r.max_sent, r.max_received, r.items)
+             for r in ledger.records],
+            ledger.memory_high_water,
+        )
+    assert result.boruvka_steps >= 2
+    assert results["object"] == results["columnar"]
 
 
 # ----------------------------------------------------------------------

@@ -109,5 +109,6 @@ def test_aggregate_skips_none_pairs(cluster, graph):
 def test_annotate_roundtrip(cluster, graph):
     store = EdgeStore.create(cluster, graph.edges)
     annotated = store.annotate({v: -v for v in range(graph.n)})
-    for edge, vu, vv in annotated.items():
+    for row in annotated.items():
+        edge, vu, vv = row[:-2], row[-2], row[-1]
         assert vu == -edge[0] and vv == -edge[1]
