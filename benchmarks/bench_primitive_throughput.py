@@ -3,10 +3,12 @@
 Times the distributed primitives on a 32-small-machine cluster at a
 100k-item scale (``REPRO_BENCH_PRIMITIVE_ITEMS`` overrides), comparing:
 
-* *object* — per-item tuples, per-item bucketing/dict loops (the
-  pre-columnar behavior, reached by making ``repro.primitives.columnar``'s
-  qualification entry points ``ensure_block`` and ``ingest_pairs``
-  decline, as they do for input that does not fit typed columns);
+* *object* — per-item tuples, per-item bucketing/dict loops in the sort
+  and the aggregate (the pre-columnar behavior, reached by making the
+  sort's ``_columnar_sort_context`` and the aggregate's
+  ``columnar.ingest_pairs`` decline, as they do for rows whose fields are
+  not scalars); the single-path steps of join, dedup and arrange ingest
+  the tuple rows the object sort leaves;
 * *columnar* — :class:`~repro.primitives.columnar.EdgeBlock` record
   batches: one cluster-wide packed-key ``searchsorted`` and one array
   scatter routing ``sample_sort``,
@@ -17,9 +19,9 @@ Times the distributed primitives on a 32-small-machine cluster at a
 Sort and aggregate take block-native columnar inputs — the
 steady-state representation a
 columnar pipeline hands from one primitive to the next (a list-ingest
-first step pays a one-time conversion and still clears the bar).  The
-remaining dual-path primitives take plain tuple lists on both paths and
-build their internal representations themselves.  ``broadcast`` and
+first step pays a one-time conversion and still clears the bar).  Join,
+dedup and arrange take plain tuple lists on both paths and build their
+internal representations themselves.  ``broadcast`` and
 ``disseminate`` have a single (batched) implementation each and are
 reported for trend tracking.
 
@@ -36,10 +38,11 @@ from __future__ import annotations
 import os
 import random
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from unittest import mock
 
 import repro.primitives.columnar as columnar
+import repro.primitives.sort as sort_module
 from repro.mpc.cluster import Cluster
 from repro.mpc.config import ModelConfig
 from repro.primitives.aggregate import aggregate
@@ -91,18 +94,21 @@ def _fingerprint(cluster: Cluster, names: list[str]):
     return datasets, ledger, cluster.ledger.memory_high_water
 
 
-def _decline(data):
+def _decline(*args):
     return None
 
 
+@contextmanager
 def _path(path: str):
-    """The context *path* runs in: on ``"object"`` the columnar
-    qualification entry points decline every input."""
-    if path == "object":
-        return mock.patch.multiple(
-            columnar, ensure_block=_decline, ingest_pairs=_decline
-        )
-    return nullcontext()
+    """The context *path* runs in: on ``"object"`` the sort's and the
+    aggregate's columnar qualifications decline every input."""
+    if path != "object":
+        yield
+        return
+    with mock.patch.object(
+        sort_module, "_columnar_sort_context", _decline
+    ), mock.patch.object(columnar, "ingest_pairs", _decline):
+        yield
 
 
 def _measure(path: str, run_once):

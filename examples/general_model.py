@@ -1,24 +1,20 @@
-"""The generalized (S_sub, S_lin, S_sup)-Heterogeneous MPC model (Section 6)
-and component-stable execution (footnote 1).
+"""The generalized (S_sub, S_lin, S_sup)-Heterogeneous MPC model (Section 6).
 
 The conclusion of the paper proposes parameterizing deployments by the
 *total memory of each machine class*.  This example:
 
 1. builds the paper's model as the special case general(s_sub=m, s_lin=n);
 2. scales up to several near-linear machines and to a superlinear machine
-   (n^{1+f}), showing how the MST algorithm's phase structure reacts;
-3. wraps maximal matching with the component-stability transform —
-   connectivity first, then each component solved independently in
-   parallel — on a disconnected input.
+   (n^{1+f}), showing how the MST algorithm's phase structure reacts.
 
 Run:  python examples/general_model.py
 """
 
 import random
 
-from repro.core import heterogeneous_matching, heterogeneous_mst, run_component_stable
+from repro.core import heterogeneous_mst
 from repro.graph import generators
-from repro.graph.validation import is_maximal_matching, verify_mst
+from repro.graph.validation import verify_mst
 from repro.mpc import ModelConfig
 
 
@@ -40,23 +36,6 @@ def main() -> None:
             f"{label:<35} {result.boruvka_steps:>5}  {result.rounds:>6}  "
             f"{verify_mst(graph, result.edges)}"
         )
-
-    print("\ncomponent-stable matching on a 4-component graph:")
-    disconnected = generators.planted_components_graph(100, 4, 120, rng)
-    wrapped = run_component_stable(
-        disconnected, heterogeneous_matching, rng=random.Random(2)
-    )
-    matching = wrapped.combined_edges(lambda r: r.matching)
-    print(
-        f"  components={wrapped.num_components}, "
-        f"connectivity rounds={wrapped.connectivity_rounds}, "
-        f"slowest component rounds={wrapped.component_rounds}, "
-        f"total={wrapped.rounds}"
-    )
-    print(
-        f"  combined matching size={len(matching)}, "
-        f"maximal={is_maximal_matching(disconnected, matching)}"
-    )
 
 
 if __name__ == "__main__":

@@ -67,9 +67,6 @@ def _boruvka_loop(
         iterations += 1
         # Each component's lightest outgoing edge (Claim 2, toward the
         # coordinator small machine).
-        def lighter(a: tuple, b: tuple) -> tuple:
-            return a if a < b else b
-
         pairs_by_machine = {}
         for machine in cluster.smalls:
             pairs = []
@@ -82,7 +79,7 @@ def _boruvka_loop(
                 pairs.append((cv, (weight, edge)))
             pairs_by_machine[machine.machine_id] = pairs
         lightest = aggregate(
-            cluster, pairs_by_machine, lighter, dst=coordinator, note="boruvka/min"
+            cluster, pairs_by_machine, "min", dst=coordinator, note="boruvka/min"
         )
         if not lightest:
             break
@@ -199,7 +196,7 @@ def sublinear_matching(
             ]
             for machine in cluster.smalls
         }
-        best = aggregate(cluster, pairs_by_machine, min, dst=coordinator, note="peel/min")
+        best = aggregate(cluster, pairs_by_machine, "min", dst=coordinator, note="peel/min")
         winners = {
             edge
             for edge in ranks

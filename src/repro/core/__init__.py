@@ -5,7 +5,6 @@ that transfer to the heterogeneous model).
 """
 
 from .coloring import ColoringResult, heterogeneous_coloring, palette_size
-from .component_stable import ComponentStableResult, run_component_stable
 from .connectivity import (
     ConnectivityResult,
     heterogeneous_connectivity,
@@ -43,8 +42,6 @@ __all__ = [
     "ColoringResult",
     "heterogeneous_coloring",
     "palette_size",
-    "ComponentStableResult",
-    "run_component_stable",
     "ConnectivityResult",
     "heterogeneous_connectivity",
     "sketch_components",

@@ -107,8 +107,11 @@ def heterogeneous_mst(
 
     n, m = graph.n, max(graph.m, 1)
     f = config.f
-    records = [(e[0], e[1], e[2], e[0], e[1]) for e in graph.edges]
-    store = EdgeStore.create(cluster, records, name="mst-edges")
+    # No list of the input tuples outlives the placement: once the first
+    # Borůvka step reads the store as blocks, the tuples are garbage.
+    store = EdgeStore.create(
+        cluster, [(e[0], e[1], e[2], e[0], e[1]) for e in graph.edges], name="mst-edges"
+    )
 
     mst_edges: list[tuple[int, int, int]] = []
     contraction = UnionFind(range(n))
@@ -239,20 +242,13 @@ def _renamed(cluster: Cluster, name: str) -> list:
     """Each small machine's contracted edges after the rename: the rows
     ``(cu, cv, w, ou, ov, new_u, new_v)`` of dataset *name* become
     ``(min, max, w, ou, ov)`` of the new endpoints, internal edges
-    dropped — as column operations over all machines when they hold
-    blocks, one row at a time otherwise."""
-    datasets = [machine.get(name, []) for machine in cluster.smalls]
-    flat = columnar.concat_columns(datasets)
-    if flat is None or not flat[0]:
-        return [
-            [
-                (min(row[-2], row[-1]), max(row[-2], row[-1]), *row[2:-2])
-                for row in rows
-                if row[-2] != row[-1]
-            ]
-            for rows in datasets
-        ]
-    (_, _, weight, ou, ov, new_u, new_v), counts = flat
+    dropped — as column operations over all machines."""
+    columns, counts = columnar.concat_columns(
+        columnar.stored_blocks(cluster.smalls, name)
+    )
+    if not columns:
+        return [[] for _ in counts]
+    _, _, weight, ou, ov, new_u, new_v = columns
     keep = new_u != new_v
     machine = np.repeat(np.arange(len(counts)), counts)[keep]
     return columnar.split_columns(

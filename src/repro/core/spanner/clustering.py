@@ -46,9 +46,10 @@ def _highbit(mask: int) -> int:
 class ClusteringGraphs:
     """The star decomposition plus the distributed clustering graphs.
 
-    ``store`` holds records ``(c1, c2, (scale, original_edge))`` — one per
-    clustering-graph edge, deduplicated to the lightest original edge —
-    living on the small machines, ready for Algorithm 6.
+    ``store`` holds flat records ``(c1, c2, scale, u, v)`` — one per
+    clustering-graph edge ``(c1, c2)`` of ``A_scale``, deduplicated to its
+    lightest original edge ``(u, v)`` — living on the small machines,
+    ready for Algorithm 6.
     """
 
     levels: int
@@ -166,7 +167,7 @@ def build_clustering_graphs(
                 candidates.append((v, (cluster.rng.random(), u, (u, v))))
         machine.put(candidate_name, candidates)
     chosen_center = EdgeStore(cluster, candidate_name).aggregate(
-        lambda pair: (pair[0], pair[1]), min, note=f"{note}/sigma"
+        lambda pair: (pair[0], pair[1]), "min", note=f"{note}/sigma"
     )
     cluster.map_small(candidate_name, lambda m, items: [])
 
@@ -192,26 +193,21 @@ def build_clustering_graphs(
                 continue
             scale = degree_scale(du, dv)
             c1, c2 = min(su, sv), max(su, sv)
-            records.append((c1, c2, (scale, (row[0], row[1]))))
+            records.append((c1, c2, scale, row[0], row[1]))
         machine.put(ai_name, records)
     ai_store = EdgeStore(cluster, ai_name)
-    dedup_lightest(
-        cluster,
-        ai_name,
-        key=lambda r: (r[2][0], r[0], r[1]),
-        weight=lambda r: r[2][1],
-        note=f"{note}/dedup",
-    )
+    # Lightest original edge per (scale, c1, c2).
+    dedup_lightest(cluster, ai_name, key=(2, 0, 1), weight=(3, 4), note=f"{note}/dedup")
 
     # --- per-level statistics (Claim 2) -------------------------------------
     level_edge_counts = ai_store.aggregate(
-        lambda r: (r[2][0], 1), "sum", note=f"{note}/edge-counts"
+        lambda r: (r[2], 1), "sum", note=f"{note}/edge-counts"
     )
     vertex_marks = ai_store.aggregate(
-        lambda r: ((r[2][0], r[0]), 1), lambda a, b: 1, note=f"{note}/vertex-counts"
+        lambda r: ((r[2], r[0]), 1), "max", note=f"{note}/vertex-counts"
     )
     vertex_marks2 = ai_store.aggregate(
-        lambda r: ((r[2][0], r[1]), 1), lambda a, b: 1, note=f"{note}/vertex-counts2"
+        lambda r: ((r[2], r[1]), 1), "max", note=f"{note}/vertex-counts2"
     )
     level_vertices: dict[int, set[int]] = {}
     for (scale, c), _ in list(vertex_marks.items()) + list(vertex_marks2.items()):

@@ -31,7 +31,8 @@ __all__ = [
     "modified_baswana_sen_mpc",
 ]
 
-#: An edge record: (endpoint a, endpoint b, payload carried to the output).
+#: An edge payload carried to the output (for clustering graphs, the
+#: ``(scale, u, v)`` leaves of the original edge a record stands for).
 Record = tuple
 
 
@@ -214,8 +215,11 @@ def modified_baswana_sen_mpc(
 ) -> dict:
     """Algorithm 2 in the Heterogeneous MPC model.
 
-    *store* holds records ``(a, b, payload)``; the returned spanner is a
-    set of payloads (for clustering graphs these are original-graph edges).
+    *store* holds flat records ``(a, b, *payload)``; the returned spanner
+    is a set of payload tuples (for clustering graphs ``(scale, u, v)``,
+    ending in the original-graph edge).  A payload is rebuilt as the
+    tuple of the record's fields after ``a`` and ``b`` wherever it is
+    sent or compared, so it has the record's leaves in their order.
 
     Protocol: small machines sample ``k-1`` subgraphs locally and ship them
     to the large machine (one round); the large machine runs the clustering
@@ -238,8 +242,8 @@ def modified_baswana_sen_mpc(
     inbox = cluster.execute(plan).get(large_id, [])
 
     sampled: list[dict[Hashable, list]] = [dict() for _ in range(max(0, k - 1))]
-    for level, record in inbox:
-        a, b, payload = record[0], record[1], record[2]
+    for level, (a, b, *payload) in inbox:
+        payload = tuple(payload)
         sampled[level].setdefault(a, []).append((b, payload))
         sampled[level].setdefault(b, []).append((a, payload))
 
@@ -256,12 +260,12 @@ def modified_baswana_sen_mpc(
             if label_a is None or label_b is None:
                 continue
             candidates.extend(
-                _removal_candidates(row[0], row[1], label_a, label_b, row[2])
+                _removal_candidates(row[0], row[1], label_a, label_b, row[2:-2])
             )
         machine.put(candidate_name, candidates)
     candidate_store = EdgeStore(cluster, candidate_name)
     best = candidate_store.aggregate(
-        lambda pair: (pair[0], pair[1]), min, note=f"{note}/select"
+        lambda pair: (pair[0], pair[1]), "min", note=f"{note}/select"
     )
     candidate_store.drop()
 

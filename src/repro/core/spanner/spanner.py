@@ -129,7 +129,7 @@ def _unweighted_spanner(
                     [
                         record
                         for record in machine.get(clustering.store.name, [])
-                        if record[2][0] == level
+                        if record[2] == level
                     ],
                 )
             level_store = EdgeStore(cluster, level_name)
@@ -153,7 +153,8 @@ def _unweighted_spanner(
                     rng,
                     note=f"level{level}/mbs",
                 )
-                chosen = {payload[1] for payload in result["spanner"]}
+                # Payloads are (scale, u, v); the edge is (u, v).
+                chosen = {payload[1:] for payload in result["spanner"]}
                 sampled_levels.append(level)
             level_store.drop()
             level_sizes[level] = len(chosen)
@@ -172,8 +173,8 @@ def _classic_spanner_on_large(
     vertices = sorted({r[0] for r in records} | {r[1] for r in records})
     index = {v: position for position, v in enumerate(vertices)}
     by_pair: dict[tuple[int, int], tuple] = {}
-    for c1, c2, (scale, original) in records:
-        key = (index[c1], index[c2])
+    for c1, c2, _, u, v in records:
+        key, original = (index[c1], index[c2]), (u, v)
         if key not in by_pair or original < by_pair[key]:
             by_pair[key] = original
     relabeled = Graph(len(vertices), list(by_pair.keys()), weighted=False)

@@ -721,7 +721,7 @@ def _measure_ablation_gamma(gamma: float, rng: random.Random, quick: bool) -> di
     store = EdgeStore.create(cluster, graph.edges)
 
     before = cluster.ledger.rounds
-    store.sort(key=lambda e: e[2])
+    store.sort(key=2)
     sort_rounds = cluster.ledger.rounds - before
 
     before = cluster.ledger.rounds

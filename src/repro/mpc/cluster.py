@@ -58,7 +58,7 @@ class Cluster:
         self._placement_rng = random.Random(repr(self.rng.getstate()))
         self.ledger = RoundLedger()
         # Machines report the upcoming round index so strict-mode memory
-        # failures at `put`/`touch` carry *when* the breach happened.
+        # failures at `put` carry *when* the breach happened.
         round_source = lambda: self.ledger.rounds + 1  # noqa: E731
 
         self.smalls: list[Machine] = [

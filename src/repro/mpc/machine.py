@@ -18,18 +18,18 @@ class Machine:
     """One machine of the cluster.
 
     Data lives in named datasets (``machine.put("edges", [...])``).  The
-    machine tracks the word size of each dataset so the cluster can enforce
-    or record memory usage cheaply.  Code that mutates a stored container in
-    place must call :meth:`touch` so the cached size is refreshed.
+    machine charges each dataset's word size when it is put, so the
+    cluster can enforce or record memory usage cheaply; a stored dataset
+    is never mutated in place — code that changes one puts the new value.
 
     Memory honesty: in strict mode (``strict=True``, set by the cluster
-    from ``ModelConfig.strict``) any :meth:`put` or :meth:`touch` that
-    would push total usage past ``capacity`` raises
+    from ``ModelConfig.strict``) any :meth:`put` that would push total
+    usage past ``capacity`` raises
     :class:`~repro.mpc.errors.MemoryLimitExceeded` at the moment of
     hoarding — scratch state must be charged within budget or explicitly
-    freed (:meth:`pop`).  In recording mode the cluster checks
-    :attr:`over_capacity` at every round and logs a ledger violation
-    instead.
+    freed (:meth:`pop`).  In recording mode the cluster compares
+    :attr:`usage` with ``capacity`` at every round and logs a ledger
+    violation instead.
 
     ``round_source`` (set by the cluster) reports the upcoming 1-based
     round index so strict-mode failures carry *when* the breach happened
@@ -92,21 +92,6 @@ class Machine:
         self._sizes.pop(name, None)
         return self._store.pop(name, default)
 
-    def touch(self, name: str) -> None:
-        """Recompute the cached size of *name* after in-place mutation."""
-        if name in self._store:
-            self._sizes[name] = word_size(self._store[name])
-            if self.strict and self.usage > self.capacity:
-                violation = Violation(
-                    self.machine_id, "memory", self.usage, self.capacity,
-                    self._round(), note=name,
-                )
-                raise MemoryLimitExceeded(
-                    f"{violation} (in-place growth of dataset {name!r} "
-                    f"on the {self.kind} machine)",
-                    violations=[violation],
-                )
-
     def datasets(self) -> Iterator[str]:
         return iter(self._store)
 
@@ -118,13 +103,10 @@ class Machine:
     # ------------------------------------------------------------------
     @property
     def usage(self) -> int:
-        """Current memory usage in words (cached; see :meth:`touch`)."""
+        """Current memory usage in words: the sum of the sizes charged when
+        each dataset was put (a list of records by its leaves, an
+        ``EdgeBlock`` as rows times width, whatever its columns hold)."""
         return sum(self._sizes.values())
-
-    @property
-    def over_capacity(self) -> bool:
-        """Whether stored data currently exceeds the memory budget."""
-        return self.usage > self.capacity
 
     @property
     def is_large(self) -> bool:

@@ -57,7 +57,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .words import word_size, word_size_many
+from .words import array_words, word_size, word_size_many
 
 __all__ = ["Block", "RoundPlan", "is_block"]
 
@@ -538,8 +538,9 @@ class RoundPlan:
 
 
 def _check_numeric(block: Any) -> None:
-    if isinstance(block, np.ndarray) and block.dtype.kind not in "iufb":
-        raise TypeError(
-            f"columnar blocks must have a numeric dtype, got {block.dtype}"
-        )
+    """A numpy block must size one word per element: a numeric dtype, or
+    an ``object`` array of Python scalars (:func:`~repro.mpc.words.array_words`
+    raises otherwise)."""
+    if isinstance(block, np.ndarray):
+        array_words(block)
 

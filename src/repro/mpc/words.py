@@ -20,7 +20,11 @@ equivalent text.
 Numeric numpy arrays are charged one word per element — a ``(k, 3)`` int
 block costs exactly what the equivalent ``k`` ``(u, v, w)`` tuples cost —
 which is what makes the columnar engine's O(1) run sizing
-(``block.size``) bit-identical to the object path.
+(``block.size``) bit-identical to the object path.  An ``object`` array
+is charged the same way when every element is a Python ``int``,
+``float`` or ``bool`` (the columns that hold ints past int64 or mixed
+scalar types); one holding anything else raises :class:`TypeError`
+(:func:`array_words`).
 
 How the simulator computes these charges (the charges themselves do not
 depend on it):
@@ -52,9 +56,11 @@ from typing import Any, Iterable
 
 import numpy as np
 
-__all__ = ["word_size", "word_size_many"]
+__all__ = ["array_words", "word_size", "word_size_many"]
 
 _SCALARS = (int, float, bool, type(None))
+#: The element types an ``object`` array may hold.
+_ARRAY_SCALARS = frozenset((int, float, bool))
 
 _SCALAR_TYPES = frozenset(_SCALARS)
 _NESTED_TYPES = frozenset((tuple, list))
@@ -64,6 +70,21 @@ _LEVEL_TYPES = _SCALAR_TYPES | _NESTED_TYPES | _BYTES_TYPES
 
 #: Nesting depth past which a payload is taken to contain itself.
 _MAX_DEPTH = 1000
+
+
+def array_words(array: Any) -> int:
+    """Words of a numpy array: one per element of a numeric array, or of
+    an ``object`` array whose elements are all Python ints, floats or
+    bools (checked element by element); :class:`TypeError` otherwise."""
+    kind = array.dtype.kind
+    if kind in "iufb" or (
+        kind == "O" and set(map(type, array.flat)) <= _ARRAY_SCALARS
+    ):
+        return int(array.size)
+    raise TypeError(
+        f"cannot compute word size of a {array.dtype} array: it must be "
+        "numeric or hold only Python ints, floats and bools"
+    )
 
 
 def word_size(obj: Any) -> int:
@@ -89,9 +110,7 @@ def word_size(obj: Any) -> int:
             return 1
         raise TypeError(f"cannot compute word size of dtype {obj.dtype}")
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "iufb":
-            return int(obj.size)
-        raise TypeError(f"cannot compute word size of dtype {obj.dtype}")
+        return array_words(obj)
     raise TypeError(f"cannot compute word size of {type(obj).__name__}")
 
 
@@ -112,9 +131,7 @@ def word_size_many(items: Iterable[Any]) -> int:
         # empty-scatter handling (no run, no round).
         if items.size == 0:
             return 0
-        if items.dtype.kind in "iufb":
-            return int(items.size)
-        raise TypeError(f"cannot compute word size of dtype {items.dtype}")
+        return array_words(items)
     level = items if isinstance(items, (list, tuple)) else list(items)
     total = 0
     for _ in range(_MAX_DEPTH):

@@ -1,27 +1,26 @@
 """Distributed primitives: the paper's Claims 1-4 plus supporting plumbing.
 
-Each primitive takes its columnar path (:mod:`repro.primitives.columnar`)
-when every machine's rows qualify as typed columns, and its object path
-otherwise; datasets, rounds and words are the same either way.  These
-callers still take an object path, because their keys or values are
-callables or tuples that no typed column holds (traced over
-``repro bench all --quick``):
+Items are flat records; sort and dedup keys are field specs (column
+indices).  Claim 4's arrangement, Section 3's query step and the dedup's
+keep-first pass run on :class:`~repro.primitives.columnar.EdgeBlock` s
+only, reading their input through
+:func:`~repro.primitives.columnar.stored_blocks` (records of finite
+scalars; a field no int64, float64 or bool column holds rides an
+``object`` column).  Two primitives keep an object path, with the same
+datasets, rounds and words as their columnar one:
 
-* custom ``aggregate`` combines: ``lighter`` in ``baselines/sublinear.py``,
-  ``two_smallest`` in ``core/mincut.py``, and in
-  ``core/spanner/clustering.py`` the OR of mask tuples, the ``min`` of
-  ``(rank, center, edge)`` tuples and the tuple-keyed vertex marks;
-* joins whose values are flow labels (the KKT filter in ``core/mst.py``)
-  or tuples (statuses in ``core/mis.py``, palettes in
-  ``core/coloring.py``, masks, centers and degrees in
-  ``core/spanner/clustering.py``): the values ride tuple rows, so the
-  join's second sort takes the object path and the join emits flat
-  tuple rows ``(*edge, value_u, value_v)`` — the shape its blocks have
-  when the values fit one typed column;
-* ``dedup_lightest`` with callable keys over the clustering-graph records
-  ``(c1, c2, (scale, edge))`` in ``core/spanner/clustering.py``;
-* the callable-key sort of the gamma ablation in
-  ``experiments/registry.py``.
+* ``sample_sort``, for rows whose fields are not scalars — the
+  sort-join's second sort when the values are flow labels (the KKT
+  filter in ``core/mst.py``), ``VertexLabel`` s (modified Baswana–Sen),
+  ``None`` defaults or tuples (statuses in ``core/mis.py``, palettes in
+  ``core/coloring.py``, trial masks, ``(i_u, mask)`` and ``(sigma,
+  degree)`` in ``core/spanner/clustering.py``); the join then emits flat
+  tuple rows ``(*edge, value_u, value_v)``, the shape its blocks have
+  when the values are scalars;
+* ``aggregate``, for custom combines (``two_smallest`` in
+  ``core/mincut.py``, the element-wise mask OR in
+  ``core/spanner/clustering.py``) and keys or values that are not
+  int64-keyed exact scalars (tuple keys, tuple values).
 """
 
 from .aggregate import aggregate, aggregate_counts, count_items

@@ -13,11 +13,12 @@ All traffic moves through the batched round engine: every tree level is one
 machine pair, so the per-level cost is a handful of bulk sizing passes
 rather than one recursive sizing call per partial aggregate.
 
-*combine* is either a binary callable (the pre-columnar idiom, always
-executed on the object path) or a **named reducer** —
-``"sum"`` / ``"min"`` / ``"max"`` / ``"or"`` (builtin ``min``/``max`` are
-recognized as their named forms).  Named reducers unlock the columnar
-path: when every machine's pairs qualify as int-keyed typed columns
+*combine* is either a **named reducer** — ``"sum"`` / ``"min"`` /
+``"max"`` / ``"or"`` — or a binary callable, always executed on the
+object path (two remain: the mincut 2-out step's
+``two_smallest`` and the clustering graphs' element-wise mask OR).
+Named reducers unlock the columnar path: when every machine's pairs
+qualify as int-keyed typed columns
 (:func:`~repro.primitives.columnar.ingest_pairs`) and the reducer stays
 exact over the global value multiset
 (:func:`~repro.primitives.columnar.pairs_fit_kind`), each tree level is
@@ -107,17 +108,18 @@ def aggregate_counts(
 ) -> dict[Hashable, int]:
     """Count occurrences per key (e.g. vertex degrees, Claim 4 step 2).
 
-    A numpy key column (e.g. an :class:`EdgeBlock` endpoint column) skips
-    pair materialization entirely — the ``(key, 1)`` pairs are assembled
-    as columns.
+    A numpy int key column (e.g. an :class:`EdgeBlock` endpoint column)
+    skips pair materialization entirely — the ``(key, 1)`` pairs are
+    assembled as columns.
     """
     pairs: dict[int, Any] = {}
     for mid, keys in keys_by_machine.items():
-        if isinstance(keys, np.ndarray):
+        if isinstance(keys, np.ndarray) and keys.dtype.kind == "i":
             pairs[mid] = EdgeBlock(
                 [keys.astype(np.int64, copy=False), np.ones(len(keys), dtype=np.int64)]
             )
         else:
+            keys = keys.tolist() if isinstance(keys, np.ndarray) else keys
             pairs[mid] = [(key, 1) for key in keys]
     return aggregate(cluster, pairs, "sum", dst=dst, note=note)
 

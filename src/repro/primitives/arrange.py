@@ -12,16 +12,16 @@ After ``arrange_directed``:
 Directed copies have one shape: the flat row ``(src, dst, *edge)``.
 :func:`directed_rows` builds them (the sort-join of
 :mod:`repro.primitives.join` takes the same copies without ``dst``) as
-one :class:`~repro.primitives.columnar.EdgeBlock` per machine when every
-machine's edges qualify as typed columns, and as tuples otherwise; the
-sort is keyed by a field spec either way, so
-:func:`~repro.primitives.sort.sample_sort` picks its path from the rows
-alone.  A flat row has the leaves of the nested ``(src, dst, edge)``
-record and orders the same way, so it charges the same words.
+one :class:`~repro.primitives.columnar.EdgeBlock` per machine: edge
+records are flat rows of finite scalars, read through
+:func:`~repro.primitives.columnar.stored_blocks`, and the sort is keyed by
+a field spec.  A flat row has the leaves of the nested ``(src, dst,
+edge)`` record and orders the same way, so it charges the same words.
 
 :func:`query_first_records` is Section 3's ``k(v, M)`` query step: the
 large machine asks every machine for its share of each vertex's first
-records, and the machines answer in one gather.
+records, and the machines answer in one gather.  It reads the arranged
+rows as blocks too, so both steps are passes over cluster-wide columns.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 from ..mpc.cluster import Cluster
 from . import columnar
 from .aggregate import aggregate_counts
-from .columnar import EdgeBlock
 from .sort import SortLayout, sample_sort
 
 __all__ = ["Arrangement", "arrange_directed", "directed_rows", "query_first_records"]
@@ -47,50 +46,34 @@ def directed_rows(
 
     Edge ``i = (u, v, ...)`` becomes row ``2i = (u, v, *edge_i)`` and row
     ``2i + 1 = (v, u, *edge_i)``; without *with_dst* the second field is
-    left out.  The rows are an :class:`EdgeBlock` per machine when every
-    machine's edges are blocks of one shape with int endpoints, and tuples
-    otherwise.  Returns ``(edge width, rows by machine id)``; nothing is
-    mutated.
+    left out.  The rows are an
+    :class:`~repro.primitives.columnar.EdgeBlock` per non-empty machine
+    (``[]`` on an empty one), built in one pass over all machines' edge
+    columns.  Returns ``(edge width, rows by machine id)``.  The edges
+    are read through :func:`~repro.primitives.columnar.stored_blocks`, so
+    a machine holding them as tuples keeps them as a block; raises
+    :class:`TypeError`, naming the dataset, for edge records that are
+    not flat rows of scalars with two endpoint fields.
     """
-    datasets = [(m.machine_id, m.get(edges_name, [])) for m in cluster.smalls]
-    blocks = columnar.uniform_blocks(datasets)
-    if blocks:
-        columns = next(iter(blocks.values())).columns
-        if (
-            len(columns) >= 2
-            and columns[0].dtype.kind == "i"
-            and columns[1].dtype == columns[0].dtype
-        ):
-            # One pass over all machines' edges; each machine keeps a
-            # slice of the copies.
-            edges, counts = columnar.concat_columns(
-                blocks.get(mid, []) for mid, _ in datasets
-            )
-            copies = columnar.split_columns(
-                _copy_columns(edges, with_dst), [2 * count for count in counts]
-            )
-            return len(columns), {mid: rows for (mid, _), rows in zip(datasets, copies)}
-    widths: set[int] = set()
-    rows: dict[int, Any] = {}
-    for mid, edges in datasets:
-        widths.update(map(len, edges))
-        if with_dst:
-            rows[mid] = [
-                copy
-                for e in edges
-                for copy in ((e[0], e[1], *e), (e[1], e[0], *e))
-            ]
-        else:
-            rows[mid] = [copy for e in edges for copy in ((e[0], *e), (e[1], *e))]
-    if len(widths) > 1:
-        raise ValueError(f"edge records of several widths {sorted(widths)}")
-    return (widths.pop() if widths else 0), rows
+    smalls = cluster.smalls
+    blocks = columnar.stored_blocks(smalls, edges_name)
+    edges, counts = columnar.concat_columns(blocks)
+    if edges and len(edges) < 2:
+        raise TypeError(f"dataset {edges_name!r} holds records without two endpoints")
+    copies = columnar.split_columns(
+        _copy_columns(edges, with_dst) if edges else [],
+        [2 * count for count in counts],
+    )
+    return len(edges), {m.machine_id: rows for m, rows in zip(smalls, copies)}
 
 
 def _copy_columns(columns: list[Any], with_dst: bool) -> list[Any]:
     """:func:`directed_rows` on columns: both orientations interleaved,
-    the edge columns repeated alongside."""
+    the edge columns repeated alongside.  Endpoint columns of two dtypes
+    interleave as ``object`` columns, so no endpoint changes type."""
     u, v = columns[0], columns[1]
+    if u.dtype != v.dtype:
+        u, v = u.astype(object), v.astype(object)
     ends = [np.column_stack([u, v]).ravel()]
     if with_dst:
         ends.append(np.column_stack([v, u]).ravel())
@@ -154,15 +137,20 @@ def arrange_directed(
         assume_unique=fields is not None,
     )
 
+    # The source column of every machine's arranged rows (the raw column:
+    # aggregate_counts' array fast path).
     sources = {
-        machine.machine_id: _source_keys(machine.get(directed_name, []))
-        for machine in cluster.smalls
+        machine.machine_id: (
+            block.columns[0] if len(block) else np.empty(0, dtype=np.int64)
+        )
+        for machine, block in zip(
+            cluster.smalls, columnar.stored_blocks(cluster.smalls, directed_name)
+        )
     }
     out_degrees = aggregate_counts(cluster, sources, note=f"{note}/degrees")
     holders: dict[int, list[int]] = {}
     for mid, keys in sources.items():
-        seen = set(keys.tolist() if isinstance(keys, np.ndarray) else keys)
-        for vertex in sorted(seen):
+        for vertex in sorted(set(keys.tolist())):
             holders.setdefault(vertex, []).append(mid)
 
     # Claim 4, property 2: the large machine informs each M_first(v).  (One
@@ -183,15 +171,6 @@ def arrange_directed(
     )
 
 
-def _source_keys(data: Any) -> Any:
-    """The source vertex of every directed row — the raw column when the
-    rows are a block (``aggregate_counts``'s array fast path), else a
-    list."""
-    if isinstance(data, EdgeBlock):
-        return data.columns[0]
-    return [row[0] for row in data]
-
-
 def query_first_records(
     cluster: Cluster,
     arrangement: Arrangement,
@@ -209,17 +188,20 @@ def query_first_records(
     nothing.  *notes* name the query and the answer round.  The arranged
     dataset is dropped; returns the answers the large machine received.
 
-    Blocks are answered in one pass over all machines' columns, tuple
-    rows one row at a time; both build the same queries and answers.
+    The queries and answers come from one pass over all machines'
+    columns.
     """
     smalls = cluster.smalls
     machine_ids = [machine.machine_id for machine in smalls]
-    datasets = [machine.get(arrangement.name, []) for machine in smalls]
-    flat = columnar.concat_columns(datasets)
-    if flat is not None and flat[0]:
-        queries, answers = _first_records_columns(machine_ids, *flat, quotas, fields)
+    columns, counts = columnar.concat_columns(
+        columnar.stored_blocks(smalls, arrangement.name)
+    )
+    if columns:
+        queries, answers = _first_records_columns(
+            machine_ids, columns, counts, quotas, fields
+        )
     else:
-        queries, answers = _first_records_rows(machine_ids, datasets, quotas, fields)
+        queries, answers = {}, {mid: [] for mid in machine_ids}
     large = cluster.large.machine_id
     cluster.scatter(large, queries, note=notes[0])
     for machine in smalls:
@@ -269,30 +251,4 @@ def _first_records_columns(
     answers = {
         mid: rows[lo:hi] for mid, lo, hi in zip(machine_ids, [0, *bounds], bounds)
     }
-    return queries, answers
-
-
-def _first_records_rows(
-    machine_ids: list[int],
-    datasets: list[Any],
-    quotas: dict[int, int],
-    fields: tuple[int, ...],
-) -> tuple[dict[int, list], dict[int, list]]:
-    """The queries and answers of :func:`query_first_records`, one row at
-    a time, for rows no typed block holds."""
-    remaining = dict(quotas)
-    queries: dict[int, list[tuple[int, int]]] = {}
-    answers: dict[int, list] = {}
-    for mid, rows in zip(machine_ids, datasets):
-        per_vertex: dict[int, int] = {}
-        answer = []
-        for row in rows:
-            src = row[0]
-            if remaining.get(src, 0) > 0:
-                remaining[src] -= 1
-                per_vertex[src] = per_vertex.get(src, 0) + 1
-                answer.append((src, *(row[f] for f in fields)))
-        if per_vertex:
-            queries[mid] = list(per_vertex.items())
-        answers[mid] = answer
     return queries, answers

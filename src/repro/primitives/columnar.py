@@ -1,50 +1,54 @@
 """Columnar item representation for the MPC primitives.
 
-The round engine went columnar in PR 5 (``repro.mpc.plan`` stores traffic
-as per-run blocks); this module pushes the same representation *up* into
-the eight primitives so a whole pipeline run can stay array-native
-between ``send_indexed`` calls instead of materializing per-item Python
-tuples at every step.
+The round engine stores traffic as per-run blocks (``repro.mpc.plan``);
+this module pushes the same representation *up* into the primitives so a
+whole pipeline run stays array-native between ``send_indexed`` calls
+instead of materializing per-item Python tuples at every step.
 
 Two pieces:
 
-* :class:`EdgeBlock` — a typed record batch: fixed-width rows held as
-  per-field numpy 1-D arrays.  A block knows its word count in O(1)
-  (``len * width`` — every field of a qualifying record is one machine
-  word), which is what lets ``Machine.put`` and the converge-cast scratch
-  charges account a 100k-row dataset without iterating it: the block
-  implements the ``word_size()`` duck-type hook of
-  :func:`repro.mpc.words.word_size`.  Blocks are sequences of the exact
-  row tuples they were built from — iterating one yields the same Python
-  tuples the object path would have produced, so downstream consumers
-  are path-agnostic.
+* :class:`EdgeBlock` — a record batch: fixed-width rows held as per-field
+  numpy 1-D arrays.  A field is an exact ``int64``, ``float64`` or
+  ``bool`` column when one of those dtypes holds all its values on every
+  small machine, and an ``object`` column of the Python values otherwise
+  (ints past int64, or a mix of ints, floats and bools).  A block knows
+  its word count in O(1) (``len * width`` — every field is one machine
+  word, whatever its column), which is what lets ``Machine.put`` and the
+  converge-cast scratch charges account a 100k-row dataset without
+  iterating it: the block implements the ``word_size()`` duck-type hook
+  of :func:`repro.mpc.words.word_size`.  Blocks are sequences of the
+  exact row tuples they were built from — iterating one yields the same
+  Python tuples the rows were — so downstream consumers cannot tell.
 
-* ingestion/kernels — ``ingest_rows`` qualifies a row list for columnar
-  treatment (uniform width, per-field scalar types that round-trip
-  exactly through numpy: ``int`` within int64, finite ``float``,
-  ``bool``); ``stable_order`` / ``reduce_pairs`` are the array kernels
-  behind sample sort and aggregation; ``concat_columns`` /
-  ``split_columns`` turn every small machine's blocks into one array per
-  field and back, so a local step runs as one pass over all machines.
+* ingestion/kernels — ``ingest_rows`` turns a list of flat records of
+  finite Python scalars into a block (``None`` for anything else:
+  non-tuples, ragged widths, nested fields, strings, ``None``, NaN);
+  ``ingest_datasets`` does it for every small machine at once with one
+  dtype per field, and ``stored_blocks`` is the strict form the
+  single-path primitives read their input through; ``stable_order`` /
+  ``reduce_pairs`` are the array kernels behind sample sort and
+  aggregation; ``concat_columns`` / ``split_columns`` turn every small
+  machine's blocks into one array per field and back, so a local step
+  runs as one pass over all machines.
 
-Each primitive picks its path from its input alone: it takes the
-columnar path when every machine's rows qualify (``ensure_block`` for
-sort, arrange and join, ``ingest_pairs`` for aggregate), and the object
-path otherwise — callable keys, custom combines, string keys, nested
-tuples.  Ledgers and outputs are bit-identical across paths *by
+Sort keys are field specs (column indices).  Sample sort keeps an object
+path for rows that are not flat scalar records (the sort-join's tuple,
+label and ``None`` values) and aggregation one for custom combines and
+non-int keys; every other primitive step runs on blocks only.  Ledgers and
+outputs are bit-identical across the sort's and the aggregate's paths *by
 construction*: the columnar paths consume the shared RNG identically,
 build the same plan runs (same (src, dst) sets, same lengths, same word
 totals — blocks size as ``rows * width``, exactly the sum of the row
 word sizes) and re-emit results in the same order the object path would
 (stable sorts, first-encounter aggregation order).  A differential
-property suite pins this, reaching the object path by making those two
-entry points decline.
+property suite pins this, reaching the object paths by making their two
+qualification steps decline.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import chain
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -52,12 +56,12 @@ import numpy as np
 __all__ = [
     "EdgeBlock",
     "key_fields",
-    "as_callable",
     "ingest_rows",
-    "ensure_block",
-    "uniform_blocks",
+    "ingest_datasets",
+    "stored_blocks",
     "concat_columns",
     "first_of_runs",
+    "rows_at",
     "split_columns",
     "pack_columns",
     "pack_words",
@@ -68,21 +72,22 @@ __all__ = [
     "REDUCERS",
 ]
 
-#: Exact int64 range — Python ints outside it do not round-trip through a
-#: numpy column, so such rows stay on the object path.
+#: Exact int64 range — Python ints outside it ride an ``object`` column.
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
+#: The Python scalar types a record field may hold.
+_SCALARS = frozenset((int, float, bool))
 
 
 # ----------------------------------------------------------------------
 # Sort keys as field specs
 # ----------------------------------------------------------------------
-def key_fields(key: Any) -> tuple[int, ...] | None:
-    """Normalize a field-spec sort key to a tuple of column indices.
+def key_fields(key: Any, what: str = "key") -> tuple[int, ...]:
+    """Normalize a field-spec key to a tuple of column indices.
 
-    A field spec is an ``int`` or a tuple of ``int`` — "sort by these
-    columns, in this order".  Callables (the pre-columnar idiom) return
-    ``None``: they cannot be vectorized, so they keep the object path.
+    A field spec is an ``int`` or a non-empty tuple of ``int`` — "sort by
+    these columns, in this order".  Anything else raises
+    :class:`TypeError`, naming the argument as *what*.
     """
     if isinstance(key, int) and not isinstance(key, bool):
         return (key,)
@@ -92,29 +97,17 @@ def key_fields(key: Any) -> tuple[int, ...] | None:
         and all(isinstance(f, int) and not isinstance(f, bool) for f in key)
     ):
         return tuple(key)
-    return None
-
-
-def as_callable(key: Any) -> Callable[[Any], Any]:
-    """The per-item form of a sort key (field specs become itemgetters).
-
-    A single-field spec still keys by a 1-tuple, so the object and
-    columnar paths order ties identically regardless of the spec shape.
-    """
-    fields = key_fields(key)
-    if fields is None:
-        return key
-    if len(fields) == 1:
-        field = fields[0]
-        return lambda item: (item[field],)
-    return itemgetter(*fields)
+    raise TypeError(
+        f"{what} must be a column index or a tuple of them, not {key!r}"
+    )
 
 
 # ----------------------------------------------------------------------
 # EdgeBlock — a typed record batch
 # ----------------------------------------------------------------------
 class EdgeBlock:
-    """A batch of fixed-width scalar records, stored as per-field columns.
+    """A batch of fixed-width scalar records, stored as per-field columns
+    (typed, or ``object`` columns of Python scalars).
 
     Behaves as an immutable sequence of the row tuples it was built from
     (iteration materializes rows lazily, once).  ``word_size()`` is the
@@ -145,10 +138,10 @@ class EdgeBlock:
     def rows(self) -> list[tuple]:
         """The records as Python tuples (materialized once, then cached).
 
-        Numpy columns come back through ``tolist()``, so every scalar is
-        the exact Python value the row was built from (int64 ints, IEEE
-        floats, bools) — consumers cannot tell which path produced the
-        dataset.
+        Columns come back through ``tolist()``, so every scalar is the
+        exact Python value the row was built from (ints, IEEE floats,
+        bools; an ``object`` column holds them as they were) — consumers
+        cannot tell a block from the tuples it was built from.
         """
         if self._rows is None:
             self._rows = list(zip(*(col.tolist() for col in self.columns)))
@@ -179,29 +172,37 @@ class EdgeBlock:
         return f"EdgeBlock(rows={self._length}, width={self.width})"
 
 
-def _column_dtype(values: list) -> Any:
-    """The numpy dtype a column of Python scalars round-trips through,
-    or ``None`` if it does not round-trip exactly."""
+def _column(values: list) -> Any | None:
+    """*values* (Python scalars) as one exact column: ``int64``,
+    ``float64`` or ``bool`` when that dtype holds them all, an ``object``
+    column for ints past int64 and for mixes of ints, floats and bools;
+    ``None`` for anything else (non-scalars, NaN or infinite floats)."""
     kinds = set(map(type, values))
-    if kinds == {int}:
-        if all(_INT64_MIN <= v <= _INT64_MAX for v in (min(values), max(values))):
-            return np.int64
-        return None
+    if kinds == {int} and _INT64_MIN <= min(values) and max(values) <= _INT64_MAX:
+        return np.array(values, dtype=np.int64)
     if kinds == {float}:
-        return np.float64
+        col = np.array(values, dtype=np.float64)
+        # NaN/inf break the ordering equivalence with Python sorts.
+        return col if np.isfinite(col).all() else None
     if kinds == {bool}:
-        return np.bool_
-    return None
+        return np.array(values, dtype=np.bool_)
+    if not kinds <= _SCALARS:
+        return None
+    if float in kinds and not all(
+        math.isfinite(v) for v in values if type(v) is float
+    ):
+        return None
+    return np.array(values, dtype=object)
 
 
 def ingest_rows(rows: Sequence[Any]) -> EdgeBlock | None:
-    """Build an :class:`EdgeBlock` from *rows*, or ``None`` if they do not
-    qualify (non-tuples, ragged widths, fields that would not round-trip
-    exactly through a typed column).
+    """Build an :class:`EdgeBlock` from *rows*, or ``None`` if they are not
+    flat tuples of one width whose fields are finite Python scalars.
 
-    The common case — edge lists, flat tuples of ints — is recognized
-    with C-level passes (one flatten, one type scan, one array build);
-    per-column dtypes only get inspected on the rarer mixed-type batches.
+    The common case — edge lists, flat tuples of int64 ints — is
+    recognized with C-level passes (one flatten, one type scan, one array
+    build); per-column dtypes only get inspected on the rarer mixed-type
+    batches.
     """
     if not rows:
         return None
@@ -210,111 +211,108 @@ def ingest_rows(rows: Sequence[Any]) -> EdgeBlock | None:
     if set(map(type, rows)) != {tuple}:
         return None
     width = len(rows[0])
-    if width == 0:
+    if width == 0 or set(map(len, rows)) != {width}:
         return None
     flat = list(chain.from_iterable(rows))
-    if len(flat) != width * len(rows):
-        return None
     kinds = set(map(type, flat))
-    if kinds == {int}:
-        lo, hi = min(flat), max(flat)
-        if lo < _INT64_MIN or hi > _INT64_MAX:
-            return None
+    if kinds == {int} and _INT64_MIN <= min(flat) and max(flat) <= _INT64_MAX:
         arr = np.array(flat, dtype=np.int64).reshape(len(rows), width)
         return EdgeBlock([arr[:, j] for j in range(width)], len(rows))
-    if not kinds <= {int, float, bool}:
+    if not kinds <= _SCALARS:
         return None
-    columns = []
-    for j in range(width):
-        values = flat[j::width]
-        dtype = _column_dtype(values)
-        if dtype is None:
-            return None
-        col = np.array(values, dtype=dtype)
-        if dtype is np.float64 and not np.isfinite(col).all():
-            # NaN/inf break the ordering equivalence with Python sorts.
-            return None
-        columns.append(col)
+    columns = [_column(flat[j::width]) for j in range(width)]
+    if any(col is None for col in columns):
+        return None
     return EdgeBlock(columns, len(rows))
 
 
 def value_column(values: list) -> Any | None:
-    """A list of scalars as one exact typed column, or ``None`` if the
-    values do not round-trip (mixed types, NaN/inf, out-of-range ints)."""
-    if not values:
-        return None
-    dtype = _column_dtype(values)
-    if dtype is None:
-        return None
-    col = np.array(values, dtype=dtype)
-    if dtype is np.float64 and not np.isfinite(col).all():
-        return None
-    return col
+    """A list of Python scalars as one exact column (see
+    :class:`EdgeBlock`), or ``None`` if it is empty or holds anything
+    else."""
+    return _column(values) if values else None
 
 
-def ensure_block(data: Any) -> EdgeBlock | None:
-    """*data* as an :class:`EdgeBlock` (lists are ingested), else ``None``."""
-    if isinstance(data, EdgeBlock):
-        return data
-    if isinstance(data, list):
-        return ingest_rows(data)
-    return None
+def ingest_datasets(datasets: Iterable[Any]) -> list[Any] | None:
+    """Every dataset as an :class:`EdgeBlock` — ``[]`` for an empty one —
+    with one width and one dtype per field across all of them, or
+    ``None`` when a row is not a flat record of finite scalars or the
+    widths differ.
 
-
-def uniform_blocks(datasets: Iterable[tuple[int, Any]]) -> dict[int, EdgeBlock] | None:
-    """Every non-empty ``(machine_id, data)`` dataset as an
-    :class:`EdgeBlock`, or ``None`` unless all of them qualify with one
-    width and one dtype per column (all-empty input gives ``{}``).
-
-    All or nothing, because sorted runs and boundary records mix rows from
-    different machines.
+    A field whose dtype differs between datasets (int64 on one machine,
+    floats, bools or ints past int64 on another) becomes an ``object``
+    column in every dataset, so the blocks concatenate into one column
+    per field.
     """
-    blocks: dict[int, EdgeBlock] = {}
-    dtypes: tuple | None = None
-    for machine_id, data in datasets:
+    blocks: list[Any] = []
+    for data in datasets:
         if not len(data):
+            blocks.append([])
             continue
-        block = ensure_block(data)
+        block = data if isinstance(data, EdgeBlock) else ingest_rows(data)
         if block is None:
             return None
-        block_dtypes = tuple(col.dtype for col in block.columns)
-        if dtypes is None:
-            dtypes = block_dtypes
-        elif block_dtypes != dtypes:
-            return None
-        blocks[machine_id] = block
+        blocks.append(block)
+    present = [block for block in blocks if len(block)]
+    if not present:
+        return blocks
+    if len({block.width for block in present}) > 1:
+        return None
+    mixed = [
+        len({block.columns[j].dtype for block in present}) > 1
+        for j in range(present[0].width)
+    ]
+    if not any(mixed):
+        return blocks
+    return [
+        EdgeBlock(
+            [col.astype(object) if widen else col
+             for col, widen in zip(block.columns, mixed)],
+            len(block),
+        )
+        if len(block) else block
+        for block in blocks
+    ]
+
+
+def stored_blocks(machines: Sequence[Any], name: str) -> list[Any]:
+    """Every machine's dataset *name* as :func:`ingest_datasets` gives it,
+    in machine order.
+
+    A machine whose dataset was not already that block (a list of tuples,
+    or a block with a field widened to ``object``) stores the block
+    instead — the same words — so the next reader finds it.  Raises
+    :class:`TypeError`, naming the dataset, when a row is not a flat
+    record of finite int, float or bool fields of one width.
+    """
+    datasets = [machine.get(name, []) for machine in machines]
+    blocks = ingest_datasets(datasets)
+    if blocks is None:
+        raise TypeError(
+            f"dataset {name!r} holds rows that are not flat records of "
+            "finite int, float or bool fields of one width"
+        )
+    for machine, data, block in zip(machines, datasets, blocks):
+        if len(block) and block is not data:
+            machine.put(name, block)
     return blocks
 
 
-def concat_columns(datasets: Iterable[Any]) -> tuple[list[Any], list[int]] | None:
-    """Every dataset's rows, in order, as one array per field, and each
-    dataset's row count — the cluster-wide view of per-machine blocks.
+def concat_columns(blocks: Sequence[Any]) -> tuple[list[Any], list[int]]:
+    """Every block's rows, in order, as one array per field, and each
+    block's row count — the cluster-wide view of per-machine blocks.
 
-    ``None`` unless every non-empty dataset already is an
-    :class:`EdgeBlock` of one width and one dtype per column: nothing is
-    ingested, so tuple rows keep their own path.  All-empty input gives
+    *blocks* are as :func:`ingest_datasets` gives them: one width and one
+    dtype per field, ``[]`` for an empty dataset.  All-empty input gives
     ``([], counts)``.
     """
-    blocks: list[EdgeBlock] = []
-    counts: list[int] = []
-    dtypes: tuple | None = None
-    for data in datasets:
-        counts.append(len(data))
-        if not len(data):
-            continue
-        if not isinstance(data, EdgeBlock):
-            return None
-        block_dtypes = tuple(col.dtype for col in data.columns)
-        if dtypes is None:
-            dtypes = block_dtypes
-        elif block_dtypes != dtypes:
-            return None
-        blocks.append(data)
-    if not blocks:
+    counts = [len(block) for block in blocks]
+    present = [block for block in blocks if len(block)]
+    if not present:
         return [], counts
     return [
-        np.concatenate([block.columns[j] for block in blocks])
-        for j in range(len(dtypes))
+        np.concatenate([block.columns[j] for block in present])
+        for j in range(present[0].width)
     ], counts
 
 
@@ -326,6 +324,12 @@ def first_of_runs(columns: Sequence[Any]) -> Any:
     for col in columns:
         first[1:] |= col[1:] != col[:-1]
     return first
+
+
+def rows_at(columns: Sequence[Any], indices: Sequence[int]) -> list[tuple]:
+    """The rows at *indices* of *columns* as tuples of Python scalars,
+    without materializing the others."""
+    return list(zip(*(col[indices].tolist() for col in columns)))
 
 
 def split_columns(columns: Sequence[Any], counts: Iterable[int]) -> list[Any]:
@@ -410,8 +414,9 @@ def pack_words(cols: Sequence[Any]) -> list[Any]:
 
     Runs of consecutive int/bool columns share one int64 word
     (:func:`pack_columns`) while the product of their value spans fits;
-    any other column — floats, or ints spanning 2**63 or more — is a word
-    of its own, unchanged.  Rows compared word by word order exactly as
+    any other column — floats, ints spanning 2**63 or more, ``object``
+    columns (compared as Python values) — is a word of its own,
+    unchanged.  Rows compared word by word order exactly as
     compared column by column, so a ``lexsort`` over the words is the
     ``lexsort`` over the columns with fewer keys.
     """
@@ -463,8 +468,7 @@ def _or(a: Any, b: Any) -> Any:
 
 
 #: Named binary reducers the columnar aggregation kernel understands.
-#: The callables are the object-path semantics; ``builtins.min``/``max``
-#: passed as a combine function are recognized as their named forms.
+#: The callables are the object-path semantics.
 REDUCERS: dict[str, Callable[[Any, Any], Any]] = {
     "sum": lambda a, b: a + b,
     "min": min,
@@ -489,10 +493,6 @@ def resolve_reducer(combine: Any) -> str | None:
                 f"unknown reducer {combine!r} (expected one of {sorted(REDUCERS)})"
             )
         return combine
-    if combine is min:
-        return "min"
-    if combine is max:
-        return "max"
     return None
 
 
@@ -506,17 +506,19 @@ def reducer_callable(combine: Any) -> Callable[[Any, Any], Any]:
 def ingest_pairs(pairs: Sequence[Any]) -> tuple[Any, Any] | None:
     """Qualify ``(key, value)`` pairs for the array aggregation kernel.
 
-    Returns ``(keys, values)`` columns or ``None``.  Keys must be ints
-    (they ride the shared transport column, so they must survive float64
-    when the values are floats); values must be a single exact scalar
-    type.  Reducer compatibility (float sums, overflow headroom) is the
-    caller's global check — see :func:`pairs_fit_kind`.
+    Returns ``(keys, values)`` columns or ``None``.  Keys must be int64
+    ints (they ride the shared transport column, so they must survive
+    float64 when the values are floats); values must be one exact int64,
+    float64 or bool column — never an ``object`` column, whose float sums
+    would depend on the combining order.  Reducer compatibility (float
+    sums, overflow headroom) is the caller's global check — see
+    :func:`pairs_fit_kind`.
     """
     if isinstance(pairs, EdgeBlock):
         if pairs.width != 2:
             return None
         keys, values = pairs.columns
-        if keys.dtype.kind != "i":
+        if keys.dtype.kind != "i" or values.dtype.kind == "O":
             return None
         return keys, values
     if not isinstance(pairs, list) or not pairs:
@@ -531,15 +533,10 @@ def ingest_pairs(pairs: Sequence[Any]) -> tuple[Any, Any] | None:
         return None
     if min(key_list) < _INT64_MIN or max(key_list) > _INT64_MAX:
         return None
-    value_list = flat[1::2]
-    value_dtype = _column_dtype(value_list)
-    if value_dtype is None:
+    values = _column(flat[1::2])
+    if values is None or values.dtype.kind == "O":
         return None
-    keys = np.array(key_list, dtype=np.int64)
-    values = np.array(value_list, dtype=value_dtype)
-    if value_dtype is np.float64 and not np.isfinite(values).all():
-        return None
-    return keys, values
+    return np.array(key_list, dtype=np.int64), values
 
 
 def pairs_fit_kind(columns: Sequence[tuple[Any, Any]], kind: str) -> bool:

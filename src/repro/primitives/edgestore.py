@@ -1,8 +1,8 @@
 """EdgeStore — a distributed multiset of records on the small machines.
 
 This is the ergonomic layer the algorithms are written against.  Local
-(zero-round) transformations mutate data in place; everything that moves
-data charges rounds through the cluster.  Derived datasets get fresh names
+(zero-round) operations read or replace the machines' datasets;
+everything that moves data charges rounds through the cluster.  Derived datasets get fresh names
 so several stores can coexist (e.g. the contracted graph and the original
 edges during Borůvka).
 """
@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 from ..mpc.cluster import Cluster
 from .aggregate import aggregate, count_items
-from .columnar import EdgeBlock
 from .join import annotate_edges_with_vertex_values
 from .sort import SortLayout, sample_sort
 
@@ -63,23 +62,6 @@ class EdgeStore:
     def __len__(self) -> int:
         return sum(len(m.get(self.name, [])) for m in self.cluster.smalls)
 
-    def map_local(self, fn: Callable[[Any], Any]) -> "EdgeStore":
-        self.cluster.map_small(self.name, lambda m, items: [fn(i) for i in items])
-        return self
-
-    def filter_local(self, predicate: Callable[[Any], bool]) -> "EdgeStore":
-        self.cluster.map_small(
-            self.name, lambda m, items: [i for i in items if predicate(i)]
-        )
-        return self
-
-    def flat_map_local(self, fn: Callable[[Any], Iterable[Any]]) -> "EdgeStore":
-        self.cluster.map_small(
-            self.name,
-            lambda m, items: [out for item in items for out in fn(item)],
-        )
-        return self
-
     def sample(
         self, p: float, rng: random.Random, name: str | None = None
     ) -> "EdgeStore":
@@ -89,18 +71,6 @@ class EdgeStore:
         for machine in self.cluster.smalls:
             kept = [i for i in machine.get(self.name, []) if rng.random() < p]
             machine.put(target, kept)
-        return EdgeStore(self.cluster, target)
-
-    def copy(self, name: str | None = None) -> "EdgeStore":
-        target = name if name is not None else _fresh(f"{self.name}.copy")
-        for machine in self.cluster.smalls:
-            data = machine.get(self.name, [])
-            if isinstance(data, EdgeBlock):
-                # Keep the columnar layout (columns are never mutated in
-                # place, so sharing them across stores is safe).
-                machine.put(target, EdgeBlock(data.columns, len(data)))
-            else:
-                machine.put(target, list(data))
         return EdgeStore(self.cluster, target)
 
     def drop(self) -> None:
@@ -136,12 +106,12 @@ class EdgeStore:
 
     def sort(
         self,
-        key: Callable[[Any], Any] | int | tuple[int, ...],
+        key: int | tuple[int, ...],
         note: str = "sort",
         assume_unique: bool = False,
     ) -> SortLayout:
-        """Sort the records (Claim 1).  A field-spec *key* (column index
-        or tuple of indices) rides the columnar routing path; see
+        """Sort the records (Claim 1) by the field-spec *key* (a column
+        index or a tuple of them); see
         :func:`~repro.primitives.sort.sample_sort`."""
         return sample_sort(
             self.cluster, self.name, key, note=note, assume_unique=assume_unique
@@ -177,8 +147,7 @@ class EdgeStore:
         """Attach endpoint values to every edge record (Claim 3 + sort-join);
         returns a store of flat rows ``(*edge, value_u, value_v)`` — read
         them as ``row[:-2], row[-2], row[-1]`` — held as blocks when the
-        edges and values fit typed columns (see
-        :mod:`repro.primitives.join`)."""
+        values are scalars (see :mod:`repro.primitives.join`)."""
         target = name if name is not None else _fresh(f"{self.name}.annotated")
         annotate_edges_with_vertex_values(
             self.cluster, self.name, values, target, default=default, note=note

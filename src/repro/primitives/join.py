@@ -24,22 +24,24 @@ Total cost: O(1) rounds.
 Consumers read an output row as ``row[:-2], row[-2], row[-1]``; it is
 charged one word per edge field plus the words of the two values, the
 leaves it holds.  It is an
-:class:`~repro.primitives.columnar.EdgeBlock` per machine when the edges
-and the values fit typed columns, and a flat tuple otherwise (``None``
-defaults, flow labels, tuple values).
+:class:`~repro.primitives.columnar.EdgeBlock` per machine when the values
+are scalars (an ``object`` column holds ints past int64 and mixed scalar
+types), and a flat tuple otherwise (``None`` defaults, flow labels,
+tuple values).
 
 Every copy is a flat row, built by
-:func:`~repro.primitives.arrange.directed_rows`.  Both sorts pass the field
-spec ``(0, ..., width)``, so :func:`~repro.primitives.sort.sample_sort`
-picks its path from the rows alone; the second passes ``assume_unique``:
-duplicate ``(*edge, src)`` copies — the only possible key ties — carry the
-same disseminated value, so tied rows are identical.  Between the sorts the
-join sees all small machines' rows at once: cluster-wide columns when every
-machine holds a block (:func:`~repro.primitives.columnar.concat_columns`),
-one list of tuples otherwise.  The value column, the boundary round and the
-zip are then one pass each, and every machine stores its slice of the
-result.  The value column is one typed column when all the values every
-machine received share one exact type
+:func:`~repro.primitives.arrange.directed_rows`, so the edge records must
+be flat rows of scalars.  Both sorts pass the field spec ``(0, ...,
+width)``, so :func:`~repro.primitives.sort.sample_sort` picks its path
+from the rows alone; the second passes ``assume_unique``: duplicate
+``(*edge, src)`` copies — the only possible key ties — carry the same
+disseminated value, so tied rows are identical.  Between the sorts the
+join sees all small machines' rows at once: cluster-wide columns when
+every machine's rows are flat scalar records
+(:func:`~repro.primitives.columnar.ingest_datasets`), one list of tuples
+otherwise.  The value column, the boundary round and the zip are then one
+pass each, and every machine stores its slice of the result.  The value
+column is one column when every value every machine received is a scalar
 (:func:`~repro.primitives.columnar.value_column`); otherwise every copy
 becomes a tuple row.
 """
@@ -164,11 +166,14 @@ def annotate_edges_with_vertex_values(
 def _cluster_rows(smalls: list, name: str) -> tuple[Any, list[int]]:
     """Every small machine's rows of *name*, in machine order, and each
     machine's row count: one :class:`EdgeBlock` of cluster-wide columns
-    when every machine holds a block, one list of tuples otherwise."""
+    when every machine's rows are flat scalar records, one list of tuples
+    otherwise."""
     datasets = [machine.get(name, []) for machine in smalls]
-    flat = columnar.concat_columns(datasets)
-    if flat is not None and flat[0]:
-        return EdgeBlock(flat[0]), flat[1]
+    blocks = columnar.ingest_datasets(datasets)
+    if blocks is not None:
+        columns, counts = columnar.concat_columns(blocks)
+        if columns:
+            return EdgeBlock(columns), counts
     return list(chain.from_iterable(datasets)), [len(data) for data in datasets]
 
 
@@ -183,7 +188,7 @@ def _split(rows: Any, counts: list[int]) -> list[Any]:
 def _rows_at(rows: Any, indices: list[int]) -> list[tuple]:
     """The rows at *indices* as tuples, without materializing a block."""
     if isinstance(rows, EdgeBlock):
-        return list(zip(*(col[indices].tolist() for col in rows.columns)))
+        return columnar.rows_at(rows.columns, indices)
     return [rows[i] for i in indices]
 
 

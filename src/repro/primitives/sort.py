@@ -12,18 +12,18 @@ Implements the Goodrich-style constant-round sort the paper cites [34]:
 With sample rate ``Theta(K log K / N)`` the buckets are balanced within a
 constant factor w.h.p.; any overload is recorded by the ledger.
 
-Two implementations share the steps, and the input picks between them:
+The key is a *field spec*: a column index or a tuple of them.  Two
+implementations share the steps, and the rows pick between them:
 
-* the **object path** — per-item ``bisect`` bucketing per machine and one
-  list ``send_indexed`` scatter per machine; it takes callable keys and
-  rows that do not fit typed columns (nested tuples, strings, objects);
 * the **columnar path** (:mod:`repro.primitives.columnar`) — taken when
-  the sort key is a *field spec* (column indices instead of a callable)
-  and the rows qualify as a typed record batch.  Each step is one array
-  pass over all small machines at once, not one per machine:
+  every row is a flat record of finite scalars, so every machine's rows
+  form an :class:`~repro.primitives.columnar.EdgeBlock` with one dtype per
+  field (an ``object`` column where no exact typed column holds a field's
+  values).  Each step is one array pass over all small machines at once,
+  not one per machine:
 
   - *qualify* — every machine's block is concatenated once per column,
-    in machine order; the float-transport and packing checks are one
+    in machine order; the transport and packing checks are one
     reduction per column of that concatenation;
   - *sample* — one RNG draw per stored row, in machine order, drawn into
     one array and compared to the rate at once; each machine's sample
@@ -54,6 +54,15 @@ Two implementations share the steps, and the input picks between them:
   - *counts* — one numeric scatter (a column of sources, the coordinator
     as destination, one 2-word row each), on both paths.
 
+  The rows travel in one transport dtype: ``int64`` for int and bool
+  columns, ``float64`` when a float column joins ints that fit its
+  53-bit mantissa, and ``object`` (the Python values) otherwise;
+* the **object path** — per-item ``bisect`` bucketing per machine and one
+  list ``send_indexed`` scatter per machine, keyed by ``itemgetter`` over
+  the field spec (a one-field spec keys by a 1-tuple); it serves rows
+  whose fields are not scalars (the sort-join's tuple, label and ``None``
+  values).
+
 Both paths consume the shared RNG identically, build the same runs with
 the same word totals, and (for field specs covering every column, or
 caller-guaranteed unique keys) produce identical outputs — the ledger and
@@ -68,7 +77,8 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from operator import itemgetter
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -142,7 +152,7 @@ class SortLayout:
 def sample_sort(
     cluster: Cluster,
     name: str,
-    key: Callable[[Any], Any] | int | tuple[int, ...],
+    key: int | tuple[int, ...],
     note: str = "sort",
     assume_unique: bool = False,
 ) -> SortLayout:
@@ -151,12 +161,11 @@ def sample_sort(
     After the call, machine ``i``'s items are all <= machine ``i+1``'s
     items (by *key*), and each machine's list is locally sorted.
 
-    *key* is either a per-item callable (always routed on the object
-    path) or a field spec — a column index or tuple of column indices —
-    which enables the columnar path when the rows qualify.  A field-spec
-    key of a single column keys by a 1-tuple.  The columnar path requires
-    the spec to touch every column exactly once (so equal keys mean equal
-    rows and stable sorting keeps the two paths identical); pass
+    *key* is a field spec — a column index or tuple of column indices; a
+    single column keys by a 1-tuple.  Keys whose columns do not pack
+    into one int64 word route in key order, so the columnar path then
+    requires the spec to touch every column exactly once (equal keys mean
+    equal rows, and stable sorting keeps the two paths identical); pass
     ``assume_unique=True`` to lift that requirement when the caller
     guarantees no two distinct rows share a key.
     """
@@ -164,11 +173,14 @@ def sample_sort(
     machine_ids = [m.machine_id for m in smalls]
     coordinator = cluster.large.machine_id if cluster.has_large else machine_ids[0]
 
-    qualified = _columnar_sort_context(cluster, name, key, assume_unique)
+    fields = columnar.key_fields(key)
+    qualified = _columnar_sort_context(cluster, name, fields, assume_unique)
     if qualified is not None:
-        return _sample_sort_columnar(cluster, name, key, note, *qualified)
+        return _sample_sort_columnar(cluster, name, fields, note, *qualified)
 
-    key = columnar.as_callable(key)
+    # The object path keys each row by its spec fields, as a tuple.
+    field = fields[0]
+    row_key = itemgetter(*fields) if len(fields) > 1 else lambda item: (item[field],)
     total = sum(len(m.get(name, [])) for m in smalls)
 
     if total == 0:
@@ -184,7 +196,7 @@ def sample_sort(
     samples_by_machine: dict[int, list[Any]] = {}
     for machine in smalls:
         local = machine.get(name, [])
-        samples = [key(item) for item in local if cluster.rng.random() < rate]
+        samples = [row_key(item) for item in local if cluster.rng.random() < rate]
         if samples:
             samples_by_machine[machine.machine_id] = samples
     sample_keys = converge_cast(
@@ -202,14 +214,14 @@ def sample_sort(
     for machine in smalls:
         items = machine.pop(name, [])
         if items:
-            buckets = [bisect.bisect_right(splitters, key(item)) for item in items]
+            buckets = [bisect.bisect_right(splitters, row_key(item)) for item in items]
             plan.send_indexed(
                 machine.machine_id, [machine_ids[b] for b in buckets], items
             )
     inboxes = cluster.execute(plan)
     counts = []
     for machine in smalls:
-        bucket_items = sorted(inboxes.get(machine.machine_id, []), key=key)
+        bucket_items = sorted(inboxes.get(machine.machine_id, []), key=row_key)
         machine.put(name, bucket_items)
         counts.append(len(bucket_items))
 
@@ -245,59 +257,47 @@ def _columnar_sort_context(
     Returns ``(columns, counts, packed)`` — every small machine's rows as
     one array per field, concatenated in machine order; each small
     machine's row count; and whether the packed routing mode applies —
-    or ``None`` to stay on the object path.  Qualification requires a
-    field-spec key and every non-empty dataset a typed batch of one
-    shared width and per-column dtype.  Routing mode:
+    or ``None`` to stay on the object path.  Qualification requires every
+    row to be a flat record of finite scalars of one width
+    (:func:`~repro.primitives.columnar.ingest_datasets`).  Routing mode:
 
     * **packed** — the key columns are int/bool and their global value
       spans pack into an int64 composite.  Routing preserves arrival
       order, so *any* field spec matches the object path exactly (ties
       resolve by position on both paths).
-    * **sorted** — keys that do not pack (floats, giant spans) route in
-      key order, which reorders ties; exactness then needs the
-      spec to cover every column (equal keys ⇒ equal rows) or the
-      caller's ``assume_unique``.
+    * **sorted** — keys that do not pack (floats, giant spans, ``object``
+      columns) route in key order, which reorders ties; exactness then
+      needs the spec to cover every column (equal keys ⇒ equal rows) or
+      the caller's ``assume_unique``.
 
-    The checks run on the concatenated columns: one ``max`` per int
-    column under float transport, one ``min`` and one ``max`` per key
-    field for the spans.  Nothing is mutated on failure.
+    The span checks run on the concatenated columns: one ``min`` and one
+    ``max`` per key field.  Nothing is mutated.
     """
     fields = columnar.key_fields(key)
-    if fields is None or len(set(fields)) != len(fields):
+    if len(set(fields)) != len(fields):
         return None
     machine_ids = [m.machine_id for m in cluster.smalls]
     if machine_ids != sorted(machine_ids):
         # Bucket order must equal destination-id order for the routing
         # runs to line up with the object path's ascending-dst grouping.
         return None
-    blocks = columnar.uniform_blocks(
-        (machine.machine_id, machine.get(name, [])) for machine in cluster.smalls
+    blocks = columnar.ingest_datasets(
+        machine.get(name, []) for machine in cluster.smalls
     )
     if blocks is None:
         return None
-    counts = [len(blocks[mid]) if mid in blocks else 0 for mid in machine_ids]
-    if not blocks:
+    columns, counts = columnar.concat_columns(blocks)
+    if not columns:
         return [], counts, True
-    dtypes = tuple(col.dtype for col in next(iter(blocks.values())).columns)
-    width = len(dtypes)
+    width = len(columns)
     if max(fields) >= width or min(fields) < 0:
         return None
-    transport = _transport_dtype(dtypes)
-    if transport is None:
-        return None
-    columns = [
-        np.concatenate([block.columns[j] for block in blocks.values()])
-        for j in range(width)
-    ]
-    if transport is np.float64:
-        # Int columns must survive the float64 transport exactly.
-        for col in columns:
-            if col.dtype.kind == "i" and int(np.abs(col).max()) > 2**52:
-                return None
     # Splitters are sampled row keys, so spans widened by splitters stay
     # within the global spans checked here.
-    packed = all(dtypes[f].kind in "ib" for f in fields) and columnar.spans_fit_packing(
-        [int(columns[f].max()) - int(columns[f].min()) + 1 for f in fields]
+    packed = all(columns[f].dtype.kind in "ib" for f in fields) and (
+        columnar.spans_fit_packing(
+            [int(columns[f].max()) - int(columns[f].min()) + 1 for f in fields]
+        )
     )
     if not packed and not assume_unique and set(fields) != set(range(width)):
         # Partial-field keys can tie between distinct rows; the sorted
@@ -306,20 +306,28 @@ def _columnar_sort_context(
     return columns, counts, packed
 
 
-def _transport_dtype(dtypes: tuple) -> Any:
-    """The single dtype all columns ride the wire in, or ``None``.
+#: Ints beyond this magnitude do not survive a float64 transport.
+_FLOAT_EXACT = 2**52
 
-    Uniform int/bool columns travel as ``int64``; any float column makes
-    the transport ``float64``, which is exact for the float columns and
-    for int columns within the 53-bit mantissa (checked by the caller via
-    the ingested values — ids and weights in this repo are far smaller).
+
+def _transport_dtype(columns: Sequence[Any]) -> Any:
+    """The single dtype *columns* ride the wire in, exact for every value.
+
+    Uniform int/bool columns travel as ``int64``; a float column makes
+    the transport ``float64`` while every int column fits its 53-bit
+    mantissa; an ``object`` column, or an int past ``2**52`` beside a
+    float, makes it ``object`` (the Python values themselves).
     """
-    kinds = {dt.kind for dt in dtypes}
+    kinds = {col.dtype.kind for col in columns}
     if kinds <= {"i", "b"}:
         return np.int64
-    if "f" in kinds and kinds <= {"i", "b", "f"}:
+    if kinds <= {"i", "b", "f"} and all(
+        max(-int(col.min()), int(col.max())) <= _FLOAT_EXACT
+        for col in columns
+        if col.dtype.kind == "i" and len(col)
+    ):
         return np.float64
-    return None
+    return object
 
 
 def _sample_sort_columnar(
@@ -349,7 +357,7 @@ def _sample_sort_columnar(
 
     dtypes = tuple(col.dtype for col in columns)
     key_dtypes = [dtypes[f] for f in fields]
-    key_transport = _transport_dtype(tuple(key_dtypes))
+    key_transport = _transport_dtype([columns[f] for f in fields])
 
     # Step 1: sample — one draw per stored row, in machine order (the
     # object path's RNG stream), compared to the rate at once — and
@@ -395,11 +403,11 @@ def _sample_sort_columnar(
     # of that machine's old per-bucket partition.
     for machine in smalls:
         machine.pop(name, None)
+    transport = _transport_dtype(columns)
     buckets, order = _bucket_rows(columns, fields, splitters, packed)
     srcs = np.repeat(machine_ids, counts)
     if order is not None:
         srcs = srcs[order]
-    transport = _transport_dtype(dtypes)
     rows = np.column_stack([
         (col if order is None else col[order]).astype(transport, copy=False)
         for col in columns

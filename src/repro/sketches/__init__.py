@@ -29,7 +29,7 @@ from .bank import (
     build_sparse_blocks,
     combine_sparse_blocks,
 )
-from .field import PRIME, KWiseHash, fingerprint_power, trailing_zeros
+from .field import PRIME, KWiseHash, trailing_zeros
 from .graph_sketch import GraphSketchSpec, edge_from_id, edge_id
 from .l0 import L0SamplerSeeds
 
@@ -37,7 +37,6 @@ __all__ = [
     "INT64_MAX",
     "PRIME",
     "KWiseHash",
-    "fingerprint_power",
     "trailing_zeros",
     "L0SamplerSeeds",
     "GraphSketchSpec",

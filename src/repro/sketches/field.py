@@ -5,8 +5,8 @@ classical construction — a random degree-(k-1) polynomial over the field
 ``GF(p)`` with the Mersenne prime ``p = 2^61 - 1`` — which is k-wise
 independent and cheap to evaluate.
 
-Besides the scalar helpers (:class:`KWiseHash`, :func:`fingerprint_power`,
-:func:`trailing_zeros`) used by the per-object sketches, this module holds
+Besides the scalar helpers (:class:`KWiseHash`, :func:`trailing_zeros`),
+this module holds
 the array kernels behind :class:`~repro.sketches.bank.SketchBank`:
 :func:`mulmod`, :func:`poly_eval_many`, :func:`trailing_zeros_many` and
 :class:`PowerTable`.  They work on ``uint64`` residues below ``2^61``:
@@ -19,7 +19,6 @@ results are bit-identical to Python's arbitrary-precision arithmetic.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "PRIME",
     "KWiseHash",
     "PowerTable",
-    "fingerprint_power",
     "mulmod",
     "poly_eval_many",
     "trailing_zeros",
@@ -69,19 +67,6 @@ class KWiseHash:
         Horner pass; bit-identical to calling the hash point by point."""
         residues = np.array([x % PRIME for x in xs], dtype=np.uint64)
         return poly_eval_many(self.coefficients, residues).tolist()
-
-
-@lru_cache(maxsize=1 << 16)
-def fingerprint_power(z: int, index: int) -> int:
-    """Cached ``z ** index mod PRIME``.
-
-    Decoding retries the same candidate index across every copy, phase and
-    Borůvka round (and both endpoints of an edge contribute the same
-    fingerprint power during updates), so the modular exponentiation is
-    recomputed many times for identical arguments; a small shared cache
-    removes the repeats.
-    """
-    return pow(z, index, PRIME)
 
 
 def trailing_zeros(value: int) -> int:

@@ -1,11 +1,13 @@
 """Section 5 — maximal matching (Theorem 5.1) and filtering (Theorem 5.5)."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.matching as matching_module
 from repro.core.matching import (
     filtering_matching,
     heterogeneous_matching,
@@ -14,11 +16,36 @@ from repro.core.matching import (
 from repro.graph import generators
 from repro.graph.validation import is_matching, is_maximal_matching
 from repro.mpc import ModelConfig
+from repro.primitives.columnar import EdgeBlock
 
 
 @pytest.fixture
 def rng():
     return random.Random(91)
+
+
+def test_phase2_ranks_past_int64_stay_in_blocks():
+    """At n >= 6,209 phase 2's ranks (randrange(n**5)) pass int64: the
+    arrangement keeps them in an object column of EdgeBlocks, and the run
+    keeps its ledger (40 rounds, 1,916,160 words)."""
+    graph = generators.random_connected_graph(6300, 25200, random.Random(11))
+    arranged: list[list] = []
+    query = matching_module.query_first_records
+
+    def watched_query(cluster, arrangement, *args, **kwargs):
+        arranged.append([
+            data for m in cluster.smalls if len(data := m.get(arrangement.name, []))
+        ])
+        return query(cluster, arrangement, *args, **kwargs)
+
+    with mock.patch.object(matching_module, "query_first_records", watched_query):
+        result = heterogeneous_matching(graph, rng=random.Random(12))
+    assert (result.rounds, result.cluster.ledger.total_words) == (40, 1916160)
+    assert arranged and all(
+        data and all(isinstance(block, EdgeBlock) for block in data) for data in arranged
+    )
+    assert any(col.dtype == object for col in arranged[0][0].columns)
+    assert is_maximal_matching(graph, result.matching)
 
 
 def test_maximal_on_sparse_graph(rng):

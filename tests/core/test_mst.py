@@ -14,7 +14,7 @@ from repro.core.mst import (
     heterogeneous_mst,
     planned_boruvka_steps,
 )
-from repro.graph import generators
+from repro.graph import Graph, generators
 from repro.graph.validation import verify_mst
 from repro.mpc import ModelConfig
 from repro.primitives import columnar
@@ -144,13 +144,10 @@ def test_mst_property_random_graphs(seed):
     assert verify_mst(g, result.edges)
 
 
-def test_boruvka_steps_stay_in_columns():
-    """Perf shape of Section 3's Borůvka phase at the end-to-end quick size
-    (n=300, m=2400): after every step the contracted edges are an
-    EdgeBlock on every non-empty small machine, and the dedup sorts get
-    blocks, so they ingest no tuple rows."""
-    rng = random.Random(0)
-    g = generators.random_connected_graph(300, 2400, rng).with_unique_weights(rng)
+def _watched_mst(graph, rng):
+    """Run the MST, recording after every Borůvka step which non-empty
+    small machines hold the contracted edges as an EdgeBlock, and the
+    tuple rows ingested inside the dedup."""
     shapes: list[list[bool]] = []
     dedup_ingests: list[int] = []
     in_dedup: list[bool] = []
@@ -173,14 +170,42 @@ def test_boruvka_steps_stay_in_columns():
             in_dedup.pop()
 
     def counted_ingest(rows):
-        if in_dedup:
+        if in_dedup and not isinstance(rows, EdgeBlock):
             dedup_ingests.append(len(rows))
         return ingest(rows)
 
     with mock.patch.object(mst_module, "_boruvka_step", checked_step), \
             mock.patch.object(mst_module, "dedup_lightest", watched_dedup), \
             mock.patch.object(columnar, "ingest_rows", counted_ingest):
-        result = heterogeneous_mst(g, rng=random.Random(rng.getrandbits(64)))
+        result = heterogeneous_mst(graph, rng=rng)
+    return result, shapes, dedup_ingests
+
+
+def test_boruvka_steps_stay_in_columns():
+    """Perf shape of Section 3's Borůvka phase at the end-to-end quick size
+    (n=300, m=2400): after every step the contracted edges are an
+    EdgeBlock on every non-empty small machine, and the dedup sorts get
+    blocks, so they ingest no tuple rows.  Weights past int64 (every
+    weight raised by 2**70) ride an object column: the steps still stay
+    in blocks, and the ledger is the plain weights' ledger."""
+    rng = random.Random(0)
+    g = generators.random_connected_graph(300, 2400, rng).with_unique_weights(rng)
+    result, shapes, dedup_ingests = _watched_mst(g, random.Random(rng.getrandbits(64)))
     assert verify_mst(g, result.edges)
     assert shapes and shapes[0] and all(all(step_shapes) for step_shapes in shapes)
     assert dedup_ingests == []
+
+    g = generators.random_connected_graph(60, 300, random.Random(1))
+    g = g.with_unique_weights(random.Random(2))
+    big = Graph(g.n, [(u, v, w + 2**70) for u, v, w in g.edges])
+    plain = heterogeneous_mst(g, rng=random.Random(3))
+    result, shapes, _ = _watched_mst(big, random.Random(3))
+    assert shapes and shapes[0] and all(all(step_shapes) for step_shapes in shapes)
+    assert [(u, v, w - 2**70) for u, v, w in result.edges] == plain.edges
+    ledger = [
+        [(r.note, r.total_words, r.max_sent, r.max_received, r.items)
+         for r in outcome.cluster.ledger.records]
+        for outcome in (plain, result)
+    ]
+    assert ledger[0] == ledger[1]
+    assert (result.rounds, result.cluster.ledger.total_words) == (61, 84349)

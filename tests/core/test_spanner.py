@@ -115,7 +115,7 @@ def test_mpc_modified_bs_matches_interface(rng):
     g = generators.random_connected_graph(40, 220, rng)
     config = ModelConfig.heterogeneous(n=g.n, m=g.m)
     cluster = Cluster(config, rng=random.Random(1))
-    records = [(u, v, (u, v)) for u, v in g.edge_set()]
+    records = [(u, v, u, v) for u, v in g.edge_set()]
     store = EdgeStore.create(cluster, records)
     result = modified_baswana_sen_mpc(
         cluster, store, list(range(g.n)), k=2, p=0.5, rng=rng
@@ -166,7 +166,7 @@ def test_clustering_every_edge_covered(rng):
     _, clustering = build_clustering(g, 5)
     covered = set(clustering.star_edges)
     represented = set()
-    for c1, c2, (scale, original) in clustering.store.items():
+    for c1, c2, scale, *original in clustering.store.items():
         represented.add(tuple(sorted(original)))
     for u, v in g.edge_set():
         same_star = clustering.sigma[u] == clustering.sigma[v]
@@ -174,7 +174,7 @@ def test_clustering_every_edge_covered(rng):
             (min(clustering.sigma[u], clustering.sigma[v]),
              max(clustering.sigma[u], clustering.sigma[v]))
             == (c1, c2)
-            for c1, c2, _ in clustering.store.items()
+            for c1, c2, *_ in clustering.store.items()
         )
         assert same_star or has_ai_edge
 
@@ -183,7 +183,7 @@ def test_clustering_edges_deduplicated(rng):
     g = generators.random_connected_graph(40, 240, rng)
     _, clustering = build_clustering(g, 6)
     seen = set()
-    for c1, c2, (scale, original) in clustering.store.items():
+    for c1, c2, scale, u, v in clustering.store.items():
         key = (scale, c1, c2)
         assert key not in seen
         seen.add(key)

@@ -85,7 +85,7 @@ def test_edgestore_survives_empty_machines(rng):
     cluster = Cluster(config, rng=random.Random(7))
     store = EdgeStore.create(cluster, [(0, 1, 5), (1, 2, 3), (2, 3, 9)])
     assert store.count() == 3
-    layout = store.sort(key=lambda e: e[2])
+    layout = store.sort(key=2)
     assert [e[2] for e in store.items()] == [3, 5, 9]
     annotated = store.annotate({v: v for v in range(64)})
     assert len(annotated.items()) == 3

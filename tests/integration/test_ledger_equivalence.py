@@ -9,7 +9,9 @@ that shifts accounting fails loudly here.
 
 import hashlib
 import random
+from unittest import mock
 
+import repro.primitives.sort as sort_module
 from repro.core import heterogeneous_mst
 from repro.graph import generators
 from repro.mpc import Cluster, ModelConfig
@@ -67,8 +69,12 @@ def _sort_golden_cluster() -> Cluster:
 
 
 def test_sample_sort_ledger_matches_seed_engine():
+    """``key=0`` on the object path (the columnar qualification made to
+    decline): the seed engine's per-row sort, keyed by 1-tuples."""
     cluster = _sort_golden_cluster()
-    layout = sample_sort(cluster, "d", key=lambda t: t[0])
+    with mock.patch.object(sort_module, "_columnar_sort_context", return_value=None):
+        layout = sample_sort(cluster, "d", key=0)
+    assert all(isinstance(m.get("d"), list) for m in cluster.smalls)
     ledger = cluster.ledger
     assert ledger.rounds == SORT_GOLDEN["rounds"]
     assert ledger.total_words == SORT_GOLDEN["total_words"]

@@ -149,6 +149,30 @@ def test_execute_charges_bulk_word_sizes():
     assert record.items == 3
 
 
+def test_object_blocks_of_python_scalars_charge_one_word_per_element():
+    """An object array of Python ints (past int64 too), floats and bools
+    is a block like a numeric one: a batch and a scatter of it charge one
+    word per element; one holding a tuple is refused when queued."""
+    import numpy as np
+
+    cluster = make_cluster()
+    rows = np.array([[1, 2**70], [2.5, True], [3, -(2**64)]], dtype=object)
+    plan = RoundPlan(note="object-block")
+    plan.send_batch(0, 1, rows[:2])
+    plan.send_indexed(np.array([2, 2, 3]), np.array([1, 4, 4]), rows)
+    inboxes = cluster.execute(plan)
+    record = cluster.ledger.records[-1]
+    assert (record.total_words, record.items) == (10, 5)
+    assert [row for block in inboxes[4] for row in block.tolist()] == rows[1:].tolist()
+    bad = np.array([(1, 2), 3], dtype=object)
+    for send in (
+        lambda plan: plan.send_batch(0, 1, bad),
+        lambda plan: plan.send_indexed(0, np.array([1, 2]), bad),
+    ):
+        with pytest.raises(TypeError, match="Python ints, floats and bools"):
+            send(RoundPlan())
+
+
 def test_execute_unknown_machine_raises():
     cluster = make_cluster()
     plan = RoundPlan().send(0, 10**6, "x")

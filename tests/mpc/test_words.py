@@ -187,26 +187,6 @@ def test_word_size_many_interned_strings_and_empty_bytes():
     assert word_size_many([b""] * 8) == 8
 
 
-def test_bytearray_mutation_after_charge_is_visible_to_touch():
-    """A machine caches the charged size at `put`; in-place growth of a
-    bytearray is invisible until `touch` recomputes it — the documented
-    mutation contract."""
-    import random as _random
-
-    from repro.mpc import Cluster, ModelConfig
-
-    cluster = Cluster(ModelConfig.heterogeneous(n=64, m=256),
-                      rng=_random.Random(0))
-    machine = cluster.smalls[0]
-    blob = bytearray(b"x" * 8)
-    machine.put("blob", blob)
-    assert machine.usage == 2
-    blob.extend(b"y" * 32)         # now 40 bytes = 6 words
-    assert machine.usage == 2      # stale by design until touch
-    machine.touch("blob")
-    assert machine.usage == 6
-
-
 def test_word_size_many_mixed_bytes_and_bytearray_after_mutation():
     blob = bytearray(b"z" * 4)
     batch = [bytes(blob), blob]
@@ -233,6 +213,23 @@ def test_non_numeric_numpy_dtypes_raise():
         word_size(np.array(["a", "b"]))
     with pytest.raises(TypeError):
         word_size_many(np.array([object()], dtype=object))
+
+
+def test_object_arrays_of_python_scalars_charge_one_word_per_element():
+    """The columns that hold ints past int64 or mixed scalar types: one
+    word per element, like the tuples they stand for; an element that is
+    not a Python int, float or bool (a tuple, None) raises."""
+    block = np.array([[2**70, 1.5], [True, -(2**64)], [3, 0.0]], dtype=object)
+    assert word_size(block) == word_size_many(block) == 6
+    assert word_size(block) == word_size_many([tuple(row) for row in block.tolist()])
+    assert word_size(block[:, 0]) == 3
+    for bad in ((1, 2), None):
+        array = np.empty(2, dtype=object)
+        array[:] = [1, bad]
+        with pytest.raises(TypeError):
+            word_size(array)
+        with pytest.raises(TypeError):
+            word_size_many(array)
 
 
 def _random_payload(rng: random.Random, depth: int = 0):

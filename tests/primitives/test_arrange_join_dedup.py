@@ -54,17 +54,26 @@ def test_arrange_rejects_a_callable_secondary_key():
         arrange_directed(cluster, "edges", "directed", secondary_key=3)
 
 
-def test_directed_rows_fall_back_to_tuples_of_one_width():
+def test_directed_rows_take_flat_scalar_records_only():
+    """Edge fields past int64 or of mixed scalar types ride object columns;
+    a string, nested or ragged record raises a TypeError naming the
+    dataset."""
     cluster = make_cluster()
-    cluster.distribute_edges([(0, 1, "a"), (1, 2, "b")], name="edges")
+    cluster.distribute_edges([(0, 1, 2**70), (1, 2, 0.5)], name="edges")
     width, rows = directed_rows(cluster, "edges", with_dst=False)
     assert width == 3
+    assert all(isinstance(r, EdgeBlock) for r in rows.values() if len(r))
     assert sorted(row for machine_rows in rows.values() for row in machine_rows) == [
-        (0, 0, 1, "a"), (1, 0, 1, "a"), (1, 1, 2, "b"), (2, 1, 2, "b"),
+        (0, 0, 1, 2**70), (1, 0, 1, 2**70), (1, 1, 2, 0.5), (2, 1, 2, 0.5),
     ]
-    cluster.distribute_edges([(0, 1, "a"), (1, 2)], name="ragged")
-    with pytest.raises(ValueError, match="several widths"):
-        directed_rows(cluster, "ragged")
+    for name, edges in [
+        ("strings", [(0, 1, "a"), (1, 2, "b")]),
+        ("nested", [(0, 1, (5, (0, 1))), (1, 2, (5, (1, 2)))]),
+        ("ragged", [(0, 1, 5), (1, 2)]),
+    ]:
+        cluster.distribute_edges(edges, name=name)
+        with pytest.raises(TypeError, match=f"dataset {name!r}"):
+            directed_rows(cluster, name)
 
 
 def test_arrange_degrees_are_correct():
@@ -99,13 +108,19 @@ def test_arrange_vertex_without_edges_has_no_holder():
 def test_query_first_records_matches_brute_force(form):
     """Section 3's query step gathers exactly each vertex's first
     min(quota, degree) arranged rows, in row order: quotas above the
-    degree, zero quotas and vertices missing from the quotas included."""
+    degree, zero quotas and vertices missing from the quotas included.
+    The "tuples" form hands it the arranged rows as tuples, with weights
+    past int64, which it ingests into blocks with an object column."""
     cluster = make_cluster()
     edges = weighted_graph().edges
-    if form == "tuples":  # a column no typed block holds
-        edges = [(u, v, (w, "w")) for u, v, w in edges]
+    if form == "tuples":
+        edges = [(u, v, w + 2**70) for u, v, w in edges]
     cluster.distribute_edges(edges, name="edges")
     arrangement = arrange_directed(cluster, "edges", "directed", secondary_key=2)
+    if form == "tuples":
+        for machine in cluster.smalls:
+            if "directed" in machine:
+                machine.put("directed", list(machine.get("directed")))
     datasets = [machine.get("directed", []) for machine in cluster.smalls]
     assert any(isinstance(data, EdgeBlock) for data in datasets) == (form == "block")
     rows = [row for data in datasets for row in data]
@@ -208,26 +223,26 @@ def test_annotate_property_random_graphs(seed):
 # ----------------------------------------------------------------------
 def test_dedup_keeps_lightest_per_key():
     cluster = make_cluster()
-    records = [("a", w) for w in (5, 3, 9)] + [("b", w) for w in (2, 7)]
+    records = [(0, w) for w in (5, 3, 9)] + [(1, w) for w in (2, 7)]
     cluster.distribute_edges(records, name="data")
-    dedup_lightest(cluster, "data", key=lambda r: r[0], weight=lambda r: r[1])
-    assert sorted(cluster.all_items("data")) == [("a", 3), ("b", 2)]
+    dedup_lightest(cluster, "data", key=0, weight=1)
+    assert sorted(cluster.all_items("data")) == [(0, 3), (1, 2)]
 
 
 def test_dedup_handles_groups_spanning_machines():
     cluster = make_cluster()
     # One huge group: only the globally lightest survives.
-    records = [("k", w) for w in range(100)]
+    records = [(7, w) for w in range(100)]
     cluster.distribute_edges(records, name="data")
-    dedup_lightest(cluster, "data", key=lambda r: r[0], weight=lambda r: r[1])
-    assert cluster.all_items("data") == [("k", 0)]
+    dedup_lightest(cluster, "data", key=0, weight=1)
+    assert cluster.all_items("data") == [(7, 0)]
 
 
 def test_dedup_noop_on_unique_keys():
     cluster = make_cluster()
     records = [(i, i) for i in range(50)]
     cluster.distribute_edges(records, name="data")
-    dedup_lightest(cluster, "data", key=lambda r: r[0], weight=lambda r: r[1])
+    dedup_lightest(cluster, "data", key=0, weight=1)
     assert sorted(cluster.all_items("data")) == records
 
 
@@ -240,9 +255,7 @@ def test_dedup_parallel_contracted_edges():
         for w in rng.sample(range(100), 5):
             records.append((pair[0], pair[1], w))
     cluster.distribute_edges(records, name="data")
-    dedup_lightest(
-        cluster, "data", key=lambda r: (r[0], r[1]), weight=lambda r: r[2]
-    )
+    dedup_lightest(cluster, "data", key=(0, 1), weight=2)
     result = sorted(cluster.all_items("data"))
     assert len(result) == 3
     by_pair = {(r[0], r[1]): r[2] for r in result}
@@ -254,5 +267,5 @@ def test_dedup_parallel_contracted_edges():
 def test_dedup_empty_dataset():
     cluster = make_cluster()
     cluster.distribute_edges([], name="data")
-    dedup_lightest(cluster, "data", key=lambda r: r, weight=lambda r: r)
+    dedup_lightest(cluster, "data", key=0, weight=1)
     assert cluster.all_items("data") == []

@@ -9,13 +9,16 @@ difference.
 
 Hypothesis drives randomized inputs through sort, aggregate and dedup;
 join and arrange run a curated scenario matrix covering every internal
-representation switch (blocks, tuple rows, mixed value types,
-sorted-mode keys, empties).  The object side runs under
-:func:`object_path`, a fake that makes the qualification entry points
-decline, so every primitive falls back to its object path.  Kernel-level
-unit tests pin the columnar helpers against their obvious per-item
-references, and the zero-length regression block pins the empty-batch
-fix: empty scatters must not open runs or burn rounds.
+representation switch (blocks, tuple rows, object columns, mixed value
+types, sorted-mode keys, empties).  The object side runs under
+:func:`object_path`, a fake that makes the sort's and the aggregate's
+qualification decline, so both take their object paths; the
+single-path primitives (arrange, the query step, the MST rename, the
+dedup's keep-first pass) ingest whatever the object sort leaves, so
+whole pipelines compare the two sorts.  Kernel-level unit tests pin the
+columnar helpers against their obvious per-item references, and the
+zero-length regression block pins the empty-batch fix: empty scatters
+must not open runs or burn rounds.
 """
 
 import importlib
@@ -40,6 +43,7 @@ from repro.primitives.aggregate import aggregate
 from repro.primitives.arrange import arrange_directed, query_first_records
 from repro.primitives.columnar import (
     EdgeBlock,
+    ingest_datasets,
     ingest_rows,
     pack_columns,
     pack_words,
@@ -57,35 +61,30 @@ aggregate_module = importlib.import_module("repro.primitives.aggregate")
 NUM_SMALL = 6
 
 
-def _decline(data):
+def _decline(*args):
     return None
 
 
 @contextmanager
 def object_path():
-    """Make every primitive take its object path, as if no input
-    qualified for columns: the two qualification entry points decline
-    (sort, arrange and join ask ``ensure_block``, aggregate asks
-    ``ingest_pairs``).  A columnar sort or aggregate that still runs on
-    rows fails the test, so an entry point that slips past the fake
-    cannot turn a differential into columnar against columnar."""
-    columnar_sort = sort_module._sample_sort_columnar
+    """Make the sort and the aggregate take their object paths, as if no
+    input qualified for columns: their qualification steps decline (the
+    sort's ``_columnar_sort_context``, the aggregate's ``ingest_pairs``).
+    The single-path primitives then ingest the tuple rows the object sort
+    leaves.  A columnar sort or aggregate that still runs fails the test,
+    so a path that slips past the fake cannot turn a differential into
+    columnar against columnar."""
+    def no_columnar(*args, **kwargs):
+        raise AssertionError("a columnar path ran under the object-path fake")
 
-    def sort_without_rows(cluster, name, key, note, columns, counts, packed):
-        # A sort of all-empty datasets qualifies before any entry point
-        # is asked; it moves nothing.
-        assert not any(counts), "columnar sort ran under the object-path fake"
-        return columnar_sort(cluster, name, key, note, columns, counts, packed)
-
-    def no_columnar_aggregate(*args, **kwargs):
-        raise AssertionError("columnar aggregate ran under the object-path fake")
-
-    with mock.patch.multiple(
-        columnar, ensure_block=_decline, ingest_pairs=_decline
+    with mock.patch.object(
+        sort_module, "_columnar_sort_context", _decline
     ), mock.patch.object(
-        sort_module, "_sample_sort_columnar", sort_without_rows
+        sort_module, "_sample_sort_columnar", no_columnar
     ), mock.patch.object(
-        aggregate_module, "_aggregate_columnar", no_columnar_aggregate
+        columnar, "ingest_pairs", _decline
+    ), mock.patch.object(
+        aggregate_module, "_aggregate_columnar", no_columnar
     ):
         yield
 
@@ -118,19 +117,20 @@ def snapshot(cluster: Cluster, names) -> tuple:
     return datasets, ledger, cluster.ledger.memory_high_water
 
 
-def run_everyway(build_and_run, names, config=None):
+def run_everyway(build_and_run, names, config=None, sorted_names=()):
     """Run a primitive on every path and assert all snapshots are
-    identical; returns the reference snapshot."""
+    identical; returns the reference snapshot.  *sorted_names* are the
+    datasets a sort leaves as its own output."""
     reference = None
     for path, context in PATHS.items():
         cluster = make_cluster(config)
         with context():
             extra = build_and_run(cluster)
         if path == "object":
-            # The object path leaves no rows in typed batches.
+            # The object sort leaves no rows in typed batches.
             assert not any(
                 isinstance(data, EdgeBlock) and len(data)
-                for name in names
+                for name in sorted_names
                 for data in (m.get(name, []) for m in cluster.smalls)
             )
         snap = snapshot(cluster, names) + (extra,)
@@ -165,7 +165,7 @@ def test_sample_sort_differential(rows, key):
         distribute(cluster, "e", rows)
         return sample_sort(cluster, "e", key=key).counts
 
-    run_everyway(go, ["e"])
+    run_everyway(go, ["e"], sorted_names=["e"])
 
 
 @settings(max_examples=25, deadline=None)
@@ -255,7 +255,7 @@ def test_sample_sort_sorted_mode_differential(rows, key, holders, chunked):
         fill(cluster)
         context = sort_module._columnar_sort_context(cluster, "e", key, False)
         assert context is not None and context[2] is False
-    run_everyway(go, ["e"])
+    run_everyway(go, ["e"], sorted_names=["e"])
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +293,12 @@ _RANK_CASES = {
     ),
     # (d) a float column: every row rides the float64 transport
     "float-transport": (None, [(i % 5, i / 4, -i) for i in range(60)], (0,)),
+    # (e) an int past 2**52 beside a float column: the object transport
+    "object-transport": (
+        None, [(i % 5, i / 4, 2**60 + i) for i in range(60)], (0,)),
+    # (f) ints past int64: an object key column, routed in key order
+    "object-column": (
+        None, [(i % 5, 2**70 + (i * 37) % 61, -i) for i in range(60)], (1, 0, 2)),
 }
 
 
@@ -319,7 +325,7 @@ def test_sample_sort_rank_differential(case):
     context = sort_module._columnar_sort_context(cluster, "e", key, False)
     assert context is not None
     columns, _, packed = context
-    counts = run_everyway(go, ["e"], config)[3]
+    counts = run_everyway(go, ["e"], config, sorted_names=["e"])[3]
     columnar_route = route_inboxes[-1]  # PATHS runs the columnar side last
     if case == "split-route":
         assert max(columnar_route.values()) > 1
@@ -329,8 +335,12 @@ def test_sample_sort_rank_differential(case):
         span = int(columns[0].max()) - int(columns[0].min()) + 1
         assert packed and 2 * span >= 2**63
         assert any(counts[1:])  # a machine index >= 1 receives rows
+    elif case == "float-transport":
+        assert sort_module._transport_dtype(columns) is np.float64
     else:
-        assert any(col.dtype.kind == "f" for col in columns)
+        assert sort_module._transport_dtype(columns) is object
+        if case == "object-column":
+            assert not packed and columns[1].dtype == object
 
 
 # ----------------------------------------------------------------------
@@ -382,17 +392,16 @@ _JOIN_CASES = {
     # float values ride a float64 value column
     "float-values": (
         _gen_edges(_NV, 60, 6), {v: v / 8 for v in range(_NV)}, 0.0, "block"),
-    # mixed value types across machines -> object-path second sort
+    # mixed scalar value types ride an object value column
     "mixed-types": (
         _gen_edges(_NV, 70, 7),
-        {0: True, 1: 5, **{v: v for v in range(2, _NV)}}, 0, "tuples"),
+        {0: True, 1: 5, **{v: v for v in range(2, _NV)}}, 0, "block"),
     # the low machines' values are all bools and the high machines' all
-    # ints: one cluster-wide column cannot hold them, so every copy falls
-    # back to a tuple row
+    # ints: one cluster-wide object column holds them
     "per-machine-dtypes": (
         _gen_edges(_NV, 70, 10),
         {v: (v % 2 == 0 if v < _NV // 2 else v) for v in range(_NV)}, 0,
-        "tuples"),
+        "block"),
     # edges stored as (u, v) with u > v: the copy at v sorts first, so
     # value_u comes from the second copy of each pair
     "reversed-edges": (
@@ -404,11 +413,10 @@ _JOIN_CASES = {
         {v: -v for v in range(_NV)}, 0, "block"),
     "empty": ([], {0: 1}, None, "empty"),
     "single-edge": ([(5, 9)], {5: 1, 9: 2}, None, "block"),
-    # a column no typed block holds (the clustering graphs' records
-    # (c1, c2, (scale, (u, v)))) -> tuple rows on both paths
+    # weights past int64 ride an object column, in blocks on both paths
     "object-column": (
-        [(u, v, (u % 3, (u, v))) for u, v in _gen_edges(_NV, 60, 8)],
-        {v: v % 5 for v in range(_NV)}, 0, "tuples"),
+        [(u, v, 2**70 + w) for u, v, w in _gen_edges(_NV, 60, 8, weighted=True)],
+        {v: v % 5 for v in range(_NV)}, 0, "block"),
 }
 
 
@@ -476,6 +484,18 @@ def test_join_boundary_copy_lands_on_a_receiving_block():
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
+def test_join_rejects_nested_edge_fields(path):
+    """Edge records must be flat rows of scalars: a nested field (the
+    clustering graphs' old ``(c1, c2, (scale, (u, v)))`` shape) raises a
+    TypeError naming the dataset on both paths, before any round."""
+    cluster = make_cluster()
+    distribute(cluster, "edges", [(u, v, (u % 3, (u, v))) for u, v in _gen_edges(_NV, 30, 8)])
+    with PATHS[path](), pytest.raises(TypeError, match="dataset 'edges'"):
+        annotate_edges_with_vertex_values(cluster, "edges", {}, "annotated")
+    assert cluster.ledger.rounds == 0
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
 @pytest.mark.parametrize("copies", [2, 3])
 @pytest.mark.parametrize(
     "edge, other", [((0, 1), (1, 2)), ((0, 1, 5), (2, 3, 1))], ids=["plain", "weighted"]
@@ -501,6 +521,10 @@ _ARRANGE_CASES = {
     "big-ranks": (
         [(u, v, random.Random(u * 97 + v).randrange(2**60))
          for u, v in _gen_edges(_NV, 80, 12)], 2),
+    # ranks past int64 (matching phase 2 at n >= 6,209): an object column
+    "object-ranks": (
+        [(u, v, random.Random(u * 89 + v).randrange(10**20))
+         for u, v in _gen_edges(_NV, 80, 15)], 2),
     # default secondary: the full edge tuple
     "default": (_gen_edges(_NV, 80, 13, weighted=True), None),
     "unweighted-default": (_gen_edges(_NV, 80, 14), None),
@@ -731,25 +755,62 @@ def test_machine_of_rank_many_matches_scalar():
 
 
 def test_value_column_types():
-    import numpy as np
-
     assert value_column([]) is None
     assert value_column([1, 2, 3]).dtype == np.int64
     assert value_column([True, False]).dtype == np.bool_
     assert value_column([0.5, 1.5]).dtype == np.float64
-    assert value_column([1, "x"]) is None           # mixed kinds
+    # Ints past int64 and mixed scalar types ride an object column of the
+    # Python values.
+    for values in ([2**63], [1, 2.5], [True, 1], [-(2**70), 0.5, False]):
+        column = value_column(values)
+        assert column.dtype == object and column.tolist() == values
+        assert list(map(type, column.tolist())) == list(map(type, values))
+    assert value_column([1, "x"]) is None           # strings
     assert value_column([float("nan")]) is None     # non-finite
-    assert value_column([2**63]) is None            # int64 overflow
+    assert value_column([2**70, float("inf")]) is None
     assert value_column([(1, 2)]) is None           # non-scalar
+    assert value_column([1, None]) is None
 
 
 def test_ingest_rows_rejects_unrepresentable():
     assert ingest_rows([(1, 2), (3, 4)]) is not None
+    block = ingest_rows([(1, 2**64), (2, 3)])         # past int64: object
+    assert [col.dtype for col in block.columns] == [np.int64, object]
+    assert block.rows() == [(1, 2**64), (2, 3)] and block.word_size() == 4
     assert ingest_rows([]) is None
     assert ingest_rows([(1, 2), (3,)]) is None           # ragged
-    assert ingest_rows([(1, 2**64)]) is None             # overflow
+    assert ingest_rows([(1, 2), (3,), (4, 5, 6)]) is None
     assert ingest_rows([(1, float("inf"))]) is None      # non-finite
+    assert ingest_rows([(1, 2**70), (2, float("nan"))]) is None
     assert ingest_rows([[1, 2]]) is None                 # non-tuple rows
+    assert ingest_rows([(1, "a")]) is None               # strings
+    assert ingest_rows([(1, (2, 3))]) is None            # nested rows
+    assert ingest_rows([(1, None)]) is None
+
+
+def test_ingest_datasets_widen_fields_across_machines():
+    """A field whose dtype differs between machines becomes an object
+    column everywhere, so the blocks concatenate; a width mismatch or a
+    non-scalar row anywhere gives None."""
+    blocks = ingest_datasets([[(1, 2)], [], [(3, 2**70)], [(4, 0.5)]])
+    assert blocks[1] == []
+    assert [[col.dtype for col in b.columns] for b in blocks if len(b)] == [
+        [np.int64, object]] * 3
+    assert [row for b in blocks for row in b] == [(1, 2), (3, 2**70), (4, 0.5)]
+    assert ingest_datasets([[(1, 2)], [(1, 2, 3)]]) is None
+    assert ingest_datasets([[(1, 2)], [(1, (2,))]]) is None
+
+
+def test_stored_blocks_put_back_and_name_the_dataset():
+    cluster = make_cluster()
+    distribute(cluster, "e", [(i, i + 1) for i in range(9)])
+    usage = [m.usage for m in cluster.smalls]
+    blocks = columnar.stored_blocks(cluster.smalls, "e")
+    assert all(m.get("e") is b for m, b in zip(cluster.smalls, blocks) if len(b))
+    assert [m.usage for m in cluster.smalls] == usage   # the same words
+    distribute(cluster, "bad", [(i, "x") for i in range(9)])
+    with pytest.raises(TypeError, match="dataset 'bad'"):
+        columnar.stored_blocks(cluster.smalls, "bad")
 
 
 # ----------------------------------------------------------------------
@@ -757,8 +818,6 @@ def test_ingest_rows_rejects_unrepresentable():
 # ----------------------------------------------------------------------
 
 def test_word_size_many_empty_arrays_are_zero_words():
-    import numpy as np
-
     for dtype in (np.int64, np.float64, np.bool_, np.dtype("U4"), object):
         assert word_size_many(np.empty(0, dtype=dtype)) == 0
 

@@ -33,16 +33,6 @@ def test_fresh_names_avoid_collisions(cluster, graph):
     assert a.name != b.name
 
 
-def test_map_filter_flatmap_are_local(cluster, graph):
-    store = EdgeStore.create(cluster, graph.edges)
-    store.map_local(lambda e: (e[0], e[1]))
-    store.filter_local(lambda e: e[0] < 5)
-    store.flat_map_local(lambda e: [e, e])
-    assert cluster.ledger.rounds == 0
-    assert all(e[0] < 5 for e in store.items())
-    assert len(store) % 2 == 0
-
-
 def test_sample_rate(cluster, graph):
     store = EdgeStore.create(cluster, graph.edges)
     rng = random.Random(11)
@@ -50,6 +40,9 @@ def test_sample_rate(cluster, graph):
     assert 0 < len(sampled) < graph.m
     assert set(sampled.items()) <= set(store.items())
     assert len(store) == graph.m  # original untouched
+    sampled.drop()
+    assert len(sampled) == 0
+    assert len(store) == graph.m
 
 
 def test_sample_extremes(cluster, graph):
@@ -57,14 +50,6 @@ def test_sample_extremes(cluster, graph):
     rng = random.Random(12)
     assert len(store.sample(0.0, rng)) == 0
     assert len(store.sample(1.0, rng)) == graph.m
-
-
-def test_copy_and_drop(cluster, graph):
-    store = EdgeStore.create(cluster, graph.edges)
-    clone = store.copy()
-    clone.drop()
-    assert len(clone) == 0
-    assert len(store) == graph.m
 
 
 def test_count_charges_rounds(cluster, graph):
@@ -83,7 +68,7 @@ def test_gather_to_large_with_predicate(cluster, graph):
 
 def test_sort_returns_layout(cluster, graph):
     store = EdgeStore.create(cluster, graph.edges)
-    layout = store.sort(key=lambda e: e[2])
+    layout = store.sort(key=2)
     assert layout.total == graph.m
     weights = [e[2] for e in store.items()]
     assert weights == sorted(weights)

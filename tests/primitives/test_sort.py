@@ -30,8 +30,8 @@ def globally_sorted(cluster, name, key):
 
 def test_sorts_integers():
     cluster = make_cluster()
-    distribute(cluster, list(range(200))[::-1])
-    layout = sample_sort(cluster, "data", key=lambda x: x)
+    distribute(cluster, [(i,) for i in range(200)][::-1])
+    layout = sample_sort(cluster, "data", key=0)
     assert globally_sorted(cluster, "data", key=lambda x: x)
     assert layout.total == 200
 
@@ -41,8 +41,8 @@ def test_constant_round_count():
     counts = []
     for size in (50, 500):
         cluster = make_cluster()
-        distribute(cluster, list(range(size))[::-1])
-        sample_sort(cluster, "data", key=lambda x: x)
+        distribute(cluster, [(i,) for i in range(size)][::-1])
+        sample_sort(cluster, "data", key=0)
         counts.append(cluster.ledger.rounds)
     assert counts[1] <= counts[0] + 2  # no growth with input size
 
@@ -52,14 +52,14 @@ def test_sorts_tuples_by_key():
     rng = random.Random(1)
     items = [(rng.randrange(100), i) for i in range(150)]
     distribute(cluster, items)
-    sample_sort(cluster, "data", key=lambda t: (t[0], t[1]))
+    sample_sort(cluster, "data", key=(0, 1))
     assert globally_sorted(cluster, "data", key=lambda t: (t[0], t[1]))
 
 
 def test_empty_dataset():
     cluster = make_cluster()
     distribute(cluster, [])
-    layout = sample_sort(cluster, "data", key=lambda x: x)
+    layout = sample_sort(cluster, "data", key=0)
     assert layout.total == 0
     assert cluster.ledger.rounds == 0
 
@@ -67,9 +67,9 @@ def test_empty_dataset():
 def test_preserves_multiset():
     cluster = make_cluster()
     rng = random.Random(5)
-    items = [rng.randrange(30) for _ in range(300)]  # duplicates
+    items = [(rng.randrange(30),) for _ in range(300)]  # duplicates
     distribute(cluster, items)
-    sample_sort(cluster, "data", key=lambda x: x)
+    sample_sort(cluster, "data", key=0)
     assert sorted(items) == cluster.all_items("data")
 
 
@@ -92,11 +92,20 @@ def test_layout_offsets_are_cached():
     assert [layout.machine_of_rank(r) for r in range(5)] == [10, 10, 10, 12, 12]
 
 
+def test_key_must_be_a_field_spec():
+    cluster = make_cluster()
+    distribute(cluster, [(i,) for i in range(10)])
+    for key in (lambda row: row[0], "0", (), 0.5):
+        with pytest.raises(TypeError, match="key must be a column index"):
+            sample_sort(cluster, "data", key=key)
+    assert cluster.ledger.rounds == 0
+
+
 def test_works_without_large_machine():
     config = ModelConfig.sublinear(n=64, m=512)
     cluster = Cluster(config, rng=random.Random(3))
-    distribute(cluster, list(range(100))[::-1])
-    sample_sort(cluster, "data", key=lambda x: x)
+    distribute(cluster, [(i,) for i in range(100)][::-1])
+    sample_sort(cluster, "data", key=0)
     assert globally_sorted(cluster, "data", key=lambda x: x)
 
 
@@ -108,7 +117,7 @@ def test_works_without_large_machine():
 def test_sort_property(seed, size):
     cluster = make_cluster()
     rng = random.Random(seed)
-    items = [rng.randrange(1000) for _ in range(size)]
+    items = [(rng.randrange(1000),) for _ in range(size)]
     distribute(cluster, items)
-    sample_sort(cluster, "data", key=lambda x: x)
+    sample_sort(cluster, "data", key=0)
     assert cluster.all_items("data") == sorted(items)

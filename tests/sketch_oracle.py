@@ -21,6 +21,7 @@ rows with Python ints, the form the tests compare.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -28,10 +29,17 @@ import numpy as np
 
 from repro.graph.union_find import UnionFind
 from repro.sketches.bank import SparseRowBlock, edge_from_id
-from repro.sketches.field import PRIME, fingerprint_power
+from repro.sketches.field import PRIME
 
 #: Largest baby-step/giant-step block worth materializing.
 _MAX_BLOCK = 1 << 20
+
+
+@lru_cache(maxsize=1 << 16)
+def fingerprint_power(z: int, index: int) -> int:
+    """Cached ``z ** index mod PRIME``: decoding retries the same
+    candidate index across every copy, phase and Borůvka round."""
+    return pow(z, index, PRIME)
 
 
 class PureKernels:

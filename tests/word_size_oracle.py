@@ -37,7 +37,10 @@ def reference_word_size(obj: Any) -> int:
             return 1
         raise TypeError(f"cannot compute word size of dtype {obj.dtype}")
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "iufb":
+        if obj.dtype.kind in "iufb" or (
+            obj.dtype.kind == "O"
+            and all(type(x) in (int, float, bool) for x in obj.flat)
+        ):
             return int(obj.size)
         raise TypeError(f"cannot compute word size of dtype {obj.dtype}")
     raise TypeError(f"cannot compute word size of {type(obj).__name__}")
