@@ -1,26 +1,19 @@
 """Distributed primitives: the paper's Claims 1-4 plus supporting plumbing.
 
-Items are flat records; sort and dedup keys are field specs (column
-indices).  Claim 4's arrangement, Section 3's query step and the dedup's
-keep-first pass run on :class:`~repro.primitives.columnar.EdgeBlock` s
-only, reading their input through
-:func:`~repro.primitives.columnar.stored_blocks` (records of finite
-scalars; a field no int64, float64 or bool column holds rides an
-``object`` column).  Two primitives keep an object path, with the same
-datasets, rounds and words as their columnar one:
-
-* ``sample_sort``, for rows whose fields are not scalars — the
-  sort-join's second sort when the values are flow labels (the KKT
-  filter in ``core/mst.py``), ``VertexLabel`` s (modified Baswana–Sen),
-  ``None`` defaults or tuples (statuses in ``core/mis.py``, palettes in
-  ``core/coloring.py``, trial masks, ``(i_u, mask)`` and ``(sigma,
-  degree)`` in ``core/spanner/clustering.py``); the join then emits flat
-  tuple rows ``(*edge, value_u, value_v)``, the shape its blocks have
-  when the values are scalars;
-* ``aggregate``, for custom combines (``two_smallest`` in
-  ``core/mincut.py``, the element-wise mask OR in
-  ``core/spanner/clustering.py``) and keys or values that are not
-  int64-keyed exact scalars (tuple keys, tuple values).
+Items are flat records, held as
+:class:`~repro.primitives.columnar.EdgeBlock` s: a field no int64,
+float64 or bool column holds rides an ``object`` column of its values,
+whatever they are — ints past int64, mixed scalars, tuples, ``None``,
+flow labels.  Sort and dedup keys are field specs (column indices) over
+columns of finite scalars, and ``sample_sort`` has one implementation.
+Claim 4's arrangement, Section 3's query step and the dedup read their
+input through :func:`~repro.primitives.columnar.stored_blocks` (records of
+finite scalars); the sort-join emits blocks whatever its values are.
+Only ``aggregate`` keeps an object path, with the same datasets, rounds
+and words as its columnar one: for custom combines (``two_smallest`` in
+``core/mincut.py``, the element-wise mask OR in
+``core/spanner/clustering.py``) and keys or values that are not
+int64-keyed exact scalars (tuple keys, tuple values).
 """
 
 from .aggregate import aggregate, aggregate_counts, count_items

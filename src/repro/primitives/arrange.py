@@ -108,18 +108,10 @@ def arrange_directed(
     field spec over the edge's columns — an index or a tuple of indices —
     and defaults to the whole edge (the MST algorithm passes the weight,
     so each vertex's out-edges are weight-sorted as Section 3 requires).
-    A field spec asserts that ``(src, key, dst)`` determines the row —
-    true under the paper's unique-weight convention — mirroring
-    ``sample_sort``'s ``assume_unique`` contract.
     """
     fields = None
     if secondary_key is not None:
-        fields = columnar.key_fields(secondary_key)
-        if fields is None:
-            raise TypeError(
-                "secondary_key must be an edge column index or a tuple of "
-                f"them, not {secondary_key!r}"
-            )
+        fields = columnar.key_fields(secondary_key, "secondary_key")
     width, rows = directed_rows(cluster, edges_name)
     if fields is not None and width and not all(0 <= f < width for f in fields):
         raise ValueError(
@@ -134,7 +126,6 @@ def arrange_directed(
         directed_name,
         key=(0, *(2 + f for f in edge_fields), 1),
         note=f"{note}/sort",
-        assume_unique=fields is not None,
     )
 
     # The source column of every machine's arranged rows (the raw column:

@@ -8,41 +8,38 @@ instead of materializing per-item Python tuples at every step.
 Two pieces:
 
 * :class:`EdgeBlock` — a record batch: fixed-width rows held as per-field
-  numpy 1-D arrays.  A field is an exact ``int64``, ``float64`` or
-  ``bool`` column when one of those dtypes holds all its values on every
-  small machine, and an ``object`` column of the Python values otherwise
-  (ints past int64, or a mix of ints, floats and bools).  A block knows
-  its word count in O(1) (``len * width`` — every field is one machine
-  word, whatever its column), which is what lets ``Machine.put`` and the
-  converge-cast scratch charges account a 100k-row dataset without
-  iterating it: the block implements the ``word_size()`` duck-type hook
-  of :func:`repro.mpc.words.word_size`.  Blocks are sequences of the
-  exact row tuples they were built from — iterating one yields the same
-  Python tuples the rows were — so downstream consumers cannot tell.
+  numpy 1-D arrays.  A field is an exact ``int64``, ``float64`` (finite)
+  or ``bool`` column when one of those dtypes holds all its values on
+  every small machine, and an ``object`` column of the Python values
+  otherwise — ints past int64, mixed scalar types, but also tuples,
+  ``None``, flow labels or any other value.  A block charges what the
+  equivalent tuples charge: one word per field of a typed column, in
+  O(1), and :func:`repro.mpc.words.word_size_many` of the values of an
+  ``object`` column; this is the ``word_size()`` duck-type hook of
+  :func:`repro.mpc.words.word_size`, so ``Machine.put`` and the
+  converge-cast scratch charges account a 100k-row dataset of typed
+  columns without iterating it.  Blocks are sequences of the exact row
+  tuples they were built from — iterating one yields the same Python
+  tuples the rows were — so downstream consumers cannot tell.
 
-* ingestion/kernels — ``ingest_rows`` turns a list of flat records of
-  finite Python scalars into a block (``None`` for anything else:
-  non-tuples, ragged widths, nested fields, strings, ``None``, NaN);
-  ``ingest_datasets`` does it for every small machine at once with one
-  dtype per field, and ``stored_blocks`` is the strict form the
-  single-path primitives read their input through; ``stable_order`` /
-  ``reduce_pairs`` are the array kernels behind sample sort and
-  aggregation; ``concat_columns`` / ``split_columns`` turn every small
-  machine's blocks into one array per field and back, so a local step
-  runs as one pass over all machines.
+* ingestion/kernels — ``ingest_rows`` turns a list of tuples of one
+  width into a block (``None`` for anything else: non-tuples, ragged
+  widths); ``ingest_datasets`` does it for every small machine at once
+  with one dtype per field, and ``stored_blocks`` is the strict form the
+  primitives that read records of finite scalars go through;
+  ``stable_order`` / ``reduce_pairs`` are the array kernels behind sample
+  sort and aggregation; ``concat_columns`` / ``split_columns`` turn every
+  small machine's blocks into one array per field and back, so a local
+  step runs as one pass over all machines.
 
-Sort keys are field specs (column indices).  Sample sort keeps an object
-path for rows that are not flat scalar records (the sort-join's tuple,
-label and ``None`` values) and aggregation one for custom combines and
-non-int keys; every other primitive step runs on blocks only.  Ledgers and
-outputs are bit-identical across the sort's and the aggregate's paths *by
-construction*: the columnar paths consume the shared RNG identically,
-build the same plan runs (same (src, dst) sets, same lengths, same word
-totals — blocks size as ``rows * width``, exactly the sum of the row
-word sizes) and re-emit results in the same order the object path would
-(stable sorts, first-encounter aggregation order).  A differential
-property suite pins this, reaching the object paths by making their two
-qualification steps decline.
+Sort keys are field specs (column indices) over scalar columns.  Only
+aggregation keeps an object path, for custom combines and non-int keys;
+its ledgers and outputs are bit-identical to its columnar path *by
+construction*: the columnar path builds the same plan runs (same (src,
+dst) sets, same lengths, same word totals) and re-emits results in the
+same order the object path would (first-encounter aggregation order).
+The differential property suite pins this, and compares every sort
+user with an object sort kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -53,9 +50,14 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..mpc.words import word_size_many
+
 __all__ = [
     "EdgeBlock",
     "key_fields",
+    "object_column",
+    "scalar_column",
+    "value_column",
     "ingest_rows",
     "ingest_datasets",
     "stored_blocks",
@@ -66,7 +68,6 @@ __all__ = [
     "pack_columns",
     "pack_words",
     "stable_order",
-    "spans_fit_packing",
     "reduce_pairs",
     "ingest_pairs",
     "REDUCERS",
@@ -106,13 +107,14 @@ def key_fields(key: Any, what: str = "key") -> tuple[int, ...]:
 # EdgeBlock — a typed record batch
 # ----------------------------------------------------------------------
 class EdgeBlock:
-    """A batch of fixed-width scalar records, stored as per-field columns
-    (typed, or ``object`` columns of Python scalars).
+    """A batch of fixed-width records, stored as per-field columns (typed,
+    or ``object`` columns of the Python values).
 
     Behaves as an immutable sequence of the row tuples it was built from
     (iteration materializes rows lazily, once).  ``word_size()`` is the
-    O(1) accounting hook: ``rows * width``, exactly what
-    :func:`repro.mpc.words.word_size` charges for the equivalent tuples.
+    accounting hook: exactly what :func:`repro.mpc.words.word_size`
+    charges for the equivalent tuples, in O(1) when every column is
+    typed.
     """
 
     __slots__ = ("columns", "_length", "_rows")
@@ -131,17 +133,21 @@ class EdgeBlock:
         return len(self.columns)
 
     def word_size(self) -> int:
-        """Total words, in O(1) — every field of every row is one word."""
-        return self._length * len(self.columns)
+        """Total words: one per row of a typed column, and the words of
+        the values of an ``object`` column."""
+        words = 0
+        for col in self.columns:
+            words += word_size_many(col.tolist()) if col.dtype.kind == "O" else self._length
+        return words
 
     # -- sequence protocol --------------------------------------------
     def rows(self) -> list[tuple]:
         """The records as Python tuples (materialized once, then cached).
 
-        Columns come back through ``tolist()``, so every scalar is the
+        Columns come back through ``tolist()``, so every field is the
         exact Python value the row was built from (ints, IEEE floats,
-        bools; an ``object`` column holds them as they were) — consumers
-        cannot tell a block from the tuples it was built from.
+        bools; an ``object`` column holds its values as they were) —
+        consumers cannot tell a block from the tuples it was built from.
         """
         if self._rows is None:
             self._rows = list(zip(*(col.tolist() for col in self.columns)))
@@ -172,32 +178,44 @@ class EdgeBlock:
         return f"EdgeBlock(rows={self._length}, width={self.width})"
 
 
-def _column(values: list) -> Any | None:
-    """*values* (Python scalars) as one exact column: ``int64``,
-    ``float64`` or ``bool`` when that dtype holds them all, an ``object``
-    column for ints past int64 and for mixes of ints, floats and bools;
-    ``None`` for anything else (non-scalars, NaN or infinite floats)."""
+def object_column(values: Sequence[Any]) -> Any:
+    """*values* as a 1-D ``object`` column, one element per value (a list
+    of tuples stays 1-D, which ``np.array(values, dtype=object)`` does
+    not)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def value_column(values: Sequence[Any]) -> Any:
+    """*values* as one column: ``int64``, ``float64`` or ``bool`` when
+    that dtype holds them all exactly (floats finite, so that sorting
+    them orders like Python), an ``object`` column of the values
+    otherwise."""
     kinds = set(map(type, values))
     if kinds == {int} and _INT64_MIN <= min(values) and max(values) <= _INT64_MAX:
         return np.array(values, dtype=np.int64)
     if kinds == {float}:
         col = np.array(values, dtype=np.float64)
-        # NaN/inf break the ordering equivalence with Python sorts.
-        return col if np.isfinite(col).all() else None
+        if np.isfinite(col).all():
+            return col
     if kinds == {bool}:
         return np.array(values, dtype=np.bool_)
-    if not kinds <= _SCALARS:
-        return None
-    if float in kinds and not all(
+    return object_column(values)
+
+
+def scalar_column(col: Any) -> bool:
+    """Whether *col* holds only finite Python ints, floats and bools: a
+    typed column, or an ``object`` column of such values."""
+    if col.dtype.kind != "O":
+        return True
+    values = col.tolist()
+    return set(map(type, values)) <= _SCALARS and all(
         math.isfinite(v) for v in values if type(v) is float
-    ):
-        return None
-    return np.array(values, dtype=object)
+    )
 
 
 def ingest_rows(rows: Sequence[Any]) -> EdgeBlock | None:
     """Build an :class:`EdgeBlock` from *rows*, or ``None`` if they are not
-    flat tuples of one width whose fields are finite Python scalars.
+    tuples of one width.
 
     The common case — edge lists, flat tuples of int64 ints — is
     recognized with C-level passes (one flatten, one type scan, one array
@@ -218,31 +236,19 @@ def ingest_rows(rows: Sequence[Any]) -> EdgeBlock | None:
     if kinds == {int} and _INT64_MIN <= min(flat) and max(flat) <= _INT64_MAX:
         arr = np.array(flat, dtype=np.int64).reshape(len(rows), width)
         return EdgeBlock([arr[:, j] for j in range(width)], len(rows))
-    if not kinds <= _SCALARS:
-        return None
-    columns = [_column(flat[j::width]) for j in range(width)]
-    if any(col is None for col in columns):
-        return None
-    return EdgeBlock(columns, len(rows))
-
-
-def value_column(values: list) -> Any | None:
-    """A list of Python scalars as one exact column (see
-    :class:`EdgeBlock`), or ``None`` if it is empty or holds anything
-    else."""
-    return _column(values) if values else None
+    return EdgeBlock([value_column(flat[j::width]) for j in range(width)], len(rows))
 
 
 def ingest_datasets(datasets: Iterable[Any]) -> list[Any] | None:
     """Every dataset as an :class:`EdgeBlock` — ``[]`` for an empty one —
     with one width and one dtype per field across all of them, or
-    ``None`` when a row is not a flat record of finite scalars or the
+    ``None`` when a dataset's rows are not tuples of one width or the
     widths differ.
 
     A field whose dtype differs between datasets (int64 on one machine,
-    floats, bools or ints past int64 on another) becomes an ``object``
-    column in every dataset, so the blocks concatenate into one column
-    per field.
+    floats, bools, ints past int64 or other values on another) becomes an
+    ``object`` column in every dataset, so the blocks concatenate into
+    one column per field.
     """
     blocks: list[Any] = []
     for data in datasets:
@@ -277,17 +283,18 @@ def ingest_datasets(datasets: Iterable[Any]) -> list[Any] | None:
 
 def stored_blocks(machines: Sequence[Any], name: str) -> list[Any]:
     """Every machine's dataset *name* as :func:`ingest_datasets` gives it,
-    in machine order.
+    in machine order, for a step that reads records of finite scalars.
 
     A machine whose dataset was not already that block (a list of tuples,
     or a block with a field widened to ``object``) stores the block
     instead — the same words — so the next reader finds it.  Raises
     :class:`TypeError`, naming the dataset, when a row is not a flat
-    record of finite int, float or bool fields of one width.
+    record of finite int, float or bool fields of one width; the scalar
+    check runs once per ``object`` field, over all machines' values.
     """
     datasets = [machine.get(name, []) for machine in machines]
     blocks = ingest_datasets(datasets)
-    if blocks is None:
+    if blocks is None or not all(map(scalar_column, _object_fields(blocks))):
         raise TypeError(
             f"dataset {name!r} holds rows that are not flat records of "
             "finite int, float or bool fields of one width"
@@ -296,6 +303,19 @@ def stored_blocks(machines: Sequence[Any], name: str) -> list[Any]:
         if len(block) and block is not data:
             machine.put(name, block)
     return blocks
+
+
+def _object_fields(blocks: Sequence[Any]) -> list[Any]:
+    """Each ``object`` field of *blocks* (as :func:`ingest_datasets`
+    gives them) as one column over all of them, in field order."""
+    present = [block for block in blocks if len(block)]
+    if not present:
+        return []
+    return [
+        np.concatenate([block.columns[j] for block in present])
+        for j, col in enumerate(present[0].columns)
+        if col.dtype.kind == "O"
+    ]
 
 
 def concat_columns(blocks: Sequence[Any]) -> tuple[list[Any], list[int]]:
@@ -356,7 +376,7 @@ def split_columns(columns: Sequence[Any], counts: Iterable[int]) -> list[Any]:
 _PACK_LIMIT = 2**63
 
 
-def spans_fit_packing(spans: Sequence[int]) -> bool:
+def _spans_fit_packing(spans: Sequence[int]) -> bool:
     """Whether per-field value spans multiply into an int64 composite."""
     product = 1
     for span in spans:
@@ -398,7 +418,7 @@ def pack_columns(
             hi = max(hi, int(extras[:, j].max()))
         mins.append(lo)
         spans.append(hi - lo + 1)
-    if not spans_fit_packing(spans):
+    if not _spans_fit_packing(spans):
         return None
     packed = np.zeros(len(cols[0]) if cols else 0, dtype=np.int64)
     packed_extras = np.zeros(len(extras), dtype=np.int64)
@@ -427,7 +447,7 @@ def pack_words(cols: Sequence[Any]) -> list[Any]:
         span = _PACK_LIMIT
         if col.dtype.kind in "ib" and len(col):
             span = int(col.max()) - int(col.min()) + 1
-        if run and not spans_fit_packing([*spans, span]):
+        if run and not _spans_fit_packing([*spans, span]):
             words.append(pack_columns(run)[0])
             run, spans = [], []
         if span < _PACK_LIMIT:
@@ -533,8 +553,8 @@ def ingest_pairs(pairs: Sequence[Any]) -> tuple[Any, Any] | None:
         return None
     if min(key_list) < _INT64_MIN or max(key_list) > _INT64_MAX:
         return None
-    values = _column(flat[1::2])
-    if values is None or values.dtype.kind == "O":
+    values = value_column(flat[1::2])
+    if values.dtype.kind == "O":
         return None
     return np.array(key_list, dtype=np.int64), values
 

@@ -9,21 +9,21 @@ straddle machine boundaries with one extra round in which every machine
 tells its successor the last key it holds.
 
 *key* and *weight* are field specs (column indices), and the records are
-flat rows of finite scalars.  The local keep-first pass reads the sorted
-rows as :class:`~repro.primitives.columnar.EdgeBlock` s
-(:func:`~repro.primitives.columnar.stored_blocks`) and is one vectorized
-neighbor-difference mask over the key columns; the boundary messages
+flat rows of finite scalars.  The sorted rows are read as cluster-wide
+columns (:func:`~repro.primitives.columnar.stored_blocks`), so the
+keep-first pass is one neighbor-difference mask over the machine and key
+columns of all machines at once, and the boundary pass one comparison of
+each receiver's first key with its sender's last; the boundary messages
 carry the key as a tuple of Python scalars.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import numpy as np
 
 from ..mpc.cluster import Cluster
 from ..mpc.plan import RoundPlan
 from . import columnar
-from .columnar import EdgeBlock
 from .sort import sample_sort
 
 __all__ = ["dedup_lightest"]
@@ -39,55 +39,44 @@ def dedup_lightest(
     """Keep, for each key, only the record with the smallest weight.
 
     Weights are unique within a key group (the paper's unique-weight
-    convention), so "the lightest" is well defined — and no two distinct
-    records share a ``(key, weight)`` sort key, which lets the sort take
-    the columnar path for any field spec (``assume_unique``).  A flat
-    ``(key..., weight...)`` spec orders exactly like nested ``((key...),
+    convention), so "the lightest" is well defined.  A flat ``(key...,
+    weight...)`` spec orders exactly like nested ``((key...),
     (weight...))`` pairs and costs the same words.  Raises
     :class:`TypeError` for a key that is not a field spec or a record
     that is not a flat row of scalars.
     """
     key_spec = columnar.key_fields(key, "key")
     weight_spec = columnar.key_fields(weight, "weight")
-    sample_sort(
-        cluster, name, key=key_spec + weight_spec, note=f"{note}/sort",
-        assume_unique=True,
-    )
+    sample_sort(cluster, name, key=key_spec + weight_spec, note=f"{note}/sort")
 
     # Local pass: within a machine, keep the first record of each group.
     smalls = cluster.smalls
-    for machine, block in zip(smalls, columnar.stored_blocks(smalls, name)):
-        machine.put(name, _keep_first(block, key_spec))
+    columns, counts = columnar.concat_columns(columnar.stored_blocks(smalls, name))
+    if columns:
+        owner = np.repeat(np.arange(len(counts)), counts)
+        keep = columnar.first_of_runs([owner, *(columns[f] for f in key_spec)])
+        columns = [col[keep] for col in columns]
+        counts = np.bincount(owner[keep], minlength=len(counts)).tolist()
+    kept = columnar.split_columns(columns, counts)
+    for machine, data in zip(smalls, kept):
+        machine.put(name, data)
 
     # Boundary pass: each non-empty machine announces the key of its last
     # (pre-drop) record to the next non-empty machine, which then drops its
-    # leading records of that key.  One round.
-    nonempty = [m for m in smalls if m.get(name)]
+    # leading record of that key.  One round.
+    nonempty = np.flatnonzero(counts)
+    ends = np.cumsum(counts)
+    lasts = ends[nonempty[:-1]] - 1
+    firsts = lasts + 1
+    keys = [columns[f] for f in key_spec] if columns else []
     plan = RoundPlan(note=f"{note}/boundary")
-    for left, right in zip(nonempty, nonempty[1:]):
-        last_key = _key_at(left.get(name), key_spec, -1)
-        plan.send(left.machine_id, right.machine_id, ("last-key", last_key))
-    inboxes = cluster.execute(plan)
-    for mid, received in inboxes.items():
-        machine = cluster.machine(mid)
-        boundary_keys = {payload[1] for payload in received}
-        block = machine.get(name)
-        index = 0
-        while index < len(block) and _key_at(block, key_spec, index) in boundary_keys:
-            index += 1
-        machine.put(name, block[index:])
-
-
-def _key_at(block: EdgeBlock, fields: tuple[int, ...], index: int) -> tuple:
-    """The key of row *index* of *block*, as a tuple of Python scalars."""
-    return columnar.rows_at([block.columns[f] for f in fields], [index])[0]
-
-
-def _keep_first(block: Any, fields: tuple[int, ...]) -> Any:
-    """The first record of each consecutive key group, as one mask pass."""
-    if len(block) <= 1:
-        return block
-    keep = columnar.first_of_runs([block.columns[f] for f in fields])
-    if keep.all():
-        return block
-    return EdgeBlock([col[keep] for col in block.columns])
+    for left, right, last_key in zip(
+        nonempty[:-1].tolist(), nonempty[1:].tolist(), columnar.rows_at(keys, lasts)
+    ):
+        plan.send(smalls[left].machine_id, smalls[right].machine_id, ("last-key", last_key))
+    cluster.execute(plan)
+    repeated = np.ones(len(firsts), dtype=bool)
+    for col in keys:
+        repeated &= col[firsts] == col[lasts]
+    for right in nonempty[1:][repeated].tolist():
+        smalls[right].put(name, kept[right][1:])

@@ -104,18 +104,11 @@ class EdgeStore:
         }
         return self.cluster.gather(large_id, items_by_src, note=note)
 
-    def sort(
-        self,
-        key: int | tuple[int, ...],
-        note: str = "sort",
-        assume_unique: bool = False,
-    ) -> SortLayout:
+    def sort(self, key: int | tuple[int, ...], note: str = "sort") -> SortLayout:
         """Sort the records (Claim 1) by the field-spec *key* (a column
         index or a tuple of them); see
         :func:`~repro.primitives.sort.sample_sort`."""
-        return sample_sort(
-            self.cluster, self.name, key, note=note, assume_unique=assume_unique
-        )
+        return sample_sort(self.cluster, self.name, key, note=note)
 
     def aggregate(
         self,
@@ -146,8 +139,9 @@ class EdgeStore:
     ) -> "EdgeStore":
         """Attach endpoint values to every edge record (Claim 3 + sort-join);
         returns a store of flat rows ``(*edge, value_u, value_v)`` — read
-        them as ``row[:-2], row[-2], row[-1]`` — held as blocks when the
-        values are scalars (see :mod:`repro.primitives.join`)."""
+        them as ``row[:-2], row[-2], row[-1]`` — held as blocks, with
+        ``object`` value columns when the values are not scalars (see
+        :mod:`repro.primitives.join`)."""
         target = name if name is not None else _fresh(f"{self.name}.annotated")
         annotate_edges_with_vertex_values(
             self.cluster, self.name, values, target, default=default, note=note

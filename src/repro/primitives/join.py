@@ -23,32 +23,26 @@ Total cost: O(1) rounds.
 
 Consumers read an output row as ``row[:-2], row[-2], row[-1]``; it is
 charged one word per edge field plus the words of the two values, the
-leaves it holds.  It is an
-:class:`~repro.primitives.columnar.EdgeBlock` per machine when the values
-are scalars (an ``object`` column holds ints past int64 and mixed scalar
-types), and a flat tuple otherwise (``None`` defaults, flow labels,
-tuple values).
+leaves it holds.  The output is an
+:class:`~repro.primitives.columnar.EdgeBlock` per machine whatever the
+values are: scalars ride typed value columns, and ints past int64, mixed
+scalar types, tuples, ``None`` defaults and flow labels ride ``object``
+columns.
 
 Every copy is a flat row, built by
 :func:`~repro.primitives.arrange.directed_rows`, so the edge records must
 be flat rows of scalars.  Both sorts pass the field spec ``(0, ...,
-width)``, so :func:`~repro.primitives.sort.sample_sort` picks its path
-from the rows alone; the second passes ``assume_unique``: duplicate
-``(*edge, src)`` copies — the only possible key ties — carry the same
-disseminated value, so tied rows are identical.  Between the sorts the
-join sees all small machines' rows at once: cluster-wide columns when
-every machine's rows are flat scalar records
-(:func:`~repro.primitives.columnar.ingest_datasets`), one list of tuples
-otherwise.  The value column, the boundary round and the zip are then one
-pass each, and every machine stores its slice of the result.  The value
-column is one column when every value every machine received is a scalar
-(:func:`~repro.primitives.columnar.value_column`); otherwise every copy
-becomes a tuple row.
+width)``; the second one's rows also carry the value, which the spec
+leaves out.  Between the sorts the join sees all small machines' rows at
+once, as cluster-wide columns
+(:func:`~repro.primitives.columnar.ingest_datasets`), so the value
+column, the boundary round and the zip are one pass each, and every
+machine stores its slice of the result.
 """
 
 from __future__ import annotations
 
-from itertools import chain, groupby, repeat
+from itertools import groupby
 from typing import Any, Hashable
 
 import numpy as np
@@ -95,7 +89,7 @@ def annotate_edges_with_vertex_values(
     # Disseminate values down per-vertex trees (Claim 3) to the machines
     # holding each source, and append each copy's value as its machine
     # received it: (*edge, src, value).
-    copies, counts = _cluster_rows(smalls, work)
+    copies, counts = _cluster_rows(smalls, work, width + 1)
     run_machine, run_source, run_sizes = _source_runs(copies, counts)
     # Each machine lists its sources in its set's iteration order, which
     # fixes the order of the dissemination's sends.
@@ -109,25 +103,18 @@ def annotate_edges_with_vertex_values(
         received[machine_ids[index]][vertex]
         for index, vertex in zip(run_machine, run_source)
     ]
-    column = (
-        columnar.value_column(run_values) if isinstance(copies, EdgeBlock) else None
-    )
-    if column is not None:
-        columns = copies.columns
-        copies = EdgeBlock(
-            [*columns[1:], columns[0], np.repeat(column, run_sizes)], len(copies)
-        )
-    else:
-        row_values = chain.from_iterable(map(repeat, run_values, run_sizes))
-        copies = [(*row[1:], row[0], value) for row, value in zip(copies, row_values)]
-    for machine, data in zip(smalls, _split(copies, counts)):
+    columns = copies.columns
+    copies = EdgeBlock([
+        *columns[1:],
+        columns[0],
+        np.repeat(columnar.value_column(run_values), run_sizes),
+    ])
+    for machine, data in zip(smalls, columnar.split_columns(copies.columns, counts)):
         machine.put(work, data)
 
     # Step 2: re-sort by (*edge, src); the two copies become adjacent.
-    layout = sample_sort(
-        cluster, work, key=key, note=f"{note}/sort-edge", assume_unique=True
-    )
-    copies, _ = _cluster_rows(smalls, work)
+    layout = sample_sort(cluster, work, key=key, note=f"{note}/sort-edge")
+    copies, _ = _cluster_rows(smalls, work, width + 2)
 
     # Step 3: pairs live at global ranks (2j, 2j+1); a machine whose range
     # starts at an odd rank sends its first copy back to the machine that
@@ -141,7 +128,7 @@ def annotate_edges_with_vertex_values(
     }
     senders = [mid for mid, (lo, hi) in ranges.items() if hi > lo and lo % 2 == 1]
     targets = layout.machine_of_rank_many([ranges[mid][0] - 1 for mid in senders])
-    firsts = _rows_at(copies, [ranges[mid][0] for mid in senders])
+    firsts = columnar.rows_at(copies.columns, [ranges[mid][0] for mid in senders])
     plan = RoundPlan(note=f"{note}/boundary")
     for mid, target, first in zip(senders, targets, firsts):
         plan.send(mid, target, first)
@@ -158,94 +145,51 @@ def annotate_edges_with_vertex_values(
     # Step 4: zip adjacent copies into one flat row per undirected edge.
     joined = _zip_pairs(copies, width)
     halves = [(hi - lo) // 2 for lo, hi in ranges.values()]
-    for machine, data in zip(smalls, _split(joined, halves)):
+    for machine, data in zip(smalls, columnar.split_columns(joined.columns, halves)):
         machine.pop(work, None)
         machine.put(out_name, data)
 
 
-def _cluster_rows(smalls: list, name: str) -> tuple[Any, list[int]]:
-    """Every small machine's rows of *name*, in machine order, and each
-    machine's row count: one :class:`EdgeBlock` of cluster-wide columns
-    when every machine's rows are flat scalar records, one list of tuples
-    otherwise."""
-    datasets = [machine.get(name, []) for machine in smalls]
-    blocks = columnar.ingest_datasets(datasets)
-    if blocks is not None:
-        columns, counts = columnar.concat_columns(blocks)
-        if columns:
-            return EdgeBlock(columns), counts
-    return list(chain.from_iterable(datasets)), [len(data) for data in datasets]
+def _cluster_rows(smalls: list, name: str, width: int) -> tuple[EdgeBlock, list[int]]:
+    """Every small machine's rows of *name*, *width* fields each, as one
+    :class:`EdgeBlock` of cluster-wide columns in machine order (empty
+    int64 columns when there are no rows), and each machine's row
+    count."""
+    blocks = columnar.ingest_datasets(machine.get(name, []) for machine in smalls)
+    columns, counts = columnar.concat_columns(blocks)
+    return EdgeBlock(columns or [np.empty(0, dtype=np.int64)] * width), counts
 
 
-def _split(rows: Any, counts: list[int]) -> list[Any]:
-    """Cut cluster-wide *rows* back into per-machine datasets."""
-    if isinstance(rows, EdgeBlock):
-        return columnar.split_columns(rows.columns, counts)
-    bounds = np.cumsum([0, *counts]).tolist()
-    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _rows_at(rows: Any, indices: list[int]) -> list[tuple]:
-    """The rows at *indices* as tuples, without materializing a block."""
-    if isinstance(rows, EdgeBlock):
-        return columnar.rows_at(rows.columns, indices)
-    return [rows[i] for i in indices]
-
-
-def _source_runs(copies: Any, counts: list[int]) -> tuple[list, list, list]:
+def _source_runs(copies: EdgeBlock, counts: list[int]) -> tuple[list, list, list]:
     """The runs of consecutive copies with one machine and one source:
     each run's machine index, source and length, in order."""
-    if isinstance(copies, EdgeBlock):
-        sources = copies.columns[0]
-        machine = np.repeat(np.arange(len(counts)), counts)
-        heads = np.flatnonzero(columnar.first_of_runs([machine, sources]))
-        sizes = np.diff(np.append(heads, len(sources)))
-        return machine[heads].tolist(), sources[heads].tolist(), sizes.tolist()
-    machine = chain.from_iterable(map(repeat, range(len(counts)), counts))
-    runs = [
-        (run, sum(1 for _ in group))
-        for run, group in groupby(zip(machine, (row[0] for row in copies)))
-    ]
-    return (
-        [index for (index, _), _ in runs],
-        [source for (_, source), _ in runs],
-        [size for _, size in runs],
-    )
+    sources = copies.columns[0]
+    machine = np.repeat(np.arange(len(counts)), counts)
+    heads = np.flatnonzero(columnar.first_of_runs([machine, sources]))
+    sizes = np.diff(np.append(heads, len(sources)))
+    return machine[heads].tolist(), sources[heads].tolist(), sizes.tolist()
 
 
-def _zip_pairs(copies: Any, width: int) -> Any:
+def _zip_pairs(copies: EdgeBlock, width: int) -> EdgeBlock:
     """Step 4 over all machines at once: the copies at ranks 2j and 2j+1
     must be the same edge, oriented at ``min(u, v)`` and at ``max(u, v)``
     in that order; each pair becomes ``(*edge, value_u, value_v)``."""
-    if isinstance(copies, EdgeBlock):
-        cols = copies.columns
-        first = [col[0::2] for col in cols]
-        second = [col[1::2] for col in cols]
-        u, v = first[0], first[1]
-        bad = (first[width] != np.minimum(u, v)) | (second[width] != np.maximum(u, v))
-        for j in range(width):
-            bad |= first[j] != second[j]
-        if bad.any():
-            pair = 2 * int(np.argmax(bad))
-            raise _pair_error(*_rows_at(copies, [pair, pair + 1]), width)
-        forward = u <= v
-        return EdgeBlock([
-            *first[:width],
-            np.where(forward, first[-1], second[-1]),
-            np.where(forward, second[-1], first[-1]),
-        ])
-    joined = []
-    for first, second in zip(copies[0::2], copies[1::2]):
-        edge = first[:width]
-        u, v = edge[0], edge[1]
-        if u <= v:
-            ends, pair = (u, v), (first[-1], second[-1])
-        else:
-            ends, pair = (v, u), (second[-1], first[-1])
-        if second[:width] != edge or (first[width], second[width]) != ends:
-            raise _pair_error(first, second, width)
-        joined.append((*edge, *pair))
-    return joined
+    cols = copies.columns
+    first = [col[0::2] for col in cols]
+    second = [col[1::2] for col in cols]
+    u, v = first[0], first[1]
+    bad = (first[width] != np.minimum(u, v)) | (second[width] != np.maximum(u, v))
+    for j in range(width):
+        bad |= first[j] != second[j]
+    if bad.any():
+        pair = 2 * int(np.argmax(bad))
+        raise _pair_error(*columnar.rows_at(cols, [pair, pair + 1]), width)
+    forward = u <= v
+    return EdgeBlock([
+        *first[:width],
+        np.where(forward, first[-1], second[-1]),
+        np.where(forward, second[-1], first[-1]),
+    ])
 
 
 def _pair_error(first: tuple, second: tuple, width: int) -> ProtocolError:

@@ -9,9 +9,8 @@ that shifts accounting fails loudly here.
 
 import hashlib
 import random
-from unittest import mock
 
-import repro.primitives.sort as sort_module
+import sort_oracle
 from repro.core import heterogeneous_mst
 from repro.graph import generators
 from repro.mpc import Cluster, ModelConfig
@@ -69,11 +68,10 @@ def _sort_golden_cluster() -> Cluster:
 
 
 def test_sample_sort_ledger_matches_seed_engine():
-    """``key=0`` on the object path (the columnar qualification made to
-    decline): the seed engine's per-row sort, keyed by 1-tuples."""
+    """``key=0`` on the object sort of ``tests/sort_oracle.py``: the seed
+    engine's per-row sort, keyed by 1-tuples."""
     cluster = _sort_golden_cluster()
-    with mock.patch.object(sort_module, "_columnar_sort_context", return_value=None):
-        layout = sample_sort(cluster, "d", key=0)
+    layout = sort_oracle.sample_sort(cluster, "d", key=0)
     assert all(isinstance(m.get("d"), list) for m in cluster.smalls)
     ledger = cluster.ledger
     assert ledger.rounds == SORT_GOLDEN["rounds"]
@@ -86,9 +84,9 @@ def test_sample_sort_ledger_matches_seed_engine():
 
 
 def test_columnar_sample_sort_ledger_matches_seed_engine():
-    """The field-spec twin of the test above: ``key=0`` takes the
-    columnar path (one cluster-wide rank sort) and charges the seed
-    engine's numbers, leaving typed blocks on the machines."""
+    """The array twin of the test above: ``key=0`` on the sort in
+    ``src`` (one cluster-wide rank sort) charges the seed engine's
+    numbers, leaving typed blocks on the machines."""
     cluster = _sort_golden_cluster()
     layout = sample_sort(cluster, "d", key=0)
     ledger = cluster.ledger

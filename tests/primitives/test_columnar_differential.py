@@ -1,24 +1,24 @@
-"""Differential property suite: columnar primitives vs the object path.
+"""Differential property suite: columnar primitives vs the object oracles.
 
 The tentpole invariant of the array-native primitive layer: for every
-primitive and every input, the columnar path (EdgeBlock record batches,
-vectorized bucketing/group-by) and the object path (per-item tuples)
-produce identical datasets AND identical ledgers — same round records,
-same word charges, same memory high-water.  Speed is the only permitted
-difference.
+primitive and every input, the columnar primitives (EdgeBlock record
+batches, vectorized bucketing/group-by) and the object oracles (per-item
+tuples) produce identical datasets AND identical ledgers — same round
+records, same word charges and items, same memory high-water and
+per-machine usage.  Speed is the only permitted difference.
 
 Hypothesis drives randomized inputs through sort, aggregate and dedup;
 join and arrange run a curated scenario matrix covering every internal
-representation switch (blocks, tuple rows, object columns, mixed value
-types, sorted-mode keys, empties).  The object side runs under
-:func:`object_path`, a fake that makes the sort's and the aggregate's
-qualification decline, so both take their object paths; the
-single-path primitives (arrange, the query step, the MST rename, the
-dedup's keep-first pass) ingest whatever the object sort leaves, so
-whole pipelines compare the two sorts.  Kernel-level unit tests pin the
-columnar helpers against their obvious per-item references, and the
-zero-length regression block pins the empty-batch fix: empty scatters
-must not open runs or burn rounds.
+representation (typed and object columns, label, tuple and ``None``
+values, mixed value types, sorted-mode and partial keys, empties).  The
+object side runs under :func:`object_path`: every sort runs on the
+object sort of ``tests/sort_oracle.py`` and the aggregate takes its
+object path (its qualification declines); the other steps (the join,
+arrange, the query step, the MST rename, the dedup's passes) ingest the
+tuple lists the oracle leaves, so whole pipelines compare the two sorts.
+Kernel-level unit tests pin the columnar helpers against their obvious
+per-item references, and the zero-length regression block pins the
+empty-batch fix: empty scatters must not open runs or burn rounds.
 """
 
 import importlib
@@ -33,12 +33,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.primitives.columnar as columnar
+import sort_oracle
+from repro.core.coloring import heterogeneous_coloring
+from repro.core.mis import heterogeneous_mis
 from repro.core.mst import heterogeneous_mst
+from repro.core.spanner import heterogeneous_spanner
+from repro.core.spanner.modified_bs import VertexLabel
 from repro.graph import generators
+from repro.labeling.flow_labels import FlowLabel
 from repro.mpc import Cluster, ModelConfig, RoundPlan
 from repro.mpc.errors import ProtocolError
 from repro.mpc.machine import Machine
-from repro.mpc.words import word_size_many
+from repro.mpc.words import word_size, word_size_many
 from repro.primitives.aggregate import aggregate
 from repro.primitives.arrange import arrange_directed, query_first_records
 from repro.primitives.columnar import (
@@ -52,12 +58,14 @@ from repro.primitives.columnar import (
     value_column,
 )
 from repro.primitives.dedup import dedup_lightest
+from repro.primitives.edgestore import EdgeStore
 from repro.primitives.join import annotate_edges_with_vertex_values
 import repro.primitives.sort as sort_module
-from repro.primitives.sort import SortLayout, sample_sort
+from repro.primitives.sort import SortLayout
 
 #: The module, not the ``aggregate`` function the package re-exports.
 aggregate_module = importlib.import_module("repro.primitives.aggregate")
+edgestore_module = importlib.import_module("repro.primitives.edgestore")
 NUM_SMALL = 6
 
 
@@ -67,20 +75,17 @@ def _decline(*args):
 
 @contextmanager
 def object_path():
-    """Make the sort and the aggregate take their object paths, as if no
-    input qualified for columns: their qualification steps decline (the
-    sort's ``_columnar_sort_context``, the aggregate's ``ingest_pairs``).
-    The single-path primitives then ingest the tuple rows the object sort
-    leaves.  A columnar sort or aggregate that still runs fails the test,
-    so a path that slips past the fake cannot turn a differential into
-    columnar against columnar."""
+    """Run every sort on the object oracle (``sort_oracle.installed``) and
+    make the aggregate take its object path (its qualification step,
+    ``ingest_pairs``, declines).  The other primitives then ingest the
+    tuple rows the oracle leaves.  An array sort or columnar aggregate
+    that still runs fails the test, so a path that slips past the fake
+    cannot turn a differential into columnar against columnar."""
     def no_columnar(*args, **kwargs):
         raise AssertionError("a columnar path ran under the object-path fake")
 
-    with mock.patch.object(
-        sort_module, "_columnar_sort_context", _decline
-    ), mock.patch.object(
-        sort_module, "_sample_sort_columnar", no_columnar
+    with sort_oracle.installed(), mock.patch.object(
+        sort_module, "_bucket_rows", no_columnar
     ), mock.patch.object(
         columnar, "ingest_pairs", _decline
     ), mock.patch.object(
@@ -114,7 +119,8 @@ def snapshot(cluster: Cluster, names) -> tuple:
         (r.index, r.note, r.total_words, r.max_sent, r.max_received, r.items)
         for r in cluster.ledger.records
     ]
-    return datasets, ledger, cluster.ledger.memory_high_water
+    usage = [m.usage for m in cluster.smalls]
+    return datasets, ledger, (cluster.ledger.memory_high_water, usage)
 
 
 def run_everyway(build_and_run, names, config=None, sorted_names=()):
@@ -127,7 +133,7 @@ def run_everyway(build_and_run, names, config=None, sorted_names=()):
         with context():
             extra = build_and_run(cluster)
         if path == "object":
-            # The object sort leaves no rows in typed batches.
+            # The oracle sort leaves no rows in typed batches.
             assert not any(
                 isinstance(data, EdgeBlock) and len(data)
                 for name in sorted_names
@@ -159,11 +165,14 @@ edge_rows = st.lists(
 
 
 @settings(max_examples=25, deadline=None)
-@given(rows=edge_rows, key=st.sampled_from([(0, 1, 2), (2,), (1, 0), (2, 0, 1)]))
+@given(
+    rows=edge_rows,
+    key=st.sampled_from([(0, 1, 2), (2,), (1, 0), (2, 0, 1), (1, 1, 0)]),
+)
 def test_sample_sort_differential(rows, key):
     def go(cluster):
         distribute(cluster, "e", rows)
-        return sample_sort(cluster, "e", key=key).counts
+        return sort_module.sample_sort(cluster, "e", key=key).counts
 
     run_everyway(go, ["e"], sorted_names=["e"])
 
@@ -205,9 +214,13 @@ def test_aggregate_or_differential(flags):
 @given(
     records=st.lists(
         st.tuples(st.integers(0, 25), st.integers(0, 10**6)), max_size=80
-    )
+    ),
+    shift=st.sampled_from([0, 2**70]),
 )
-def test_dedup_differential(records):
+def test_dedup_differential(records, shift):
+    """Keys past int64 (*shift*) ride an object key column."""
+    records = [(key + shift, weight) for key, weight in records]
+
     def go(cluster):
         distribute(cluster, "r", records)
         dedup_lightest(cluster, "r", key=(0,), weight=(1,))
@@ -224,16 +237,18 @@ _sorted_floats = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 1e300])
 @settings(max_examples=40, deadline=None)
 @given(
     rows=st.lists(st.tuples(st.integers(-2, 2), _sorted_floats), max_size=70),
-    key=st.sampled_from([(0, 1), (1, 0)]),
+    key=st.sampled_from([(0, 1), (1, 0), (1,)]),
     holders=st.integers(1, NUM_SMALL),
     chunked=st.booleans(),
 )
 def test_sample_sort_sorted_mode_differential(rows, key, holders, chunked):
-    """Sorted-mode routing (one lexsort of rows and splitters) against the
-    object path's per-item bisect: rows equal to splitters, duplicate
-    splitters, mixed int/float key columns, -0.0 vs 0.0 (compared by
-    repr, which tells them apart), a machine whose rows all land in one
-    bucket (chunked key ranges) and machines left empty."""
+    """Sorted-mode bucketing (one lexsort of rows and splitters; a float
+    key column never packs) against the oracle's per-item bisect: rows
+    equal to splitters, duplicate splitters, mixed int/float key columns,
+    a float key that leaves the int column out (ties between distinct
+    rows), -0.0 vs 0.0 (compared by repr, which tells them apart), a
+    machine whose rows all land in one bucket (chunked key ranges) and
+    machines left empty."""
     if chunked:
         rows = sorted(rows)
         size = -(-len(rows) // holders) if rows else 1
@@ -247,14 +262,9 @@ def test_sample_sort_sorted_mode_differential(rows, key, holders, chunked):
 
     def go(cluster):
         fill(cluster)
-        layout = sample_sort(cluster, "e", key=key)
+        layout = sort_module.sample_sort(cluster, "e", key=key)
         return layout.counts, repr([list(m.get("e", [])) for m in cluster.smalls])
 
-    if rows:  # the columnar side routes in sorted mode
-        cluster = make_cluster()
-        fill(cluster)
-        context = sort_module._columnar_sort_context(cluster, "e", key, False)
-        assert context is not None and context[2] is False
     run_everyway(go, ["e"], sorted_names=["e"])
 
 
@@ -296,9 +306,21 @@ _RANK_CASES = {
     # (e) an int past 2**52 beside a float column: the object transport
     "object-transport": (
         None, [(i % 5, i / 4, 2**60 + i) for i in range(60)], (0,)),
-    # (f) ints past int64: an object key column, routed in key order
+    # (f) ints past int64: an object key column, bucketed in key order
     "object-column": (
         None, [(i % 5, 2**70 + (i * 37) % 61, -i) for i in range(60)], (1, 0, 2)),
+    # (g) a float key that leaves two columns out, ties between distinct
+    # rows, and the throttle splits the route: the sorted-mode buckets go
+    # back to arrival order, so the split runs are the oracle's
+    "partial-float-split": (
+        _SPLIT_CONFIG, [((i * 7) % 5 / 2, i % 3, -i) for i in range(120)], (0,)),
+    # (h) flow labels beside the key: one list scatter of row tuples per
+    # machine, split by the throttle
+    "label-transport": (
+        _SPLIT_CONFIG,
+        [(i % 7, i, FlowLabel(((i % 3, 0.5),) * (i % 4))) for i in range(120)],
+        (0,),
+    ),
 }
 
 
@@ -318,17 +340,18 @@ def test_sample_sort_rank_differential(case):
             return inboxes
 
         cluster.execute = spy
-        return sample_sort(cluster, "e", key=key).counts
+        return sort_module.sample_sort(cluster, "e", key=key).counts
 
-    cluster = make_cluster(config)
-    distribute(cluster, "e", rows)
-    context = sort_module._columnar_sort_context(cluster, "e", key, False)
-    assert context is not None
-    columns, _, packed = context
-    counts = run_everyway(go, ["e"], config, sorted_names=["e"])[3]
+    columns, _ = columnar.concat_columns(
+        ingest_datasets(rows[i::NUM_SMALL] for i in range(NUM_SMALL))
+    )
+    packed = pack_columns([columns[f] for f in key]) is not None
+    _, ledger, _, counts = run_everyway(go, ["e"], config, sorted_names=["e"])
     columnar_route = route_inboxes[-1]  # PATHS runs the columnar side last
+    if config is _SPLIT_CONFIG:
+        assert sum(entry[1].endswith("/route") for entry in ledger) > 1
     if case == "split-route":
-        assert max(columnar_route.values()) > 1
+        assert max(columnar_route.values()) > 1  # several blocks
     elif case == "empty-buckets":
         assert counts.count(0) == NUM_SMALL - 1
     elif case == "wide-composite":
@@ -337,10 +360,48 @@ def test_sample_sort_rank_differential(case):
         assert any(counts[1:])  # a machine index >= 1 receives rows
     elif case == "float-transport":
         assert sort_module._transport_dtype(columns) is np.float64
-    else:
+    elif case in ("object-transport", "object-column"):
         assert sort_module._transport_dtype(columns) is object
         if case == "object-column":
             assert not packed and columns[1].dtype == object
+    elif case == "partial-float-split":
+        assert not packed and len({row[0] for row in rows}) < len(rows)
+    else:
+        assert not columnar.scalar_column(columns[2])
+
+
+def test_edgestore_sort_differential():
+    """``EdgeStore.sort`` (the gamma ablation's ``key=2`` over a placed
+    store) on both sorts."""
+    rows = _triples(5, 90)
+
+    def go(cluster):
+        return EdgeStore.create(cluster, rows, name="e").sort(key=2).counts
+
+    run_everyway(go, ["e"], sorted_names=["e"])
+
+
+def test_sample_sort_rejects_what_it_cannot_sort():
+    """Rows that are not tuples of one width and keys over a column of
+    labels raise TypeError, and a key past the last column ValueError,
+    before any round and leaving the dataset in place."""
+    cases = [
+        ([(1, 2), (3,)], 0, TypeError, "not tuples of one width"),
+        ([[1, 2], [3, 4]], 0, TypeError, "not tuples of one width"),
+        ([(1, FlowLabel(())), (2, FlowLabel(()))], (1,), TypeError, "finite ints"),
+        ([(1, None), (2, 3)], (0, 1), TypeError, "finite ints"),
+        ([(1, float("nan")), (2, 0.5)], 1, TypeError, "finite ints"),
+        ([(1, 2), (3, 4)], (0, 2), ValueError, "outside the 2 columns"),
+        ([(1, 2), (3, 4)], -1, ValueError, "outside the 2 columns"),
+    ]
+    for rows, key, error, message in cases:
+        cluster = make_cluster()
+        distribute(cluster, "e", rows)
+        before = [m.get("e") for m in cluster.smalls]
+        with pytest.raises(error, match=message):
+            sort_module.sample_sort(cluster, "e", key=key)
+        assert cluster.ledger.rounds == 0
+        assert [m.get("e") for m in cluster.smalls] == before
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +425,9 @@ def _gen_edges(n_vertices, n_edges, seed, weighted=False, float_w=False):
 
 _NV = 40
 #: ``(edges, values, default, shape)``; *shape* is what the columnar run
-#: stores: ``"block"`` (an EdgeBlock on every non-empty machine, from the
-#: sorts to the output), ``"tuples"`` (flat tuple rows) or ``"empty"``.
+#: stores: an EdgeBlock on every non-empty machine, from the sorts to the
+#: output, whose value columns are typed (``"block"``) or ``object``
+#: columns (``"object"``), or nothing (``"empty"``).
 _JOIN_CASES = {
     # int values, complete map (the rename pattern; default never used)
     "int-complete": (
@@ -374,13 +436,23 @@ _JOIN_CASES = {
     "bool-default": (
         _gen_edges(_NV, 70, 2), {v: True for v in range(0, _NV, 3)}, False,
         "block"),
-    # default=None actually delivered -> tuple rows
+    # default=None actually delivered: ints and None in an object column
     "none-fallback": (
-        _gen_edges(_NV, 70, 2), {v: v for v in range(0, _NV, 2)}, None, "tuples"),
-    # tuple values fit no column -> tuple rows
+        _gen_edges(_NV, 70, 2), {v: v for v in range(0, _NV, 2)}, None, "object"),
+    # tuple values (the MIS statuses, palettes and masks pattern)
     "tuple-fallback": (
         _gen_edges(_NV, 60, 3), {v: (v, v + 1) for v in range(_NV)}, (0, 0),
-        "tuples"),
+        "object"),
+    # flow labels, and None for vertices without one (the KKT filter)
+    "flow-labels": (
+        _gen_edges(_NV, 70, 16),
+        {v: FlowLabel(((v % 3, v / 4),) * (v % 4)) for v in range(0, _NV, 3)},
+        None, "object"),
+    # modified Baswana–Sen's vertex labels
+    "vertex-labels": (
+        _gen_edges(_NV, 70, 17),
+        {v: VertexLabel(v % 3, tuple(range(v % 3))) for v in range(_NV)},
+        None, "object"),
     # weighted edges widen the flat representation
     "weighted": (
         _gen_edges(_NV, 80, 4, weighted=True),
@@ -395,13 +467,13 @@ _JOIN_CASES = {
     # mixed scalar value types ride an object value column
     "mixed-types": (
         _gen_edges(_NV, 70, 7),
-        {0: True, 1: 5, **{v: v for v in range(2, _NV)}}, 0, "block"),
+        {0: True, 1: 5, **{v: v for v in range(2, _NV)}}, 0, "object"),
     # the low machines' values are all bools and the high machines' all
     # ints: one cluster-wide object column holds them
     "per-machine-dtypes": (
         _gen_edges(_NV, 70, 10),
         {v: (v % 2 == 0 if v < _NV // 2 else v) for v in range(_NV)}, 0,
-        "block"),
+        "object"),
     # edges stored as (u, v) with u > v: the copy at v sorts first, so
     # value_u comes from the second copy of each pair
     "reversed-edges": (
@@ -462,15 +534,17 @@ def test_join_differential(case):
 
     cluster, zipped = _columnar_join(edges, values, default)
     outputs = [data for m in cluster.smalls if len(data := m.get("annotated"))]
-    if shape == "block":
-        # Blocks from the sorts to the output: no machine, receivers of
-        # the boundary round included, turned its copies into tuples.
-        assert zipped and all(isinstance(data, EdgeBlock) for data in zipped)
-        assert outputs and all(isinstance(data, EdgeBlock) for data in outputs)
-    elif shape == "tuples":
-        assert outputs and all(isinstance(data, list) for data in outputs)
-    else:
+    if shape == "empty":
         assert not outputs
+        return
+    # Blocks from the sorts to the output: no machine, receivers of the
+    # boundary round included, turned its copies into tuples.
+    assert zipped and all(isinstance(data, EdgeBlock) for data in zipped)
+    assert outputs and all(isinstance(data, EdgeBlock) for data in outputs)
+    assert all(
+        [col.dtype.kind == "O" for col in data.columns[-2:]] == [shape == "object"] * 2
+        for data in outputs
+    )
 
 
 def test_join_boundary_copy_lands_on_a_receiving_block():
@@ -517,7 +591,7 @@ def test_join_rejects_duplicate_edges(path, copies, edge, other):
 _ARRANGE_CASES = {
     # field-spec secondary on an int weight: packed sort mode
     "weight-spec": (_gen_edges(_NV, 80, 11, weighted=True), 2),
-    # huge ranks overflow packing -> sorted mode + assume_unique
+    # huge ranks overflow packing -> sorted-mode buckets, partial key
     "big-ranks": (
         [(u, v, random.Random(u * 97 + v).randrange(2**60))
          for u, v in _gen_edges(_NV, 80, 12)], 2),
@@ -566,11 +640,11 @@ def _star_edges():
 
 
 def test_query_first_records_differential():
-    """Section 3's query step on blocks (one cluster-wide pass) and on
-    tuple rows (the row loop): the same queries, answers, rounds, words
-    and memory marks — with a zero quota, quotas above the degree,
-    vertices asking for nothing, and a vertex whose first rows span at
-    least three machines."""
+    """Section 3's query step after the array sort and after the oracle
+    sort (whose tuple rows it ingests): the same queries, answers,
+    rounds, words and memory marks — with a zero quota, quotas above the
+    degree, vertices asking for nothing, and a vertex whose first rows
+    span at least three machines."""
     edges = _star_edges()
 
     def go(cluster):
@@ -595,9 +669,10 @@ def test_query_first_records_differential():
 
 
 def test_mst_differential():
-    """Section 3's whole algorithm on both paths: the Borůvka steps (the
-    join, the query step, the rename and the dedup) on tuple rows give
-    the same forest, rounds, words and memory marks as on blocks."""
+    """Section 3's whole algorithm on both sorts: the Borůvka steps (the
+    join, the query step, the rename and the dedup) after the oracle
+    sort give the same forest, rounds, words and memory marks as after
+    the array sort."""
     rng = random.Random(31)
     graph = generators.random_connected_graph(60, 600, rng).with_unique_weights(rng)
     results = {}
@@ -613,6 +688,59 @@ def test_mst_differential():
         )
     assert result.boruvka_steps >= 2
     assert results["object"] == results["columnar"]
+
+
+def _pipelines():
+    """Whole algorithms whose sort-joins carry values that are not
+    scalars: MIS prefix statuses, coloring palettes, the spanner's
+    clustering masks, ``(i_u, mask)`` and ``(sigma, degree)`` tuples,
+    and the MST's KKT flow labels (n = 300 keeps edges past the Borůvka
+    steps)."""
+    graph = generators.random_connected_graph(40, 240, random.Random(41))
+    rng = random.Random(31)
+    weighted = generators.random_connected_graph(300, 2400, rng).with_unique_weights(rng)
+    return {
+        "mst": lambda: heterogeneous_mst(weighted, rng=random.Random(5)),
+        "mis": lambda: heterogeneous_mis(graph, rng=random.Random(42)),
+        "coloring": lambda: heterogeneous_coloring(graph, rng=random.Random(43)),
+        "spanner": lambda: heterogeneous_spanner(
+            generators.gnm_random_graph(40, 500, random.Random(23)), k=3,
+            rng=random.Random(3),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["mis", "coloring", "spanner", "mst"])
+def test_label_pipelines_differential(name):
+    """The algorithms whose joins carry tuple values give the same
+    answers, rounds, words, items and memory marks on the object sort as
+    on the array sort, and their joins leave object value columns."""
+    join = edgestore_module.annotate_edges_with_vertex_values
+    value_kinds = set()
+
+    def watched(cluster, edges_name, values, out_name, default=None, note="annotate"):
+        join(cluster, edges_name, values, out_name, default=default, note=note)
+        for machine in cluster.smalls:
+            data = machine.get(out_name, [])
+            if len(data):
+                value_kinds.update(col.dtype.kind for col in data.columns[-2:])
+
+    results = {}
+    for path, context in PATHS.items():
+        with context(), mock.patch.object(
+            edgestore_module, "annotate_edges_with_vertex_values", watched
+        ):
+            result = _pipelines()[name]()
+        ledger = result.cluster.ledger
+        answer = {k: v for k, v in vars(result).items() if k != "cluster"}
+        results[path] = (
+            answer,
+            [(r.note, r.total_words, r.max_sent, r.max_received, r.items)
+             for r in ledger.records],
+            ledger.memory_high_water,
+        )
+    assert results["object"] == results["columnar"]
+    assert "O" in value_kinds
 
 
 # ----------------------------------------------------------------------
@@ -755,50 +883,74 @@ def test_machine_of_rank_many_matches_scalar():
 
 
 def test_value_column_types():
-    assert value_column([]) is None
     assert value_column([1, 2, 3]).dtype == np.int64
     assert value_column([True, False]).dtype == np.bool_
     assert value_column([0.5, 1.5]).dtype == np.float64
-    # Ints past int64 and mixed scalar types ride an object column of the
-    # Python values.
-    for values in ([2**63], [1, 2.5], [True, 1], [-(2**70), 0.5, False]):
+    # Everything else — ints past int64, mixed scalar types, strings,
+    # non-finite floats, tuples, None, labels — rides a 1-D object column
+    # of the values themselves.
+    for values in (
+        [2**63], [1, 2.5], [True, 1], [-(2**70), 0.5, False], [1, "x"],
+        [float("nan")], [2**70, float("inf")], [(1, 2), (3, 4)], [1, None],
+        [FlowLabel(((1, 0.5),)), None], [],
+    ):
         column = value_column(values)
-        assert column.dtype == object and column.tolist() == values
+        assert column.dtype == object and column.shape == (len(values),)
+        assert column.tolist() == values or values != values
         assert list(map(type, column.tolist())) == list(map(type, values))
-    assert value_column([1, "x"]) is None           # strings
-    assert value_column([float("nan")]) is None     # non-finite
-    assert value_column([2**70, float("inf")]) is None
-    assert value_column([(1, 2)]) is None           # non-scalar
-    assert value_column([1, None]) is None
 
 
 def test_ingest_rows_rejects_unrepresentable():
+    """Only rows that are not tuples of one width are refused; every field
+    value rides a typed or an object column."""
     assert ingest_rows([(1, 2), (3, 4)]) is not None
     block = ingest_rows([(1, 2**64), (2, 3)])         # past int64: object
     assert [col.dtype for col in block.columns] == [np.int64, object]
     assert block.rows() == [(1, 2**64), (2, 3)] and block.word_size() == 4
+    for rows in (
+        [(1, float("inf"))], [(1, 2**70), (2, float("nan"))], [(1, "a")],
+        [(1, (2, 3)), (4, (5, 6))], [(1, None)],
+    ):
+        block = ingest_rows(rows)
+        assert block.columns[0].dtype == np.int64 and block.columns[1].dtype == object
+        assert block.rows() == rows or rows != rows
     assert ingest_rows([]) is None
     assert ingest_rows([(1, 2), (3,)]) is None           # ragged
     assert ingest_rows([(1, 2), (3,), (4, 5, 6)]) is None
-    assert ingest_rows([(1, float("inf"))]) is None      # non-finite
-    assert ingest_rows([(1, 2**70), (2, float("nan"))]) is None
     assert ingest_rows([[1, 2]]) is None                 # non-tuple rows
-    assert ingest_rows([(1, "a")]) is None               # strings
-    assert ingest_rows([(1, (2, 3))]) is None            # nested rows
-    assert ingest_rows([(1, None)]) is None
+    assert ingest_rows([()]) is None                     # no fields
+
+
+def test_object_columns_charge_the_words_of_their_values():
+    """A block charges what its rows charge as tuples: one word per row
+    of a typed column, and word_size of each value of an object column
+    (tuples by their leaves, labels by their own word_size)."""
+    rows = [
+        (1, (2, 3), FlowLabel(((0, 1.5), (4, 2.5))), None),
+        (2, (4, 5, 6), FlowLabel(()), VertexLabel(1, (7,))),
+        (3, (), FlowLabel(((9, 0.5),)), (1, (2, 3))),
+    ]
+    block = ingest_rows(rows)
+    assert [col.dtype.kind for col in block.columns] == ["i", "O", "O", "O"]
+    assert block.word_size() == word_size(rows) == 3 + 5 + 9 + 6
+    assert block[1:].word_size() == word_size(rows[1:])
+    machine = Machine(0, "small", capacity=100)
+    machine.put("rows", block)
+    assert machine.usage == word_size(rows)
 
 
 def test_ingest_datasets_widen_fields_across_machines():
     """A field whose dtype differs between machines becomes an object
     column everywhere, so the blocks concatenate; a width mismatch or a
-    non-scalar row anywhere gives None."""
-    blocks = ingest_datasets([[(1, 2)], [], [(3, 2**70)], [(4, 0.5)]])
+    row that is not a tuple anywhere gives None."""
+    blocks = ingest_datasets([[(1, 2)], [], [(3, 2**70)], [(4, 0.5)], [(5, (6,))]])
     assert blocks[1] == []
     assert [[col.dtype for col in b.columns] for b in blocks if len(b)] == [
-        [np.int64, object]] * 3
-    assert [row for b in blocks for row in b] == [(1, 2), (3, 2**70), (4, 0.5)]
+        [np.int64, object]] * 4
+    assert [row for b in blocks for row in b] == [
+        (1, 2), (3, 2**70), (4, 0.5), (5, (6,))]
     assert ingest_datasets([[(1, 2)], [(1, 2, 3)]]) is None
-    assert ingest_datasets([[(1, 2)], [(1, (2,))]]) is None
+    assert ingest_datasets([[(1, 2)], [[1, 2]]]) is None
 
 
 def test_stored_blocks_put_back_and_name_the_dataset():
@@ -808,9 +960,10 @@ def test_stored_blocks_put_back_and_name_the_dataset():
     blocks = columnar.stored_blocks(cluster.smalls, "e")
     assert all(m.get("e") is b for m, b in zip(cluster.smalls, blocks) if len(b))
     assert [m.usage for m in cluster.smalls] == usage   # the same words
-    distribute(cluster, "bad", [(i, "x") for i in range(9)])
-    with pytest.raises(TypeError, match="dataset 'bad'"):
-        columnar.stored_blocks(cluster.smalls, "bad")
+    for bad in ([(i, "x") for i in range(9)], [(i, None) for i in range(9)]):
+        distribute(cluster, "bad", bad)
+        with pytest.raises(TypeError, match="dataset 'bad'"):
+            columnar.stored_blocks(cluster.smalls, "bad")
 
 
 # ----------------------------------------------------------------------
@@ -861,7 +1014,7 @@ def test_empty_cluster_primitives_cost_identically(form):
         for machine in cluster.smalls:
             machine.put("e", empty())
         with PATHS[path]():
-            layout = sample_sort(cluster, "e", key=(0, 1))
+            layout = sort_module.sample_sort(cluster, "e", key=(0, 1))
             result = aggregate(
                 cluster, {m.machine_id: empty() for m in cluster.smalls}, "sum"
             )
