@@ -7,7 +7,7 @@ forest.  Three figures per leg:
 
 * ``updates_per_sec`` — pure ingest: signed ``SketchBank.update_edges``
   over the shard banks, no refresh in the timed window;
-* ``refresh_sec`` — the one lazy forest rebuild (merge shards + Borůvka)
+* ``refresh_sec`` — the one lazy forest rebuild (Borůvka over the shards' sum)
   the first query after a batch pays, reported for context;
 * ``queries_per_sec`` — ``connected(u, v)`` on the warm forest.
 

@@ -10,6 +10,10 @@ deterministic mix of inserts, deletes, and queries, then checks:
    the surviving edge multiset (recomputed independently here).
 2. **Determinism** — the full response transcript of a second,
    identically driven daemon is byte-identical to the first.
+3. **Golden replies** — a third daemon, fed the raw request lines of
+   ``tests/serve/golden_transcript.jsonl`` on stdin, answers every one
+   with exactly the committed reply line.  Its lines arrive as a real
+   client sends them (ending in ``\n`` or ``\r\n``, some malformed).
 
 Run it with::
 
@@ -18,8 +22,11 @@ Run it with::
 
 from __future__ import annotations
 
+import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -29,6 +36,8 @@ from repro.core.connectivity import sketch_components  # noqa: E402
 from repro.mpc import Cluster, ModelConfig  # noqa: E402
 from repro.primitives.edgestore import EdgeStore  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
+
+GOLDEN = _REPO_ROOT / "tests" / "serve" / "golden_transcript.jsonl"
 
 N = 24
 SEED = 13
@@ -82,13 +91,44 @@ def drive_daemon() -> tuple[list[str], int]:
     return transcript, checks
 
 
+def replay_golden() -> int:
+    """Pipe the golden requests through an uninitialized stdio daemon and
+    compare its stdout with the golden replies, byte for byte."""
+    pairs = [json.loads(line) for line in GOLDEN.read_text(encoding="ascii").splitlines()]
+    requests = "".join(pair["request"] for pair in pairs)
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(_REPO_ROOT / "src"),
+        "PYTHONIOENCODING": "utf-8",
+    }
+    daemon = subprocess.run(
+        [sys.executable, "-m", "repro", "serve"],
+        input=requests.encode("utf-8"),
+        capture_output=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    replies = daemon.stdout.decode("utf-8").split("\n")
+    assert replies.pop() == "", "the daemon's last reply does not end its line"
+    for number, (pair, reply) in enumerate(zip(pairs, replies), 1):
+        assert reply == pair["reply"], (
+            f"golden line {number} {pair['request']!r}:\n"
+            f"  daemon: {reply!r}\n  golden: {pair['reply']!r}"
+        )
+    assert len(replies) == len(pairs), f"{len(replies)} replies to {len(pairs)} requests"
+    return len(pairs)
+
+
 def main() -> int:
     first, checks = drive_daemon()
     second, _ = drive_daemon()
     assert first == second, "repeated daemon runs are not byte-identical"
+    golden = replay_golden()
     print(
         f"serve smoke OK: {BATCHES} batches, {checks} differential "
-        f"recompute checks, {len(first)}-line transcript byte-stable"
+        f"recompute checks, {len(first)}-line transcript byte-stable, "
+        f"{golden} golden replies byte-identical"
     )
     return 0
 

@@ -14,10 +14,12 @@ from them on demand:
   per shard, inserts then deletes with per-edge signs ``+1``/``-1``;
   cost is proportional to the batch, never to the graph.
 * **Queries** read a maintained component forest.  The forest is
-  refreshed lazily: the first query after an update batch merges the
-  shard banks (linearity again: banks add) and runs sketch-space Borůvka
-  — ``O(n polylog n)`` work, independent of how many updates streamed in
-  since the last refresh.  Subsequent queries are dictionary lookups.
+  refreshed lazily: the first query after an update batch runs
+  sketch-space Borůvka over the sum of the shard banks (linearity again:
+  banks add, so each phase sums only its own slots of every shard's rows
+  and the merged bank is never built) — ``O(n polylog n)`` work,
+  independent of how many updates streamed in since the last refresh.
+  Subsequent queries are dictionary lookups.
 * **Approximate MST weight** (Appendix C.1.1) keeps one extra bank per
   geometric weight threshold ``t`` holding the subgraph with weight
   ``<= t``; the estimate is the same blockwise sum
@@ -31,7 +33,7 @@ because the seed package derivation is shared, bank counters are
 order-independent sums, and :func:`bank_boruvka`'s output partition
 depends only on counter contents (see its docstring).
 
-Numeric limits: every refresh merges all shard banks, so the ``int64``
+Numeric limits: every refresh sums all shard banks, so the ``int64``
 bound on the identity sums ``s1`` (see :mod:`repro.sketches.bank`) is
 checked against the ids of every edge the service has applied, before an
 update batch moves anything; a batch that could overflow is refused with
@@ -50,7 +52,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..core.mst_approx import geometric_thresholds
 from ..sketches import INT64_MAX, GraphSketchSpec, SketchBank, bank_boruvka, edge_id
@@ -67,10 +69,11 @@ __all__ = [
     "ComponentView",
 ]
 
-#: Words of the merged bank every refresh builds, ``n * (1 + 3 * slots)``
-#: (one ``s0``/``s1``/``s2`` counter per slot plus the row's vertex); each
-#: shard and threshold bank grows towards the same size.  2**25 words is
-#: 256 MiB of 8-byte counters; ``n = 1024`` with 3 copies needs 2.3M.
+#: Words of a bank holding every vertex, ``n * (1 + 3 * slots)`` (one
+#: ``s0``/``s1``/``s2`` counter per slot plus the row's vertex): each
+#: shard and threshold bank grows towards it, and a refresh reads every
+#: shard.  2**25 words is 256 MiB of 8-byte counters; ``n = 1024`` with 3
+#: copies needs 2.3M.
 MAX_REFRESH_WORDS = 2**25
 #: Edges one ``update`` may carry, inserts and deletes together.  At
 #: ``n = 1024`` a capped request takes about a second on a
@@ -194,7 +197,6 @@ class GraphService:
         )
         self._shards = [SketchBank(self.spec) for _ in range(config.shards)]
         self.thresholds: list[int] = []
-        self._mst_specs: list[GraphSketchSpec] = []
         self._mst_banks: list[SketchBank] = []
         if config.max_weight is not None:
             self.thresholds = geometric_thresholds(
@@ -206,18 +208,16 @@ class GraphService:
             # replays a from-scratch run with rng=random.Random(seed).
             mst_rng = random.Random(config.seed)
             mst_rng.random()
-            for _ in self.thresholds:
-                spec = GraphSketchSpec.generate(
-                    config.n, mst_rng, copies=config.copies
-                )
-                self._mst_specs.append(spec)
-                self._mst_banks.append(SketchBank(spec))
+            self._mst_banks = [
+                SketchBank(GraphSketchSpec.generate(config.n, mst_rng, copies=config.copies))
+                for _ in self.thresholds
+            ]
         #: Surviving edge multiset: (u, v, w) normalized -> multiplicity.
         #: The validation ledger — sketches never read it, but deletes are
         #: checked against it so the forest can't silently go negative.
         self._edges: Counter = Counter()
         #: Sum of the ids of every non-loop edge applied (either sign):
-        #: the worst-case |s1| of the merged refresh bank.
+        #: the worst-case |s1| of a supernode summed over the shards.
         self._id_mass = 0
         self._components: ComponentView | None = None
         self._mst_estimate: float | None = None
@@ -341,17 +341,11 @@ class GraphService:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _merged_bank(
-        self, partials: Iterable[SketchBank], spec: GraphSketchSpec
-    ) -> SketchBank:
-        merged = SketchBank(spec, range(self.config.n))
-        for partial in partials:
-            merged.absorb(partial)
-        return merged
-
-    def _labels_from(self, bank: SketchBank) -> ComponentView:
-        uf, forest = bank_boruvka(bank)
-        labels = uf.labels(range(self.config.n))
+    def _labels_from(self, *banks: SketchBank) -> ComponentView:
+        """Components of the sum of *banks* over every vertex."""
+        vertices = range(self.config.n)
+        uf, forest = bank_boruvka(*banks, vertices=vertices)
+        labels = uf.labels(vertices)
         return ComponentView(
             labels=labels,
             num_components=len(set(labels)),
@@ -361,7 +355,7 @@ class GraphService:
     def refresh(self) -> ComponentView:
         """Rebuild the component forest from the shard banks (lazy: query
         paths call this only when updates arrived since the last one)."""
-        view = self._labels_from(self._merged_bank(self._shards, self.spec))
+        view = self._labels_from(*self._shards)
         self._components = view
         self.refreshes += 1
         return view
@@ -395,10 +389,9 @@ class GraphService:
                 "MST-weight queries need a service configured with max_weight"
             )
         if self._mst_estimate is None:
-            counts = []
-            for spec, bank in zip(self._mst_specs, self._mst_banks):
-                view = self._labels_from(self._merged_bank([bank], spec))
-                counts.append(view.num_components)
+            counts = [
+                self._labels_from(bank).num_components for bank in self._mst_banks
+            ]
             max_weight = self.config.max_weight
             estimate = float(self.config.n - 1)
             for j, t in enumerate(self.thresholds):

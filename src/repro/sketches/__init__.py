@@ -6,7 +6,7 @@ level)`` one-sparse counters of a vertex set in one ``(rows, slots)``
 numpy array per counter, bulk edge updates that hash every edge under
 every sampler in one pass and scatter both endpoints' signed
 contributions exactly, vector-add merges, and Borůvka in sketch space
-(:func:`bank_boruvka`).  :class:`SparseRowBlock` rows — ``(row, slot,
+over the sum of one or more banks (:func:`bank_boruvka`).  :class:`SparseRowBlock` rows — ``(row, slot,
 s0, s1, s2)`` coordinates, charged as the dense rows — carry rows
 between machines and sum with one sort (:func:`build_sparse_blocks`,
 :func:`combine_sparse_blocks`).  :class:`GraphSketchSpec` holds the

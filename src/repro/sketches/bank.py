@@ -60,23 +60,27 @@ whose ids do not fit in ``int64`` is refused.  ``|s1|`` of any row, and
 of any sum of rows over disjoint vertex sets (a Borůvka supernode), is
 at most the bank's :attr:`SketchBank.s1_bound`: the sum of the ids of
 every edge applied plus the largest ``|s1|`` of every row merged in.
-:meth:`~SketchBank.update_edges`, :meth:`~SketchBank.insert_block` and
-:meth:`~SketchBank.absorb` raise :class:`OverflowError` before moving
-any counter when that bound would pass ``2^63 - 1``, instead of
-wrapping; :func:`build_sparse_blocks` refuses a machine whose edge ids
-sum past it, and :func:`combine_sparse_blocks` a sum of blocks whose
-``s1`` would pass it.
+:meth:`~SketchBank.update_edges` and :meth:`~SketchBank.insert_block`
+raise :class:`OverflowError` before moving any counter when that bound
+would pass ``2^63 - 1``, instead of wrapping, and :func:`bank_boruvka`
+before summing banks whose bounds add past it;
+:func:`build_sparse_blocks` refuses a machine whose edge ids sum past
+it, and :func:`combine_sparse_blocks` a sum of blocks whose ``s1``
+would pass it.
 
-Absorbing banks and copying are vector adds; :func:`bank_boruvka` runs
-Borůvka in sketch space on a bank, summing each supernode's phase block
-in one grouped pass and decoding every root at once, with the legacy
+:func:`bank_boruvka` runs Borůvka in sketch space on the sum of one or
+more banks of one spec, summing each supernode's phase block in one
+grouped pass per bank and decoding every root at once, with the legacy
 object loop's decisions, so component labels are bit-identical to the
 seed implementation for fixed seeds (pinned by
-``tests/integration/test_sketch_equivalence.py``).
+``tests/integration/test_sketch_equivalence.py``).  Banks are linear,
+so the sum of several banks never has to exist: a phase reads only its
+own slots of each bank's rows.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -709,18 +713,6 @@ class SketchBank:
         self._s1[d] += self._s1[s]
         self._s2[d] = _addmod(self._s2[d], self._s2[s])
 
-    def absorb(self, other: "SketchBank") -> None:
-        """Merge every row of *other* into this bank (rows missing here
-        are created in *other*'s order)."""
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise ValueError("cannot merge sketches with different seeds")
-        check_s1_bound(self.s1_bound + other.s1_bound)
-        rows = self._rows_of(other.vertices)
-        self._s0[rows] += other.s0
-        self._s1[rows] += other.s1
-        self._s2[rows] = _addmod(self._s2[rows], other.s2)
-        self.s1_bound += other.s1_bound
-
     def copy(self) -> "SketchBank":
         clone = SketchBank.__new__(SketchBank)
         clone.spec = self.spec
@@ -831,38 +823,96 @@ class SketchBank:
         return len(self.vertices)
 
 
-def bank_boruvka(bank: SketchBank) -> tuple[UnionFind, list[tuple[int, int]]]:
-    """Borůvka over a sketch bank (the large machine's local computation).
+def _group_sums(bank: SketchBank, member: np.ndarray, slots: slice):
+    """The groups of *member* (one per row of *bank*) in increasing order,
+    and each group's rows summed over *slots*: integer adds for
+    ``s0``/``s1``, an exact mod-``p`` sum for ``s2``."""
+    order = np.argsort(member, kind="stable")
+    member = member[order]
+    starts = np.flatnonzero(np.r_[True, member[1:] != member[:-1]])
+    rows = (order, slots)
+    return (
+        member[starts],
+        np.add.reduceat(bank.s0[rows], starts),
+        np.add.reduceat(bank.s1[rows], starts),
+        _group_sum_s2(bank.s2[rows], starts),
+    )
 
-    Returns the component structure over the bank's vertices and the
-    sampled edges that realized each union.  Each phase sums every
-    supernode's rows over that phase's slots in one grouped pass (the
-    bank itself is never modified), samples all roots at once, and then
-    applies the proposals in the legacy loop's order — same root set,
-    same proposal order — so the output is bit-identical for equal bank
-    contents.
+
+def _supernode_sums(banks, rows_at, group: np.ndarray, groups: int, slots: slice):
+    """Every group's counters over *slots*, summed over the rows of every
+    bank: ``group[rows_at[b][r]]`` is the group of row ``r`` of bank
+    ``b``.  ``rows_at`` is ``None`` for one bank whose row ``r`` is
+    ``group[r]``'s, which is summed in place; a group no row reaches sums
+    to zero."""
+    if rows_at is None:
+        return _group_sums(banks[0], group, slots)[1:]
+    width = slots.stop - slots.start
+    s0 = np.zeros((groups, width), dtype=np.int64)
+    s1 = np.zeros((groups, width), dtype=np.int64)
+    s2 = np.zeros((groups, width), dtype=np.uint64)
+    for bank, at in zip(banks, rows_at):
+        if len(at):
+            present, b0, b1, b2 = _group_sums(bank, group[at], slots)
+            s0[present] += b0
+            s1[present] += b1
+            s2[present] = _addmod(s2[present], b2)
+    return s0, s1, s2
+
+
+def bank_boruvka(
+    *banks: SketchBank, vertices: Iterable[int] | None = None
+) -> tuple[UnionFind, list[tuple[int, int]]]:
+    """Borůvka over the sum of one or more sketch banks of one spec (the
+    large machine's local computation).
+
+    The vertices are *vertices* (by default the first bank's), then any
+    other vertex a bank holds, in bank and row order: the rows a bank
+    over *vertices* would list after adding in every bank.  A vertex no
+    bank holds has a zero sketch.  Returns the component structure over
+    those vertices and the sampled edges that realized each union.
+
+    Each phase sums every supernode's rows over that phase's slots, one
+    grouped pass per bank (sketches are linear, so the banks' sum is
+    never built and no bank is modified), samples all roots at once, and
+    then applies the proposals in the legacy loop's order — same root
+    set, same proposal order — so the output is bit-identical for equal
+    summed counters.  One bank whose rows are the vertices in order
+    (always so when *vertices* is not given) is summed with no
+    accumulator and no index map.
+
+    Raises :class:`ValueError` for banks of different specs, and
+    :class:`OverflowError` before any sum if their
+    :attr:`~SketchBank.s1_bound` add up past ``int64``.
     """
-    uf = UnionFind(bank.vertices)
+    if not banks:
+        raise TypeError("bank_boruvka needs at least one bank")
+    first = banks[0]
+    spec = first.spec
+    if any(bank.spec is not spec and bank.spec != spec for bank in banks):
+        raise ValueError("cannot merge sketches with different seeds")
+    check_s1_bound(sum(bank.s1_bound for bank in banks))
+    order = first.vertices if vertices is None else list(vertices)
+    rows_at = None
+    if len(banks) > 1 or order != first.vertices:
+        order = list(dict.fromkeys(chain(order, *(bank.vertices for bank in banks))))
+        index = {vertex: i for i, vertex in enumerate(order)}
+        rows_at = [
+            np.array([index[vertex] for vertex in bank.vertices], dtype=np.int64)
+            for bank in banks
+        ]
+    uf = UnionFind(order)
     forest: list[tuple[int, int]] = []
 
-    for phase in range(bank.spec.phases):
-        roots = {uf.find(v) for v in bank.vertices}
+    for phase in range(spec.phases):
+        roots = {uf.find(v) for v in order}
         if len(roots) <= 1:
             break
         position = {root: i for i, root in enumerate(roots)}
-        group = np.array([position[uf.find(v)] for v in bank.vertices])
-        order = np.argsort(group, kind="stable")
-        starts = np.flatnonzero(np.r_[True, np.diff(group[order]) != 0])
-        rows = (order, bank._phase_slots(phase))
+        group = np.array([position[uf.find(v)] for v in order])
+        sums = _supernode_sums(banks, rows_at, group, len(roots), first._phase_slots(phase))
         proposals = [
-            edge
-            for edge in bank._sample_block(
-                np.add.reduceat(bank.s0[rows], starts),
-                np.add.reduceat(bank.s1[rows], starts),
-                _group_sum_s2(bank.s2[rows], starts),
-                phase,
-            )
-            if edge is not None
+            edge for edge in first._sample_block(*sums, phase) if edge is not None
         ]
         if not proposals:
             # No supernode found an outgoing edge.  Either every cut is

@@ -349,3 +349,74 @@ def test_a_reply_whose_id_cannot_be_encoded_answers_without_it(monkeypatch):
                  "maximum recursion depth exceeded while encoding",
     }
     assert json.loads(session.handle_line('{"op": "ping", "id": 1}'))["id"] == 1
+
+
+# ----------------------------------------------------------------------
+# Every op reads its own fields, plus op and id, and refuses any other key
+# ----------------------------------------------------------------------
+def _served_session() -> ServeSession:
+    """A weighted session with a fresh forest and MST estimate."""
+    session = make_session(n=10, max_weight=4)
+    assert session.handle({"op": "update", "insert": [[0, 1, 2], [2, 3]]})["ok"]
+    assert session.handle({"op": "connected", "u": 0, "v": 1})["ok"]
+    assert session.handle({"op": "mst_weight"})["ok"]
+    return session
+
+
+def _state(session: ServeSession) -> tuple:
+    """Edges, forest and counters: what a refused request must not move."""
+    service = session.service
+    return (
+        service.surviving_edges(),
+        service._components,
+        service._mst_estimate,
+        service.stats(),
+        session.closed,
+    )
+
+
+@pytest.mark.parametrize(
+    "request_, unknown",
+    [
+        ({"op": "ping", "extra": 1}, ["extra"]),
+        ({"op": "update", "inserts": [[1, 2]]}, ["inserts"]),
+        ({"op": "update", "insert": [[1, 2]], "x": 0, "a": 1, "id": 4}, ["a", "x"]),
+        ({"op": "connected", "u": 1, "v": 2, "x": 5}, ["x"]),
+        ({"op": "connected", "u": 1, "v": 2, "id": 3, "x": 5}, ["x"]),
+        ({"op": "components", "labels": True, "label": True}, ["label"]),
+        ({"op": "mst_weight", "max_weight": 3}, ["max_weight"]),
+        ({"op": "stats", "verbose": True}, ["verbose"]),
+        ({"op": "shutdown", "now": True}, ["now"]),
+    ],
+    ids=lambda value: value["op"] if isinstance(value, dict) else None,
+)
+def test_every_op_refuses_unknown_fields(request_, unknown):
+    session = _served_session()
+    before = _state(session)
+    error = _rejected(session, request_)
+    assert error.startswith(f"unknown {request_['op']} field(s) {unknown};"), error
+    assert _state(session) == before
+    assert _state(session)[1] is before[1]  # the same forest, not a refresh
+    # The same request without the unknown keys is served.
+    known = {key: value for key, value in request_.items() if key not in unknown}
+    assert session.handle(known)["ok"]
+
+
+def test_ping_before_init_refuses_unknown_fields():
+    session = ServeSession()
+    assert "extra" in _rejected(session, {"op": "ping", "extra": 1})
+    assert session.service is None
+
+
+def test_init_error_names_unknown_fields_sorted():
+    error = _rejected(ServeSession(), {"op": "init", "n": 4, "zeta": 1, "alpha": 2})
+    assert error.startswith("unknown init field(s) ['alpha', 'zeta'];")
+
+
+@pytest.mark.parametrize("labels", ["no", "true", 1, 0, 1.0, None, [], {}])
+def test_components_labels_must_be_a_boolean(labels):
+    session = _served_session()
+    before = _state(session)
+    error = _rejected(session, {"op": "components", "labels": labels})
+    assert error == f"labels must be true or false, got {labels!r}"
+    assert _state(session) == before

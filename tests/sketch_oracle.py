@@ -293,13 +293,19 @@ class ListBank:
         return len(self.vertices)
 
 
-def list_boruvka(bank: ListBank) -> tuple[UnionFind, list[tuple[int, int]]]:
-    """Borůvka on a list bank, merging supernode rows as it unions."""
-    uf = UnionFind(bank.vertices)
-    work = bank.copy()
+def list_boruvka(
+    *banks: ListBank, vertices=None
+) -> tuple[UnionFind, list[tuple[int, int]]]:
+    """Borůvka on the sum of list banks: a fresh list bank over *vertices*
+    (by default the first bank's) absorbs every bank in turn, then
+    supernode rows merge as it unions."""
+    work = ListBank(banks[0].spec, banks[0].vertices if vertices is None else vertices)
+    for bank in banks:
+        work.absorb(bank)
+    uf = UnionFind(work.vertices)
     row_ref = dict(work.row_of)
     forest: list[tuple[int, int]] = []
-    for phase in range(bank.spec.phases):
+    for phase in range(work.spec.phases):
         roots = {uf.find(v) for v in work.vertices}
         if len(roots) <= 1:
             break

@@ -159,3 +159,127 @@ def test_bank_and_oracle_agree(seed):
     (uf, forest), (oracle_uf, oracle_forest) = bank_boruvka(bank), list_boruvka(oracle)
     assert forest == oracle_forest
     assert uf.labels(range(n)) == oracle_uf.labels(range(n))
+
+
+# ----------------------------------------------------------------------
+# Borůvka over the sum of several banks (the serve refresh)
+# ----------------------------------------------------------------------
+def _signed_stream(rng, n, blocks):
+    """Signed updates inside *blocks* vertex blocks of ``[0, n - 1)``:
+    inserts (loops and multi-edges included), then deletes of a quarter
+    of them.  Vertex ``n - 1`` is in no edge."""
+    width = max(1, (n - 1) // blocks)
+    inserts = []
+    for _ in range(rng.randrange(3 * n)):
+        base = rng.randrange(blocks) * width
+        inserts.append((base + rng.randrange(width), base + rng.randrange(width)))
+    deletes = rng.sample(inserts, len(inserts) // 4)
+    return [(edge, 1) for edge in inserts] + [(edge, -1) for edge in deletes], width
+
+
+def _banks(spec, parts):
+    """One array bank and one list bank per part of signed updates."""
+    banks, oracles = [], []
+    for part in parts:
+        bank, oracle = SketchBank(spec), ListBank(spec)
+        if part:
+            edges, signs = zip(*part)
+            bank.update_edges(edges, sign=list(signs))
+            oracle.update_edges(edges, sign=list(signs))
+        banks.append(bank)
+        oracles.append(oracle)
+    return banks, oracles
+
+
+def _boruvka_outputs(n, *runs):
+    return [(uf.labels(range(n)), forest) for uf, forest in runs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    shards=st.integers(min_value=1, max_value=4),
+    disjoint=st.booleans(),
+    empty=st.booleans(),
+)
+def test_boruvka_over_shards_equals_the_merged_bank_and_the_oracle(
+    seed, shards, disjoint, empty
+):
+    """Random shard splits of one signed stream: edges dealt at random,
+    or each vertex block's edges to its own shard (disjoint vertex sets);
+    maybe one shard with no rows; a vertex in no shard.  The shards'
+    Borůvka equals one bank holding the whole stream and the list oracle
+    over the same shards, on labels and on the forest."""
+    rng = random.Random(seed)
+    n = rng.randrange(3, 24)
+    spec = GraphSketchSpec.generate(n, random.Random(seed + 1), copies=2)
+    stream, width = _signed_stream(rng, n, shards)
+    parts = [[] for _ in range(shards)]
+    for edge, sign in stream:
+        shard = min(edge[0] // width, shards - 1) if disjoint else rng.randrange(shards)
+        parts[shard].append((edge, sign))
+    if empty:
+        parts.insert(rng.randrange(shards + 1), [])
+    banks, oracles = _banks(spec, parts)
+    whole = SketchBank(spec, range(n))
+    if stream:
+        edges, signs = zip(*stream)
+        whole.update_edges(edges, sign=list(signs))
+    before = [bank.copy() for bank in banks]
+
+    got, expected, oracle = _boruvka_outputs(
+        n,
+        bank_boruvka(*banks, vertices=range(n)),
+        bank_boruvka(whole),
+        list_boruvka(*oracles, vertices=range(n)),
+    )
+    assert got == expected == oracle
+    assert got[0][n - 1] == n - 1  # the untouched vertex is a singleton
+    for bank, copy in zip(banks, before):
+        assert bank.vertices == copy.vertices
+        for name in ("s0", "s1", "s2"):
+            assert np.array_equal(getattr(bank, name), getattr(copy, name))
+    # By default the vertices are the first bank's, then the others' new
+    # ones: the rows a bank absorbing every shard in turn would list.
+    ordered = SketchBank(spec, dict.fromkeys(v for bank in banks for v in bank.vertices))
+    if stream:
+        ordered.update_edges(edges, sign=list(signs))
+    got, expected, oracle = _boruvka_outputs(
+        n, bank_boruvka(*banks), bank_boruvka(ordered), list_boruvka(*oracles)
+    )
+    assert got == expected == oracle
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_boruvka_over_threshold_banks(seed):
+    """A weight-threshold bank holds only the vertices its light edges
+    touch, in encounter order; over every vertex it decides as a bank
+    listing every vertex in order."""
+    rng = random.Random(seed)
+    n = 20
+    weighted = [
+        (rng.randrange(n - 2), rng.randrange(n - 2), rng.randrange(1, 9))
+        for _ in range(30)
+    ]
+    for t in (1, 2, 4, 8):
+        light = [(u, v) for u, v, w in weighted if w <= t]
+        spec = GraphSketchSpec.generate(n, random.Random(seed * 10 + t), copies=2)
+        bank, oracle, whole = SketchBank(spec), ListBank(spec), SketchBank(spec, range(n))
+        for target in (bank, oracle, whole):
+            target.update_edges(light)
+        outputs = _boruvka_outputs(
+            n,
+            bank_boruvka(bank, vertices=range(n)),
+            bank_boruvka(whole),
+            bank_boruvka(whole, vertices=range(n)),
+            list_boruvka(oracle, vertices=range(n)),
+        )
+        assert all(output == outputs[0] for output in outputs)
+
+
+def test_boruvka_over_empty_banks_leaves_singletons():
+    spec = GraphSketchSpec.generate(6, random.Random(2), copies=2)
+    uf, forest = bank_boruvka(SketchBank(spec), SketchBank(spec), vertices=range(6))
+    assert uf.labels(range(6)) == list(range(6)) and forest == []
+    with pytest.raises(TypeError):
+        bank_boruvka(vertices=range(6))

@@ -121,17 +121,25 @@ def test_insert_block_sums_repeated_vertices():
         assert rows_equal(bank.row(vertex), reference.row(vertex))
 
 
-def test_absorb_accumulates_other_bank():
-    spec = make_spec()
+def test_boruvka_over_banks_sums_their_rows():
+    """Borůvka over two banks decides as over one bank holding both
+    banks' edges, and changes neither bank."""
+    spec = make_spec(phases=4)
     a = SketchBank(spec)
-    a.update_edges([(0, 1)])
+    a.update_edges([(0, 1), (3, 4)])
     b = SketchBank(spec)
-    b.update_edges([(1, 2)])
-    a.absorb(b)
+    b.update_edges([(1, 2), (4, 0)])
+    rows = {vertex: a.row(vertex) for vertex in a.vertices}
     reference = SketchBank(spec)
-    reference.update_edges([(0, 1), (1, 2)])
-    for vertex in (0, 1, 2):
-        assert rows_equal(a.row(vertex), reference.row(vertex))
+    reference.update_edges([(0, 1), (3, 4), (1, 2), (4, 0)])
+    assert reference.vertices == [0, 1, 3, 4, 2]  # a's rows, then b's new one
+    uf, forest = bank_boruvka(a, b)
+    expected_uf, expected_forest = bank_boruvka(reference)
+    assert uf.labels(range(5)) == expected_uf.labels(range(5)) == [0] * 5
+    assert forest == expected_forest and len(forest) == 4
+    assert a.vertices == [0, 1, 3, 4]
+    for vertex, row in rows.items():
+        assert rows_equal(a.row(vertex), row)
 
 
 def test_copy_is_independent():
@@ -149,8 +157,8 @@ def test_copy_is_independent():
 def test_merge_different_seeds_rejected():
     bank = SketchBank(make_spec(seed=1))
     other = SketchBank(make_spec(seed=2), vertices=(0,))
-    with pytest.raises(ValueError):
-        bank.absorb(other)
+    with pytest.raises(ValueError, match="different seeds"):
+        bank_boruvka(bank, other)
 
 
 def test_word_size_matches_legacy_charge():
@@ -310,7 +318,7 @@ def test_update_refused_before_s1_can_overflow():
     with pytest.raises(OverflowError):
         bank.insert_block(block)
     with pytest.raises(OverflowError):
-        bank.absorb(bank.copy())
+        bank_boruvka(bank, bank.copy())
     assert np.array_equal(bank.s1, before)
 
 
