@@ -26,13 +26,19 @@ Environment knobs (the CI smoke job shrinks both):
 
 import os
 import random
+import sys
 import time
+from pathlib import Path
 
 from repro.sketches import GraphSketchSpec, SketchBank
-from repro.sketches.field import PRIME, trailing_zeros
+from repro.sketches.field import PRIME
 from repro.env import env_flag
 
 from _util import publish, publish_perf
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+# The scalar hash and level live with the tests, as references.
+from sketch_oracle import kwise_hash, trailing_zeros  # noqa: E402
 
 EDGES = int(os.environ.get("REPRO_BENCH_SKETCH_EDGES", "100000"))
 N = int(os.environ.get("REPRO_BENCH_SKETCH_N", "2048"))
@@ -68,7 +74,7 @@ class _SeedSampler:
     def update(self, index, delta):
         if delta == 0:
             return
-        depth = trailing_zeros(self.seeds.level_hash(index + 1))
+        depth = trailing_zeros(kwise_hash(self.seeds.level_hash, index + 1))
         top = min(depth, len(self.levels) - 1)
         for level in range(top + 1):
             self.levels[level].update(index, delta)
@@ -127,8 +133,8 @@ def build_bank(spec, edges):
 def assert_equal_state(seed_sketches, bank):
     assert sorted(seed_sketches) == sorted(bank.vertices), "vertex sets differ"
     for vertex, sketch in seed_sketches.items():
-        row = bank.row(vertex)
-        s0, s1, s2 = row.s0.tolist(), row.s1.tolist(), row.s2.tolist()
+        r = bank.row_of[vertex]
+        s0, s1, s2 = bank.s0[r].tolist(), bank.s1[r].tolist(), bank.s2[r].tolist()
         index = 0
         for phase in sketch.samplers:
             for sampler in phase:

@@ -10,7 +10,7 @@ algorithms on top of it:
   arrange) and supporting plumbing;
 * :mod:`repro.graph` — graph types, generators, validators;
 * :mod:`repro.local` — sequential algorithms (the large machine's local
-  toolbox and the test oracles);
+  steps between rounds);
 * :mod:`repro.labeling` — the KKKP flow-labeling scheme;
 * :mod:`repro.sketches` — l0-samplers and AGM graph sketches;
 * :mod:`repro.core` — the paper's algorithms (MST, spanners, matching,

@@ -2,13 +2,12 @@
 
 from .graph import Graph, canonical_edge
 from .union_find import UnionFind
-from . import arboricity, generators, traversal, validation
+from . import generators, traversal, validation
 
 __all__ = [
     "Graph",
     "canonical_edge",
     "UnionFind",
-    "arboricity",
     "generators",
     "traversal",
     "validation",

@@ -10,7 +10,7 @@ spanning tree unique and lets validators compare edge sets exactly.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["Graph", "canonical_edge"]
 
@@ -102,11 +102,6 @@ class Graph:
     def average_degree(self) -> float:
         return 2.0 * self.m / self.n if self.n else 0.0
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return any(e[0] == u and e[1] == v for e in self.edges)
-
     def edge_set(self) -> set[tuple[int, int]]:
         """The set of (unweighted) endpoint pairs."""
         return {(e[0], e[1]) for e in self.edges}
@@ -138,15 +133,6 @@ class Graph:
             [(e[0], e[1], w) for e, w in zip(self.edges, weights)],
             weighted=True,
         )
-
-    def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
-        """Subgraph induced on *vertices*, keeping original vertex ids."""
-        keep = set(vertices)
-        edges = [e for e in self.edges if e[0] in keep and e[1] in keep]
-        return Graph(self.n, edges, weighted=self.weighted)
-
-    def edge_subgraph(self, edges: Iterable[tuple]) -> "Graph":
-        return Graph(self.n, edges, weighted=self.weighted)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "weighted" if self.weighted else "unweighted"

@@ -53,15 +53,9 @@ class UnionFind:
         self._components -= 1
         return True
 
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        return self.find(a) == self.find(b)
-
     @property
     def num_components(self) -> int:
         return self._components
-
-    def component_size(self, element: Hashable) -> int:
-        return self._size[self.find(element)]
 
     def labels(self, elements: Iterable[Hashable]) -> list[Hashable]:
         """The smallest member of each element's component, in order: a

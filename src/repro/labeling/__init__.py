@@ -1,10 +1,5 @@
 """Labeling schemes: the KKKP flow labels used to identify F-light edges."""
 
-from .flow_labels import (
-    FlowLabel,
-    build_flow_labels,
-    decode_heaviest,
-    label_entries_bound,
-)
+from .flow_labels import FlowLabel, build_flow_labels, decode_heaviest
 
-__all__ = ["FlowLabel", "build_flow_labels", "decode_heaviest", "label_entries_bound"]
+__all__ = ["FlowLabel", "build_flow_labels", "decode_heaviest"]

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-__all__ = ["FlowLabel", "build_flow_labels", "decode_heaviest", "label_entries_bound"]
+__all__ = ["FlowLabel", "build_flow_labels", "decode_heaviest"]
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,6 @@ class FlowLabel:
 
     def word_size(self) -> int:
         return 1 + 2 * len(self.entries)
-
-
-def label_entries_bound(n: int) -> int:
-    """The guaranteed bound on label length: centroid decomposition halves
-    component sizes, so chains have at most ``floor(log2 n) + 1`` entries."""
-    return int(math.log2(max(n, 1))) + 1
 
 
 def build_flow_labels(

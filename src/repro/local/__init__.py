@@ -1,6 +1,7 @@
-"""Sequential algorithms: the large machine's local toolbox plus the
-ground-truth oracles used by validators and tests."""
+"""Sequential algorithms: the large machine's local toolbox (Kruskal,
+F-light filtering, Baswana–Sen, list coloring, greedy matching,
+Stoer–Wagner)."""
 
-from . import baswana_sen, coloring, matching, mincut, mis, mst
+from . import baswana_sen, coloring, matching, mincut, mst
 
-__all__ = ["baswana_sen", "coloring", "matching", "mincut", "mis", "mst"]
+__all__ = ["baswana_sen", "coloring", "matching", "mincut", "mst"]

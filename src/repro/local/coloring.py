@@ -1,26 +1,10 @@
-"""Sequential coloring routines: greedy (Delta+1) and list coloring."""
+"""Sequential list coloring (the large machine's step of Theorem C.7)."""
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-__all__ = ["greedy_coloring", "list_coloring"]
-
-
-def greedy_coloring(n: int, edges: Iterable[tuple]) -> list[int]:
-    """Greedy coloring in vertex-id order; uses at most Delta+1 colors."""
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for edge in edges:
-        adjacency[edge[0]].append(edge[1])
-        adjacency[edge[1]].append(edge[0])
-    colors = [-1] * n
-    for v in range(n):
-        taken = {colors[u] for u in adjacency[v] if colors[u] >= 0}
-        color = 0
-        while color in taken:
-            color += 1
-        colors[v] = color
-    return colors
+__all__ = ["list_coloring"]
 
 
 def list_coloring(

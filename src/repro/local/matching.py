@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, Sequence
+from typing import Iterable
 
-__all__ = ["greedy_maximal_matching", "random_greedy_matching", "extend_matching"]
+__all__ = ["greedy_maximal_matching"]
 
 
 def greedy_maximal_matching(
@@ -20,23 +19,4 @@ def greedy_maximal_matching(
         if u not in used and v not in used:
             used.update((u, v))
             result.append((min(u, v), max(u, v)))
-    return result
-
-
-def random_greedy_matching(
-    edges: Sequence[tuple], rng: random.Random
-) -> list[tuple[int, int]]:
-    """Greedy matching over a uniformly random edge order."""
-    order = list(edges)
-    rng.shuffle(order)
-    return greedy_maximal_matching(order)
-
-
-def extend_matching(
-    matching: Iterable[tuple[int, int]], extra_edges: Iterable[tuple]
-) -> list[tuple[int, int]]:
-    """Extend *matching* greedily with *extra_edges*; returns the union."""
-    result = [(min(u, v), max(u, v)) for u, v in matching]
-    used = {x for e in result for x in e}
-    result.extend(greedy_maximal_matching(extra_edges, matched=used))
     return result

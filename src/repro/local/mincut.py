@@ -1,19 +1,16 @@
-"""Sequential minimum-cut algorithms: Stoer–Wagner and Karger contraction.
+"""Sequential minimum cut: Stoer–Wagner.
 
-Stoer–Wagner is the exact oracle (it handles weighted multigraphs, which is
-what the contraction pipelines of Appendix C produce); Karger's randomized
-contraction is provided both as a cross-check and because the 2-out
-contraction analysis of Ghaffari–Nowicki–Thorup builds on it.
+Stoer–Wagner is exact and handles weighted multigraphs, which is what the
+contraction pipelines of Appendix C leave on the large machine.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Iterable
 
 from ..graph.union_find import UnionFind
 
-__all__ = ["stoer_wagner", "min_cut_value", "karger_contract", "min_degree_cut"]
+__all__ = ["stoer_wagner", "min_cut_value"]
 
 
 def _weight_matrix(
@@ -94,36 +91,3 @@ def min_cut_value(n: int, edges: Iterable[tuple]) -> float:
         return 0.0
     value, _ = stoer_wagner(range(n), edges)
     return value
-
-
-def karger_contract(
-    vertices: Iterable[int],
-    edges: list[tuple],
-    rng: random.Random,
-    target: int = 2,
-) -> tuple[UnionFind, list[tuple]]:
-    """Contract random edges until *target* supernodes remain.
-
-    Returns the contraction map and the surviving (inter-supernode)
-    multigraph edges, each tagged with its original edge.
-    """
-    uf = UnionFind(vertices)
-    order = list(edges)
-    rng.shuffle(order)
-    for edge in order:
-        if uf.num_components <= target:
-            break
-        uf.union(edge[0], edge[1])
-    survivors = [e for e in edges if uf.find(e[0]) != uf.find(e[1])]
-    return uf, survivors
-
-
-def min_degree_cut(n: int, edges: Iterable[tuple]) -> tuple[float, int]:
-    """The best *singleton* cut: (weighted degree, vertex)."""
-    degree = [0.0] * n
-    for edge in edges:
-        w = edge[2] if len(edge) == 3 else 1
-        degree[edge[0]] += w
-        degree[edge[1]] += w
-    vertex = min(range(n), key=lambda v: degree[v])
-    return degree[vertex], vertex

@@ -1,4 +1,4 @@
-"""Sequential MST machinery: Kruskal, spanning forests, F-light edges.
+"""Sequential MST machinery: Kruskal and F-light edges.
 
 The large machine performs unbounded local computation between rounds; in
 practice our heterogeneous algorithms have it run Kruskal on ``O~(n)``-edge
@@ -22,9 +22,6 @@ from ..graph.union_find import UnionFind
 __all__ = [
     "kruskal",
     "kruskal_edges",
-    "minimum_spanning_forest",
-    "spanning_forest",
-    "forest_components",
     "heaviest_weight_on_path",
     "is_f_light",
     "f_light_edges",
@@ -50,27 +47,6 @@ def kruskal(graph: Graph) -> list[tuple[int, int, int]]:
     if not graph.weighted:
         raise ValueError("kruskal needs a weighted graph")
     return kruskal_edges(graph.edges)
-
-
-def minimum_spanning_forest(graph: Graph) -> Graph:
-    return Graph(graph.n, kruskal(graph), weighted=True)
-
-
-def spanning_forest(n: int, edges: Iterable[tuple]) -> list[tuple[int, int]]:
-    """An arbitrary spanning forest (ignores weights)."""
-    forest: list[tuple[int, int]] = []
-    uf = UnionFind()
-    for edge in edges:
-        if uf.union(edge[0], edge[1]):
-            forest.append((edge[0], edge[1]))
-    return forest
-
-
-def forest_components(n: int, forest_edges: Iterable[tuple]) -> UnionFind:
-    uf = UnionFind(range(n))
-    for edge in forest_edges:
-        uf.union(edge[0], edge[1])
-    return uf
 
 
 def heaviest_weight_on_path(

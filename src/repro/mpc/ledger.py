@@ -88,17 +88,6 @@ class Violation(str):
         self.note = note
         return self
 
-    def as_dict(self) -> dict:
-        """JSON-serializable form (consumed by the artifact layer)."""
-        return {
-            "machine_id": self.machine_id,
-            "kind": self.kind,
-            "amount": self.amount,
-            "capacity": self.capacity,
-            "round": self.round,
-            "note": self.note,
-        }
-
 
 @dataclass
 class RoundRecord:
@@ -220,14 +209,6 @@ class RoundLedger:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def rounds_in_section(self, label: str) -> int:
-        """Number of recorded rounds whose note mentions *label*.
-
-        Note: inside parallel sections this counts executed (not charged)
-        rounds; it is intended for per-phase diagnostics only.
-        """
-        return sum(1 for record in self.records if label in record.note)
-
     @property
     def total_words(self) -> int:
         return sum(record.total_words for record in self.records)
@@ -236,11 +217,6 @@ class RoundLedger:
     def max_memory(self) -> int:
         """Highest memory high-water mark over all machines, in words."""
         return max(self.memory_high_water.values(), default=0)
-
-    @property
-    def wall_time(self) -> float:
-        """Total simulator wall-clock seconds spent inside rounds."""
-        return sum(stats.elapsed for stats in self.note_stats.values())
 
     def hottest_notes(self, limit: int = 10) -> list[tuple[str, NoteStats]]:
         """Note labels ranked by simulator wall-clock time, hottest first."""
@@ -285,7 +261,3 @@ class ParallelSection:
         self._open = False
         if self._branch_rounds:
             self._ledger.rounds = self._start + max(self._branch_rounds)
-
-    @property
-    def branch_rounds(self) -> list[int]:
-        return list(self._branch_rounds)

@@ -89,10 +89,6 @@ class Arrangement:
     out_degrees: dict[int, int]
     holders: dict[int, list[int]]
 
-    def first_machine(self, vertex: int) -> int | None:
-        machines = self.holders.get(vertex)
-        return machines[0] if machines else None
-
 
 def arrange_directed(
     cluster: Cluster,

@@ -66,7 +66,6 @@ holds values that are not scalars.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,8 +90,7 @@ class SortLayout:
     ``counts[i]`` is the number of items on the i-th small machine (in
     machine order); ``offsets[i]`` is the global rank of that machine's
     first item.  A layout describes one finished sort and is treated as
-    immutable: ``total`` and ``offsets`` are computed once and cached
-    (callers invoke :meth:`machine_of_rank` in tight loops).
+    immutable: ``total`` and ``offsets`` are computed once and cached.
     """
 
     machine_ids: list[int]
@@ -115,20 +113,10 @@ class SortLayout:
     def _offsets_array(self) -> Any:
         return np.array(self.offsets, dtype=np.int64)
 
-    def machine_of_rank(self, rank: int) -> int:
-        """The machine holding the item of global rank *rank*."""
-        if not 0 <= rank < self.total:
-            raise IndexError(rank)
-        index = bisect.bisect_right(self.offsets, rank) - 1
-        return self.machine_ids[index]
-
     def machine_of_rank_many(self, ranks: Sequence[int]) -> list[int]:
-        """Vectorized :meth:`machine_of_rank` for a batch of ranks.
-
-        One ``searchsorted`` over the cached offsets; semantically
-        identical to mapping :meth:`machine_of_rank`, including the bounds
-        check.
-        """
+        """The machine holding the item of each global rank: one
+        ``searchsorted`` over the cached offsets.  Raises
+        :class:`IndexError` for a rank outside ``[0, total)``."""
         if not len(ranks):
             return []
         if min(ranks) < 0 or max(ranks) >= self.total:

@@ -432,5 +432,7 @@ class GraphService:
             "refreshes": self.refreshes,
             "forest_fresh": self._components is not None,
             "mst_enabled": bool(self._mst_banks),
-            "sketch_words": sum(b.word_size() for b in self._shards),
+            "sketch_words": sum(
+                bank.word_size() for bank in (*self._shards, *self._mst_banks)
+            ),
         }

@@ -92,7 +92,6 @@ from .field import PRIME, PowerTable, mulmod, poly_eval_many, trailing_zeros_man
 __all__ = [
     "INT64_MAX",
     "SpecArrays",
-    "SketchRow",
     "SketchBank",
     "SparseRowBlock",
     "bank_boruvka",
@@ -489,25 +488,6 @@ def combine_sparse_blocks(blocks: Sequence[SparseRowBlock]) -> SparseRowBlock:
     )
 
 
-class SketchRow:
-    """One vertex's counter row, detached from its bank
-    (:meth:`SketchBank.row`).
-
-    Its word cost matches the seed implementation's per-vertex charge
-    exactly (one word of vertex identity plus three counters per slot).
-    """
-
-    __slots__ = ("s0", "s1", "s2")
-
-    def __init__(self, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> None:
-        self.s0 = s0
-        self.s1 = s1
-        self.s2 = s2
-
-    def word_size(self) -> int:
-        return 1 + 3 * len(self.s0)
-
-
 class SketchBank:
     """All ``(phase, copy, level)`` one-sparse counters for a vertex set."""
 
@@ -588,18 +568,10 @@ class SketchBank:
         self._reserve_rows(len(order))
         return rows
 
-    def add_vertex(self, vertex: int) -> int:
-        """Ensure *vertex* has a row (zero counters); return its index."""
-        return self._rows_of((vertex,))[0]
-
     def add_vertices(self, vertices: Iterable[int]) -> None:
-        """:meth:`add_vertex` for every vertex, in order."""
+        """Give every vertex that has none a row of zero counters, in
+        order."""
         self._rows_of(vertices)
-
-    def row(self, vertex: int) -> SketchRow:
-        """Extract a detached copy of *vertex*'s counter row."""
-        r = self.row_of[vertex]
-        return SketchRow(self._s0[r].copy(), self._s1[r].copy(), self._s2[r].copy())
 
     def insert_block(self, block: SparseRowBlock) -> None:
         """Add a :class:`SparseRowBlock` into the bank in one scatter,
@@ -703,38 +675,8 @@ class SketchBank:
         s2[at] = _addmod(s2[at], _from_halves(high[hit], low[hit]))
 
     # ------------------------------------------------------------------
-    # merging / copying
-    # ------------------------------------------------------------------
-    def merge_vertices(self, dst: int, src: int) -> None:
-        """Add *src*'s row into *dst*'s row (supernode merge; keeps
-        :attr:`s1_bound` when the two rows' vertex sets are disjoint)."""
-        d, s = self.row_of[dst], self.row_of[src]
-        self._s0[d] += self._s0[s]
-        self._s1[d] += self._s1[s]
-        self._s2[d] = _addmod(self._s2[d], self._s2[s])
-
-    def copy(self) -> "SketchBank":
-        clone = SketchBank.__new__(SketchBank)
-        clone.spec = self.spec
-        clone.num_levels = self.num_levels
-        clone.num_samplers = self.num_samplers
-        clone.slots_per_row = self.slots_per_row
-        clone.row_of = dict(self.row_of)
-        clone.vertices = list(self.vertices)
-        clone.s1_bound = self.s1_bound
-        clone._arrays = self._arrays
-        clone._s0 = self.s0.copy()
-        clone._s1 = self.s1.copy()
-        clone._s2 = self.s2.copy()
-        return clone
-
-    # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def is_zero_vertex(self, vertex: int) -> bool:
-        r = self.row_of[vertex]
-        return not (self._s0[r].any() or self._s1[r].any() or self._s2[r].any())
-
     def _phase_slots(self, phase: int) -> slice:
         width = self.spec.copies * self.num_levels
         return slice(phase * width, (phase + 1) * width)
@@ -777,34 +719,6 @@ class SketchBank:
             scale = np.remainder(s0[ok], PRIME).astype(np.uint64)
             ok[ok] = mulmod(scale, f) == s2[ok]
         return coordinate, ok
-
-    def sample_outgoing(self, vertex: int, phase: int) -> tuple[int, int] | None:
-        """Sample an edge leaving *vertex*'s (super)vector using the given
-        phase's samplers; tries the independent copies in order, levels
-        from deepest to shallowest — the legacy scan order."""
-        r = self.row_of[vertex]
-        block = self._phase_slots(phase)
-        return self._sample_block(
-            self._s0[r : r + 1, block],
-            self._s1[r : r + 1, block],
-            self._s2[r : r + 1, block],
-            phase,
-        )[0]
-
-    def decode_slot(
-        self, vertex: int, phase: int, copy: int, level: int
-    ) -> tuple[int, int] | None:
-        """One-sparse recovery of a single addressed counter."""
-        sampler = phase * self.spec.copies + copy
-        offset = sampler * self.num_levels + level
-        r = self.row_of[vertex]
-        at = (slice(r, r + 1), slice(offset, offset + 1))
-        coordinate, ok = self._decode(
-            self._s0[at], self._s1[at], self._s2[at], np.array([[offset]])
-        )
-        if not ok[0, 0]:
-            return None
-        return int(coordinate[0, 0]), int(self._s0[r, offset])
 
     def word_size(self) -> int:
         """Total storage charge: every row costs what the seed

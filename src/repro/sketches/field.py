@@ -5,9 +5,8 @@ classical construction — a random degree-(k-1) polynomial over the field
 ``GF(p)`` with the Mersenne prime ``p = 2^61 - 1`` — which is k-wise
 independent and cheap to evaluate.
 
-Besides the scalar helpers (:class:`KWiseHash`, :func:`trailing_zeros`),
-this module holds
-the array kernels behind :class:`~repro.sketches.bank.SketchBank`:
+:class:`KWiseHash` holds a hash's coefficients; the array kernels behind
+:class:`~repro.sketches.bank.SketchBank` evaluate it:
 :func:`mulmod`, :func:`poly_eval_many`, :func:`trailing_zeros_many` and
 :class:`PowerTable`.  They work on ``uint64`` residues below ``2^61``:
 products of two residues need 122 bits, so :func:`mulmod` splits operands
@@ -28,7 +27,6 @@ __all__ = [
     "PowerTable",
     "mulmod",
     "poly_eval_many",
-    "trailing_zeros",
     "trailing_zeros_many",
 ]
 
@@ -41,7 +39,10 @@ _ONE = np.uint64(1)
 
 
 class KWiseHash:
-    """A k-wise independent hash function ``h: Z -> [0, PRIME)``."""
+    """A k-wise independent hash function ``h: Z -> [0, PRIME)``: the
+    coefficients of a random polynomial over ``GF(PRIME)``, highest
+    degree first (:func:`poly_eval_many` evaluates it).  Two hashes with
+    equal coefficients are equal."""
 
     __slots__ = ("coefficients",)
 
@@ -52,28 +53,13 @@ class KWiseHash:
         coefficients.extend(rng.randrange(PRIME) for _ in range(k - 1))
         self.coefficients = tuple(coefficients)
 
-    def __call__(self, x: int) -> int:
-        # Horner evaluation of the random polynomial at x, mod PRIME.
-        # Reduce x once up front so every Horner step multiplies two
-        # sub-61-bit residues instead of dragging a large x through.
-        x %= PRIME
-        acc = 0
-        for coefficient in self.coefficients:
-            acc = (acc * x + coefficient) % PRIME
-        return acc
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KWiseHash):
+            return NotImplemented
+        return self.coefficients == other.coefficients
 
-    def eval_many(self, xs) -> list[int]:
-        """Evaluate the hash at every point of *xs* in one vectorized
-        Horner pass; bit-identical to calling the hash point by point."""
-        residues = np.array([x % PRIME for x in xs], dtype=np.uint64)
-        return poly_eval_many(self.coefficients, residues).tolist()
-
-
-def trailing_zeros(value: int) -> int:
-    """Number of trailing zero bits (the geometric level of an item)."""
-    if value == 0:
-        return 61
-    return (value & -value).bit_length() - 1
+    def __hash__(self) -> int:
+        return hash(self.coefficients)
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +115,8 @@ def poly_eval_many(coefficients, xs) -> np.ndarray:
 
 
 def trailing_zeros_many(values) -> np.ndarray:
-    """:func:`trailing_zeros` of every ``uint64`` value (61 for zero)."""
+    """The trailing zero bits of every ``uint64`` value (61 for zero): an
+    item's geometric level."""
     arr = np.asarray(values, dtype=np.uint64)
     lowest = arr & (~arr + _ONE)  # isolate the lowest set bit
     if hasattr(np, "bitwise_count"):

@@ -58,9 +58,9 @@ def test_degrees_and_extremes():
 
 
 def test_has_edge_and_edge_set():
-    g = Graph(4, [(0, 2)])
-    assert g.has_edge(2, 0)
-    assert not g.has_edge(1, 3)
+    g = Graph(4, [(2, 0)])
+    assert canonical_edge(2, 0) in g.edge_set()
+    assert canonical_edge(1, 3) not in g.edge_set()
     assert g.edge_set() == {(0, 2)}
 
 
@@ -88,19 +88,6 @@ def test_with_unique_weights_is_permutation():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).with_unique_weights(rng)
     weights = sorted(e[2] for e in g.edges)
     assert weights == [1, 2, 3, 4]
-
-
-def test_induced_subgraph_keeps_ids():
-    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    sub = g.induced_subgraph([0, 1, 2])
-    assert sub.n == 5
-    assert sub.edge_set() == {(0, 1), (1, 2)}
-
-
-def test_edge_subgraph():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    sub = g.edge_subgraph([(1, 2)])
-    assert sub.edge_set() == {(1, 2)}
 
 
 def test_empty_weighted_graph_needs_flag():

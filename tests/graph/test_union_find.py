@@ -18,15 +18,15 @@ def test_union_merges_and_reports():
     uf = UnionFind(range(4))
     assert uf.union(0, 1)
     assert not uf.union(1, 0)
-    assert uf.connected(0, 1)
-    assert not uf.connected(0, 2)
+    assert uf.find(0) == uf.find(1)
+    assert uf.find(0) != uf.find(2)
     assert uf.num_components == 3
 
 
 def test_lazy_element_creation():
     uf = UnionFind()
     uf.union("a", "b")
-    assert uf.connected("a", "b")
+    assert uf.find("a") == uf.find("b")
     assert uf.num_components == 1
     assert len(uf) == 2
 
@@ -35,8 +35,9 @@ def test_component_sizes():
     uf = UnionFind(range(6))
     uf.union(0, 1)
     uf.union(1, 2)
-    assert uf.component_size(2) == 3
-    assert uf.component_size(5) == 1
+    sizes = {root: len(members) for root, members in uf.groups().items()}
+    assert sizes[uf.find(2)] == 3
+    assert sizes[uf.find(5)] == 1
 
 
 def test_groups_partition_everything():
@@ -54,7 +55,7 @@ def test_transitive_chain():
     for v in range(99):
         uf.union(v, v + 1)
     assert uf.num_components == 1
-    assert uf.connected(0, 99)
+    assert uf.find(0) == uf.find(99)
 
 
 @settings(max_examples=25, deadline=None)

@@ -52,7 +52,9 @@ def test_per_phase_round_counts_are_bounded(rng):
     whole point of the O(log log) claim."""
     g = generators.random_connected_graph(64, 1536, rng).with_unique_weights(rng)
     result = heterogeneous_mst(g, rng=random.Random(5))
-    boruvka_rounds = result.cluster.ledger.rounds_in_section("boruvka")
+    boruvka_rounds = sum(
+        "boruvka" in record.note for record in result.cluster.ledger.records
+    )
     assert result.boruvka_steps >= 2
     per_step = boruvka_rounds / result.boruvka_steps
     assert per_step <= 40  # constant per step at any density

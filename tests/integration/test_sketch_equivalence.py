@@ -20,6 +20,7 @@ import random
 from repro.core.connectivity import heterogeneous_connectivity
 from repro.graph import generators
 from repro.sketches import PRIME, GraphSketchSpec, SketchBank, bank_boruvka
+from sketch_oracle import bank_row, sample_outgoing
 
 # Captured at the pre-bank revision (commit fed6cb7), with the exact
 # inputs constructed below.
@@ -109,11 +110,9 @@ def test_bank_state_matches_seed_bit_for_bit():
     assert sorted(bank.vertices) == sorted(seed_state)
     lines = []
     for vertex in sorted(bank.vertices):
-        row = bank.row(vertex)
-        assert [list(cell) for cell in zip(row.s0, row.s1, row.s2)] == seed_state[
-            vertex
-        ]
-        lines.extend(_state_lines(vertex, row.s0, row.s1, row.s2))
+        row = bank_row(bank, vertex)
+        assert [list(cell) for cell in zip(*row)] == seed_state[vertex]
+        lines.extend(_state_lines(vertex, *row))
     assert _hash(lines) == GOLDEN["state_hash"]
 
 
@@ -129,7 +128,7 @@ def _fixture_bank():
 def test_sample_trace_matches_seed():
     bank = _fixture_bank()
     trace = [
-        f"{vertex}:{phase}:{bank.sample_outgoing(vertex, phase)}"
+        f"{vertex}:{phase}:{sample_outgoing(bank, vertex, phase)}"
         for vertex in sorted(bank.vertices)
         for phase in range(bank.spec.phases)
     ]

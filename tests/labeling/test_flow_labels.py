@@ -9,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import generators
-from repro.labeling import (
-    build_flow_labels,
-    decode_heaviest,
-    label_entries_bound,
-)
+from repro.labeling import build_flow_labels, decode_heaviest
 from repro.local.mst import heaviest_weight_on_path, kruskal
 
 
 @pytest.fixture
 def rng():
     return random.Random(55)
+
+
+def entries_bound(n: int) -> int:
+    """The guaranteed bound on label length: centroid decomposition halves
+    component sizes, so chains have at most ``floor(log2 n) + 1`` entries."""
+    return int(math.log2(max(n, 1))) + 1
 
 
 def forest_of(n, m, seed, components=1):
@@ -60,7 +62,7 @@ def test_isolated_vertices_get_labels():
 def test_label_length_bound(rng):
     g, forest = forest_of(200, 500, seed=1)
     labels = build_flow_labels(range(g.n), forest)
-    bound = label_entries_bound(g.n)
+    bound = entries_bound(g.n)
     assert all(len(label.entries) <= bound for label in labels.values())
 
 
@@ -68,7 +70,7 @@ def test_word_size_is_logarithmic(rng):
     g, forest = forest_of(128, 300, seed=2)
     labels = build_flow_labels(range(g.n), forest)
     worst = max(label.word_size() for label in labels.values())
-    assert worst <= 2 * label_entries_bound(g.n) + 1
+    assert worst <= 2 * entries_bound(g.n) + 1
 
 
 def test_all_pairs_match_brute_force_single_tree():

@@ -1,23 +1,13 @@
-"""Sequential matching / MIS / coloring helpers."""
+"""Sequential matching and list coloring helpers."""
 
 import random
 
 import pytest
 
-from repro.graph import Graph, generators
-from repro.graph.validation import (
-    is_matching,
-    is_maximal_independent_set,
-    is_maximal_matching,
-    is_proper_coloring,
-)
-from repro.local.coloring import greedy_coloring, list_coloring
-from repro.local.matching import (
-    extend_matching,
-    greedy_maximal_matching,
-    random_greedy_matching,
-)
-from repro.local.mis import greedy_mis, greedy_mis_edges
+from repro.graph import generators
+from repro.graph.validation import is_maximal_matching, is_proper_coloring
+from repro.local.coloring import list_coloring
+from repro.local.matching import greedy_maximal_matching
 
 
 @pytest.fixture
@@ -37,51 +27,6 @@ def test_greedy_matching_respects_preexisting():
     result = greedy_maximal_matching(edges, matched=matched)
     assert result == [(2, 3)]
     assert matched == {0, 2, 3}
-
-
-def test_random_greedy_matching(rng):
-    g = generators.random_connected_graph(30, 100, rng)
-    matching = random_greedy_matching(g.edges, rng)
-    assert is_maximal_matching(g, matching)
-
-
-def test_extend_matching_unions_greedily():
-    base = [(0, 1)]
-    extended = extend_matching(base, [(1, 2), (3, 4)])
-    assert (0, 1) in extended and (3, 4) in extended
-    assert (1, 2) not in extended
-
-
-def test_greedy_mis_on_path():
-    mis = greedy_mis(5, [(0, 1), (1, 2), (2, 3), (3, 4)], order=[0, 1, 2, 3, 4])
-    assert mis == {0, 2, 4}
-
-
-def test_greedy_mis_is_maximal(rng):
-    g = generators.random_connected_graph(40, 200, rng)
-    order = list(range(g.n))
-    rng.shuffle(order)
-    mis = greedy_mis(g.n, g.edges, order)
-    assert is_maximal_independent_set(g, mis)
-
-
-def test_greedy_mis_edges_respects_blocked():
-    chosen = greedy_mis_edges(
-        [0, 1, 2], [(0, 1), (1, 2)], order=[0, 1, 2], already_blocked={0}
-    )
-    assert 0 not in chosen
-    assert chosen == {1}
-
-
-def test_greedy_coloring_uses_at_most_delta_plus_one(rng):
-    g = generators.random_connected_graph(40, 300, rng)
-    colors = greedy_coloring(g.n, g.edges)
-    assert is_proper_coloring(g, colors, g.max_degree + 1)
-
-
-def test_greedy_coloring_path_uses_two_colors():
-    colors = greedy_coloring(4, [(0, 1), (1, 2), (2, 3)])
-    assert max(colors) <= 1
 
 
 def test_list_coloring_success():

@@ -1,4 +1,4 @@
-"""Stoer–Wagner and contraction helpers."""
+"""Stoer–Wagner and the exact min-cut value."""
 
 import random
 
@@ -6,12 +6,7 @@ import pytest
 
 from repro.graph import Graph, generators
 from repro.graph.validation import cut_value
-from repro.local.mincut import (
-    karger_contract,
-    min_cut_value,
-    min_degree_cut,
-    stoer_wagner,
-)
+from repro.local.mincut import min_cut_value, stoer_wagner
 
 
 @pytest.fixture
@@ -78,26 +73,3 @@ def test_min_cut_matches_brute_force(rng):
         for side in itertools.combinations(range(8), size)
     )
     assert min_cut_value(g.n, g.edges) == best
-
-
-def test_karger_contract_reaches_target(rng):
-    g = generators.random_connected_graph(20, 60, rng)
-    uf, survivors = karger_contract(range(g.n), list(g.edges), rng, target=2)
-    assert uf.num_components == 2
-    for u, v in survivors:
-        assert uf.find(u) != uf.find(v)
-
-
-def test_karger_repeated_finds_min_cut(rng):
-    g = generators.planted_cut_graph(16, 1, 3.0, rng)
-    best = min(
-        len(karger_contract(range(g.n), list(g.edges), random.Random(s), 2)[1])
-        for s in range(30)
-    )
-    assert best == min_cut_value(g.n, g.edges)
-
-
-def test_min_degree_cut():
-    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-    value, vertex = min_degree_cut(g.n, g.edges)
-    assert value == 1 and vertex == 3

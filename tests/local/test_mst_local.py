@@ -11,13 +11,10 @@ from repro.graph import Graph, generators
 from repro.graph.validation import is_spanning_forest
 from repro.local.mst import (
     f_light_edges,
-    forest_components,
     heaviest_weight_on_path,
     is_f_light,
     kruskal,
     kruskal_edges,
-    minimum_spanning_forest,
-    spanning_forest,
 )
 
 
@@ -59,24 +56,6 @@ def test_kruskal_edges_handles_multigraph():
     # Parallel edges with different weights: only the lightest used.
     forest = kruskal_edges([(0, 1, 5), (0, 1, 2)])
     assert forest == [(0, 1, 2)]
-
-
-def test_minimum_spanning_forest_returns_graph(rng):
-    g = generators.random_connected_graph(10, 20, rng).with_unique_weights(rng)
-    msf = minimum_spanning_forest(g)
-    assert msf.m == 9
-    assert msf.weighted
-
-
-def test_spanning_forest_ignores_weights(rng):
-    g = generators.random_connected_graph(15, 40, rng)
-    forest = spanning_forest(g.n, g.edges)
-    assert is_spanning_forest(g, forest)
-
-
-def test_forest_components():
-    uf = forest_components(5, [(0, 1), (2, 3)])
-    assert uf.num_components == 3
 
 
 def test_heaviest_on_path_simple_path():

@@ -40,7 +40,7 @@ def test_rounds_in_section():
         make_round(ledger)
         make_round(ledger)
     make_round(ledger)
-    assert ledger.rounds_in_section("alpha") == 2
+    assert sum("alpha" in record.note for record in ledger.records) == 2
 
 
 def test_parallel_charges_max_not_sum():
@@ -62,17 +62,6 @@ def test_parallel_with_early_break():
                 make_round(ledger)
             break  # first attempt succeeded
     assert ledger.rounds == 2
-
-
-def test_parallel_records_branch_rounds():
-    ledger = RoundLedger()
-    with ledger.parallel("p") as par:
-        with par.branch():
-            make_round(ledger)
-        with par.branch():
-            make_round(ledger)
-            make_round(ledger)
-    assert par.branch_rounds == [1, 2]
 
 
 def test_nested_rounds_after_parallel_continue_from_max():

@@ -499,7 +499,6 @@ def test_execute_records_note_stats():
     assert stats.total_words == 5
     assert stats.items == 4
     assert stats.elapsed >= 0.0
-    assert cluster.ledger.wall_time >= stats.elapsed
     assert cluster.ledger.hottest_notes()[0][0] == "hot"
 
 

@@ -402,7 +402,6 @@ def test_violation_is_str_with_structured_fields():
     assert violation.amount == 120
     assert violation.capacity == 100
     assert violation.round == 7
-    assert violation.as_dict()["kind"] == "sent"
 
 
 def test_ledger_violations_are_typed_with_round_numbers():

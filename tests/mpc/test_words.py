@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpc.words import word_size, word_size_many
-from repro.sketches.bank import SketchRow
+from sketch_oracle import ListRow
 from word_size_oracle import reference_word_size
 
 
@@ -268,9 +268,9 @@ class SizedPair(namedtuple("SizedPair", "a b")):
 Pair = namedtuple("Pair", "a b")
 
 
-def _sketch_row(slots: int) -> SketchRow:
-    counters = np.arange(slots, dtype=np.int64)
-    return SketchRow(counters, counters.copy(), counters.astype(np.uint64))
+def _sketch_row(slots: int) -> ListRow:
+    counters = list(range(slots))
+    return ListRow(counters, counters.copy(), counters.copy())
 
 
 _hashable_leaves = st.one_of(

@@ -77,11 +77,9 @@ def test_layout_offsets_and_rank_lookup():
     layout = SortLayout(machine_ids=[10, 11, 12], counts=[3, 0, 2])
     assert layout.offsets == [0, 3, 3]
     assert layout.total == 5
-    assert layout.machine_of_rank(0) == 10
-    assert layout.machine_of_rank(2) == 10
-    assert layout.machine_of_rank(3) == 12
+    assert layout.machine_of_rank_many([0, 2, 3]) == [10, 10, 12]
     with pytest.raises(IndexError):
-        layout.machine_of_rank(5)
+        layout.machine_of_rank_many([5])
 
 
 def test_layout_offsets_are_cached():
@@ -89,7 +87,7 @@ def test_layout_offsets_are_cached():
     first = layout.offsets
     assert layout.offsets is first  # computed once, reused by rank lookups
     assert layout.total == 5
-    assert [layout.machine_of_rank(r) for r in range(5)] == [10, 10, 10, 12, 12]
+    assert layout.machine_of_rank_many(range(5)) == [10, 10, 10, 12, 12]
 
 
 def test_key_must_be_a_field_spec():

@@ -230,8 +230,7 @@ def test_insert_delete_churn_returns_to_empty_state():
     assert view.labels == list(range(n))
     # All shard counters returned to exact zero by linearity.
     for shard in service._shards:
-        for vertex in shard.vertices:
-            assert shard.is_zero_vertex(vertex)
+        assert not (shard.s0.any() or shard.s1.any() or shard.s2.any())
 
 
 def test_stats_shape():
@@ -247,6 +246,17 @@ def test_stats_shape():
     assert stats["forest_fresh"] is True
     assert stats["mst_enabled"] is False
     assert stats["sketch_words"] > 0
+
+
+def test_stats_counts_the_threshold_banks():
+    """A weighted service's sketch words include its weight-threshold
+    banks, not only its shards."""
+    service = GraphService(ServeConfig(n=12, seed=5, shards=3, max_weight=8))
+    service.update(insert=[(0, 1, 3), (1, 2, 5), (5, 6, 8)])
+    shard_words = sum(bank.word_size() for bank in service._shards)
+    threshold_words = sum(bank.word_size() for bank in service._mst_banks)
+    assert (len(service._mst_banks), shard_words, threshold_words) == (6, 2166, 4332)
+    assert service.stats()["sketch_words"] == shard_words + threshold_words
 
 
 def test_update_refuses_identity_sums_past_int64(monkeypatch):

@@ -17,6 +17,12 @@ the oracle by patching the ``SketchBank``, ``bank_boruvka``,
 ``build_sparse_blocks`` and ``combine_sparse_blocks`` names of the
 calling module.  :func:`densify` expands any sparse block to its dense
 rows with Python ints, the form the tests compare.
+
+The scalar references :func:`kwise_hash` and :func:`trailing_zeros` are
+what the array kernels of :mod:`repro.sketches.field` compute in bulk,
+and :func:`bank_row`, :func:`sample_outgoing` and :func:`decode_slot`
+read one vertex's counters, sample and slot out of a
+:class:`~repro.sketches.SketchBank` through the kernels Borůvka uses.
 """
 
 from __future__ import annotations
@@ -33,6 +39,55 @@ from repro.sketches.field import PRIME
 
 #: Largest baby-step/giant-step block worth materializing.
 _MAX_BLOCK = 1 << 20
+
+
+def kwise_hash(hash_fn, x: int) -> int:
+    """``hash_fn(x)`` for a :class:`~repro.sketches.KWiseHash`: Horner
+    evaluation of its polynomial at *x*, mod PRIME.  *x* is reduced once
+    up front, so every step multiplies two residues below 2^61."""
+    x %= PRIME
+    acc = 0
+    for coefficient in hash_fn.coefficients:
+        acc = (acc * x + coefficient) % PRIME
+    return acc
+
+
+def trailing_zeros(value: int) -> int:
+    """Number of trailing zero bits (the geometric level of an item); 61
+    for zero."""
+    if value == 0:
+        return 61
+    return (value & -value).bit_length() - 1
+
+
+def bank_row(bank, vertex: int) -> tuple[list[int], list[int], list[int]]:
+    """*vertex*'s ``s0``, ``s1`` and ``s2`` counters in a sketch bank."""
+    r = bank.row_of[vertex]
+    return bank.s0[r].tolist(), bank.s1[r].tolist(), bank.s2[r].tolist()
+
+
+def sample_outgoing(bank, vertex: int, phase: int) -> tuple[int, int] | None:
+    """The edge a sketch bank samples from *vertex*'s row with *phase*'s
+    samplers: what Borůvka samples for a supernode of that one vertex."""
+    r = slice(bank.row_of[vertex], bank.row_of[vertex] + 1)
+    slots = bank._phase_slots(phase)
+    return bank._sample_block(
+        bank.s0[r, slots], bank.s1[r, slots], bank.s2[r, slots], phase
+    )[0]
+
+
+def decode_slot(bank, vertex: int, phase: int, copy: int, level: int):
+    """One-sparse recovery of one counter of a sketch bank: ``(coordinate,
+    value)``, or ``None`` when the slot is not one-sparse."""
+    offset = (phase * bank.spec.copies + copy) * bank.num_levels + level
+    r = bank.row_of[vertex]
+    at = (slice(r, r + 1), slice(offset, offset + 1))
+    coordinate, ok = bank._decode(
+        bank.s0[at], bank.s1[at], bank.s2[at], np.array([[offset]])
+    )
+    if not ok[0, 0]:
+        return None
+    return int(coordinate[0, 0]), int(bank.s0[r, offset])
 
 
 @lru_cache(maxsize=1 << 16)
@@ -62,7 +117,7 @@ class PureKernels:
         return out
 
     def trailing_zeros_many(self, values: Iterable[int]) -> list[int]:
-        return [(v & -v).bit_length() - 1 if v else 61 for v in values]
+        return [trailing_zeros(v) for v in values]
 
     def pow_many(
         self, z: int, exponents: Sequence[int], max_exponent: int | None = None
@@ -235,25 +290,11 @@ class ListBank:
         src = slice(src_row * slots, (src_row + 1) * slots)
         self._add_at(dst_row * slots, self.s0[src], self.s1[src], self.s2[src])
 
-    def merge_vertices(self, dst: int, src: int) -> None:
-        self.merge_row_by_index(self.row_of[dst], self.row_of[src])
-
     def absorb(self, other) -> None:
         for vertex in other.vertices:
             self.insert_row(vertex, other.row(vertex))
 
-    def copy(self) -> "ListBank":
-        clone = ListBank(self.spec)
-        clone.row_of = dict(self.row_of)
-        clone.vertices = list(self.vertices)
-        clone.s0, clone.s1, clone.s2 = self.s0[:], self.s1[:], self.s2[:]
-        return clone
-
     # queries ------------------------------------------------------------
-    def is_zero_vertex(self, vertex: int) -> bool:
-        row = self.row(vertex)
-        return not any(row.s0 + row.s1 + row.s2)
-
     def _decode(self, index: int, z: int) -> tuple[int, int] | None:
         s0, s1 = self.s0[index], self.s1[index]
         if s0 == 0 or s1 % s0 != 0 or s1 // s0 < 0:

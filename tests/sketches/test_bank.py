@@ -5,31 +5,35 @@ import random
 import numpy as np
 import pytest
 
+import repro.sketches.bank as bank_module
 from repro.graph import Graph, generators
 from repro.graph.traversal import component_labels
 from repro.sketches import (
     GraphSketchSpec,
     SketchBank,
-    SketchRow,
     bank_boruvka,
     build_sparse_blocks,
     combine_sparse_blocks,
 )
+from sketch_oracle import bank_row, decode_slot, sample_outgoing
 
 
 def make_spec(n=8, seed=0, phases=3, copies=2):
     return GraphSketchSpec.generate(n, random.Random(seed), phases=phases, copies=copies)
 
 
-def rows_equal(a: SketchRow, b: SketchRow) -> bool:
-    return (
-        np.array_equal(a.s0, b.s0)
-        and np.array_equal(a.s1, b.s1)
-        and np.array_equal(a.s2, b.s2)
-    )
-
-
 EDGES = [(0, 1), (1, 2), (2, 0), (3, 4), (1, 5), (6, 2), (5, 0)]
+
+
+def merged_sample(bank, members, phase=0):
+    """Sum the rows of *members* into one supernode, as Borůvka sums them
+    (every other vertex alone), and sample an edge leaving it; returns
+    the sample and the supernode's phase counters."""
+    group = np.array([0 if v in members else 1 + i for i, v in enumerate(bank.vertices)])
+    sums = bank_module._supernode_sums(
+        [bank], None, group, int(group.max()) + 1, bank._phase_slots(phase)
+    )
+    return bank._sample_block(*(c[:1] for c in sums), phase)[0], [c[0] for c in sums]
 
 
 def test_bulk_equals_incremental():
@@ -40,7 +44,7 @@ def test_bulk_equals_incremental():
     for edge in EDGES:
         incremental.update_edges([edge])
     for vertex in bulk.vertices:
-        assert rows_equal(bulk.row(vertex), incremental.row(vertex))
+        assert bank_row(bulk, vertex) == bank_row(incremental, vertex)
 
 
 def test_update_accepts_weighted_tuples():
@@ -49,7 +53,7 @@ def test_update_accepts_weighted_tuples():
     a.update_edges([(0, 1, 7), (1, 2, 9)])
     b.update_edges([(0, 1), (1, 2)])
     for vertex in (0, 1, 2):
-        assert rows_equal(a.row(vertex), b.row(vertex))
+        assert bank_row(a, vertex) == bank_row(b, vertex)
 
 
 def test_vertex_rows_auto_created_in_endpoint_order():
@@ -65,19 +69,18 @@ def test_internal_edge_cancels_on_merge():
     spec = make_spec()
     bank = SketchBank(spec)
     bank.update_edges([(0, 1)])
-    assert not bank.is_zero_vertex(0)
-    bank.merge_vertices(0, 1)
-    assert bank.is_zero_vertex(0)
-    assert bank.sample_outgoing(0, phase=0) is None
+    assert any(any(c) for c in bank_row(bank, 0))
+    sample, counters = merged_sample(bank, {0, 1})
+    assert not any(c.any() for c in counters)
+    assert sample is None
 
 
 def test_merged_rows_sample_the_cut_edge():
     spec = make_spec(n=4, seed=6, phases=2, copies=3)
     bank = SketchBank(spec)
     bank.update_edges([(0, 1), (1, 2)])
-    bank.merge_vertices(0, 1)
     # The cut ({0,1}, {2}) has exactly edge (1,2).
-    assert bank.sample_outgoing(0, phase=0) == (1, 2)
+    assert merged_sample(bank, {0, 1})[0] == (1, 2)
 
 
 def test_insert_block_roundtrip():
@@ -90,7 +93,7 @@ def test_insert_block_roundtrip():
     assert rebuilt.vertices == bank.vertices
     assert rebuilt.s1_bound >= max(np.abs(bank.s1).max(axis=1))
     for vertex in bank.vertices:
-        assert rows_equal(bank.row(vertex), rebuilt.row(vertex))
+        assert bank_row(bank, vertex) == bank_row(rebuilt, vertex)
 
 
 def test_combine_row_blocks_is_linear():
@@ -102,7 +105,7 @@ def test_combine_row_blocks_is_linear():
     merged.insert_block(combine_sparse_blocks([left, right]))
     assert merged.vertices == [0, 1, 2, 3, 4]
     for vertex in combined.vertices:
-        assert rows_equal(merged.row(vertex), combined.row(vertex))
+        assert bank_row(merged, vertex) == bank_row(combined, vertex)
 
 
 def test_insert_block_sums_repeated_vertices():
@@ -118,7 +121,7 @@ def test_insert_block_sums_repeated_vertices():
     reference.update_edges([(2, 1), (1, 0), (1, 3)])
     assert bank.vertices == [2, 1, 0, 3]
     for vertex in reference.vertices:
-        assert rows_equal(bank.row(vertex), reference.row(vertex))
+        assert bank_row(bank, vertex) == bank_row(reference, vertex)
 
 
 def test_boruvka_over_banks_sums_their_rows():
@@ -129,7 +132,7 @@ def test_boruvka_over_banks_sums_their_rows():
     a.update_edges([(0, 1), (3, 4)])
     b = SketchBank(spec)
     b.update_edges([(1, 2), (4, 0)])
-    rows = {vertex: a.row(vertex) for vertex in a.vertices}
+    rows = {vertex: bank_row(a, vertex) for vertex in a.vertices}
     reference = SketchBank(spec)
     reference.update_edges([(0, 1), (3, 4), (1, 2), (4, 0)])
     assert reference.vertices == [0, 1, 3, 4, 2]  # a's rows, then b's new one
@@ -139,19 +142,22 @@ def test_boruvka_over_banks_sums_their_rows():
     assert forest == expected_forest and len(forest) == 4
     assert a.vertices == [0, 1, 3, 4]
     for vertex, row in rows.items():
-        assert rows_equal(a.row(vertex), row)
+        assert bank_row(a, vertex) == row
 
 
-def test_copy_is_independent():
-    spec = make_spec()
-    bank = SketchBank(spec)
-    bank.update_edges([(0, 1)])
-    before = bank.row(1)
-    clone = bank.copy()
-    clone.update_edges([(1, 2)])
-    assert rows_equal(bank.row(1), before)  # original intact
-    assert not rows_equal(bank.row(1), clone.row(1))
-    assert 2 not in bank
+def test_equal_seed_specs_are_equal_and_their_banks_sum():
+    a = GraphSketchSpec.generate(16, random.Random(1))
+    b = GraphSketchSpec.generate(16, random.Random(1))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.seeds[0][0].level_hash == b.seeds[0][0].level_hash
+    left, right, whole = SketchBank(a), SketchBank(b), SketchBank(a)
+    left.update_edges([(0, 1), (2, 3)])
+    right.update_edges([(1, 2)])
+    whole.update_edges([(0, 1), (2, 3), (1, 2)])
+    uf, forest = bank_boruvka(left, right, vertices=range(16))
+    expected_uf, expected_forest = bank_boruvka(whole, vertices=range(16))
+    assert uf.labels(range(16)) == expected_uf.labels(range(16))
+    assert forest == expected_forest and len(forest) == 3
 
 
 def test_merge_different_seeds_rejected():
@@ -167,7 +173,6 @@ def test_word_size_matches_legacy_charge():
     bank.update_edges(EDGES)
     legacy = 1 + 3 * bank.slots_per_row  # an identity word, three counters a slot
     assert bank.word_size() == len(bank) * legacy
-    assert bank.row(0).word_size() == legacy
 
 
 def test_decode_slot_recovers_single_edge():
@@ -175,9 +180,9 @@ def test_decode_slot_recovers_single_edge():
     bank = SketchBank(spec)
     bank.update_edges([(0, 1)])
     identifier = 0 * spec.n + 1
-    decoded = bank.decode_slot(0, phase=0, copy=0, level=0)
+    decoded = decode_slot(bank, 0, phase=0, copy=0, level=0)
     assert decoded == (identifier, 1)
-    assert bank.decode_slot(1, phase=0, copy=0, level=0) == (identifier, -1)
+    assert decode_slot(bank, 1, phase=0, copy=0, level=0) == (identifier, -1)
 
 
 def test_bank_boruvka_matches_truth_on_random_graphs():
@@ -234,13 +239,13 @@ def test_bank_boundary_returns_builtin_ints():
     bank.update_edges(EDGES)
     assert _all_builtin_ints(bank.vertices)
     sampled = [
-        bank.sample_outgoing(v, phase)
+        sample_outgoing(bank, v, phase)
         for v in bank.vertices
         for phase in range(spec.phases)
     ]
     sampled = [edge for edge in sampled if edge is not None]
     assert sampled and all(_all_builtin_ints(edge) for edge in sampled)
-    decoded = bank.decode_slot(3, phase=0, copy=0, level=0)
+    decoded = decode_slot(bank, 3, phase=0, copy=0, level=0)
     assert decoded is not None and _all_builtin_ints(decoded)
 
     _, forest = bank_boruvka(bank)
@@ -270,10 +275,8 @@ def test_s2_scatter_is_exact_when_many_residues_hit_one_slot():
         bank.update_edges(batch, sign=sign)
         oracle.update_edges(batch, sign=sign)
         for vertex in oracle.vertices:
-            got, want = bank.row(vertex), oracle.row(vertex)
-            assert got.s0.tolist() == want.s0
-            assert got.s1.tolist() == want.s1
-            assert got.s2.tolist() == want.s2
+            want = oracle.row(vertex)
+            assert bank_row(bank, vertex) == (want.s0, want.s1, want.s2)
 
 
 # --- int64 limits --------------------------------------------------------
@@ -308,8 +311,8 @@ def test_update_refused_before_s1_can_overflow():
     oracle = ListBank(spec)
     oracle.update_edges(top[:1])
     for vertex in oracle.vertices:
-        assert bank.row(vertex).s1.tolist() == oracle.row(vertex).s1
-        assert bank.row(vertex).s2.tolist() == oracle.row(vertex).s2
+        want = oracle.row(vertex)
+        assert bank_row(bank, vertex)[1:] == (want.s1, want.s2)
     assert bank.s1_bound == (BIG_N - 2) * BIG_N + BIG_N - 1 <= INT64_MAX
     before = bank.s1.copy()
     with pytest.raises(OverflowError):
@@ -318,7 +321,7 @@ def test_update_refused_before_s1_can_overflow():
     with pytest.raises(OverflowError):
         bank.insert_block(block)
     with pytest.raises(OverflowError):
-        bank_boruvka(bank, bank.copy())
+        bank_boruvka(bank, bank)
     assert np.array_equal(bank.s1, before)
 
 
@@ -327,7 +330,7 @@ def test_vertices_outside_the_universe_rejected():
     with pytest.raises(ValueError):
         bank.update_edges([(0, 8)])
     with pytest.raises(ValueError):
-        bank.add_vertex(-1)
+        bank.add_vertices([-1])
     assert len(bank) == 0
 
 
@@ -357,7 +360,5 @@ def test_chunked_updates_match_the_oracle(monkeypatch):
         oracle.update_edges(batch, sign=sign)
     assert bank.vertices == oracle.vertices
     for vertex in oracle.vertices:
-        got, want = bank.row(vertex), oracle.row(vertex)
-        assert (got.s0.tolist(), got.s1.tolist(), got.s2.tolist()) == (
-            want.s0, want.s1, want.s2
-        )
+        want = oracle.row(vertex)
+        assert bank_row(bank, vertex) == (want.s0, want.s1, want.s2)

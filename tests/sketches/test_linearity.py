@@ -34,16 +34,12 @@ edges = st.tuples(vertices, vertices)
 edge_lists = st.lists(edges, max_size=30)
 
 
-def rows_of(bank: SketchBank) -> dict[int, tuple]:
+def rows_of(bank) -> dict[int, tuple]:
     """Per-vertex counter rows for every vertex of the universe
-    (row-order independent)."""
-    for v in range(N):
-        bank.add_vertex(v)
-    return {
-        v: tuple(np.asarray(c).tolist() for c in (row.s0, row.s1, row.s2))
-        for v in range(N)
-        for row in [bank.row(v)]
-    }
+    (row-order independent), from an array or a list bank."""
+    bank.add_vertices(range(N))
+    counters = [np.asarray(c).reshape(N, -1).tolist() for c in (bank.s0, bank.s1, bank.s2)]
+    return {v: tuple(c[bank.row_of[v]] for c in counters) for v in range(N)}
 
 
 @pytest.mark.parametrize("backend", BANKS)
@@ -56,8 +52,6 @@ def test_insert_then_delete_returns_to_zero(backend, batch, order_seed):
     random.Random(order_seed).shuffle(deletions)
     bank.update_edges(deletions, sign=-1)
     assert all_zero(bank)
-    for v in bank.vertices:
-        assert bank.is_zero_vertex(v)
 
 
 @pytest.mark.parametrize("backend", BANKS)
@@ -130,7 +124,6 @@ def test_update_edges_short_circuits_self_loops():
     # The vertex gets a row, but no counter moves: the loop's +1 (as the
     # smaller endpoint) and -1 (as the larger) cancel on the same row.
     assert 5 in bank
-    assert bank.is_zero_vertex(5)
     assert all_zero(bank)
 
 
