@@ -97,6 +97,7 @@ DECLARED = {
     "error paths and __repr__s": [
         "repro.mpc.errors:CapacityExceeded.__init__",
         "repro.mpc.machine:Machine._round",
+        "repro.mpc.machine:memory_limit",
         "repro.primitives.join:_pair_error",
         "repro.graph.graph:Graph.__repr__",
         "repro.mpc.cluster:Cluster.__repr__",
@@ -128,13 +129,16 @@ DECLARED = {
         "repro.mpc.machine:Machine.datasets",
         "repro.mpc.machine:Machine.__contains__",
         "repro.mpc.machine:Machine.is_large",
+        # The engine reads usage and volumes as vectors; these are the
+        # per-machine views of them.
+        "repro.mpc.machine:Machine.usage",
+        "repro.mpc.plan:RoundPlan.tally",
         "repro.graph.graph:Graph.vertices",
         "repro.graph.graph:Graph.total_weight",
         "repro.mpc.ledger:RoundLedger.hottest_notes",
         "repro.core.spanner.apsp:ApproximateAPSP.distance",
         "repro.experiments.artifacts:load_suite",
         "repro.experiments.registry:scenario_names",
-        "repro.experiments.runner:Runner.point_rng",
     ],
     "GraphService.surviving_edges, which benchmarks/e2e calls": [
         "repro.serve.service:GraphService.surviving_edges",

@@ -33,6 +33,7 @@ from .runner import (
     ScenarioRun,
     ledger_columns,
     measure_point,
+    point_rng,
 )
 from .scenario import GROUPS, REGIMES, Scenario, regime_config
 
@@ -61,6 +62,7 @@ __all__ = [
     "ScenarioRun",
     "ledger_columns",
     "measure_point",
+    "point_rng",
     "GROUPS",
     "REGIMES",
     "Scenario",

@@ -95,16 +95,19 @@ def merge_throttle(
     return merged
 
 
+def point_rng(seed: int, scenario: Scenario, index: int) -> random.Random:
+    """The RNG sweep point *index* of *scenario* is measured with: derived
+    from ``(seed, scenario, index)`` alone, so execution order (and
+    process placement) cannot change results."""
+    return random.Random(f"{seed}:{scenario.name}:{index}")
+
+
 def measure_point(
     scenario: Scenario, index: int, point: Any, seed: int, quick: bool
 ) -> MeasuredPoint:
-    """Measure one sweep point — the shared unit of work of both runners.
-
-    The per-point RNG is derived from ``(seed, scenario, index)`` alone,
-    so execution order (and process placement) cannot change results.
-    """
-    rng = random.Random(f"{seed}:{scenario.name}:{index}")
-    row = scenario.measure(point, rng, quick)
+    """Measure one sweep point — the shared unit of work of both runners —
+    with its :func:`point_rng`."""
+    row = scenario.measure(point, point_rng(seed, scenario, index), quick)
     ledgers = row.pop("_ledgers", None) or {}
     throttle = row.pop("_throttle", None)
     ledger_cols: dict[str, Any] = {}
@@ -189,9 +192,6 @@ class Runner:
     def __init__(self, results_dir: pathlib.Path | str | None = None, seed: int = 0):
         self.results_dir = pathlib.Path(results_dir) if results_dir else None
         self.seed = seed
-
-    def point_rng(self, scenario: Scenario, index: int) -> random.Random:
-        return random.Random(f"{self.seed}:{scenario.name}:{index}")
 
     def _assemble(
         self, scenario: Scenario, measured: list[MeasuredPoint], quick: bool

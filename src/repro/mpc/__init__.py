@@ -15,17 +15,19 @@ One synchronous round is described by a :class:`RoundPlan` and executed by
     plan.send(src, dst, item)                 # one item
     plan.send_batch(src, dst, [a, b, c])      # a whole batch, sized in bulk
     plan.send_indexed(src, dsts, items)       # a scatter: item i -> dsts[i]
+    plan.send_multicast(srcs, dsts, item)     # one item on many routes
     inboxes = cluster.execute(plan)           # charges exactly one round
 
 The plan stores traffic as entries in flat parallel arrays over one
 flat payload store; ``execute`` sizes every entry exactly once with
 :func:`word_size_many` (fast-pathing homogeneous scalar, edge-tuple, and
-bytes batches; numeric numpy blocks size O(1)), caches the totals on the
-plan, accumulates send/receive volumes in one pass, and fills inboxes in
-exact send-call order.  A plan that moves no data is a no-op (zero
-rounds).  Per-round item counts and wall-clock time are recorded in the
-ledger's :class:`NoteStats` so benchmarks can attribute cost per note
-label.
+bytes batches; numeric numpy blocks size O(1); a multicast's payload is
+sized once), caches the totals on the plan, sums the plan's ``(src,
+dst, words)`` run columns into per-machine send/receive vectors, and
+fills inboxes in exact send-call order.  A plan that moves no data is a
+no-op (zero rounds).  Per-round item counts and wall-clock time are
+recorded in the ledger's :class:`NoteStats` so benchmarks can attribute
+cost per note label.
 
 Scatters.  ``send_indexed`` groups a scatter into per-``(src, dst)``
 runs — ascending source, then ascending destination, stable within a
@@ -36,16 +38,23 @@ source may be a column too — row ``i`` goes from ``srcs[i]`` to
 
     plan.send_indexed(srcs, dsts, rows)       # a cluster-wide scatter
 
-``execute`` tallies a stored scatter with vectorized per-machine sums
-(first-appearance order, so violation lists match the per-run form) and
-delivers it as one block per destination, holding that destination's
-rows in source order.  A scatter's Python cost is O(machines), however
-many ``(src, dst)`` runs it holds; the per-run views (``runs``,
-``run_meta``) and the throttle's plan splitter still see every run.
+``execute`` tallies a stored scatter from its run columns as they are
+(violations in first-appearance order, so violation lists match the
+per-run form) and delivers it as one block per destination, holding
+that destination's rows in source order.  A scatter's Python cost does
+not grow with the ``(src, dst)`` runs it holds; the per-run views
+(``runs``, ``run_meta``) and the throttle's plan splitter still see
+every run.
 
 Both budgets of the model are enforced: per-round communication volumes
-and per-machine memory (``Machine.put`` datasets versus capacity, checked
-at every round and at input placement).  In strict mode
+and per-machine memory.  The cluster holds every machine's usage and
+capacity as int64 vectors over machine ids (``Cluster.usage``,
+``Cluster.capacities``): ``Machine.put`` and ``pop`` update the
+machine's entry, a tree primitive charges its in-flight buffers with one
+vector update per level (:class:`~repro.mpc.cluster.Scratch`), and each
+round's memory record — and each checkpoint, such as input placement —
+is one vector comparison against the capacities.  State a machine holds
+without ``put`` is not charged.  In strict mode
 (``ModelConfig(strict=True)``) the former raises
 :class:`CommunicationLimitExceeded` and the latter
 :class:`MemoryLimitExceeded`; otherwise both are recorded in the ledger's

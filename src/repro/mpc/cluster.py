@@ -14,6 +14,18 @@ respectively.  (Local computation between rounds is free, exactly as in
 the model — but the state it leaves behind is not: scratch datasets count
 against memory until they are explicitly freed with ``Machine.pop``.)
 
+The per-machine accounting is by vectors over machine ids, so the Python
+work of a round does not grow with the number of machines.  The cluster
+holds every machine's usage and capacity as int64 vectors
+(:attr:`Cluster.usage`, :attr:`Cluster.capacities`); ``Machine.put`` and
+``pop`` update the machine's entry, and :class:`Scratch` charges a tree
+primitive's in-flight buffers to many machines in one vector update.  A
+round's memory record is one vector comparison: high-water marks change
+only where usage rose, and violations come out in machine order.  A
+round's traffic is summed from the plan's run columns into per-machine
+sent and received vectors (:meth:`RoundPlan.volumes`); traffic violations
+come out in first-appearance order, as the runs name the machines.
+
 Rounds are executed by the *columnar round engine*: algorithms build a
 :class:`~repro.mpc.plan.RoundPlan` (traffic stored as entries in flat
 parallel arrays) and hand it to :meth:`Cluster.execute`, which sizes each
@@ -30,16 +42,29 @@ from __future__ import annotations
 
 import random
 import time
+from array import array
 from typing import Any, Callable, Sequence
 
 from .config import ModelConfig
 from .errors import CommunicationLimitExceeded, MemoryLimitExceeded, ProtocolError
 from .ledger import RoundLedger, Violation
-from .machine import LARGE, SMALL, Machine
-from .plan import RoundPlan
+from .machine import LARGE, SMALL, Machine, memory_limit
+from .plan import RoundPlan, first_appearance
 from .throttle import ThrottleController
 
-__all__ = ["Cluster"]
+# After the package modules, which import numpy first: a first import
+# from here touched ~1,500 more pages at start-up (~15 ms CPU per process
+# on a 2-vCPU VM) than the same import made through them.
+import numpy as np  # noqa: E402
+
+__all__ = ["Cluster", "Scratch"]
+
+#: Capacities are held as int64; a larger one (a superlinear machine of a
+#: large ``f``) is one no usage can reach, stored as this.
+_INT64_MAX = np.iinfo(np.int64).max
+
+#: The largest entry of a non-empty vector.
+_peak = np.maximum.reduce
 
 
 class Cluster:
@@ -61,22 +86,32 @@ class Cluster:
         # failures at `put` carry *when* the breach happened.
         round_source = lambda: self.ledger.rounds + 1  # noqa: E731
 
-        self.smalls: list[Machine] = [
+        kinds = [SMALL] * config.num_small + [LARGE] * config.num_large
+        capacity = {SMALL: config.small_capacity, LARGE: config.large_capacity}
+        # Every machine's memory usage in words, indexed by machine id:
+        # machines update their entries in the buffer, vector passes read
+        # and update the numpy view of it.
+        buffer = array("q", bytes(8 * len(kinds)))
+        #: Every machine's memory usage in words, indexed by machine id.
+        self.usage = np.frombuffer(buffer, dtype=np.int64)
+        #: Every machine's capacity in words, indexed by machine id.
+        self.capacities = np.array(
+            [min(capacity[kind], _INT64_MAX) for kind in kinds], dtype=np.int64
+        )
+        self._ids = np.arange(len(kinds), dtype=np.int64)
+        # No machine is over capacity while every volume is at most this.
+        self._min_capacity = int(self.capacities.min())
+        machines = [
             Machine(
-                i, SMALL, config.small_capacity, strict=config.strict,
-                round_source=round_source,
+                mid, kind, capacity[kind], strict=config.strict,
+                round_source=round_source, usage=buffer,
             )
-            for i in range(config.num_small)
+            for mid, kind in enumerate(kinds)
         ]
-        self.larges: list[Machine] = [
-            Machine(
-                config.num_small + j, LARGE, config.large_capacity,
-                strict=config.strict, round_source=round_source,
-            )
-            for j in range(config.num_large)
-        ]
+        self.smalls: list[Machine] = machines[:config.num_small]
+        self.larges: list[Machine] = machines[config.num_small:]
         self.machines: dict[int, Machine] = {
-            machine.machine_id: machine for machine in self.smalls + self.larges
+            machine.machine_id: machine for machine in machines
         }
         #: Throttle controller (``repro.mpc.throttle``); ``None`` when the
         #: config's throttle mode is ``off`` so the hot path pays nothing.
@@ -146,13 +181,14 @@ class Cluster:
     def _execute_round(self, plan: RoundPlan) -> dict[int, list[Any]]:
         """Run *plan* as exactly one synchronous round.
 
-        One accounting pass: :meth:`~repro.mpc.plan.RoundPlan.tally`
-        sizes every entry exactly once (cached on the plan) and sums
-        per-machine send/receive volumes — a scatter with vectorized
-        passes — keyed in first-appearance order, and inboxes are filled
-        in exact send-call order (``plan.deliveries()``).  Memory usage
-        is checked against each machine's capacity as part of the round.
-        In strict mode a violation raises
+        One accounting pass: :meth:`~repro.mpc.plan.RoundPlan.volumes`
+        sizes every entry exactly once (cached on the plan) and sums the
+        plan's run columns into per-machine sent and received vectors,
+        and inboxes are filled in exact send-call order
+        (``plan.deliveries()``).  Traffic violations come out in order of
+        first appearance over the plan's runs (senders, then receivers).
+        Memory usage is checked against each machine's capacity as part of
+        the round.  In strict mode a violation raises
         :class:`CommunicationLimitExceeded` (traffic) or
         :class:`MemoryLimitExceeded` (stored state) before the round is
         recorded, otherwise it is recorded in the ledger as a typed
@@ -162,29 +198,24 @@ class Cluster:
         if plan.is_empty:
             return {}
         start = time.perf_counter()
-        sent, received, total, items = plan.tally()
-        unknown = set(sent).union(received).difference(self.machines)
-        if unknown:
-            raise ProtocolError(
-                f"message involves unknown machine(s) {sorted(unknown)}"
-            )
-        inboxes = {dst: items_ for dst, items_ in plan.deliveries()}
+        sent, received, total, items = plan.volumes(len(self.usage))
+        inboxes = dict(plan.deliveries())
 
         note = plan.note
         next_round = self.ledger.rounds + 1
+        max_sent, max_received = int(_peak(sent)), int(_peak(received))
         violations: list[Violation] = []
-        for mid, words in sent.items():
-            capacity = self.machines[mid].capacity
-            if words > capacity:
-                violations.append(
-                    Violation(mid, "sent", words, capacity, next_round, note)
-                )
-        for mid, words in received.items():
-            capacity = self.machines[mid].capacity
-            if words > capacity:
-                violations.append(
-                    Violation(mid, "received", words, capacity, next_round, note)
-                )
+        if max(max_sent, max_received) > self._min_capacity:
+            srcs, dsts, _ = plan.run_columns()
+            for kind, volumes, column in (
+                ("sent", sent, srcs), ("received", received, dsts)
+            ):
+                over = np.flatnonzero(volumes > self.capacities)
+                for mid in first_appearance(column, over) if len(over) else ():
+                    violations.append(Violation(
+                        mid, kind, int(volumes[mid]), self.machines[mid].capacity,
+                        next_round, note,
+                    ))
         if violations and self.config.strict:
             raise CommunicationLimitExceeded(
                 "; ".join(violations), violations=violations
@@ -198,21 +229,14 @@ class Cluster:
 
         controller = self.throttle
         if controller is not None:
-            traffic_frac = 0.0
-            for volumes in (sent, received):
-                for mid, words in volumes.items():
-                    capacity = self.machines[mid].capacity
-                    if capacity:
-                        frac = words / capacity
-                        if frac > traffic_frac:
-                            traffic_frac = frac
-            controller.observe(traffic_frac, self._memory_frac)
+            traffic = np.maximum(sent, received) / self.capacities
+            controller.observe(float(_peak(traffic)), self._memory_frac)
 
         self.ledger.record_round(
             note=note,
             total_words=total,
-            max_sent=max(sent.values(), default=0),
-            max_received=max(received.values(), default=0),
+            max_sent=max_sent,
+            max_received=max_received,
             violations=tuple(violations),
             items=items,
             elapsed=time.perf_counter() - start,
@@ -222,32 +246,28 @@ class Cluster:
     def _record_memory(self, note: str = "") -> list[Violation]:
         """Update memory high-water marks; return capacity violations.
 
-        Violation records render like the communication ones ("round R
-        [note]: machine M ...") so they land in the same per-round
-        ``violations`` tuple and ledger stream.  When a throttle
-        controller is attached, the worst usage/capacity fraction of the
-        pass is kept for its next load observation.
+        One vector pass over :attr:`usage`: the ledger raises the marks
+        where usage rose, and every machine over its capacity is a
+        violation, in machine order.  Violation records render like the
+        communication ones ("round R [note]: machine M ...") so they land
+        in the same per-round ``violations`` tuple and ledger stream.  When
+        a throttle controller is attached, the worst usage/capacity
+        fraction of the pass is kept for its next load observation.
         """
+        usage = self.usage
+        self.ledger.record_memory(self._ids, usage)
         violations: list[Violation] = []
-        next_round = self.ledger.rounds + 1
-        track = self.throttle is not None
-        memory_frac = 0.0
-        for machine in self.machines.values():
-            usage = machine.usage
-            self.ledger.record_memory(machine.machine_id, usage)
-            if usage > machine.capacity:
-                violations.append(
-                    Violation(
-                        machine.machine_id, "memory", usage, machine.capacity,
-                        next_round, note,
-                    )
+        if _peak(usage) > self._min_capacity:
+            over = np.flatnonzero(usage > self.capacities)
+            next_round = self.ledger.rounds + 1
+            violations = [
+                Violation(
+                    mid, "memory", words, self.machines[mid].capacity, next_round, note
                 )
-            if track and machine.capacity:
-                frac = usage / machine.capacity
-                if frac > memory_frac:
-                    memory_frac = frac
-        if track:
-            self._memory_frac = memory_frac
+                for mid, words in zip(over.tolist(), usage[over].tolist())
+            ]
+        if self.throttle is not None:
+            self._memory_frac = float(_peak(usage / self.capacities))
         return violations
 
     def checkpoint_memory(self, note: str = "") -> list[Violation]:
@@ -372,3 +392,51 @@ class Cluster:
             f"smalls={len(self.smalls)}, larges={len(self.larges)}, "
             f"rounds={self.ledger.rounds})"
         )
+
+
+class Scratch:
+    """Scratch state charged to machines outside any dataset: a tree
+    primitive's in-flight buffers.
+
+    ``words[mid]`` is what the scratch charges machine ``mid`` (an int64
+    vector over machine ids, like :attr:`Cluster.usage`, into which every
+    charge is added).  :meth:`charge` sets the charges of many machines in
+    one vector update; :meth:`release` frees them all.  A machine's charge
+    counts against its memory exactly like a dataset of *name* holding the
+    buffer: the per-round record sees it, and in strict mode a charge that
+    takes a machine past its capacity raises the
+    :class:`~repro.mpc.errors.MemoryLimitExceeded` that putting the buffer
+    would — the machines checked in the order given, the first breach
+    raised, and nothing of that charge applied.
+    """
+
+    def __init__(self, cluster: Cluster, name: str) -> None:
+        self.cluster = cluster
+        self.name = name
+        self.words = np.zeros(len(cluster.usage), dtype=np.int64)
+
+    def charge(self, machine_ids: Any, words: Any) -> None:
+        """Set the charge of each of the distinct *machine_ids* to the
+        matching entry of *words*; a zero frees it."""
+        ids = np.asarray(machine_ids, dtype=np.int64).reshape(-1)
+        words = np.asarray(words, dtype=np.int64).reshape(-1)
+        cluster = self.cluster
+        delta = words - self.words[ids]
+        if cluster.config.strict:
+            after = cluster.usage[ids] + delta
+            over = np.flatnonzero((after > cluster.capacities[ids]) & (words > 0))
+            if len(over):
+                first = int(over[0])
+                machine = cluster.machines[int(ids[first])]
+                raise memory_limit(
+                    machine.machine_id, machine.kind, int(after[first]),
+                    machine.capacity, cluster.ledger.rounds + 1, self.name,
+                    int(words[first]),
+                )
+        cluster.usage[ids] += delta
+        self.words[ids] = words
+
+    def release(self) -> None:
+        """Free every charge."""
+        self.cluster.usage -= self.words
+        self.words[:] = 0

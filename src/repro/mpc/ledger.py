@@ -22,6 +22,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Any
+
+import numpy as np
 
 __all__ = ["NoteStats", "RoundLedger", "RoundRecord", "Violation"]
 
@@ -133,6 +136,11 @@ class RoundLedger:
     memory_high_water: dict[int, int] = field(default_factory=dict)
     note_stats: dict[str, NoteStats] = field(default_factory=dict)
     _sections: list[str] = field(default_factory=list)
+    # The high-water marks as an int64 vector over machine ids (0 where
+    # none), so a round's memory record is one vector comparison.
+    _marks: Any = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Recording
@@ -181,10 +189,32 @@ class RoundLedger:
         for _ in range(max(0, rounds)):
             self.record_round(note=note, total_words=0, max_sent=0, max_received=0)
 
-    def record_memory(self, machine_id: int, words: int) -> None:
-        current = self.memory_high_water.get(machine_id, 0)
-        if words > current:
-            self.memory_high_water[machine_id] = words
+    def record_memory(self, machine_ids: Any, words: Any) -> None:
+        """Raise the high-water marks of *machine_ids* to *words* where
+        they are higher: one machine's id and usage, or parallel
+        sequences of distinct ids and usages (the cluster passes int64
+        vectors of every machine's, once per recorded round).
+
+        A mark changes only where usage rose, and a machine enters
+        :attr:`memory_high_water` when its usage first exceeds zero —
+        machines that rise in the same record enter in the order given.
+        """
+        ids, words = machine_ids, words
+        if not isinstance(ids, np.ndarray):
+            ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+            words = np.atleast_1d(np.asarray(words, dtype=np.int64))
+        marks = self._marks
+        try:
+            rose = words > marks[ids]
+        except IndexError:  # a machine id past the marks so far
+            marks = self._marks = np.concatenate(
+                (marks, np.zeros(int(ids.max()) + 1 - len(marks), dtype=np.int64))
+            )
+            rose = words > marks[ids]
+        if rose.any():
+            ids, words = ids[rose], words[rose]
+            marks[ids] = words
+            self.memory_high_water.update(zip(ids.tolist(), words.tolist()))
 
     # ------------------------------------------------------------------
     # Structure

@@ -1,17 +1,40 @@
-"""A single MPC machine: named datasets plus word-accurate usage tracking."""
+"""A single MPC machine: named datasets plus word-accurate usage tracking.
+
+A machine's usage is one entry of the cluster's int64 usage vector
+(:attr:`repro.mpc.cluster.Cluster.usage`, indexed by machine id):
+:meth:`Machine.put` and :meth:`Machine.pop` update the entry the
+cluster's per-round memory record reads.  The vector is a numpy view of
+an ``array('q')`` buffer, which the machine updates item by item at
+Python speed.  A machine built alone holds a buffer of its own.
+"""
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Callable, Iterator
 
 from .errors import MemoryLimitExceeded
 from .ledger import Violation
 from .words import word_size
 
-__all__ = ["Machine", "SMALL", "LARGE"]
+__all__ = ["Machine", "SMALL", "LARGE", "memory_limit"]
 
 SMALL = "small"
 LARGE = "large"
+
+
+def memory_limit(
+    machine_id: int, kind: str, usage: int, capacity: int, round: int,
+    name: str, size: int,
+) -> MemoryLimitExceeded:
+    """The strict-mode error of storing *size* words under *name* on the
+    *kind* machine *machine_id*, which would then hold *usage* words."""
+    violation = Violation(machine_id, "memory", usage, capacity, round, note=name)
+    return MemoryLimitExceeded(
+        f"{violation} (storing {size} words in dataset {name!r} "
+        f"on the {kind} machine)",
+        violations=[violation],
+    )
 
 
 class Machine:
@@ -27,9 +50,15 @@ class Machine:
     usage past ``capacity`` raises
     :class:`~repro.mpc.errors.MemoryLimitExceeded` at the moment of
     hoarding — scratch state must be charged within budget or explicitly
-    freed (:meth:`pop`).  In recording mode the cluster compares
-    :attr:`usage` with ``capacity`` at every round and logs a ledger
-    violation instead.
+    freed (:meth:`pop`).  In recording mode the cluster compares its usage
+    vector with the capacities at every round and logs a ledger violation
+    instead.
+
+    *usage* (set by the cluster) is the cluster's usage buffer, indexed by
+    machine id.  The machine's entry also carries scratch the cluster
+    charges outside any dataset (tree buffers,
+    :class:`~repro.mpc.cluster.Scratch`), so :attr:`usage` is the sum of
+    the dataset sizes plus that scratch.
 
     ``round_source`` (set by the cluster) reports the upcoming 1-based
     round index so strict-mode failures carry *when* the breach happened
@@ -44,6 +73,8 @@ class Machine:
         "round_source",
         "_store",
         "_sizes",
+        "_usage",
+        "_slot",
     )
 
     def __init__(
@@ -53,6 +84,7 @@ class Machine:
         capacity: int,
         strict: bool = False,
         round_source: Callable[[], int] | None = None,
+        usage: array | None = None,
     ) -> None:
         self.machine_id = machine_id
         self.kind = kind
@@ -61,6 +93,10 @@ class Machine:
         self.round_source = round_source
         self._store: dict[str, Any] = {}
         self._sizes: dict[str, int] = {}
+        if usage is None:
+            usage, machine_id = array("q", [0]), 0
+        self._usage = usage
+        self._slot = machine_id
 
     def _round(self) -> int:
         return self.round_source() if self.round_source is not None else 0
@@ -70,26 +106,23 @@ class Machine:
     # ------------------------------------------------------------------
     def put(self, name: str, value: Any) -> None:
         size = word_size(value)
-        if self.strict:
-            usage = self.usage - self._sizes.get(name, 0) + size
-            if usage > self.capacity:
-                violation = Violation(
-                    self.machine_id, "memory", usage, self.capacity,
-                    self._round(), note=name,
-                )
-                raise MemoryLimitExceeded(
-                    f"{violation} (storing {size} words in dataset {name!r} "
-                    f"on the {self.kind} machine)",
-                    violations=[violation],
-                )
+        usage = self._usage[self._slot] - self._sizes.get(name, 0) + size
+        if self.strict and usage > self.capacity:
+            raise memory_limit(
+                self.machine_id, self.kind, usage, self.capacity, self._round(),
+                name, size,
+            )
         self._store[name] = value
         self._sizes[name] = size
+        self._usage[self._slot] = usage
 
     def get(self, name: str, default: Any = None) -> Any:
         return self._store.get(name, default)
 
     def pop(self, name: str, default: Any = None) -> Any:
-        self._sizes.pop(name, None)
+        size = self._sizes.pop(name, 0)
+        if size:
+            self._usage[self._slot] -= size
         return self._store.pop(name, default)
 
     def datasets(self) -> Iterator[str]:
@@ -105,8 +138,9 @@ class Machine:
     def usage(self) -> int:
         """Current memory usage in words: the sum of the sizes charged when
         each dataset was put (a list of records by its leaves, an
-        ``EdgeBlock`` as rows times width, whatever its columns hold)."""
-        return sum(self._sizes.values())
+        ``EdgeBlock`` as rows times width, whatever its columns hold), plus
+        any scratch the cluster charges to this machine."""
+        return self._usage[self._slot]
 
     @property
     def is_large(self) -> bool:

@@ -7,7 +7,7 @@ over one flat payload store — not as per-item Python lists.  Algorithms
 accumulate traffic with :meth:`RoundPlan.send` /
 :meth:`RoundPlan.send_batch` / :meth:`RoundPlan.send_indexed` and hand the
 plan to :meth:`repro.mpc.cluster.Cluster.execute`, which tallies it in one
-pass (:meth:`RoundPlan.tally`) and fills inboxes from
+pass (:meth:`RoundPlan.volumes`) and fills inboxes from
 :meth:`RoundPlan.deliveries`.
 
 The words charged are the sum of the item word sizes, capacity checks
@@ -29,14 +29,22 @@ Storage, one entry per:
 * **scatter** (``send_indexed`` of a numeric numpy array) — the whole
   scatter, stored once as a :class:`_Scatter`: its rows grouped into
   per-``(src, dst)`` runs (ascending source, then ascending destination,
-  stable within a run) plus run columns.  The scatter is tallied and
-  delivered with vectorized passes — O(machines) Python work however
-  many runs it holds — and each destination receives one block: its rows
-  in source order.
+  stable within a run) plus run columns.  Each destination receives one
+  block: its rows in source order.
+* **multicast** (:meth:`RoundPlan.send_multicast`) — one payload on many
+  routes, stored once as a :class:`_Multicast` and sized once: each
+  route is a one-item run carrying the payload (a broadcast tree level).
 
-The per-run views (:meth:`runs`, :meth:`run_meta`) expand scatters into
-their per-``(src, dst)`` runs on demand, for inspection and the
-throttle's plan splitter.
+Accounting is by columns: :meth:`RoundPlan.run_columns` gives every run
+as ``(src, dst, words)`` int64 columns — a scatter's and a multicast's
+run columns as they are — and :meth:`RoundPlan.volumes` sums them over
+machine ids into exact int64 vectors of per-machine sent and received
+words.  The Python work of tallying a scatter or a multicast does not
+grow with the runs it holds.
+
+The per-run views (:meth:`runs`, :meth:`run_meta`) expand scatters and
+multicasts into their per-``(src, dst)`` runs on demand, for inspection
+and the throttle's plan splitter.
 
 What a block is, in one place (:func:`is_block`): a numeric numpy array
 whose leading axis indexes items, or an instance of :class:`Block`, a
@@ -57,9 +65,13 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import ProtocolError
 from .words import array_words, word_size, word_size_many
 
 __all__ = ["Block", "RoundPlan", "is_block"]
+
+#: Sums of int words below this are exact in float64.
+_FLOAT_EXACT = 2**53
 
 
 class Block:
@@ -96,7 +108,10 @@ def is_block(items: Any) -> bool:
 
 def _group_starts(column: Any) -> Any:
     """Start index of every run of equal values in a non-empty 1-D array."""
-    return np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    change = np.empty(len(column), dtype=bool)
+    change[0] = True
+    np.not_equal(column[1:], column[:-1], out=change[1:])
+    return change.nonzero()[0]
 
 
 def _stable_order(keys: Any) -> Any:
@@ -131,7 +146,7 @@ class _Scatter:
         self.run_src = run_src
         self.run_dst = run_dst
         self.bounds = bounds
-        self.row_words = int(np.prod(rows.shape[1:], dtype=np.int64))
+        self.row_words = math.prod(rows.shape[1:])
         self._by_dst: tuple | None = None
 
     @property
@@ -139,7 +154,7 @@ class _Scatter:
         return int(self.rows.shape[0]) * self.row_words
 
     def run_lens(self) -> Any:
-        return np.diff(self.bounds)
+        return self.bounds[1:] - self.bounds[:-1]
 
     def _take(self, index: Any) -> Any:
         """The rows at run-order positions *index* (all of them: None)."""
@@ -157,17 +172,9 @@ class _Scatter:
         ):
             yield src, dst, rows[start:stop]
 
-    def sent(self) -> tuple[list[int], list[int]]:
-        """Sources in first-appearance order (ascending, as runs are
-        grouped by source first) and the words each sends."""
-        starts = _group_starts(self.run_src)
-        words = np.add.reduceat(self.run_lens(), starts) * self.row_words
-        return self.run_src[starts].tolist(), words.tolist()
-
-    def received(self) -> tuple[list[int], list[int]]:
-        """Destinations in first-appearance order and the words each gets."""
-        dsts, counts, _, _ = self._dst_groups()
-        return dsts, [count * self.row_words for count in counts]
+    def columns(self) -> tuple[Any, Any, Any]:
+        """The run columns as they are: ``(srcs, dsts, words)``."""
+        return self.run_src, self.run_dst, self.run_lens() * self.row_words
 
     def deliveries(self) -> Iterator[tuple[int, Any]]:
         """One block per destination (first-appearance order): its rows in
@@ -181,7 +188,19 @@ class _Scatter:
         destinations in first-appearance order; computed once."""
         if self._by_dst is not None:
             return self._by_dst
-        by_dst = _stable_order(self.run_dst)
+        run_dst = self.run_dst
+        if not (run_dst[1:] < run_dst[:-1]).any():
+            # The runs already ascend by destination (a tree level, one
+            # destination): the rows are grouped as they are.
+            starts = _group_starts(run_dst)
+            self._by_dst = (
+                run_dst[starts].tolist(),
+                np.add.reduceat(self.run_lens(), starts).tolist(),
+                self._take(None),
+                self.bounds[starts].tolist(),
+            )
+            return self._by_dst
+        by_dst = _stable_order(run_dst)
         sorted_dst = self.run_dst[by_dst]
         sorted_lens = self.run_lens()[by_dst]
         starts = _group_starts(sorted_dst)
@@ -206,18 +225,53 @@ class _Scatter:
         return self._by_dst
 
 
+class _Multicast:
+    """One payload on many routes, stored whole: route ``r`` carries one
+    copy of ``payload`` from ``srcs[r]`` to ``dsts[r]``.
+
+    Each route is a one-item run of ``size`` words; the payload is sized
+    once per plan (:meth:`RoundPlan.entry_words`).
+    """
+
+    __slots__ = ("payload", "srcs", "dsts", "size")
+
+    def __init__(self, payload: Any, srcs: Any, dsts: Any) -> None:
+        self.payload = payload
+        self.srcs = srcs
+        self.dsts = dsts
+        self.size = 0
+
+    def columns(self) -> tuple[Any, Any, Any]:
+        return self.srcs, self.dsts, np.full(len(self.srcs), self.size, dtype=np.int64)
+
+    def runs(self) -> Iterator[tuple[int, int, list[Any]]]:
+        for src, dst in zip(self.srcs.tolist(), self.dsts.tolist()):
+            yield src, dst, [self.payload]
+
+    def deliveries(self) -> Iterator[tuple[int, Any]]:
+        payload = self.payload
+        for dst in self.dsts.tolist():
+            yield dst, payload
+
+
+#: Entries stored whole, with run columns of their own.
+_WHOLE = (_Scatter, _Multicast)
+
+
 class RoundPlan:
     """Accumulates one round of traffic as columnar entries.
 
     ``_run_src`` / ``_run_dst`` / ``_run_start`` / ``_run_len`` /
     ``_run_block`` are flat parallel arrays, one entry per object run,
-    block run or scatter, in send-call order — the single authoritative
-    store (payloads are never duplicated).  ``_run_block`` is ``None`` for
-    object runs (whose payloads occupy ``_items[start:start+length]``),
-    the block of a block run, or the :class:`_Scatter` of a scatter
+    block run, scatter or multicast, in send-call order — the single
+    authoritative store (payloads are never duplicated).  ``_run_block``
+    is ``None`` for object runs (whose payloads occupy
+    ``_items[start:start+length]``), the block of a block run, or the
+    :class:`_Scatter` / :class:`_Multicast` of an entry stored whole
     (whose ``_run_src`` / ``_run_dst`` slots are ``None``).
-    ``_entry_words`` and ``_meta`` cache the per-entry word totals and
-    the per-run columns (invalidated by any later send).
+    ``_entry_words``, ``_columns``, ``_volumes`` and ``_meta`` cache the
+    per-entry word totals, the run columns, the per-machine volumes and
+    the per-run lists (invalidated by any later send).
     """
 
     __slots__ = (
@@ -229,6 +283,8 @@ class RoundPlan:
         "_run_block",
         "_items",
         "_entry_words",
+        "_columns",
+        "_volumes",
         "_meta",
     )
 
@@ -241,13 +297,15 @@ class RoundPlan:
         self._run_block: list[Any] = []
         self._items: list[Any] = []
         self._entry_words: list[int] | None = None
+        self._columns: tuple | None = None
+        self._volumes: tuple | None = None
         self._meta: tuple | None = None
 
     # ------------------------------------------------------------------
     # Building
     # ------------------------------------------------------------------
     def _open(self, src: Any, dst: Any, start: int, count: int, block: Any) -> None:
-        self._entry_words = self._meta = None
+        self._entry_words = self._columns = self._volumes = self._meta = None
         self._run_src.append(src)
         self._run_dst.append(dst)
         self._run_start.append(start)
@@ -274,7 +332,7 @@ class RoundPlan:
             and self._run_src[-1] == src
             and self._run_dst[-1] == dst
         ):
-            self._entry_words = self._meta = None
+            self._entry_words = self._columns = self._volumes = self._meta = None
             self._run_len[-1] += count
         else:
             self._open(src, dst, before, count, None)
@@ -382,11 +440,32 @@ class RoundPlan:
             route = route[order]
         starts = _group_starts(route)
         keys = route[starts]
-        bounds = np.append(starts, len(route))
+        bounds = np.concatenate((starts, [len(route)]))
         self._open(
             None, None, len(self._items), len(route),
             _Scatter(rows, order, keys // span + src_lo, keys % span + dst_lo, bounds),
         )
+
+    def send_multicast(self, srcs: Any, dsts: Any, payload: Any) -> "RoundPlan":
+        """Queue one *payload* on many routes: a copy goes from ``srcs[i]``
+        to ``dsts[i]`` for every ``i``.
+
+        The same traffic as one :meth:`send` per route, in route order —
+        the same runs, inboxes and words — stored as one entry: the payload
+        is sized once and tallied by columns, so a broadcast level costs
+        O(1) plan work however many routes it has.
+        """
+        srcs = np.asarray(srcs, dtype=np.int64).reshape(-1)
+        dsts = np.asarray(dsts, dtype=np.int64).reshape(-1)
+        if srcs.shape != dsts.shape:
+            raise ValueError(
+                f"multicast shape mismatch: {len(srcs)} sources for "
+                f"{len(dsts)} destinations"
+            )
+        if len(dsts):
+            multicast = _Multicast(payload, srcs, dsts)
+            self._open(None, None, len(self._items), len(dsts), multicast)
+        return self
 
     # ------------------------------------------------------------------
     # Accounting and delivery (what Cluster.execute consumes)
@@ -403,9 +482,10 @@ class RoundPlan:
         numeric dtype is one machine word).  A run of one payload object
         is sized once per plan: a broadcast sends the same object on every
         route, and each further run carrying it reuses the size by object
-        identity.  That is exact because all runs are sized here, in one
-        pass after the last send — one object has one size throughout.
-        Any later send invalidates the cache.
+        identity — so does a multicast, whose routes all carry one payload.
+        That is exact because all runs are sized here, in one pass after
+        the last send — one object has one size throughout.  Any later
+        send invalidates the cache.
         """
         if self._entry_words is None:
             items = self._items
@@ -425,35 +505,97 @@ class RoundPlan:
                         words.append(word_size_many(items[start:start + length]))
                 elif type(block) is _Scatter:
                     words.append(block.words)
+                elif type(block) is _Multicast:
+                    payload = block.payload
+                    size = sized.get(id(payload))
+                    if size is None:
+                        size = sized[id(payload)] = word_size(payload)
+                    block.size = size
+                    words.append(size * length)
                 else:
                     words.append(int(block.size))
             self._entry_words = words
         return self._entry_words
 
-    def tally(self) -> tuple[dict[int, int], dict[int, int], int, int]:
-        """The round's accounting in one pass: ``(sent, received,
-        total_words, items)``.
+    def run_columns(self) -> tuple[Any, Any, Any]:
+        """Every run as int64 columns ``(srcs, dsts, words)``, in
+        :meth:`runs` order (cached; any later send invalidates).
 
-        ``sent`` / ``received`` map each machine to its words, keyed in
-        order of first appearance (as a source, as a destination) over the
-        plan's runs — so per-machine checks report in send order.  A
-        scatter contributes through vectorized per-machine sums.
+        Object and block runs contribute one row each; a scatter or a
+        multicast contributes its run columns as they are.
         """
-        sent: dict[int, int] = {}
-        received: dict[int, int] = {}
+        if self._columns is not None:
+            return self._columns
+        srcs, dsts, block_of = self._run_src, self._run_dst, self._run_block
         words = self.entry_words()
-        for src, dst, block, entry in zip(
-            self._run_src, self._run_dst, self._run_block, words
-        ):
-            if type(block) is _Scatter:
-                for mid, amount in zip(*block.sent()):
-                    sent[mid] = sent.get(mid, 0) + amount
-                for mid, amount in zip(*block.received()):
-                    received[mid] = received.get(mid, 0) + amount
-            else:
-                sent[src] = sent.get(src, 0) + entry
-                received[dst] = received.get(dst, 0) + entry
-        return sent, received, sum(words), sum(self._run_len)
+        parts: list[tuple[Any, Any, Any]] = []
+        start = 0
+        for index, block in enumerate(block_of):
+            if type(block) in _WHOLE:
+                if index > start:
+                    parts.append(_int_columns(
+                        srcs[start:index], dsts[start:index], words[start:index]
+                    ))
+                parts.append(block.columns())
+                start = index + 1
+        if start < len(block_of) or not parts:
+            parts.append(_int_columns(srcs[start:], dsts[start:], words[start:]))
+        if len(parts) == 1:
+            self._columns = parts[0]
+        else:
+            self._columns = tuple(np.concatenate(column) for column in zip(*parts))
+        return self._columns
+
+    def volumes(self, machines: int) -> tuple[Any, Any, int, int]:
+        """The round's accounting: ``(sent, received, total_words, items)``.
+
+        ``sent`` / ``received`` are int64 vectors over machine ids ``0 ..
+        machines - 1``: the exact sums of :meth:`run_columns` by source
+        and by destination (float64 bincounts, exact while the round's
+        words stay below 2**53, int64 ``add.at`` sums past that).  A run
+        that names a machine outside that range raises
+        :class:`~repro.mpc.errors.ProtocolError`.  Cached for the last
+        *machines* asked (any later send invalidates).
+        """
+        if self._volumes is not None and self._volumes[0] == machines:
+            return self._volumes[1]
+        srcs, dsts, words = self.run_columns()
+        total = sum(self.entry_words())
+        try:
+            sent = np.bincount(srcs, words, machines)
+            received = np.bincount(dsts, words, machines)
+        except ValueError:  # a negative machine id
+            sent = received = None
+        if sent is None or len(sent) > machines or len(received) > machines:
+            unknown = set(srcs.tolist()).union(dsts.tolist()).difference(range(machines))
+            raise ProtocolError(
+                f"message involves unknown machine(s) {sorted(unknown)}"
+            )
+        if total < _FLOAT_EXACT:
+            sent = sent.astype(np.int64)
+            received = received.astype(np.int64)
+        else:
+            sent = np.zeros(machines, dtype=np.int64)
+            np.add.at(sent, srcs, words)
+            received = np.zeros(machines, dtype=np.int64)
+            np.add.at(received, dsts, words)
+        result = (sent, received, total, sum(self._run_len))
+        self._volumes = (machines, result)
+        return result
+
+    def tally(self) -> tuple[dict[int, int], dict[int, int], int, int]:
+        """The round's accounting keyed by machine: ``(sent, received,
+        total_words, items)``, each machine keyed in order of first
+        appearance (as a source, as a destination) over :meth:`runs`."""
+        srcs, dsts, words = self.run_columns()
+        volumes = []
+        for ids in (srcs, dsts):
+            unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            sums = np.zeros(len(unique), dtype=np.int64)
+            np.add.at(sums, inverse, words)
+            order = np.argsort(first, kind="stable")
+            volumes.append(dict(zip(unique[order].tolist(), sums[order].tolist())))
+        return volumes[0], volumes[1], sum(self.entry_words()), sum(self._run_len)
 
     def deliveries(self) -> Iterator[tuple[int, list[Any]]]:
         """Yield ``(dst, items)`` with items in exact send-call order.
@@ -463,7 +605,8 @@ class RoundPlan:
         identical inbox orderings.  A block run arrives *whole* — one
         inbox entry, the array itself — and a scatter as one block per
         destination, while their logical items stay the rows for all
-        accounting.
+        accounting.  A multicast hands each of its destinations the
+        payload, one inbox item per route.
         """
         inboxes: dict[int, list[Any]] = {}  # first-appearance order
         for index, block in enumerate(self._run_block):
@@ -472,7 +615,7 @@ class RoundPlan:
                 inboxes.setdefault(self._run_dst[index], []).extend(
                     self._items[start:start + self._run_len[index]]
                 )
-            elif type(block) is _Scatter:
+            elif type(block) in _WHOLE:
                 for dst, rows in block.deliveries():
                     inboxes.setdefault(dst, []).append(rows)
             else:
@@ -484,10 +627,11 @@ class RoundPlan:
     # ------------------------------------------------------------------
     def runs(self) -> Iterator[tuple[int, int, Any]]:
         """Yield ``(src, dst, items)`` delivery runs in send-call order,
-        a scatter's runs in its grouped order.  ``items`` is a list for
-        object runs and a block otherwise."""
+        a scatter's runs in its grouped order and a multicast's in route
+        order.  ``items`` is a list for object runs and multicast routes
+        and a block otherwise."""
         for index, block in enumerate(self._run_block):
-            if type(block) is _Scatter:
+            if type(block) in _WHOLE:
                 yield from block.runs()
             elif block is None:
                 start = self._run_start[index]
@@ -504,26 +648,16 @@ class RoundPlan:
         lists over :meth:`runs` (cached; any later send invalidates)."""
         if self._meta is not None:
             return self._meta
-        srcs: list[int] = []
-        dsts: list[int] = []
         lens: list[int] = []
-        words: list[int] = []
-        for src, dst, length, block, entry in zip(
-            self._run_src, self._run_dst, self._run_len, self._run_block,
-            self.entry_words(),
-        ):
+        for length, block in zip(self._run_len, self._run_block):
             if type(block) is _Scatter:
-                run_lens = block.run_lens()
-                srcs.extend(block.run_src.tolist())
-                dsts.extend(block.run_dst.tolist())
-                lens.extend(run_lens.tolist())
-                words.extend((run_lens * block.row_words).tolist())
+                lens.extend(block.run_lens().tolist())
+            elif type(block) is _Multicast:
+                lens.extend([1] * length)
             else:
-                srcs.append(src)
-                dsts.append(dst)
                 lens.append(length)
-                words.append(entry)
-        self._meta = (srcs, dsts, lens, words)
+        srcs, dsts, words = self.run_columns()
+        self._meta = (srcs.tolist(), dsts.tolist(), lens, words.tolist())
         return self._meta
 
     def run_words(self) -> list[int]:
@@ -544,3 +678,15 @@ def _check_numeric(block: Any) -> None:
     if isinstance(block, np.ndarray):
         array_words(block)
 
+
+def _int_columns(*columns: list[int]) -> tuple[Any, ...]:
+    """Each list as an int64 column."""
+    return tuple(np.array(column, dtype=np.int64) for column in columns)
+
+
+def first_appearance(column: Any, ids: Any) -> list[int]:
+    """*ids* (each present in *column*) in order of first appearance in
+    *column*."""
+    unique, first = np.unique(column, return_index=True)
+    positions = first[np.searchsorted(unique, ids)]
+    return np.asarray(ids)[np.argsort(positions, kind="stable")].tolist()

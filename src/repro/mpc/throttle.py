@@ -50,6 +50,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .plan import RoundPlan, is_block
 from .words import word_size
 
@@ -101,6 +103,13 @@ class ThrottleController:
         self.mode = mode
         self.enforcing = mode == "enforce"
         self.capacities = dict(capacities)
+        # Every machine's headroom budget as an int64 vector over machine
+        # ids (a machine without a capacity has no budget).
+        no_budget = np.iinfo(np.int64).max
+        budgets = np.full(max(self.capacities, default=-1) + 1, no_budget, dtype=np.int64)
+        for machine_id, capacity in self.capacities.items():
+            budgets[machine_id] = min(max(1, int(HEADROOM * capacity)), no_budget)
+        self._budgets = budgets
         self.events: list[ThrottleEvent] = []
         self.splits = 0
         self.extra_rounds = 0
@@ -228,8 +237,8 @@ class ThrottleController:
         """
         if not self.enforcing:
             return [plan]
-        sent, received, _, _ = plan.tally()
-        if self._fits(sent) and self._fits(received):
+        sent, received, _, _ = plan.volumes(len(self._budgets))
+        if not ((sent > self._budgets).any() or (received > self._budgets).any()):
             return [plan]
         run_words = plan.run_words()
 
@@ -283,13 +292,6 @@ class ThrottleController:
             )
         )
         return chunks
-
-    def _fits(self, volumes: Mapping[int, int]) -> bool:
-        for machine_id, words in volumes.items():
-            budget = self.budget(machine_id)
-            if budget is not None and words > budget:
-                return False
-        return True
 
     def _pieces(
         self,

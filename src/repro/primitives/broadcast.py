@@ -6,16 +6,33 @@ factor ``n^gamma``, giving depth ``O((1-gamma)/gamma) = O(1)`` for constant
 pushes one value from a source to many machines; converge-cast pulls items
 from many machines to one destination, combining partial results at every
 level so no intermediate machine receives more than it can store.
+
+Both work level by level on int64 vectors over machine ids, so the Python
+work of a tree level does not grow with the machines it spans:
+
+* a broadcast level is one plan entry — one payload on many routes
+  (:meth:`~repro.mpc.plan.RoundPlan.send_multicast`), sized once;
+* a converge-cast level picks every holder's representative with one
+  vector op, and charges the level's holders their in-flight buffers with
+  one vector update (:class:`~repro.mpc.cluster.Scratch`).  A cast of
+  numpy arrays keeps every holder's rows in one array, holders ascending,
+  and moves a level as one ``send_indexed`` scatter; a named reducer
+  combines a whole level with one grouped reduce over ``(holder, key)``.
+  Casts of lists and of other blocks keep one buffer per holder and
+  combine each holder's buffer with the caller's function.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..mpc.cluster import Cluster
-from ..mpc.plan import RoundPlan, is_block
+from ..mpc.cluster import Cluster, Scratch
+from ..mpc.plan import Block, RoundPlan
+from ..mpc.words import word_size
+from . import columnar
 
 __all__ = ["broadcast", "converge_cast"]
 
@@ -30,52 +47,58 @@ def broadcast(
     """Send *value* from machine *src* to every machine in *dst_ids* along a
     fanout-``n^gamma`` tree.  Returns the number of rounds used.
 
-    The fanout is a throttle hook: consulted per level, so an enforcing
-    controller forecasting an over-headroom round narrows the tree (more
-    levels, each sender pushing fewer copies per round)."""
+    Every holder pushes the value to the next ``fanout`` machines still
+    waiting, holders in the order they got it; a level is one multicast
+    entry, so the value is sized once per level.  The fanout is a throttle
+    hook: consulted per level, so an enforcing controller forecasting an
+    over-headroom round narrows the tree (more levels, each sender pushing
+    fewer copies per round)."""
     base_fanout = cluster.config.tree_fanout
-    holders = [src]
-    pending = [d for d in dst_ids if d != src]
+    holders = np.array([src], dtype=np.int64)
+    pending = np.asarray(dst_ids, dtype=np.int64).reshape(-1)
+    pending = pending[pending != src]
     rounds = 0
-    while pending:
+    while len(pending):
         fanout = cluster.throttled_fanout(base_fanout, note=note)
+        count = min(len(pending), len(holders) * fanout)
+        targets = pending[:count]
         plan = RoundPlan(note=f"{note}/push")
-        new_holders = []
-        index = 0
-        for holder in holders:
-            for _ in range(fanout):
-                if index >= len(pending):
-                    break
-                target = pending[index]
-                index += 1
-                plan.send(holder, target, value)
-                new_holders.append(target)
-        pending = pending[index:]
+        plan.send_multicast(holders[np.arange(count) // fanout], targets, value)
+        pending = pending[count:]
         cluster.execute(plan)
-        holders.extend(new_holders)
+        holders = np.concatenate((holders, targets))
         rounds += 1
     return rounds
 
 
 def converge_cast(
     cluster: Cluster,
-    items_by_machine: dict[int, list[Any]],
+    items_by_machine: dict[int, Any],
     dst: int,
-    combine: Callable[[list[Any]], list[Any]] | None = None,
+    combine: Callable[[list[Any]], Any] | str | None = None,
     note: str = "converge",
-) -> list[Any]:
+) -> Any:
     """Funnel items from many machines into *dst* along a fanout tree.
 
     *combine* (if given) is applied to each intermediate machine's buffer
     after every level — this is how aggregation keeps intermediate volumes
-    bounded (Claim 2).  Returns the list of items that reach *dst*.
+    bounded (Claim 2).  Returns the items that reach *dst*.
+
+    The tree: at every level the machines other than *dst* that hold
+    items, ascending, are the sources; with at most ``fanout`` of them
+    they all send to *dst*, otherwise the one at position ``p`` sends to
+    the source at position ``p // fanout`` (which keeps its items if that
+    is itself).  A receiver's buffer is its held items first, then the
+    received ones in source order.
 
     Memory honesty: every in-flight buffer is charged to the machine
-    holding it (a scratch dataset per cast), so the per-round memory check
-    sees the tree's intermediate state, and strict mode fails a cast whose
-    buffers outgrow a machine — exactly the condition Claim 2's per-level
-    combining is there to prevent.  The scratch is freed as buffers drain;
-    the combined result is the caller's to charge wherever it stores it.
+    holding it (a :class:`~repro.mpc.cluster.Scratch` named
+    ``"<note>#cast-buffer"``, updated for a whole level at once), so the
+    per-round memory check sees the tree's intermediate state, and strict
+    mode fails a cast whose buffers outgrow a machine — exactly the
+    condition Claim 2's per-level combining is there to prevent.  The
+    scratch is freed as buffers drain; the combined result is the caller's
+    to charge wherever it stores it.
 
     The fan-in is a throttle hook (consulted per level, like
     :func:`broadcast`'s fanout): narrowing the tree shrinks both the
@@ -85,109 +108,247 @@ def converge_cast(
     Block casts: when every machine's items are one block
     (:func:`~repro.mpc.plan.is_block`: a numeric numpy array or a
     :class:`~repro.mpc.plan.Block`, leading axis indexing items), the
-    buffers stay blocks, so every send and every scratch charge is sized
-    O(1), and the result is a block.  Without *combine*, a machine's
-    held rows come first, then the received arrays, concatenated — only
-    arrays concatenate, so a :class:`~repro.mpc.plan.Block` cast without
-    *combine* raises :class:`TypeError`.  With *combine*, blocks are
-    never concatenated by the cast: *combine* maps the list of held and
-    received blocks to one block, and the destination keeps its received
-    blocks as a list (charged as the sum of its blocks) until the final
-    combine.  Either way every send is one block run, and rows, rounds,
-    words and memory charges are those of the equivalent lists of
-    tuples.  No buffer keeps a view of a block it has sent, and the
-    empty buffer is a fresh empty block.
+    buffers stay blocks, so every send and every charge is sized O(1), and
+    the result is a block.  Without *combine*, a machine's held rows come
+    first, then the received rows — only arrays concatenate, so a
+    :class:`~repro.mpc.plan.Block` cast without *combine* raises
+    :class:`TypeError`.  With *combine*, the destination keeps its
+    received blocks as a list (charged as the sum of its blocks) until the
+    final combine, which maps that list to one block.  Rows, rounds,
+    words and memory charges are those of the equivalent lists of tuples.
+
+    * A cast of numpy arrays moves each level as one scatter.  A callable
+      *combine* maps each receiver's list of blocks to one block; a named
+      reducer (``"sum"``, ``"min"``, ``"max"``, ``"or"``) takes arrays of
+      ``(key, value)`` rows and combines the whole level — and the
+      destination's list at the end — with one grouped reduce over
+      ``(holder, key)``, each holder's keys in first-encounter order.
+    * A cast of :class:`~repro.mpc.plan.Block` objects or of lists keeps
+      one buffer per holder and sends it as one run; a holder that has
+      sent its items holds a fresh empty block (or list).  *combine* sees
+      the holder's list of held and received blocks.
     """
     base_fanout = cluster.config.tree_fanout
-    scratch = f"{note}#cast-buffer"
-    machines = cluster.machines
-
-    def charge(mid: int) -> None:
-        buffer = buffers.get(mid)
-        if buffer is not None and len(buffer):
-            machines[mid].put(scratch, buffer)
-        else:
-            machines[mid].pop(scratch, None)
-
-    arrays = bool(items_by_machine) and all(
-        is_block(items) for items in items_by_machine.values()
-    )
-    gather = arrays and combine is not None
-    if arrays:
+    kinds = set(map(type, items_by_machine.values()))
+    blocks = bool(kinds) and all(issubclass(kind, (np.ndarray, Block)) for kind in kinds)
+    if blocks and all(issubclass(kind, np.ndarray) for kind in kinds):
+        buffers: Any = _Rows(items_by_machine, dst, combine)
+    elif isinstance(combine, str):
+        raise TypeError(f"a named reducer ({combine!r}) combines arrays of (key, value) rows")
+    elif blocks and combine is None:
         first = next(iter(items_by_machine.values()))
-        if isinstance(first, np.ndarray):
-            empty = np.zeros_like(first[:0])  # no view
-        elif gather:
-            empty = first[:0]  # a Block slice owns its data
-        else:
-            raise TypeError(
-                f"a cast of {type(first).__name__} blocks needs a combine: "
-                "only arrays concatenate"
-            )
-        buffers: dict[int, Any] = {
-            mid: items for mid, items in items_by_machine.items() if len(items)
-        }
+        raise TypeError(
+            f"a cast of {type(first).__name__} blocks needs a combine: "
+            "only arrays concatenate"
+        )
     else:
-        empty = []
-        buffers = {
-            mid: list(items) for mid, items in items_by_machine.items() if items
-        }
-    # From here on a machine's items live in its buffer only, and nothing
-    # keeps a block once it is sent and combined: a caller that hands its
-    # blocks over gets their memory back as the tree consumes them.
+        buffers = _Holders(items_by_machine, dst, combine, blocks)
+    # From here on a machine's items live in the cast's buffers only, and
+    # nothing keeps a block once it is sent and combined: a caller that
+    # hands its blocks over gets their memory back as the tree consumes
+    # them.
     del items_by_machine
+    scratch = Scratch(cluster, f"{note}#cast-buffer")
     try:
-        for mid in buffers:
-            charge(mid)
+        scratch.charge(*buffers.initial_charges())
         while True:
-            sources = sorted(
-                mid for mid in buffers if mid != dst and len(buffers[mid])
-            )
-            if not sources:
+            sources = buffers.sources()
+            if not len(sources):
                 break
             fanout = cluster.throttled_fanout(base_fanout, note=note)
             if len(sources) <= fanout:
-                representatives = {mid: dst for mid in sources}
+                targets = np.full(len(sources), dst, dtype=np.int64)
             else:
-                representatives = {}
-                for position, mid in enumerate(sources):
-                    group = position // fanout
-                    representatives[mid] = sources[group] if sources[group] != mid else mid
+                targets = sources[np.arange(len(sources)) // fanout]
             plan = RoundPlan(note=f"{note}/level")
-            for mid in sources:
-                target = representatives[mid]
-                if target == mid:
-                    continue
-                plan.send_batch(mid, target, buffers[mid])
-                buffers[mid] = empty
-                charge(mid)
+            senders = buffers.send(plan, sources, targets)
+            scratch.charge(senders, np.zeros(len(senders), dtype=np.int64))
             inboxes = cluster.execute(plan)
-            for target, received in inboxes.items():
-                held = buffers.get(target, empty)
-                if gather:
-                    held = held if type(held) is list else [held]
-                    buffers[target] = held + received
-                elif arrays:
-                    buffers[target] = np.concatenate([held, *received])
-                else:
-                    buffers[target] = held + received
-                if combine is not None and target != dst:
-                    buffers[target] = combine(buffers[target])
-                charge(target)
-        result = buffers.get(dst, empty)
-        if gather and type(result) is not list:
-            result = [result]
-        if combine is not None:
-            result = combine(result)
+            scratch.charge(*buffers.receive(inboxes))
+        result = buffers.result()
         # Record the destination's post-combine peak (it may never see
         # another round), then hand the buffer back to the caller.
-        buffers[dst] = result
-        charge(dst)
+        scratch.charge([dst], [word_size(result) if len(result) else 0])
         cluster.checkpoint_memory(f"{note}/result")
     finally:
         # Strict-mode aborts mid-tree must not leave scratch charged.
-        for mid in buffers:
-            machine = machines.get(mid)
-            if machine is not None:
-                machine.pop(scratch, None)
+        scratch.release()
     return result
+
+
+class _Rows:
+    """The buffers of an array cast: every holder's rows but the
+    destination's in one array ``rows``, with its holder column ``owner``
+    (holders ascending, each holder's rows contiguous: held first, then
+    received in source order), and the destination's blocks in a list.
+
+    A level moves rows without reordering them: the sources of a group
+    are consecutive holders whose representative is the group's first
+    member or an earlier holder, so after the level every representative's
+    rows — its held rows, then its sources' — are still contiguous, in
+    order.  The level's scatter delivers those same rows.
+    """
+
+    def __init__(self, items_by_machine: dict[int, Any], dst: int, combine: Any) -> None:
+        blocks = list(items_by_machine.values())
+        first = blocks[0]
+        self.empty = np.zeros_like(first[:0])  # no view
+        self.dst = dst
+        self.combine = combine
+        ids = np.fromiter(items_by_machine, np.int64, len(blocks))
+        lens = np.fromiter(map(len, blocks), np.int64, len(blocks))
+        held = lens > 0
+        # The caller's order, for the first charges.
+        self._initial = (ids[held], lens[held] * math.prod(first.shape[1:]))
+        at_dst = items_by_machine.get(dst)
+        self.at_dst: list[Any] = [at_dst] if at_dst is not None and len(at_dst) else []
+        order = np.argsort(ids, kind="stable")
+        others = order[held[order] & (ids[order] != dst)]
+        self.owner = np.repeat(ids[others], lens[others])
+        self.rows = (
+            np.concatenate([blocks[i] for i in others.tolist()])
+            if len(others) else self.empty
+        )
+        self._counts: Any = None
+
+    def initial_charges(self) -> tuple[Any, Any]:
+        return self._initial
+
+    def sources(self) -> Any:
+        owner = self.owner
+        if not len(owner):
+            return owner
+        starts = columnar.first_of_runs([owner]).nonzero()[0]
+        self._counts = np.concatenate((starts[1:], [len(owner)])) - starts
+        return owner[starts]
+
+    def send(self, plan: RoundPlan, sources: Any, targets: Any) -> Any:
+        """Queue the level as one scatter; return the machines that send."""
+        row_targets = np.repeat(targets, self._counts)
+        # Every source sends but the first when it is its own
+        # representative, and its rows lead the array.
+        keep = 0 if targets[0] != sources[0] else int(self._counts[0])
+        plan.send_indexed(self.owner[keep:], row_targets[keep:], self.rows[keep:])
+        self.owner = row_targets
+        return sources[0 if keep == 0 else 1:]
+
+    def receive(self, inboxes: dict[int, list[Any]]) -> tuple[Any, Any]:
+        """Combine what the level delivered; return the receivers, in
+        delivery order, and their new buffer sizes."""
+        dst = self.dst
+        if dst in inboxes:  # the level sent everything to the destination
+            self.at_dst.extend(inboxes[dst])
+            self.owner = self.owner[:0]
+            self.rows = self.rows[:0]
+            return [dst], [sum(int(block.size) for block in self.at_dst)]
+        if self.combine is not None:
+            self._combine_level()
+        # The receivers in delivery order, and their rows in the array.
+        receivers = np.fromiter(inboxes, np.int64, len(inboxes))
+        counts = np.searchsorted(self.owner, receivers, "right") - np.searchsorted(
+            self.owner, receivers
+        )
+        return receivers, counts * math.prod(self.rows.shape[1:])
+
+    def _combine_level(self) -> None:
+        owner, rows, combine = self.owner, self.rows, self.combine
+        if isinstance(combine, str):
+            keys, values, owner = columnar.reduce_pairs(
+                rows[:, 0].astype(np.int64), rows[:, 1], combine, groups=owner
+            )
+            rows = _pair_rows(keys, values, rows.dtype)
+        else:
+            starts = columnar.first_of_runs([owner]).nonzero()[0]
+            bounds = [*starts.tolist(), len(owner)]
+            combined = [
+                combine([rows[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])
+            ]
+            owner = np.repeat(owner[starts], [len(block) for block in combined])
+            rows = np.concatenate(combined)
+        self.owner, self.rows = owner, rows
+
+    def result(self) -> Any:
+        at_dst, combine = self.at_dst, self.combine
+        if combine is None:
+            if len(at_dst) == 1:
+                return at_dst[0]
+            return np.concatenate(at_dst) if at_dst else self.empty
+        if isinstance(combine, str):
+            rows = np.concatenate(at_dst) if at_dst else self.empty
+            keys, values = columnar.reduce_pairs(
+                rows[:, 0].astype(np.int64), rows[:, 1], combine
+            )
+            return _pair_rows(keys, values, rows.dtype)
+        return combine(at_dst or [self.empty])
+
+
+def _pair_rows(keys: Any, values: Any, dtype: Any) -> Any:
+    """``(n, 2)`` rows of *keys* and *values* in *dtype*."""
+    return np.column_stack(
+        [keys.astype(dtype, copy=False), values.astype(dtype, copy=False)]
+    )
+
+
+class _Holders:
+    """The buffers of a list or :class:`~repro.mpc.plan.Block` cast: one
+    per holder, sent as one run and combined per holder."""
+
+    def __init__(
+        self, items_by_machine: dict[int, Any], dst: int, combine: Any, blocks: bool
+    ) -> None:
+        self.dst = dst
+        self.combine = combine
+        self.gather = blocks  # a block cast has a combine: the dst gathers
+        if blocks:
+            self.empty: Any = next(iter(items_by_machine.values()))[:0]
+            self.buffers: dict[int, Any] = {
+                mid: items for mid, items in items_by_machine.items() if len(items)
+            }
+        else:
+            self.empty = []
+            self.buffers = {
+                mid: list(items) for mid, items in items_by_machine.items() if items
+            }
+
+    def initial_charges(self) -> tuple[list[int], list[int]]:
+        return list(self.buffers), [word_size(b) for b in self.buffers.values()]
+
+    def sources(self) -> Any:
+        dst = self.dst
+        return np.array(
+            sorted(mid for mid, buffer in self.buffers.items() if mid != dst and len(buffer)),
+            dtype=np.int64,
+        )
+
+    def send(self, plan: RoundPlan, sources: Any, targets: Any) -> list[int]:
+        senders = []
+        buffers = self.buffers
+        for mid, target in zip(sources.tolist(), targets.tolist()):
+            if target != mid:
+                plan.send_batch(mid, target, buffers[mid])
+                buffers[mid] = self.empty
+                senders.append(mid)
+        return senders
+
+    def receive(self, inboxes: dict[int, list[Any]]) -> tuple[list[int], list[int]]:
+        buffers, combine, dst = self.buffers, self.combine, self.dst
+        for target, received in inboxes.items():
+            held = buffers.get(target, self.empty)
+            if self.gather and type(held) is not list:
+                held = [held]
+            buffer = held + received
+            if combine is not None and target != dst:
+                buffer = combine(buffer)
+            buffers[target] = buffer
+        receivers = list(inboxes)
+        return receivers, [
+            word_size(buffers[mid]) if len(buffers[mid]) else 0 for mid in receivers
+        ]
+
+    def result(self) -> Any:
+        result = self.buffers.get(self.dst, self.empty)
+        if self.gather and type(result) is not list:
+            result = [result]
+        if self.combine is not None:
+            result = self.combine(result)
+        return result

@@ -45,6 +45,7 @@ user with an object sort kept in the tests as the oracle.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -559,42 +560,37 @@ def ingest_pairs(pairs: Sequence[Any]) -> tuple[Any, Any] | None:
     return np.array(key_list, dtype=np.int64), values
 
 
-def pairs_fit_kind(columns: Sequence[tuple[Any, Any]], kind: str) -> bool:
-    """Whether reducer *kind* stays exact over all the ingested columns.
+def pairs_fit_kind(keys: Any, values: Any, starts: Any, kind: str) -> bool:
+    """Whether reducer *kind* stays exact over every machine's pairs.
 
-    This is the cross-machine check: int sums accumulate across converge
-    levels, so the overflow bound must hold for the *global* multiset of
-    values, not per machine.
+    *keys* and *values* hold the ingested pairs of all machines, machine
+    by machine, each machine's from its entry of *starts* on.  This is the
+    cross-machine check: int sums accumulate across converge levels, so
+    the overflow bound (the sum over machines of the largest magnitude
+    times the pair count) must hold for the *global* multiset of values,
+    not per machine.
     """
-    value_kinds = {values.dtype.kind for _, values in columns}
-    if len(value_kinds) > 1:
-        # Mixed value types across machines would merge into one column
-        # and lose the original Python types.
-        return False
-    if "f" in value_kinds:
+    value_kind = values.dtype.kind
+    if value_kind == "f":
         if kind in ("sum", "or"):
             # Float sums are order-sensitive; bitwise-or is undefined.
             return False
-        for keys, _ in columns:
-            if len(keys) and int(np.abs(keys).max()) > _FLOAT_SAFE_KEY:
-                # Keys share the float64 transport column with the values.
-                return False
-        return True
-    if "b" in value_kinds and kind == "sum":
+        # Keys share the float64 transport column with the values.
+        return not len(keys) or int(np.abs(keys).max()) <= _FLOAT_SAFE_KEY
+    if value_kind == "b" and kind == "sum":
         # bool + bool is int on the object path but bool under numpy.
         return False
-    if kind == "sum":
-        bound = sum(
-            int(np.abs(values).max()) * len(values)
-            for _, values in columns
-            if len(values)
-        )
-        if bound > _SUM_SAFE:
+    if kind == "sum" and len(values):
+        peaks = np.maximum.reduceat(np.abs(values), starts).tolist()
+        counts = np.diff(np.append(starts, len(values))).tolist()
+        if sum(map(operator.mul, peaks, counts)) > _SUM_SAFE:
             return False
     return True
 
 
-def reduce_pairs(keys: Any, values: Any, kind: str) -> tuple[Any, Any]:
+def reduce_pairs(
+    keys: Any, values: Any, kind: str, groups: Any = None
+) -> tuple[Any, ...]:
     """Group *values* by *keys* and reduce each group with *kind*.
 
     Results come back in **first-encounter key order** — the insertion
@@ -603,19 +599,60 @@ def reduce_pairs(keys: Any, values: Any, kind: str) -> tuple[Any, Any]:
     identical.  Within a group the reduction is order-free for the named
     reducers (int sums are exact under the ingest guard; min/max/or are
     associative and commutative on exact scalars).
+
+    With *groups* — an int64 holder per pair, each holder's pairs
+    contiguous — every holder's pairs reduce apart, all holders in one
+    pass: the results keep the holders' order, each holder's keys in
+    first-encounter order, exactly as one call per holder would give them
+    one after the other.  The holder of each result comes back as a third
+    column, ``(keys, values, groups)``.
     """
     n = len(keys)
     if n == 0:
-        return keys, values
-    order = np.argsort(keys, kind="stable")
+        return (keys, values) if groups is None else (keys, values, groups)
+    order = _stable_pair_order(keys, groups)
     sorted_keys = keys[order]
-    sorted_values = values[order]
-    starts_tail = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = np.concatenate(([0], starts_tail))
+    change = sorted_keys[1:] != sorted_keys[:-1]
+    if groups is not None:
+        sorted_groups = groups[order]
+        change |= sorted_groups[1:] != sorted_groups[:-1]
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
     ufunc = getattr(np, _REDUCER_UFUNCS[kind])
-    reduced = ufunc.reduceat(sorted_values, starts)
-    unique_keys = sorted_keys[starts]
-    # Stable argsort puts each group's earliest original index first, so
-    # order[starts] is every key's first-encounter position.
-    encounter = np.argsort(order[starts], kind="stable")
-    return unique_keys[encounter], reduced[encounter]
+    reduced = ufunc.reduceat(values[order], starts)
+    # The sort is stable, so order[starts] is every key's first-encounter
+    # position; the results go out in that order (positions are distinct,
+    # so ranking them is a scatter, not a sort).
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[order[starts]] = np.arange(len(starts))
+    encounter = slot[slot >= 0]
+    if groups is None:
+        return sorted_keys[starts][encounter], reduced[encounter]
+    return (
+        sorted_keys[starts][encounter],
+        reduced[encounter],
+        sorted_groups[starts][encounter],
+    )
+
+
+def _stable_pair_order(keys: Any, groups: Any) -> Any:
+    """Stable order of int64 *keys*, by ``(group, key)`` when *groups* is
+    given.  When the pair and its position pack into one int64, one
+    unstable sort of the packed values is stable; otherwise a stable
+    argsort or a two-key lexsort."""
+    n = len(keys)
+    k_lo = int(keys.min())
+    span = int(keys.max()) - k_lo + 1
+    g_lo = g_span = 0
+    if groups is not None:
+        g_lo = int(groups.min())
+        g_span = int(groups.max()) - g_lo
+    if (g_span + 1) * span * n <= _INT64_MAX:
+        packed = np.subtract(keys, k_lo, dtype=np.int64)
+        if groups is not None:
+            packed += np.subtract(groups, g_lo, dtype=np.int64) * span
+        packed *= n
+        packed += np.arange(n)
+        return np.sort(packed) % n
+    if groups is None:
+        return np.argsort(keys, kind="stable")
+    return np.lexsort((keys, groups))

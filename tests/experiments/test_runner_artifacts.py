@@ -14,6 +14,7 @@ from repro.experiments import (
     load_artifact,
     load_results_dir,
     load_suite,
+    point_rng,
     validate_artifact,
     validate_suite,
     write_artifact,
@@ -209,12 +210,20 @@ def test_parallel_runner_artifacts_are_byte_identical_to_serial(tmp_path):
 
 
 def test_point_rng_is_deterministic():
-    runner = Runner(seed=7)
     scenario = _toy_scenario()
-    a = runner.point_rng(scenario, 0).random()
-    b = Runner(seed=7).point_rng(scenario, 0).random()
+    a = point_rng(7, scenario, 0).random()
+    b = point_rng(7, scenario, 0).random()
     assert a == b
-    assert runner.point_rng(scenario, 1).random() != a
+    assert point_rng(7, scenario, 1).random() != a
+    # It is the RNG every sweep point is measured with.
+    drawn = []
+
+    def measure(point, rng, quick):
+        drawn.append(rng.random())
+        return {"x": point, "doubled": 2 * point}
+
+    Runner(seed=7).run(_toy_scenario(measure=measure))
+    assert drawn == [point_rng(7, scenario, index).random() for index in range(3)]
 
 
 def test_scenario_rejects_unknown_group_and_regime():

@@ -1,0 +1,393 @@
+"""Per-round ledger pins: every round record, memory mark and throttle event.
+
+``test_ledger_equivalence`` pins a run's totals; these pins digest a run
+round by round, so an accounting change that keeps the totals but moves
+a word, an item, a memory mark or a violation between rounds fails here.
+Each digest covers:
+
+* every round record — note, ``total_words``, ``max_sent``,
+  ``max_received``, items and violations, in order;
+* ``memory_high_water`` with its key order;
+* the ledger's violation stream (checkpoint violations included);
+* the throttle events, when a controller is attached.
+
+The strict-mode pins hold the exception type, its message and the round
+count at the raise.  The digests were captured from the per-machine
+accounting engine (a usage sum per machine per round, one plan run per
+tree edge) on the inputs built below.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import numpy as np
+import pytest
+
+from repro.core import heterogeneous_connectivity, heterogeneous_mst
+from repro.experiments import registry
+from repro.graph import generators
+from repro.mpc import (
+    Cluster,
+    CommunicationLimitExceeded,
+    MemoryLimitExceeded,
+    ModelConfig,
+    RoundPlan,
+)
+from repro.primitives.aggregate import aggregate, aggregate_counts, count_items
+from repro.primitives.broadcast import converge_cast
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def ledger_digest(cluster: Cluster) -> dict:
+    ledger = cluster.ledger
+    records = [
+        (
+            record.index, record.note, record.total_words, record.max_sent,
+            record.max_received, record.items,
+            tuple(str(v) for v in record.violations),
+        )
+        for record in ledger.records
+    ]
+    digest = {
+        "rounds": ledger.rounds,
+        "records": _digest(records),
+        "memory": _digest(list(ledger.memory_high_water.items())),
+        "violations": _digest([str(v) for v in ledger.violations]),
+    }
+    if cluster.throttle is not None:
+        digest["events"] = _digest([
+            (e.round, e.kind, e.note, e.before, e.after, e.applied)
+            for e in cluster.throttle.events
+        ])
+    return digest
+
+
+# ----------------------------------------------------------------------
+# Algorithms
+# ----------------------------------------------------------------------
+def run_mst() -> dict:
+    rng = random.Random(20260729)
+    graph = generators.random_connected_graph(96, 1200, rng).with_unique_weights(rng)
+    config = ModelConfig.heterogeneous(n=graph.n, m=graph.m, gamma=0.4)
+    result = heterogeneous_mst(graph, config=config, rng=random.Random(7))
+    return {"weight": result.total_weight, **ledger_digest(result.cluster)}
+
+
+def run_mst_with_violations() -> dict:
+    rng = random.Random(20260729)
+    graph = generators.random_connected_graph(48, 480, rng).with_unique_weights(rng)
+    result = heterogeneous_mst(graph, rng=random.Random(7))
+    return {"weight": result.total_weight, **ledger_digest(result.cluster)}
+
+
+def run_connectivity() -> dict:
+    graph = generators.multi_component_graph(120, 3, 240, random.Random(5))
+    result = heterogeneous_connectivity(graph, rng=random.Random(9))
+    return {"labels": _digest(result.labels), **ledger_digest(result.cluster)}
+
+
+def run_robustness(measure, n: int) -> dict:
+    """One robustness point: every arm's cluster (calibration, off,
+    advise, enforce), digested in run order."""
+    arms = []
+    run_arm = registry._run_throttle_arm
+
+    def recording(pipeline, n, m, gamma, constant, mode, seed):
+        cluster, output = run_arm(pipeline, n, m, gamma, constant, mode, seed)
+        arms.append((mode, ledger_digest(cluster)))
+        return cluster, output
+
+    registry._run_throttle_arm = recording
+    try:
+        row = measure(n, random.Random(0), True)
+    finally:
+        registry._run_throttle_arm = run_arm
+    return {"splits": row["splits"], "arms": arms}
+
+
+# ----------------------------------------------------------------------
+# Aggregation without a large machine
+# ----------------------------------------------------------------------
+def _sublinear_cluster(strict: bool = False) -> Cluster:
+    config = ModelConfig.sublinear(n=256, m=4096, gamma=0.3, strict=strict)
+    cluster = Cluster(config, rng=random.Random(13))
+    item_rng = random.Random(17)
+    edges = [(item_rng.randrange(200), item_rng.randrange(200)) for _ in range(3000)]
+    cluster.distribute_edges(edges, name="e")
+    return cluster
+
+
+def run_small_destination_aggregates() -> dict:
+    """The destination is small machine 0: it keeps its received blocks
+    (or pairs) until the final combine."""
+    cluster = _sublinear_cluster()
+    assert not cluster.has_large
+    results = []
+    pairs = {
+        machine.machine_id: [(u, 1) for u, _ in machine.get("e")]
+        for machine in cluster.smalls
+    }
+    results.append(sorted(aggregate(cluster, pairs, "sum", note="sum").items()))
+    pairs = {
+        machine.machine_id: [(v % 7, u) for u, v in machine.get("e")]
+        for machine in cluster.smalls
+    }
+    results.append(sorted(aggregate(cluster, pairs, "min", note="min").items()))
+    results.append(
+        sorted(aggregate(cluster, pairs, lambda a, b: a ^ b, note="xor").items())
+    )
+    keys = {
+        machine.machine_id: np.array([v for _, v in machine.get("e")], dtype=np.int64)
+        for machine in cluster.smalls
+    }
+    results.append(sorted(aggregate_counts(cluster, keys, note="deg").items()))
+    results.append(count_items(cluster, "e", note="count"))
+    results.append(count_items(cluster, "e", lambda e: e[0] < e[1], note="count<"))
+    # A list cast and an array cast without a combine.
+    listed = converge_cast(
+        cluster,
+        {mid: [(mid, len(cluster.machine(mid).get("e")))] for mid in cluster.small_ids},
+        cluster.small_ids[3],
+        note="list-cast",
+    )
+    results.append(listed)
+    arrays = converge_cast(
+        cluster,
+        {
+            mid: np.array(cluster.machine(mid).get("e")[:3], dtype=np.int64)
+            for mid in cluster.small_ids
+        },
+        cluster.small_ids[0],
+        note="array-cast",
+    )
+    results.append(arrays.tolist())
+    return {"results": _digest(results), **ledger_digest(cluster)}
+
+
+# ----------------------------------------------------------------------
+# Strict mode
+# ----------------------------------------------------------------------
+def _raised(fn, cluster_of) -> dict:
+    try:
+        fn()
+    except (CommunicationLimitExceeded, MemoryLimitExceeded) as error:
+        cluster = cluster_of()
+        return {
+            "type": type(error).__name__,
+            "message": str(error),
+            "violations": [str(v) for v in error.violations],
+            "rounds": cluster.ledger.rounds,
+            "memory": _digest(list(cluster.ledger.memory_high_water.items())),
+        }
+    raise AssertionError("expected a strict-mode raise")
+
+
+def run_strict_traffic() -> dict:
+    rng = random.Random(20260729)
+    graph = generators.random_connected_graph(48, 480, rng).with_unique_weights(rng)
+    config = ModelConfig.heterogeneous(n=graph.n, m=graph.m, strict=True)
+    clusters = []
+    real_init = Cluster.__init__
+
+    def capture(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        clusters.append(self)
+
+    Cluster.__init__ = capture
+    try:
+        return _raised(
+            lambda: heterogeneous_mst(graph, config=config, rng=random.Random(7)),
+            lambda: clusters[-1],
+        )
+    finally:
+        Cluster.__init__ = real_init
+
+
+def run_strict_round_memory() -> dict:
+    """A hoard stored with the machine's own check off: the per-round
+    check of ``execute`` catches it."""
+    config = ModelConfig.heterogeneous(n=64, m=512, strict=True)
+    cluster = Cluster(config, rng=random.Random(0))
+    cluster.smalls[0].put("keep", [1, 2, 3])
+    small = cluster.smalls[2]
+    small.strict = False
+    small.put("hoard", [0] * (small.capacity + 1))
+    small.strict = True
+    ping = RoundPlan(note="ping").send(cluster.small_ids[0], cluster.small_ids[1], "x")
+    return _raised(lambda: cluster.execute(ping), lambda: cluster)
+
+
+def run_strict_cast_buffer(arrays: bool) -> dict:
+    """A converge-cast whose level buffer outgrows a small relay."""
+    cluster = _sublinear_cluster(strict=True)
+    width = cluster.config.small_capacity // 5
+    items = {}
+    for mid in cluster.small_ids:
+        rows = [(mid, j) for j in range(width // 2)]
+        items[mid] = np.array(rows, dtype=np.int64) if arrays else rows
+    return _raised(
+        lambda: converge_cast(cluster, items, cluster.small_ids[0], note="hoard"),
+        lambda: cluster,
+    )
+
+
+def run_strict_gather_buffer() -> dict:
+    """The same overflow on a cast with a combine: the relay holds the
+    list of its held and received blocks."""
+    cluster = _sublinear_cluster(strict=True)
+    width = cluster.config.small_capacity // 5
+    items = {
+        mid: np.array([(mid, j) for j in range(width // 2)], dtype=np.int64)
+        for mid in cluster.small_ids
+    }
+    return _raised(
+        lambda: converge_cast(
+            cluster, items, cluster.small_ids[0], combine=np.concatenate, note="g"
+        ),
+        lambda: cluster,
+    )
+
+
+RUNS = {
+    "mst": run_mst,
+    "mst_with_violations": run_mst_with_violations,
+    "connectivity": run_connectivity,
+    "robustness_near_clique": lambda: run_robustness(
+        registry._measure_robustness_near_clique, 48
+    ),
+    "robustness_power_law_gamma": lambda: run_robustness(
+        registry._measure_robustness_power_law_gamma, 64
+    ),
+    "small_destination_aggregates": run_small_destination_aggregates,
+    "strict_traffic": run_strict_traffic,
+    "strict_round_memory": run_strict_round_memory,
+    "strict_list_cast_buffer": lambda: run_strict_cast_buffer(False),
+    "strict_array_cast_buffer": lambda: run_strict_cast_buffer(True),
+    "strict_gather_buffer": run_strict_gather_buffer,
+}
+
+
+GOLDEN: dict = {'connectivity': {'labels': '83e66328b308e6f2',
+                                 'memory': 'e6ae39d5dcc93dca',
+                                 'records': '55848d1e173faf92',
+                                 'rounds': 6,
+                                 'violations': 'caffe714edf2a556'},
+                'mst': {'memory': 'b1ffd4fd29e154e4',
+                        'records': '2e15fbd7033081ed',
+                        'rounds': 79,
+                        'violations': '0c5a50e872793975',
+                        'weight': 5426},
+                'mst_with_violations': {'memory': 'ccc2af95874dc40a',
+                                        'records': 'bc04b7351270abd8',
+                                        'rounds': 74,
+                                        'violations': '726d87970fcb5cb4',
+                                        'weight': 1323},
+                'robustness_near_clique': {'arms': [('advise',
+                                                     {'events': '4f53cda18c2baa0c',
+                                                      'memory': '10c566113c578178',
+                                                      'records': '5fc1da492d8f89e2',
+                                                      'rounds': 3,
+                                                      'violations': '4f53cda18c2baa0c'}),
+                                                    ('off',
+                                                     {'memory': '10c566113c578178',
+                                                      'records': '9c68378f65358818',
+                                                      'rounds': 3,
+                                                      'violations': '1d20def81cb40f26'}),
+                                                    ('advise',
+                                                     {'events': 'b9928cb2c5b8cea1',
+                                                      'memory': '10c566113c578178',
+                                                      'records': '9c68378f65358818',
+                                                      'rounds': 3,
+                                                      'violations': '1d20def81cb40f26'}),
+                                                    ('enforce',
+                                                     {'events': 'e2c3715dd23a9a91',
+                                                      'memory': '10c566113c578178',
+                                                      'records': '291d6f103ff9db37',
+                                                      'rounds': 5,
+                                                      'violations': '4f53cda18c2baa0c'})],
+                                           'splits': 2},
+                'robustness_power_law_gamma': {'arms': [('advise',
+                                                         {'events': '4f53cda18c2baa0c',
+                                                          'memory': '62ecb3e45708241f',
+                                                          'records': '2e6fcf9729cf39b0',
+                                                          'rounds': 5,
+                                                          'violations': '4f53cda18c2baa0c'}),
+                                                        ('off',
+                                                         {'memory': '62ecb3e45708241f',
+                                                          'records': 'c50a90f125d9e579',
+                                                          'rounds': 5,
+                                                          'violations': '779d85cf4198a1fd'}),
+                                                        ('advise',
+                                                         {'events': 'e45ddbcf9fe049cd',
+                                                          'memory': '62ecb3e45708241f',
+                                                          'records': 'c50a90f125d9e579',
+                                                          'rounds': 5,
+                                                          'violations': '779d85cf4198a1fd'}),
+                                                        ('enforce',
+                                                         {'events': 'a5d16cc6dd068a08',
+                                                          'memory': '62ecb3e45708241f',
+                                                          'records': '24f37145d5b5b70d',
+                                                          'rounds': 6,
+                                                          'violations': '4f53cda18c2baa0c'})],
+                                               'splits': 1},
+                'small_destination_aggregates': {'memory': '3a762666b5d44ef1',
+                                                 'records': '3417046732cacb15',
+                                                 'results': '34f62a6f7d2b2042',
+                                                 'rounds': 40,
+                                                 'violations': 'f2b1223c5a7dc44c'},
+                'strict_array_cast_buffer': {'memory': '1ff01f6fcbf1b162',
+                                             'message': 'round 2 [hoard#cast-buffer]: machine 1 holds 1358 > '
+                                                        'memory capacity 1351 (storing 1350 words in dataset '
+                                                        "'hoard#cast-buffer' on the small machine)",
+                                             'rounds': 1,
+                                             'type': 'MemoryLimitExceeded',
+                                             'violations': ['round 2 [hoard#cast-buffer]: machine 1 holds 1358 > '
+                                                            'memory capacity 1351']},
+                'strict_gather_buffer': {'memory': '1ff01f6fcbf1b162',
+                                         'message': 'round 2 [g#cast-buffer]: machine 1 holds 1358 > memory '
+                                                    "capacity 1351 (storing 1350 words in dataset 'g#cast-buffer' "
+                                                    'on the small machine)',
+                                         'rounds': 1,
+                                         'type': 'MemoryLimitExceeded',
+                                         'violations': ['round 2 [g#cast-buffer]: machine 1 holds 1358 > memory '
+                                                        'capacity 1351']},
+                'strict_list_cast_buffer': {'memory': '1ff01f6fcbf1b162',
+                                            'message': 'round 2 [hoard#cast-buffer]: machine 1 holds 1358 > '
+                                                       'memory capacity 1351 (storing 1350 words in dataset '
+                                                       "'hoard#cast-buffer' on the small machine)",
+                                            'rounds': 1,
+                                            'type': 'MemoryLimitExceeded',
+                                            'violations': ['round 2 [hoard#cast-buffer]: machine 1 holds 1358 > '
+                                                           'memory capacity 1351']},
+                'strict_round_memory': {'memory': 'abe894de67935028',
+                                        'message': 'round 1 [ping]: machine 2 holds 1153 > memory capacity 1152',
+                                        'rounds': 0,
+                                        'type': 'MemoryLimitExceeded',
+                                        'violations': ['round 1 [ping]: machine 2 holds 1153 > memory capacity '
+                                                       '1152']},
+                'strict_traffic': {'memory': 'e09657768677e704',
+                                   'message': 'round 2 [arrange/sort/sample/level]: machine 0 received 1260 > '
+                                              'capacity 864; round 2 [arrange/sort/sample/level]: machine 1 '
+                                              'received 1368 > capacity 864',
+                                   'rounds': 1,
+                                   'type': 'CommunicationLimitExceeded',
+                                   'violations': ['round 2 [arrange/sort/sample/level]: machine 0 received 1260 > '
+                                                  'capacity 864',
+                                                  'round 2 [arrange/sort/sample/level]: machine 1 received 1368 > '
+                                                  'capacity 864']}}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_round_pins(name):
+    assert RUNS[name]() == GOLDEN[name]
+
+
+if __name__ == "__main__":  # print the pins of the code under test
+    import pprint
+
+    pprint.pprint({name: RUNS[name]() for name in sorted(RUNS)}, width=100)

@@ -228,14 +228,14 @@ def test_strict_mode_raises_when_small_machine_exceeds_small_capacity():
 
 
 def test_strict_mode_raises_at_round_if_memory_exceeded():
-    """Even state smuggled past ``put`` (in-place growth without touch) is
-    caught by the per-round memory check of ``execute``."""
+    """Even usage charged past ``put`` (straight into the cluster's usage
+    vector, where scratch charges land) is caught by the per-round memory
+    check of ``execute``."""
     cluster = make_cluster(strict=True)
     small = cluster.smalls[0]
-    blob = [0] * (small.capacity + 1)
-    small._store["hoard"] = blob  # bypass put() on purpose
-    small._sizes["hoard"] = len(blob)
-    with pytest.raises(MemoryLimitExceeded):
+    cluster.usage[small.machine_id] += small.capacity + 1  # bypass put() on purpose
+    assert small.usage == small.capacity + 1
+    with pytest.raises(MemoryLimitExceeded, match=f"machine {small.machine_id} holds"):
         ping(cluster)
     assert cluster.ledger.rounds == 0  # raised before the round was recorded
 
@@ -300,3 +300,65 @@ def test_distribute_edges_placement_depends_on_cluster_seed():
 
     assert placement(1) != placement(2)  # still randomized across seeds
     assert placement(3) == placement(3)  # and reproducible per seed
+
+
+# ----------------------------------------------------------------------
+# The usage vector and scratch charges
+# ----------------------------------------------------------------------
+def test_machines_update_their_entry_of_the_usage_vector():
+    cluster = make_cluster()
+    small, large = cluster.smalls[1], cluster.large
+    small.put("a", [1, 2, 3])
+    large.put("b", [(1, 2)])
+    small.put("a", [4])  # replaced, not added
+    assert cluster.usage.tolist()[small.machine_id] == small.usage == 1
+    assert cluster.usage.tolist()[large.machine_id] == large.usage == 2
+    small.pop("a")
+    assert small.usage == 0 and int(cluster.usage.sum()) == 2
+    assert cluster.capacities.tolist() == [m.capacity for m in cluster.machines.values()]
+
+
+def test_memory_marks_rise_where_usage_rose_in_machine_order():
+    cluster = make_cluster()
+    cluster.smalls[3].put("x", [1, 2])
+    cluster.smalls[1].put("x", [1])
+    ping(cluster)
+    cluster.smalls[3].pop("x")
+    cluster.smalls[0].put("x", [1, 2, 3, 4])
+    ping(cluster)
+    assert list(cluster.ledger.memory_high_water.items()) == [(1, 1), (3, 2), (0, 4)]
+
+
+def test_scratch_charges_many_machines_and_releases_them():
+    from repro.mpc.cluster import Scratch
+
+    cluster = make_cluster()
+    cluster.smalls[0].put("d", [1, 2])
+    scratch = Scratch(cluster, "tree#cast-buffer")
+    scratch.charge([0, 2], [5, 7])
+    assert cluster.smalls[0].usage == 7 and cluster.smalls[2].usage == 7
+    scratch.charge([2], [0])
+    assert cluster.smalls[2].usage == 0
+    scratch.release()
+    assert cluster.usage.tolist()[:3] == [2, 0, 0]
+    assert not any("#cast-buffer" in name for name in cluster.smalls[0].datasets())
+
+
+def test_strict_scratch_charge_raises_like_a_put_of_the_buffer():
+    from repro.mpc.cluster import Scratch
+
+    cluster = make_cluster(strict=True)
+    capacity = cluster.smalls[1].capacity
+    cluster.smalls[1].put("d", [0] * (capacity - 3))
+    scratch = Scratch(cluster, "t#cast-buffer")
+    with pytest.raises(MemoryLimitExceeded) as raised:
+        scratch.charge([0, 1, 2], [capacity + 1, 4, capacity + 1])
+    # The first breach in the order given, as put() words it.
+    assert str(raised.value) == (
+        f"round 1 [t#cast-buffer]: machine 0 holds {capacity + 1} > memory "
+        f"capacity {capacity} (storing {capacity + 1} words in dataset "
+        "'t#cast-buffer' on the small machine)"
+    )
+    assert cluster.usage.tolist()[:3] == [0, capacity - 3, 0]  # nothing applied
+    with pytest.raises(MemoryLimitExceeded, match="machine 1 holds"):
+        scratch.charge([1], [4])

@@ -507,3 +507,67 @@ def test_note_stats_respect_ledger_sections():
     with cluster.ledger.section("phase-a"):
         cluster.execute(RoundPlan(note="x").send(0, 1, 1))
     assert "phase-a / x" in cluster.ledger.note_stats
+
+
+# ----------------------------------------------------------------------
+# Multicasts and the volume vectors
+# ----------------------------------------------------------------------
+def test_multicast_is_one_entry_with_the_runs_of_per_route_sends():
+    """One payload on many routes: the runs, per-run columns, tally,
+    inboxes and charges of one ``send`` per route, as one entry whose
+    payload is sized once."""
+    import numpy as np
+
+    payload = tuple((i, i + 1) for i in range(5))  # 10 words
+    srcs, dsts = [4, 4, 0, 4, 0], [1, 2, 3, 5, 2]
+    routed = RoundPlan()
+    for src, dst in zip(srcs, dsts):
+        routed.send(src, dst, payload)
+    multicast = RoundPlan().send_multicast(np.array(srcs), np.array(dsts), payload)
+    assert len(multicast._run_block) == 1
+    assert list(multicast.runs()) == list(routed.runs())
+    assert multicast.run_meta() == routed.run_meta()
+    assert multicast.run_words() == [10] * 5
+    assert multicast.tally() == routed.tally()
+    assert list(multicast.deliveries()) == list(routed.deliveries())
+    assert [c.tolist() for c in multicast.run_columns()] == [
+        c.tolist() for c in routed.run_columns()
+    ]
+    assert _charges(multicast) == _charges(routed)
+    # An empty multicast opens no entry; mismatched columns are refused.
+    assert RoundPlan().send_multicast([], [], payload).is_empty
+    with pytest.raises(ValueError):
+        RoundPlan().send_multicast([0, 1], [2], payload)
+
+
+def test_volumes_are_int64_sums_over_machine_ids():
+    import numpy as np
+
+    plan = RoundPlan()
+    plan.send_batch(0, 1, [1, 2, 3])
+    plan.send_indexed(np.array([2, 2, 0]), np.array([1, 3, 3]), np.ones((3, 2), np.int64))
+    sent, received, total, items = plan.volumes(5)
+    assert sent.dtype == received.dtype == np.int64
+    assert sent.tolist() == [3 + 2, 0, 4, 0, 0]
+    assert received.tolist() == [0, 3 + 2, 0, 4, 0]
+    assert (total, items) == (9, 6)
+    with pytest.raises(ProtocolError, match=r"unknown machine\(s\) \[3\]"):
+        plan.volumes(3)
+    with pytest.raises(ProtocolError, match=r"\[-1\]"):
+        RoundPlan().send(-1, 0, "x").volumes(4)
+
+
+def test_volumes_stay_exact_past_float64():
+    """Past 2**53 words a float64 sum would round; the volumes do not."""
+    from repro.mpc.plan import Block
+
+    class Huge(Block):
+        __slots__ = ("shape",)
+
+        def __init__(self, words):
+            self.shape = (1, words)
+
+    plan = RoundPlan().send_batch(0, 1, Huge(2**53)).send_batch(0, 2, Huge(1))
+    sent, received, total, _ = plan.volumes(3)
+    assert int(sent[0]) == total == 2**53 + 1
+    assert received.tolist() == [0, 2**53, 1]

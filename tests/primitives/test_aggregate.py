@@ -82,3 +82,33 @@ def test_min_aggregation_with_tuple_values():
     }
     result = aggregate(cluster, pairs, min)
     assert result["v"] == (1, "a")
+
+
+def _ledger(cluster):
+    return [
+        (r.note, r.total_words, r.max_sent, r.max_received, r.items, r.violations)
+        for r in cluster.ledger.records
+    ], list(cluster.ledger.memory_high_water.items())
+
+
+def test_pairs_of_every_machine_at_once_match_the_per_machine_form():
+    """One (machine, key, value) block charges and answers what the
+    per-machine pairs do — and so does a block the columnar path declines
+    (float sums take the object path)."""
+    import numpy as np
+
+    from repro.primitives.columnar import EdgeBlock
+
+    rng = random.Random(4)
+    for value in (lambda: rng.randrange(-9, 9), lambda: rng.random()):
+        per_machine = {
+            mid: [(rng.randrange(12), value()) for _ in range(rng.randrange(0, 6))]
+            for mid in range(0, 40, 3)
+        }
+        rows = [(mid, k, v) for mid, pairs in per_machine.items() for k, v in pairs]
+        block = EdgeBlock([np.array(column) for column in zip(*rows)])
+        results = []
+        for pairs in (per_machine, block):
+            cluster = make_cluster(n=256, m=4096)
+            results.append((aggregate(cluster, pairs, "sum", note="a"), _ledger(cluster)))
+        assert results[0] == results[1]

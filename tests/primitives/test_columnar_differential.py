@@ -1022,3 +1022,45 @@ def test_empty_cluster_primitives_cost_identically(form):
         return snapshot(cluster, ["e"]) + (layout.counts, sorted(result))
 
     assert go("object") == go("columnar")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    groups=st.lists(
+        st.lists(
+            st.tuples(st.integers(-3, 12), st.integers(-500, 500)), max_size=12
+        ),
+        min_size=1, max_size=8,
+    ),
+    kind=st.sampled_from(["sum", "min", "max"]),
+)
+def test_grouped_reduce_pairs_matches_one_call_per_group(groups, kind):
+    """One grouped reduce over (holder, key) gives every holder's results
+    in holder order, each as its own reduce_pairs call would."""
+    import numpy as np
+
+    holders = [7 * i + 3 for i in range(len(groups))]  # ascending, gapped
+    keys = np.array([k for g in groups for k, _ in g], dtype=np.int64)
+    values = np.array([v for g in groups for _, v in g], dtype=np.int64)
+    owner = np.repeat(np.array(holders, dtype=np.int64), [len(g) for g in groups])
+    out_keys, out_values, out_owner = reduce_pairs(keys, values, kind, groups=owner)
+    expected = []
+    for holder, pairs in zip(holders, groups):
+        k, v = reduce_pairs(
+            np.array([k for k, _ in pairs], dtype=np.int64),
+            np.array([v for _, v in pairs], dtype=np.int64),
+            kind,
+        )
+        expected.extend(zip([holder] * len(k), k.tolist(), v.tolist()))
+    assert list(zip(out_owner.tolist(), out_keys.tolist(), out_values.tolist())) == expected
+
+
+def test_grouped_reduce_pairs_past_int64_packing():
+    """Keys whose span cannot pack with the holder take the lexsort."""
+    import numpy as np
+
+    keys = np.array([2**62, -(2**62), 2**62, 5, 5], dtype=np.int64)
+    values = np.array([1, 2, 3, 4, 5], dtype=np.int64)
+    owner = np.array([0, 0, 0, 1, 1], dtype=np.int64)
+    out = reduce_pairs(keys, values, "sum", groups=owner)
+    assert [a.tolist() for a in out] == [[2**62, -(2**62), 5], [4, 2, 9], [0, 0, 1]]
