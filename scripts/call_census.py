@@ -129,10 +129,8 @@ DECLARED = {
         "repro.mpc.machine:Machine.datasets",
         "repro.mpc.machine:Machine.__contains__",
         "repro.mpc.machine:Machine.is_large",
-        # The engine reads usage and volumes as vectors; these are the
-        # per-machine views of them.
+        # The engine reads usage as a vector; this is one machine's entry.
         "repro.mpc.machine:Machine.usage",
-        "repro.mpc.plan:RoundPlan.tally",
         "repro.graph.graph:Graph.vertices",
         "repro.graph.graph:Graph.total_weight",
         "repro.mpc.ledger:RoundLedger.hottest_notes",

@@ -15,6 +15,7 @@ One synchronous round is described by a :class:`RoundPlan` and executed by
     plan.send(src, dst, item)                 # one item
     plan.send_batch(src, dst, [a, b, c])      # a whole batch, sized in bulk
     plan.send_indexed(src, dsts, items)       # a scatter: item i -> dsts[i]
+    plan.send_runs(srcs, dsts, counts, rows)  # a scatter given by its runs
     plan.send_multicast(srcs, dsts, item)     # one item on many routes
     inboxes = cluster.execute(plan)           # charges exactly one round
 

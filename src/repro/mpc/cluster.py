@@ -45,17 +45,14 @@ import time
 from array import array
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from .config import ModelConfig
 from .errors import CommunicationLimitExceeded, MemoryLimitExceeded, ProtocolError
 from .ledger import RoundLedger, Violation
 from .machine import LARGE, SMALL, Machine, memory_limit
-from .plan import RoundPlan, first_appearance
+from .plan import RoundPlan
 from .throttle import ThrottleController
-
-# After the package modules, which import numpy first: a first import
-# from here touched ~1,500 more pages at start-up (~15 ms CPU per process
-# on a 2-vCPU VM) than the same import made through them.
-import numpy as np  # noqa: E402
 
 __all__ = ["Cluster", "Scratch"]
 
@@ -63,8 +60,8 @@ __all__ = ["Cluster", "Scratch"]
 #: large ``f``) is one no usage can reach, stored as this.
 _INT64_MAX = np.iinfo(np.int64).max
 
-#: The largest entry of a non-empty vector.
-_peak = np.maximum.reduce
+#: The largest entry of a non-empty vector (or of each row, ``axis=1``).
+_peaks = np.maximum.reduce
 
 
 class Cluster:
@@ -116,10 +113,7 @@ class Cluster:
         #: Throttle controller (``repro.mpc.throttle``); ``None`` when the
         #: config's throttle mode is ``off`` so the hot path pays nothing.
         self.throttle: ThrottleController | None = (
-            ThrottleController(
-                config.throttle,
-                {mid: machine.capacity for mid, machine in self.machines.items()},
-            )
+            ThrottleController(config.throttle, self.capacities)
             if config.throttle != "off"
             else None
         )
@@ -198,22 +192,26 @@ class Cluster:
         if plan.is_empty:
             return {}
         start = time.perf_counter()
-        sent, received, total, items = plan.volumes(len(self.usage))
+        volumes, total, items = plan.volumes(len(self.usage))
         inboxes = dict(plan.deliveries())
 
         note = plan.note
         next_round = self.ledger.rounds + 1
-        max_sent, max_received = int(_peak(sent)), int(_peak(received))
+        max_sent, max_received = map(int, _peaks(volumes, axis=1).tolist())
         violations: list[Violation] = []
         if max(max_sent, max_received) > self._min_capacity:
-            srcs, dsts, _ = plan.run_columns()
-            for kind, volumes, column in (
-                ("sent", sent, srcs), ("received", received, dsts)
+            for side, kind, peak in (
+                (0, "sent", max_sent), (1, "received", max_received)
             ):
-                over = np.flatnonzero(volumes > self.capacities)
-                for mid in first_appearance(column, over) if len(over) else ():
+                if peak <= self._min_capacity:
+                    continue
+                words = volumes[side]
+                over = words > self.capacities
+                column = plan.run_columns()[side]
+                # The machines over capacity, in run order, once each.
+                for mid in dict.fromkeys(column[over[column]].tolist()):
                     violations.append(Violation(
-                        mid, kind, int(volumes[mid]), self.machines[mid].capacity,
+                        mid, kind, int(words[mid]), self.machines[mid].capacity,
                         next_round, note,
                     ))
         if violations and self.config.strict:
@@ -229,8 +227,8 @@ class Cluster:
 
         controller = self.throttle
         if controller is not None:
-            traffic = np.maximum(sent, received) / self.capacities
-            controller.observe(float(_peak(traffic)), self._memory_frac)
+            traffic = _peaks(volumes / self.capacities, axis=None)
+            controller.observe(float(traffic), self._memory_frac)
 
         self.ledger.record_round(
             note=note,
@@ -257,8 +255,9 @@ class Cluster:
         usage = self.usage
         self.ledger.record_memory(self._ids, usage)
         violations: list[Violation] = []
-        if _peak(usage) > self._min_capacity:
-            over = np.flatnonzero(usage > self.capacities)
+        over = usage > self.capacities
+        if np.count_nonzero(over):
+            over = np.flatnonzero(over)
             next_round = self.ledger.rounds + 1
             violations = [
                 Violation(
@@ -267,7 +266,7 @@ class Cluster:
                 for mid, words in zip(over.tolist(), usage[over].tolist())
             ]
         if self.throttle is not None:
-            self._memory_frac = float(_peak(usage / self.capacities))
+            self._memory_frac = float(_peaks(usage / self.capacities))
         return violations
 
     def checkpoint_memory(self, note: str = "") -> list[Violation]:
@@ -401,10 +400,10 @@ class Scratch:
     ``words[mid]`` is what the scratch charges machine ``mid`` (an int64
     vector over machine ids, like :attr:`Cluster.usage`, into which every
     charge is added).  :meth:`charge` sets the charges of many machines in
-    one vector update; :meth:`release` frees them all.  A machine's charge
-    counts against its memory exactly like a dataset of *name* holding the
-    buffer: the per-round record sees it, and in strict mode a charge that
-    takes a machine past its capacity raises the
+    one vector update; :meth:`free` frees some, :meth:`release` all.  A
+    machine's charge counts against its memory exactly like a dataset of
+    *name* holding the buffer: the per-round record sees it, and in strict
+    mode a charge that takes a machine past its capacity raises the
     :class:`~repro.mpc.errors.MemoryLimitExceeded` that putting the buffer
     would — the machines checked in the order given, the first breach
     raised, and nothing of that charge applied.
@@ -416,10 +415,10 @@ class Scratch:
         self.words = np.zeros(len(cluster.usage), dtype=np.int64)
 
     def charge(self, machine_ids: Any, words: Any) -> None:
-        """Set the charge of each of the distinct *machine_ids* to the
-        matching entry of *words*; a zero frees it."""
-        ids = np.asarray(machine_ids, dtype=np.int64).reshape(-1)
-        words = np.asarray(words, dtype=np.int64).reshape(-1)
+        """Set the charge of each of the distinct *machine_ids* (a 1-D
+        sequence) to the matching entry of *words*; a zero frees it."""
+        ids = np.asarray(machine_ids, dtype=np.int64)
+        words = np.asarray(words, dtype=np.int64)
         cluster = self.cluster
         delta = words - self.words[ids]
         if cluster.config.strict:
@@ -435,6 +434,12 @@ class Scratch:
                 )
         cluster.usage[ids] += delta
         self.words[ids] = words
+
+    def free(self, machine_ids: Any) -> None:
+        """Free the charges of the distinct *machine_ids*."""
+        ids = np.asarray(machine_ids, dtype=np.int64)
+        self.cluster.usage[ids] -= self.words[ids]
+        self.words[ids] = 0
 
     def release(self) -> None:
         """Free every charge."""

@@ -189,20 +189,16 @@ class RoundLedger:
         for _ in range(max(0, rounds)):
             self.record_round(note=note, total_words=0, max_sent=0, max_received=0)
 
-    def record_memory(self, machine_ids: Any, words: Any) -> None:
-        """Raise the high-water marks of *machine_ids* to *words* where
-        they are higher: one machine's id and usage, or parallel
-        sequences of distinct ids and usages (the cluster passes int64
-        vectors of every machine's, once per recorded round).
+    def record_memory(self, ids: Any, words: Any) -> None:
+        """Raise the high-water marks of machines *ids* to *words* where
+        they are higher: parallel int64 arrays of distinct ids and their
+        usages (the cluster passes every machine's, once per recorded
+        round).
 
         A mark changes only where usage rose, and a machine enters
         :attr:`memory_high_water` when its usage first exceeds zero —
         machines that rise in the same record enter in the order given.
         """
-        ids, words = machine_ids, words
-        if not isinstance(ids, np.ndarray):
-            ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-            words = np.atleast_1d(np.asarray(words, dtype=np.int64))
         marks = self._marks
         try:
             rose = words > marks[ids]
@@ -211,7 +207,7 @@ class RoundLedger:
                 (marks, np.zeros(int(ids.max()) + 1 - len(marks), dtype=np.int64))
             )
             rose = words > marks[ids]
-        if rose.any():
+        if np.count_nonzero(rose):
             ids, words = ids[rose], words[rose]
             marks[ids] = words
             self.memory_high_water.update(zip(ids.tolist(), words.tolist()))

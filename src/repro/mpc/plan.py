@@ -26,21 +26,23 @@ Storage, one entry per:
   and sizing stays one bulk pass per route.
 * **block run** (``send_batch`` of a block, see below) — the block
   itself, sized O(1) (``block.size``).
-* **scatter** (``send_indexed`` of a numeric numpy array) — the whole
-  scatter, stored once as a :class:`_Scatter`: its rows grouped into
-  per-``(src, dst)`` runs (ascending source, then ascending destination,
-  stable within a run) plus run columns.  Each destination receives one
-  block: its rows in source order.
+* **scatter** (``send_indexed`` of a numeric numpy array, or
+  :meth:`RoundPlan.send_runs` of one whose runs the producer knows) —
+  the whole scatter, stored once as a :class:`_Scatter`: its rows
+  grouped into per-``(src, dst)`` runs (ascending source, then ascending
+  destination, stable within a run) plus run columns.  Each destination
+  receives one block: its rows in source order.
 * **multicast** (:meth:`RoundPlan.send_multicast`) — one payload on many
   routes, stored once as a :class:`_Multicast` and sized once: each
   route is a one-item run carrying the payload (a broadcast tree level).
 
 Accounting is by columns: :meth:`RoundPlan.run_columns` gives every run
 as ``(src, dst, words)`` int64 columns — a scatter's and a multicast's
-run columns as they are — and :meth:`RoundPlan.volumes` sums them over
-machine ids into exact int64 vectors of per-machine sent and received
-words.  The Python work of tallying a scatter or a multicast does not
-grow with the runs it holds.
+run columns as they are, the other entries' in one conversion of the
+entry lists — and :meth:`RoundPlan.volumes` sums them over machine ids,
+two bincounts, into exact per-machine sent and received words.  The
+Python work of tallying a scatter or a multicast does not grow with the
+runs it holds.
 
 The per-run views (:meth:`runs`, :meth:`run_meta`) expand scatters and
 multicasts into their per-``(src, dst)`` runs on demand, for inspection
@@ -189,7 +191,7 @@ class _Scatter:
         if self._by_dst is not None:
             return self._by_dst
         run_dst = self.run_dst
-        if not (run_dst[1:] < run_dst[:-1]).any():
+        if not np.count_nonzero(run_dst[1:] < run_dst[:-1]):
             # The runs already ascend by destination (a tree level, one
             # destination): the rows are grouped as they are.
             starts = _group_starts(run_dst)
@@ -268,7 +270,8 @@ class RoundPlan:
     is ``None`` for object runs (whose payloads occupy
     ``_items[start:start+length]``), the block of a block run, or the
     :class:`_Scatter` / :class:`_Multicast` of an entry stored whole
-    (whose ``_run_src`` / ``_run_dst`` slots are ``None``).
+    (whose ``_run_src`` / ``_run_dst`` slots hold ``-1``; ``_whole``
+    counts these entries).
     ``_entry_words``, ``_columns``, ``_volumes`` and ``_meta`` cache the
     per-entry word totals, the run columns, the per-machine volumes and
     the per-run lists (invalidated by any later send).
@@ -282,6 +285,7 @@ class RoundPlan:
         "_run_len",
         "_run_block",
         "_items",
+        "_whole",
         "_entry_words",
         "_columns",
         "_volumes",
@@ -290,12 +294,13 @@ class RoundPlan:
 
     def __init__(self, note: str = "") -> None:
         self.note = note
-        self._run_src: list[int | None] = []
-        self._run_dst: list[int | None] = []
+        self._run_src: list[int] = []
+        self._run_dst: list[int] = []
         self._run_start: list[int] = []
         self._run_len: list[int] = []
         self._run_block: list[Any] = []
         self._items: list[Any] = []
+        self._whole = 0  # entries stored whole
         self._entry_words: list[int] | None = None
         self._columns: tuple | None = None
         self._volumes: tuple | None = None
@@ -441,10 +446,30 @@ class RoundPlan:
         starts = _group_starts(route)
         keys = route[starts]
         bounds = np.concatenate((starts, [len(route)]))
-        self._open(
-            None, None, len(self._items), len(route),
-            _Scatter(rows, order, keys // span + src_lo, keys % span + dst_lo, bounds),
+        self._open_scatter(
+            _Scatter(rows, order, keys // span + src_lo, keys % span + dst_lo, bounds)
         )
+
+    def send_runs(self, srcs: Any, dsts: Any, counts: Any, rows: Any) -> "RoundPlan":
+        """Queue one scatter of a numeric numpy block given by its runs:
+        run ``i`` carries the next ``counts[i]`` rows from ``srcs[i]`` to
+        ``dsts[i]``.
+
+        The runs must ascend by ``(src, dst)``, each with at least one
+        row — the scatter :meth:`send_indexed` makes of the same rows, for
+        a producer that knows its runs (a converge-cast level), stored
+        without grouping the rows again.
+        """
+        if len(rows):
+            _check_numeric(rows)
+            bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=bounds[1:])
+            self._open_scatter(_Scatter(rows, None, srcs, dsts, bounds))
+        return self
+
+    def _open_scatter(self, scatter: "_Scatter") -> None:
+        self._open(-1, -1, len(self._items), len(scatter.rows), scatter)
+        self._whole += 1
 
     def send_multicast(self, srcs: Any, dsts: Any, payload: Any) -> "RoundPlan":
         """Queue one *payload* on many routes: a copy goes from ``srcs[i]``
@@ -464,7 +489,8 @@ class RoundPlan:
             )
         if len(dsts):
             multicast = _Multicast(payload, srcs, dsts)
-            self._open(None, None, len(self._items), len(dsts), multicast)
+            self._open(-1, -1, len(self._items), len(dsts), multicast)
+            self._whole += 1
         return self
 
     # ------------------------------------------------------------------
@@ -526,76 +552,67 @@ class RoundPlan:
         """
         if self._columns is not None:
             return self._columns
-        srcs, dsts, block_of = self._run_src, self._run_dst, self._run_block
         words = self.entry_words()
-        parts: list[tuple[Any, Any, Any]] = []
-        start = 0
-        for index, block in enumerate(block_of):
-            if type(block) in _WHOLE:
-                if index > start:
-                    parts.append(_int_columns(
-                        srcs[start:index], dsts[start:index], words[start:index]
-                    ))
-                parts.append(block.columns())
-                start = index + 1
-        if start < len(block_of) or not parts:
-            parts.append(_int_columns(srcs[start:], dsts[start:], words[start:]))
+        blocks = self._run_block
+        if blocks and self._whole == len(blocks):
+            parts = [block.columns() for block in blocks]
+        else:
+            srcs, dsts, words = np.array(
+                (self._run_src, self._run_dst, words), dtype=np.int64
+            )
+            parts = []
+            start = 0
+            if self._whole:
+                for index, block in enumerate(blocks):
+                    if type(block) in _WHOLE:
+                        if index > start:
+                            parts.append((
+                                srcs[start:index], dsts[start:index], words[start:index]
+                            ))
+                        parts.append(block.columns())
+                        start = index + 1
+            if start < len(blocks) or not parts:
+                parts.append((srcs[start:], dsts[start:], words[start:]))
         if len(parts) == 1:
             self._columns = parts[0]
         else:
             self._columns = tuple(np.concatenate(column) for column in zip(*parts))
         return self._columns
 
-    def volumes(self, machines: int) -> tuple[Any, Any, int, int]:
-        """The round's accounting: ``(sent, received, total_words, items)``.
+    def volumes(self, machines: int) -> tuple[Any, int, int]:
+        """The round's accounting: ``(volumes, total_words, items)``.
 
-        ``sent`` / ``received`` are int64 vectors over machine ids ``0 ..
-        machines - 1``: the exact sums of :meth:`run_columns` by source
-        and by destination (float64 bincounts, exact while the round's
-        words stay below 2**53, int64 ``add.at`` sums past that).  A run
-        that names a machine outside that range raises
-        :class:`~repro.mpc.errors.ProtocolError`.  Cached for the last
-        *machines* asked (any later send invalidates).
+        ``volumes[0]`` / ``volumes[1]`` are the words each machine sends /
+        receives, vectors over machine ids ``0 .. machines - 1``: the sums
+        of :meth:`run_columns` by source and by destination, as bincounts.
+        The sums are exact integers — float64 while the round's words stay
+        below 2**53, int64 past that.  A run that names a machine outside
+        that range raises :class:`~repro.mpc.errors.ProtocolError`.  Cached
+        for the last *machines* asked (any later send invalidates).
         """
         if self._volumes is not None and self._volumes[0] == machines:
             return self._volumes[1]
-        srcs, dsts, words = self.run_columns()
         total = sum(self.entry_words())
+        srcs, dsts, words = self.run_columns()
         try:
-            sent = np.bincount(srcs, words, machines)
-            received = np.bincount(dsts, words, machines)
+            volumes = np.concatenate((
+                np.bincount(srcs, words, machines), np.bincount(dsts, words, machines)
+            ))
         except ValueError:  # a negative machine id
-            sent = received = None
-        if sent is None or len(sent) > machines or len(received) > machines:
+            volumes = None
+        if volumes is None or len(volumes) > 2 * machines:
             unknown = set(srcs.tolist()).union(dsts.tolist()).difference(range(machines))
             raise ProtocolError(
                 f"message involves unknown machine(s) {sorted(unknown)}"
             )
-        if total < _FLOAT_EXACT:
-            sent = sent.astype(np.int64)
-            received = received.astype(np.int64)
-        else:
-            sent = np.zeros(machines, dtype=np.int64)
-            np.add.at(sent, srcs, words)
-            received = np.zeros(machines, dtype=np.int64)
-            np.add.at(received, dsts, words)
-        result = (sent, received, total, sum(self._run_len))
+        volumes = volumes.reshape(2, machines)
+        if total >= _FLOAT_EXACT:
+            volumes = np.zeros((2, machines), dtype=np.int64)
+            np.add.at(volumes[0], srcs, words)
+            np.add.at(volumes[1], dsts, words)
+        result = (volumes, total, sum(self._run_len))
         self._volumes = (machines, result)
         return result
-
-    def tally(self) -> tuple[dict[int, int], dict[int, int], int, int]:
-        """The round's accounting keyed by machine: ``(sent, received,
-        total_words, items)``, each machine keyed in order of first
-        appearance (as a source, as a destination) over :meth:`runs`."""
-        srcs, dsts, words = self.run_columns()
-        volumes = []
-        for ids in (srcs, dsts):
-            unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-            sums = np.zeros(len(unique), dtype=np.int64)
-            np.add.at(sums, inverse, words)
-            order = np.argsort(first, kind="stable")
-            volumes.append(dict(zip(unique[order].tolist(), sums[order].tolist())))
-        return volumes[0], volumes[1], sum(self.entry_words()), sum(self._run_len)
 
     def deliveries(self) -> Iterator[tuple[int, list[Any]]]:
         """Yield ``(dst, items)`` with items in exact send-call order.
@@ -678,15 +695,3 @@ def _check_numeric(block: Any) -> None:
     if isinstance(block, np.ndarray):
         array_words(block)
 
-
-def _int_columns(*columns: list[int]) -> tuple[Any, ...]:
-    """Each list as an int64 column."""
-    return tuple(np.array(column, dtype=np.int64) for column in columns)
-
-
-def first_appearance(column: Any, ids: Any) -> list[int]:
-    """*ids* (each present in *column*) in order of first appearance in
-    *column*."""
-    unique, first = np.unique(column, return_index=True)
-    positions = first[np.searchsorted(unique, ids)]
-    return np.asarray(ids)[np.argsort(positions, kind="stable")].tolist()

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -94,22 +94,19 @@ class ThrottleController:
     docstring).
 
     One controller per cluster, created by ``Cluster.__init__`` when the
-    config's mode is not ``off``.  The cluster feeds it after every
-    round (:meth:`observe`); primitives consult the hooks; ``execute``
-    asks :meth:`split_plan` before running a plan in enforce mode.
+    config's mode is not ``off``, from the cluster's capacities (indexed
+    by machine id).  The cluster feeds it after every round
+    (:meth:`observe`); primitives consult the hooks; ``execute`` asks
+    :meth:`split_plan` before running a plan in enforce mode.
     """
 
-    def __init__(self, mode: str, capacities: Mapping[int, int]) -> None:
+    def __init__(self, mode: str, capacities: Any) -> None:
         self.mode = mode
         self.enforcing = mode == "enforce"
-        self.capacities = dict(capacities)
         # Every machine's headroom budget as an int64 vector over machine
-        # ids (a machine without a capacity has no budget).
-        no_budget = np.iinfo(np.int64).max
-        budgets = np.full(max(self.capacities, default=-1) + 1, no_budget, dtype=np.int64)
-        for machine_id, capacity in self.capacities.items():
-            budgets[machine_id] = min(max(1, int(HEADROOM * capacity)), no_budget)
-        self._budgets = budgets
+        # ids.
+        capacities = np.asarray(capacities, dtype=np.int64)
+        self._budgets = np.maximum(1, HEADROOM * capacities).astype(np.int64)
         self.events: list[ThrottleEvent] = []
         self.splits = 0
         self.extra_rounds = 0
@@ -204,13 +201,9 @@ class ThrottleController:
     # ------------------------------------------------------------------
     # Plan splitting (enforce mode)
     # ------------------------------------------------------------------
-    def budget(self, machine_id: int) -> int | None:
-        """Headroom budget of a machine in words (None when unknown —
-        ``execute`` raises ``ProtocolError`` for unknown machines)."""
-        capacity = self.capacities.get(machine_id)
-        if capacity is None:
-            return None
-        return max(1, int(HEADROOM * capacity))
+    def budget(self, machine_id: int) -> int:
+        """Headroom budget of a machine in words."""
+        return int(self._budgets[machine_id])
 
     def split_plan(self, plan: RoundPlan) -> list[RoundPlan]:
         """Split *plan* into per-round chunks within headroom budgets.
@@ -237,13 +230,13 @@ class ThrottleController:
         """
         if not self.enforcing:
             return [plan]
-        sent, received, _, _ = plan.volumes(len(self._budgets))
-        if not ((sent > self._budgets).any() or (received > self._budgets).any()):
+        volumes = plan.volumes(len(self._budgets))[0]
+        if not np.count_nonzero(volumes > self._budgets):
             return [plan]
         run_words = plan.run_words()
 
-        def side_fits(current: int, words: int, budget: int | None) -> bool:
-            if budget is None or current + words <= budget:
+        def side_fits(current: int, words: int, budget: int) -> bool:
+            if current + words <= budget:
                 return True
             # An indivisible over-budget piece can never fit; allow it
             # alone in a slot where this machine is otherwise idle.
@@ -297,13 +290,12 @@ class ThrottleController:
         self,
         items: object,
         total_words: int,
-        src_budget: int | None,
-        dst_budget: int | None,
+        src_budget: int,
+        dst_budget: int,
     ) -> Iterator[tuple[object, int]]:
         """Slice one run into budget-sized pieces (see :meth:`split_plan`)."""
-        budgets = [b for b in (src_budget, dst_budget) if b is not None]
-        limit = min(budgets) if budgets else None
-        if limit is None or total_words <= limit:
+        limit = min(src_budget, dst_budget)
+        if total_words <= limit:
             yield items, total_words
             return
         if is_block(items):

@@ -16,7 +16,8 @@ work of a tree level does not grow with the machines it spans:
   vector op, and charges the level's holders their in-flight buffers with
   one vector update (:class:`~repro.mpc.cluster.Scratch`).  A cast of
   numpy arrays keeps every holder's rows in one array, holders ascending,
-  and moves a level as one ``send_indexed`` scatter; a named reducer
+  and moves a level as one scatter given by its runs
+  (:meth:`~repro.mpc.plan.RoundPlan.send_runs`); a named reducer
   combines a whole level with one grouped reduce over ``(holder, key)``.
   Casts of lists and of other blocks keep one buffer per holder and
   combine each holder's buffer with the caller's function.
@@ -161,8 +162,7 @@ def converge_cast(
             else:
                 targets = sources[np.arange(len(sources)) // fanout]
             plan = RoundPlan(note=f"{note}/level")
-            senders = buffers.send(plan, sources, targets)
-            scratch.charge(senders, np.zeros(len(senders), dtype=np.int64))
+            scratch.free(buffers.send(plan, sources, targets))
             inboxes = cluster.execute(plan)
             scratch.charge(*buffers.receive(inboxes))
         result = buffers.result()
@@ -178,15 +178,17 @@ def converge_cast(
 
 class _Rows:
     """The buffers of an array cast: every holder's rows but the
-    destination's in one array ``rows``, with its holder column ``owner``
-    (holders ascending, each holder's rows contiguous: held first, then
-    received in source order), and the destination's blocks in a list.
+    destination's in one array ``rows`` — ``holders`` ascending,
+    ``counts[i]`` rows of ``holders[i]`` each, a holder's rows contiguous:
+    held first, then received in source order — and the destination's
+    blocks in a list.
 
     A level moves rows without reordering them: the sources of a group
     are consecutive holders whose representative is the group's first
     member or an earlier holder, so after the level every representative's
     rows — its held rows, then its sources' — are still contiguous, in
-    order.  The level's scatter delivers those same rows.
+    order.  The level's scatter delivers those same rows, one run per
+    sending holder.
     """
 
     def __init__(self, items_by_machine: dict[int, Any], dst: int, combine: Any) -> None:
@@ -204,33 +206,31 @@ class _Rows:
         self.at_dst: list[Any] = [at_dst] if at_dst is not None and len(at_dst) else []
         order = np.argsort(ids, kind="stable")
         others = order[held[order] & (ids[order] != dst)]
-        self.owner = np.repeat(ids[others], lens[others])
+        self.holders = ids[others]
+        self.counts = lens[others]
         self.rows = (
             np.concatenate([blocks[i] for i in others.tolist()])
             if len(others) else self.empty
         )
-        self._counts: Any = None
+        self._targets: Any = None
 
     def initial_charges(self) -> tuple[Any, Any]:
         return self._initial
 
     def sources(self) -> Any:
-        owner = self.owner
-        if not len(owner):
-            return owner
-        starts = columnar.first_of_runs([owner]).nonzero()[0]
-        self._counts = np.concatenate((starts[1:], [len(owner)])) - starts
-        return owner[starts]
+        return self.holders
 
     def send(self, plan: RoundPlan, sources: Any, targets: Any) -> Any:
         """Queue the level as one scatter; return the machines that send."""
-        row_targets = np.repeat(targets, self._counts)
         # Every source sends but the first when it is its own
         # representative, and its rows lead the array.
-        keep = 0 if targets[0] != sources[0] else int(self._counts[0])
-        plan.send_indexed(self.owner[keep:], row_targets[keep:], self.rows[keep:])
-        self.owner = row_targets
-        return sources[0 if keep == 0 else 1:]
+        first = int(targets[0] == sources[0])
+        keep = int(self.counts[0]) if first else 0
+        plan.send_runs(
+            sources[first:], targets[first:], self.counts[first:], self.rows[keep:]
+        )
+        self._targets = targets
+        return sources[first:]
 
     def receive(self, inboxes: dict[int, list[Any]]) -> tuple[Any, Any]:
         """Combine what the level delivered; return the receivers, in
@@ -238,34 +238,43 @@ class _Rows:
         dst = self.dst
         if dst in inboxes:  # the level sent everything to the destination
             self.at_dst.extend(inboxes[dst])
-            self.owner = self.owner[:0]
+            self.holders = self.holders[:0]
+            self.counts = self.counts[:0]
             self.rows = self.rows[:0]
             return [dst], [sum(int(block.size) for block in self.at_dst)]
+        # Every representative receives (its group has a sender), and the
+        # targets ascend: the receivers in delivery order are the new
+        # holders.
+        targets = self._targets
+        starts = columnar.first_of_runs([targets]).nonzero()[0]
+        self.holders = receivers = targets[starts]
+        self.counts = counts = np.add.reduceat(self.counts, starts)
         if self.combine is not None:
-            self._combine_level()
-        # The receivers in delivery order, and their rows in the array.
-        receivers = np.fromiter(inboxes, np.int64, len(inboxes))
-        counts = np.searchsorted(self.owner, receivers, "right") - np.searchsorted(
-            self.owner, receivers
-        )
+            counts = self._combine_level()
         return receivers, counts * math.prod(self.rows.shape[1:])
 
-    def _combine_level(self) -> None:
-        owner, rows, combine = self.owner, self.rows, self.combine
+    def _combine_level(self) -> Any:
+        """Combine every holder's rows; return the new row counts (a
+        holder left without rows stops holding)."""
+        holders, counts, rows = self.holders, self.counts, self.rows
+        combine = self.combine
         if isinstance(combine, str):
             keys, values, owner = columnar.reduce_pairs(
-                rows[:, 0].astype(np.int64), rows[:, 1], combine, groups=owner
+                rows[:, 0].astype(np.int64), rows[:, 1], combine,
+                groups=np.repeat(holders, counts),
             )
             rows = _pair_rows(keys, values, rows.dtype)
+            counts = np.diff(np.searchsorted(owner, holders, "right"), prepend=0)
         else:
-            starts = columnar.first_of_runs([owner]).nonzero()[0]
-            bounds = [*starts.tolist(), len(owner)]
+            bounds = np.cumsum(counts).tolist()
             combined = [
-                combine([rows[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])
+                combine([rows[lo:hi]]) for lo, hi in zip([0, *bounds], bounds)
             ]
-            owner = np.repeat(owner[starts], [len(block) for block in combined])
+            counts = np.fromiter(map(len, combined), np.int64, len(combined))
             rows = np.concatenate(combined)
-        self.owner, self.rows = owner, rows
+        held = counts > 0
+        self.holders, self.counts, self.rows = holders[held], counts[held], rows
+        return counts
 
     def result(self) -> Any:
         at_dst, combine = self.at_dst, self.combine

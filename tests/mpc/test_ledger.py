@@ -1,5 +1,7 @@
 """Round ledger: counting, sections, parallel repetitions."""
 
+import numpy as np
+
 from repro.mpc import RoundLedger
 
 
@@ -97,9 +99,9 @@ def test_charge_negative_is_noop():
 
 def test_memory_high_water():
     ledger = RoundLedger()
-    ledger.record_memory(1, 100)
-    ledger.record_memory(1, 50)
-    ledger.record_memory(2, 80)
+    ledger.record_memory(np.array([1]), np.array([100]))
+    ledger.record_memory(np.array([1]), np.array([50]))
+    ledger.record_memory(np.array([2]), np.array([80]))
     assert ledger.memory_high_water == {1: 100, 2: 80}
 
 
@@ -112,7 +114,7 @@ def test_violations_collected():
 def test_summary_fields():
     ledger = RoundLedger()
     make_round(ledger)
-    ledger.record_memory(0, 7)
+    ledger.record_memory(np.array([0]), np.array([7]))
     summary = ledger.summary()
     assert summary["rounds"] == 1
     assert summary["max_memory"] == 7

@@ -14,6 +14,7 @@ from repro.mpc import (
     ProtocolError,
     RoundPlan,
 )
+from plan_tally import tally
 from repro.mpc.plan import is_block
 from toy_block import PairBlock
 
@@ -30,7 +31,7 @@ def test_send_groups_by_route():
     plan = RoundPlan()
     plan.send(0, 1, "a").send(0, 1, "b").send(0, 2, "c")
     assert list(plan.runs()) == [(0, 1, ["a", "b"]), (0, 2, ["c"])]
-    assert plan.tally() == ({0: 3}, {1: 2, 2: 1}, 3, 3)
+    assert tally(plan) == ({0: 3}, {1: 2, 2: 1}, 3, 3)
 
 
 def test_send_batch_merges_with_send():
@@ -84,7 +85,7 @@ def test_a_sent_block_is_one_run_charged_like_its_array():
         inboxes = cluster.execute(plan)
         assert inboxes[1][0] is payload and len(inboxes[1]) == 2
         record = cluster.ledger.records[-1]
-        tallies.append((plan.run_meta(), plan.tally(),
+        tallies.append((plan.run_meta(), tally(plan),
                         (record.total_words, record.items, record.max_sent)))
     assert tallies[0] == tallies[1]
     assert tallies[0][1] == ({0: 6, 2: 4}, {1: 10}, 10, 5)
@@ -291,7 +292,7 @@ def test_send_and_send_batch_plans_match_per_message_inbox_order(messages):
             for r in cluster.ledger.records
         ])
     assert records[0] == records[1]
-    assert per_message.tally() == batched.tally()
+    assert tally(per_message) == tally(batched)
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +314,7 @@ def test_interleaved_routes_split_runs_but_aggregate_per_route():
     # The flat store is no longer contiguous for route (0, 1): two runs.
     assert list(plan.runs()) == [(0, 1, ["a"]), (2, 5, ["b"]), (0, 1, ["c"])]
     # The accounting sums per machine across runs.
-    assert plan.tally() == ({0: 2, 2: 1}, {1: 2, 5: 1}, 3, 3)
+    assert tally(plan) == ({0: 2, 2: 1}, {1: 2, 5: 1}, 3, 3)
     # Delivery still sees exact send order.
     assert dict(plan.deliveries()) == {1: ["a", "c"], 5: ["b"]}
 
@@ -329,7 +330,7 @@ def test_run_slices_respect_boundaries():
     assert [len(items) for _, _, items in runs] == [
         1, 2, 3, 4, 5, 6, 7, 8, 9, 10
     ]
-    assert plan.tally()[3] == 55
+    assert tally(plan)[3] == 55
 
 
 def test_run_words_cache_is_invalidated_by_later_sends():
@@ -420,7 +421,7 @@ def test_send_indexed_object_path_groups_stably():
     plan = RoundPlan()
     plan.send_indexed(0, [5, 3, 5, 3, 5], ["a", "b", "c", "d", "e"])
     assert list(plan.runs()) == [(0, 3, ["b", "d"]), (0, 5, ["a", "c", "e"])]
-    assert plan.tally()[3] == 5
+    assert tally(plan)[3] == 5
     assert dict(plan.deliveries()) == {3: ["b", "d"], 5: ["a", "c", "e"]}
 
 
@@ -528,7 +529,7 @@ def test_multicast_is_one_entry_with_the_runs_of_per_route_sends():
     assert list(multicast.runs()) == list(routed.runs())
     assert multicast.run_meta() == routed.run_meta()
     assert multicast.run_words() == [10] * 5
-    assert multicast.tally() == routed.tally()
+    assert tally(multicast) == tally(routed)
     assert list(multicast.deliveries()) == list(routed.deliveries())
     assert [c.tolist() for c in multicast.run_columns()] == [
         c.tolist() for c in routed.run_columns()
@@ -540,21 +541,30 @@ def test_multicast_is_one_entry_with_the_runs_of_per_route_sends():
         RoundPlan().send_multicast([0, 1], [2], payload)
 
 
-def test_volumes_are_int64_sums_over_machine_ids():
+@pytest.mark.parametrize("scatter", [False, True])
+def test_volumes_are_sums_over_machine_ids(scatter):
+    """Sent and received words per machine id, with or without an entry
+    stored whole; an id outside the cluster, on either side, raises."""
     import numpy as np
 
     plan = RoundPlan()
     plan.send_batch(0, 1, [1, 2, 3])
-    plan.send_indexed(np.array([2, 2, 0]), np.array([1, 3, 3]), np.ones((3, 2), np.int64))
-    sent, received, total, items = plan.volumes(5)
-    assert sent.dtype == received.dtype == np.int64
-    assert sent.tolist() == [3 + 2, 0, 4, 0, 0]
-    assert received.tolist() == [0, 3 + 2, 0, 4, 0]
+    if scatter:
+        plan.send_indexed(
+            np.array([2, 2, 0]), np.array([1, 3, 3]), np.ones((3, 2), np.int64)
+        )
+    else:
+        plan.send_batch(2, 1, np.ones((1, 2), np.int64))
+        plan.send_batch(2, 3, np.ones((1, 2), np.int64)).send_batch(0, 3, [(5, 6)])
+    volumes, total, items = plan.volumes(5)
+    assert volumes.tolist() == [[3 + 2, 0, 4, 0, 0], [0, 3 + 2, 0, 4, 0]]
     assert (total, items) == (9, 6)
     with pytest.raises(ProtocolError, match=r"unknown machine\(s\) \[3\]"):
         plan.volumes(3)
-    with pytest.raises(ProtocolError, match=r"\[-1\]"):
-        RoundPlan().send(-1, 0, "x").volumes(4)
+    for src, dst, unknown in ((-1, 0, -1), (0, -2, -2), (4, 0, 4), (0, 4, 4)):
+        with pytest.raises(ProtocolError, match=rf"\[{unknown}\]"):
+            plan.send(src, dst, "x").volumes(4)
+        plan = RoundPlan()
 
 
 def test_volumes_stay_exact_past_float64():
@@ -568,6 +578,6 @@ def test_volumes_stay_exact_past_float64():
             self.shape = (1, words)
 
     plan = RoundPlan().send_batch(0, 1, Huge(2**53)).send_batch(0, 2, Huge(1))
-    sent, received, total, _ = plan.volumes(3)
-    assert int(sent[0]) == total == 2**53 + 1
-    assert received.tolist() == [0, 2**53, 1]
+    volumes, total, _ = plan.volumes(3)
+    assert volumes.tolist() == [[2**53 + 1, 0, 0], [0, 2**53, 1]]
+    assert total == 2**53 + 1

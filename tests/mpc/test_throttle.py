@@ -12,6 +12,7 @@ from repro.mpc import (
     CommunicationLimitExceeded,
     MemoryLimitExceeded,
     ModelConfig,
+    ProtocolError,
     ThrottleController,
     Violation,
 )
@@ -26,7 +27,7 @@ def one_round(cluster: Cluster, src: int, dst: int, payload, note: str = "") -> 
 
 
 def _controller(mode="enforce") -> ThrottleController:
-    return ThrottleController(mode, {0: 100, 1: 100})
+    return ThrottleController(mode, [100, 100])
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +181,8 @@ def test_summary_reports_the_mode_and_the_fixed_settings(mode):
 def test_budgets_sit_on_the_headroom_line():
     controller = _controller()
     assert controller.budget(0) == 90  # int(HEADROOM * 100)
-    assert controller.budget(7) is None  # not a known machine
+    with pytest.raises(ProtocolError, match="unknown machine"):
+        controller.split_plan(RoundPlan().send(0, 7, (1,) * 200))
     controller.note_bank(90, 100, note="at the line")
     assert not controller.events
     controller.note_bank(91, 100, note="past it")
@@ -248,7 +250,7 @@ def test_split_plan_chunks_oversized_sender():
 def test_split_plan_parallel_senders_pack_into_same_chunks():
     # Saturating one sender must not fragment the others: N senders each
     # needing 2 chunks must yield 2 chunks total, not N.
-    controller = ThrottleController("enforce", {i: 100 for i in range(20)})
+    controller = ThrottleController("enforce", [100] * 20)
     plan = RoundPlan(note="t")
     for sender in range(10):
         for burst in range(3):
@@ -260,7 +262,7 @@ def test_split_plan_parallel_senders_pack_into_same_chunks():
 
 def test_split_plan_preserves_per_destination_order_and_words():
     rng = random.Random(7)
-    controller = ThrottleController("enforce", {i: 40 for i in range(8)})
+    controller = ThrottleController("enforce", [40] * 8)
     for trial in range(20):
         plan = RoundPlan(note=f"t{trial}")
         for _ in range(rng.randrange(1, 30)):

@@ -790,6 +790,27 @@ def test_stable_order_with_groups_matches_python_sort(rows, fields, data):
     assert list(order) == expected
 
 
+@pytest.mark.parametrize("span", [7, 2**40, 2**62])
+@pytest.mark.parametrize("grouped", [False, True])
+def test_stable_order_of_many_rows_matches_python_sort(span, grouped):
+    """From a thousand rows on, one packed word sorts with its positions
+    packed in when ``span * rows`` fits int64 (spans 7 and 2**40), by a
+    stable argsort when it does not (2**62), and by a lexsort when the
+    group does not pack with the key (2**62 with groups): either way
+    Python's stable sort."""
+    rng = random.Random(span)
+    n = 3000
+    keys = [rng.randrange(span) for _ in range(n)]
+    block = EdgeBlock([np.array(keys, dtype=np.int64)])
+    groups = np.array(sorted(rng.randrange(50) for _ in range(n)), dtype=np.int64)
+    order = stable_order(block, [0], groups=groups if grouped else None)
+    if grouped:
+        expected = sorted(range(n), key=lambda i: (int(groups[i]), keys[i]))
+    else:
+        expected = sorted(range(n), key=keys.__getitem__)
+    assert order.tolist() == expected
+
+
 #: Column kinds for the packing kernel: narrow ints pack together, two
 #: mid-span ints do not share a word, and an int64 column spanning 2**64
 #: and a float column each stay a word of their own.

@@ -30,6 +30,7 @@ from repro.sketches import (
     build_sparse_blocks,
     combine_sparse_blocks,
 )
+from plan_tally import tally
 from repro.sketches.field import PRIME
 from sketch_oracle import ListBank, bank_row, concat_blocks, densify, list_combine_blocks
 
@@ -298,7 +299,7 @@ def test_a_sent_block_charges_its_dense_rows():
         plan = RoundPlan(note="sum")
         plan.send_batch(0, 2, payloads[0])
         plan.send_batch(1, 2, payloads[1])
-        tallies.append((plan.tally(), plan.run_meta()))
+        tallies.append((tally(plan), plan.run_meta()))
         inboxes.append(cluster.execute(plan)[2])
         record = cluster.ledger.records[-1]
         tallies.append((record.total_words, record.items, record.max_received))
