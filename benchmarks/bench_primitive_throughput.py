@@ -5,10 +5,9 @@ Times the distributed primitives on a 32-small-machine cluster at a
 
 * *object* — per-item tuples, per-item bucketing/dict loops in the sort
   and the aggregate: every sort runs on the object sort of
-  ``tests/sort_oracle.py``, and the aggregate takes its object path
-  (``columnar.ingest_pairs`` made to decline, as it does for custom
-  combines and non-int keys); the other steps of join, dedup and
-  arrange ingest the tuple rows the object sort leaves;
+  ``tests/sort_oracle.py``, and every aggregation on the object
+  aggregate of ``tests/aggregate_oracle.py``; the other steps of join,
+  dedup and arrange ingest the tuple rows the object sort leaves;
 * *columnar* — :class:`~repro.primitives.columnar.EdgeBlock` record
   batches: one cluster-wide packed-key ``searchsorted`` and one array
   scatter routing ``sample_sort``,
@@ -37,19 +36,17 @@ the best of three still varied around the bar.
 
 from __future__ import annotations
 
+import importlib
 import os
 import random
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from unittest import mock
 
-import repro.primitives.columnar as columnar
 import repro.primitives.sort as sort_module
 from repro.mpc.cluster import Cluster
 from repro.mpc.config import ModelConfig
-from repro.primitives.aggregate import aggregate
 from repro.primitives.arrange import arrange_directed
 from repro.primitives.broadcast import broadcast
 from repro.primitives.columnar import EdgeBlock, ingest_rows
@@ -62,7 +59,12 @@ from repro.env import env_flag
 from _util import publish, publish_perf
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-import sort_oracle  # noqa: E402  (the object sort lives with the tests)
+import aggregate_oracle  # noqa: E402  (the oracles live with the tests)
+import sort_oracle  # noqa: E402
+
+#: The module, not the ``aggregate`` function the package re-exports:
+#: :func:`_path` swaps the module's function for the oracle's.
+aggregate_module = importlib.import_module("repro.primitives.aggregate")
 
 SMOKE = env_flag("REPRO_BENCH_SMOKE")
 ITEMS = int(
@@ -101,19 +103,14 @@ def _fingerprint(cluster: Cluster, names: list[str]):
     return datasets, ledger, cluster.ledger.memory_high_water
 
 
-def _decline(*args):
-    return None
-
-
 @contextmanager
 def _path(path: str):
     """The context *path* runs in: on ``"object"`` every sort runs on the
-    object sort and the aggregate's columnar qualification declines every
-    input."""
+    object sort and every aggregation on the object aggregate."""
     if path != "object":
         yield
         return
-    with sort_oracle.installed(), mock.patch.object(columnar, "ingest_pairs", _decline):
+    with sort_oracle.installed(), aggregate_oracle.installed():
         yield
 
 
@@ -172,7 +169,7 @@ def _run_aggregate(block_native: bool):
         if block_native:
             per = {mid: ingest_rows(chunk) or chunk for mid, chunk in per.items()}
         start = time.perf_counter()
-        result = aggregate(cluster, per, "sum")
+        result = aggregate_module.aggregate(cluster, per, "sum")
         elapsed = time.perf_counter() - start
         datasets, ledger, memory = _fingerprint(cluster, [])
         datasets["result"] = sorted(result.items())

@@ -88,8 +88,6 @@ DECLARED = {
         "repro.mpc.plan:_Scatter.runs",
         # Theorem C.1 under a throttle.
         "repro.mpc.throttle:ThrottleController.note_bank",
-        # The "or" reducer of aggregate's object path.
-        "repro.primitives.columnar:_or",
         # Banks of two equal specs that are not one object.
         "repro.sketches.field:KWiseHash.__eq__",
         "repro.sketches.field:KWiseHash.__hash__",

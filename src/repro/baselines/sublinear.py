@@ -23,12 +23,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..graph.graph import Graph
 from ..graph.union_find import UnionFind
 from ..mpc import Cluster, ModelConfig
+from ..primitives import columnar
 from ..primitives.aggregate import aggregate
+from ..primitives.columnar import EdgeBlock
 from ..primitives.edgestore import EdgeStore
+
+# After the package modules: the ``repro`` package imports this module
+# ahead of them, and a first numpy import here starts OpenBLAS's worker
+# threads earlier in the process's imports.  Measured with the e2e
+# set-up samples (2-vCPU VM), that added ~25 ms of process CPU time and
+# ~1,800 minor page faults before a solve; with OPENBLAS_NUM_THREADS=1
+# the CPU gap was ~4 ms.
+import numpy as np  # noqa: E402
 
 __all__ = [
     "SublinearResult",
@@ -56,36 +67,49 @@ def _boruvka_loop(
     n: int,
     weighted: bool,
 ) -> tuple[list[tuple], UnionFind, int]:
-    """Borůvka on the small machines: O(log n) merge iterations."""
+    """Borůvka on the small machines: O(log n) merge iterations.
+
+    Each iteration reads every machine's edges as one array per field:
+    the component of every endpoint is one array lookup, and every edge
+    between two components gives one ``(component, value)`` pair per
+    endpoint, where the value ``(weight, *edge)`` — the weight ``w`` of a
+    weighted edge, ``(u, v)`` of an unweighted one — orders edges by
+    weight, then by the edge.  After the merge the survivors are kept
+    with one mask over the relabeled edges."""
     coordinator = cluster.small_ids[0]
-    component = {v: v for v in range(n)}
+    smalls = cluster.smalls
+    ids = np.array(cluster.small_ids, dtype=np.int64)
+    component = np.arange(n, dtype=np.int64)
     uf = UnionFind(range(n))
     chosen: list[tuple] = []
     iterations = 0
+    weight_width = 1 if weighted else 2
 
     while True:
         iterations += 1
         # Each component's lightest outgoing edge (Claim 2, toward the
         # coordinator small machine).
-        pairs_by_machine = {}
-        for machine in cluster.smalls:
-            pairs = []
-            for edge in machine.get(store.name, []):
-                cu, cv = component[edge[0]], component[edge[1]]
-                if cu == cv:
-                    continue
-                weight = edge[2] if weighted else (edge[0], edge[1])
-                pairs.append((cu, (weight, edge)))
-                pairs.append((cv, (weight, edge)))
-            pairs_by_machine[machine.machine_id] = pairs
-        lightest = aggregate(
-            cluster, pairs_by_machine, "min", dst=coordinator, note="boruvka/min"
+        columns, counts = columnar.concat_columns(
+            columnar.stored_blocks(smalls, store.name)
         )
+        pairs: Any = {}
+        if columns:
+            ends = [component[columns[0]], component[columns[1]]]
+            cross = ends[0] != ends[1]
+            weight = [columns[2]] if weighted else columns[:2]
+            # Two pairs per edge, the first endpoint's first.
+            pairs = EdgeBlock([
+                np.repeat(np.repeat(ids, counts)[cross], 2),
+                np.column_stack([end[cross] for end in ends]).ravel(),
+                *(np.repeat(col[cross], 2) for col in (*weight, *columns)),
+            ])
+        lightest = aggregate(cluster, pairs, "min", dst=coordinator, note="boruvka/min")
         if not lightest:
             break
 
         merged_any = False
-        for _, edge in sorted(lightest.values()):
+        for value in sorted(lightest.values()):
+            edge = value[weight_width:]
             if uf.union(edge[0], edge[1]):
                 chosen.append(edge)
                 merged_any = True
@@ -96,14 +120,22 @@ def _boruvka_loop(
         # per annotate; the rename volume is what the ledger records).
         rename = {v: uf.find(v) for v in range(n)}
         annotated = store.annotate(rename, note="boruvka/rename")
-        for machine in cluster.smalls:
-            survivors = [
-                row[:-2]
-                for row in machine.pop(annotated.name, [])
-                if row[-2] != row[-1]
-            ]
-            machine.put(store.name, survivors)
-        component = rename
+        columns, counts = columnar.concat_columns(
+            columnar.stored_blocks(smalls, annotated.name)
+        )
+        for machine in smalls:
+            machine.pop(annotated.name, None)
+        survivors = [[]] * len(smalls)
+        if columns:
+            keep = columns[-2] != columns[-1]
+            machine_of = np.repeat(np.arange(len(smalls)), counts)
+            survivors = columnar.split_columns(
+                [col[keep] for col in columns[:-2]],
+                np.bincount(machine_of[keep], minlength=len(smalls)).tolist(),
+            )
+        for machine, data in zip(smalls, survivors):
+            machine.put(store.name, data)
+        component = np.fromiter(rename.values(), np.int64, n)
 
     return chosen, uf, iterations
 

@@ -432,6 +432,12 @@ def main(argv: list[str] | None = None) -> int:
 
     elif args.command == "mincut":
         with inputs:
+            if args.cut == 0:
+                # exact_unweighted_mincut is for connected graphs only.
+                raise ValueError(
+                    "--cut must be at least 1: a planted cut of 0 leaves the "
+                    "graph disconnected"
+                )
             graph = generators.planted_cut_graph(args.n, args.cut, 4.0, rng)
         truth = min_cut_value(graph.n, graph.edges)
         exact = exact_unweighted_mincut(graph, rng=rng)

@@ -29,6 +29,7 @@ from ..graph.graph import Graph
 from ..graph.union_find import UnionFind
 from ..local.mincut import stoer_wagner
 from ..mpc import AlgorithmFailure, Cluster, ModelConfig
+from ..primitives.broadcast import converge_cast
 from ..primitives.edgestore import EdgeStore
 
 __all__ = [
@@ -93,30 +94,40 @@ def exact_unweighted_mincut(
     )
 
 
+def _two_smallest(pairs: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
+    """Each vertex's two lowest-ranked picks over *pairs* of ``(vertex,
+    picks)``, vertices in first-encounter order."""
+    best: dict[int, tuple] = {}
+    for v, picks in pairs:
+        best[v] = tuple(sorted(best[v] + picks)[:2]) if v in best else picks
+    return list(best.items())
+
+
 def _contraction_attempt(
     cluster: Cluster, store: EdgeStore, n: int, delta: int, rng: random.Random
 ) -> float | None:
     """One 2-out + sampling contraction; returns the contracted min cut or
     None when the attempt overflowed the large machine's budget."""
     # 2-out: every vertex keeps its two lowest-ranked incident edges.  The
-    # per-vertex "two smallest" is an aggregation function (Claim 2).
-    def two_smallest(a: tuple, b: tuple) -> tuple:
-        return tuple(sorted(a + b)[:2])
-
-    ranked_pairs: dict[int, list] = {
-        machine.machine_id: [
+    # per-vertex "two smallest" is an aggregation function (Claim 2): each
+    # machine combines its own picks, then the tree combines per level.
+    # A vertex's pair is (v, picks) with one or two (rank, edge) picks, so
+    # it costs 1 + 3 * picks words: a ragged payload, cast as lists.
+    ranked_pairs = {
+        machine.machine_id: _two_smallest([
             pair
             for edge in machine.get(store.name, [])
             for pair in (
                 (edge[0], ((cluster.rng.random(), edge),)),
                 (edge[1], ((cluster.rng.random(), edge),)),
             )
-        ]
+        ])
         for machine in cluster.smalls
     }
-    from ..primitives.aggregate import aggregate
-
-    chosen = aggregate(cluster, ranked_pairs, two_smallest, note="2out")
+    dst = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
+    chosen = dict(
+        converge_cast(cluster, ranked_pairs, dst, combine=_two_smallest, note="2out")
+    )
     uf = UnionFind(range(n))
     for picks in chosen.values():
         for _, edge in picks:

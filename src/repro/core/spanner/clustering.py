@@ -102,9 +102,7 @@ def build_clustering_graphs(
             pairs.append((row[1], row[-2]))
         machine.put(pairs_name, pairs)
     neighbor_or = EdgeStore(cluster, pairs_name).aggregate(
-        lambda pair: (pair[0], pair[1]),
-        lambda a, b: tuple(x | y for x, y in zip(a, b)),
-        note=f"{note}/dominate",
+        lambda pair: (pair[0], pair[1]), "or", note=f"{note}/dominate"
     )
     cluster.map_small(pairs_name, lambda m, items: [])
 
@@ -162,9 +160,9 @@ def build_clustering_graphs(
             u, v = row[0], row[1]
             (lu, mask_u), (lv, mask_v) = row[-2], row[-1]
             if u in needs_neighbor_center and _highbit(mask_v) >= lu:
-                candidates.append((u, (cluster.rng.random(), v, (u, v))))
+                candidates.append((u, (cluster.rng.random(), v, u, v)))
             if v in needs_neighbor_center and _highbit(mask_u) >= lv:
-                candidates.append((v, (cluster.rng.random(), u, (u, v))))
+                candidates.append((v, (cluster.rng.random(), u, u, v)))
         machine.put(candidate_name, candidates)
     chosen_center = EdgeStore(cluster, candidate_name).aggregate(
         lambda pair: (pair[0], pair[1]), "min", note=f"{note}/sigma"
@@ -172,9 +170,9 @@ def build_clustering_graphs(
     cluster.map_small(candidate_name, lambda m, items: [])
 
     star_edges: set[tuple[int, int]] = set()
-    for v, (_, center, edge) in chosen_center.items():
+    for v, (_, center, a, b) in chosen_center.items():
         sigma[v] = center
-        star_edges.add((min(edge), max(edge)))
+        star_edges.add((min(a, b), max(a, b)))
     for v, level in needs_neighbor_center.items():
         if v not in sigma:
             # No incident edge reached the aggregation (isolated after all

@@ -145,19 +145,20 @@ def _removal_candidates(
     a: Hashable, b: Hashable, label_a: VertexLabel, label_b: VertexLabel, record: Record
 ) -> list[tuple[tuple, tuple]]:
     """Candidates ``((removed vertex, adjacent cluster center), (tie-break
-    neighbor, record))`` contributed by one edge (lines 16–18): when ``a``
-    is removed at step ``t`` and ``b`` is still clustered at level ``t-1``,
-    the edge is a candidate for connecting ``a`` to ``b``'s cluster."""
+    neighbor, *record))`` contributed by one edge (lines 16–18): when
+    ``a`` is removed at step ``t`` and ``b`` is still clustered at level
+    ``t-1``, the edge is a candidate for connecting ``a`` to ``b``'s
+    cluster.  A candidate's record is its value after the neighbor."""
     out = []
     ta, tb = label_a.removal_level, label_b.removal_level
     if tb >= ta:
         center = label_b.center_before(ta)
         if center is not None:
-            out.append(((a, center), (b, record)))
+            out.append(((a, center), (b, *record)))
     if ta >= tb:
         center = label_a.center_before(tb)
         if center is not None:
-            out.append(((b, center), (a, record)))
+            out.append(((b, center), (a, *record)))
     return out
 
 
@@ -194,7 +195,7 @@ def modified_baswana_sen_local(
         for key, value in _removal_candidates(a, b, labels[a], labels[b], payload):
             if key not in best or value < best[key]:
                 best[key] = value
-    removal_edges = {value[1] for value in best.values()}
+    removal_edges = {value[1:] for value in best.values()}
     recluster_edges = set(phase.recluster_records)
     return {
         "spanner": recluster_edges | removal_edges,
@@ -269,7 +270,7 @@ def modified_baswana_sen_mpc(
     )
     candidate_store.drop()
 
-    removal_edges = {value[1] for value in best.values()}
+    removal_edges = {value[1:] for value in best.values()}
     recluster_edges = set(phase.recluster_records)
     return {
         "spanner": recluster_edges | removal_edges,

@@ -9,11 +9,11 @@ columns of finite scalars, and ``sample_sort`` has one implementation.
 Claim 4's arrangement, Section 3's query step and the dedup read their
 input through :func:`~repro.primitives.columnar.stored_blocks` (records of
 finite scalars); the sort-join emits blocks whatever its values are.
-Only ``aggregate`` keeps an object path, with the same datasets, rounds
-and words as its columnar one: for custom combines (``two_smallest`` in
-``core/mincut.py``, the element-wise mask OR in
-``core/spanner/clustering.py``) and keys or values that are not
-int64-keyed exact scalars (tuple keys, tuple values).
+``aggregate`` has one implementation too: a named reducer over typed key
+and value columns (a key or value is a finite int, float or bool, or a
+flat tuple of them); input those columns cannot hold exactly is refused
+before any round.  The one aggregation with a ragged payload, the
+min-cut 2-out step, runs its own combine on a list converge-cast.
 """
 
 from .aggregate import aggregate, aggregate_counts, count_items

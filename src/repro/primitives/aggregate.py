@@ -7,34 +7,35 @@ fanout-``n^gamma`` converge-cast tree, being re-combined at every level so
 intermediate volumes stay bounded; the final aggregates land on a
 destination machine (the large machine, in all of the paper's uses).
 
-All traffic moves through the batched round engine: every tree level is one
-:class:`~repro.mpc.plan.RoundPlan` (built by
-:func:`~repro.primitives.broadcast.converge_cast`), so the per-level cost
-is a handful of bulk sizing passes rather than one recursive sizing call
-per partial aggregate.
+The aggregation function is a **named reducer**: ``"sum"`` and ``"or"``
+combine values element-wise, ``"min"`` and ``"max"`` compare whole values
+as Python compares them.  A pair is ``(key, value)``; the key and the
+value are each a finite int, float or bool, or a flat tuple of them, of
+one width and one type per field across the call, so every machine's
+pairs sit in cluster-wide typed key and value columns.  The local
+pre-combine and every tree level are one grouped
+:func:`~repro.primitives.columnar.reduce_pairs` over ``(machine, key)``
+for all machines at once, and the partial aggregates travel as one array
+of ``(key, value)`` rows in one transport dtype
+(:func:`~repro.primitives.columnar.transport_dtype`), one scatter per tree
+level (:func:`~repro.primitives.broadcast.converge_cast`).  A row charges
+the words of its pair — one per leaf — and each machine's keys keep their
+first-encounter order, so rounds, words, memory marks and the order of
+the result are those of a per-pair dict loop; the differential suite
+pins them against the object aggregate kept in the tests.
 
-*combine* is either a **named reducer** — ``"sum"`` / ``"min"`` /
-``"max"`` / ``"or"`` — or a binary callable, always executed on the
-object path (two remain: the mincut 2-out step's
-``two_smallest`` and the clustering graphs' element-wise mask OR).
-Named reducers unlock the columnar path: when every machine's pairs
-qualify as int-keyed typed columns
-(:func:`~repro.primitives.columnar.ingest_pairs`) and the reducer stays
-exact over the global value multiset
-(:func:`~repro.primitives.columnar.pairs_fit_kind`), every machine's
-pairs sit in cluster-wide key and value columns: the local pre-combine
-and every tree level are one grouped ``reduceat`` over ``(machine,
-key)`` for all machines at once, instead of a per-item dict loop, and
-partial aggregates travel as ``(n, 2)`` rows, one scatter per tree level.
-The columnar cast reproduces the object path exactly: same levels, same
-scratch charges (``n`` rows account ``2n`` words, like ``n`` pairs), same
-first-encounter output order per machine — ledgers and results are
-bit-identical by construction.
+Input the columns cannot hold exactly is refused before any round:
+:class:`TypeError` for pairs that are not ``(key, value)`` tuples, keys or
+values of different widths, nested or non-scalar leaves, a field that
+mixes types or holds a non-finite float, and float or bool sums (an
+``"or"`` of floats); :class:`OverflowError` for ints outside int64 and
+int sums that could leave it.
 
 The pairs of every machine can also come at once, as one
 :class:`~repro.primitives.columnar.EdgeBlock` of ``(machine, key,
-value)`` rows, each machine's rows contiguous: :func:`count_items` and
-:func:`aggregate_counts` build their columns that way.
+*value)`` rows, machines ascending: :func:`count_items`,
+:func:`aggregate_counts` and the sublinear Borůvka baseline build their
+columns that way.
 """
 
 from __future__ import annotations
@@ -50,80 +51,57 @@ from .columnar import EdgeBlock
 
 __all__ = ["aggregate", "aggregate_counts", "count_items"]
 
-
-def _combine_pairs(
-    pairs: list[tuple[Hashable, Any]],
-    combine: Callable[[Any, Any], Any],
-) -> list[tuple[Hashable, Any]]:
-    result: dict[Hashable, Any] = {}
-    for key, value in pairs:
-        result[key] = value if key not in result else combine(result[key], value)
-    return list(result.items())
+#: An int sum stays exact while the largest magnitude times the number of
+#: pairs stays within this (int64 with margin to spare).
+_SUM_SAFE = 2**61
 
 
 def aggregate(
     cluster: Cluster,
     pairs_by_machine: dict[int, Iterable[tuple[Hashable, Any]]] | EdgeBlock,
-    combine: Callable[[Any, Any], Any] | str,
+    combine: str,
     dst: int | None = None,
     note: str = "aggregate",
 ) -> dict[Hashable, Any]:
-    """Aggregate ``(key, value)`` items with *combine* (callable or named
-    reducer).
+    """Aggregate ``(key, value)`` items with the named reducer *combine*
+    (``"sum"``, ``"min"``, ``"max"`` or ``"or"``).
 
     *pairs_by_machine* maps each machine to its pairs, or is one
-    :class:`EdgeBlock` of ``(machine, key, value)`` rows holding every
-    machine's pairs, each machine's rows contiguous.  Returns the per-key
-    aggregates, delivered to machine *dst* (default: the large machine if
-    present, else small machine 0).
+    :class:`EdgeBlock` of ``(machine, key, *value)`` rows holding every
+    machine's pairs, machines ascending (a one-column value is a scalar,
+    a wider one a tuple).  Returns the per-key aggregates,
+    delivered to machine *dst* (default: the large machine if present,
+    else small machine 0).  Raises as the module docstring says, before
+    any round.
     """
+    if not isinstance(combine, str):
+        raise TypeError(
+            f"aggregate takes a named reducer {columnar.REDUCERS}, not {combine!r}"
+        )
+    if combine not in columnar.REDUCERS:
+        raise ValueError(
+            f"unknown reducer {combine!r} (expected one of {columnar.REDUCERS})"
+        )
     if dst is None:
         dst = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
+    machines, keys, values = _pair_columns(pairs_by_machine)
+    _check_reducible(combine, values)
 
-    if isinstance(pairs_by_machine, EdgeBlock):
-        materialized = None
-        machines, keys, values = pairs_by_machine.columns
-        qualified = columnar.ingest_pairs(EdgeBlock([keys, values])) is not None
-        columns = (machines, keys, values) if qualified else None
-    else:
-        # Materialize once: qualification must not consume one-shot
-        # iterables the object path would then miss.
-        materialized = {
-            mid: pairs if isinstance(pairs, (list, EdgeBlock)) else list(pairs)
-            for mid, pairs in pairs_by_machine.items()
-        }
-        columns = _ingest_all(materialized)
-
-    kind = columnar.resolve_reducer(combine)
-    # An all-empty cast has nothing to vectorize; the object path is free
-    # and trivially identical.
-    if kind is not None and columns is not None and len(columns[1]):
-        machines, keys, values = columns
-        if columnar.pairs_fit_kind(keys, values, _starts(machines), kind):
-            return _aggregate_columnar(cluster, machines, keys, values, kind, dst, note)
-    if materialized is None:
-        # The object path takes each machine's pairs.
-        machines, keys, values = pairs_by_machine.columns
-        starts = _starts(machines)
-        bounds = [*starts.tolist(), len(machines)]
-        materialized = {
-            mid: EdgeBlock([keys[lo:hi], values[lo:hi]])
-            for mid, lo, hi in zip(machines[starts].tolist(), bounds, bounds[1:])
-        }
-
-    combine_fn = columnar.reducer_callable(combine)
-
-    def level_combine(buffer: list[Any]) -> list[Any]:
-        return _combine_pairs(buffer, combine_fn)
-
-    locally_combined = {
-        mid: _combine_pairs(list(pairs), combine_fn)
-        for mid, pairs in materialized.items()
-    }
-    result_pairs = converge_cast(
-        cluster, locally_combined, dst, combine=level_combine, note=note
-    )
-    return dict(result_pairs)
+    dtypes = tuple(col.dtype for col in (*keys, *values))
+    reducer = columnar.Reducer(combine, len(keys), dtypes)
+    # Every machine pre-combines its own pairs (uncharged local work);
+    # the partial aggregates ride the tree as (key, value) rows, and every
+    # level combines with the same grouped reduce.
+    keys, values, machines = columnar.reduce_pairs(keys, values, combine, groups=machines)
+    columns = [*keys, *values]
+    rows = columnar.stack_rows(columns, columnar.transport_dtype(columns))
+    result = converge_cast(cluster, (machines, rows), dst, combine=reducer, note=note)
+    fields = [result[:, j].astype(dtype).tolist() for j, dtype in enumerate(dtypes)]
+    width = len(keys)
+    return dict(zip(
+        fields[0] if width == 1 else zip(*fields[:width]),
+        fields[width] if len(fields) == width + 1 else zip(*fields[width:]),
+    ))
 
 
 def aggregate_counts(
@@ -138,15 +116,15 @@ def aggregate_counts(
     :class:`EdgeBlock` endpoint column), the ``(machine, key, 1)`` rows of
     all machines are built at once, as columns.
     """
-    columns = list(keys_by_machine.values())
+    mids = sorted(keys_by_machine)
+    columns = [keys_by_machine[mid] for mid in mids]
     if all(isinstance(keys, np.ndarray) and keys.dtype.kind == "i" for keys in columns):
         keys = (
             np.concatenate(columns).astype(np.int64, copy=False)
             if columns else np.empty(0, dtype=np.int64)
         )
         machines = np.repeat(
-            np.fromiter(keys_by_machine, np.int64, len(columns)),
-            [len(column) for column in columns],
+            np.array(mids, dtype=np.int64), [len(column) for column in columns]
         )
         pairs: Any = EdgeBlock([machines, keys, np.ones(len(keys), dtype=np.int64)])
     else:
@@ -168,7 +146,7 @@ def count_items(
     This is the 'each small machine sends a count, the large machine sums'
     pattern used before every all-edges-to-the-large-machine step.  Every
     small machine's count is one ``(machine, 0, count)`` row of one
-    block, so the counts ride the columnar cast.
+    block.
     """
     counts = [
         len(machine.get(name, []))
@@ -186,72 +164,88 @@ def count_items(
 
 
 # ----------------------------------------------------------------------
-# Columnar converge-cast
+# Pairs as typed columns
 # ----------------------------------------------------------------------
-def _starts(machines: Any) -> Any:
-    """Start of every machine's rows in a machine column."""
-    return columnar.first_of_runs([machines]).nonzero()[0]
+def _pair_columns(pairs_by_machine: Any) -> tuple[Any, list[Any], list[Any]]:
+    """Every machine's pairs as cluster-wide columns ``(machines, keys,
+    values)`` — an int64 machine column, ascending (a block's machines
+    must already ascend), and lists of typed key and value columns; one
+    int64 key and value column each when there are no pairs."""
+    empty = np.empty(0, dtype=np.int64)
+    if isinstance(pairs_by_machine, EdgeBlock):
+        if not len(pairs_by_machine):
+            return empty, [empty], [empty]
+        machines, key, *values = pairs_by_machine.columns
+        keys = _leaf_columns(key, "key")
+        values = [leaf for col in values for leaf in _leaf_columns(col, "value")]
+    else:
+        mids = sorted(pairs_by_machine)
+        datasets = [pairs_by_machine[mid] for mid in mids]
+        blocks = columnar.ingest_datasets(
+            pairs if isinstance(pairs, (list, EdgeBlock)) else list(pairs)
+            for pairs in datasets
+        )
+        if blocks is None or any(len(block) and block.width != 2 for block in blocks):
+            raise TypeError("aggregate pairs must be (key, value) tuples")
+        columns, counts = columnar.concat_columns(blocks)
+        if not columns:
+            return empty, [empty], [empty]
+        machines = np.repeat(np.array(mids, dtype=np.int64), counts)
+        keys = _leaf_columns(columns[0], "key")
+        values = _leaf_columns(columns[1], "value")
+    return machines, keys, values
 
 
-def _ingest_all(materialized: dict[int, Any]) -> tuple[Any, Any, Any] | None:
-    """Every machine's pairs as cluster-wide ``(machines, keys, values)``
-    columns, or ``None`` if any machine's pairs do not qualify or the
-    machines' values are of different kinds (all machines or none — a
-    mixed cast could not keep the per-level accounting identical)."""
-    ingested: list[tuple[int, Any, Any]] = []
-    for mid, pairs in materialized.items():
-        if not len(pairs):
+def _leaf_columns(column: Any, what: str) -> list[Any]:
+    """One side of the pairs (*what*: ``"key"`` or ``"value"``) as typed
+    columns: a typed column as it is, a column of flat tuples of one
+    width as one column per field.  Raises :class:`TypeError` or
+    :class:`OverflowError` for anything the typed columns cannot hold."""
+    if column.dtype.kind != "O":
+        return [column]
+    leaves = column.tolist()
+    fields = [column]
+    if set(map(type, leaves)) == {tuple}:
+        block = columnar.ingest_rows(leaves)
+        if block is None:
+            raise TypeError(f"aggregate {what}s must be flat tuples of one width")
+        fields = list(block.columns)
+    for field in fields:
+        if field.dtype.kind != "O":
             continue
-        columns = columnar.ingest_pairs(pairs)
-        if columns is None:
-            return None
-        ingested.append((mid, *columns))
-    if not ingested or len({values.dtype.kind for _, _, values in ingested}) > 1:
-        # Nothing to vectorize, or mixed value types, which would merge
-        # into one column and lose the original Python types.
-        return None
-    mids, keys, values = zip(*ingested)
-    return (
-        np.repeat(np.array(mids, dtype=np.int64), [len(k) for k in keys]),
-        np.concatenate(keys),
-        np.concatenate(values),
-    )
+        kinds = set(map(type, field.tolist()))
+        if kinds == {int}:
+            raise OverflowError(f"an aggregate {what} holds an int outside int64")
+        names = ", ".join(sorted(kind.__name__ for kind in kinds))
+        if tuple in kinds:
+            raise TypeError(f"aggregate {what}s must be flat: a field holds {names}")
+        if kinds == {float}:
+            raise TypeError(f"an aggregate {what} holds a non-finite float")
+        if not kinds <= {int, float, bool}:
+            raise TypeError(
+                f"aggregate {what}s must hold ints, floats or bools, not {names}"
+            )
+        raise TypeError(f"an aggregate {what} field mixes {names}")
+    return fields
 
 
-def _aggregate_columnar(
-    cluster: Cluster,
-    machines: Any,
-    keys: Any,
-    values: Any,
-    kind: str,
-    dst: int,
-    note: str,
-) -> dict[int, Any]:
-    """The converge-cast of :func:`aggregate`, on cluster-wide columns.
-
-    Every machine pre-combines its own pairs (uncharged, like the object
-    path's local combine) — one grouped
-    :func:`~repro.primitives.columnar.reduce_pairs` over ``(machine,
-    key)`` for all machines — then the partial aggregates ride
-    :func:`~repro.primitives.broadcast.converge_cast` as ``(n, 2)``
-    transport rows — ``n`` items, ``2n`` words, exactly the object path's
-    ``n`` pairs — with *kind* as the named reducer, so every level
-    combines with one grouped reduce too.  The values come back to their
-    own dtype at the end.
-    """
-    value_dtype = values.dtype
-    transport = np.float64 if value_dtype.kind == "f" else np.int64
-    keys, values, machines = columnar.reduce_pairs(keys, values, kind, groups=machines)
-    rows = np.column_stack(
-        [keys.astype(transport, copy=False), values.astype(transport, copy=False)]
-    )
-    starts = _starts(machines)
-    result = converge_cast(
-        cluster,
-        dict(zip(machines[starts].tolist(), np.split(rows, starts[1:]))),
-        dst,
-        combine=kind,
-        note=note,
-    )
-    keys = result[:, 0].astype(np.int64).tolist()
-    return dict(zip(keys, result[:, 1].astype(value_dtype).tolist()))
+def _check_reducible(kind: str, values: list[Any]) -> None:
+    """Refuse value columns *kind* cannot reduce exactly."""
+    for col in values:
+        dtype = col.dtype.kind
+        if kind == "sum" and dtype == "f":
+            raise TypeError(
+                "aggregate 'sum' over floats: a float sum depends on the order "
+                "the tree combines it in"
+            )
+        if kind == "or" and dtype == "f":
+            raise TypeError("aggregate 'or' takes ints or bools, not floats")
+        if kind == "sum" and dtype == "b":
+            raise TypeError("aggregate 'sum' over bools: sum 0/1 ints instead")
+        if kind == "sum" and len(col):
+            peak = max(-int(col.min()), int(col.max()))
+            if peak * len(col) > _SUM_SAFE:
+                raise OverflowError(
+                    f"aggregate 'sum' of {len(col)} values up to {peak} in "
+                    f"magnitude could leave int64"
+                )

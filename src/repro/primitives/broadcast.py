@@ -14,9 +14,9 @@ work of a tree level does not grow with the machines it spans:
   (:meth:`~repro.mpc.plan.RoundPlan.send_multicast`), sized once;
 * a converge-cast level picks every holder's representative with one
   vector op, and charges the level's holders their in-flight buffers with
-  one vector update (:class:`~repro.mpc.cluster.Scratch`).  A cast of
-  numpy arrays keeps every holder's rows in one array, holders ascending,
-  and moves a level as one scatter given by its runs
+  one vector update (:class:`~repro.mpc.cluster.Scratch`).  An array cast
+  takes every holder's rows as one array with an owner column, holders
+  ascending, and moves a level as one scatter given by its runs
   (:meth:`~repro.mpc.plan.RoundPlan.send_runs`); a named reducer
   combines a whole level with one grouped reduce over ``(holder, key)``.
   Casts of lists and of other blocks keep one buffer per holder and
@@ -74,16 +74,19 @@ def broadcast(
 
 def converge_cast(
     cluster: Cluster,
-    items_by_machine: dict[int, Any],
+    items: dict[int, Any] | tuple[Any, Any],
     dst: int,
-    combine: Callable[[list[Any]], Any] | str | None = None,
+    combine: Callable[[list[Any]], Any] | columnar.Reducer | None = None,
     note: str = "converge",
 ) -> Any:
     """Funnel items from many machines into *dst* along a fanout tree.
 
-    *combine* (if given) is applied to each intermediate machine's buffer
-    after every level — this is how aggregation keeps intermediate volumes
-    bounded (Claim 2).  Returns the items that reach *dst*.
+    *items* maps each machine to its items (a list, or a block that is
+    not a numpy array), or is one ``(owners, rows)`` pair for an array
+    cast (see below).  *combine* (if given) is applied to each
+    intermediate machine's buffer after every level — this is how
+    aggregation keeps intermediate volumes bounded (Claim 2).  Returns the
+    items that reach *dst*.
 
     The tree: at every level the machines other than *dst* that hold
     items, ascending, are the sources; with at most ``fanout`` of them
@@ -106,49 +109,53 @@ def converge_cast(
     per-round receive volume and the in-flight buffer growth at every
     intermediate machine.
 
-    Block casts: when every machine's items are one block
-    (:func:`~repro.mpc.plan.is_block`: a numeric numpy array or a
-    :class:`~repro.mpc.plan.Block`, leading axis indexing items), the
-    buffers stay blocks, so every send and every charge is sized O(1), and
-    the result is a block.  Without *combine*, a machine's held rows come
-    first, then the received rows — only arrays concatenate, so a
-    :class:`~repro.mpc.plan.Block` cast without *combine* raises
-    :class:`TypeError`.  With *combine*, the destination keeps its
-    received blocks as a list (charged as the sum of its blocks) until the
-    final combine, which maps that list to one block.  Rows, rounds,
-    words and memory charges are those of the equivalent lists of tuples.
-
-    * A cast of numpy arrays moves each level as one scatter.  A callable
-      *combine* maps each receiver's list of blocks to one block; a named
-      reducer (``"sum"``, ``"min"``, ``"max"``, ``"or"``) takes arrays of
-      ``(key, value)`` rows and combines the whole level — and the
-      destination's list at the end — with one grouped reduce over
+    * An array cast takes ``(owners, rows)``: a numeric ``(n, ...)``
+      array of every machine's rows (leading axis indexing items) and an
+      int64 column of each row's machine, ascending.  Its buffers stay
+      one array, so every send and every charge is sized O(1), each level
+      is one scatter, and the result is an array.  *combine* is ``None``
+      — a machine's held rows come first, then the received rows — or a
+      named reducer (:class:`~repro.primitives.columnar.Reducer`) over
+      ``(key, value)`` rows, which combines the whole level — and the
+      destination's rows at the end — with one grouped reduce over
       ``(holder, key)``, each holder's keys in first-encounter order.
-    * A cast of :class:`~repro.mpc.plan.Block` objects or of lists keeps
-      one buffer per holder and sends it as one run; a holder that has
-      sent its items holds a fresh empty block (or list).  *combine* sees
-      the holder's list of held and received blocks.
+    * A cast of lists, or of :class:`~repro.mpc.plan.Block` objects,
+      keeps one buffer per holder and sends it as one run; a holder that
+      has sent its items holds a fresh empty list (or block), and
+      *combine* maps a holder's buffer to its combined items.  Blocks
+      stay blocks: *combine* sees the holder's list of held and received
+      blocks (the destination keeps its received blocks as a list,
+      charged as the sum of its blocks, until the final combine), so a
+      block cast without *combine* raises :class:`TypeError` — only
+      arrays concatenate.
+
+    Rows, rounds, words and memory charges of the block forms are those
+    of the equivalent lists of tuples.
     """
     base_fanout = cluster.config.tree_fanout
-    kinds = set(map(type, items_by_machine.values()))
-    blocks = bool(kinds) and all(issubclass(kind, (np.ndarray, Block)) for kind in kinds)
-    if blocks and all(issubclass(kind, np.ndarray) for kind in kinds):
-        buffers: Any = _Rows(items_by_machine, dst, combine)
-    elif isinstance(combine, str):
-        raise TypeError(f"a named reducer ({combine!r}) combines arrays of (key, value) rows")
-    elif blocks and combine is None:
-        first = next(iter(items_by_machine.values()))
-        raise TypeError(
-            f"a cast of {type(first).__name__} blocks needs a combine: "
-            "only arrays concatenate"
-        )
+    if isinstance(items, tuple):
+        if combine is not None and not isinstance(combine, columnar.Reducer):
+            raise TypeError("an array cast takes a named reducer or no combine")
+        buffers: Any = _Rows(*items, dst, combine)
     else:
-        buffers = _Holders(items_by_machine, dst, combine, blocks)
+        kinds = set(map(type, items.values()))
+        if any(issubclass(kind, np.ndarray) for kind in kinds):
+            raise TypeError("an array cast takes one (owners, rows) pair")
+        if isinstance(combine, columnar.Reducer):
+            raise TypeError("a named reducer combines an array cast's rows")
+        blocks = bool(kinds) and all(issubclass(kind, Block) for kind in kinds)
+        if blocks and combine is None:
+            first = next(iter(items.values()))
+            raise TypeError(
+                f"a cast of {type(first).__name__} blocks needs a combine: "
+                "only arrays concatenate"
+            )
+        buffers = _Holders(items, dst, combine, blocks)
     # From here on a machine's items live in the cast's buffers only, and
     # nothing keeps a block once it is sent and combined: a caller that
     # hands its blocks over gets their memory back as the tree consumes
     # them.
-    del items_by_machine
+    del items
     scratch = Scratch(cluster, f"{note}#cast-buffer")
     try:
         scratch.charge(*buffers.initial_charges())
@@ -181,7 +188,7 @@ class _Rows:
     destination's in one array ``rows`` — ``holders`` ascending,
     ``counts[i]`` rows of ``holders[i]`` each, a holder's rows contiguous:
     held first, then received in source order — and the destination's
-    blocks in a list.
+    rows in a list of arrays.
 
     A level moves rows without reordering them: the sources of a group
     are consecutive holders whose representative is the group's first
@@ -191,27 +198,26 @@ class _Rows:
     sending holder.
     """
 
-    def __init__(self, items_by_machine: dict[int, Any], dst: int, combine: Any) -> None:
-        blocks = list(items_by_machine.values())
-        first = blocks[0]
-        self.empty = np.zeros_like(first[:0])  # no view
+    def __init__(self, owners: Any, rows: Any, dst: int, combine: Any) -> None:
+        if len(owners) > 1 and (owners[1:] < owners[:-1]).any():
+            raise ValueError("an array cast's owners must ascend")
+        self.empty = np.zeros_like(rows[:0])  # no view
         self.dst = dst
         self.combine = combine
-        ids = np.fromiter(items_by_machine, np.int64, len(blocks))
-        lens = np.fromiter(map(len, blocks), np.int64, len(blocks))
-        held = lens > 0
-        # The caller's order, for the first charges.
-        self._initial = (ids[held], lens[held] * math.prod(first.shape[1:]))
-        at_dst = items_by_machine.get(dst)
-        self.at_dst: list[Any] = [at_dst] if at_dst is not None and len(at_dst) else []
-        order = np.argsort(ids, kind="stable")
-        others = order[held[order] & (ids[order] != dst)]
+        starts = columnar.first_of_runs([owners]).nonzero()[0]
+        ids = owners[starts]
+        counts = np.diff(starts, append=len(owners))
+        self._initial = (ids, counts * math.prod(rows.shape[1:]))
+        others = ids != dst
+        if others.all():
+            self.at_dst: list[Any] = []
+        else:
+            at_dst = owners == dst
+            self.at_dst = [rows[at_dst]]
+            rows = rows[~at_dst]
         self.holders = ids[others]
-        self.counts = lens[others]
-        self.rows = (
-            np.concatenate([blocks[i] for i in others.tolist()])
-            if len(others) else self.empty
-        )
+        self.counts = counts[others]
+        self.rows = rows
         self._targets: Any = None
 
     def initial_charges(self) -> tuple[Any, Any]:
@@ -248,54 +254,25 @@ class _Rows:
         targets = self._targets
         starts = columnar.first_of_runs([targets]).nonzero()[0]
         self.holders = receivers = targets[starts]
-        self.counts = counts = np.add.reduceat(self.counts, starts)
+        self.counts = np.add.reduceat(self.counts, starts)
         if self.combine is not None:
-            counts = self._combine_level()
-        return receivers, counts * math.prod(self.rows.shape[1:])
-
-    def _combine_level(self) -> Any:
-        """Combine every holder's rows; return the new row counts (a
-        holder left without rows stops holding)."""
-        holders, counts, rows = self.holders, self.counts, self.rows
-        combine = self.combine
-        if isinstance(combine, str):
-            keys, values, owner = columnar.reduce_pairs(
-                rows[:, 0].astype(np.int64), rows[:, 1], combine,
-                groups=np.repeat(holders, counts),
+            # One grouped reduce for the level; a holder keeps at least
+            # one row per key it held.
+            self.rows, owners = columnar.reduce_rows(
+                self.rows, self.combine, groups=np.repeat(receivers, self.counts)
             )
-            rows = _pair_rows(keys, values, rows.dtype)
-            counts = np.diff(np.searchsorted(owner, holders, "right"), prepend=0)
-        else:
-            bounds = np.cumsum(counts).tolist()
-            combined = [
-                combine([rows[lo:hi]]) for lo, hi in zip([0, *bounds], bounds)
-            ]
-            counts = np.fromiter(map(len, combined), np.int64, len(combined))
-            rows = np.concatenate(combined)
-        held = counts > 0
-        self.holders, self.counts, self.rows = holders[held], counts[held], rows
-        return counts
+            self.counts = np.diff(np.searchsorted(owners, receivers, "right"), prepend=0)
+        return receivers, self.counts * math.prod(self.rows.shape[1:])
 
     def result(self) -> Any:
-        at_dst, combine = self.at_dst, self.combine
-        if combine is None:
-            if len(at_dst) == 1:
-                return at_dst[0]
-            return np.concatenate(at_dst) if at_dst else self.empty
-        if isinstance(combine, str):
-            rows = np.concatenate(at_dst) if at_dst else self.empty
-            keys, values = columnar.reduce_pairs(
-                rows[:, 0].astype(np.int64), rows[:, 1], combine
-            )
-            return _pair_rows(keys, values, rows.dtype)
-        return combine(at_dst or [self.empty])
-
-
-def _pair_rows(keys: Any, values: Any, dtype: Any) -> Any:
-    """``(n, 2)`` rows of *keys* and *values* in *dtype*."""
-    return np.column_stack(
-        [keys.astype(dtype, copy=False), values.astype(dtype, copy=False)]
-    )
+        at_dst = self.at_dst
+        rows = (
+            at_dst[0] if len(at_dst) == 1
+            else np.concatenate(at_dst) if at_dst else self.empty
+        )
+        if self.combine is None:
+            return rows
+        return columnar.reduce_rows(rows, self.combine)[0]
 
 
 class _Holders:

@@ -28,26 +28,25 @@ Two pieces:
   with one dtype per field, and ``stored_blocks`` is the strict form the
   primitives that read records of finite scalars go through;
   ``stable_order`` / ``reduce_pairs`` are the array kernels behind sample
-  sort and aggregation; ``concat_columns`` / ``split_columns`` turn every
+  sort and aggregation, and ``transport_dtype`` the one dtype their rows
+  travel in; ``concat_columns`` / ``split_columns`` turn every
   small machine's blocks into one array per field and back, so a local
   step runs as one pass over all machines.
 
-Sort keys are field specs (column indices) over scalar columns.  Only
-aggregation keeps an object path, for custom combines and non-int keys;
-its ledgers and outputs are bit-identical to its columnar path *by
-construction*: the columnar path builds the same plan runs (same (src,
-dst) sets, same lengths, same word totals) and re-emits results in the
-same order the object path would (first-encounter aggregation order).
-The differential property suite pins this, and compares every sort
-user with an object sort kept in the tests as the oracle.
+Sort keys are field specs (column indices) over scalar columns, and
+aggregation reduces typed key and value columns with a named reducer
+(:func:`reduce_pairs`; :class:`Reducer` and :func:`reduce_rows` over the
+transport rows of an array cast).  Neither keeps an object path in
+``src/``: the differential property suite compares every sort user with
+an object sort, and the aggregate with an object aggregate, both kept in
+the tests as oracles.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,9 +68,12 @@ __all__ = [
     "pack_columns",
     "pack_words",
     "stable_order",
-    "reduce_pairs",
-    "ingest_pairs",
+    "transport_dtype",
+    "stack_rows",
     "REDUCERS",
+    "Reducer",
+    "reduce_pairs",
+    "reduce_rows",
 ]
 
 #: Exact int64 range — Python ints outside it ride an ``object`` column.
@@ -501,153 +503,124 @@ def stable_order(
 
 
 # ----------------------------------------------------------------------
+# Transport rows
+# ----------------------------------------------------------------------
+#: Ints beyond this magnitude do not survive a float64 transport.
+_FLOAT_EXACT = 2**52
+
+
+def transport_dtype(columns: Sequence[Any]) -> Any:
+    """The single dtype scalar *columns* ride the wire in, exact for every
+    value.
+
+    Uniform int/bool columns travel as ``int64``; a float column makes
+    the transport ``float64`` while every int column fits its 53-bit
+    mantissa; an ``object`` column, or an int past ``2**52`` beside a
+    float, makes it ``object`` (the Python values themselves).
+    """
+    kinds = {col.dtype.kind for col in columns}
+    if kinds <= {"i", "b"}:
+        return np.int64
+    if kinds <= {"i", "b", "f"} and all(
+        max(-int(col.min()), int(col.max())) <= _FLOAT_EXACT
+        for col in columns
+        if col.dtype.kind == "i" and len(col)
+    ):
+        return np.float64
+    return object
+
+
+def stack_rows(columns: Sequence[Any], dtype: Any) -> Any:
+    """*columns* as the columns of one ``(n, len(columns))`` array of
+    *dtype* (see :func:`transport_dtype`)."""
+    return np.column_stack([col.astype(dtype, copy=False) for col in columns])
+
+
+# ----------------------------------------------------------------------
 # Named reducers (group-by-key aggregation kernels)
 # ----------------------------------------------------------------------
-def _or(a: Any, b: Any) -> Any:
-    return a | b
+#: The named reducers: ``"sum"`` and ``"or"`` combine value columns
+#: element-wise, ``"min"`` and ``"max"`` compare whole value rows.
+REDUCERS = ("sum", "min", "max", "or")
+
+_ELEMENTWISE = {"sum": np.add, "or": np.bitwise_or}
 
 
-#: Named binary reducers the columnar aggregation kernel understands.
-#: The callables are the object-path semantics.
-REDUCERS: dict[str, Callable[[Any, Any], Any]] = {
-    "sum": lambda a, b: a + b,
-    "min": min,
-    "max": max,
-    "or": _or,
-}
+class Reducer(NamedTuple):
+    """A named reducer over the ``(key, value)`` rows of an array cast:
+    the first *key_width* columns of a row are its key, the rest its
+    value, and *kind* combines the values of rows with equal keys.  The
+    rows travel in one transport dtype; column ``j`` is reduced in
+    ``dtypes[j]``, the dtype it was built from."""
 
-_REDUCER_UFUNCS = {"sum": "add", "min": "minimum", "max": "maximum", "or": "bitwise_or"}
-
-#: Keys above this magnitude do not survive the float64 transport used
-#: when values are floats (53-bit mantissa, with margin).
-_FLOAT_SAFE_KEY = 2**52
-#: |value| * count bound that keeps int64 sums exact with margin to spare.
-_SUM_SAFE = 2**61
-
-
-def resolve_reducer(combine: Any) -> str | None:
-    """The named form of *combine*, or ``None`` for custom callables."""
-    if isinstance(combine, str):
-        if combine not in REDUCERS:
-            raise ValueError(
-                f"unknown reducer {combine!r} (expected one of {sorted(REDUCERS)})"
-            )
-        return combine
-    return None
-
-
-def reducer_callable(combine: Any) -> Callable[[Any, Any], Any]:
-    """The binary-callable form of *combine* (the object path)."""
-    if isinstance(combine, str):
-        return REDUCERS[combine]
-    return combine
-
-
-def ingest_pairs(pairs: Sequence[Any]) -> tuple[Any, Any] | None:
-    """Qualify ``(key, value)`` pairs for the array aggregation kernel.
-
-    Returns ``(keys, values)`` columns or ``None``.  Keys must be int64
-    ints (they ride the shared transport column, so they must survive
-    float64 when the values are floats); values must be one exact int64,
-    float64 or bool column — never an ``object`` column, whose float sums
-    would depend on the combining order.  Reducer compatibility (float
-    sums, overflow headroom) is the caller's global check — see
-    :func:`pairs_fit_kind`.
-    """
-    if isinstance(pairs, EdgeBlock):
-        if pairs.width != 2:
-            return None
-        keys, values = pairs.columns
-        if keys.dtype.kind != "i" or values.dtype.kind == "O":
-            return None
-        return keys, values
-    if not isinstance(pairs, list) or not pairs:
-        return None
-    if set(map(type, pairs)) != {tuple}:
-        return None
-    flat = list(chain.from_iterable(pairs))
-    if len(flat) != 2 * len(pairs):
-        return None
-    key_list = flat[0::2]
-    if set(map(type, key_list)) != {int}:
-        return None
-    if min(key_list) < _INT64_MIN or max(key_list) > _INT64_MAX:
-        return None
-    values = value_column(flat[1::2])
-    if values.dtype.kind == "O":
-        return None
-    return np.array(key_list, dtype=np.int64), values
-
-
-def pairs_fit_kind(keys: Any, values: Any, starts: Any, kind: str) -> bool:
-    """Whether reducer *kind* stays exact over every machine's pairs.
-
-    *keys* and *values* hold the ingested pairs of all machines, machine
-    by machine, each machine's from its entry of *starts* on.  This is the
-    cross-machine check: int sums accumulate across converge levels, so
-    the overflow bound (the sum over machines of the largest magnitude
-    times the pair count) must hold for the *global* multiset of values,
-    not per machine.
-    """
-    value_kind = values.dtype.kind
-    if value_kind == "f":
-        if kind in ("sum", "or"):
-            # Float sums are order-sensitive; bitwise-or is undefined.
-            return False
-        # Keys share the float64 transport column with the values.
-        return not len(keys) or int(np.abs(keys).max()) <= _FLOAT_SAFE_KEY
-    if value_kind == "b" and kind == "sum":
-        # bool + bool is int on the object path but bool under numpy.
-        return False
-    if kind == "sum" and len(values):
-        peaks = np.maximum.reduceat(np.abs(values), starts).tolist()
-        counts = np.diff(np.append(starts, len(values))).tolist()
-        if sum(map(operator.mul, peaks, counts)) > _SUM_SAFE:
-            return False
-    return True
+    kind: str
+    key_width: int
+    dtypes: tuple
 
 
 def reduce_pairs(
-    keys: Any, values: Any, kind: str, groups: Any = None
-) -> tuple[Any, ...]:
-    """Group *values* by *keys* and reduce each group with *kind*.
+    keys: Sequence[Any], values: Sequence[Any], kind: str, groups: Any = None
+) -> tuple[list[Any], list[Any], Any]:
+    """Group the rows of the *values* columns by the rows of the *keys*
+    columns and reduce each group with the named reducer *kind*.
+
+    ``"sum"`` and ``"or"`` combine the value columns element-wise;
+    ``"min"`` and ``"max"`` keep a group's smallest or largest value row,
+    rows compared column by column, as Python compares tuples.  The
+    reduction is order-free (int sums are exact under the caller's
+    guard; equal value rows are equal), so the tree may combine in any
+    grouping.
 
     Results come back in **first-encounter key order** — the insertion
-    order of the object path's dict loop — so the two paths emit the same
-    pair sequence, which keeps every downstream word count and payload
-    identical.  Within a group the reduction is order-free for the named
-    reducers (int sums are exact under the ingest guard; min/max/or are
-    associative and commutative on exact scalars).
+    order of a dict loop over the pairs — so the order of every pair
+    sequence downstream, and with it every payload, is that loop's.
 
     With *groups* — an int64 holder per pair, each holder's pairs
     contiguous — every holder's pairs reduce apart, all holders in one
     pass: the results keep the holders' order, each holder's keys in
     first-encounter order, exactly as one call per holder would give them
-    one after the other.  The holder of each result comes back as a third
-    column, ``(keys, values, groups)``.
+    one after the other.  Returns ``(keys, values, groups)``: the result
+    key and value columns and the holder of each result (``None``
+    without *groups*).
     """
-    n = len(keys)
+    n = len(keys[0])
     if n == 0:
-        return (keys, values) if groups is None else (keys, values, groups)
-    order = stable_order(EdgeBlock([keys]), [0], groups=groups)
-    sorted_keys = keys[order]
-    change = sorted_keys[1:] != sorted_keys[:-1]
-    if groups is not None:
-        sorted_groups = groups[order]
-        change |= sorted_groups[1:] != sorted_groups[:-1]
+        return list(keys), list(values), groups
+    lexicographic = kind not in _ELEMENTWISE
+    by = [*keys, *values] if lexicographic else list(keys)
+    order = stable_order(EdgeBlock(by), range(len(by)), groups=groups)
+    change = np.zeros(n - 1, dtype=bool)
+    for col in keys if groups is None else [groups, *keys]:
+        ranked = col[order]
+        change |= ranked[1:] != ranked[:-1]
     starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    ufunc = getattr(np, _REDUCER_UFUNCS[kind])
-    reduced = ufunc.reduceat(values[order], starts)
-    # The sort is stable, so order[starts] is every key's first-encounter
-    # position; the results go out in that order (positions are distinct,
-    # so ranking them is a scatter, not a sort).
+    if lexicographic:
+        # Each group's rows ascend by value: its minimum leads, its
+        # maximum closes it.
+        first = np.minimum.reduceat(order, starts)
+        pick = order[starts if kind == "min" else np.append(starts[1:], n) - 1]
+        reduced = [col[pick] for col in values]
+    else:
+        first = order[starts]
+        reduced = [_ELEMENTWISE[kind].reduceat(col[order], starts) for col in values]
+    # first holds every group's first-encounter position; the results go
+    # out in that order (positions are distinct, so ranking them is a
+    # scatter, not a sort), each keyed as its first pair is.
     slot = np.full(n, -1, dtype=np.int64)
-    slot[order[starts]] = np.arange(len(starts))
+    slot[first] = np.arange(len(starts))
     encounter = slot[slot >= 0]
-    if groups is None:
-        return sorted_keys[starts][encounter], reduced[encounter]
+    first = first[encounter]
     return (
-        sorted_keys[starts][encounter],
-        reduced[encounter],
-        sorted_groups[starts][encounter],
+        [col[first] for col in keys],
+        [col[encounter] for col in reduced],
+        None if groups is None else groups[first],
     )
+
+
+def reduce_rows(rows: Any, reducer: Reducer, groups: Any = None) -> tuple[Any, Any]:
+    """:func:`reduce_pairs` over the transport rows of an array cast:
+    the reduced rows, in the dtype of *rows*, and the holder of each."""
+    kind, width, dtypes = reducer
+    columns = [rows[:, j].astype(dtype, copy=False) for j, dtype in enumerate(dtypes)]
+    keys, values, owners = reduce_pairs(columns[:width], columns[width:], kind, groups)
+    return stack_rows([*keys, *values], rows.dtype), owners

@@ -112,20 +112,17 @@ class EdgeStore:
 
     def aggregate(
         self,
-        pair_fn: Callable[[Any], tuple[Hashable, Any] | None],
-        combine: Callable[[Any, Any], Any] | str,
+        pair_fn: Callable[[Any], tuple[Hashable, Any]],
+        combine: str,
         note: str = "aggregate",
     ) -> dict[Hashable, Any]:
-        """Per-key aggregation (Claim 2): *pair_fn* maps a record to a
-        ``(key, value)`` pair or ``None`` to skip it; results land on the
-        large machine.  *combine* accepts a named reducer (``"sum"`` /
-        ``"min"`` / ``"max"`` / ``"or"``), which unlocks the columnar
-        converge-cast; see :func:`~repro.primitives.aggregate.aggregate`."""
+        """Per-key aggregation (Claim 2): *pair_fn* maps every record to a
+        ``(key, value)`` pair, and the named reducer *combine* (``"sum"``
+        / ``"min"`` / ``"max"`` / ``"or"``) aggregates them; results land
+        on the large machine.  See
+        :func:`~repro.primitives.aggregate.aggregate`."""
         pairs_by_machine = {
-            machine.machine_id: [
-                pair for pair in map(pair_fn, machine.get(self.name, []))
-                if pair is not None
-            ]
+            machine.machine_id: list(map(pair_fn, machine.get(self.name, [])))
             for machine in self.cluster.smalls
         }
         return aggregate(self.cluster, pairs_by_machine, combine, note=note)

@@ -23,10 +23,10 @@ once, not one per machine:
   machine order; the transport and packing checks are one reduction per
   column of that concatenation;
 * *sample* — one RNG draw per stored row, in machine order, drawn into
-  one array and compared to the rate at once; each machine's sample keys
-  are a row slice of one ``(picked, fields)`` array, and travel up the
-  converge-cast tree as blocks (sized O(1) per level) to the
-  coordinator, which sorts them with one stable sort;
+  one array and compared to the rate at once; the sample keys are one
+  ``(picked, fields)`` array with each row's machine as its owner, and
+  travel up the converge-cast tree as one array per level (sized O(1))
+  to the coordinator, which sorts them with one stable sort;
 * *route* — every row is assigned its bucket in one pass: one
   ``searchsorted`` on packed int64 keys, or, for keys that do not pack,
   one ``lexsort`` of the splitters together with the rows, a splitter
@@ -176,12 +176,12 @@ def sample_sort(
 
     dtypes = tuple(col.dtype for col in columns)
     key_dtypes = [dtypes[f] for f in fields]
-    key_transport = _transport_dtype([columns[f] for f in fields])
+    key_transport = columnar.transport_dtype([columns[f] for f in fields])
 
     # Step 1: sample — one draw per stored row, in machine order, compared
     # to the rate at once — and converge-cast the keys to the
-    # coordinator, each machine's picks a row slice of one (picked,
-    # fields) array.  The rate is a throttle hook: an enforcing
+    # coordinator: one (picked, fields) array, each row's owner its
+    # machine.  The rate is a throttle hook: an enforcing
     # controller forecasting an over-headroom round thins the sample
     # (coarser splitters, lighter converge-cast — the
     # adaptive-sparsification trade).
@@ -190,17 +190,14 @@ def sample_sort(
     rate = cluster.throttled_sample_rate(rate, note=f"{note}/sample")
     draws = np.fromiter(iter(cluster.rng.random, None), np.float64, count=total)
     picked = np.flatnonzero(draws < rate)
-    sample_rows = np.column_stack(
-        [columns[f][picked].astype(key_transport) for f in fields]
-    )
-    cuts = np.searchsorted(picked, np.cumsum([0, *counts])).tolist()
-    samples_by_machine = {
-        mid: sample_rows[lo:hi]
-        for mid, lo, hi in zip(machine_ids, cuts, cuts[1:])
-        if hi > lo
-    }
     sample = converge_cast(
-        cluster, samples_by_machine, coordinator, note=f"{note}/sample"
+        cluster,
+        (
+            np.repeat(machine_ids, counts)[picked],
+            columnar.stack_rows([columns[f][picked] for f in fields], key_transport),
+        ),
+        coordinator,
+        note=f"{note}/sample",
     )
 
     # Step 2: the coordinator sorts the sample with one stable sort (the
@@ -225,7 +222,7 @@ def sample_sort(
     plan = RoundPlan(note=f"{note}/route")
     all_scalar = all(scalar)
     if all_scalar:
-        transport = _transport_dtype(columns)
+        transport = columnar.transport_dtype(columns)
         plan.send_indexed(
             np.repeat(machine_ids, counts),
             dsts,
@@ -281,31 +278,6 @@ def _splitter_indices(size: int, k: int) -> list[int]:
     if not size:
         return []
     return [min(size - 1, (bucket * size) // k) for bucket in range(1, k)]
-
-
-#: Ints beyond this magnitude do not survive a float64 transport.
-_FLOAT_EXACT = 2**52
-
-
-def _transport_dtype(columns: Sequence[Any]) -> Any:
-    """The single dtype scalar *columns* ride the wire in, exact for every
-    value.
-
-    Uniform int/bool columns travel as ``int64``; a float column makes
-    the transport ``float64`` while every int column fits its 53-bit
-    mantissa; an ``object`` column, or an int past ``2**52`` beside a
-    float, makes it ``object`` (the Python values themselves).
-    """
-    kinds = {col.dtype.kind for col in columns}
-    if kinds <= {"i", "b"}:
-        return np.int64
-    if kinds <= {"i", "b", "f"} and all(
-        max(-int(col.min()), int(col.max())) <= _FLOAT_EXACT
-        for col in columns
-        if col.dtype.kind == "i" and len(col)
-    ):
-        return np.float64
-    return object
 
 
 def _bucket_rows(

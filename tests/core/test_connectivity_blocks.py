@@ -1,8 +1,9 @@
 """Theorem C.1 on sparse row blocks costs exactly what the pair path cost.
 
 The pair path is the pipeline before row blocks: every small machine
-builds its own list bank, ships ``(vertex, row)`` pairs, and
-``aggregate`` merges them one row at a time up the tree.  Both runs must
+builds its own list bank, ships ``(vertex, row)`` pairs, and the object
+aggregate of ``tests/aggregate_oracle.py`` merges them one row at a time
+up the tree.  Both runs must
 leave identical ledgers — every round record, the memory high-water
 marks and the throttle's decisions — and identical labels, including
 when an enforcing throttle splits a sum level into extra rounds, which
@@ -17,11 +18,11 @@ from repro.core.connectivity import sketch_components
 from repro.graph import generators
 from repro.mpc import Cluster, ModelConfig
 from repro.mpc.words import word_size
-from repro.primitives.aggregate import aggregate
 from repro.primitives.broadcast import broadcast
 from repro.mpc.plan import RoundPlan
 from repro.primitives.edgestore import EdgeStore
 from repro.sketches import GraphSketchSpec, SparseRowBlock
+from aggregate_oracle import aggregate
 from sketch_oracle import ListBank, list_boruvka
 
 

@@ -21,13 +21,24 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import Any
 
 import numpy as np
 import pytest
 
-from repro.core import heterogeneous_connectivity, heterogeneous_mst
+import aggregate_oracle
+
+from repro.baselines.sublinear import sublinear_boruvka_mst, sublinear_connectivity
+from repro.core import (
+    exact_unweighted_mincut,
+    heterogeneous_connectivity,
+    heterogeneous_mst,
+    heterogeneous_spanner,
+)
+from repro.core.spanner.clustering import build_clustering_graphs
 from repro.experiments import registry
 from repro.graph import generators
+from repro.graph.graph import Graph
 from repro.mpc import (
     Cluster,
     CommunicationLimitExceeded,
@@ -37,6 +48,8 @@ from repro.mpc import (
 )
 from repro.primitives.aggregate import aggregate, aggregate_counts, count_items
 from repro.primitives.broadcast import converge_cast
+from repro.primitives.edgestore import EdgeStore
+from toy_block import PairBlock
 
 
 def _digest(value) -> str:
@@ -91,6 +104,64 @@ def run_connectivity() -> dict:
     return {"labels": _digest(result.labels), **ledger_digest(result.cluster)}
 
 
+def run_sublinear_mst() -> dict:
+    """Table 1's left column: Borůvka on the small machines, whose
+    per-component minima are ``(weight, u, v, w)`` values."""
+    rng = random.Random(31)
+    graph = generators.random_connected_graph(80, 400, rng).with_unique_weights(rng)
+    result = sublinear_boruvka_mst(graph, rng=random.Random(4))
+    return {
+        "edges": _digest(result.edges),
+        "iterations": result.iterations,
+        **ledger_digest(result.cluster),
+    }
+
+
+def run_sublinear_connectivity() -> dict:
+    graph = generators.gnm_random_graph(90, 120, random.Random(6))
+    result = sublinear_connectivity(graph, rng=random.Random(8))
+    return {
+        "labels": _digest(result.labels),
+        "iterations": result.iterations,
+        **ledger_digest(result.cluster),
+    }
+
+
+def run_clustering() -> dict:
+    """Algorithm 5: the mask OR (``dominate``), the star-center pick
+    (``sigma``) and the per-level marks over ``(scale, center)`` keys."""
+    graph = generators.gnm_random_graph(60, 600, random.Random(21))
+    config = ModelConfig.heterogeneous(n=graph.n, m=graph.m)
+    cluster = Cluster(config, rng=random.Random(22))
+    store = EdgeStore.create(cluster, list(graph.edges), name="e")
+    result = build_clustering_graphs(cluster, store, graph.n, random.Random(23))
+    return {
+        "graphs": _digest((
+            result.levels, sorted(result.sigma.items()), sorted(result.star_edges),
+            sorted(result.level_vertex_counts.items()),
+            sorted(result.level_edge_counts.items()), sorted(result.store.items()),
+        )),
+        **ledger_digest(cluster),
+    }
+
+
+def run_weighted_spanner() -> dict:
+    """One weight class dense enough that level 6 runs modified
+    Baswana–Sen, whose ``select`` keys are ``(vertex, center)`` tuples."""
+    rng = random.Random(11)
+    base = generators.gnm_random_graph(90, 3000, rng)
+    graph = Graph(90, [(u, v, 64 + rng.randrange(64)) for u, v in base.edges])
+    result = heterogeneous_spanner(graph, k=2, rng=random.Random(3))
+    return {"edges": _digest(sorted(result.edges)), **ledger_digest(result.cluster)}
+
+
+def run_mincut() -> dict:
+    """Theorem C.3's contraction attempts, each with a 2-out step."""
+    graph = generators.planted_cut_graph(24, 2, 4.0, random.Random(5))
+    result = exact_unweighted_mincut(graph, rng=random.Random(6))
+    return {"value": result.value, **ledger_digest(result.cluster)}
+
+
 def run_robustness(measure, n: int) -> dict:
     """One robustness point: every arm's cluster (calibration, off,
     advise, enforce), digested in run order."""
@@ -138,9 +209,9 @@ def run_small_destination_aggregates() -> dict:
         for machine in cluster.smalls
     }
     results.append(sorted(aggregate(cluster, pairs, "min", note="min").items()))
-    results.append(
-        sorted(aggregate(cluster, pairs, lambda a, b: a ^ b, note="xor").items())
-    )
+    results.append(sorted(
+        aggregate_oracle.aggregate(cluster, pairs, lambda a, b: a ^ b, note="xor").items()
+    ))
     keys = {
         machine.machine_id: np.array([v for _, v in machine.get("e")], dtype=np.int64)
         for machine in cluster.smalls
@@ -156,12 +227,13 @@ def run_small_destination_aggregates() -> dict:
         note="list-cast",
     )
     results.append(listed)
+    firsts = [cluster.machine(mid).get("e")[:3] for mid in cluster.small_ids]
     arrays = converge_cast(
         cluster,
-        {
-            mid: np.array(cluster.machine(mid).get("e")[:3], dtype=np.int64)
-            for mid in cluster.small_ids
-        },
+        (
+            np.repeat(cluster.small_ids, [len(rows) for rows in firsts]),
+            np.array([row for rows in firsts for row in rows], dtype=np.int64),
+        ),
         cluster.small_ids[0],
         note="array-cast",
     )
@@ -226,10 +298,12 @@ def run_strict_cast_buffer(arrays: bool) -> dict:
     """A converge-cast whose level buffer outgrows a small relay."""
     cluster = _sublinear_cluster(strict=True)
     width = cluster.config.small_capacity // 5
-    items = {}
-    for mid in cluster.small_ids:
-        rows = [(mid, j) for j in range(width // 2)]
-        items[mid] = np.array(rows, dtype=np.int64) if arrays else rows
+    items: Any = {
+        mid: [(mid, j) for j in range(width // 2)] for mid in cluster.small_ids
+    }
+    if arrays:
+        rows = [row for mid_rows in items.values() for row in mid_rows]
+        items = (np.array([mid for mid, _ in rows]), np.array(rows, dtype=np.int64))
     return _raised(
         lambda: converge_cast(cluster, items, cluster.small_ids[0], note="hoard"),
         lambda: cluster,
@@ -238,16 +312,18 @@ def run_strict_cast_buffer(arrays: bool) -> dict:
 
 def run_strict_gather_buffer() -> dict:
     """The same overflow on a cast with a combine: the relay holds the
-    list of its held and received blocks."""
+    list of its held and received blocks, which the combine joins."""
     cluster = _sublinear_cluster(strict=True)
     width = cluster.config.small_capacity // 5
     items = {
-        mid: np.array([(mid, j) for j in range(width // 2)], dtype=np.int64)
+        mid: PairBlock([(mid, j) for j in range(width // 2)])
         for mid in cluster.small_ids
     }
     return _raised(
         lambda: converge_cast(
-            cluster, items, cluster.small_ids[0], combine=np.concatenate, note="g"
+            cluster, items, cluster.small_ids[0],
+            combine=lambda blocks: PairBlock(row for b in blocks for row in b.rows),
+            note="g",
         ),
         lambda: cluster,
     )
@@ -257,6 +333,11 @@ RUNS = {
     "mst": run_mst,
     "mst_with_violations": run_mst_with_violations,
     "connectivity": run_connectivity,
+    "sublinear_mst": run_sublinear_mst,
+    "sublinear_connectivity": run_sublinear_connectivity,
+    "clustering": run_clustering,
+    "weighted_spanner": run_weighted_spanner,
+    "mincut": run_mincut,
     "robustness_near_clique": lambda: run_robustness(
         registry._measure_robustness_near_clique, 48
     ),
@@ -272,11 +353,21 @@ RUNS = {
 }
 
 
-GOLDEN: dict = {'connectivity': {'labels': '83e66328b308e6f2',
+GOLDEN: dict = {'clustering': {'graphs': 'd91d3a39337a38fa',
+                               'memory': 'b0c8724ca5a9bb2e',
+                               'records': 'a06c6dbac392b192',
+                               'rounds': 106,
+                               'violations': 'abc57444127f072a'},
+                'connectivity': {'labels': '83e66328b308e6f2',
                                  'memory': 'e6ae39d5dcc93dca',
                                  'records': '55848d1e173faf92',
                                  'rounds': 6,
                                  'violations': 'caffe714edf2a556'},
+                'mincut': {'memory': 'f166e1ce02bca96d',
+                           'records': 'cdf222a205b0f5bf',
+                           'rounds': 33,
+                           'value': 2.0,
+                           'violations': 'c168939574d62f4e'},
                 'mst': {'memory': 'b1ffd4fd29e154e4',
                         'records': '2e15fbd7033081ed',
                         'rounds': 79,
@@ -340,6 +431,18 @@ GOLDEN: dict = {'connectivity': {'labels': '83e66328b308e6f2',
                                                  'results': '34f62a6f7d2b2042',
                                                  'rounds': 40,
                                                  'violations': 'f2b1223c5a7dc44c'},
+                'sublinear_connectivity': {'iterations': 4,
+                                           'labels': 'f28e40ac9aa42986',
+                                           'memory': '9194c8a180a97c9f',
+                                           'records': 'c475e6d407f04803',
+                                           'rounds': 51,
+                                           'violations': '4f53cda18c2baa0c'},
+                'sublinear_mst': {'edges': 'c36bd58ef01a4f67',
+                                  'iterations': 4,
+                                  'memory': '327133d512e23ebe',
+                                  'records': 'e59ab3261a7aedca',
+                                  'rounds': 51,
+                                  'violations': '50643216d41b3f0b'},
                 'strict_array_cast_buffer': {'memory': '1ff01f6fcbf1b162',
                                              'message': 'round 2 [hoard#cast-buffer]: machine 1 holds 1358 > '
                                                         'memory capacity 1351 (storing 1350 words in dataset '
@@ -379,7 +482,12 @@ GOLDEN: dict = {'connectivity': {'labels': '83e66328b308e6f2',
                                    'violations': ['round 2 [arrange/sort/sample/level]: machine 0 received 1260 > '
                                                   'capacity 864',
                                                   'round 2 [arrange/sort/sample/level]: machine 1 received 1368 > '
-                                                  'capacity 864']}}
+                                                  'capacity 864']},
+                'weighted_spanner': {'edges': '7e38155f42186a88',
+                                     'memory': '15c45cdf67e4a50f',
+                                     'records': '73dbbcdb96476562',
+                                     'rounds': 124,
+                                     'violations': '6b3f2fc69dd9ef0d'}}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

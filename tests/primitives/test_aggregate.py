@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.mpc import Cluster, ModelConfig
 from repro.primitives.aggregate import aggregate, aggregate_counts, count_items
 
@@ -12,25 +14,26 @@ def make_cluster(n=64, m=512) -> Cluster:
 
 def test_sums_per_key_land_on_large():
     cluster = make_cluster()
-    pairs = {mid: [("a", 1), ("b", 2)] for mid in cluster.small_ids[:10]}
-    result = aggregate(cluster, pairs, lambda x, y: x + y)
-    assert result == {"a": 10, "b": 20}
+    pairs = {mid: [(7, 1), (8, 2)] for mid in cluster.small_ids[:10]}
+    result = aggregate(cluster, pairs, "sum")
+    assert result == {7: 10, 8: 20}
+    assert cluster.ledger.memory_high_water[cluster.large.machine_id] >= 4
 
 
 def test_aggregation_function_semantics():
     """f({f(X1), f(X2)}) = f(X1 ∪ X2) — check with max, an aggregation
     function per Definition 1."""
     cluster = make_cluster()
-    pairs = {mid: [("k", mid)] for mid in cluster.small_ids}
-    result = aggregate(cluster, pairs, max)
-    assert result["k"] == max(cluster.small_ids)
+    pairs = {mid: [(0, mid)] for mid in cluster.small_ids}
+    result = aggregate(cluster, pairs, "max")
+    assert result[0] == max(cluster.small_ids)
 
 
 def test_aggregate_to_explicit_destination():
     cluster = make_cluster()
-    pairs = {mid: [("x", 1)] for mid in cluster.small_ids[:5]}
-    result = aggregate(cluster, pairs, lambda a, b: a + b, dst=cluster.small_ids[3])
-    assert result == {"x": 5}
+    pairs = {mid: [(3, 1)] for mid in cluster.small_ids[:5]}
+    result = aggregate(cluster, pairs, "sum", dst=cluster.small_ids[3])
+    assert result == {3: 5}
 
 
 def test_aggregate_rounds_are_constant_in_volume():
@@ -38,7 +41,7 @@ def test_aggregate_rounds_are_constant_in_volume():
     for width in (5, len(make_cluster().small_ids)):
         cluster = make_cluster()
         pairs = {mid: [(mid % 7, 1)] for mid in cluster.small_ids[:width]}
-        aggregate(cluster, pairs, lambda a, b: a + b)
+        aggregate(cluster, pairs, "sum")
         counts.append(cluster.ledger.rounds)
     fanout_depth = 4
     assert all(c <= fanout_depth for c in counts)
@@ -46,9 +49,9 @@ def test_aggregate_rounds_are_constant_in_volume():
 
 def test_aggregate_counts_degrees():
     cluster = make_cluster()
-    keys = {mid: ["u", "v", "u"] for mid in cluster.small_ids[:4]}
+    keys = {mid: [5, 9, 5] for mid in cluster.small_ids[:4]}
     result = aggregate_counts(cluster, keys)
-    assert result == {"u": 8, "v": 4}
+    assert result == {5: 8, 9: 4}
 
 
 def test_count_items_with_predicate():
@@ -61,27 +64,52 @@ def test_count_items_with_predicate():
 
 
 def test_empty_aggregate():
+    """No pairs: no round, but the cast still records the destination's
+    memory at its result checkpoint."""
     cluster = make_cluster()
-    assert aggregate(cluster, {}, lambda a, b: a + b) == {}
+    cluster.large.put("keep", [1, 2])
+    assert aggregate(cluster, {}, "sum") == {}
+    assert cluster.ledger.rounds == 0
+    assert cluster.ledger.memory_high_water == {cluster.large.machine_id: 2}
 
 
 def test_aggregate_works_without_large_machine():
     config = ModelConfig.sublinear(n=64, m=512)
     cluster = Cluster(config, rng=random.Random(1))
-    pairs = {mid: [("k", 1)] for mid in cluster.small_ids[:6]}
-    result = aggregate(cluster, pairs, lambda a, b: a + b)
-    assert result == {"k": 6}
+    pairs = {mid: [(4, 1)] for mid in cluster.small_ids[:6]}
+    result = aggregate(cluster, pairs, "sum")
+    assert result == {4: 6}
 
 
 def test_min_aggregation_with_tuple_values():
+    """"min" compares whole value tuples, as Python compares them."""
     cluster = make_cluster()
     pairs = {
-        cluster.small_ids[0]: [("v", (3, "c"))],
-        cluster.small_ids[1]: [("v", (1, "a"))],
-        cluster.small_ids[2]: [("v", (2, "b"))],
+        cluster.small_ids[0]: [((1, 2), (3, 0.5, True))],
+        cluster.small_ids[1]: [((1, 2), (1, 9.5, False))],
+        cluster.small_ids[2]: [((1, 2), (1, 2.5, True)), ((0, 2), (5, 0.0, True))],
     }
-    result = aggregate(cluster, pairs, min)
-    assert result["v"] == (1, "a")
+    result = aggregate(cluster, pairs, "min")
+    assert result == {(1, 2): (1, 2.5, True), (0, 2): (5, 0.0, True)}
+    assert aggregate(make_cluster(), pairs, "max")[(1, 2)] == (3, 0.5, True)
+
+
+def test_sum_and_or_combine_tuples_element_wise():
+    cluster = make_cluster()
+    pairs = {mid: [(mid % 2, (1, mid, -mid))] for mid in cluster.small_ids[:6]}
+    assert aggregate(cluster, pairs, "sum") == {0: (3, 6, -6), 1: (3, 9, -9)}
+    masks = {mid: [(0, (1 << mid, True, mid == 2))] for mid in cluster.small_ids[:3]}
+    assert aggregate(make_cluster(), masks, "or") == {0: (7, True, True)}
+
+
+def test_a_callable_combine_is_refused_before_any_round():
+    cluster = make_cluster()
+    pairs = {mid: [(0, 1)] for mid in cluster.small_ids}
+    with pytest.raises(TypeError, match="named reducer"):
+        aggregate(cluster, pairs, lambda a, b: a + b)
+    with pytest.raises(ValueError, match="unknown reducer"):
+        aggregate(cluster, pairs, "xor")
+    assert cluster.ledger.rounds == 0
 
 
 def _ledger(cluster):
@@ -92,23 +120,34 @@ def _ledger(cluster):
 
 
 def test_pairs_of_every_machine_at_once_match_the_per_machine_form():
-    """One (machine, key, value) block charges and answers what the
-    per-machine pairs do — and so does a block the columnar path declines
-    (float sums take the object path)."""
+    """One (machine, key, *value) block charges and answers what the
+    per-machine pairs do — with a scalar value and with a wider one — and
+    so does the object aggregate."""
     import numpy as np
 
+    import aggregate_oracle
     from repro.primitives.columnar import EdgeBlock
 
     rng = random.Random(4)
-    for value in (lambda: rng.randrange(-9, 9), lambda: rng.random()):
+    for width in (1, 3):
         per_machine = {
-            mid: [(rng.randrange(12), value()) for _ in range(rng.randrange(0, 6))]
+            mid: [
+                (rng.randrange(12), tuple(rng.randrange(-9, 9) for _ in range(width)))
+                for _ in range(rng.randrange(0, 6))
+            ]
             for mid in range(0, 40, 3)
         }
-        rows = [(mid, k, v) for mid, pairs in per_machine.items() for k, v in pairs]
+        rows = [(mid, k, *v) for mid, pairs in per_machine.items() for k, v in pairs]
         block = EdgeBlock([np.array(column) for column in zip(*rows)])
+        if width == 1:
+            per_machine = {
+                mid: [(k, v) for k, (v,) in pairs] for mid, pairs in per_machine.items()
+            }
         results = []
-        for pairs in (per_machine, block):
+        for run, pairs in (
+            (aggregate, per_machine), (aggregate, block),
+            (aggregate_oracle.aggregate, per_machine), (aggregate_oracle.aggregate, block),
+        ):
             cluster = make_cluster(n=256, m=4096)
-            results.append((aggregate(cluster, pairs, "sum", note="a"), _ledger(cluster)))
-        assert results[0] == results[1]
+            results.append((run(cluster, pairs, "sum", note="a"), _ledger(cluster)))
+        assert all(result == results[0] for result in results)

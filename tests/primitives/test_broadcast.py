@@ -2,11 +2,14 @@
 
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from repro.mpc import Cluster, ModelConfig
 from repro.primitives.broadcast import broadcast, converge_cast
+from repro.primitives.columnar import Reducer
 
 
 def make_cluster(n=64, m=512, gamma=0.5) -> Cluster:
@@ -118,21 +121,26 @@ def _cast_fingerprint(cluster, result):
     return records, cluster.ledger.memory_high_water, result
 
 
+def _owned_rows(items_by_machine):
+    """The ``(owners, rows)`` pair of an array cast of the machines'
+    ``(key, value)`` tuples, machines ascending."""
+    mids = sorted(items_by_machine)
+    rows = [row for mid in mids for row in items_by_machine[mid]]
+    return (
+        np.repeat(np.array(mids, dtype=np.int64), [len(items_by_machine[m]) for m in mids]),
+        np.array(rows, dtype=np.int64).reshape(len(rows), 2),
+    )
+
+
 def _cast_both_ways(make, items_by_machine, dst):
     """Run one cast on lists of tuples and one on (rows, width) arrays;
     return both fingerprints with the array result as tuples."""
-    import numpy as np
-
     as_lists = make()
     listed = converge_cast(
         as_lists, {mid: list(rows) for mid, rows in items_by_machine.items()}, dst
     )
     as_arrays = make()
-    arrays = {
-        mid: np.array(rows, dtype=np.int64).reshape(len(rows), 2)
-        for mid, rows in items_by_machine.items()
-    }
-    block = converge_cast(as_arrays, arrays, dst)
+    block = converge_cast(as_arrays, _owned_rows(items_by_machine), dst)
     rows = [tuple(row) for row in block.tolist()] if len(block) else []
     return _cast_fingerprint(as_lists, listed), _cast_fingerprint(as_arrays, rows)
 
@@ -162,11 +170,9 @@ def test_converge_cast_array_buffers_match_tuple_lists(narrow):
 
 
 def test_converge_cast_array_with_nothing_sampled():
-    """Every machine's block empty: no round, no charge, an empty result."""
-    import numpy as np
-
+    """No rows: no round, no charge, an empty result."""
     cluster = make_cluster()
-    empty = {mid: np.empty((0, 2), dtype=np.int64) for mid in cluster.small_ids}
+    empty = (np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64))
     result = converge_cast(cluster, empty, cluster.large.machine_id)
     assert len(result) == 0 and result.shape == (0, 2)
     assert cluster.ledger.rounds == 0
@@ -187,22 +193,22 @@ def test_converge_cast_array_on_one_machine():
 
 
 # ----------------------------------------------------------------------
-# Array casts with a combine: block lists, never a concatenation
+# Array casts with a named reducer: one grouped reduce per level
 # ----------------------------------------------------------------------
 def _sum_pairs(pairs):
-    """Per-key sums in first-encounter order (the concatenating reference)."""
+    """Per-key sums in first-encounter order (the list cast's combine)."""
     sums = {}
     for key, value in pairs:
         sums[key] = sums.get(key, 0) + value
     return list(sums.items())
 
 
-def _cast_with_combine(make, items_by_machine, dst):
-    """One cast on lists of tuples with a list combine, one on (rows, 2)
-    blocks with a block-list combine; both fingerprints, plus every
-    argument the block combine was handed."""
-    import numpy as np
+_SUM = Reducer("sum", 1, (np.dtype(np.int64), np.dtype(np.int64)))
 
+
+def _cast_with_combine(make, items_by_machine, dst):
+    """One cast on lists of tuples with a list combine, one on ``(n, 2)``
+    rows with the named reducer; both fingerprints."""
     as_lists = make()
     listed = converge_cast(
         as_lists,
@@ -210,38 +216,17 @@ def _cast_with_combine(make, items_by_machine, dst):
         dst,
         combine=_sum_pairs,
     )
-    handed = []
-
-    def sum_blocks(blocks):
-        handed.append(blocks)
-        rows = [tuple(row) for block in blocks for row in block.tolist()]
-        return np.array(_sum_pairs(rows), dtype=np.int64).reshape(-1, 2)
-
     as_arrays = make()
-    block = converge_cast(
-        as_arrays,
-        {
-            mid: np.array(rows, dtype=np.int64).reshape(len(rows), 2)
-            for mid, rows in items_by_machine.items()
-        },
-        dst,
-        combine=sum_blocks,
-    )
+    block = converge_cast(as_arrays, _owned_rows(items_by_machine), dst, combine=_SUM)
     rows = [tuple(row) for row in block.tolist()]
-    return (
-        _cast_fingerprint(as_lists, listed),
-        _cast_fingerprint(as_arrays, rows),
-        handed,
-    )
+    return _cast_fingerprint(as_lists, listed), _cast_fingerprint(as_arrays, rows)
 
 
 @pytest.mark.parametrize("narrow", [False, True])
 def test_converge_cast_combine_on_block_lists_matches_concatenation(narrow):
-    """Same rows in the same order, rounds, words, items and per-machine
-    high-water marks as the concatenating list cast; the combine only
-    ever sees lists of blocks."""
-    import numpy as np
-
+    """A named reducer over array rows gives the rows, in the same order,
+    rounds, words, items and per-machine high-water marks of the list
+    cast that concatenates each holder's buffer and combines it."""
     def make():
         gamma = 0.2 if narrow else 0.5
         return make_cluster(n=256, m=4096, gamma=gamma)
@@ -256,40 +241,57 @@ def test_converge_cast_combine_on_block_lists_matches_concatenation(narrow):
     for dst in (cluster.large.machine_id, cluster.small_ids[0]):
         # A small destination starts with rows of its own.
         assert dst == cluster.large.machine_id or items[dst]
-        listed, arrayed, handed = _cast_with_combine(make, items, dst)
+        listed, arrayed = _cast_with_combine(make, items, dst)
         assert arrayed == listed
-        assert handed and all(
-            type(blocks) is list and all(isinstance(b, np.ndarray) for b in blocks)
-            for blocks in handed
-        )
 
 
 def test_converge_cast_combine_on_one_machine():
-    """k = 1: the only machine is the destination; its block is combined
+    """k = 1: the only machine is the destination; its rows are combined
     once, with no round."""
     def make():
         config = ModelConfig.sublinear(n=64, m=64, num_small=1)
         return Cluster(config, rng=random.Random(0))
 
     only = make().small_ids[0]
-    listed, arrayed, handed = _cast_with_combine(
-        make, {only: [(1, 2), (3, 4), (1, 5)]}, only
-    )
+    listed, arrayed = _cast_with_combine(make, {only: [(1, 2), (3, 4), (1, 5)]}, only)
     assert arrayed == listed
     assert arrayed[0] == [] and arrayed[2] == [(1, 7), (3, 4)]
-    assert len(handed) == 1 and len(handed[0]) == 1
 
 
 def test_converge_cast_combine_with_nothing_to_cast():
-    """Every block empty: no round, no charge, and the combine sees one
-    empty block of the cast's width."""
-    listed, arrayed, handed = _cast_with_combine(
+    """No rows: no round, no charge, an empty result of the cast's
+    width."""
+    listed, arrayed = _cast_with_combine(
         make_cluster, {mid: [] for mid in make_cluster().small_ids},
         make_cluster().large.machine_id,
     )
     assert arrayed == listed
     assert arrayed[0] == [] and arrayed[2] == []
-    assert [[b.shape for b in blocks] for blocks in handed] == [[(0, 2)]]
+    cluster = make_cluster()
+    empty = (np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64))
+    result = converge_cast(cluster, empty, cluster.large.machine_id, combine=_SUM)
+    assert result.shape == (0, 2)
+
+
+def test_converge_cast_array_forms_are_checked_before_any_round():
+    """An array cast takes one (owners, rows) pair, owners ascending, and
+    a named reducer or no combine; a named reducer takes only that."""
+    cluster = make_cluster()
+    rows = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    dst = cluster.large.machine_id
+    cases = [
+        (lambda: converge_cast(cluster, {0: rows}, dst), TypeError, "(owners, rows) pair"),
+        (lambda: converge_cast(cluster, (np.array([1, 0]), rows), dst), ValueError, "ascend"),
+        (lambda: converge_cast(cluster, (np.array([0, 1]), rows), dst, combine=np.concatenate),
+         TypeError, "named reducer or no combine"),
+        (lambda: converge_cast(cluster, {0: [(1, 2)]}, dst, combine=_SUM),
+         TypeError, "named reducer combines"),
+    ]
+    for cast, error, message in cases:
+        with pytest.raises(error, match=re.escape(message)):
+            cast()
+    assert cluster.ledger.rounds == 0
+    assert not cluster.usage.any()
 
 
 # ----------------------------------------------------------------------
@@ -297,9 +299,9 @@ def test_converge_cast_combine_with_nothing_to_cast():
 # ----------------------------------------------------------------------
 def test_converge_cast_of_block_objects_matches_arrays():
     """A :class:`~repro.mpc.plan.Block` cast with a combine charges and
-    delivers exactly what the array cast of the same rows does; the
-    combine sees lists of blocks, and a machine that has sent its rows
-    holds a fresh empty block."""
+    delivers exactly what the array cast of the same rows with the named
+    reducer does; the combine sees lists of blocks, and a machine that
+    has sent its rows holds a fresh empty block."""
     from toy_block import PairBlock
 
     def make():
@@ -319,7 +321,7 @@ def test_converge_cast_of_block_objects_matches_arrays():
         for machine in cluster.smalls
     }
     dst = cluster.large.machine_id
-    _, arrayed, _ = _cast_with_combine(make, items, dst)
+    _, arrayed = _cast_with_combine(make, items, dst)
     block = converge_cast(
         cluster, {mid: PairBlock(rows) for mid, rows in items.items()}, dst,
         combine=combine_pairs,

@@ -12,10 +12,11 @@ join and arrange run a curated scenario matrix covering every internal
 representation (typed and object columns, label, tuple and ``None``
 values, mixed value types, sorted-mode and partial keys, empties).  The
 object side runs under :func:`object_path`: every sort runs on the
-object sort of ``tests/sort_oracle.py`` and the aggregate takes its
-object path (its qualification declines); the other steps (the join,
-arrange, the query step, the MST rename, the dedup's passes) ingest the
-tuple lists the oracle leaves, so whole pipelines compare the two sorts.
+object sort of ``tests/sort_oracle.py`` and every aggregation on the
+object aggregate of ``tests/aggregate_oracle.py``; the other steps (the
+join, arrange, the query step, the MST rename, the dedup's passes)
+ingest the tuple lists the oracle leaves, so whole pipelines compare the
+two sorts and the two aggregates.
 Kernel-level unit tests pin the columnar helpers against their obvious
 per-item references, and the zero-length regression block pins the
 empty-batch fix: empty scatters must not open runs or burn rounds.
@@ -33,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aggregate_oracle
 import repro.primitives.columnar as columnar
 import sort_oracle
 from repro.core.coloring import heterogeneous_coloring
@@ -46,7 +48,6 @@ from repro.mpc import Cluster, ModelConfig, RoundPlan
 from repro.mpc.errors import ProtocolError
 from repro.mpc.machine import Machine
 from repro.mpc.words import word_size, word_size_many
-from repro.primitives.aggregate import aggregate
 from repro.primitives.arrange import arrange_directed, query_first_records
 from repro.primitives.columnar import (
     EdgeBlock,
@@ -70,27 +71,21 @@ edgestore_module = importlib.import_module("repro.primitives.edgestore")
 NUM_SMALL = 6
 
 
-def _decline(*args):
-    return None
-
-
 @contextmanager
 def object_path():
     """Run every sort on the object oracle (``sort_oracle.installed``) and
-    make the aggregate take its object path (its qualification step,
-    ``ingest_pairs``, declines).  The other primitives then ingest the
-    tuple rows the oracle leaves.  An array sort or columnar aggregate
+    every aggregation on the object aggregate
+    (``aggregate_oracle.installed``).  The other primitives then ingest
+    the tuple rows the oracle leaves.  An array sort or typed aggregate
     that still runs fails the test, so a path that slips past the fake
     cannot turn a differential into columnar against columnar."""
     def no_columnar(*args, **kwargs):
         raise AssertionError("a columnar path ran under the object-path fake")
 
-    with sort_oracle.installed(), mock.patch.object(
+    with sort_oracle.installed(), aggregate_oracle.installed(), mock.patch.object(
         sort_module, "_bucket_rows", no_columnar
     ), mock.patch.object(
-        columnar, "ingest_pairs", _decline
-    ), mock.patch.object(
-        aggregate_module, "_aggregate_columnar", no_columnar
+        aggregate_module, "_pair_columns", no_columnar
     ):
         yield
 
@@ -178,6 +173,19 @@ def test_sample_sort_differential(rows, key):
     run_everyway(go, ["e"], sorted_names=["e"])
 
 
+def _aggregate_everyway(pairs, reducer, holders=NUM_SMALL):
+    """The pairs dealt over the first *holders* machines, aggregated on
+    both paths (the result as a list, so that its order is compared)."""
+    def go(cluster):
+        per = {
+            machine.machine_id: pairs[i::holders]
+            for i, machine in enumerate(cluster.smalls[:holders])
+        }
+        return list(aggregate_module.aggregate(cluster, per, reducer).items())
+
+    run_everyway(go, [])
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     pairs=st.lists(
@@ -186,14 +194,7 @@ def test_sample_sort_differential(rows, key):
     reducer=st.sampled_from(["sum", "min", "max"]),
 )
 def test_aggregate_differential(pairs, reducer):
-    def go(cluster):
-        per = {
-            machine.machine_id: pairs[i::NUM_SMALL]
-            for i, machine in enumerate(cluster.smalls)
-        }
-        return sorted(aggregate(cluster, per, reducer).items())
-
-    run_everyway(go, [])
+    _aggregate_everyway(pairs, reducer)
 
 
 @settings(max_examples=15, deadline=None)
@@ -201,14 +202,82 @@ def test_aggregate_differential(pairs, reducer):
     flags=st.lists(st.tuples(st.integers(0, 20), st.booleans()), max_size=60)
 )
 def test_aggregate_or_differential(flags):
-    def go(cluster):
-        per = {
-            machine.machine_id: flags[i::NUM_SMALL]
-            for i, machine in enumerate(cluster.smalls)
-        }
-        return sorted(aggregate(cluster, per, "or").items())
+    _aggregate_everyway(flags, "or")
 
-    run_everyway(go, [])
+
+#: Leaves of one field: each strategy gives values of one type.
+_LEAVES = {
+    "int": st.integers(-(2**40), 2**40),
+    "small": st.integers(-3, 3),
+    "float": st.floats(-4.0, 4.0, allow_nan=False).map(lambda x: round(x, 1)),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def _pair_lists(draw):
+    """Pairs whose key and value are scalars or flat tuples, one type per
+    field, and a named reducer that reduces those values exactly."""
+    reducer = draw(st.sampled_from(["sum", "min", "max", "or"]))
+    allowed = {"sum": ["int", "small"], "or": ["int", "small", "bool"]}.get(
+        reducer, list(_LEAVES)
+    )
+    key_types = draw(st.lists(st.sampled_from(["small", "bool", "float"]), min_size=1, max_size=3))
+    value_types = draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=4))
+
+    def side(types):
+        leaves = st.tuples(*(_LEAVES[t] for t in types))
+        return leaves.map(lambda t: t[0]) if len(types) == 1 else leaves
+
+    pairs = draw(st.lists(st.tuples(side(key_types), side(value_types)), max_size=60))
+    return pairs, reducer
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_pair_lists(), holders=st.integers(1, NUM_SMALL))
+def test_aggregate_of_several_columns_differential(case, holders):
+    """Keys and values of one to four int, float or bool columns: the
+    typed aggregate answers, charges and orders what the object aggregate
+    does, ``"sum"`` and ``"or"`` element-wise and ``"min"``/``"max"`` on
+    whole value tuples."""
+    pairs, reducer = case
+    _aggregate_everyway(pairs, reducer, holders)
+
+
+#: One input per class the typed path refuses, with its error.
+_REFUSED = {
+    "callable": ([(1, 2)], lambda a, b: a + b, TypeError, "named reducer"),
+    "float-sum": ([(1, 0.5)], "sum", TypeError, "'sum' over floats"),
+    "bool-sum": ([(1, True)], "sum", TypeError, "'sum' over bools"),
+    "float-or": ([(1, 0.5)], "or", TypeError, "'or' takes ints or bools"),
+    "sum-past-guard": ([(1, 2**61), (2, -(2**61))], "sum", OverflowError, "could leave int64"),
+    "int-past-int64": ([(2**63, 1)], "min", OverflowError, "outside int64"),
+    "ragged": ([(1, (1, 2)), (2, (3,))], "min", TypeError, "flat tuples of one width"),
+    "nested": ([(1, (1, (2, 3)))], "max", TypeError, "must be flat"),
+    "non-scalar": ([(1, None)], "min", TypeError, "not NoneType"),
+    "label": ([("a", 1)], "max", TypeError, "not str"),
+    "mixed": ([(1, 1), (2, 2.5)], "min", TypeError, "mixes float, int"),
+    "non-finite": ([(1, float("inf"))], "min", TypeError, "non-finite float"),
+    "not-a-pair": ([(1, 2, 3)], "min", TypeError, "(key, value) tuples"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_aggregate_refuses_what_its_columns_cannot_hold(case):
+    """Each refused input raises before any round and leaves every
+    machine's usage as it was."""
+    pairs, reducer, error, message = _REFUSED[case]
+    cluster = make_cluster()
+    cluster.smalls[0].put("keep", [1, 2, 3])
+    per = {
+        machine.machine_id: pairs[i::NUM_SMALL]
+        for i, machine in enumerate(cluster.smalls)
+    }
+    usage = cluster.usage.copy()
+    with pytest.raises(error, match=re.escape(message)):
+        aggregate_module.aggregate(cluster, per, reducer)
+    assert cluster.ledger.rounds == 0 and not cluster.ledger.records
+    assert np.array_equal(cluster.usage, usage)
 
 
 @settings(max_examples=25, deadline=None)
@@ -360,9 +429,9 @@ def test_sample_sort_rank_differential(case):
         assert packed and 2 * span >= 2**63
         assert any(counts[1:])  # a machine index >= 1 receives rows
     elif case == "float-transport":
-        assert sort_module._transport_dtype(columns) is np.float64
+        assert columnar.transport_dtype(columns) is np.float64
     elif case in ("object-transport", "object-column"):
-        assert sort_module._transport_dtype(columns) is object
+        assert columnar.transport_dtype(columns) is object
         if case == "object-column":
             assert not packed and columns[1].dtype == object
     elif case == "partial-float-split":
@@ -881,16 +950,12 @@ def test_pack_columns_preserves_field_order(rows, splitters):
     kind=st.sampled_from(["sum", "min", "max"]),
 )
 def test_reduce_pairs_matches_dict_loop(pairs, kind):
-    import numpy as np
-
     keys = np.array([k for k, _ in pairs], dtype=np.int64)
     values = np.array([v for _, v in pairs], dtype=np.int64)
-    out_keys, out_values = reduce_pairs(keys, values, kind)
-    expected: dict[int, int] = {}
-    op = {"sum": lambda a, b: a + b, "min": min, "max": max}[kind]
-    for k, v in pairs:
-        expected[k] = op(expected[k], v) if k in expected else v
-    assert dict(zip(out_keys.tolist(), out_values.tolist())) == expected
+    (out_keys,), (out_values,), owners = reduce_pairs([keys], [values], kind)
+    expected = aggregate_oracle.combine_pairs(pairs, aggregate_oracle.REDUCERS[kind])
+    assert list(zip(out_keys.tolist(), out_values.tolist())) == expected
+    assert owners is None
 
 
 def test_machine_of_rank_many_matches_scalar():
@@ -1037,7 +1102,7 @@ def test_empty_cluster_primitives_cost_identically(form):
             machine.put("e", empty())
         with PATHS[path]():
             layout = sort_module.sample_sort(cluster, "e", key=(0, 1))
-            result = aggregate(
+            result = aggregate_module.aggregate(
                 cluster, {m.machine_id: empty() for m in cluster.smalls}, "sum"
             )
         return snapshot(cluster, ["e"]) + (layout.counts, sorted(result))
@@ -1058,18 +1123,18 @@ def test_empty_cluster_primitives_cost_identically(form):
 def test_grouped_reduce_pairs_matches_one_call_per_group(groups, kind):
     """One grouped reduce over (holder, key) gives every holder's results
     in holder order, each as its own reduce_pairs call would."""
-    import numpy as np
-
     holders = [7 * i + 3 for i in range(len(groups))]  # ascending, gapped
     keys = np.array([k for g in groups for k, _ in g], dtype=np.int64)
     values = np.array([v for g in groups for _, v in g], dtype=np.int64)
     owner = np.repeat(np.array(holders, dtype=np.int64), [len(g) for g in groups])
-    out_keys, out_values, out_owner = reduce_pairs(keys, values, kind, groups=owner)
+    (out_keys,), (out_values,), out_owner = reduce_pairs(
+        [keys], [values], kind, groups=owner
+    )
     expected = []
     for holder, pairs in zip(holders, groups):
-        k, v = reduce_pairs(
-            np.array([k for k, _ in pairs], dtype=np.int64),
-            np.array([v for _, v in pairs], dtype=np.int64),
+        (k,), (v,), _ = reduce_pairs(
+            [np.array([k for k, _ in pairs], dtype=np.int64)],
+            [np.array([v for _, v in pairs], dtype=np.int64)],
             kind,
         )
         expected.extend(zip([holder] * len(k), k.tolist(), v.tolist()))
@@ -1078,10 +1143,12 @@ def test_grouped_reduce_pairs_matches_one_call_per_group(groups, kind):
 
 def test_grouped_reduce_pairs_past_int64_packing():
     """Keys whose span cannot pack with the holder take the lexsort."""
-    import numpy as np
-
     keys = np.array([2**62, -(2**62), 2**62, 5, 5], dtype=np.int64)
     values = np.array([1, 2, 3, 4, 5], dtype=np.int64)
     owner = np.array([0, 0, 0, 1, 1], dtype=np.int64)
-    out = reduce_pairs(keys, values, "sum", groups=owner)
-    assert [a.tolist() for a in out] == [[2**62, -(2**62), 5], [4, 2, 9], [0, 0, 1]]
+    (out_keys,), (out_values,), out_owner = reduce_pairs(
+        [keys], [values], "sum", groups=owner
+    )
+    assert [a.tolist() for a in (out_keys, out_values, out_owner)] == [
+        [2**62, -(2**62), 5], [4, 2, 9], [0, 0, 1]
+    ]

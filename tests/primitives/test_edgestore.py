@@ -76,19 +76,20 @@ def test_sort_returns_layout(cluster, graph):
 
 def test_aggregate_degrees(cluster, graph):
     store = EdgeStore.create(cluster, graph.edges)
-    degree_u = store.aggregate(lambda e: (e[0], 1), lambda a, b: a + b)
+    degree_u = store.aggregate(lambda e: (e[0], 1), "sum")
     truth = {}
     for u, v, w in graph.edges:
         truth[u] = truth.get(u, 0) + 1
     assert degree_u == truth
 
 
-def test_aggregate_skips_none_pairs(cluster, graph):
+def test_aggregate_refuses_none_pairs(cluster, graph):
+    """Every record maps to a pair: a ``None`` is refused before any
+    round (filter the records first)."""
     store = EdgeStore.create(cluster, graph.edges)
-    result = store.aggregate(
-        lambda e: (e[0], 1) if e[0] == 0 else None, lambda a, b: a + b
-    )
-    assert set(result) <= {0}
+    with pytest.raises(TypeError, match="must be \\(key, value\\) tuples"):
+        store.aggregate(lambda e: (e[0], 1) if e[0] == 0 else None, "sum")
+    assert cluster.ledger.rounds == 0
 
 
 def test_annotate_roundtrip(cluster, graph):

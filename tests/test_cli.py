@@ -117,6 +117,7 @@ BAD_INPUTS = {
     "mincut --n 4 --cut 100": "mincut: cannot plant 100 crossing edges",
     "mincut --n 0": "mincut: cannot plant 3 crossing edges",
     "mincut --cut -1": "mincut: cannot plant -1 crossing edges",
+    "mincut --n 20 --cut 0": "mincut: --cut must be at least 1: a planted cut of 0",
     "mis --n 1 --m 0": "mis: need at least 2 vertices",
     "coloring --n 1 --m 0": "coloring: need at least 2 vertices",
     "matching --gamma -1": "matching: gamma must lie in (0, 1)",
