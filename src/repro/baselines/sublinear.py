@@ -75,7 +75,7 @@ def _boruvka_loop(
     endpoint, where the value ``(weight, *edge)`` — the weight ``w`` of a
     weighted edge, ``(u, v)`` of an unweighted one — orders edges by
     weight, then by the edge.  After the merge the survivors are kept
-    with one mask over the relabeled edges."""
+    with one mask over the relabeled edges (:func:`_keep_survivors`)."""
     coordinator = cluster.small_ids[0]
     smalls = cluster.smalls
     ids = np.array(cluster.small_ids, dtype=np.int64)
@@ -120,24 +120,32 @@ def _boruvka_loop(
         # per annotate; the rename volume is what the ledger records).
         rename = {v: uf.find(v) for v in range(n)}
         annotated = store.annotate(rename, note="boruvka/rename")
-        columns, counts = columnar.concat_columns(
-            columnar.stored_blocks(smalls, annotated.name)
-        )
-        for machine in smalls:
-            machine.pop(annotated.name, None)
-        survivors = [[]] * len(smalls)
-        if columns:
-            keep = columns[-2] != columns[-1]
-            machine_of = np.repeat(np.arange(len(smalls)), counts)
-            survivors = columnar.split_columns(
-                [col[keep] for col in columns[:-2]],
-                np.bincount(machine_of[keep], minlength=len(smalls)).tolist(),
-            )
-        for machine, data in zip(smalls, survivors):
-            machine.put(store.name, data)
+        _keep_survivors(smalls, store, annotated, np.not_equal)
         component = np.fromiter(rename.values(), np.int64, n)
 
     return chosen, uf, iterations
+
+
+def _keep_survivors(
+    smalls: list[Any], store: EdgeStore, annotated: EdgeStore, keep: Any
+) -> None:
+    """Put back as *store* the rows of *annotated* (*store*'s, plus a value
+    per endpoint) whose values pass ``keep``, by one mask; drop the rest."""
+    columns, counts = columnar.concat_columns(
+        columnar.stored_blocks(smalls, annotated.name)
+    )
+    for machine in smalls:
+        machine.pop(annotated.name, None)
+    survivors = [[]] * len(smalls)
+    if columns:
+        mask = keep(columns[-2], columns[-1])
+        machine_of = np.repeat(np.arange(len(smalls)), counts)
+        survivors = columnar.split_columns(
+            [col[mask] for col in columns[:-2]],
+            np.bincount(machine_of[mask], minlength=len(smalls)).tolist(),
+        )
+    for machine, data in zip(smalls, survivors):
+        machine.put(store.name, data)
 
 
 def sublinear_boruvka_mst(
@@ -198,7 +206,8 @@ def sublinear_matching(
 ) -> SublinearResult:
     """Maximal matching with small machines only, by local-minimum peeling:
     every iteration each surviving edge draws a rank, per-vertex minima are
-    aggregated, and locally minimal edges join the matching."""
+    aggregated, and locally minimal edges join the matching: one array
+    pass each, over the stored columns."""
     rng = rng if rng is not None else random.Random(0)
     config = (
         config
@@ -210,44 +219,34 @@ def sublinear_matching(
         cluster, [(e[0], e[1]) for e in graph.edges], name="sub-match"
     )
     coordinator = cluster.small_ids[0]
+    smalls = cluster.smalls
     matching: list[tuple[int, int]] = []
     matched: set[int] = set()
     iterations = 0
 
     while len(store):
         iterations += 1
-        ranks = {
-            edge: cluster.rng.random() for machine in cluster.smalls
-            for edge in machine.get(store.name, [])
-        }
-        pairs_by_machine = {
-            machine.machine_id: [
-                pair
-                for edge in machine.get(store.name, [])
-                for pair in ((edge[0], ranks[edge]), (edge[1], ranks[edge]))
-            ]
-            for machine in cluster.smalls
-        }
-        best = aggregate(cluster, pairs_by_machine, "min", dst=coordinator, note="peel/min")
-        winners = {
-            edge
-            for edge in ranks
-            if best[edge[0]] == ranks[edge] and best[edge[1]] == ranks[edge]
-        }
-        for u, v in sorted(winners):
-            if u not in matched and v not in matched:
-                matching.append((u, v))
-                matched.update((u, v))
+        (u, v), counts = columnar.concat_columns(
+            columnar.stored_blocks(smalls, store.name)
+        )
+        ranks = np.fromiter(iter(cluster.rng.random, None), np.float64, count=len(u))
+        pairs = EdgeBlock([
+            np.repeat(np.repeat(cluster.small_ids, counts), 2),
+            np.column_stack((u, v)).ravel(),
+            np.repeat(ranks, 2),
+        ])
+        best = aggregate(cluster, pairs, "min", dst=coordinator, note="peel/min")
+        lowest = np.full(graph.n, np.inf)
+        lowest[list(best)] = list(best.values())
+        won = np.flatnonzero((lowest[u] == ranks) & (lowest[v] == ranks))
+        for a, b in sorted(columnar.rows_at((u, v), won)):
+            if a not in matched and b not in matched:
+                matching.append((a, b))
+                matched.update((a, b))
 
-        flags = {v: (v in matched) for v in range(graph.n)}
+        flags = {vertex: (vertex in matched) for vertex in range(graph.n)}
         annotated = store.annotate(flags, default=False, note="peel/flags")
-        for machine in cluster.smalls:
-            survivors = [
-                row[:-2]
-                for row in machine.pop(annotated.name, [])
-                if not row[-2] and not row[-1]
-            ]
-            machine.put(store.name, survivors)
+        _keep_survivors(smalls, store, annotated, lambda a, b: ~(a | b))
 
     return SublinearResult(
         rounds=cluster.ledger.rounds,

@@ -186,7 +186,8 @@ def _weighted_spanner(
     graph: Graph, k: int, config: ModelConfig, rng: random.Random
 ) -> SpannerResult:
     """Weight-class reduction: one unweighted spanner per geometric weight
-    class, all classes running in parallel (the round charge is the max)."""
+    class, all classes running in parallel (the round charge is the max);
+    the levels on the large machine and sampled are those of any class."""
     classes: dict[int, list[tuple]] = {}
     for u, v, w in graph.edges:
         classes.setdefault(int(math.log2(max(w, 1))), []).append((u, v, w))
@@ -194,6 +195,7 @@ def _weighted_spanner(
     cluster = Cluster(config, rng=random.Random(rng.random()))
     spanner: set[tuple] = set()
     level_sizes: dict[int, int] = {}
+    levels: tuple[set[int], set[int]] = (set(), set())  # on large, sampled
     with cluster.ledger.parallel("weight-classes") as par:
         for class_index in sorted(classes):
             with par.branch():
@@ -205,7 +207,9 @@ def _weighted_spanner(
                     sorted(weight_of),
                     name=f"class{class_index}-edges",
                 )
-                edges, _, _, _ = _unweighted_spanner(cluster, store, graph.n, k, rng)
+                edges, _, *found = _unweighted_spanner(cluster, store, graph.n, k, rng)
+                for seen, new in zip(levels, found):
+                    seen.update(new)
                 store.drop()
                 chosen = {(u, v, weight_of[(u, v)]) for u, v in edges}
                 spanner.update(chosen)
@@ -217,5 +221,7 @@ def _weighted_spanner(
         stretch_bound=12 * k - 2,
         rounds=cluster.ledger.rounds,
         level_sizes=level_sizes,
+        levels_on_large=sorted(levels[0]),
+        levels_sampled=sorted(levels[1]),
         cluster=cluster,
     )

@@ -14,7 +14,7 @@ One synchronous round is described by a :class:`RoundPlan` and executed by
     plan = RoundPlan(note="route")
     plan.send(src, dst, item)                 # one item
     plan.send_batch(src, dst, [a, b, c])      # a whole batch, sized in bulk
-    plan.send_indexed(src, dsts, items)       # a scatter: item i -> dsts[i]
+    plan.send_indexed(src, dsts, rows)        # a scatter: row i -> dsts[i]
     plan.send_runs(srcs, dsts, counts, rows)  # a scatter given by its runs
     plan.send_multicast(srcs, dsts, item)     # one item on many routes
     inboxes = cluster.execute(plan)           # charges exactly one round
@@ -22,20 +22,20 @@ One synchronous round is described by a :class:`RoundPlan` and executed by
 The plan stores traffic as entries in flat parallel arrays over one
 flat payload store; ``execute`` sizes every entry exactly once with
 :func:`word_size_many` (fast-pathing homogeneous scalar, edge-tuple, and
-bytes batches; numeric numpy blocks size O(1); a multicast's payload is
-sized once), caches the totals on the plan, sums the plan's ``(src,
-dst, words)`` run columns into per-machine send/receive vectors, and
-fills inboxes in exact send-call order.  A plan that moves no data is a
+bytes batches; numeric numpy blocks size O(1), ``object`` arrays by
+their values; a multicast's payload is sized once), caches the totals
+on the plan, sums the plan's ``(src, dst, words)`` run columns into
+per-machine send/receive vectors, and fills inboxes in exact send-call
+order.  A plan that moves no data is a
 no-op (zero rounds).  Per-round item counts and wall-clock time are
 recorded in the ledger's :class:`NoteStats` so benchmarks can attribute
 cost per note label.
 
-Scatters.  ``send_indexed`` groups a scatter into per-``(src, dst)``
-runs — ascending source, then ascending destination, stable within a
-run.  A list of items is bucketed into object runs.  A numeric numpy
-block is grouped with one stable argsort and stored whole, and its
-source may be a column too — row ``i`` goes from ``srcs[i]`` to
-``dsts[i]``::
+Scatters.  ``send_indexed`` groups a numpy array — numeric, or
+``object`` rows of any Python values — into per-``(src, dst)`` runs:
+ascending source, then ascending destination, stable within a run, with
+one stable argsort, and stores it whole.  Its source may be a column too
+— row ``i`` goes from ``srcs[i]`` to ``dsts[i]``::
 
     plan.send_indexed(srcs, dsts, rows)       # a cluster-wide scatter
 

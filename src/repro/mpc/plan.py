@@ -19,14 +19,14 @@ whose batches are all empty moves no data and costs **zero** rounds
 
 Storage, one entry per:
 
-* **object run** (``send`` / ``send_batch`` / list ``send_indexed``) — a
-  ``[start, start+length)`` slice of the flat ``_items`` list.
+* **object run** (``send`` / ``send_batch``) — a ``[start,
+  start+length)`` slice of the flat ``_items`` list.
   Consecutive sends on the same route extend the open run in place, so
   source-major producers still create one run per ``(src, dst)`` route
   and sizing stays one bulk pass per route.
 * **block run** (``send_batch`` of a block, see below) — the block
-  itself, sized O(1) (``block.size``).
-* **scatter** (``send_indexed`` of a numeric numpy array, or
+  itself, sized by :func:`~repro.mpc.words.word_size`.
+* **scatter** (``send_indexed`` of a numpy array, or
   :meth:`RoundPlan.send_runs` of one whose runs the producer knows) —
   the whole scatter, stored once as a :class:`_Scatter`: its rows
   grouped into per-``(src, dst)`` runs (ascending source, then ascending
@@ -48,16 +48,16 @@ The per-run views (:meth:`runs`, :meth:`run_meta`) expand scatters and
 multicasts into their per-``(src, dst)`` runs on demand, for inspection
 and the throttle's plan splitter.
 
-What a block is, in one place (:func:`is_block`): a numeric numpy array
-whose leading axis indexes items, or an instance of :class:`Block`, a
-payload that stores its rows in some other form (the sketch layer's
-coordinate-form rows) but charges and splits like an array of
-``shape``.  Either way a block sent whole is one run of ``len(block)``
-items and ``block.size`` words, is delivered whole, and is split by row
-slices ``block[a:b]``.  The plan, the throttle's splitter and the
-converge-cast ask :func:`is_block`; none of them looks inside a
-:class:`Block`, so the engine never imports the layers that define
-one.
+What a block is, in one place (:func:`is_block`): a numpy array —
+numeric, or ``object``, which costs what its values cost — whose leading
+axis indexes items, or an instance of :class:`Block`, a payload that
+stores its rows in some other form (the sketch layer's coordinate-form
+rows) but charges and splits like a numeric array of ``shape``.  Either
+way a block sent whole is one run of ``len(block)`` items and its rows'
+words (:func:`~repro.mpc.words.row_words`), is delivered whole, and is
+split by row slices ``block[a:b]``.  The plan, the throttle's splitter
+and the converge-cast ask :func:`is_block`; none of them looks inside a
+:class:`Block`, so the engine never imports the layers that define one.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ProtocolError
-from .words import array_words, word_size, word_size_many
+from .words import row_words, word_size, word_size_many
 
 __all__ = ["Block", "RoundPlan", "is_block"]
 
@@ -103,8 +103,8 @@ class Block:
 
 
 def is_block(items: Any) -> bool:
-    """Whether *items* travels as one block: a numpy array (numeric, or
-    refused when queued) or a :class:`Block`."""
+    """Whether *items* travels as one block: a numpy array (numeric or
+    ``object``, any other dtype refused when queued) or a :class:`Block`."""
     return isinstance(items, (np.ndarray, Block))
 
 
@@ -130,14 +130,14 @@ class _Scatter:
     Run ``r`` goes from ``run_src[r]`` to ``run_dst[r]`` and holds rows
     ``bounds[r]:bounds[r + 1]`` of the rows in run order — ``rows`` taken
     in ``order`` (``None`` when they arrived grouped); runs ascend by
-    ``(src, dst)``.  Every element of a numeric row is one word, so a row
-    costs ``row_words`` words.  Rows are gathered once, into the order
-    their use needs: per destination for delivery, per run for the
-    per-run views.
+    ``(src, dst)``.  A run costs its rows' words: one per element of a
+    numeric row, :func:`~repro.mpc.words.row_words` of ``object`` rows.
+    Rows are gathered once, into the order their use needs: per
+    destination for delivery, per run for the per-run views.
     """
 
     __slots__ = (
-        "rows", "order", "run_src", "run_dst", "bounds", "row_words", "_by_dst"
+        "rows", "order", "run_src", "run_dst", "bounds", "_run_words", "_by_dst"
     )
 
     def __init__(
@@ -148,12 +148,24 @@ class _Scatter:
         self.run_src = run_src
         self.run_dst = run_dst
         self.bounds = bounds
-        self.row_words = math.prod(rows.shape[1:])
+        self._run_words: Any = None
         self._by_dst: tuple | None = None
+
+    def run_words(self) -> Any:
+        """Every run's words, computed once."""
+        if self._run_words is None:
+            if self.rows.dtype.kind == "O":
+                words = row_words(self.rows)
+                if self.order is not None:
+                    words = words[self.order]
+                self._run_words = np.add.reduceat(words, self.bounds[:-1])
+            else:
+                self._run_words = self.run_lens() * math.prod(self.rows.shape[1:])
+        return self._run_words
 
     @property
     def words(self) -> int:
-        return int(self.rows.shape[0]) * self.row_words
+        return int(self.run_words().sum())
 
     def run_lens(self) -> Any:
         return self.bounds[1:] - self.bounds[:-1]
@@ -176,7 +188,7 @@ class _Scatter:
 
     def columns(self) -> tuple[Any, Any, Any]:
         """The run columns as they are: ``(srcs, dsts, words)``."""
-        return self.run_src, self.run_dst, self.run_lens() * self.row_words
+        return self.run_src, self.run_dst, self.run_words()
 
     def deliveries(self) -> Iterator[tuple[int, Any]]:
         """One block per destination (first-appearance order): its rows in
@@ -352,7 +364,8 @@ class RoundPlan:
         """
         count = int(block.shape[0])
         if count:
-            _check_numeric(block)
+            if isinstance(block, np.ndarray):
+                _check_dtype(block)
             self._open(src, dst, len(self._items), count, block)
 
     def send(self, src: int, dst: int, *items: Any) -> "RoundPlan":
@@ -369,8 +382,8 @@ class RoundPlan:
         copied once into the flat store (callers may reuse their list).
         A block (:func:`is_block`: a numpy array or a :class:`Block`,
         leading axis indexing items) is kept as a block run directly —
-        zero copy, O(1) sizing (``block.size`` equals the summed word
-        sizes of the equivalent rows).
+        zero copy, charged the summed word sizes of the equivalent rows
+        (in O(1) unless it is an ``object`` array).
         """
         if is_block(items):
             self._append_block(src, dst, items)
@@ -379,52 +392,36 @@ class RoundPlan:
         return self
 
     def send_indexed(
-        self, src: int | Sequence[int], dsts: Sequence[int], items: Sequence[Any]
+        self, src: int | Sequence[int], dsts: Sequence[int], items: Any
     ) -> "RoundPlan":
-        """Queue one *scatter*: item ``i`` goes to ``dsts[i]``, from *src*
-        — or, for a numeric numpy block, from ``src[i]`` when *src* is a
+        """Queue one *scatter* of a numpy array: row ``i`` of *items* goes
+        to ``dsts[i]``, from *src* — or from ``src[i]`` when *src* is a
         column of sources.
 
         The scatter is grouped into per-``(src, dst)`` runs: ascending
         source, then ascending destination, stable within each run — so
         it is exactly the sequence of per-source, per-destination
-        :meth:`send_batch` calls it replaces.  A list of items is bucketed
-        by destination into object runs.  A numeric block is grouped with
-        one stable ``argsort`` (skipped when the rows already arrive
-        grouped) and stored whole as one entry: however many runs it
-        holds, :meth:`Cluster.execute` tallies and delivers it with
-        vectorized passes, one block per destination.
+        :meth:`send_batch` calls it replaces.  The rows are grouped with
+        one stable ``argsort`` (skipped when they already arrive grouped)
+        and stored whole as one entry: however many runs it holds,
+        :meth:`Cluster.execute` tallies and delivers it with vectorized
+        passes, one block per destination.  The rows are numeric, or
+        ``object`` (Python values of any kind, each run charged the words
+        of its rows); anything else raises :class:`TypeError`.
         """
-        count = items.shape[0] if isinstance(items, np.ndarray) else len(items)
-        dst_count = dsts.shape[0] if isinstance(dsts, np.ndarray) else len(dsts)
-        if count != dst_count:
+        _check_dtype(items)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        if len(items) != len(dsts):
             raise ValueError(
-                f"scatter shape mismatch: {dst_count} destinations for "
-                f"{count} items"
+                f"scatter shape mismatch: {len(dsts)} destinations for "
+                f"{len(items)} items"
             )
-        if not count:
-            return self
-        if isinstance(items, np.ndarray):
-            _check_numeric(items)
-            self._append_scatter(src, np.asarray(dsts, dtype=np.int64), items)
-            return self
-        if np.ndim(src):
-            raise TypeError("a column of sources needs a numeric numpy block")
-        if isinstance(dsts, np.ndarray):
-            dsts = dsts.tolist()
-        buckets: dict[int, list[Any]] = {}
-        for dst, item in zip(dsts, items):
-            bucket = buckets.get(dst)
-            if bucket is None:
-                buckets[dst] = [item]
-            else:
-                bucket.append(item)
-        for dst in sorted(buckets):
-            self._append(src, dst, buckets[dst])
+        if len(dsts):
+            self._append_scatter(src, dsts, items)
         return self
 
     def _append_scatter(self, src: Any, dsts: Any, rows: Any) -> None:
-        """Group a numeric scatter into ``(src, dst)`` runs and store it.
+        """Group a scatter into ``(src, dst)`` runs and store it.
 
         Runs are found on one route key, ``(src - src_lo) * span + (dst -
         dst_lo)``, sorted only when the rows do not already arrive
@@ -451,8 +448,8 @@ class RoundPlan:
         )
 
     def send_runs(self, srcs: Any, dsts: Any, counts: Any, rows: Any) -> "RoundPlan":
-        """Queue one scatter of a numeric numpy block given by its runs:
-        run ``i`` carries the next ``counts[i]`` rows from ``srcs[i]`` to
+        """Queue one scatter of a numpy array given by its runs: run ``i``
+        carries the next ``counts[i]`` rows from ``srcs[i]`` to
         ``dsts[i]``.
 
         The runs must ascend by ``(src, dst)``, each with at least one
@@ -461,7 +458,7 @@ class RoundPlan:
         without grouping the rows again.
         """
         if len(rows):
-            _check_numeric(rows)
+            _check_dtype(rows)
             bounds = np.zeros(len(counts) + 1, dtype=np.int64)
             np.cumsum(counts, out=bounds[1:])
             self._open_scatter(_Scatter(rows, None, srcs, dsts, bounds))
@@ -505,7 +502,8 @@ class RoundPlan:
 
         Object runs cost one :func:`word_size_many` pass over their flat
         slice; block runs and scatters cost O(1) (every element of a
-        numeric dtype is one machine word).  A run of one payload object
+        numeric dtype is one machine word) unless they hold an ``object``
+        array, sized once.  A run of one payload object
         is sized once per plan: a broadcast sends the same object on every
         route, and each further run carrying it reuses the size by object
         identity — so does a multicast, whose routes all carry one payload.
@@ -539,7 +537,7 @@ class RoundPlan:
                     block.size = size
                     words.append(size * length)
                 else:
-                    words.append(int(block.size))
+                    words.append(word_size(block))
             self._entry_words = words
         return self._entry_words
 
@@ -688,10 +686,11 @@ class RoundPlan:
         )
 
 
-def _check_numeric(block: Any) -> None:
-    """A numpy block must size one word per element: a numeric dtype, or
-    an ``object`` array of Python scalars (:func:`~repro.mpc.words.array_words`
-    raises otherwise)."""
-    if isinstance(block, np.ndarray):
-        array_words(block)
-
+def _check_dtype(rows: Any) -> None:
+    """Rows queued as an array must be a numpy array, numeric or
+    ``object``: no word count exists for any other dtype."""
+    if not isinstance(rows, np.ndarray) or rows.dtype.kind not in "iufbO":
+        raise TypeError(
+            f"cannot send {getattr(rows, 'dtype', type(rows).__name__)} rows: "
+            "they must be a numpy array, numeric or of dtype object"
+        )

@@ -46,6 +46,7 @@ recorded — the controller degrades gracefully, it never hides a breach.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -53,7 +54,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from .plan import RoundPlan, is_block
-from .words import word_size
+from .words import row_words, word_size
 
 __all__ = ["MODES", "ThrottleController", "ThrottleEvent"]
 
@@ -215,10 +216,10 @@ class ThrottleController:
         others), floored at the chunk holding the previous piece for the
         same destination so per-destination delivery order is preserved.
         Each chunk is one extra round.  A single run larger than the
-        binding budget is sliced at item granularity (blocks by row
-        slices, object runs by cumulative word size); an indivisible
-        over-budget item is emitted alone in an otherwise-idle slot for
-        its machines and still violates.
+        binding budget is cut greedily at item granularity, by the words
+        of its items (a block's rows, an object run's items); an
+        indivisible over-budget item is emitted alone in an
+        otherwise-idle slot for its machines and still violates.
 
         Order preservation: chunks execute in sequence, pieces for one
         destination occupy non-decreasing chunk indices in send order,
@@ -288,36 +289,28 @@ class ThrottleController:
 
     def _pieces(
         self,
-        items: object,
+        items: Any,
         total_words: int,
         src_budget: int,
         dst_budget: int,
-    ) -> Iterator[tuple[object, int]]:
-        """Slice one run into budget-sized pieces (see :meth:`split_plan`)."""
+    ) -> Iterator[tuple[Any, int]]:
+        """Slice one run into budget-sized pieces (see :meth:`split_plan`):
+        each piece takes items while their words fit the tighter budget,
+        and at least one item."""
         limit = min(src_budget, dst_budget)
         if total_words <= limit:
             yield items, total_words
             return
         if is_block(items):
-            rows = int(items.shape[0])
-            per_row = max(1, total_words // rows)
-            step = max(1, limit // per_row)
-            for start in range(0, rows, step):
-                piece = items[start:start + step]
-                yield piece, int(piece.size)
-            return
-        piece: list = []
-        piece_words = 0
-        for item in items:
-            words = word_size(item)
-            if piece and piece_words + words > limit:
-                yield piece, piece_words
-                piece = []
-                piece_words = 0
-            piece.append(item)
-            piece_words += words
-        if piece:
-            yield piece, piece_words
+            words = row_words(items)
+        else:
+            words = np.fromiter(map(word_size, items), np.int64, len(items))
+        ends = np.cumsum(words).tolist()
+        start = done = 0
+        while start < len(ends):
+            stop = max(start + 1, bisect_right(ends, done + limit, lo=start))
+            yield items[start:stop], ends[stop - 1] - done
+            start, done = stop, ends[stop - 1]
 
     # ------------------------------------------------------------------
     # Reporting

@@ -21,10 +21,10 @@ Numeric numpy arrays are charged one word per element — a ``(k, 3)`` int
 block costs exactly what the equivalent ``k`` ``(u, v, w)`` tuples cost —
 which is what makes the columnar engine's O(1) run sizing
 (``block.size``) bit-identical to the object path.  An ``object`` array
-is charged the same way when every element is a Python ``int``,
-``float`` or ``bool`` (the columns that hold ints past int64 or mixed
-scalar types); one holding anything else raises :class:`TypeError`
-(:func:`array_words`).
+— ints past int64, tuples, ``None``, flow labels — costs what its values
+cost as a list (:func:`array_words`; per row, :func:`row_words`); this
+module is the one place that sizes them.  Other dtypes raise
+:class:`TypeError`.
 
 How the simulator computes these charges (the charges themselves do not
 depend on it):
@@ -50,17 +50,16 @@ depend on it):
 
 from __future__ import annotations
 
+import math
 from itertools import chain, compress
 from operator import not_
 from typing import Any, Iterable
 
 import numpy as np
 
-__all__ = ["array_words", "word_size", "word_size_many"]
+__all__ = ["array_words", "row_words", "word_size", "word_size_many"]
 
 _SCALARS = (int, float, bool, type(None))
-#: The element types an ``object`` array may hold.
-_ARRAY_SCALARS = frozenset((int, float, bool))
 
 _SCALAR_TYPES = frozenset(_SCALARS)
 _NESTED_TYPES = frozenset((tuple, list))
@@ -73,18 +72,34 @@ _MAX_DEPTH = 1000
 
 
 def array_words(array: Any) -> int:
-    """Words of a numpy array: one per element of a numeric array, or of
-    an ``object`` array whose elements are all Python ints, floats or
-    bools (checked element by element); :class:`TypeError` otherwise."""
+    """Words of a numpy array: one per element of a numeric array, and
+    what its values cost as a list (:func:`word_size_many`) for an
+    ``object`` array; :class:`TypeError` for any other dtype."""
     kind = array.dtype.kind
-    if kind in "iufb" or (
-        kind == "O" and set(map(type, array.flat)) <= _ARRAY_SCALARS
-    ):
+    if kind in "iufb":
         return int(array.size)
+    if kind == "O":
+        return word_size_many(array.ravel().tolist())
     raise TypeError(
         f"cannot compute word size of a {array.dtype} array: it must be "
-        "numeric or hold only Python ints, floats and bools"
+        "numeric or of dtype object"
     )
+
+
+def row_words(rows: Any) -> Any:
+    """Words of each row of a block (a numpy array, or a payload whose
+    ``shape`` leads with its rows) as an int64 vector: its element count,
+    or the words of its values for an ``object`` array."""
+    count, width = rows.shape[0], math.prod(rows.shape[1:])
+    if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "O"):
+        return np.full(count, width, dtype=np.int64)
+    values = rows.ravel().tolist()
+    words = np.ones(len(values), dtype=np.int64)
+    scalar = map(_SCALAR_TYPES.__contains__, map(type, values))
+    others = np.flatnonzero(~np.fromiter(scalar, bool, len(values))).tolist()
+    if others:
+        words[others] = [word_size(values[i]) for i in others]
+    return words.reshape(count, width).sum(axis=1)
 
 
 def word_size(obj: Any) -> int:

@@ -13,9 +13,10 @@ Two pieces:
   every small machine, and an ``object`` column of the Python values
   otherwise — ints past int64, mixed scalar types, but also tuples,
   ``None``, flow labels or any other value.  A block charges what the
-  equivalent tuples charge: one word per field of a typed column, in
-  O(1), and :func:`repro.mpc.words.word_size_many` of the values of an
-  ``object`` column; this is the ``word_size()`` duck-type hook of
+  equivalent tuples charge, its columns sized as arrays
+  (:func:`repro.mpc.words.array_words`): one word per field of a typed
+  column, in O(1), and what the values of an ``object`` column cost;
+  this is the ``word_size()`` duck-type hook of
   :func:`repro.mpc.words.word_size`, so ``Machine.put`` and the
   converge-cast scratch charges account a 100k-row dataset of typed
   columns without iterating it.  Blocks are sequences of the exact row
@@ -50,7 +51,7 @@ from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ..mpc.words import word_size_many
+from ..mpc.words import array_words
 
 __all__ = [
     "EdgeBlock",
@@ -136,12 +137,9 @@ class EdgeBlock:
         return len(self.columns)
 
     def word_size(self) -> int:
-        """Total words: one per row of a typed column, and the words of
-        the values of an ``object`` column."""
-        words = 0
-        for col in self.columns:
-            words += word_size_many(col.tolist()) if col.dtype.kind == "O" else self._length
-        return words
+        """Total words: what the columns cost as arrays — one per row of
+        a typed column, the words of its values for an ``object`` one."""
+        return sum(map(array_words, self.columns))
 
     # -- sequence protocol --------------------------------------------
     def rows(self) -> list[tuple]:
@@ -510,13 +508,13 @@ _FLOAT_EXACT = 2**52
 
 
 def transport_dtype(columns: Sequence[Any]) -> Any:
-    """The single dtype scalar *columns* ride the wire in, exact for every
-    value.
+    """The single dtype *columns* ride the wire in, exact for every value.
 
     Uniform int/bool columns travel as ``int64``; a float column makes
     the transport ``float64`` while every int column fits its 53-bit
-    mantissa; an ``object`` column, or an int past ``2**52`` beside a
-    float, makes it ``object`` (the Python values themselves).
+    mantissa; an ``object`` column (of any values), or an int past
+    ``2**52`` beside a float, makes it ``object`` (the Python values
+    themselves).
     """
     kinds = {col.dtype.kind for col in columns}
     if kinds <= {"i", "b"}:

@@ -33,14 +33,14 @@ once, not one per machine:
   sorting before equal rows (``bisect_right``), over the key columns
   packed into as few int64 words as fit
   (:func:`~repro.primitives.columnar.pack_words`), written back to the
-  rows' arrival order.  The rows leave in arrival order: **one
-  cluster-wide scatter**, a single
+  rows' arrival order.  The rows leave in arrival order, whatever they
+  hold: **one cluster-wide scatter**, a single
   :meth:`~repro.mpc.plan.RoundPlan.send_indexed` whose source is a
-  column, when every column holds scalars; one list ``send_indexed`` of
-  row tuples per source machine otherwise.  Either way the plan groups
-  each machine's rows by bucket, in arrival order, so each ``(machine,
-  bucket)`` run holds the rows, words and items of that machine's
-  per-bucket partition;
+  column.  The plan groups each machine's rows by bucket, in arrival
+  order, so each ``(machine, bucket)`` run holds the rows, words and
+  items of that machine's per-bucket partition — a run of ``object``
+  rows is charged the words of their values
+  (:func:`~repro.mpc.words.row_words`);
 * *rank* — the rows every bucket machine received (several blocks when
   an enforcing throttle split the route) are concatenated in machine
   order and sorted with one stable sort keyed by ``(machine, key)``: one
@@ -53,15 +53,17 @@ once, not one per machine:
 * *counts* — one numeric scatter (a column of sources, the coordinator
   as destination, one 2-word row each).
 
-The scalar rows travel in one transport dtype: ``int64`` for int and
-bool columns, ``float64`` when a float column joins ints that fit its
-53-bit mantissa, and ``object`` (the Python values) otherwise.  Because
-the route keeps arrival order and the rank sort is stable, rows with
-equal keys keep their machine-order arrival order: the result is a
-stable sort of all rows, whatever fields the spec leaves out.  The sort
-makes a constant number of numpy calls; its Python work is O(machines)
-for the puts and the inbox walk, plus one tuple per row when a column
-holds values that are not scalars.
+The rows travel in one transport dtype
+(:func:`~repro.primitives.columnar.transport_dtype`): ``int64`` for int
+and bool columns, ``float64`` when a float column joins ints that fit
+its 53-bit mantissa, and ``object`` (the Python values) otherwise — an
+``object`` column of labels, tuples or ``None`` included.  Because the
+route keeps arrival order and the rank sort is stable, rows with equal
+keys keep their machine-order arrival order: the result is a stable sort
+of all rows, whatever fields the spec leaves out.  The sort makes a
+constant number of numpy calls; its Python work is O(machines) for the
+puts and the inbox walk, plus the sizing of each value of an ``object``
+column that is not a scalar.
 """
 
 from __future__ import annotations
@@ -167,8 +169,7 @@ def sample_sort(
             f"sort key {key!r} names a column outside the {width} columns "
             f"of dataset {name!r}"
         )
-    scalar = [columnar.scalar_column(col) for col in columns]
-    if not all(scalar[f] for f in fields):
+    if not all(columnar.scalar_column(columns[f]) for f in fields):
         raise TypeError(
             f"sort key {key!r} covers a column of dataset {name!r} that holds "
             "values other than finite ints, floats and bools"
@@ -220,46 +221,26 @@ def sample_sort(
         machine.pop(name, None)
     dsts = np.asarray(machine_ids)[_bucket_rows(columns, fields, splitters)]
     plan = RoundPlan(note=f"{note}/route")
-    all_scalar = all(scalar)
-    if all_scalar:
-        transport = columnar.transport_dtype(columns)
-        plan.send_indexed(
-            np.repeat(machine_ids, counts),
-            dsts,
-            np.column_stack([col.astype(transport, copy=False) for col in columns]),
-        )
-    else:
-        rows = EdgeBlock(columns).rows()
-        dst_list = dsts.tolist()
-        bounds = np.cumsum([0, *counts]).tolist()
-        for mid, lo, hi in zip(machine_ids, bounds, bounds[1:]):
-            if hi > lo:
-                plan.send_indexed(mid, dst_list[lo:hi], rows[lo:hi])
-        del rows
+    plan.send_indexed(
+        np.repeat(machine_ids, counts),
+        dsts,
+        columnar.stack_rows(columns, columnar.transport_dtype(columns)),
+    )
     columns.clear()
     inboxes = cluster.execute(plan)
     del plan
 
-    # Rank: every machine's received rows, concatenated in machine order,
-    # cast back to the column dtypes and sorted in one stable pass keyed
-    # by (machine, key); each machine keeps its contiguous slice.
+    # Rank: every machine's received blocks (several only when the
+    # throttle split the route across rounds), concatenated in machine
+    # order, cast back to the column dtypes and sorted in one stable pass
+    # keyed by (machine, key); each machine keeps its contiguous slice.
     arrived = [inboxes.get(mid, ()) for mid in machine_ids]
     del inboxes
-    if all_scalar:
-        # Blocks: several per machine only when the throttle split the
-        # route across rounds.
-        counts = [sum(map(len, blocks)) for blocks in arrived]
-        received = np.concatenate(list(chain.from_iterable(arrived)))
-        cast = [received[:, j].astype(dtype, copy=False) for j, dtype in enumerate(dtypes)]
-    else:
-        # Row tuples: a machine's count is its number of rows.
-        counts = list(map(len, arrived))
-        received = list(zip(*chain.from_iterable(arrived)))
-        cast = [
-            columnar.object_column(values) if dtype.kind == "O" else np.array(values, dtype)
-            for values, dtype in zip(received, dtypes)
-        ]
-    del arrived, received
+    counts = [sum(map(len, blocks)) for blocks in arrived]
+    received = np.concatenate(list(chain.from_iterable(arrived)))
+    del arrived
+    cast = [received[:, j].astype(dtype, copy=False) for j, dtype in enumerate(dtypes)]
+    del received
     order = columnar.stable_order(
         EdgeBlock(cast), fields, groups=np.repeat(np.arange(k), counts)
     )

@@ -14,6 +14,7 @@ from repro.core.spanner import (
     modified_baswana_sen_mpc,
 )
 from repro.graph import generators
+from repro.graph.graph import Graph
 from repro.graph.validation import spanner_stretch, verify_spanner
 from repro.mpc import Cluster, ModelConfig
 from repro.primitives.edgestore import EdgeStore
@@ -253,6 +254,20 @@ def test_weighted_spanner_edges_carry_weights(rng):
     weight_map = g.weight_map()
     for u, v, w in result.edges:
         assert weight_map[(u, v)] == w
+
+
+def test_weighted_spanner_reports_its_levels():
+    """The weighted reduction lists the levels its weight classes ran on
+    the large machine and sampled — the input of the ``weighted_spanner``
+    round pin: one weight class, level 6 sampled by modified
+    Baswana–Sen."""
+    rng = random.Random(11)
+    base = generators.gnm_random_graph(90, 3000, rng)
+    graph = Graph(90, [(u, v, 64 + rng.randrange(64)) for u, v in base.edges])
+    result = heterogeneous_spanner(graph, k=2, rng=random.Random(3))
+    assert sorted(result.level_sizes) == [6]  # one weight class
+    assert result.levels_on_large == [5]
+    assert result.levels_sampled == [6]
 
 
 def test_invalid_k_rejected(rng):

@@ -11,7 +11,7 @@ engine:
 * ``Cluster.execute`` of a plan built with randomly-chunked
   ``send_batch`` calls,
 * ``Cluster.execute`` of a plan built with per-source ``send_indexed``
-  scatters,
+  scatters of ``object`` arrays,
 * ``Cluster.execute`` of plans holding multi-source array scatters
   (``send_indexed`` with a source column), stored whole and tallied with
   vectorized passes,
@@ -21,7 +21,10 @@ lists, and memory ledger entries**.  The per-message suites run with
 machine ids in both forms the engine is handed: pure-Python ints, and
 numpy integers as primitives produce them after an array pass.  An
 enforce-mode throttle must split an array scatter exactly like the
-equivalent per-``(src, dst)`` ``send_batch`` plan.
+equivalent per-``(src, dst)`` ``send_batch`` plan.  A scatter of
+``object`` rows (ints, ``None``, tuples, flow labels) must match the
+per-route ``send_batch`` of its rows as Python tuples: runs, words per
+run, items, inbox rows, an enforcing split and a strict-mode raise.
 """
 
 import random
@@ -31,7 +34,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpc import Cluster, ModelConfig, RoundPlan, Violation, word_size
+from repro.labeling.flow_labels import FlowLabel
+from repro.mpc import (
+    Cluster,
+    CommunicationLimitExceeded,
+    ModelConfig,
+    RoundPlan,
+    Violation,
+    word_size,
+)
 
 NUM_SMALL = 6
 
@@ -140,9 +151,15 @@ def chunked_plan(messages, note: str, chunk_seed: int) -> RoundPlan:
     return plan
 
 
+def objects(values) -> np.ndarray:
+    """*values* as a 1-D ``object`` array, one element per value."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 def indexed_plan(messages, note: str, form: str = "pure") -> RoundPlan:
     """Build the plan with one send_indexed scatter per source, its
-    destinations a list (``"pure"``) or an int array (``"numpy"``).
+    payloads an ``object`` array and its destinations a list
+    (``"pure"``) or an int array (``"numpy"``).
 
     Scatters deliver per destination in ascending-dst grouped order, so
     only single-source traffic keeps exact per-message inbox order; the
@@ -157,7 +174,7 @@ def indexed_plan(messages, note: str, form: str = "pure") -> RoundPlan:
     for src, (dsts, items) in by_src.items():
         if form == "numpy":
             src, dsts = np.int64(src), np.asarray(dsts, dtype=np.int64)
-        plan.send_indexed(src, dsts, items)
+        plan.send_indexed(src, dsts, objects(items))
     return plan
 
 
@@ -202,7 +219,9 @@ def test_send_indexed_matches_reference_accounting(form, messages):
     assert cluster.ledger.memory_high_water == expected["memory"]
     assert set(inboxes) == set(expected["inboxes"])
     for dst, items in inboxes.items():
-        assert sorted(map(repr, items)) == sorted(map(repr, expected["inboxes"][dst]))
+        assert sorted(map(repr, flatten(items))) == sorted(
+            map(repr, expected["inboxes"][dst])
+        )
 
 
 def test_array_scatter_accounts_like_the_equivalent_tuples():
@@ -434,3 +453,138 @@ def test_enforced_split_of_array_scatters_matches_send_batch(segments):
     assert run(lambda: scatter_plan(segments, "t")) == run(
         lambda: batch_plan(segments, "t")
     )
+
+
+# ----------------------------------------------------------------------
+# Object rows: a scatter against the per-route send_batch of its rows
+# ----------------------------------------------------------------------
+#: The values a sort route carries beside its keys.
+object_values = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.tuples(st.integers(0, 9), st.tuples(st.integers(0, 9), st.integers(0, 9))),
+    st.lists(
+        st.tuples(st.integers(0, 9), st.floats(0, 1)), max_size=3
+    ).map(lambda entries: FlowLabel(tuple(entries))),
+)
+
+
+def object_scatter(width, messages):
+    """``(srcs, dsts, rows)`` of an object scatter: 1-D rows of single
+    values (*width* None) or rows of *width* values."""
+    rows = objects([value for _, _, row in messages for value in row])
+    if width is not None:
+        rows = rows.reshape(len(messages), width)
+    return (
+        np.array([m[0] for m in messages], dtype=np.int64),
+        np.array([m[1] for m in messages], dtype=np.int64),
+        rows,
+    )
+
+
+def object_plans(width, messages, note):
+    """The scatter plan and its per-route send_batch reference: rows as
+    Python values (or tuples of them), routes ascending, stable."""
+    scatter = RoundPlan(note=note).send_indexed(*object_scatter(width, messages))
+    reference = RoundPlan(note=note)
+    routes: dict = {}
+    for src, dst, row in sorted(messages, key=lambda m: (m[0], m[1])):
+        routes.setdefault((src, dst), []).append(row[0] if width is None else row)
+    for (src, dst), rows in routes.items():
+        reference.send_batch(src, dst, rows)
+    return scatter, reference
+
+
+def as_rows(items):
+    """A run's or an inbox's items as Python rows (blocks to their rows)."""
+    if isinstance(items, np.ndarray):
+        return [tuple(row) if items.ndim == 2 else row for row in items.tolist()]
+    return list(items)
+
+
+def executed(plan, **config):
+    """Execute *plan* on a fresh cluster: its records and delivered rows."""
+    cluster = make_cluster(**config)
+    inboxes = cluster.execute(plan)
+    records = [
+        (r.note, r.total_words, r.max_sent, r.max_received, r.items,
+         tuple(map(str, r.violations)))
+        for r in cluster.ledger.records
+    ]
+    rows = {
+        dst: [row for entry in items for row in as_rows(
+            entry if isinstance(entry, np.ndarray) else [entry]
+        )]
+        for dst, items in inboxes.items()
+    }
+    return cluster, records, rows
+
+
+object_messages = st.sampled_from([None, 1, 2, 3]).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=NUM_SMALL),
+                st.integers(min_value=0, max_value=NUM_SMALL),
+                st.tuples(*[object_values] * (width or 1)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+)
+
+
+@given(case=object_messages, tiny=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_object_scatters_match_per_route_send_batch(case, tiny):
+    """Runs, words per run, items, inbox rows, rounds and violations of
+    an object scatter are those of the per-route send_batch of its rows."""
+    width, messages = case
+    scatter, reference = object_plans(width, messages, "o")
+    assert [(src, dst, as_rows(items)) for src, dst, items in scatter.runs()] == [
+        (src, dst, as_rows(items)) for src, dst, items in reference.runs()
+    ]
+    assert scatter.run_meta() == reference.run_meta()
+    config = {"constant": 0.01} if tiny else {}
+    assert executed(scatter, **config)[1:] == executed(reference, **config)[1:]
+
+
+@given(case=object_messages)
+@settings(max_examples=40, deadline=None)
+def test_enforced_split_of_object_scatters_matches_send_batch(case):
+    """An enforcing throttle cuts an object scatter's runs by the words
+    of their rows, as it cuts the send_batch runs of the same rows."""
+    width, messages = case
+    config = {"constant": 0.01, "throttle": "enforce"}
+
+    def run(plan):
+        cluster = make_cluster(**config)
+        chunks = [
+            [(src, dst, as_rows(items), words)
+             for (src, dst, items), words in zip(chunk.runs(), chunk.run_words())]
+            for chunk in cluster.throttle.split_plan(plan)
+        ]
+        return chunks, executed(plan, **config)[1:]
+
+    scatter, reference = object_plans(width, messages, "t")
+    assert run(scatter) == run(reference)
+
+
+def test_strict_object_scatter_raises_like_send_batch():
+    """A strict cluster refuses an object scatter over its budgets with
+    the message the send_batch of the same rows gets."""
+    label = FlowLabel(tuple((i, 0.5) for i in range(20)))
+    messages = [(src, 1 + src % 3, (src, label, (src, None))) for src in range(NUM_SMALL)]
+    raised = []
+    for plan in object_plans(3, messages, "strict"):
+        cluster = make_cluster(strict=True, constant=0.01)
+        with pytest.raises(CommunicationLimitExceeded) as error:
+            cluster.execute(plan)
+        raised.append((str(error.value), cluster.ledger.rounds))
+    assert raised[0] == raised[1]
+    assert "received" in raised[0][0]

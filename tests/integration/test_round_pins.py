@@ -28,7 +28,11 @@ import pytest
 
 import aggregate_oracle
 
-from repro.baselines.sublinear import sublinear_boruvka_mst, sublinear_connectivity
+from repro.baselines.sublinear import (
+    sublinear_boruvka_mst,
+    sublinear_connectivity,
+    sublinear_matching,
+)
 from repro.core import (
     exact_unweighted_mincut,
     heterogeneous_connectivity,
@@ -39,6 +43,7 @@ from repro.core.spanner.clustering import build_clustering_graphs
 from repro.experiments import registry
 from repro.graph import generators
 from repro.graph.graph import Graph
+from repro.labeling.flow_labels import FlowLabel
 from repro.mpc import (
     Cluster,
     CommunicationLimitExceeded,
@@ -49,6 +54,7 @@ from repro.mpc import (
 from repro.primitives.aggregate import aggregate, aggregate_counts, count_items
 from repro.primitives.broadcast import converge_cast
 from repro.primitives.edgestore import EdgeStore
+from repro.primitives.sort import sample_sort
 from toy_block import PairBlock
 
 
@@ -127,6 +133,19 @@ def run_sublinear_connectivity() -> dict:
     }
 
 
+def run_sublinear_matching() -> dict:
+    """The sublinear peeling matching: one rank per stored edge, the
+    per-vertex minima as ``(vertex, rank)`` pairs, the flag-annotated
+    survivors."""
+    graph = generators.random_connected_graph(200, 1600, random.Random(1))
+    result = sublinear_matching(graph, rng=random.Random(2))
+    return {
+        "matching": _digest(result.matching),
+        "iterations": result.iterations,
+        **ledger_digest(result.cluster),
+    }
+
+
 def run_clustering() -> dict:
     """Algorithm 5: the mask OR (``dominate``), the star-center pick
     (``sigma``) and the per-level marks over ``(scale, center)`` keys."""
@@ -160,6 +179,24 @@ def run_mincut() -> dict:
     graph = generators.planted_cut_graph(24, 2, 4.0, random.Random(5))
     result = exact_unweighted_mincut(graph, rng=random.Random(6))
     return {"value": result.value, **ledger_digest(result.cluster)}
+
+
+def run_label_sort_split() -> dict:
+    """A sort of rows that carry flow labels beside int keys, on 64-word
+    machines under an enforcing throttle: the route is split across
+    rounds, its pieces cut by the words of their rows."""
+    config = ModelConfig(n=16, m=64, num_small=6, constant=1.0, throttle="enforce")
+    cluster = Cluster(config, rng=random.Random(7))
+    rows = [(i % 7, i, FlowLabel(((i % 3, 0.5),) * (i % 4))) for i in range(120)]
+    for i, machine in enumerate(cluster.smalls):
+        machine.put("e", rows[i::6])
+    layout = sample_sort(cluster, "e", key=(0,))
+    return {
+        "sorted": _digest((
+            layout.counts, [list(m.get("e", [])) for m in cluster.smalls]
+        )),
+        **ledger_digest(cluster),
+    }
 
 
 def run_robustness(measure, n: int) -> dict:
@@ -335,9 +372,11 @@ RUNS = {
     "connectivity": run_connectivity,
     "sublinear_mst": run_sublinear_mst,
     "sublinear_connectivity": run_sublinear_connectivity,
+    "sublinear_matching": run_sublinear_matching,
     "clustering": run_clustering,
     "weighted_spanner": run_weighted_spanner,
     "mincut": run_mincut,
+    "label_sort_split": run_label_sort_split,
     "robustness_near_clique": lambda: run_robustness(
         registry._measure_robustness_near_clique, 48
     ),
@@ -363,6 +402,12 @@ GOLDEN: dict = {'clustering': {'graphs': 'd91d3a39337a38fa',
                                  'records': '55848d1e173faf92',
                                  'rounds': 6,
                                  'violations': 'caffe714edf2a556'},
+                'label_sort_split': {'events': '2f444eba8f28586d',
+                                     'memory': 'fe0e51f567571b7b',
+                                     'records': '1d451919be202b7b',
+                                     'rounds': 12,
+                                     'sorted': '90b9bf8e8a85222a',
+                                     'violations': 'dd896d1134f723d1'},
                 'mincut': {'memory': 'f166e1ce02bca96d',
                            'records': 'cdf222a205b0f5bf',
                            'rounds': 33,
@@ -437,6 +482,12 @@ GOLDEN: dict = {'clustering': {'graphs': 'd91d3a39337a38fa',
                                            'records': 'c475e6d407f04803',
                                            'rounds': 51,
                                            'violations': '4f53cda18c2baa0c'},
+                'sublinear_matching': {'iterations': 5,
+                                       'matching': '260ad49525c787b2',
+                                       'memory': '99efa8dabb655db4',
+                                       'records': 'f38089af93786f71',
+                                       'rounds': 82,
+                                       'violations': 'cd4228f32b9d43da'},
                 'sublinear_mst': {'edges': 'c36bd58ef01a4f67',
                                   'iterations': 4,
                                   'memory': '327133d512e23ebe',

@@ -3,6 +3,7 @@
 import random
 from itertools import groupby
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from repro.mpc import (
     RoundPlan,
 )
 from plan_tally import tally
+from repro.labeling.flow_labels import FlowLabel
 from repro.mpc.plan import is_block
 from toy_block import PairBlock
 
@@ -22,6 +24,19 @@ from toy_block import PairBlock
 def make_cluster(strict: bool = False, **kw) -> Cluster:
     config = ModelConfig.heterogeneous(n=64, m=256, strict=strict, **kw)
     return Cluster(config, rng=random.Random(0))
+
+
+def objects(values) -> np.ndarray:
+    """*values* as a 1-D ``object`` array, one element per value."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def runs_as_rows(plan: RoundPlan) -> list:
+    """The plan's runs, numpy blocks turned back into Python rows."""
+    return [
+        (src, dst, [tuple(row) if block.ndim == 2 else row for row in block.tolist()])
+        for src, dst, block in plan.runs()
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -62,8 +77,6 @@ def test_send_batch_copies_its_input():
 # Blocks that are not arrays
 # ----------------------------------------------------------------------
 def test_is_block_is_the_one_block_predicate():
-    import numpy as np
-
     assert is_block(np.zeros((3, 2), dtype=np.int64))
     assert is_block(PairBlock([(1, 2)]))
     assert not is_block([(1, 2)]) and not is_block((1, 2)) and not is_block(7)
@@ -74,8 +87,6 @@ def test_is_block_is_the_one_block_predicate():
 def test_a_sent_block_is_one_run_charged_like_its_array():
     """Items are rows, words are ``size``, and the block arrives whole —
     the tally of the numeric array of the same shape."""
-    import numpy as np
-
     rows = [(1, 2), (3, 4), (5, 6)]
     tallies = []
     for payload in (PairBlock(rows), np.array(rows, dtype=np.int64)):
@@ -153,9 +164,9 @@ def test_execute_charges_bulk_word_sizes():
 def test_object_blocks_of_python_scalars_charge_one_word_per_element():
     """An object array of Python ints (past int64 too), floats and bools
     is a block like a numeric one: a batch and a scatter of it charge one
-    word per element; one holding a tuple is refused when queued."""
-    import numpy as np
-
+    word per element.  One holding other values charges their words; an
+    array that is neither numeric nor ``object`` is refused when
+    queued."""
     cluster = make_cluster()
     rows = np.array([[1, 2**70], [2.5, True], [3, -(2**64)]], dtype=object)
     plan = RoundPlan(note="object-block")
@@ -165,12 +176,16 @@ def test_object_blocks_of_python_scalars_charge_one_word_per_element():
     record = cluster.ledger.records[-1]
     assert (record.total_words, record.items) == (10, 5)
     assert [row for block in inboxes[4] for row in block.tolist()] == rows[1:].tolist()
-    bad = np.array([(1, 2), 3], dtype=object)
+    labelled = objects([(1, 2), None, FlowLabel(((3, 0.5),))])  # 2 + 1 + 3 words
+    plan = RoundPlan(note="values").send_batch(0, 1, labelled)
+    assert plan.run_words() == [6]
+    strings = np.array(["a", "b"])
     for send in (
-        lambda plan: plan.send_batch(0, 1, bad),
-        lambda plan: plan.send_indexed(0, np.array([1, 2]), bad),
+        lambda plan: plan.send_batch(0, 1, strings),
+        lambda plan: plan.send_indexed(0, np.array([1, 2]), strings),
+        lambda plan: plan.send_runs(np.array([0]), np.array([1]), [2], strings),
     ):
-        with pytest.raises(TypeError, match="Python ints, floats and bools"):
+        with pytest.raises(TypeError, match="numeric or of dtype object"):
             send(RoundPlan())
 
 
@@ -418,38 +433,97 @@ def test_run_meta_parallel_arrays_are_consistent():
 
 
 def test_send_indexed_object_path_groups_stably():
+    """An object array scatters like a numeric one: ascending destination,
+    stable within each run, one block per destination."""
     plan = RoundPlan()
-    plan.send_indexed(0, [5, 3, 5, 3, 5], ["a", "b", "c", "d", "e"])
-    assert list(plan.runs()) == [(0, 3, ["b", "d"]), (0, 5, ["a", "c", "e"])]
+    plan.send_indexed(0, [5, 3, 5, 3, 5], objects(["a", "b", "c", "d", "e"]))
+    assert runs_as_rows(plan) == [(0, 3, ["b", "d"]), (0, 5, ["a", "c", "e"])]
     assert tally(plan)[3] == 5
-    assert dict(plan.deliveries()) == {3: ["b", "d"], 5: ["a", "c", "e"]}
+    assert {dst: block.tolist() for dst, (block,) in plan.deliveries()} == {
+        3: ["b", "d"], 5: ["a", "c", "e"]
+    }
 
 
 def test_send_indexed_empty_and_mismatched():
+    """An empty scatter opens no run; destinations and rows of different
+    lengths raise ValueError, and rows that are not a numpy array
+    TypeError."""
     plan = RoundPlan()
-    plan.send_indexed(0, [], [])
+    plan.send_indexed(0, [], objects([]))
+    plan.send_indexed(np.empty(0, dtype=np.int64), [], np.empty((0, 3), dtype=np.int64))
+    assert list(plan.runs()) == []
+    assert list(plan.deliveries()) == []
     assert plan.is_empty
     with pytest.raises(ValueError):
-        plan.send_indexed(0, [1, 2], ["only-one"])
+        plan.send_indexed(0, [1, 2], objects(["only-one"]))
+    with pytest.raises(ValueError):
+        plan.send_indexed(0, np.asarray([0, 1]), np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(ValueError):
+        plan.send_indexed([0, 1, 2], [0, 1], np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(TypeError, match="numpy array"):
+        plan.send_indexed(0, [1, 2], ["a", "b"])
+    assert plan.is_empty
 
 
 def test_send_indexed_executes_like_send_batch():
     via_indexed = make_cluster()
     plan = RoundPlan(note="x")
-    plan.send_indexed(0, [1, 2, 1], [(1, 2), (3, 4), (5, 6)])
-    via_indexed.execute(plan)
+    plan.send_indexed(0, [1, 2, 1], objects([(1, 2), (3, 4), (5, 6)]))
+    indexed_inboxes = via_indexed.execute(plan)
 
     via_batch = make_cluster()
     plan = RoundPlan(note="x")
     plan.send_batch(0, 1, [(1, 2), (5, 6)])
     plan.send_batch(0, 2, [(3, 4)])
-    via_batch.execute(plan)
+    batch_inboxes = via_batch.execute(plan)
 
     a = via_indexed.ledger.records[-1]
     b = via_batch.ledger.records[-1]
     assert (a.total_words, a.max_sent, a.max_received, a.items) == (
         b.total_words, b.max_sent, b.max_received, b.items
     )
+    assert {dst: block.tolist() for dst, (block,) in indexed_inboxes.items()} == (
+        batch_inboxes
+    )
+
+
+def test_send_indexed_destinations_as_list_or_array():
+    """Destinations given as a list or as an int array group a scatter
+    alike."""
+    rng = random.Random(3)
+    dsts = [rng.randrange(6) for _ in range(200)]
+    items = objects([("x", i) if i % 3 else None for i in range(200)])
+    as_array = RoundPlan().send_indexed(0, np.asarray(dsts, dtype=np.int64), items)
+    as_list = RoundPlan().send_indexed(0, dsts, items)
+    assert runs_as_rows(as_array) == runs_as_rows(as_list)
+    assert as_array.run_meta() == as_list.run_meta()
+
+
+def test_numeric_scatter_matches_per_route_partition():
+    """A numeric block groups into the per-route partition of its rows:
+    ascending destination, stable within each run."""
+    rng = random.Random(5)
+    dsts = [rng.randrange(4) for _ in range(300)]
+    rows = [(i, i * i) for i in range(300)]
+    routes: dict = {}
+    for dst, row in sorted(zip(dsts, rows), key=lambda pair: pair[0]):
+        routes.setdefault(dst, []).append(row)
+    plan = RoundPlan().send_indexed(
+        0, np.asarray(dsts, dtype=np.int64), np.asarray(rows, dtype=np.int64)
+    )
+    assert runs_as_rows(plan) == [(0, dst, got) for dst, got in routes.items()]
+    assert [dst for dst, _ in plan.deliveries()] == list(routes)
+
+
+def test_numpy_blocks_are_views_of_the_scatter():
+    """Rows that already arrive grouped are not copied item by item: each
+    delivered block is a view of the scattered array."""
+    rows = np.arange(40, dtype=np.int64).reshape(10, 4)
+    plan = RoundPlan().send_indexed(2, np.asarray([1] * 4 + [3] * 6), rows)
+    (first_dst, (first,)), (second_dst, (second,)) = plan.deliveries()
+    assert (first_dst, second_dst) == (1, 3)
+    assert first.shape == (4, 4) and second.shape == (6, 4)
+    assert np.shares_memory(first, rows) and np.shares_memory(second, rows)
 
 
 @pytest.mark.parametrize("machines", [40, 300])
@@ -458,8 +532,6 @@ def test_send_indexed_source_column_groups_by_source_then_destination(machines):
     scatters — ascending (src, dst), stable — and delivers each
     destination one block of its rows in source order.  40 machines keep
     the route keys within the 16-bit radix sort, 300 go past it."""
-    import numpy as np
-
     rng = random.Random(machines)
     messages = [
         (rng.randrange(machines), rng.randrange(machines), (i, rng.randrange(99)))
@@ -517,8 +589,6 @@ def test_multicast_is_one_entry_with_the_runs_of_per_route_sends():
     """One payload on many routes: the runs, per-run columns, tally,
     inboxes and charges of one ``send`` per route, as one entry whose
     payload is sized once."""
-    import numpy as np
-
     payload = tuple((i, i + 1) for i in range(5))  # 10 words
     srcs, dsts = [4, 4, 0, 4, 0], [1, 2, 3, 5, 2]
     routed = RoundPlan()
@@ -545,8 +615,6 @@ def test_multicast_is_one_entry_with_the_runs_of_per_route_sends():
 def test_volumes_are_sums_over_machine_ids(scatter):
     """Sent and received words per machine id, with or without an entry
     stored whole; an id outside the cluster, on either side, raises."""
-    import numpy as np
-
     plan = RoundPlan()
     plan.send_batch(0, 1, [1, 2, 3])
     if scatter:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpc.words import word_size, word_size_many
+from repro.labeling.flow_labels import FlowLabel
+from repro.mpc.words import row_words, word_size, word_size_many
 from sketch_oracle import ListRow
 from word_size_oracle import reference_word_size
 
@@ -217,19 +218,44 @@ def test_non_numeric_numpy_dtypes_raise():
 
 def test_object_arrays_of_python_scalars_charge_one_word_per_element():
     """The columns that hold ints past int64 or mixed scalar types: one
-    word per element, like the tuples they stand for; an element that is
-    not a Python int, float or bool (a tuple, None) raises."""
+    word per element, like the tuples they stand for."""
     block = np.array([[2**70, 1.5], [True, -(2**64)], [3, 0.0]], dtype=object)
     assert word_size(block) == word_size_many(block) == 6
     assert word_size(block) == word_size_many([tuple(row) for row in block.tolist()])
     assert word_size(block[:, 0]) == 3
-    for bad in ((1, 2), None):
-        array = np.empty(2, dtype=object)
-        array[:] = [1, bad]
-        with pytest.raises(TypeError):
-            word_size(array)
-        with pytest.raises(TypeError):
-            word_size_many(array)
+    assert row_words(block).tolist() == [2, 2, 2]
+
+
+def _object_array(values, width=None):
+    """*values* as an object array, one element each (rows of *width*)."""
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array if width is None else array.reshape(-1, width)
+
+
+def test_object_arrays_charge_what_their_values_cost():
+    """An object array costs what its values cost as a list — tuples by
+    their leaves, ``None`` one word, labels their own ``word_size`` — and
+    each row of one the words of its values."""
+    values = [
+        1, (1, 2), None, FlowLabel(((0, 1.5), (4, 2.5))),
+        (3, (4, 5)), "x" * 9, 2**70, FlowLabel(()),
+    ]
+    column = _object_array(values)
+    assert word_size(column) == word_size_many(column) == word_size_many(values) == 16
+    assert row_words(column).tolist() == [word_size(v) for v in values]
+    rows = _object_array(values, width=2)
+    assert word_size(rows) == 16
+    assert row_words(rows).tolist() == [3, 6, 5, 2]
+    assert row_words(rows[:0]).tolist() == []
+    # A numeric block, or anything with a shape, costs its element count.
+    assert row_words(np.zeros((3, 4), dtype=np.int64)).tolist() == [4, 4, 4]
+    assert row_words(np.zeros(2, dtype=np.float64)).tolist() == [1, 1]
+    # A value nothing can size still raises.
+    with pytest.raises(TypeError):
+        word_size(_object_array([1, object()]))
+    with pytest.raises(TypeError):
+        row_words(_object_array([1, object()]))
 
 
 def _random_payload(rng: random.Random, depth: int = 0):
@@ -293,6 +319,7 @@ _leaves = st.one_of(
         lambda rows, cols: np.arange(rows * cols).reshape(rows, cols),
         st.integers(0, 4), st.integers(0, 4),
     ),
+    st.builds(_object_array, st.lists(_hashable_leaves, max_size=6)),
     st.builds(_sketch_row, st.integers(0, 6)),
 )
 payloads = st.recursive(

@@ -384,8 +384,8 @@ _RANK_CASES = {
     # back to arrival order, so the split runs are the oracle's
     "partial-float-split": (
         _SPLIT_CONFIG, [((i * 7) % 5 / 2, i % 3, -i) for i in range(120)], (0,)),
-    # (h) flow labels beside the key: one list scatter of row tuples per
-    # machine, split by the throttle
+    # (h) flow labels beside the key: the object transport, its route
+    # split by the throttle into pieces cut by the words of their rows
     "label-transport": (
         _SPLIT_CONFIG,
         [(i % 7, i, FlowLabel(((i % 3, 0.5),) * (i % 4))) for i in range(120)],
@@ -438,6 +438,7 @@ def test_sample_sort_rank_differential(case):
         assert not packed and len({row[0] for row in rows}) < len(rows)
     else:
         assert not columnar.scalar_column(columns[2])
+        assert columnar.transport_dtype(columns) is object
 
 
 def test_edgestore_sort_differential():
@@ -1068,14 +1069,15 @@ FORMS = ("pure", "numpy")
 
 @pytest.mark.parametrize("form", FORMS)
 def test_send_indexed_empty_arrays_open_no_run(form):
-    """An empty destination column opens no run, with no object items
-    from one source or a zero-row block from an empty source column."""
+    """An empty destination column opens no run, with an empty ``object``
+    array from one source or a zero-row block from an empty source
+    column."""
     import numpy as np
 
     cluster = make_cluster()
     plan = RoundPlan("empty-scatter")
     if form == "pure":
-        src, items = cluster.small_ids[0], []
+        src, items = cluster.small_ids[0], np.empty(0, dtype=object)
     else:
         src, items = np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
     plan.send_indexed(src, np.empty(0, dtype=np.int64), items)

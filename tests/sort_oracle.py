@@ -4,8 +4,9 @@ This is the reference :func:`repro.primitives.sort.sample_sort` is
 compared against.  It runs the same four steps on the stored rows as
 Python tuples: per-item sampling keyed by ``itemgetter`` over the field
 spec (a one-field spec keys by a 1-tuple), ``list.sort`` of the sample at
-the coordinator, per-item ``bisect`` bucketing and one list
-``send_indexed`` scatter per machine, and ``sorted`` per bucket machine.
+the coordinator, per-item ``bisect`` bucketing and one ``send_batch`` per
+machine and bucket (buckets ascending, items in arrival order), and
+``sorted`` per bucket machine.
 It consumes the cluster RNG, builds the plan runs and charges the words
 of the array sort, and leaves lists of tuples on the machines.
 
@@ -72,16 +73,16 @@ def sample_sort(
     splitters = [sample_keys[i] for i in _splitter_indices(len(sample_keys), k)]
     broadcast(cluster, coordinator, tuple(splitters), machine_ids, note=f"{note}/splitters")
 
-    # Step 3: route every item to its bucket machine; the plan groups
-    # each machine's scatter into one run per bucket.
+    # Step 3: route every item to its bucket machine, one run per
+    # (machine, bucket), buckets ascending.
     plan = RoundPlan(note=f"{note}/route")
     for machine in smalls:
-        items = machine.pop(name, [])
-        if items:
-            buckets = [bisect.bisect_right(splitters, row_key(item)) for item in items]
-            plan.send_indexed(
-                machine.machine_id, [machine_ids[b] for b in buckets], items
-            )
+        buckets: dict[int, list[Any]] = {}
+        for item in machine.pop(name, []):
+            bucket = bisect.bisect_right(splitters, row_key(item))
+            buckets.setdefault(bucket, []).append(item)
+        for bucket in sorted(buckets):
+            plan.send_batch(machine.machine_id, machine_ids[bucket], buckets[bucket])
     inboxes = cluster.execute(plan)
     counts = []
     for machine in smalls:

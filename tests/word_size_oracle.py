@@ -37,10 +37,9 @@ def reference_word_size(obj: Any) -> int:
             return 1
         raise TypeError(f"cannot compute word size of dtype {obj.dtype}")
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "iufb" or (
-            obj.dtype.kind == "O"
-            and all(type(x) in (int, float, bool) for x in obj.flat)
-        ):
+        if obj.dtype.kind in "iufb":
             return int(obj.size)
+        if obj.dtype.kind == "O":
+            return sum(reference_word_size(item) for item in obj.flat)
         raise TypeError(f"cannot compute word size of dtype {obj.dtype}")
     raise TypeError(f"cannot compute word size of {type(obj).__name__}")
