@@ -34,9 +34,16 @@ Quickstart::
     print(result.total_weight, result.rounds)
 """
 
+import os
+
+# Before any subpackage imports numpy: OpenBLAS starts a worker thread
+# per extra CPU, and no repro code calls BLAS, so they only burn CPU
+# (about 60 ms per process on a 2-vCPU VM).  A user's value is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "1.0.0"
 
-from . import (
+from . import (  # noqa: E402
     analysis,
     baselines,
     core,

@@ -25,6 +25,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from ..graph.graph import Graph
 from ..graph.union_find import UnionFind
 from ..mpc import Cluster, ModelConfig
@@ -32,14 +34,6 @@ from ..primitives import columnar
 from ..primitives.aggregate import aggregate
 from ..primitives.columnar import EdgeBlock
 from ..primitives.edgestore import EdgeStore
-
-# After the package modules: the ``repro`` package imports this module
-# ahead of them, and a first numpy import here starts OpenBLAS's worker
-# threads earlier in the process's imports.  Measured with the e2e
-# set-up samples (2-vCPU VM), that added ~25 ms of process CPU time and
-# ~1,800 minor page faults before a solve; with OPENBLAS_NUM_THREADS=1
-# the CPU gap was ~4 ms.
-import numpy as np  # noqa: E402
 
 __all__ = [
     "SublinearResult",
@@ -77,7 +71,6 @@ def _boruvka_loop(
     weight, then by the edge.  After the merge the survivors are kept
     with one mask over the relabeled edges (:func:`_keep_survivors`)."""
     coordinator = cluster.small_ids[0]
-    smalls = cluster.smalls
     ids = np.array(cluster.small_ids, dtype=np.int64)
     component = np.arange(n, dtype=np.int64)
     uf = UnionFind(range(n))
@@ -89,9 +82,7 @@ def _boruvka_loop(
         iterations += 1
         # Each component's lightest outgoing edge (Claim 2, toward the
         # coordinator small machine).
-        columns, counts = columnar.concat_columns(
-            columnar.stored_blocks(smalls, store.name)
-        )
+        columns, counts = columnar.sharded(cluster, store.name, scalars=True)
         pairs: Any = {}
         if columns:
             ends = [component[columns[0]], component[columns[1]]]
@@ -120,32 +111,29 @@ def _boruvka_loop(
         # per annotate; the rename volume is what the ledger records).
         rename = {v: uf.find(v) for v in range(n)}
         annotated = store.annotate(rename, note="boruvka/rename")
-        _keep_survivors(smalls, store, annotated, np.not_equal)
+        _keep_survivors(cluster, store, annotated, np.not_equal)
         component = np.fromiter(rename.values(), np.int64, n)
 
     return chosen, uf, iterations
 
 
 def _keep_survivors(
-    smalls: list[Any], store: EdgeStore, annotated: EdgeStore, keep: Any
+    cluster: Cluster, store: EdgeStore, annotated: EdgeStore, keep: Any
 ) -> None:
-    """Put back as *store* the rows of *annotated* (*store*'s, plus a value
+    """Store as *store* the rows of *annotated* (*store*'s, plus a value
     per endpoint) whose values pass ``keep``, by one mask; drop the rest."""
-    columns, counts = columnar.concat_columns(
-        columnar.stored_blocks(smalls, annotated.name)
+    columns, counts = columnar.sharded(cluster, annotated.name, scalars=True)
+    cluster.pop(annotated.name)
+    if not columns:
+        cluster.store(store.name, EdgeBlock([]), counts)
+        return
+    mask = keep(columns[-2], columns[-1])
+    machine_of = np.repeat(np.arange(len(counts)), counts)
+    cluster.store(
+        store.name,
+        EdgeBlock([col[mask] for col in columns[:-2]]),
+        np.bincount(machine_of[mask], minlength=len(counts)),
     )
-    for machine in smalls:
-        machine.pop(annotated.name, None)
-    survivors = [[]] * len(smalls)
-    if columns:
-        mask = keep(columns[-2], columns[-1])
-        machine_of = np.repeat(np.arange(len(smalls)), counts)
-        survivors = columnar.split_columns(
-            [col[mask] for col in columns[:-2]],
-            np.bincount(machine_of[mask], minlength=len(smalls)).tolist(),
-        )
-    for machine, data in zip(smalls, survivors):
-        machine.put(store.name, data)
 
 
 def sublinear_boruvka_mst(
@@ -219,16 +207,13 @@ def sublinear_matching(
         cluster, [(e[0], e[1]) for e in graph.edges], name="sub-match"
     )
     coordinator = cluster.small_ids[0]
-    smalls = cluster.smalls
     matching: list[tuple[int, int]] = []
     matched: set[int] = set()
     iterations = 0
 
     while len(store):
         iterations += 1
-        (u, v), counts = columnar.concat_columns(
-            columnar.stored_blocks(smalls, store.name)
-        )
+        (u, v), counts = columnar.sharded(cluster, store.name, scalars=True)
         ranks = np.fromiter(iter(cluster.rng.random, None), np.float64, count=len(u))
         pairs = EdgeBlock([
             np.repeat(np.repeat(cluster.small_ids, counts), 2),
@@ -246,7 +231,7 @@ def sublinear_matching(
 
         flags = {vertex: (vertex in matched) for vertex in range(graph.n)}
         annotated = store.annotate(flags, default=False, note="peel/flags")
-        _keep_survivors(smalls, store, annotated, lambda a, b: ~(a | b))
+        _keep_survivors(cluster, store, annotated, lambda a, b: ~(a | b))
 
     return SublinearResult(
         rounds=cluster.ledger.rounds,

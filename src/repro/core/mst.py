@@ -39,6 +39,7 @@ from ..local.mst import kruskal_edges
 from ..mpc import AlgorithmFailure, Cluster, ModelConfig
 from ..primitives import columnar
 from ..primitives.arrange import arrange_directed, query_first_records
+from ..primitives.columnar import EdgeBlock
 from ..primitives.dedup import dedup_lightest
 from ..primitives.edgestore import EdgeStore
 
@@ -231,35 +232,34 @@ def _boruvka_step(
     # edges (Claim 3 + sort-join), then parallel edges are deduplicated
     # keeping the lightest (Claim 1 + one boundary round).
     annotated = store.annotate(rename, note="boruvka/rename")
-    for machine, kept in zip(cluster.smalls, _renamed(cluster, annotated.name)):
-        machine.pop(annotated.name, None)
-        machine.put(store.name, kept)
+    _rename(cluster, annotated.name, store.name)
     dedup_lightest(cluster, store.name, key=(0, 1), weight=2, note="boruvka/dedup")
     return merged
 
 
-def _renamed(cluster: Cluster, name: str) -> list:
-    """Each small machine's contracted edges after the rename: the rows
-    ``(cu, cv, w, ou, ov, new_u, new_v)`` of dataset *name* become
-    ``(min, max, w, ou, ov)`` of the new endpoints, internal edges
+def _rename(cluster: Cluster, name: str, out_name: str) -> None:
+    """Store the contracted edges after the rename as *out_name*, and
+    drop dataset *name*: its rows ``(cu, cv, w, ou, ov, new_u, new_v)``
+    become ``(min, max, w, ou, ov)`` of the new endpoints, internal edges
     dropped — as column operations over all machines."""
-    columns, counts = columnar.concat_columns(
-        columnar.stored_blocks(cluster.smalls, name)
-    )
+    columns, counts = columnar.sharded(cluster, name, scalars=True)
+    cluster.pop(name)
     if not columns:
-        return [[] for _ in counts]
+        cluster.store(out_name, EdgeBlock([]), counts)
+        return
     _, _, weight, ou, ov, new_u, new_v = columns
     keep = new_u != new_v
     machine = np.repeat(np.arange(len(counts)), counts)[keep]
-    return columnar.split_columns(
-        [
+    cluster.store(
+        out_name,
+        EdgeBlock([
             np.minimum(new_u, new_v)[keep],
             np.maximum(new_u, new_v)[keep],
             weight[keep],
             ou[keep],
             ov[keep],
-        ],
-        np.bincount(machine, minlength=len(counts)).tolist(),
+        ]),
+        np.bincount(machine, minlength=len(counts)),
     )
 
 

@@ -61,6 +61,14 @@ without ``put`` is not charged.  In strict mode
 :class:`MemoryLimitExceeded`; otherwise both are recorded in the ledger's
 ``violations`` stream.
 
+Sharded datasets.  The primitives keep a dataset as one block of every
+small machine's rows, ordered by machine, with per-machine row bounds:
+``Cluster.store``, ``rebound`` (new bounds, same columns) and ``pop``
+are one vector update of ``Cluster.usage`` each, every machine charged
+— and in strict mode checked, in put order — as ``Machine.put`` of its
+slice would be; ``Cluster.shard`` gives the columns, and a machine's
+``get``, ``put`` and ``pop`` see its own slice.
+
 Local computation between rounds is free in the model, so each machine's
 local step is a plain function call in the coordinator; every charge is
 derived from plans.

@@ -18,8 +18,9 @@ The per-machine accounting is by vectors over machine ids, so the Python
 work of a round does not grow with the number of machines.  The cluster
 holds every machine's usage and capacity as int64 vectors
 (:attr:`Cluster.usage`, :attr:`Cluster.capacities`); ``Machine.put`` and
-``pop`` update the machine's entry, and :class:`Scratch` charges a tree
-primitive's in-flight buffers to many machines in one vector update.  A
+``pop`` update the machine's entry, and :class:`Scratch` (a tree
+primitive's in-flight buffers) and :class:`Shard` (a sharded dataset)
+charge many machines in one vector update.  A
 round's memory record is one vector comparison: high-water marks change
 only where usage rose, and violations come out in machine order.  A
 round's traffic is summed from the plan's run columns into per-machine
@@ -53,8 +54,9 @@ from .ledger import RoundLedger, Violation
 from .machine import LARGE, SMALL, Machine, memory_limit
 from .plan import RoundPlan
 from .throttle import ThrottleController
+from .words import row_words
 
-__all__ = ["Cluster", "Scratch"]
+__all__ = ["Cluster", "Scratch", "Shard"]
 
 #: Capacities are held as int64; a larger one (a superlinear machine of a
 #: large ``f``) is one no usage can reach, stored as this.
@@ -98,10 +100,12 @@ class Cluster:
         self._ids = np.arange(len(kinds), dtype=np.int64)
         # No machine is over capacity while every volume is at most this.
         self._min_capacity = int(self.capacities.min())
+        self._shards: dict[str, Shard] = {}  # seen by every small machine
         machines = [
             Machine(
                 mid, kind, capacity[kind], strict=config.strict,
                 round_source=round_source, usage=buffer,
+                shards=self._shards if kind == SMALL else None,
             )
             for mid, kind in enumerate(kinds)
         ]
@@ -364,6 +368,70 @@ class Cluster:
         self.checkpoint_memory(f"input/{name}")
 
     # ------------------------------------------------------------------
+    # Sharded datasets
+    # ------------------------------------------------------------------
+    def store(self, name: str, block: Any, counts: Any, order: Any = None) -> None:
+        """Store the record batch *block* (numpy ``block.columns``) as
+        dataset *name*, replacing what the small machines held: machine
+        ``i`` holds the next ``counts[i]`` rows, charged as putting them
+        would be.  In strict mode the machines of *order* (all, by
+        default) are checked in that order as their puts would be."""
+        stops = np.cumsum(counts, dtype=np.int64)
+        self._place(name, Shard(block, stops - counts, stops), order)
+
+    def rebound(self, name: str, starts: Any, stops: Any, order: Any) -> None:
+        """New row bounds over the columns of the sharded dataset *name*:
+        small machine ``i`` holds rows ``starts[i]:stops[i]``; checked as
+        :meth:`store` checks *order*."""
+        shard = self._shards[name]
+        self._place(name, Shard(shard.block, starts, stops, shard.prefix), order)
+
+    def _place(self, name: str, shard: "Shard", order: Any) -> None:
+        k = len(self.smalls)
+        old = self._shards.get(name)
+        before = self.usage[:k] - (0 if old is None else old.charges)
+        # What machines put under *name* themselves, held outside the shard.
+        own = [(m, m._sizes[name]) for m in self.smalls if name in m._store]
+        for machine, size in own:
+            before[machine.machine_id] -= size
+        after = before + shard.charges
+        ids = self._ids[:k] if order is None else np.asarray(order, dtype=np.int64)
+        self._refuse(ids, after[ids], shard.charges[ids], name)
+        for machine, _ in own:
+            del machine._store[name], machine._sizes[name]
+        self.usage[:k] = after
+        self._shards[name] = shard
+
+    def _refuse(self, ids: Any, after: Any, words: Any, name: str) -> None:
+        """In strict mode, raise what putting ``words`` under *name* raises
+        on the first of machines *ids* whose usage *after* is too much."""
+        over = np.flatnonzero(after > self.capacities[ids])
+        if self.config.strict and len(over):
+            first = int(over[0])
+            machine = self.machines[int(ids[first])]
+            raise memory_limit(
+                machine.machine_id, machine.kind, int(after[first]), machine.capacity,
+                self.ledger.rounds + 1, name, int(words[first]),
+            )
+
+    def shard(self, name: str) -> "Shard | None":
+        """The sharded dataset *name* when every small machine holds its
+        slice, else ``None``."""
+        shard = self._shards.get(name)
+        return shard if shard is not None and shard.held.all() else None
+
+    def pop(self, name: str) -> "Shard | None":
+        """Drop dataset *name* from every small machine; return its shard,
+        popped in one vector update."""
+        shard = self._shards.pop(name, None)
+        if shard is not None:
+            self.usage[:len(self.smalls)] -= shard.charges
+        if shard is None or not shard.held.all():
+            for machine in self.smalls:
+                machine.pop(name, None)
+        return shard
+
+    # ------------------------------------------------------------------
     # Simulation-side inspection (costs no rounds; used by orchestration
     # logic and by tests, never as a stand-in for communication).
     # ------------------------------------------------------------------
@@ -422,16 +490,9 @@ class Scratch:
         cluster = self.cluster
         delta = words - self.words[ids]
         if cluster.config.strict:
-            after = cluster.usage[ids] + delta
-            over = np.flatnonzero((after > cluster.capacities[ids]) & (words > 0))
-            if len(over):
-                first = int(over[0])
-                machine = cluster.machines[int(ids[first])]
-                raise memory_limit(
-                    machine.machine_id, machine.kind, int(after[first]),
-                    machine.capacity, cluster.ledger.rounds + 1, self.name,
-                    int(words[first]),
-                )
+            hoard = words > 0
+            after = (cluster.usage[ids] + delta)[hoard]
+            cluster._refuse(ids[hoard], after, words[hoard], self.name)
         cluster.usage[ids] += delta
         self.words[ids] = words
 
@@ -445,3 +506,49 @@ class Scratch:
         """Free every charge."""
         self.cluster.usage -= self.words
         self.words[:] = 0
+
+
+class Shard:
+    """One block of every small machine's rows, ordered by machine: small
+    machine ``i`` holds rows ``starts[i]:stops[i]`` while ``held[i]`` (a
+    put or pop of its own takes them out), charged ``charges[i]`` words,
+    as putting them would be (:func:`~repro.mpc.words.row_words`)."""
+
+    __slots__ = ("block", "starts", "stops", "charges", "held", "prefix", "_rows")
+
+    def __init__(self, block: Any, starts: Any, stops: Any, prefix: Any = None) -> None:
+        self.block = block
+        self.starts = np.array(starts, dtype=np.int64)
+        self.stops = np.array(stops, dtype=np.int64)
+        # Typed columns' words per row; prefix sums of object row words.
+        self.prefix = typed, words = prefix or _prefix_words(block.columns)
+        self.charges = typed * (self.stops - self.starts)
+        if words is not None:
+            self.charges += words[self.stops] - words[self.starts]
+        self.held = np.ones(len(self.starts), dtype=bool)
+        self._rows: dict[int, Any] = {}
+
+    def rows(self, slot: int) -> Any:
+        """Machine *slot*'s slice, ``[]`` when empty (one object per
+        machine, so a block's rows materialize once)."""
+        if slot not in self._rows:
+            lo, hi = int(self.starts[slot]), int(self.stops[slot])
+            self._rows[slot] = self.block[lo:hi] if hi > lo else []
+        return self._rows[slot]
+
+    def release(self, slot: int) -> bool:
+        """Take machine *slot*'s slice out; whether any machine holds one."""
+        self.held[slot] = False
+        self.charges[slot] = 0
+        return bool(self.held.any())
+
+
+def _prefix_words(columns: Sequence[Any]) -> tuple[int, Any]:
+    if not {col.dtype.kind for col in columns} <= set("iufbO"):
+        raise TypeError("a sharded dataset's columns must be numeric or of dtype object")
+    objects = [row_words(col) for col in columns if col.dtype.kind == "O"]
+    if not objects:
+        return len(columns), None
+    words = np.zeros(len(objects[0]) + 1, dtype=np.int64)
+    np.cumsum(sum(objects), out=words[1:])
+    return len(columns) - len(objects), words

@@ -6,6 +6,9 @@ A machine's usage is one entry of the cluster's int64 usage vector
 cluster's per-round memory record reads.  The vector is a numpy view of
 an ``array('q')`` buffer, which the machine updates item by item at
 Python speed.  A machine built alone holds a buffer of its own.
+
+A small machine's ``get``, ``put`` and ``pop`` see its slice of the
+cluster's sharded datasets (:class:`repro.mpc.cluster.Shard`).
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ class Machine:
         "_sizes",
         "_usage",
         "_slot",
+        "_shards",
     )
 
     def __init__(
@@ -85,6 +89,7 @@ class Machine:
         strict: bool = False,
         round_source: Callable[[], int] | None = None,
         usage: array | None = None,
+        shards: dict[str, Any] | None = None,
     ) -> None:
         self.machine_id = machine_id
         self.kind = kind
@@ -97,6 +102,7 @@ class Machine:
             usage, machine_id = array("q", [0]), 0
         self._usage = usage
         self._slot = machine_id
+        self._shards = {} if shards is None else shards  # the cluster's, by name
 
     def _round(self) -> int:
         return self.round_source() if self.round_source is not None else 0
@@ -106,30 +112,46 @@ class Machine:
     # ------------------------------------------------------------------
     def put(self, name: str, value: Any) -> None:
         size = word_size(value)
-        usage = self._usage[self._slot] - self._sizes.get(name, 0) + size
+        shard = self._held(name)
+        old = self._sizes.get(name, 0) if shard is None else shard.charges[self._slot]
+        usage = self._usage[self._slot] - int(old) + size
         if self.strict and usage > self.capacity:
             raise memory_limit(
                 self.machine_id, self.kind, usage, self.capacity, self._round(),
                 name, size,
             )
+        if shard is not None and not shard.release(self._slot):
+            del self._shards[name]
         self._store[name] = value
         self._sizes[name] = size
         self._usage[self._slot] = usage
 
     def get(self, name: str, default: Any = None) -> Any:
-        return self._store.get(name, default)
+        shard = self._held(name)
+        return self._store.get(name, default) if shard is None else shard.rows(self._slot)
 
     def pop(self, name: str, default: Any = None) -> Any:
+        shard = self._held(name)
+        if shard is not None:
+            self._usage[self._slot] -= int(shard.charges[self._slot])
+            if not shard.release(self._slot):
+                del self._shards[name]
+            return shard.rows(self._slot)
         size = self._sizes.pop(name, 0)
         if size:
             self._usage[self._slot] -= size
         return self._store.pop(name, default)
 
+    def _held(self, name: str) -> Any:
+        """The shard of *name* if this machine holds its slice."""
+        shard = self._shards.get(name)
+        return shard if shard is not None and shard.held[self._slot] else None
+
     def datasets(self) -> Iterator[str]:
-        return iter(self._store)
+        return iter([*self._store, *filter(self._held, self._shards)])
 
     def __contains__(self, name: str) -> bool:
-        return name in self._store
+        return name in self._store or self._held(name) is not None
 
     # ------------------------------------------------------------------
     # Accounting

@@ -9,7 +9,9 @@ is charged according to :func:`word_size`:
   conventions;
 * containers cost the sum of their elements (an ``(u, v, w)`` edge costs 3);
 * objects may define their own cost by implementing ``word_size()`` —
-  sketches and flow labels do this.
+  sketches and flow labels do this;
+* a record batch (numpy ``columns``: an ``EdgeBlock``) costs what its
+  columns cost as arrays, as a sharded dataset charges it.
 
 Strings are charged one word per 8 characters (a word is at least 64 bits at
 any practical ``n``); they only appear in debugging payloads.  ``bytes`` /
@@ -113,6 +115,9 @@ def word_size(obj: Any) -> int:
     sizer = getattr(obj, "word_size", None)
     if callable(sizer):
         return int(sizer())
+    columns = getattr(obj, "columns", None)
+    if type(columns) is tuple:  # a record batch: its columns, as arrays
+        return sum(map(array_words, columns))
     if isinstance(obj, (str, bytes, bytearray)):
         return 1 + len(obj) // 8
     if isinstance(obj, dict):

@@ -33,9 +33,9 @@ int sums that could leave it.
 
 The pairs of every machine can also come at once, as one
 :class:`~repro.primitives.columnar.EdgeBlock` of ``(machine, key,
-*value)`` rows, machines ascending: :func:`count_items`,
-:func:`aggregate_counts` and the sublinear Borůvka baseline build their
-columns that way.
+*value)`` rows, machines ascending: :func:`count_items`, Claim 4's
+degree count and the sublinear Borůvka baseline build their columns
+that way.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from . import columnar
 from .broadcast import converge_cast
 from .columnar import EdgeBlock
 
-__all__ = ["aggregate", "aggregate_counts", "count_items"]
+__all__ = ["aggregate", "count_items"]
 
 #: An int sum stays exact while the largest magnitude times the number of
 #: pairs stays within this (int64 with margin to spare).
@@ -104,37 +104,6 @@ def aggregate(
     ))
 
 
-def aggregate_counts(
-    cluster: Cluster,
-    keys_by_machine: dict[int, Iterable[Hashable]],
-    dst: int | None = None,
-    note: str = "count",
-) -> dict[Hashable, int]:
-    """Count occurrences per key (e.g. vertex degrees, Claim 4 step 2).
-
-    When every machine's keys are a numpy int column (e.g. an
-    :class:`EdgeBlock` endpoint column), the ``(machine, key, 1)`` rows of
-    all machines are built at once, as columns.
-    """
-    mids = sorted(keys_by_machine)
-    columns = [keys_by_machine[mid] for mid in mids]
-    if all(isinstance(keys, np.ndarray) and keys.dtype.kind == "i" for keys in columns):
-        keys = (
-            np.concatenate(columns).astype(np.int64, copy=False)
-            if columns else np.empty(0, dtype=np.int64)
-        )
-        machines = np.repeat(
-            np.array(mids, dtype=np.int64), [len(column) for column in columns]
-        )
-        pairs: Any = EdgeBlock([machines, keys, np.ones(len(keys), dtype=np.int64)])
-    else:
-        pairs = {
-            mid: [(key, 1) for key in (keys.tolist() if isinstance(keys, np.ndarray) else keys)]
-            for mid, keys in keys_by_machine.items()
-        }
-    return aggregate(cluster, pairs, "sum", dst=dst, note=note)
-
-
 def count_items(
     cluster: Cluster,
     name: str,
@@ -180,14 +149,13 @@ def _pair_columns(pairs_by_machine: Any) -> tuple[Any, list[Any], list[Any]]:
         values = [leaf for col in values for leaf in _leaf_columns(col, "value")]
     else:
         mids = sorted(pairs_by_machine)
-        datasets = [pairs_by_machine[mid] for mid in mids]
-        blocks = columnar.ingest_datasets(
+        ingested = columnar.ingest_columns([
             pairs if isinstance(pairs, (list, EdgeBlock)) else list(pairs)
-            for pairs in datasets
-        )
-        if blocks is None or any(len(block) and block.width != 2 for block in blocks):
+            for pairs in map(pairs_by_machine.__getitem__, mids)
+        ])
+        if ingested is None or len(ingested[0]) not in (0, 2):
             raise TypeError("aggregate pairs must be (key, value) tuples")
-        columns, counts = columnar.concat_columns(blocks)
+        columns, counts = ingested
         if not columns:
             return empty, [empty], [empty]
         machines = np.repeat(np.array(mids, dtype=np.int64), counts)

@@ -12,10 +12,9 @@ After ``arrange_directed``:
 Directed copies have one shape: the flat row ``(src, dst, *edge)``.
 :func:`directed_rows` builds them (the sort-join of
 :mod:`repro.primitives.join` takes the same copies without ``dst``) as
-one :class:`~repro.primitives.columnar.EdgeBlock` per machine: edge
-records are flat rows of finite scalars, read through
-:func:`~repro.primitives.columnar.stored_blocks`, and the sort is keyed by
-a field spec.  A flat row has the leaves of the nested ``(src, dst,
+cluster-wide columns: edge records are flat rows of finite scalars,
+read through :func:`~repro.primitives.columnar.sharded`, the copies are
+stored as one sharded dataset, and the sort is keyed by a field spec.  A flat row has the leaves of the nested ``(src, dst,
 edge)`` record and orders the same way, so it charges the same words.
 
 :func:`query_first_records` is Section 3's ``k(v, M)`` query step: the
@@ -33,7 +32,8 @@ import numpy as np
 
 from ..mpc.cluster import Cluster
 from . import columnar
-from .aggregate import aggregate_counts
+from .aggregate import aggregate
+from .columnar import EdgeBlock
 from .sort import SortLayout, sample_sort
 
 __all__ = ["Arrangement", "arrange_directed", "directed_rows", "query_first_records"]
@@ -41,30 +41,23 @@ __all__ = ["Arrangement", "arrange_directed", "directed_rows", "query_first_reco
 
 def directed_rows(
     cluster: Cluster, edges_name: str, with_dst: bool = True
-) -> tuple[int, dict[int, Any]]:
+) -> tuple[int, list[Any], Any]:
     """Both orientations of every small machine's edges, as flat rows.
 
     Edge ``i = (u, v, ...)`` becomes row ``2i = (u, v, *edge_i)`` and row
     ``2i + 1 = (v, u, *edge_i)``; without *with_dst* the second field is
-    left out.  The rows are an
-    :class:`~repro.primitives.columnar.EdgeBlock` per non-empty machine
-    (``[]`` on an empty one), built in one pass over all machines' edge
-    columns.  Returns ``(edge width, rows by machine id)``.  The edges
-    are read through :func:`~repro.primitives.columnar.stored_blocks`, so
-    a machine holding them as tuples keeps them as a block; raises
+    left out.  The rows are built in one pass over the edges' cluster-wide
+    columns (:func:`~repro.primitives.columnar.sharded`, which stores
+    edges held as tuples back as a sharded dataset).  Returns ``(edge
+    width, the rows' columns in machine order, each machine's row
+    count)``; no edges give ``(0, [], counts)``.  Raises
     :class:`TypeError`, naming the dataset, for edge records that are
     not flat rows of scalars with two endpoint fields.
     """
-    smalls = cluster.smalls
-    blocks = columnar.stored_blocks(smalls, edges_name)
-    edges, counts = columnar.concat_columns(blocks)
+    edges, counts = columnar.sharded(cluster, edges_name, scalars=True)
     if edges and len(edges) < 2:
         raise TypeError(f"dataset {edges_name!r} holds records without two endpoints")
-    copies = columnar.split_columns(
-        _copy_columns(edges, with_dst) if edges else [],
-        [2 * count for count in counts],
-    )
-    return len(edges), {m.machine_id: rows for m, rows in zip(smalls, copies)}
+    return len(edges), _copy_columns(edges, with_dst) if edges else [], 2 * counts
 
 
 def _copy_columns(columns: list[Any], with_dst: bool) -> list[Any]:
@@ -108,14 +101,13 @@ def arrange_directed(
     fields = None
     if secondary_key is not None:
         fields = columnar.key_fields(secondary_key, "secondary_key")
-    width, rows = directed_rows(cluster, edges_name)
+    width, rows, counts = directed_rows(cluster, edges_name)
     if fields is not None and width and not all(0 <= f < width for f in fields):
         raise ValueError(
             f"secondary_key {secondary_key!r} names a column outside the "
             f"{width} edge columns"
         )
-    for machine in cluster.smalls:
-        machine.put(directed_name, rows[machine.machine_id])
+    cluster.store(directed_name, EdgeBlock(rows), counts)
     edge_fields = fields if fields is not None else range(width)
     layout = sample_sort(
         cluster,
@@ -124,21 +116,21 @@ def arrange_directed(
         note=f"{note}/sort",
     )
 
-    # The source column of every machine's arranged rows (the raw column:
-    # aggregate_counts' array fast path).
-    sources = {
-        machine.machine_id: (
-            block.columns[0] if len(block) else np.empty(0, dtype=np.int64)
-        )
-        for machine, block in zip(
-            cluster.smalls, columnar.stored_blocks(cluster.smalls, directed_name)
-        )
-    }
-    out_degrees = aggregate_counts(cluster, sources, note=f"{note}/degrees")
+    # Every arranged row's source and machine; each machine's sources
+    # ascend, so its runs of one source list the vertices it holds.
+    columns, counts = columnar.sharded(cluster, directed_name, scalars=True)
+    sources = columns[0] if columns else np.empty(0, dtype=np.int64)
+    machine = np.repeat(np.array(cluster.small_ids, dtype=np.int64), counts)
+    out_degrees = aggregate(
+        cluster,
+        EdgeBlock([machine, sources, np.ones(len(sources), dtype=np.int64)]),
+        "sum",
+        note=f"{note}/degrees",
+    )
     holders: dict[int, list[int]] = {}
-    for mid, keys in sources.items():
-        for vertex in sorted(set(keys.tolist())):
-            holders.setdefault(vertex, []).append(mid)
+    heads = np.flatnonzero(columnar.first_of_runs([machine, sources]))
+    for mid, vertex in zip(machine[heads].tolist(), sources[heads].tolist()):
+        holders.setdefault(vertex, []).append(mid)
 
     # Claim 4, property 2: the large machine informs each M_first(v).  (One
     # scatter round; in the sublinear configuration machine 0 plays large.)
@@ -178,11 +170,8 @@ def query_first_records(
     The queries and answers come from one pass over all machines'
     columns.
     """
-    smalls = cluster.smalls
-    machine_ids = [machine.machine_id for machine in smalls]
-    columns, counts = columnar.concat_columns(
-        columnar.stored_blocks(smalls, arrangement.name)
-    )
+    machine_ids = cluster.small_ids
+    columns, counts = columnar.sharded(cluster, arrangement.name, scalars=True)
     if columns:
         queries, answers = _first_records_columns(
             machine_ids, columns, counts, quotas, fields
@@ -191,8 +180,7 @@ def query_first_records(
         queries, answers = {}, {mid: [] for mid in machine_ids}
     large = cluster.large.machine_id
     cluster.scatter(large, queries, note=notes[0])
-    for machine in smalls:
-        machine.pop(arrangement.name, None)
+    cluster.pop(arrangement.name)
     return cluster.gather(large, answers, note=notes[1])
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..mpc.cluster import Cluster, Scratch
 from ..mpc.plan import Block, RoundPlan
-from ..mpc.words import word_size
+from ..mpc.words import array_words, row_words, word_size
 from . import columnar
 
 __all__ = ["broadcast", "converge_cast"]
@@ -207,7 +207,7 @@ class _Rows:
         starts = columnar.first_of_runs([owners]).nonzero()[0]
         ids = owners[starts]
         counts = np.diff(starts, append=len(owners))
-        self._initial = (ids, counts * math.prod(rows.shape[1:]))
+        self._initial = (ids, _holder_words(rows, counts))
         others = ids != dst
         if others.all():
             self.at_dst: list[Any] = []
@@ -247,7 +247,7 @@ class _Rows:
             self.holders = self.holders[:0]
             self.counts = self.counts[:0]
             self.rows = self.rows[:0]
-            return [dst], [sum(int(block.size) for block in self.at_dst)]
+            return [dst], [sum(map(array_words, self.at_dst))]
         # Every representative receives (its group has a sender), and the
         # targets ascend: the receivers in delivery order are the new
         # holders.
@@ -262,7 +262,7 @@ class _Rows:
                 self.rows, self.combine, groups=np.repeat(receivers, self.counts)
             )
             self.counts = np.diff(np.searchsorted(owners, receivers, "right"), prepend=0)
-        return receivers, self.counts * math.prod(self.rows.shape[1:])
+        return receivers, _holder_words(self.rows, self.counts)
 
     def result(self) -> Any:
         at_dst = self.at_dst
@@ -273,6 +273,14 @@ class _Rows:
         if self.combine is None:
             return rows
         return columnar.reduce_rows(rows, self.combine)[0]
+
+
+def _holder_words(rows: Any, counts: Any) -> Any:
+    """The words of each holder's ``counts[i]`` contiguous rows: in O(1)
+    for a numeric array, by :func:`~repro.mpc.words.row_words` else."""
+    if rows.dtype.kind != "O" or not len(counts):
+        return counts * math.prod(rows.shape[1:])
+    return np.add.reduceat(row_words(rows), np.cumsum(counts) - counts)
 
 
 class _Holders:

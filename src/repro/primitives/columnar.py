@@ -14,25 +14,21 @@ Two pieces:
   otherwise — ints past int64, mixed scalar types, but also tuples,
   ``None``, flow labels or any other value.  A block charges what the
   equivalent tuples charge, its columns sized as arrays
-  (:func:`repro.mpc.words.array_words`): one word per field of a typed
-  column, in O(1), and what the values of an ``object`` column cost;
-  this is the ``word_size()`` duck-type hook of
-  :func:`repro.mpc.words.word_size`, so ``Machine.put`` and the
-  converge-cast scratch charges account a 100k-row dataset of typed
-  columns without iterating it.  Blocks are sequences of the exact row
-  tuples they were built from — iterating one yields the same Python
-  tuples the rows were — so downstream consumers cannot tell.
+  (:func:`repro.mpc.words.word_size` sizes a record batch by its
+  ``columns``): one word per field of a typed column, in O(1), and what
+  the values of an ``object`` column cost.  Blocks are sequences of the
+  exact row tuples they were built from — iterating one yields the same
+  Python tuples the rows were — so downstream consumers cannot tell.
 
 * ingestion/kernels — ``ingest_rows`` turns a list of tuples of one
   width into a block (``None`` for anything else: non-tuples, ragged
-  widths); ``ingest_datasets`` does it for every small machine at once
-  with one dtype per field, and ``stored_blocks`` is the strict form the
-  primitives that read records of finite scalars go through;
+  widths); :func:`sharded` reads every small machine's rows of a
+  dataset as cluster-wide columns — a sharded dataset's own
+  (:meth:`repro.mpc.cluster.Cluster.store`) — so a local step is one
+  pass over all machines.
   ``stable_order`` / ``reduce_pairs`` are the array kernels behind sample
   sort and aggregation, and ``transport_dtype`` the one dtype their rows
-  travel in; ``concat_columns`` / ``split_columns`` turn every
-  small machine's blocks into one array per field and back, so a local
-  step runs as one pass over all machines.
+  travel in.
 
 Sort keys are field specs (column indices) over scalar columns, and
 aggregation reduces typed key and value columns with a named reducer
@@ -47,11 +43,9 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
-
-from ..mpc.words import array_words
 
 __all__ = [
     "EdgeBlock",
@@ -60,12 +54,10 @@ __all__ = [
     "scalar_column",
     "value_column",
     "ingest_rows",
-    "ingest_datasets",
-    "stored_blocks",
-    "concat_columns",
+    "ingest_columns",
+    "sharded",
     "first_of_runs",
     "rows_at",
-    "split_columns",
     "pack_columns",
     "pack_words",
     "stable_order",
@@ -115,9 +107,9 @@ class EdgeBlock:
     or ``object`` columns of the Python values).
 
     Behaves as an immutable sequence of the row tuples it was built from
-    (iteration materializes rows lazily, once).  ``word_size()`` is the
-    accounting hook: exactly what :func:`repro.mpc.words.word_size`
-    charges for the equivalent tuples, in O(1) when every column is
+    (iteration materializes rows lazily, once).
+    :func:`repro.mpc.words.word_size` charges it what it charges the
+    equivalent tuples, by its ``columns``: in O(1) when every column is
     typed.
     """
 
@@ -130,16 +122,6 @@ class EdgeBlock:
             length = len(self.columns[0]) if self.columns else 0
         self._length = int(length)
         self._rows: list[tuple] | None = None
-
-    # -- accounting ----------------------------------------------------
-    @property
-    def width(self) -> int:
-        return len(self.columns)
-
-    def word_size(self) -> int:
-        """Total words: what the columns cost as arrays — one per row of
-        a typed column, the words of its values for an ``object`` one."""
-        return sum(map(array_words, self.columns))
 
     # -- sequence protocol --------------------------------------------
     def rows(self) -> list[tuple]:
@@ -176,7 +158,7 @@ class EdgeBlock:
         return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EdgeBlock(rows={self._length}, width={self.width})"
+        return f"EdgeBlock(rows={self._length}, width={len(self.columns)})"
 
 
 def object_column(values: Sequence[Any]) -> Any:
@@ -225,8 +207,6 @@ def ingest_rows(rows: Sequence[Any]) -> EdgeBlock | None:
     """
     if not rows:
         return None
-    if isinstance(rows, EdgeBlock):
-        return rows
     if set(map(type, rows)) != {tuple}:
         return None
     width = len(rows[0])
@@ -240,101 +220,50 @@ def ingest_rows(rows: Sequence[Any]) -> EdgeBlock | None:
     return EdgeBlock([value_column(flat[j::width]) for j in range(width)], len(rows))
 
 
-def ingest_datasets(datasets: Iterable[Any]) -> list[Any] | None:
-    """Every dataset as an :class:`EdgeBlock` — ``[]`` for an empty one —
-    with one width and one dtype per field across all of them, or
-    ``None`` when a dataset's rows are not tuples of one width or the
-    widths differ.
-
-    A field whose dtype differs between datasets (int64 on one machine,
-    floats, bools, ints past int64 or other values on another) becomes an
-    ``object`` column in every dataset, so the blocks concatenate into
-    one column per field.
-    """
-    blocks: list[Any] = []
-    for data in datasets:
-        if not len(data):
-            blocks.append([])
-            continue
-        block = data if isinstance(data, EdgeBlock) else ingest_rows(data)
-        if block is None:
-            return None
-        blocks.append(block)
-    present = [block for block in blocks if len(block)]
-    if not present:
-        return blocks
-    if len({block.width for block in present}) > 1:
-        return None
-    mixed = [
-        len({block.columns[j].dtype for block in present}) > 1
-        for j in range(present[0].width)
-    ]
-    if not any(mixed):
-        return blocks
-    return [
-        EdgeBlock(
-            [col.astype(object) if widen else col
-             for col, widen in zip(block.columns, mixed)],
-            len(block),
-        )
-        if len(block) else block
-        for block in blocks
-    ]
+def ingest_columns(datasets: Sequence[Any]) -> tuple[list[Any], list[int]] | None:
+    """Every dataset's rows, in order, as the columns :func:`ingest_rows`
+    gives them (``[]`` when there are none), and each dataset's row
+    count; ``None`` when the rows are not tuples of one width."""
+    counts = [len(data) for data in datasets]
+    rows = list(chain.from_iterable(datasets))
+    block = ingest_rows(rows)
+    if block is None:
+        return None if rows else ([], counts)
+    return list(block.columns), counts
 
 
-def stored_blocks(machines: Sequence[Any], name: str) -> list[Any]:
-    """Every machine's dataset *name* as :func:`ingest_datasets` gives it,
-    in machine order, for a step that reads records of finite scalars.
-
-    A machine whose dataset was not already that block (a list of tuples,
-    or a block with a field widened to ``object``) stores the block
-    instead — the same words — so the next reader finds it.  Raises
-    :class:`TypeError`, naming the dataset, when a row is not a flat
-    record of finite int, float or bool fields of one width; the scalar
-    check runs once per ``object`` field, over all machines' values.
-    """
-    datasets = [machine.get(name, []) for machine in machines]
-    blocks = ingest_datasets(datasets)
-    if blocks is None or not all(map(scalar_column, _object_fields(blocks))):
-        raise TypeError(
-            f"dataset {name!r} holds rows that are not flat records of "
-            "finite int, float or bool fields of one width"
-        )
-    for machine, data, block in zip(machines, datasets, blocks):
-        if len(block) and block is not data:
-            machine.put(name, block)
-    return blocks
-
-
-def _object_fields(blocks: Sequence[Any]) -> list[Any]:
-    """Each ``object`` field of *blocks* (as :func:`ingest_datasets`
-    gives them) as one column over all of them, in field order."""
-    present = [block for block in blocks if len(block)]
-    if not present:
-        return []
-    return [
-        np.concatenate([block.columns[j] for block in present])
-        for j, col in enumerate(present[0].columns)
-        if col.dtype.kind == "O"
-    ]
-
-
-def concat_columns(blocks: Sequence[Any]) -> tuple[list[Any], list[int]]:
-    """Every block's rows, in order, as one array per field, and each
-    block's row count — the cluster-wide view of per-machine blocks.
-
-    *blocks* are as :func:`ingest_datasets` gives them: one width and one
-    dtype per field, ``[]`` for an empty dataset.  All-empty input gives
-    ``([], counts)``.
-    """
-    counts = [len(block) for block in blocks]
-    present = [block for block in blocks if len(block)]
-    if not present:
-        return [], counts
-    return [
-        np.concatenate([block.columns[j] for block in present])
-        for j in range(present[0].width)
-    ], counts
+def sharded(cluster: Any, name: str, scalars: bool = False) -> tuple[list[Any], Any]:
+    """Every small machine's rows of dataset *name* as one column per
+    field, in machine order (``[]`` without rows), and each machine's row
+    count: a sharded dataset's own columns (gathered when its bounds skip
+    rows), or any other ingested and stored back as one, of the same
+    words.  Raises :class:`TypeError`, naming the dataset, for rows that
+    are not tuples of one width — with *scalars*, not flat records of
+    finite int, float or bool fields."""
+    shard = cluster.shard(name)
+    if shard is None:
+        datasets = [machine.get(name, []) for machine in cluster.smalls]
+        columns, counts = ingest_columns(datasets) or (None, [])
+        counts = np.array(counts, dtype=np.int64)
+    else:
+        counts = shard.stops - shard.starts
+        columns = list(shard.block.columns) if counts.any() else []
+        shift = np.repeat(shard.starts - (np.cumsum(counts) - counts), counts)
+        if columns and (len(shift) != len(columns[0]) or shift.any()):
+            columns = [col[shift + np.arange(len(shift))] for col in columns]
+    if columns is None or scalars and not all(
+        map(scalar_column, (col for col in columns if col.dtype.kind == "O"))
+    ):
+        what = "flat records of finite int, float or bool fields" if scalars else "tuples"
+        raise TypeError(f"dataset {name!r} holds rows that are not {what} of one width")
+    if shard is None and columns:
+        # Checked as putting the block back would check them.
+        ingested = [
+            machine.machine_id for machine, data in zip(cluster.smalls, datasets)
+            if len(data) and not isinstance(data, EdgeBlock)
+        ]
+        cluster.store(name, EdgeBlock(columns), counts, order=ingested)
+    return columns, counts
 
 
 def first_of_runs(columns: Sequence[Any]) -> Any:
@@ -351,26 +280,6 @@ def rows_at(columns: Sequence[Any], indices: Sequence[int]) -> list[tuple]:
     """The rows at *indices* of *columns* as tuples of Python scalars,
     without materializing the others."""
     return list(zip(*(col[indices].tolist() for col in columns)))
-
-
-def split_columns(columns: Sequence[Any], counts: Iterable[int]) -> list[Any]:
-    """Cut cluster-wide columns into consecutive datasets of *counts*
-    rows (the inverse of :func:`concat_columns`): an :class:`EdgeBlock`
-    of column slices for each non-zero count, ``[]`` for each zero.
-
-    The slices are views, so the columns must never be written in place.
-    """
-    datasets: list[Any] = []
-    start = 0
-    for count in counts:
-        if count:
-            datasets.append(
-                EdgeBlock([col[start:start + count] for col in columns], count)
-            )
-            start += count
-        else:
-            datasets.append([])
-    return datasets
 
 
 #: Packed sort keys must fit an int64 exactly.

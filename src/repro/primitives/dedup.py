@@ -10,11 +10,13 @@ tells its successor the last key it holds.
 
 *key* and *weight* are field specs (column indices), and the records are
 flat rows of finite scalars.  The sorted rows are read as cluster-wide
-columns (:func:`~repro.primitives.columnar.stored_blocks`), so the
-keep-first pass is one neighbor-difference mask over the machine and key
-columns of all machines at once, and the boundary pass one comparison of
-each receiver's first key with its sender's last; the boundary messages
-carry the key as a tuple of Python scalars.
+columns (:func:`~repro.primitives.columnar.sharded`), so the keep-first
+pass is one neighbor-difference mask over the machine and key columns of
+all machines at once, stored back as one sharded dataset, and the
+boundary pass one comparison of each receiver's first key with its
+sender's last, whose drops move receivers' row bounds
+(:meth:`repro.mpc.cluster.Cluster.rebound`); the boundary messages carry
+the key as a tuple of Python scalars.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from ..mpc.cluster import Cluster
 from ..mpc.plan import RoundPlan
 from . import columnar
+from .columnar import EdgeBlock
 from .sort import sample_sort
 
 __all__ = ["dedup_lightest"]
@@ -50,23 +53,22 @@ def dedup_lightest(
     sample_sort(cluster, name, key=key_spec + weight_spec, note=f"{note}/sort")
 
     # Local pass: within a machine, keep the first record of each group.
-    smalls = cluster.smalls
-    columns, counts = columnar.concat_columns(columnar.stored_blocks(smalls, name))
+    columns, counts = columnar.sharded(cluster, name, scalars=True)
     if columns:
         owner = np.repeat(np.arange(len(counts)), counts)
         keep = columnar.first_of_runs([owner, *(columns[f] for f in key_spec)])
         columns = [col[keep] for col in columns]
-        counts = np.bincount(owner[keep], minlength=len(counts)).tolist()
-    kept = columnar.split_columns(columns, counts)
-    for machine, data in zip(smalls, kept):
-        machine.put(name, data)
+        counts = np.bincount(owner[keep], minlength=len(counts))
+        cluster.store(name, EdgeBlock(columns), counts)
 
     # Boundary pass: each non-empty machine announces the key of its last
     # (pre-drop) record to the next non-empty machine, which then drops its
     # leading record of that key.  One round.
+    smalls = cluster.smalls
     nonempty = np.flatnonzero(counts)
-    ends = np.cumsum(counts)
-    lasts = ends[nonempty[:-1]] - 1
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    lasts = stops[nonempty[:-1]] - 1
     firsts = lasts + 1
     keys = [columns[f] for f in key_spec] if columns else []
     plan = RoundPlan(note=f"{note}/boundary")
@@ -78,5 +80,7 @@ def dedup_lightest(
     repeated = np.ones(len(firsts), dtype=bool)
     for col in keys:
         repeated &= col[firsts] == col[lasts]
-    for right in nonempty[1:][repeated].tolist():
-        smalls[right].put(name, kept[right][1:])
+    rights = nonempty[1:][repeated]
+    if len(rights):
+        starts[rights] += 1
+        cluster.rebound(name, starts, stops, order=rights)

@@ -74,8 +74,7 @@ class EdgeStore:
         return EdgeStore(self.cluster, target)
 
     def drop(self) -> None:
-        for machine in self.cluster.smalls:
-            machine.pop(self.name, None)
+        self.cluster.pop(self.name)
 
     # ------------------------------------------------------------------
     # Communicating operations (charge rounds)

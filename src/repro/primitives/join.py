@@ -34,10 +34,11 @@ Every copy is a flat row, built by
 be flat rows of scalars.  Both sorts pass the field spec ``(0, ...,
 width)``; the second one's rows also carry the value, which the spec
 leaves out.  Between the sorts the join sees all small machines' rows at
-once, as cluster-wide columns
-(:func:`~repro.primitives.columnar.ingest_datasets`), so the value
-column, the boundary round and the zip are one pass each, and every
-machine stores its slice of the result.
+once, as the columns of one sharded dataset
+(:func:`~repro.primitives.columnar.sharded`), so the value column, the
+boundary round and the zip are one pass each: the boundary round only
+moves machines' row bounds (:meth:`repro.mpc.cluster.Cluster.rebound`),
+and the result is stored as one sharded dataset.
 """
 
 from __future__ import annotations
@@ -75,21 +76,20 @@ def annotate_edges_with_vertex_values(
     edge, when the two copies of an edge do not pair up — as they cannot
     when the input holds an edge twice.
     """
-    smalls = cluster.smalls
-    machine_ids = [machine.machine_id for machine in smalls]
+    machine_ids = cluster.small_ids
     work = f"{out_name}__directed"
 
     # Step 1: directed copies (src, *edge), sorted by source vertex.
-    width, rows = directed_rows(cluster, edges_name, with_dst=False)
-    for machine in smalls:
-        machine.put(work, rows[machine.machine_id])
+    width, rows, counts = directed_rows(cluster, edges_name, with_dst=False)
+    cluster.store(work, EdgeBlock(rows), counts)
     key = tuple(range(width + 1))
     sample_sort(cluster, work, key=key, note=f"{note}/sort-src")
 
     # Disseminate values down per-vertex trees (Claim 3) to the machines
     # holding each source, and append each copy's value as its machine
     # received it: (*edge, src, value).
-    copies, counts = _cluster_rows(smalls, work, width + 1)
+    columns, counts = columnar.sharded(cluster, work)
+    copies = EdgeBlock(columns or [np.empty(0, dtype=np.int64)] * (width + 1))
     run_machine, run_source, run_sizes = _source_runs(copies, counts)
     # Each machine lists its sources in its set's iteration order, which
     # fixes the order of the dissemination's sends.
@@ -109,55 +109,42 @@ def annotate_edges_with_vertex_values(
         columns[0],
         np.repeat(columnar.value_column(run_values), run_sizes),
     ])
-    for machine, data in zip(smalls, columnar.split_columns(copies.columns, counts)):
-        machine.put(work, data)
+    cluster.store(work, copies, counts)
 
     # Step 2: re-sort by (*edge, src); the two copies become adjacent.
     layout = sample_sort(cluster, work, key=key, note=f"{note}/sort-edge")
-    copies, _ = _cluster_rows(smalls, work, width + 2)
+    columns, counts = columnar.sharded(cluster, work)
+    copies = EdgeBlock(columns or [np.empty(0, dtype=np.int64)] * (width + 2))
 
     # Step 3: pairs live at global ranks (2j, 2j+1); a machine whose range
     # starts at an odd rank sends its first copy back to the machine that
     # holds the rank just before it.  One round fixes all boundaries, and
     # the cluster-wide order of the copies does not change: only the
-    # machines' ranges do.  Senders shrink before the round, receivers
-    # grow after it.
-    ranges = {
-        mid: [lo, lo + count]
-        for mid, lo, count in zip(machine_ids, layout.offsets, layout.counts)
-    }
-    senders = [mid for mid, (lo, hi) in ranges.items() if hi > lo and lo % 2 == 1]
-    targets = layout.machine_of_rank_many([ranges[mid][0] - 1 for mid in senders])
-    firsts = columnar.rows_at(copies.columns, [ranges[mid][0] for mid in senders])
+    # machines' bounds do.  Senders shrink before the round, receivers
+    # grow after it, in delivery order.
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    senders = np.flatnonzero((counts > 0) & (starts % 2 == 1))
+    targets = layout.machine_of_rank_many((starts[senders] - 1).tolist())
+    firsts = columnar.rows_at(copies.columns, starts[senders])
     plan = RoundPlan(note=f"{note}/boundary")
-    for mid, target, first in zip(senders, targets, firsts):
+    for mid, target, first in zip(senders.tolist(), targets, firsts):
         plan.send(mid, target, first)
-        machine_range = ranges[mid]
-        machine_range[0] += 1
-        cluster.machine(mid).put(work, copies[machine_range[0]:machine_range[1]])
-    for mid, received_copies in cluster.execute(plan).items():
-        # The received copy holds the rank right after the receiver's
-        # last one, so the receiver's range grows by one at its end.
-        machine_range = ranges[mid]
-        machine_range[1] += len(received_copies)
-        cluster.machine(mid).put(work, copies[machine_range[0]:machine_range[1]])
+    if len(senders):
+        starts[senders] += 1
+        cluster.rebound(work, starts, stops, order=senders)
+    inboxes = cluster.execute(plan)
+    if inboxes:
+        # A received copy holds the rank right after its receiver's last
+        # one, so the receiver's bounds grow by one at their end.
+        for mid, received_copies in inboxes.items():
+            stops[mid] += len(received_copies)
+        cluster.rebound(work, starts, stops, order=list(inboxes))
 
     # Step 4: zip adjacent copies into one flat row per undirected edge.
     joined = _zip_pairs(copies, width)
-    halves = [(hi - lo) // 2 for lo, hi in ranges.values()]
-    for machine, data in zip(smalls, columnar.split_columns(joined.columns, halves)):
-        machine.pop(work, None)
-        machine.put(out_name, data)
-
-
-def _cluster_rows(smalls: list, name: str, width: int) -> tuple[EdgeBlock, list[int]]:
-    """Every small machine's rows of *name*, *width* fields each, as one
-    :class:`EdgeBlock` of cluster-wide columns in machine order (empty
-    int64 columns when there are no rows), and each machine's row
-    count."""
-    blocks = columnar.ingest_datasets(machine.get(name, []) for machine in smalls)
-    columns, counts = columnar.concat_columns(blocks)
-    return EdgeBlock(columns or [np.empty(0, dtype=np.int64)] * width), counts
+    cluster.pop(work)
+    cluster.store(out_name, joined, (stops - starts) // 2)
 
 
 def _source_runs(copies: EdgeBlock, counts: list[int]) -> tuple[list, list, list]:

@@ -19,9 +19,10 @@ is a *field spec*: a column index or a tuple of them, over columns of
 finite scalars.  Each step is one array pass over all small machines at
 once, not one per machine:
 
-* *qualify* — every machine's block is concatenated once per column, in
-  machine order; the transport and packing checks are one reduction per
-  column of that concatenation;
+* *qualify* — the dataset is read as cluster-wide columns in machine
+  order (:func:`~repro.primitives.columnar.sharded`: a sharded dataset's
+  own columns); the transport and packing checks are one reduction per
+  column;
 * *sample* — one RNG draw per stored row, in machine order, drawn into
   one array and compared to the rate at once; the sample keys are one
   ``(picked, fields)`` array with each row's machine as its owner, and
@@ -46,10 +47,11 @@ once, not one per machine:
   order and sorted with one stable sort keyed by ``(machine, key)``: one
   ``argsort`` of a packed ``machine * span + key`` composite when it
   fits int64, a ``lexsort`` with the machine as primary key otherwise.
-  Each machine keeps its contiguous slice as an
-  :class:`~repro.primitives.columnar.EdgeBlock`, so every machine's
-  columns are views of one sorted array per field — which is why no code
-  writes to a block's columns in place;
+  The sorted rows are stored as one sharded dataset, each machine
+  holding its contiguous slice (:meth:`repro.mpc.cluster.Cluster.store`,
+  one vector update of the usage), so every machine's columns are views
+  of one sorted array per field — which is why no code writes to a
+  block's columns in place;
 * *counts* — one numeric scatter (a column of sources, the coordinator
   as destination, one 2-word row each).
 
@@ -62,8 +64,8 @@ route keeps arrival order and the rank sort is stable, rows with equal
 keys keep their machine-order arrival order: the result is a stable sort
 of all rows, whatever fields the spec leaves out.  The sort makes a
 constant number of numpy calls; its Python work is O(machines) for the
-puts and the inbox walk, plus the sizing of each value of an ``object``
-column that is not a scalar.
+inbox walk, plus the sizing of each value of an ``object`` column that
+is not a scalar.
 """
 
 from __future__ import annotations
@@ -155,12 +157,8 @@ def sample_sort(
     machine_ids = [m.machine_id for m in smalls]
     coordinator = cluster.large.machine_id if cluster.has_large else machine_ids[0]
     fields = columnar.key_fields(key)
-    blocks = columnar.ingest_datasets(machine.get(name, []) for machine in smalls)
-    if blocks is None:
-        raise TypeError(f"dataset {name!r} holds rows that are not tuples of one width")
-    columns, counts = columnar.concat_columns(blocks)
-    del blocks
-    total = sum(counts)
+    columns, counts = columnar.sharded(cluster, name)
+    total = int(counts.sum())
     if total == 0:
         return SortLayout(machine_ids=machine_ids, counts=[0] * len(smalls))
     width = len(columns)
@@ -217,8 +215,7 @@ def sample_sort(
 
     # Step 3: route every row, in arrival order, to its bucket machine;
     # send_indexed groups the rows by (source, bucket), stable.
-    for machine in smalls:
-        machine.pop(name, None)
+    cluster.pop(name)
     dsts = np.asarray(machine_ids)[_bucket_rows(columns, fields, splitters)]
     plan = RoundPlan(note=f"{note}/route")
     plan.send_indexed(
@@ -244,10 +241,9 @@ def sample_sort(
     order = columnar.stable_order(
         EdgeBlock(cast), fields, groups=np.repeat(np.arange(k), counts)
     )
-    ranked = [col[order] for col in cast]
+    ranked = EdgeBlock([col[order] for col in cast])
     del cast
-    for machine, data in zip(smalls, columnar.split_columns(ranked, counts)):
-        machine.put(name, data)
+    cluster.store(name, ranked, counts)
 
     _report_counts(cluster, coordinator, machine_ids, counts, note)
     return SortLayout(machine_ids=machine_ids, counts=counts)

@@ -1,11 +1,17 @@
-"""The engine's tree and memory work does not grow with the small machines.
+"""The engine's tree, memory and storage work does not grow with the
+small machines.
 
 One Theorem 1.2 MST solve on the same graph at two ``num_small`` values
 that give the same rounds: every tree level is one plan entry, the
 columnar aggregation makes the same number of grouped reduces, and the
 per-round memory record makes the same number of calls — at 16 small
-machines as at 64.  (``Machine.put`` calls still grow with the machines:
-the primitives store one dataset per machine.)
+machines as at 64.  The primitives store every machine's rows as one
+sharded dataset, so ``Machine.put`` runs at most three times per added
+machine, none of them per round: input placement, and the KKT sample
+and light filter of the one sampling attempt.  The word sizer of
+``repro.mpc.words`` (``word_size_many``, counted where the module calls
+it too) sizes those three lists per machine, plus the one-message runs
+of the boundary and notification rounds, one per machine each.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from collections import Counter
 from repro.core import heterogeneous_mst
 from repro.graph import generators
 from repro.mpc import Cluster, Machine, ModelConfig, RoundLedger
+from repro.mpc import words
 from repro.primitives import columnar
 from repro.primitives.broadcast import broadcast, converge_cast
 
@@ -67,6 +74,7 @@ def solve_counts(monkeypatch, num_small: int) -> tuple[int, Counter, list[int]]:
     counting(columnar, "reduce_pairs", "grouped_reduce")
     counting(RoundLedger, "record_memory", "memory_record")
     counting(Machine, "put", "machine_put")
+    counting(words, "word_size_many", "word_size_many")
     usage = Machine.usage
 
     def counted_usage(machine):
@@ -96,5 +104,8 @@ def test_tree_levels_and_memory_records_do_not_grow_with_machines(monkeypatch):
         assert counts_few[key] == counts_many[key], key
     assert counts_few["grouped_reduce"] > 0 and counts_few["memory_record"] > 0
     assert counts_few["machine_usage"] == 0
-    # Datasets are still stored machine by machine.
-    assert counts_many["machine_put"] > counts_few["machine_put"]
+    # Storage is one vector update per sharded dataset: what grows with
+    # the machines is input placement and the one KKT attempt's lists.
+    added = 64 - 16
+    assert counts_many["machine_put"] - counts_few["machine_put"] <= 3 * added
+    assert counts_many["word_size_many"] - counts_few["word_size_many"] <= 8 * added

@@ -51,7 +51,7 @@ from repro.mpc import (
     ModelConfig,
     RoundPlan,
 )
-from repro.primitives.aggregate import aggregate, aggregate_counts, count_items
+from repro.primitives.aggregate import aggregate, count_items
 from repro.primitives.broadcast import converge_cast
 from repro.primitives.edgestore import EdgeStore
 from repro.primitives.sort import sample_sort
@@ -253,7 +253,7 @@ def run_small_destination_aggregates() -> dict:
         machine.machine_id: np.array([v for _, v in machine.get("e")], dtype=np.int64)
         for machine in cluster.smalls
     }
-    results.append(sorted(aggregate_counts(cluster, keys, note="deg").items()))
+    results.append(sorted(aggregate_oracle.aggregate_counts(cluster, keys, note="deg").items()))
     results.append(count_items(cluster, "e", note="count"))
     results.append(count_items(cluster, "e", lambda e: e[0] < e[1], note="count<"))
     # A list cast and an array cast without a combine.

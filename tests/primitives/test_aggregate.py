@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from aggregate_oracle import aggregate_counts
 from repro.mpc import Cluster, ModelConfig
-from repro.primitives.aggregate import aggregate, aggregate_counts, count_items
+from repro.primitives.aggregate import aggregate, count_items
 
 
 def make_cluster(n=64, m=512) -> Cluster:

@@ -60,10 +60,10 @@ def test_directed_rows_take_flat_scalar_records_only():
     dataset."""
     cluster = make_cluster()
     cluster.distribute_edges([(0, 1, 2**70), (1, 2, 0.5)], name="edges")
-    width, rows = directed_rows(cluster, "edges", with_dst=False)
+    width, rows, counts = directed_rows(cluster, "edges", with_dst=False)
     assert width == 3
-    assert all(isinstance(r, EdgeBlock) for r in rows.values() if len(r))
-    assert sorted(row for machine_rows in rows.values() for row in machine_rows) == [
+    assert sum(counts) == 4 and set(counts.tolist()) <= {0, 2}
+    assert sorted(zip(*(col.tolist() for col in rows))) == [
         (0, 0, 1, 2**70), (1, 0, 1, 2**70), (1, 1, 2, 0.5), (2, 1, 2, 0.5),
     ]
     for name, edges in [

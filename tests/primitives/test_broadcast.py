@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.mpc import Cluster, ModelConfig
+from repro.primitives import columnar
 from repro.primitives.broadcast import broadcast, converge_cast
 from repro.primitives.columnar import Reducer
 
@@ -167,6 +168,29 @@ def test_converge_cast_array_buffers_match_tuple_lists(narrow):
     # A small destination holds its own rows first.
     listed, arrayed = _cast_both_ways(make, items, cluster.small_ids[0])
     assert arrayed == listed
+
+
+def test_converge_cast_object_rows_charge_their_values():
+    """An object array cast charges each holder the words of its rows'
+    values, as the list cast of the same tuples does: over 150 machines
+    and a fanout of 64, machine 0 keeps its three ``(i, i, i)`` rows (9
+    words) through the first level."""
+    def make():
+        config = ModelConfig(n=4096, m=4096, num_small=150, gamma=0.5)
+        return Cluster(config, rng=random.Random(0))
+
+    cluster = make()
+    assert cluster.config.tree_fanout == 64
+    rows = [(i, i, i) for i in range(3 * len(cluster.small_ids))]
+    owners = np.repeat(np.array(cluster.small_ids, dtype=np.int64), 3)
+    dst = cluster.large.machine_id
+    block = converge_cast(cluster, (owners, columnar.object_column(rows)), dst)
+    listed = make()
+    result = converge_cast(
+        listed, {mid: rows[3 * mid:3 * mid + 3] for mid in listed.small_ids}, dst
+    )
+    assert _cast_fingerprint(cluster, block.tolist()) == _cast_fingerprint(listed, result)
+    assert cluster.ledger.memory_high_water[0] == 9
 
 
 def test_converge_cast_array_with_nothing_sampled():

@@ -51,7 +51,6 @@ from repro.mpc.words import word_size, word_size_many
 from repro.primitives.arrange import arrange_directed, query_first_records
 from repro.primitives.columnar import (
     EdgeBlock,
-    ingest_datasets,
     ingest_rows,
     pack_columns,
     pack_words,
@@ -412,9 +411,7 @@ def test_sample_sort_rank_differential(case):
         cluster.execute = spy
         return sort_module.sample_sort(cluster, "e", key=key).counts
 
-    columns, _ = columnar.concat_columns(
-        ingest_datasets(rows[i::NUM_SMALL] for i in range(NUM_SMALL))
-    )
+    columns, _ = columnar.ingest_columns([rows[i::NUM_SMALL] for i in range(NUM_SMALL)])
     packed = pack_columns([columns[f] for f in key]) is not None
     _, ledger, _, counts = run_everyway(go, ["e"], config, sorted_names=["e"])
     columnar_route = route_inboxes[-1]  # PATHS runs the columnar side last
@@ -565,20 +562,22 @@ _JOIN_CASES = {
 
 def _columnar_join(edges, values, default):
     """Run the join on the columnar side; returns the cluster and every
-    non-empty dataset of directed copies that step 4 took off a machine —
-    after the boundary round, so receivers are among them."""
+    machine's non-empty slice of the directed copies that step 4 took off
+    the machines — after the boundary round, so receivers are among
+    them."""
     cluster = make_cluster()
     distribute(cluster, "edges", edges)
     zipped = []
-    pop = Machine.pop
+    pop = Cluster.pop
 
-    def spy(machine, name, default=None):
-        data = pop(machine, name, default)
-        if name == "annotated__directed" and data is not None and len(data):
-            zipped.append(data)
-        return data
+    def spy(cluster, name):
+        shard = pop(cluster, name)
+        if name == "annotated__directed" and shard is not None:
+            slices = map(shard.rows, range(len(cluster.smalls)))
+            zipped.extend(data for data in slices if len(data))
+        return shard
 
-    with mock.patch.object(Machine, "pop", spy):
+    with mock.patch.object(Cluster, "pop", spy):
         annotate_edges_with_vertex_values(
             cluster, "edges", values, "annotated", default=default
         )
@@ -994,7 +993,7 @@ def test_ingest_rows_rejects_unrepresentable():
     assert ingest_rows([(1, 2), (3, 4)]) is not None
     block = ingest_rows([(1, 2**64), (2, 3)])         # past int64: object
     assert [col.dtype for col in block.columns] == [np.int64, object]
-    assert block.rows() == [(1, 2**64), (2, 3)] and block.word_size() == 4
+    assert block.rows() == [(1, 2**64), (2, 3)] and word_size(block) == 4
     for rows in (
         [(1, float("inf"))], [(1, 2**70), (2, float("nan"))], [(1, "a")],
         [(1, (2, 3)), (4, (5, 6))], [(1, None)],
@@ -1020,38 +1019,55 @@ def test_object_columns_charge_the_words_of_their_values():
     ]
     block = ingest_rows(rows)
     assert [col.dtype.kind for col in block.columns] == ["i", "O", "O", "O"]
-    assert block.word_size() == word_size(rows) == 3 + 5 + 9 + 6
-    assert block[1:].word_size() == word_size(rows[1:])
+    assert word_size(block) == word_size(rows) == 3 + 5 + 9 + 6
+    assert word_size(block[1:]) == word_size(rows[1:])
     machine = Machine(0, "small", capacity=100)
     machine.put("rows", block)
     assert machine.usage == word_size(rows)
 
 
 def test_ingest_datasets_widen_fields_across_machines():
-    """A field whose dtype differs between machines becomes an object
-    column everywhere, so the blocks concatenate; a width mismatch or a
-    row that is not a tuple anywhere gives None."""
-    blocks = ingest_datasets([[(1, 2)], [], [(3, 2**70)], [(4, 0.5)], [(5, (6,))]])
-    assert blocks[1] == []
-    assert [[col.dtype for col in b.columns] for b in blocks if len(b)] == [
-        [np.int64, object]] * 4
-    assert [row for b in blocks for row in b] == [
+    """The sharded read of per-machine datasets: a field whose dtype
+    differs between machines becomes an object column of the Python
+    values, in machine order; a width mismatch or a row that is not a
+    tuple anywhere raises TypeError naming the dataset."""
+    cluster = make_cluster()
+    datasets = [[(1, 2)], [], [(3, 2**70)], [(4, 0.5)], [(5, (6,))], []]
+    for machine, rows in zip(cluster.smalls, datasets):
+        machine.put("e", rows)
+    columns, counts = columnar.sharded(cluster, "e")
+    assert [col.dtype for col in columns] == [np.int64, object]
+    assert list(zip(*(col.tolist() for col in columns))) == [
         (1, 2), (3, 2**70), (4, 0.5), (5, (6,))]
-    assert ingest_datasets([[(1, 2)], [(1, 2, 3)]]) is None
-    assert ingest_datasets([[(1, 2)], [[1, 2]]]) is None
+    assert counts.tolist() == [1, 0, 1, 1, 1, 0]
+    for bad in ([[(1, 2)], [(1, 2, 3)]], [[(1, 2)], [[1, 2]]]):
+        for machine, rows in zip(cluster.smalls, bad):
+            machine.put("bad", rows)
+        with pytest.raises(TypeError, match="dataset 'bad'"):
+            columnar.sharded(cluster, "bad")
 
 
 def test_stored_blocks_put_back_and_name_the_dataset():
+    """The sharded read stores per-machine tuples back as one sharded
+    dataset of the same words, which the next read returns as it is;
+    a row of a non-scalar field fails the scalar read, naming the
+    dataset."""
     cluster = make_cluster()
     distribute(cluster, "e", [(i, i + 1) for i in range(9)])
-    usage = [m.usage for m in cluster.smalls]
-    blocks = columnar.stored_blocks(cluster.smalls, "e")
-    assert all(m.get("e") is b for m, b in zip(cluster.smalls, blocks) if len(b))
-    assert [m.usage for m in cluster.smalls] == usage   # the same words
+    rows = [list(m.get("e")) for m in cluster.smalls]
+    usage = cluster.usage.tolist()
+    columns, counts = columnar.sharded(cluster, "e", scalars=True)
+    shard = cluster.shard("e")
+    assert shard is not None and list(shard.block.columns) == columns
+    assert [m.get("e") for m in cluster.smalls] == rows
+    assert cluster.usage.tolist() == usage   # the same words
+    again, _ = columnar.sharded(cluster, "e", scalars=True)
+    assert all(a is b for a, b in zip(again, columns))
     for bad in ([(i, "x") for i in range(9)], [(i, None) for i in range(9)]):
         distribute(cluster, "bad", bad)
         with pytest.raises(TypeError, match="dataset 'bad'"):
-            columnar.stored_blocks(cluster.smalls, "bad")
+            columnar.sharded(cluster, "bad", scalars=True)
+        assert cluster.shard("bad") is None
 
 
 # ----------------------------------------------------------------------
