@@ -65,9 +65,9 @@ Sharded datasets.  The primitives keep a dataset as one block of every
 small machine's rows, ordered by machine, with per-machine row bounds:
 ``Cluster.store``, ``rebound`` (new bounds, same columns) and ``pop``
 are one vector update of ``Cluster.usage`` each, every machine charged
-— and in strict mode checked, in put order — as ``Machine.put`` of its
-slice would be; ``Cluster.shard`` gives the columns, and a machine's
-``get``, ``put`` and ``pop`` see its own slice.
+— and in strict mode checked, in machine order — as ``Machine.put`` of
+its slice would be; ``Cluster.shard`` gives the dataset, and a
+machine's ``get``, ``put`` and ``pop`` see its own slice.
 
 Local computation between rounds is free in the model, so each machine's
 local step is a plain function call in the coordinator; every charge is

@@ -370,35 +370,31 @@ class Cluster:
     # ------------------------------------------------------------------
     # Sharded datasets
     # ------------------------------------------------------------------
-    def store(self, name: str, block: Any, counts: Any, order: Any = None) -> None:
+    def store(self, name: str, block: Any, counts: Any) -> None:
         """Store the record batch *block* (numpy ``block.columns``) as
         dataset *name*, replacing what the small machines held: machine
         ``i`` holds the next ``counts[i]`` rows, charged as putting them
-        would be.  In strict mode the machines of *order* (all, by
-        default) are checked in that order as their puts would be."""
+        would be.  In strict mode the machines are checked in machine
+        order, as their puts would be."""
         stops = np.cumsum(counts, dtype=np.int64)
-        self._place(name, Shard(block, stops - counts, stops), order)
+        self._place(name, Shard(block, stops - counts, stops))
 
-    def rebound(self, name: str, starts: Any, stops: Any, order: Any) -> None:
+    def rebound(self, name: str, starts: Any, stops: Any) -> None:
         """New row bounds over the columns of the sharded dataset *name*:
         small machine ``i`` holds rows ``starts[i]:stops[i]``; checked as
-        :meth:`store` checks *order*."""
+        :meth:`store` checks."""
         shard = self._shards[name]
-        self._place(name, Shard(shard.block, starts, stops, shard.prefix), order)
+        self._place(name, Shard(shard.block, starts, stops, shard.prefix))
 
-    def _place(self, name: str, shard: "Shard", order: Any) -> None:
+    def _place(self, name: str, shard: "Shard") -> None:
         k = len(self.smalls)
+        for machine in self.smalls:
+            machine.drop(name)
         old = self._shards.get(name)
-        before = self.usage[:k] - (0 if old is None else old.charges)
-        # What machines put under *name* themselves, held outside the shard.
-        own = [(m, m._sizes[name]) for m in self.smalls if name in m._store]
-        for machine, size in own:
-            before[machine.machine_id] -= size
-        after = before + shard.charges
-        ids = self._ids[:k] if order is None else np.asarray(order, dtype=np.int64)
-        self._refuse(ids, after[ids], shard.charges[ids], name)
-        for machine, _ in own:
-            del machine._store[name], machine._sizes[name]
+        after = self.usage[:k] + shard.charges
+        if old is not None:
+            after -= old.charges
+        self._refuse(self._ids[:k], after, shard.charges, name)
         self.usage[:k] = after
         self._shards[name] = shard
 
@@ -428,7 +424,7 @@ class Cluster:
             self.usage[:len(self.smalls)] -= shard.charges
         if shard is None or not shard.held.all():
             for machine in self.smalls:
-                machine.pop(name, None)
+                machine.drop(name)
         return shard
 
     # ------------------------------------------------------------------
@@ -527,6 +523,19 @@ class Shard:
             self.charges += words[self.stops] - words[self.starts]
         self.held = np.ones(len(self.starts), dtype=bool)
         self._rows: dict[int, Any] = {}
+
+    def columns(self) -> list[Any]:
+        """Every machine's rows as one column per field, in machine order
+        (``[]`` without rows): the block's own columns when the bounds
+        tile it, gathered when they skip rows."""
+        counts = self.stops - self.starts
+        if not counts.any():
+            return []
+        columns = list(self.block.columns)
+        shift = np.repeat(self.starts - (np.cumsum(counts) - counts), counts)
+        if len(shift) != len(columns[0]) or shift.any():
+            columns = [col[shift + np.arange(len(shift))] for col in columns]
+        return columns
 
     def rows(self, slot: int) -> Any:
         """Machine *slot*'s slice, ``[]`` when empty (one object per

@@ -142,6 +142,13 @@ class Machine:
             self._usage[self._slot] -= size
         return self._store.pop(name, default)
 
+    def drop(self, name: str) -> None:
+        """Drop the value this machine put under *name* itself, not its
+        slice of a sharded dataset, which the cluster's store replaces."""
+        if name in self._store:
+            del self._store[name]
+            self._usage[self._slot] -= self._sizes.pop(name)
+
     def _held(self, name: str) -> Any:
         """The shard of *name* if this machine holds its slice."""
         shard = self._shards.get(name)

@@ -221,48 +221,60 @@ def ingest_rows(rows: Sequence[Any]) -> EdgeBlock | None:
 
 
 def ingest_columns(datasets: Sequence[Any]) -> tuple[list[Any], list[int]] | None:
-    """Every dataset's rows, in order, as the columns :func:`ingest_rows`
-    gives them (``[]`` when there are none), and each dataset's row
-    count; ``None`` when the rows are not tuples of one width."""
+    """Every dataset's rows, in order, as one column per field (``[]``
+    when there are none), and each dataset's row count; ``None`` when
+    the rows are not tuples of one width.
+
+    An :class:`EdgeBlock` keeps its columns; the rows of all other
+    datasets are ingested at once (:func:`ingest_rows`).  A field whose
+    dtype differs between datasets (int64 on one machine, floats, bools,
+    ints past int64 or other values on another) becomes an ``object``
+    column of the Python values.
+    """
     counts = [len(data) for data in datasets]
-    rows = list(chain.from_iterable(datasets))
-    block = ingest_rows(rows)
-    if block is None:
-        return None if rows else ([], counts)
-    return list(block.columns), counts
+    blocks = [data for data in datasets if len(data)]
+    lists = [i for i, data in enumerate(blocks) if not isinstance(data, EdgeBlock)]
+    if lists:
+        ingested = ingest_rows(list(chain.from_iterable(blocks[i] for i in lists)))
+        if ingested is None:
+            return None
+        if len(lists) == len(blocks):
+            return list(ingested.columns), counts
+        stops = np.cumsum([len(blocks[i]) for i in lists]).tolist()
+        for i, lo, hi in zip(lists, [0, *stops], stops):
+            blocks[i] = ingested[lo:hi]
+    if len({len(block.columns) for block in blocks}) > 1:
+        return None
+    columns = []
+    for field in zip(*(block.columns for block in blocks)):
+        if len({col.dtype for col in field}) > 1:
+            field = tuple(col.astype(object) for col in field)
+        columns.append(np.concatenate(field))
+    return columns, counts
 
 
 def sharded(cluster: Any, name: str, scalars: bool = False) -> tuple[list[Any], Any]:
     """Every small machine's rows of dataset *name* as one column per
     field, in machine order (``[]`` without rows), and each machine's row
-    count: a sharded dataset's own columns (gathered when its bounds skip
-    rows), or any other ingested and stored back as one, of the same
-    words.  Raises :class:`TypeError`, naming the dataset, for rows that
-    are not tuples of one width — with *scalars*, not flat records of
-    finite int, float or bool fields."""
+    count: a sharded dataset's own columns
+    (:meth:`repro.mpc.cluster.Shard.columns`), or any other ingested and
+    stored back as one, of the same words.  Raises :class:`TypeError`,
+    naming the dataset, for rows that are not tuples of one width — with
+    *scalars*, not flat records of finite int, float or bool fields."""
     shard = cluster.shard(name)
     if shard is None:
         datasets = [machine.get(name, []) for machine in cluster.smalls]
         columns, counts = ingest_columns(datasets) or (None, [])
         counts = np.array(counts, dtype=np.int64)
     else:
-        counts = shard.stops - shard.starts
-        columns = list(shard.block.columns) if counts.any() else []
-        shift = np.repeat(shard.starts - (np.cumsum(counts) - counts), counts)
-        if columns and (len(shift) != len(columns[0]) or shift.any()):
-            columns = [col[shift + np.arange(len(shift))] for col in columns]
+        columns, counts = shard.columns(), shard.stops - shard.starts
     if columns is None or scalars and not all(
         map(scalar_column, (col for col in columns if col.dtype.kind == "O"))
     ):
         what = "flat records of finite int, float or bool fields" if scalars else "tuples"
         raise TypeError(f"dataset {name!r} holds rows that are not {what} of one width")
     if shard is None and columns:
-        # Checked as putting the block back would check them.
-        ingested = [
-            machine.machine_id for machine, data in zip(cluster.smalls, datasets)
-            if len(data) and not isinstance(data, EdgeBlock)
-        ]
-        cluster.store(name, EdgeBlock(columns), counts, order=ingested)
+        cluster.store(name, EdgeBlock(columns), counts)
     return columns, counts
 
 

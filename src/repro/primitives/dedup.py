@@ -83,4 +83,4 @@ def dedup_lightest(
     rights = nonempty[1:][repeated]
     if len(rights):
         starts[rights] += 1
-        cluster.rebound(name, starts, stops, order=rights)
+        cluster.rebound(name, starts, stops)

@@ -121,7 +121,7 @@ def annotate_edges_with_vertex_values(
     # holds the rank just before it.  One round fixes all boundaries, and
     # the cluster-wide order of the copies does not change: only the
     # machines' bounds do.  Senders shrink before the round, receivers
-    # grow after it, in delivery order.
+    # grow after it; receivers ascend, as their senders do.
     stops = np.cumsum(counts)
     starts = stops - counts
     senders = np.flatnonzero((counts > 0) & (starts % 2 == 1))
@@ -132,14 +132,14 @@ def annotate_edges_with_vertex_values(
         plan.send(mid, target, first)
     if len(senders):
         starts[senders] += 1
-        cluster.rebound(work, starts, stops, order=senders)
+        cluster.rebound(work, starts, stops)
     inboxes = cluster.execute(plan)
     if inboxes:
         # A received copy holds the rank right after its receiver's last
         # one, so the receiver's bounds grow by one at their end.
         for mid, received_copies in inboxes.items():
             stops[mid] += len(received_copies)
-        cluster.rebound(work, starts, stops, order=list(inboxes))
+        cluster.rebound(work, starts, stops)
 
     # Step 4: zip adjacent copies into one flat row per undirected edge.
     joined = _zip_pairs(copies, width)

@@ -22,8 +22,6 @@ from contextlib import ExitStack, contextmanager
 from typing import Any, Callable, Hashable, Iterator
 from unittest import mock
 
-import numpy as np
-
 from repro.mpc.cluster import Cluster
 from repro.primitives.broadcast import converge_cast
 from repro.primitives.columnar import EdgeBlock
@@ -105,41 +103,10 @@ def aggregate(
 def installed() -> Iterator[None]:
     """Run every aggregation on :func:`aggregate` for the duration (the
     ``aggregate`` each module in :data:`AGGREGATING_MODULES` calls, which
-    :func:`~repro.primitives.aggregate.count_items` and
-    :func:`aggregate_counts` call too)."""
+    :func:`~repro.primitives.aggregate.count_items` calls too)."""
     with ExitStack() as stack:
         for module in AGGREGATING_MODULES:
             stack.enter_context(mock.patch.object(
                 importlib.import_module(module), "aggregate", aggregate
             ))
         yield
-
-
-def aggregate_counts(
-    cluster: Cluster,
-    keys_by_machine: dict[int, Any],
-    dst: int | None = None,
-    note: str = "count",
-) -> dict[Hashable, int]:
-    """Count occurrences of each machine's keys with the typed ``"sum"``
-    aggregate (the one :func:`installed` replaces): one ``(machine, key,
-    1)`` row per key, machines ascending, as columns when every machine's
-    keys are a numpy int column."""
-    mids = sorted(keys_by_machine)
-    columns = [keys_by_machine[mid] for mid in mids]
-    if all(isinstance(keys, np.ndarray) and keys.dtype.kind == "i" for keys in columns):
-        keys = (
-            np.concatenate(columns).astype(np.int64, copy=False)
-            if columns else np.empty(0, dtype=np.int64)
-        )
-        machines = np.repeat(
-            np.array(mids, dtype=np.int64), [len(column) for column in columns]
-        )
-        pairs: Any = EdgeBlock([machines, keys, np.ones(len(keys), dtype=np.int64)])
-    else:
-        pairs = {
-            mid: [(key, 1) for key in (keys.tolist() if isinstance(keys, np.ndarray) else keys)]
-            for mid, keys in keys_by_machine.items()
-        }
-    typed = importlib.import_module("repro.primitives.aggregate")
-    return typed.aggregate(cluster, pairs, "sum", dst=dst, note=note)

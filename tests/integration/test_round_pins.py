@@ -53,6 +53,7 @@ from repro.mpc import (
 )
 from repro.primitives.aggregate import aggregate, count_items
 from repro.primitives.broadcast import converge_cast
+from repro.primitives.columnar import EdgeBlock
 from repro.primitives.edgestore import EdgeStore
 from repro.primitives.sort import sample_sort
 from toy_block import PairBlock
@@ -249,11 +250,12 @@ def run_small_destination_aggregates() -> dict:
     results.append(sorted(
         aggregate_oracle.aggregate(cluster, pairs, lambda a, b: a ^ b, note="xor").items()
     ))
-    keys = {
-        machine.machine_id: np.array([v for _, v in machine.get("e")], dtype=np.int64)
-        for machine in cluster.smalls
-    }
-    results.append(sorted(aggregate_oracle.aggregate_counts(cluster, keys, note="deg").items()))
+    # Degrees as Claim 4 counts them: one (machine, key, 1) row per key.
+    heads = [[v for _, v in machine.get("e")] for machine in cluster.smalls]
+    keys = np.array([v for vs in heads for v in vs], dtype=np.int64)
+    machines = np.repeat(cluster.small_ids, [len(vs) for vs in heads])
+    degrees = EdgeBlock([machines, keys, np.ones(len(keys), dtype=np.int64)])
+    results.append(sorted(aggregate(cluster, degrees, "sum", note="deg").items()))
     results.append(count_items(cluster, "e", note="count"))
     results.append(count_items(cluster, "e", lambda e: e[0] < e[1], note="count<"))
     # A list cast and an array cast without a combine.

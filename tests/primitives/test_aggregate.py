@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from aggregate_oracle import aggregate_counts
 from repro.mpc import Cluster, ModelConfig
 from repro.primitives.aggregate import aggregate, count_items
+from repro.primitives.columnar import EdgeBlock
 
 
 def make_cluster(n=64, m=512) -> Cluster:
@@ -49,10 +50,13 @@ def test_aggregate_rounds_are_constant_in_volume():
 
 
 def test_aggregate_counts_degrees():
+    """Degrees as Claim 4 counts them: one ``(machine, key, 1)`` row per
+    key, every machine's rows in one block, machines ascending."""
     cluster = make_cluster()
-    keys = {mid: [5, 9, 5] for mid in cluster.small_ids[:4]}
-    result = aggregate_counts(cluster, keys)
-    assert result == {5: 8, 9: 4}
+    machines = np.repeat(cluster.small_ids[:4], 3)
+    keys = np.tile([5, 9, 5], 4)
+    block = EdgeBlock([machines, keys, np.ones(len(keys), dtype=np.int64)])
+    assert aggregate(cluster, block, "sum") == {5: 8, 9: 4}
 
 
 def test_count_items_with_predicate():

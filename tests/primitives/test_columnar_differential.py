@@ -1027,20 +1027,34 @@ def test_object_columns_charge_the_words_of_their_values():
 
 
 def test_ingest_datasets_widen_fields_across_machines():
-    """The sharded read of per-machine datasets: a field whose dtype
-    differs between machines becomes an object column of the Python
-    values, in machine order; a width mismatch or a row that is not a
-    tuple anywhere raises TypeError naming the dataset."""
+    """The sharded read of per-machine datasets: a machine's EdgeBlock
+    keeps its columns, a field whose dtype differs between machines
+    becomes an object column of the Python values, in machine order, and
+    the dataset stored back charges the same words; a width mismatch or a
+    row that is not a tuple anywhere raises TypeError naming the
+    dataset."""
     cluster = make_cluster()
-    datasets = [[(1, 2)], [], [(3, 2**70)], [(4, 0.5)], [(5, (6,))], []]
+    datasets = [
+        [(1, 2)], [], [(3, 2**70)], ingest_rows([(4, 0.5)]), [(5, (6,))],
+        ingest_rows([(7, 8)]),
+    ]
     for machine, rows in zip(cluster.smalls, datasets):
         machine.put("e", rows)
+    usage = cluster.usage.tolist()
     columns, counts = columnar.sharded(cluster, "e")
     assert [col.dtype for col in columns] == [np.int64, object]
     assert list(zip(*(col.tolist() for col in columns))) == [
-        (1, 2), (3, 2**70), (4, 0.5), (5, (6,))]
-    assert counts.tolist() == [1, 0, 1, 1, 1, 0]
-    for bad in ([[(1, 2)], [(1, 2, 3)]], [[(1, 2)], [[1, 2]]]):
+        (1, 2), (3, 2**70), (4, 0.5), (5, (6,)), (7, 8)]
+    assert counts.tolist() == [1, 0, 1, 1, 1, 1]
+    assert cluster.usage.tolist() == usage
+    for machine in cluster.smalls:
+        machine.put("blocks", ingest_rows([(machine.machine_id, 0.5)]))
+    columns, _ = columnar.sharded(cluster, "blocks")
+    assert [col.dtype for col in columns] == [np.int64, np.float64]
+    for bad in (
+        [[(1, 2)], [(1, 2, 3)]], [[(1, 2)], [[1, 2]]],
+        [ingest_rows([(1, 2)]), [(1, 2, 3)]], [ingest_rows([(1, 2)]), [[1, 2]]],
+    ):
         for machine, rows in zip(cluster.smalls, bad):
             machine.put("bad", rows)
         with pytest.raises(TypeError, match="dataset 'bad'"):
