@@ -388,9 +388,12 @@ class Cluster:
 
     def _place(self, name: str, shard: "Shard") -> None:
         k = len(self.smalls)
-        for machine in self.smalls:
-            machine.drop(name)
         old = self._shards.get(name)
+        # A machine holds a value of its own only where it put one, which
+        # took its slice out of the shard.
+        if old is None or not old.held.all():
+            for machine in self.smalls:
+                machine.drop(name)
         after = self.usage[:k] + shard.charges
         if old is not None:
             after -= old.charges
