@@ -15,9 +15,9 @@ that no entry point called, with its line count. The entry points are:
 - every script in ``examples/``.
 
 ``DECLARED`` lists what the census cannot reach, grouped by reason. The
-script exits 1 if an uncalled function is missing from it: code that
-only tests call belongs in ``tests/``, not in ``src/``. A declared name
-that the census did reach is printed as stale.
+script exits 1 if an uncalled function is missing from it — code that
+only tests call belongs in ``tests/``, not in ``src/`` — or if it names
+a function that was called or is gone (a stale declaration).
 
 Run it with::
 
@@ -210,6 +210,17 @@ def uncalled(root: pathlib.Path, run: Callable[[], None]) -> list[Function]:
     ]
 
 
+def verdict(
+    missed: list[Function], declared: set[str]
+) -> tuple[list[Function], list[str]]:
+    """The uncalled functions *declared* does not name, and the declared
+    names that are not uncalled functions (called, or gone): the census
+    passes when both are empty."""
+    undeclared = [f for f in missed if f.name not in declared]
+    stale = sorted(declared - {f.name for f in missed})
+    return undeclared, stale
+
+
 def drive() -> None:
     """Run every entry point of the census, output discarded; a CLI
     invocation that exits non-zero stops the census."""
@@ -264,24 +275,25 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     missed = uncalled(SRC, drive)
     declared = {name for names in DECLARED.values() for name in names}
-    undeclared = [f for f in missed if f.name not in declared]
+    undeclared, stale = verdict(missed, declared)
     for f in missed:
         mark = " " if f.name in declared else "!"
         path = f.path.relative_to(REPO_ROOT)
         print(f"{mark} {path}:{f.first} {f.name} ({f.lines} lines)")
-    stale = sorted(declared - {f.name for f in missed})
     for name in stale:
         print(f"stale: {name} is declared but was called or is gone")
     total = len(defined_functions(SRC))
     print(
         f"{len(missed)} of {total} src/ functions uncalled "
-        f"({sum(f.lines for f in missed)} lines), {len(undeclared)} undeclared"
+        f"({sum(f.lines for f in missed)} lines), {len(undeclared)} undeclared, "
+        f"{len(stale)} stale"
     )
     if undeclared:
         print("undeclared (marked !): move them to tests/, delete them, or "
               "declare why the census cannot reach them", file=sys.stderr)
-        return 1
-    return 0
+    if stale:
+        print("stale: take them out of DECLARED", file=sys.stderr)
+    return 1 if undeclared or stale else 0
 
 
 if __name__ == "__main__":

@@ -79,14 +79,13 @@ def heterogeneous_coloring(
                     v: tuple(rng.sample(range(universe), size)) for v in range(n)
                 }
                 annotated = store.annotate(palettes, note="palettes")
-                conflict_name = f"{store.name}.conflicts"
-                for machine in cluster.smalls:
-                    conflicts = []
-                    for row in machine.pop(annotated.name, []):
-                        if set(row[-2]) & set(row[-1]):
-                            conflicts.append(row[:-2])
-                    machine.put(conflict_name, conflicts)
-                conflict_store = EdgeStore(cluster, conflict_name)
+                conflict_store = annotated.local(
+                    lambda rows: [
+                        row[:-2] for row in rows if set(row[-2]) & set(row[-1])
+                    ],
+                    f"{store.name}.conflicts",
+                    consume=True,
+                )
                 conflict_edges = conflict_store.gather_to_large(note="conflicts")
                 conflict_store.drop()
 

@@ -53,7 +53,7 @@ def sketch_components(
     spec = GraphSketchSpec.generate(n, rng, copies=copies)
 
     # One machine generated the seed package; broadcast it (Claim 3 spirit).
-    source = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
+    source = cluster.coordinator
     seed_words = sum(
         seeds.word_size() for phase in spec.seeds for seeds in phase
     )
@@ -74,7 +74,7 @@ def sketch_components(
     # (vertex, legacy per-vertex sketch) pair, charged.  The blocks go to
     # the cast unnamed, so the cast releases them as the tree consumes
     # them; the destination bank makes the summed rows dense once.
-    dst = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
+    dst = cluster.coordinator
     block = converge_cast(
         cluster,
         dict(zip(

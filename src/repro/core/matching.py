@@ -63,6 +63,11 @@ class MatchingResult:
         return len(self.matching)
 
 
+def _unmatched(rows) -> list[tuple]:
+    """The edges of the rows annotated with two false matched flags."""
+    return [row[:-2] for row in rows if not row[-2] and not row[-1]]
+
+
 def low_degree_phase_rounds(max_degree: int) -> float:
     """The theoretical phase-1 charge from [33]:
     ``O(sqrt(log D) * log log D)`` for maximum degree ``D``."""
@@ -182,19 +187,16 @@ def _high_degree_phases(
 
     # --- Phase 2: random incident edges of high-degree vertices ------------
     with cluster.ledger.section("phase2"):
-        ranked_name = f"{store.name}.ranked"
-        for machine in cluster.smalls:
-            machine.put(
-                ranked_name,
-                [
-                    (edge[0], edge[1], cluster.rng.randrange(n**5))
-                    for edge in machine.get(store.name, [])
-                ],
-            )
+        ranked = store.local(
+            lambda edges: [
+                (edge[0], edge[1], cluster.rng.randrange(n**5)) for edge in edges
+            ],
+            f"{store.name}.ranked",
+        )
         arrangement = arrange_directed(
             cluster,
-            ranked_name,
-            directed_name=f"{ranked_name}.directed",
+            ranked.name,
+            directed_name=f"{ranked.name}.directed",
             secondary_key=2,
             note="phase2/arrange",
         )
@@ -209,7 +211,8 @@ def _high_degree_phases(
             fields=(1,),
             notes=("phase2/queries", "phase2/sampled"),
         )
-        cluster.map_small(ranked_name, lambda m, items: [])
+        ranked.drop()
+        cluster.checkpoint_memory(f"map/{ranked.name}")
 
         sampled_neighbors: dict[int, list[int]] = {}
         for src, other in collected:
@@ -229,17 +232,7 @@ def _high_degree_phases(
     with cluster.ledger.section("phase3"):
         flags = {v: (v in matched) for v in range(n)}
         annotated = store.annotate(flags, default=False, note="phase3/flags")
-        leftover_name = f"{store.name}.leftover"
-        for machine in cluster.smalls:
-            machine.put(
-                leftover_name,
-                [
-                    row[:-2]
-                    for row in machine.pop(annotated.name, [])
-                    if not row[-2] and not row[-1]
-                ],
-            )
-        leftover = EdgeStore(cluster, leftover_name)
+        leftover = annotated.local(_unmatched, f"{store.name}.leftover", consume=True)
         count = leftover.count(note="phase3/count")
         if count > 2 * n:
             leftover.drop()
@@ -296,17 +289,9 @@ def filtering_matching(
     for level in range(len(chain) - 2, -1, -1):
         flags = {v: (v in matched) for v in range(n)}
         annotated = chain[level].annotate(flags, default=False, note="filter/flags")
-        open_name = f"{chain[level].name}.open"
-        for machine in cluster.smalls:
-            machine.put(
-                open_name,
-                [
-                    row[:-2]
-                    for row in machine.pop(annotated.name, [])
-                    if not row[-2] and not row[-1]
-                ],
-            )
-        open_store = EdgeStore(cluster, open_name)
+        open_store = annotated.local(
+            _unmatched, f"{chain[level].name}.open", consume=True
+        )
         extra = open_store.gather_to_large(note="filter/open")
         open_store.drop()
         matching.extend(greedy_maximal_matching(sorted(extra), matched=matched))

@@ -124,10 +124,9 @@ def _contraction_attempt(
         ])
         for machine in cluster.smalls
     }
-    dst = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
-    chosen = dict(
-        converge_cast(cluster, ranked_pairs, dst, combine=_two_smallest, note="2out")
-    )
+    chosen = dict(converge_cast(
+        cluster, ranked_pairs, cluster.coordinator, combine=_two_smallest, note="2out"
+    ))
     uf = UnionFind(range(n))
     for picks in chosen.values():
         for _, edge in picks:
@@ -144,18 +143,12 @@ def _contraction_attempt(
     component = {v: uf.find(v) for v in range(n)}
 
     # Collect the contracted multigraph if it is small enough.
-    survivors_name = f"{store.name}.survivors"
     annotated = store.annotate(component, note="2out/labels")
-    for machine in cluster.smalls:
-        machine.put(
-            survivors_name,
-            [
-                (row[-2], row[-1])
-                for row in machine.pop(annotated.name, [])
-                if row[-2] != row[-1]
-            ],
-        )
-    survivors = EdgeStore(cluster, survivors_name)
+    survivors = annotated.local(
+        lambda rows: [(row[-2], row[-1]) for row in rows if row[-2] != row[-1]],
+        f"{store.name}.survivors",
+        consume=True,
+    )
     count = survivors.count(note="2out/count")
     budget = max(16 * n, 256)
     if count > budget:
@@ -210,7 +203,7 @@ def approximate_weighted_mincut(
             attempts += 1
             q = min(1.0, threshold / max(lam, 1.0))
             with par.branch():
-                value, units = _sampled_cut(cluster, store, q, rng)
+                value = _sampled_cut(cluster, store, q, rng)
             if value is None:
                 continue
             if q >= 1.0:
@@ -232,14 +225,13 @@ def approximate_weighted_mincut(
 
 def _sampled_cut(
     cluster: Cluster, store: EdgeStore, q: float, rng: random.Random
-) -> tuple[float | None, int]:
+) -> float | None:
     """Sample each unit of weight with probability *q*, ship the unit
     multigraph to the large machine, return its min cut value."""
-    sampled_name = f"{store.name}.units"
-    total_units = 0
-    for machine in cluster.smalls:
-        units = []
-        for u, v, w in machine.get(store.name, []):
+
+    def units(edges):
+        kept_units = []
+        for u, v, w in edges:
             if q >= 1.0:
                 kept = w
             elif w <= 64:
@@ -250,19 +242,19 @@ def _sampled_cut(
                 sigma = math.sqrt(max(w * q * (1.0 - q), 1e-9))
                 kept = min(w, max(0, round(rng.gauss(mean, sigma))))
             if kept:
-                units.append((u, v, kept))
-                total_units += kept
-        machine.put(sampled_name, units)
-    unit_store = EdgeStore(cluster, sampled_name)
+                kept_units.append((u, v, kept))
+        return kept_units
+
+    unit_store = store.local(units, f"{store.name}.units")
     count = unit_store.count(note="wcut/count")
     budget = max(64 * cluster.config.n, 1024)
     if count > budget:
         unit_store.drop()
-        return None, total_units
+        return None
     edges = unit_store.gather_to_large(note="wcut/gather")
     unit_store.drop()
     vertices = {x for e in edges for x in (e[0], e[1])}
     if len(vertices) < cluster.config.n:
-        return None, total_units  # sampling disconnected the graph
+        return None  # sampling disconnected the graph
     value, _ = stoer_wagner(vertices, edges)
-    return float(value), total_units
+    return float(value)

@@ -55,6 +55,23 @@ def prefix_thresholds(n: int, max_degree: int) -> list[float]:
     return thresholds
 
 
+def _blocked_and_survivors(rows) -> tuple[list, list]:
+    """``(vertex, True)`` for the other endpoint of every edge at a new MIS
+    vertex, and the edges at none."""
+    pairs, survivors = [], []
+    for row in rows:
+        flag_u, flag_v = row[-2], row[-1]
+        if flag_u and flag_v:
+            continue  # cannot happen for a valid MIS
+        if flag_u:
+            pairs.append((row[1], True))
+        elif flag_v:
+            pairs.append((row[0], True))
+        else:
+            survivors.append(row[:-2])
+    return pairs, survivors
+
+
 def heterogeneous_mis(
     graph: Graph,
     config: ModelConfig | None = None,
@@ -95,17 +112,20 @@ def heterogeneous_mis(
                 v: (rank[v], v in in_mis, v in blocked) for v in range(n)
             }
             annotated = store.annotate(status, note="prefix")
-            prefix_name = f"{store.name}.prefix"
-            for machine in cluster.smalls:
+
+            def prefix_edges(rows):
                 kept = []
-                for row in machine.pop(annotated.name, []):
+                for row in rows:
                     (ru, mis_u, blk_u), (rv, mis_v, blk_v) = row[-2], row[-1]
                     if mis_u or blk_u or mis_v or blk_v:
                         continue
                     if ru <= threshold and rv <= threshold:
                         kept.append(row[:-2])
-                machine.put(prefix_name, kept)
-            prefix_store = EdgeStore(cluster, prefix_name)
+                return kept
+
+            prefix_store = annotated.local(
+                prefix_edges, f"{store.name}.prefix", consume=True
+            )
             induced = prefix_store.gather_to_large(note="gather")
             prefix_store.drop()
 
@@ -132,26 +152,19 @@ def heterogeneous_mis(
             # (including those outside the prefix) and report them blocked.
             mis_flags = {v: (v in in_mis) for v in range(n)}
             annotated = store.annotate(mis_flags, default=False, note="notify")
-            pairs_name = f"{store.name}.blocked"
-            for machine in cluster.smalls:
-                pairs = []
-                survivors = []
-                for row in machine.pop(annotated.name, []):
-                    flag_u, flag_v = row[-2], row[-1]
-                    if flag_u and flag_v:
-                        continue  # cannot happen for a valid MIS
-                    if flag_u:
-                        pairs.append((row[1], True))
-                    elif flag_v:
-                        pairs.append((row[0], True))
-                    else:
-                        survivors.append(row[:-2])
-                machine.put(pairs_name, pairs)
-                machine.put(store.name, survivors)
-            blocked_report = EdgeStore(cluster, pairs_name).aggregate(
+            # Each annotated row (four words) gives at most one pair or one
+            # survivor (two words), and the rows go first: no put leaves a
+            # machine above its usage before the step, so in strict mode
+            # neither target raises, in this order or machine by machine.
+            pairs, store = annotated.local(
+                _blocked_and_survivors, f"{store.name}.blocked", store.name,
+                consume=True,
+            )
+            blocked_report = pairs.aggregate(
                 lambda pair: (pair[0], pair[1]), "or", note="blocked"
             )
-            cluster.map_small(pairs_name, lambda m, items: [])
+            pairs.drop()
+            cluster.checkpoint_memory(f"map/{pairs.name}")
             blocked.update(v for v, flag in blocked_report.items() if flag)
 
     # Any vertex never decided (isolated or untouched) is independent.

@@ -298,17 +298,17 @@ def _kkt_sampling_phase(
                 labels = build_flow_labels(remaining_vertices, forest)
 
                 annotated = store.annotate(labels, note="kkt/labels")
-                light_name = f"{store.name}.light"
-                for machine in cluster.smalls:
-                    light = [
+                light_store = annotated.local(
+                    lambda rows: [
                         row[:-2]
-                        for row in machine.pop(annotated.name, [])
+                        for row in rows
                         if row[-2] is None
                         or row[-1] is None
                         or row[2] <= decode_heaviest(row[-2], row[-1])
-                    ]
-                    machine.put(light_name, light)
-                light_store = EdgeStore(cluster, light_name)
+                    ],
+                    f"{store.name}.light",
+                    consume=True,
+                )
                 count = light_store.count(note="kkt/count")
                 if count <= threshold:
                     final_edges = light_store.gather_to_large(note="kkt/light")

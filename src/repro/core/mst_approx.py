@@ -87,13 +87,9 @@ def approximate_mst_weight(
     with cluster.ledger.parallel("thresholds") as par:
         for t in thresholds:
             with par.branch():
-                level_name = f"{store.name}.le{t}"
-                for machine in cluster.smalls:
-                    machine.put(
-                        level_name,
-                        [e for e in machine.get(store.name, []) if e[2] <= t],
-                    )
-                level_store = EdgeStore(cluster, level_name)
+                level_store = store.local(
+                    lambda edges: [e for e in edges if e[2] <= t], f"{store.name}.le{t}"
+                )
                 labels = sketch_components(
                     cluster,
                     level_store,

@@ -94,17 +94,12 @@ def build_clustering_graphs(
         v: tuple(trial_masks[j].get(v, 0) for j in range(trials)) for v in range(n)
     }
     annotated = store.annotate(packed, note=f"{note}/trial-masks")
-    pairs_name = f"{store.name}.neighbor-or"
-    for machine in cluster.smalls:
-        pairs = []
-        for row in machine.pop(annotated.name, []):
-            pairs.append((row[0], row[-1]))
-            pairs.append((row[1], row[-2]))
-        machine.put(pairs_name, pairs)
-    neighbor_or = EdgeStore(cluster, pairs_name).aggregate(
+    pairs = annotated.local(_neighbor_pairs, f"{store.name}.neighbor-or", consume=True)
+    neighbor_or = pairs.aggregate(
         lambda pair: (pair[0], pair[1]), "or", note=f"{note}/dominate"
     )
-    cluster.map_small(pairs_name, lambda m, items: [])
+    pairs.drop()
+    cluster.checkpoint_memory(f"map/{pairs.name}")
 
     # --- patch each trial set and keep the smallest per level --------------
     chosen_mask: dict[int, int] = {v: 0 for v in range(n)}
@@ -125,17 +120,12 @@ def build_clustering_graphs(
 
     # --- i_u and star centers ----------------------------------------------
     annotated = store.annotate(chosen_mask, default=0, note=f"{note}/final-masks")
-    pairs2 = f"{store.name}.final-or"
-    for machine in cluster.smalls:
-        pairs = []
-        for row in machine.get(annotated.name, []):
-            pairs.append((row[0], row[-1]))
-            pairs.append((row[1], row[-2]))
-        machine.put(pairs2, pairs)
-    final_or = EdgeStore(cluster, pairs2).aggregate(
+    pairs = annotated.local(_neighbor_pairs, f"{store.name}.final-or")
+    final_or = pairs.aggregate(
         lambda pair: (pair[0], pair[1]), "or", note=f"{note}/i_u"
     )
-    cluster.map_small(pairs2, lambda m, items: [])
+    pairs.drop()
+    cluster.checkpoint_memory(f"map/{pairs.name}")
 
     i_u: dict[int, int] = {}
     needs_neighbor_center: dict[int, int] = {}
@@ -151,23 +141,28 @@ def build_clustering_graphs(
             needs_neighbor_center[v] = level
 
     # --- random adjacent center for the remaining vertices (Claim 2) -------
-    candidate_name = f"{store.name}.center-candidates"
     i_u_values = {v: (i_u[v], chosen_mask.get(v, 0)) for v in range(n)}
-    annotated2 = store.annotate(i_u_values, note=f"{note}/center-pick")
-    for machine in cluster.smalls:
+    annotated = store.annotate(i_u_values, note=f"{note}/center-pick")
+
+    def center_candidates(rows):
         candidates = []
-        for row in machine.pop(annotated2.name, []):
+        for row in rows:
             u, v = row[0], row[1]
             (lu, mask_u), (lv, mask_v) = row[-2], row[-1]
             if u in needs_neighbor_center and _highbit(mask_v) >= lu:
                 candidates.append((u, (cluster.rng.random(), v, u, v)))
             if v in needs_neighbor_center and _highbit(mask_u) >= lv:
                 candidates.append((v, (cluster.rng.random(), u, u, v)))
-        machine.put(candidate_name, candidates)
-    chosen_center = EdgeStore(cluster, candidate_name).aggregate(
+        return candidates
+
+    candidates = annotated.local(
+        center_candidates, f"{store.name}.center-candidates", consume=True
+    )
+    chosen_center = candidates.aggregate(
         lambda pair: (pair[0], pair[1]), "min", note=f"{note}/sigma"
     )
-    cluster.map_small(candidate_name, lambda m, items: [])
+    candidates.drop()
+    cluster.checkpoint_memory(f"map/{candidates.name}")
 
     star_edges: set[tuple[int, int]] = set()
     for v, (_, center, a, b) in chosen_center.items():
@@ -181,21 +176,12 @@ def build_clustering_graphs(
 
     # --- clustering-graph edges ---------------------------------------------
     sigma_deg = {v: (sigma[v], degrees.get(v, 0)) for v in range(n)}
-    annotated3 = store.annotate(sigma_deg, note=f"{note}/edges")
-    ai_name = f"{store.name}.ai-edges"
-    for machine in cluster.smalls:
-        records = []
-        for row in machine.pop(annotated3.name, []):
-            (su, du), (sv, dv) = row[-2], row[-1]
-            if su == sv:
-                continue
-            scale = degree_scale(du, dv)
-            c1, c2 = min(su, sv), max(su, sv)
-            records.append((c1, c2, scale, row[0], row[1]))
-        machine.put(ai_name, records)
-    ai_store = EdgeStore(cluster, ai_name)
+    annotated = store.annotate(sigma_deg, note=f"{note}/edges")
+    ai_store = annotated.local(_cluster_edges, f"{store.name}.ai-edges", consume=True)
     # Lightest original edge per (scale, c1, c2).
-    dedup_lightest(cluster, ai_name, key=(2, 0, 1), weight=(3, 4), note=f"{note}/dedup")
+    dedup_lightest(
+        cluster, ai_store.name, key=(2, 0, 1), weight=(3, 4), note=f"{note}/dedup"
+    )
 
     # --- per-level statistics (Claim 2) -------------------------------------
     level_edge_counts = ai_store.aggregate(
@@ -219,6 +205,24 @@ def build_clustering_graphs(
         level_vertex_counts={i: len(vs) for i, vs in level_vertices.items()},
         level_edge_counts=dict(level_edge_counts),
     )
+
+
+def _neighbor_pairs(rows) -> list[tuple]:
+    """Each endpoint of every annotated edge with the other's value."""
+    return [pair for row in rows for pair in ((row[0], row[-1]), (row[1], row[-2]))]
+
+
+def _cluster_edges(rows) -> list[tuple]:
+    """The clustering-graph record ``(c1, c2, scale, u, v)`` of every
+    edge whose endpoints have different star centers."""
+    records = []
+    for row in rows:
+        (su, du), (sv, dv) = row[-2], row[-1]
+        if su != sv:
+            records.append(
+                (min(su, sv), max(su, sv), degree_scale(du, dv), row[0], row[1])
+            )
+    return records
 
 
 def _aggregate_degrees(

@@ -162,6 +162,17 @@ def _removal_candidates(
     return out
 
 
+def _labelled_candidates(rows) -> list[tuple[tuple, tuple]]:
+    """The candidates of every annotated edge whose endpoints both have
+    labels."""
+    return [
+        candidate
+        for row in rows
+        if row[-2] is not None and row[-1] is not None
+        for candidate in _removal_candidates(row[0], row[1], row[-2], row[-1], row[2:-2])
+    ]
+
+
 def modified_baswana_sen_local(
     n: int,
     edges: Sequence[tuple[int, int]],
@@ -253,18 +264,9 @@ def modified_baswana_sen_mpc(
     labels = _labels_from_phase(vertices, phase)
 
     annotated = store.annotate(labels, note=f"{note}/labels")
-    candidate_name = f"{store.name}.candidates"
-    for machine in cluster.smalls:
-        candidates = []
-        for row in machine.pop(annotated.name, []):
-            label_a, label_b = row[-2], row[-1]
-            if label_a is None or label_b is None:
-                continue
-            candidates.extend(
-                _removal_candidates(row[0], row[1], label_a, label_b, row[2:-2])
-            )
-        machine.put(candidate_name, candidates)
-    candidate_store = EdgeStore(cluster, candidate_name)
+    candidate_store = annotated.local(
+        _labelled_candidates, f"{store.name}.candidates", consume=True
+    )
     best = candidate_store.aggregate(
         lambda pair: (pair[0], pair[1]), "min", note=f"{note}/select"
     )

@@ -122,17 +122,10 @@ def _unweighted_spanner(
     with cluster.ledger.section("level-spanners"):
         for level in sorted(clustering.level_edge_counts):
             p = level_sampling_probability(k, level)
-            level_name = f"{clustering.store.name}.level{level}"
-            for machine in cluster.smalls:
-                machine.put(
-                    level_name,
-                    [
-                        record
-                        for record in machine.get(clustering.store.name, [])
-                        if record[2] == level
-                    ],
-                )
-            level_store = EdgeStore(cluster, level_name)
+            level_store = clustering.store.local(
+                lambda records: [r for r in records if r[2] == level],
+                f"{clustering.store.name}.level{level}",
+            )
 
             if p >= 1.0:
                 # The whole A_i fits on the large machine: optimal spanner.

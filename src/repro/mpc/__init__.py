@@ -66,8 +66,10 @@ small machine's rows, ordered by machine, with per-machine row bounds:
 ``Cluster.store``, ``rebound`` (new bounds, same columns) and ``pop``
 are one vector update of ``Cluster.usage`` each, every machine charged
 — and in strict mode checked, in machine order — as ``Machine.put`` of
-its slice would be; ``Cluster.shard`` gives the dataset, and a
-machine's ``get``, ``put`` and ``pop`` see its own slice.
+its slice would be; ``Cluster.shard`` gives the dataset and a machine's
+``get`` its slice.  Only the cluster replaces or drops a sharded
+dataset: a machine's ``put`` or ``pop`` of its name raises
+:class:`ProtocolError`.
 
 Local computation between rounds is free in the model, so each machine's
 local step is a plain function call in the coordinator; every charge is

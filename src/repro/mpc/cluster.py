@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 import time
 from array import array
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -101,16 +101,22 @@ class Cluster:
         # No machine is over capacity while every volume is at most this.
         self._min_capacity = int(self.capacities.min())
         self._shards: dict[str, Shard] = {}  # seen by every small machine
+        # Names a small machine put a value of its own under since the
+        # cluster last dropped them: the names a store or pop must walk.
+        self._owned: set[str] = set()
         machines = [
             Machine(
                 mid, kind, capacity[kind], strict=config.strict,
                 round_source=round_source, usage=buffer,
                 shards=self._shards if kind == SMALL else None,
+                owned=self._owned if kind == SMALL else None,
             )
             for mid, kind in enumerate(kinds)
         ]
         self.smalls: list[Machine] = machines[:config.num_small]
         self.larges: list[Machine] = machines[config.num_small:]
+        #: The small machines' ids, in machine order.
+        self.small_ids: list[int] = [machine.machine_id for machine in self.smalls]
         self.machines: dict[int, Machine] = {
             machine.machine_id: machine for machine in machines
         }
@@ -134,12 +140,10 @@ class Cluster:
         return self.larges[0]
 
     @property
-    def has_large(self) -> bool:
-        return bool(self.larges)
-
-    @property
-    def small_ids(self) -> list[int]:
-        return [machine.machine_id for machine in self.smalls]
+    def coordinator(self) -> int:
+        """The id of the machine a primitive gathers to and broadcasts
+        from: the large machine, or the first small machine without one."""
+        return self.larges[0].machine_id if self.larges else self.small_ids[0]
 
     def machine(self, machine_id: int) -> Machine:
         try:
@@ -388,12 +392,8 @@ class Cluster:
 
     def _place(self, name: str, shard: "Shard") -> None:
         k = len(self.smalls)
+        self._drop_owned(name)
         old = self._shards.get(name)
-        # A machine holds a value of its own only where it put one, which
-        # took its slice out of the shard.
-        if old is None or not old.held.all():
-            for machine in self.smalls:
-                machine.drop(name)
         after = self.usage[:k] + shard.charges
         if old is not None:
             after -= old.charges
@@ -414,10 +414,8 @@ class Cluster:
             )
 
     def shard(self, name: str) -> "Shard | None":
-        """The sharded dataset *name* when every small machine holds its
-        slice, else ``None``."""
-        shard = self._shards.get(name)
-        return shard if shard is not None and shard.held.all() else None
+        """The sharded dataset *name*, or ``None``."""
+        return self._shards.get(name)
 
     def pop(self, name: str) -> "Shard | None":
         """Drop dataset *name* from every small machine; return its shard,
@@ -425,10 +423,17 @@ class Cluster:
         shard = self._shards.pop(name, None)
         if shard is not None:
             self.usage[:len(self.smalls)] -= shard.charges
-        if shard is None or not shard.held.all():
+        else:
+            self._drop_owned(name)
+        return shard
+
+    def _drop_owned(self, name: str) -> None:
+        """Drop the values small machines put under *name* themselves (a
+        name that is sharded has none)."""
+        if name in self._owned:
+            self._owned.discard(name)
             for machine in self.smalls:
                 machine.drop(name)
-        return shard
 
     # ------------------------------------------------------------------
     # Simulation-side inspection (costs no rounds; used by orchestration
@@ -439,18 +444,6 @@ class Cluster:
         for machine in self.smalls:
             items.extend(machine.get(name, []))
         return items
-
-    def map_small(self, name: str, fn: Callable[[Machine, list[Any]], list[Any]]) -> None:
-        """Apply a local (zero-round) transformation on each small machine.
-
-        Memory is checkpointed after the mutation (the mapped dataset may
-        have grown), so callers no longer need their own
-        :meth:`checkpoint_memory` to keep high-water marks honest.
-        """
-        results = [fn(machine, machine.get(name, [])) for machine in self.smalls]
-        for machine, result in zip(self.smalls, results):
-            machine.put(name, result)
-        self.checkpoint_memory(f"map/{name}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -509,11 +502,11 @@ class Scratch:
 
 class Shard:
     """One block of every small machine's rows, ordered by machine: small
-    machine ``i`` holds rows ``starts[i]:stops[i]`` while ``held[i]`` (a
-    put or pop of its own takes them out), charged ``charges[i]`` words,
-    as putting them would be (:func:`~repro.mpc.words.row_words`)."""
+    machine ``i`` holds rows ``starts[i]:stops[i]``, charged
+    ``charges[i]`` words, as putting them would be
+    (:func:`~repro.mpc.words.row_words`)."""
 
-    __slots__ = ("block", "starts", "stops", "charges", "held", "prefix", "_rows")
+    __slots__ = ("block", "starts", "stops", "charges", "prefix", "_rows")
 
     def __init__(self, block: Any, starts: Any, stops: Any, prefix: Any = None) -> None:
         self.block = block
@@ -524,7 +517,6 @@ class Shard:
         self.charges = typed * (self.stops - self.starts)
         if words is not None:
             self.charges += words[self.stops] - words[self.starts]
-        self.held = np.ones(len(self.starts), dtype=bool)
         self._rows: dict[int, Any] = {}
 
     def columns(self) -> list[Any]:
@@ -547,12 +539,6 @@ class Shard:
             lo, hi = int(self.starts[slot]), int(self.stops[slot])
             self._rows[slot] = self.block[lo:hi] if hi > lo else []
         return self._rows[slot]
-
-    def release(self, slot: int) -> bool:
-        """Take machine *slot*'s slice out; whether any machine holds one."""
-        self.held[slot] = False
-        self.charges[slot] = 0
-        return bool(self.held.any())
 
 
 def _prefix_words(columns: Sequence[Any]) -> tuple[int, Any]:

@@ -7,8 +7,10 @@ cluster's per-round memory record reads.  The vector is a numpy view of
 an ``array('q')`` buffer, which the machine updates item by item at
 Python speed.  A machine built alone holds a buffer of its own.
 
-A small machine's ``get``, ``put`` and ``pop`` see its slice of the
-cluster's sharded datasets (:class:`repro.mpc.cluster.Shard`).
+A small machine's ``get`` reads its slice of a sharded dataset of the
+cluster (:class:`repro.mpc.cluster.Shard`); only the cluster replaces or
+drops one, so a machine's ``put`` or ``pop`` of a sharded name raises
+:class:`~repro.mpc.errors.ProtocolError`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, Callable, Iterator
 
-from .errors import MemoryLimitExceeded
+from .errors import MemoryLimitExceeded, ProtocolError
 from .ledger import Violation
 from .words import word_size
 
@@ -38,6 +40,10 @@ def memory_limit(
         f"on the {kind} machine)",
         violations=[violation],
     )
+
+
+#: What a machine's ``put`` or ``pop`` of a sharded name raises.
+_SHARDED = "dataset {!r} is sharded: only the cluster stores or pops it"
 
 
 class Machine:
@@ -79,6 +85,7 @@ class Machine:
         "_usage",
         "_slot",
         "_shards",
+        "_owned",
     )
 
     def __init__(
@@ -90,6 +97,7 @@ class Machine:
         round_source: Callable[[], int] | None = None,
         usage: array | None = None,
         shards: dict[str, Any] | None = None,
+        owned: set[str] | None = None,
     ) -> None:
         self.machine_id = machine_id
         self.kind = kind
@@ -103,6 +111,8 @@ class Machine:
         self._usage = usage
         self._slot = machine_id
         self._shards = {} if shards is None else shards  # the cluster's, by name
+        # The names put here, shared by the small machines with the cluster.
+        self._owned = set() if owned is None else owned
 
     def _round(self) -> int:
         return self.round_source() if self.round_source is not None else 0
@@ -111,54 +121,43 @@ class Machine:
     # Dataset management
     # ------------------------------------------------------------------
     def put(self, name: str, value: Any) -> None:
+        if name in self._shards:
+            raise ProtocolError(_SHARDED.format(name))
         size = word_size(value)
-        shard = self._held(name)
-        old = self._sizes.get(name, 0) if shard is None else shard.charges[self._slot]
-        usage = self._usage[self._slot] - int(old) + size
+        usage = self._usage[self._slot] - self._sizes.get(name, 0) + size
         if self.strict and usage > self.capacity:
             raise memory_limit(
                 self.machine_id, self.kind, usage, self.capacity, self._round(),
                 name, size,
             )
-        if shard is not None and not shard.release(self._slot):
-            del self._shards[name]
         self._store[name] = value
         self._sizes[name] = size
         self._usage[self._slot] = usage
+        self._owned.add(name)
 
     def get(self, name: str, default: Any = None) -> Any:
-        shard = self._held(name)
+        shard = self._shards.get(name)
         return self._store.get(name, default) if shard is None else shard.rows(self._slot)
 
     def pop(self, name: str, default: Any = None) -> Any:
-        shard = self._held(name)
-        if shard is not None:
-            self._usage[self._slot] -= int(shard.charges[self._slot])
-            if not shard.release(self._slot):
-                del self._shards[name]
-            return shard.rows(self._slot)
+        if name in self._shards:
+            raise ProtocolError(_SHARDED.format(name))
         size = self._sizes.pop(name, 0)
         if size:
             self._usage[self._slot] -= size
         return self._store.pop(name, default)
 
     def drop(self, name: str) -> None:
-        """Drop the value this machine put under *name* itself, not its
-        slice of a sharded dataset, which the cluster's store replaces."""
+        """Drop the value this machine put under *name*, if any."""
         if name in self._store:
             del self._store[name]
             self._usage[self._slot] -= self._sizes.pop(name)
 
-    def _held(self, name: str) -> Any:
-        """The shard of *name* if this machine holds its slice."""
-        shard = self._shards.get(name)
-        return shard if shard is not None and shard.held[self._slot] else None
-
     def datasets(self) -> Iterator[str]:
-        return iter([*self._store, *filter(self._held, self._shards)])
+        return iter([*self._store, *self._shards])
 
     def __contains__(self, name: str) -> bool:
-        return name in self._store or self._held(name) is not None
+        return name in self._store or name in self._shards
 
     # ------------------------------------------------------------------
     # Accounting

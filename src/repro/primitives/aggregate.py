@@ -83,7 +83,7 @@ def aggregate(
             f"unknown reducer {combine!r} (expected one of {columnar.REDUCERS})"
         )
     if dst is None:
-        dst = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
+        dst = cluster.coordinator
     machines, keys, values = _pair_columns(pairs_by_machine)
     _check_reducible(combine, values)
 

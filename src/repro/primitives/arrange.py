@@ -134,7 +134,7 @@ def arrange_directed(
 
     # Claim 4, property 2: the large machine informs each M_first(v).  (One
     # scatter round; in the sublinear configuration machine 0 plays large.)
-    src = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
+    src = cluster.coordinator
     notifications: dict[int, list[Any]] = {}
     for vertex, machines in holders.items():
         notifications.setdefault(machines[0], []).append(

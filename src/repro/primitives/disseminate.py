@@ -52,9 +52,7 @@ def disseminate(
     Returns, per machine id, the mapping of key->value it received.
     """
     if src is None:
-        src = (
-            cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
-        )
+        src = cluster.coordinator
     # Throttle hook, consulted once per call: the heap-indexed tree layout
     # below must use one consistent fanout for all of its rounds, so an
     # enforcing controller narrows the *next* dissemination's trees.

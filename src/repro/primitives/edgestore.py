@@ -5,6 +5,17 @@ This is the ergonomic layer the algorithms are written against.  Local
 everything that moves data charges rounds through the cluster.  Derived datasets get fresh names
 so several stores can coexist (e.g. the contracted graph and the original
 edges during Borůvka).
+
+The small machines' local step is one call, :meth:`EdgeStore.local`.  It
+runs once per small machine, in machine order (so random draws come in
+machine order), on the machine's rows: its slice of a sharded dataset,
+or the value it put.  A consumed source is dropped with one
+:meth:`~repro.mpc.cluster.Cluster.pop` before any put; then, target by
+target, the target is dropped the same way (only the cluster replaces a
+sharded dataset) and each machine puts its rows, in machine order.  The
+step costs no round; each put is charged, and in strict mode checked,
+as ``Machine.put`` over the machine's old rows: the first machine that
+fails raises.
 """
 
 from __future__ import annotations
@@ -62,16 +73,34 @@ class EdgeStore:
     def __len__(self) -> int:
         return sum(len(m.get(self.name, [])) for m in self.cluster.smalls)
 
+    def local(
+        self, step: Callable[[Any], Any], *targets: str, consume: bool = False
+    ) -> "EdgeStore | tuple[EdgeStore, ...]":
+        """The small machines' local step (see the module docstring):
+        ``step(rows)`` gets a machine's rows of this store and returns its
+        rows of the one target, or a tuple of row lists, one per target;
+        *consume* drops this store.  Returns the target store, or a tuple
+        of them."""
+        cluster = self.cluster
+        outputs = [step(machine.get(self.name, [])) for machine in cluster.smalls]
+        if consume:
+            cluster.pop(self.name)
+        if len(targets) == 1:
+            outputs = [(rows,) for rows in outputs]
+        for target, rows in zip(targets, zip(*outputs)):
+            cluster.pop(target)
+            for machine, machine_rows in zip(cluster.smalls, rows):
+                machine.put(target, machine_rows)
+        stores = tuple(EdgeStore(cluster, target) for target in targets)
+        return stores[0] if len(stores) == 1 else stores
+
     def sample(
         self, p: float, rng: random.Random, name: str | None = None
     ) -> "EdgeStore":
         """Independently keep each record with probability *p* into a new
         store (local coin flips, zero rounds)."""
         target = name if name is not None else _fresh(f"{self.name}.sample")
-        for machine in self.cluster.smalls:
-            kept = [i for i in machine.get(self.name, []) if rng.random() < p]
-            machine.put(target, kept)
-        return EdgeStore(self.cluster, target)
+        return self.local(lambda rows: [row for row in rows if rng.random() < p], target)
 
     def drop(self) -> None:
         self.cluster.pop(self.name)

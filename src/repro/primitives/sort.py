@@ -155,7 +155,7 @@ def sample_sort(
     """
     smalls = cluster.smalls
     machine_ids = [m.machine_id for m in smalls]
-    coordinator = cluster.large.machine_id if cluster.has_large else machine_ids[0]
+    coordinator = cluster.coordinator
     fields = columnar.key_fields(key)
     columns, counts = columnar.sharded(cluster, name)
     total = int(counts.sum())

@@ -82,7 +82,7 @@ def aggregate(
     """Aggregate ``(key, value)`` pairs with *combine*, a named reducer or
     a binary callable; the arguments are those of the typed aggregate."""
     if dst is None:
-        dst = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
+        dst = cluster.coordinator
     fold = REDUCERS[combine] if isinstance(combine, str) else combine
     if isinstance(pairs_by_machine, EdgeBlock):
         pairs_by_machine = _per_machine(pairs_by_machine)

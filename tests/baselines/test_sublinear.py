@@ -57,7 +57,7 @@ def test_sublinear_connectivity_labels(rng):
 def test_sublinear_connectivity_uses_no_large_machine(rng):
     g = generators.random_connected_graph(20, 40, rng)
     result = sublinear_connectivity(g, rng=random.Random(4))
-    assert not result.cluster.has_large
+    assert not result.cluster.larges
 
 
 def test_sublinear_matching_is_maximal(rng):

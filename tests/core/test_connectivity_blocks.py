@@ -29,7 +29,7 @@ from sketch_oracle import ListBank, list_boruvka
 def pair_path_components(cluster, store, n, rng, copies=3, note="connectivity"):
     """Theorem C.1 with per-machine list banks and per-row merges."""
     spec = GraphSketchSpec.generate(n, rng, copies=copies)
-    source = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
+    source = cluster.coordinator
     seed_words = sum(seeds.word_size() for phase in spec.seeds for seeds in phase)
     broadcast(cluster, source, ("sketch-seeds", seed_words), cluster.small_ids,
               note=f"{note}/seeds")

@@ -8,7 +8,8 @@ per-round memory record makes the same number of calls — at 16 small
 machines as at 64.  The primitives store every machine's rows as one
 sharded dataset, so ``Machine.put`` runs at most three times per added
 machine, none of them per round: input placement, and the KKT sample
-and light filter of the one sampling attempt.  The word sizer of
+and light filter of the one sampling attempt; ``Machine.drop`` runs
+only where the cluster drops those three lists.  The word sizer of
 ``repro.mpc.words`` (``word_size_many``, counted where the module calls
 it too) sizes those three lists per machine, plus the one-message runs
 of the boundary and notification rounds, one per machine each.
@@ -74,6 +75,7 @@ def solve_counts(monkeypatch, num_small: int) -> tuple[int, Counter, list[int]]:
     counting(columnar, "reduce_pairs", "grouped_reduce")
     counting(RoundLedger, "record_memory", "memory_record")
     counting(Machine, "put", "machine_put")
+    counting(Machine, "drop", "machine_drop")
     counting(words, "word_size_many", "word_size_many")
     usage = Machine.usage
 
@@ -108,4 +110,5 @@ def test_tree_levels_and_memory_records_do_not_grow_with_machines(monkeypatch):
     # the machines is input placement and the one KKT attempt's lists.
     added = 64 - 16
     assert counts_many["machine_put"] - counts_few["machine_put"] <= 3 * added
+    assert counts_many["machine_drop"] - counts_few["machine_drop"] <= 3 * added
     assert counts_many["word_size_many"] - counts_few["word_size_many"] <= 8 * added

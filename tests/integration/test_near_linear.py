@@ -37,7 +37,7 @@ def test_near_linear_cluster_shape():
     config = ModelConfig.near_linear(n=100, m=2000)
     cluster = Cluster(config)
     assert config.num_small == 20  # m/n machines
-    assert cluster.has_large
+    assert cluster.larges
     # Every machine can hold the vertex set.
     assert all(m.capacity >= 100 for m in cluster.smalls)
 

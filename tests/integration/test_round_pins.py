@@ -235,7 +235,7 @@ def run_small_destination_aggregates() -> dict:
     """The destination is small machine 0: it keeps its received blocks
     (or pairs) until the final combine."""
     cluster = _sublinear_cluster()
-    assert not cluster.has_large
+    assert not cluster.larges
     results = []
     pairs = {
         machine.machine_id: [(u, 1) for u, _ in machine.get("e")]

@@ -34,7 +34,7 @@ def test_machine_counts_match_config():
 def test_sublinear_cluster_has_no_large():
     config = ModelConfig.sublinear(n=64, m=256)
     cluster = Cluster(config)
-    assert not cluster.has_large
+    assert not cluster.larges
     with pytest.raises(ProtocolError):
         _ = cluster.large
 
@@ -118,15 +118,6 @@ def test_distribute_edges_without_small_machines_raises():
         cluster.distribute_edges([(1, 2)], name="e")
 
 
-def test_map_small_applies_local_transform():
-    cluster = make_cluster()
-    cluster.distribute_edges([(1, 2), (3, 4), (5, 6)], name="e")
-    rounds_before = cluster.ledger.rounds
-    cluster.map_small("e", lambda machine, items: [(v, u) for u, v in items])
-    assert cluster.ledger.rounds == rounds_before  # local work is free
-    assert sorted(cluster.all_items("e")) == [(2, 1), (4, 3), (6, 5)]
-
-
 def test_memory_high_water_is_recorded_after_rounds():
     cluster = make_cluster()
     cluster.distribute_edges([(1, 2)] * 10, name="e")
@@ -191,27 +182,6 @@ def test_all_items_preserves_machine_order():
     cluster.smalls[0].put("d", [1, 2])
     cluster.smalls[2].put("d", [3])
     assert cluster.all_items("d") == [1, 2, 3]
-
-
-def test_map_small_on_empty_datasets_is_a_noop():
-    cluster = make_cluster()
-    cluster.map_small("missing", lambda machine, items: list(items))
-    assert cluster.all_items("missing") == []
-    assert cluster.ledger.rounds == 0
-
-
-def test_map_small_checkpoints_memory_after_mutation():
-    cluster = Cluster(ModelConfig.heterogeneous(n=64, m=256),
-                      rng=random.Random(0))
-    cluster.distribute_edges([(1, 2)], name="e")
-    small_capacity = cluster.config.small_capacity
-    cluster.map_small(
-        "e", lambda machine, items: items * (small_capacity + 1)
-    )
-    # The growth is visible without any round having been charged.
-    assert cluster.ledger.rounds == 0
-    assert any("memory" in str(v) for v in cluster.ledger.violations)
-    assert max(cluster.ledger.memory_high_water.values()) > small_capacity
 
 
 # ----------------------------------------------------------------------

@@ -4,20 +4,22 @@ Every dataset is stored two ways: machine by machine, each small machine
 putting its slice with ``Machine.put``, and as one sharded dataset
 (``Cluster.store``, then ``Cluster.rebound`` to bounds that skip rows).
 The two must agree on ``Cluster.usage`` after every store and pop, on
-every machine's ``get``, and on a machine's own ``put`` and ``pop`` of a
-sharded name; in strict mode, on the ``MemoryLimitExceeded`` raised —
-its type, message and violations.  Datasets hold typed int, float and
-bool columns and ``object`` columns of ints past int64, tuples and
-``None``, with empty machines.
+every machine's ``get``, and on a store over values the machines put
+themselves; in strict mode, on the ``MemoryLimitExceeded`` raised — its
+type, message and violations.  Datasets hold typed int, float and bool
+columns and ``object`` columns of ints past int64, tuples and ``None``,
+with empty machines.  Only the cluster replaces or drops a sharded
+dataset: a machine's own ``put`` or ``pop`` of its name is refused.
 """
 
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpc import Cluster, MemoryLimitExceeded, ModelConfig
+from repro.mpc import Cluster, MemoryLimitExceeded, ModelConfig, ProtocolError
 from repro.primitives import columnar
 from repro.primitives.columnar import EdgeBlock, object_column
 
@@ -127,27 +129,54 @@ def test_sharded_store_charges_and_reads_as_per_machine_puts(data):
         row for machine in puts.smalls for row in machine.get("d")
     ]
 
-    # A machine's own pop and put of the sharded name.
-    popped = data.draw(st.integers(0, K - 1))
-    assert list(puts.smalls[popped].pop("d", [])) == list(shards.smalls[popped].pop("d", []))
+    # A machine's own pop and put of the sharded name are refused.
+    machine = shards.smalls[data.draw(st.integers(0, K - 1))]
+    for step in (lambda: machine.pop("d"), lambda: machine.put("d", [])):
+        with pytest.raises(ProtocolError, match="'d' is sharded"):
+            step()
+    agree(puts, shards)
+
+    # Dropping it everywhere, then storing over a machine that holds the
+    # name itself.
+    for side in (puts, shards):
+        drop_everywhere(side)
     agree(puts, shards)
     own = data.draw(st.integers(0, K - 1))
     rows = [(1, (2, 3)), (2**70, None)]
     puts.smalls[own].put("d", rows)
     shards.smalls[own].put("d", rows)
     agree(puts, shards)
-
-    # Storing over machines that hold the name themselves, then dropping
-    # it everywhere.
     assert store_both(puts, shards, block, counts) == (None, None)
     agree(puts, shards)
-    shards.smalls[own].put("d", rows)
-    puts.smalls[own].put("d", rows)
-    for machine in puts.smalls:
-        machine.pop("d")
-    shards.pop("d")
+    for side in (puts, shards):
+        drop_everywhere(side)
     agree(puts, shards)
     assert not shards.usage.any() and shards.shard("d") is None
+
+
+def drop_everywhere(cluster):
+    """Drop ``d`` machine by machine, or cluster-wide when sharded."""
+    if cluster.shard("d") is None:
+        for machine in cluster.smalls:
+            machine.pop("d")
+    else:
+        cluster.pop("d")
+
+
+def test_a_machine_cannot_put_or_pop_a_sharded_name():
+    cluster = make()
+    cluster.store("d", EdgeBlock([np.arange(6)]), [2, 0, 4, 0, 0])
+    machine = cluster.smalls[2]
+    assert list(machine.get("d")) == [(2,), (3,), (4,), (5,)]
+    with pytest.raises(ProtocolError, match="'d' is sharded"):
+        machine.put("d", [(7,)])
+    with pytest.raises(ProtocolError, match="'d' is sharded"):
+        machine.pop("d")
+    assert cluster.usage.tolist()[:K] == [2, 0, 4, 0, 0]
+    assert list(machine.get("d")) == [(2,), (3,), (4,), (5,)]
+    cluster.pop("d")
+    machine.put("d", [(7,)])  # a name the cluster dropped is free again
+    assert cluster.usage.tolist()[:K] == [0, 0, 1, 0, 0]
 
 
 @settings(max_examples=120, deadline=None)

@@ -117,9 +117,7 @@ def test_query_first_records_matches_brute_force(form):
     cluster.distribute_edges(edges, name="edges")
     arrangement = arrange_directed(cluster, "edges", "directed", secondary_key=2)
     if form == "tuples":
-        for machine in cluster.smalls:
-            if "directed" in machine:
-                machine.put("directed", list(machine.get("directed")))
+        EdgeStore(cluster, "directed").local(list, "directed")
     datasets = [machine.get("directed", []) for machine in cluster.smalls]
     assert any(isinstance(data, EdgeBlock) for data in datasets) == (form == "block")
     rows = [row for data in datasets for row in data]

@@ -52,6 +52,49 @@ def test_sample_extremes(cluster, graph):
     assert len(store.sample(1.0, rng)) == graph.m
 
 
+def test_local_step_applies_local_transform(cluster):
+    store = EdgeStore.create(cluster, [(1, 2), (3, 4), (5, 6)], name="e")
+    flipped = store.local(lambda rows: [(v, u) for u, v in rows], "flipped")
+    assert cluster.ledger.rounds == 0  # local work is free
+    assert flipped.name == "flipped"
+    assert sorted(flipped.items()) == [(2, 1), (4, 3), (6, 5)]
+    assert sorted(store.items()) == [(1, 2), (3, 4), (5, 6)]  # kept
+    flipped.local(list, "e", consume=True)  # over the source, consumed
+    assert sorted(store.items()) == [(2, 1), (4, 3), (6, 5)]
+    assert flipped.items() == []
+    assert cluster.usage.sum() == 6
+
+
+def test_local_step_on_empty_datasets_is_a_noop(cluster):
+    out = EdgeStore(cluster, "missing").local(list, "out")
+    assert out.items() == []
+    assert cluster.ledger.rounds == 0
+    assert not cluster.usage.any()
+
+
+def test_checkpoint_after_a_local_step_records_its_growth(cluster):
+    store = EdgeStore.create(cluster, [(1, 2)], name="e")
+    small_capacity = cluster.config.small_capacity
+    grown = store.local(lambda rows: list(rows) * (small_capacity + 1), "grown")
+    cluster.checkpoint_memory(f"map/{grown.name}")
+    # The growth is visible without any round having been charged.
+    assert cluster.ledger.rounds == 0
+    assert any("[map/grown]" in str(v) for v in cluster.ledger.violations)
+    assert max(cluster.ledger.memory_high_water.values()) > small_capacity
+
+
+def test_local_step_puts_several_targets(cluster, graph):
+    store = EdgeStore.create(cluster, graph.edges)
+    light, heavy = store.local(
+        lambda rows: (
+            [e for e in rows if e[2] <= 10], [e for e in rows if e[2] > 10]
+        ),
+        "light", "heavy",
+    )
+    assert sorted(light.items() + heavy.items()) == sorted(graph.edges)
+    assert sorted(e[2] for e in light.items()) == list(range(1, 11))
+
+
 def test_count_charges_rounds(cluster, graph):
     store = EdgeStore.create(cluster, graph.edges)
     before = cluster.ledger.rounds

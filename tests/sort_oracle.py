@@ -44,7 +44,7 @@ def sample_sort(
     *key*, one row at a time (see the module docstring)."""
     smalls = cluster.smalls
     machine_ids = [m.machine_id for m in smalls]
-    coordinator = cluster.large.machine_id if cluster.has_large else machine_ids[0]
+    coordinator = cluster.coordinator
     fields = columnar.key_fields(key)
     field = fields[0]
     row_key = itemgetter(*fields) if len(fields) > 1 else lambda item: (item[field],)
@@ -78,11 +78,12 @@ def sample_sort(
     plan = RoundPlan(note=f"{note}/route")
     for machine in smalls:
         buckets: dict[int, list[Any]] = {}
-        for item in machine.pop(name, []):
+        for item in machine.get(name, []):
             bucket = bisect.bisect_right(splitters, row_key(item))
             buckets.setdefault(bucket, []).append(item)
         for bucket in sorted(buckets):
             plan.send_batch(machine.machine_id, machine_ids[bucket], buckets[bucket])
+    cluster.pop(name)
     inboxes = cluster.execute(plan)
     counts = []
     for machine in smalls:

@@ -1,5 +1,6 @@
 """The collector of ``scripts/call_census.py``: a function the driven
-code never calls is reported, and only that one."""
+code never calls is reported, and only that one; and its verdict, which
+fails on an undeclared uncalled function and on a stale declaration."""
 
 import importlib.util
 import pathlib
@@ -24,3 +25,19 @@ def test_collector_reports_exactly_the_uncalled_function(tmp_path, monkeypatch):
     module = load("pkg.mod", source, monkeypatch)
     missed = census.uncalled(tmp_path, module.called)
     assert [(f.name, f.first, f.lines) for f in missed] == [("pkg.mod:uncalled", 5, 2)]
+
+
+def test_verdict_fails_undeclared_and_stale_names(monkeypatch):
+    census = load("call_census", SCRIPT, monkeypatch)
+
+    def missed(*names):
+        return [census.Function(name, SCRIPT, 1, 2) for name in names]
+
+    assert census.verdict(missed("m:a", "m:b"), {"m:a", "m:b"}) == ([], [])
+    assert census.verdict([], set()) == ([], [])
+    undeclared, stale = census.verdict(missed("m:a", "m:new"), {"m:a"})
+    assert [f.name for f in undeclared] == ["m:new"] and stale == []
+    # Declared, but called now or deleted: stale.
+    assert census.verdict(missed("m:a"), {"m:a", "m:gone", "m:called"}) == (
+        [], ["m:called", "m:gone"]
+    )
